@@ -152,14 +152,6 @@ class CsvSchema:
             "true_label": self.true_label,
         }
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            features=tuple(d["features"]),
-            soft_label=d.get("soft_label", "soft_label"),
-            true_label=d.get("true_label"),
-        )
-
 
 def _parse_cell(raw, row, column):
     text = raw.strip()

@@ -1,30 +1,16 @@
-"""Hot numeric kernels: numba-jitted loops with pure-numpy fallbacks.
+"""Hot numeric kernels, vectorized with numpy.
 
 Four inner loops dominate the runtime of this package: mini-batch training
 epochs for the two scorer architectures, the exponentiated-gradient descent
 used to fit discrete priors, and the 2^m classifier enumeration behind the
-verification oracles. Each has two implementations that compute the same
-quantities (float summation order may differ):
-
-* ``*_numba`` -- explicit loops compiled with ``@njit(cache=True)``,
-* ``*_numpy`` -- vectorized numpy.
-
-The active backend is chosen once at import time from the environment
-variable ``SOFTPU_BACKEND`` ("numba" or "numpy"); the default is numba when
-it imports. Both variants stay importable regardless of the flag so the
-benchmark suite and the cross-backend tests can compare them directly.
+verification oracles. Each is deterministic: the same inputs give
+bit-identical outputs. ``BACKEND`` names this kernel path for run reports.
 """
-
-import os
 
 import numpy as np
 
+BACKEND = "numpy"
 LOSS_CLIP = 1e-7
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
 
 
 def sigmoid(z):
@@ -43,7 +29,7 @@ def _clipped_ce(g, s):
     return -np.mean(s * np.log(gc) + (1.0 - s) * np.log(1.0 - gc))
 
 
-def linear_epochs_numpy(params, X, s, order, batch_size, lr, l2):
+def linear_epochs(params, X, s, order, batch_size, lr, l2):
     """Mini-batch gradient descent epochs for the linear-logistic scorer.
 
     ``params`` is the flat vector [w (d), b] and is updated in place.
@@ -55,8 +41,7 @@ def linear_epochs_numpy(params, X, s, order, batch_size, lr, l2):
     n_epochs = order.shape[0]
     trace = np.empty(n_epochs)
     w = params[:d]
-    # divergence shows up as non-finite values caught by the caller, the
-    # same way the jitted path behaves
+    # divergence shows up as non-finite values caught by the caller
     with np.errstate(over="ignore", invalid="ignore"):
         for e in range(n_epochs):
             idx = order[e]
@@ -76,7 +61,7 @@ def linear_epochs_numpy(params, X, s, order, batch_size, lr, l2):
     return trace
 
 
-def mlp_epochs_numpy(params, X, s, order, batch_size, lr, l2, hidden):
+def mlp_epochs(params, X, s, order, batch_size, lr, l2, hidden):
     """Mini-batch GD epochs for the one-hidden-layer scorer (tanh units).
 
     Flat layout: [W1 (d*h, row-major), b1 (h), w2 (h), b2 (1)]. Updated in
@@ -116,14 +101,14 @@ def mlp_epochs_numpy(params, X, s, order, batch_size, lr, l2, hidden):
     return trace
 
 
-def _eg_objective_numpy(B, f, dtheta, lam):
+def _eg_objective(B, f, dtheta, lam):
     den = (B @ f) * dtheta
     if not np.all(np.isfinite(den)) or np.any(den <= 0.0):
         return np.inf
     return -np.mean(np.log(den)) + lam * dtheta * np.sum(f * f)
 
 
-def eg_minimize_numpy(B, f0, dtheta, lam, step0, max_iters, tol):
+def eg_minimize(B, f0, dtheta, lam, step0, max_iters, tol):
     """Exponentiated-gradient descent of the prior-fit objective.
 
     Minimizes ``-mean_i log(dtheta * (B @ f)_i) + lam * dtheta * sum(f^2)``
@@ -136,7 +121,7 @@ def eg_minimize_numpy(B, f0, dtheta, lam, step0, max_iters, tol):
     """
     n = B.shape[0]
     f = f0.copy()
-    obj = _eg_objective_numpy(B, f, dtheta, lam)
+    obj = _eg_objective(B, f, dtheta, lam)
     trace = [obj]
     step = step0
     for _ in range(max_iters):
@@ -147,7 +132,7 @@ def eg_minimize_numpy(B, f0, dtheta, lam, step0, max_iters, tol):
             v = -step * grad
             y = f * np.exp(v - v.max())
             f_new = y / y.sum()
-            obj_new = _eg_objective_numpy(B, f_new, dtheta, lam)
+            obj_new = _eg_objective(B, f_new, dtheta, lam)
             if obj_new <= obj:
                 accepted = True
                 break
@@ -163,7 +148,7 @@ def eg_minimize_numpy(B, f0, dtheta, lam, step0, max_iters, tol):
     return f, np.array(trace)
 
 
-def enumerate_confusions_numpy(pos_frac, neg_frac):
+def enumerate_confusions(pos_frac, neg_frac):
     """(FPR, TPR) of every deterministic classifier on m cells.
 
     ``pos_frac[j]`` / ``neg_frac[j]`` are cell j's contributions to the
@@ -184,251 +169,3 @@ def enumerate_confusions_numpy(pos_frac, neg_frac):
         tpr[start:stop] = bits @ pos_frac
         fpr[start:stop] = bits @ neg_frac
     return fpr, tpr
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency
-    HAVE_NUMBA = False
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _sigmoid_scalar(z):
-        if z >= 0.0:
-            return 1.0 / (1.0 + np.exp(-z))
-        ez = np.exp(z)
-        return ez / (1.0 + ez)
-
-    @njit(cache=True)
-    def _clipped_ce_scalar(g, s):
-        gc = g
-        if gc < LOSS_CLIP:
-            gc = LOSS_CLIP
-        elif gc > 1.0 - LOSS_CLIP:
-            gc = 1.0 - LOSS_CLIP
-        return -(s * np.log(gc) + (1.0 - s) * np.log(1.0 - gc))
-
-    @njit(cache=True)
-    def linear_epochs_numba(params, X, s, order, batch_size, lr, l2):
-        n, d = X.shape
-        n_epochs = order.shape[0]
-        trace = np.empty(n_epochs)
-        gw = np.empty(d)
-        for e in range(n_epochs):
-            total = 0.0
-            n_batches = 0
-            start = 0
-            while start < n:
-                stop = min(start + batch_size, n)
-                m = stop - start
-                for j in range(d):
-                    gw[j] = 0.0
-                gb = 0.0
-                batch_loss = 0.0
-                for t in range(start, stop):
-                    i = order[e, t]
-                    z = params[d]
-                    for j in range(d):
-                        z += X[i, j] * params[j]
-                    g = _sigmoid_scalar(z)
-                    batch_loss += _clipped_ce_scalar(g, s[i])
-                    diff = g - s[i]
-                    for j in range(d):
-                        gw[j] += diff * X[i, j]
-                    gb += diff
-                inv = 1.0 / m
-                for j in range(d):
-                    params[j] -= lr * (gw[j] * inv + l2 * params[j])
-                params[d] -= lr * gb * inv
-                total += batch_loss * inv
-                n_batches += 1
-                start = stop
-            trace[e] = total / n_batches
-        return trace
-
-    @njit(cache=True)
-    def mlp_epochs_numba(params, X, s, order, batch_size, lr, l2, hidden):
-        # batches are gathered into contiguous buffers so the matrix
-        # products go through np.dot (BLAS) rather than scalar loops
-        n, d = X.shape
-        h = hidden
-        n_epochs = order.shape[0]
-        trace = np.empty(n_epochs)
-        W1 = params[: d * h].reshape(d, h)
-        b1 = params[d * h : d * h + h]
-        w2 = params[d * h + h : d * h + 2 * h]
-        off_b2 = d * h + 2 * h
-        Xb = np.empty((batch_size, d))
-        sb = np.empty(batch_size)
-        for e in range(n_epochs):
-            total = 0.0
-            n_batches = 0
-            start = 0
-            while start < n:
-                stop = min(start + batch_size, n)
-                m = stop - start
-                for t in range(m):
-                    i = order[e, start + t]
-                    for j in range(d):
-                        Xb[t, j] = X[i, j]
-                    sb[t] = s[i]
-                Xv = Xb[:m]
-                sv = sb[:m]
-                a1 = np.tanh(np.dot(Xv, W1) + b1)
-                z2 = np.dot(a1, w2) + params[off_b2]
-                g = np.empty(m)
-                diff = np.empty(m)
-                batch_loss = 0.0
-                for t in range(m):
-                    g[t] = _sigmoid_scalar(z2[t])
-                    batch_loss += _clipped_ce_scalar(g[t], sv[t])
-                    diff[t] = (g[t] - sv[t]) / m
-                gw2 = np.dot(a1.T, diff)
-                gb2 = diff.sum()
-                dz1 = (diff.reshape(m, 1) * w2.reshape(1, h)) * (1.0 - a1 * a1)
-                gW1 = np.dot(Xv.T, dz1)
-                gb1 = dz1.sum(axis=0)
-                for j in range(d):
-                    for k in range(h):
-                        W1[j, k] -= lr * (gW1[j, k] + l2 * W1[j, k])
-                for k in range(h):
-                    b1[k] -= lr * gb1[k]
-                    w2[k] -= lr * (gw2[k] + l2 * w2[k])
-                params[off_b2] -= lr * gb2
-                total += batch_loss / m
-                n_batches += 1
-                start = stop
-            trace[e] = total / n_batches
-        return trace
-
-    @njit(cache=True)
-    def _eg_objective_numba(B, f, dtheta, lam):
-        n = B.shape[0]
-        den = np.dot(B, f)
-        acc = 0.0
-        for i in range(n):
-            d_i = den[i] * dtheta
-            if not np.isfinite(d_i) or d_i <= 0.0:
-                return np.inf
-            acc += np.log(d_i)
-        reg = 0.0
-        for j in range(f.shape[0]):
-            reg += f[j] * f[j]
-        return -acc / n + lam * reg * dtheta
-
-    @njit(cache=True)
-    def eg_minimize_numba(B, f0, dtheta, lam, step0, max_iters, tol):
-        n, m = B.shape
-        f = f0.copy()
-        obj = _eg_objective_numba(B, f, dtheta, lam)
-        trace = np.empty(max_iters + 1)
-        trace[0] = obj
-        count = 1
-        step = step0
-        f_new = np.empty(m)
-        for _ in range(max_iters):
-            recip = 1.0 / (n * np.dot(B, f))
-            grad = 2.0 * lam * dtheta * f - np.dot(B.T, recip)
-            accepted = False
-            obj_new = obj
-            while step > 1e-18:
-                vmax = -np.inf
-                for j in range(m):
-                    v = -step * grad[j]
-                    if v > vmax:
-                        vmax = v
-                tot = 0.0
-                for j in range(m):
-                    f_new[j] = f[j] * np.exp(-step * grad[j] - vmax)
-                    tot += f_new[j]
-                for j in range(m):
-                    f_new[j] /= tot
-                obj_new = _eg_objective_numba(B, f_new, dtheta, lam)
-                if obj_new <= obj:
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
-                break
-            decrease = obj - obj_new
-            for j in range(m):
-                f[j] = f_new[j]
-            obj = obj_new
-            trace[count] = obj
-            count += 1
-            if decrease < tol:
-                break
-        return f, trace[:count]
-
-    @njit(cache=True)
-    def enumerate_confusions_numba(pos_frac, neg_frac):
-        m = pos_frac.shape[0]
-        total = 1 << m
-        fpr = np.empty(total)
-        tpr = np.empty(total)
-        for c in range(total):
-            tp = 0.0
-            fp = 0.0
-            cc = c
-            j = 0
-            while cc:
-                if cc & 1:
-                    tp += pos_frac[j]
-                    fp += neg_frac[j]
-                cc >>= 1
-                j += 1
-            tpr[c] = tp
-            fpr[c] = fp
-        return fpr, tpr
-
-else:  # pragma: no cover
-    linear_epochs_numba = None
-    mlp_epochs_numba = None
-    eg_minimize_numba = None
-    enumerate_confusions_numba = None
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-_requested = os.environ.get("SOFTPU_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise RuntimeError(
-        f"SOFTPU_BACKEND must be 'numba' or 'numpy', got {_requested!r}"
-    )
-if _requested == "numba" and not HAVE_NUMBA:  # pragma: no cover
-    raise RuntimeError("SOFTPU_BACKEND=numba but numba is not importable")
-
-if _requested == "numpy" or not HAVE_NUMBA:
-    BACKEND = "numpy"
-    linear_epochs = linear_epochs_numpy
-    mlp_epochs = mlp_epochs_numpy
-    eg_minimize = eg_minimize_numpy
-    enumerate_confusions = enumerate_confusions_numpy
-else:
-    BACKEND = "numba"
-    linear_epochs = linear_epochs_numba
-    mlp_epochs = mlp_epochs_numba
-    eg_minimize = eg_minimize_numba
-    enumerate_confusions = enumerate_confusions_numba
-
-
-def warmup():
-    """Touch every dispatched kernel once (triggers JIT compilation)."""
-    X = np.array([[0.0], [1.0]])
-    s = np.array([0.2, 0.7])
-    order = np.zeros((1, 2), dtype=np.int64)
-    order[0, 1] = 1
-    linear_epochs(np.zeros(2), X, s, order, 2, 0.1, 0.0)
-    mlp_epochs(np.zeros(1 * 2 + 2 + 2 + 1), X, s, order, 2, 0.1, 0.0, 2)
-    B = np.array([[0.5, 0.25], [0.25, 0.5]])
-    eg_minimize(B, np.array([0.5, 0.5]), 0.5, 0.0, 0.5, 2, 1e-12)
-    enumerate_confusions(np.array([0.6, 0.4]), np.array([0.3, 0.7]))

@@ -30,6 +30,7 @@ def _soft_vector(data) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("expected a 1-D soft-label vector or a SoftDataset")
+    _check_finite(arr, "soft labels")
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise ValueError("soft labels must lie in [0, 1]")
     return arr
@@ -47,6 +48,13 @@ def _true_vector(data) -> np.ndarray:
 def _check_lengths(a, b, what):
     if len(a) != len(b):
         raise ValueError(f"{what} length {len(b)} != sample count {len(a)}")
+
+
+def _check_finite(arr, what):
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"{what} must be finite: index {i} is {arr[i]}")
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +178,7 @@ def roc_spu(data, scores) -> RocCurve:
     s = _soft_vector(data)
     scores = np.asarray(scores, dtype=np.float64)
     _check_lengths(s, scores, "scores")
+    _check_finite(scores, "scores")
     if s.sum() <= 0.0:
         raise ValueError("no positive soft mass: sum of soft labels is 0")
     if (1.0 - s).sum() <= 0.0:
@@ -183,6 +192,7 @@ def roc_real(data, scores) -> RocCurve:
     y = _true_vector(data)
     scores = np.asarray(scores, dtype=np.float64)
     _check_lengths(y, scores, "scores")
+    _check_finite(scores, "scores")
     if y.sum() == 0:
         raise ValueError("positive class (Y=1) is empty")
     if (1 - y).sum() == 0:

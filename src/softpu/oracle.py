@@ -65,10 +65,6 @@ class DiscreteProblem:
     def class_prior(self) -> float:
         return float(np.dot(self.masses, self.eta))
 
-    @property
-    def soft_mean(self) -> float:
-        return float(np.dot(self.masses, self.eta_s))
-
     def to_dict(self):
         return {
             "masses": self.masses.tolist(),

@@ -271,6 +271,26 @@ class TestEvalAndBound:
         assert record["auc_spu"] <= record["bound"] + 1e-9
         assert "margin" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["eval", "bound-check"])
+    def test_nan_score_is_named_error(self, tmp_path, command, capsys):
+        from softpu.training import ScoringModel, save_model
+
+        model_path = tmp_path / "model.json"
+        save_model(ScoringModel("linear-logistic", 1, 0, np.array([1.0, 0.0])), model_path)
+        data = tmp_path / "data.csv"
+        data.write_text("x0,soft_label\n0.3,1.0\nnan,0.0\n0.1,0.5\n", encoding="utf-8")
+        cfg = write_config(
+            tmp_path,
+            "cfg.json",
+            {
+                "seed": 4,
+                "dataset": {"kind": "csv", "path": str(data), "features": ["x0"]},
+                "model": str(model_path),
+            },
+        )
+        assert run(cfg, command, tmp_path / "out") == 1
+        assert "scores must be finite: index 1 is nan" in capsys.readouterr().err
+
 
 class TestFitPriorCommand:
     def test_fixture_records_fit(self, tmp_path):

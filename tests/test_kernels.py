@@ -1,41 +1,221 @@
-"""Both kernel backends must compute the same quantities.
+"""The vectorized kernels must compute the same quantities as scalar loops.
 
-Float summation order differs between the jitted loops and the vectorized
-numpy paths, so comparisons use tight tolerances rather than bit equality;
-per-backend determinism is bit-exact and covered by the training tests.
+The references below are explicit scalar loops (the MLP's matrix products
+aside), written for clarity, not speed. Float summation order differs
+between them and the vectorized kernels, so comparisons use tight
+tolerances rather than bit equality; kernel determinism is bit-exact and
+covered by the training tests.
 """
 
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from softpu import kernels
+from softpu.kernels import LOSS_CLIP
 
 
-pairs = pytest.mark.skipif(
-    not kernels.HAVE_NUMBA, reason="numba not available"
-)
+def _sigmoid_scalar(z):
+    if z >= 0.0:
+        return 1.0 / (1.0 + np.exp(-z))
+    ez = np.exp(z)
+    return ez / (1.0 + ez)
+
+
+def _clipped_ce_scalar(g, s):
+    gc = g
+    if gc < LOSS_CLIP:
+        gc = LOSS_CLIP
+    elif gc > 1.0 - LOSS_CLIP:
+        gc = 1.0 - LOSS_CLIP
+    return -(s * np.log(gc) + (1.0 - s) * np.log(1.0 - gc))
+
+
+def linear_epochs_ref(params, X, s, order, batch_size, lr, l2):
+    n, d = X.shape
+    n_epochs = order.shape[0]
+    trace = np.empty(n_epochs)
+    gw = np.empty(d)
+    for e in range(n_epochs):
+        total = 0.0
+        n_batches = 0
+        start = 0
+        while start < n:
+            stop = min(start + batch_size, n)
+            m = stop - start
+            for j in range(d):
+                gw[j] = 0.0
+            gb = 0.0
+            batch_loss = 0.0
+            for t in range(start, stop):
+                i = order[e, t]
+                z = params[d]
+                for j in range(d):
+                    z += X[i, j] * params[j]
+                g = _sigmoid_scalar(z)
+                batch_loss += _clipped_ce_scalar(g, s[i])
+                diff = g - s[i]
+                for j in range(d):
+                    gw[j] += diff * X[i, j]
+                gb += diff
+            inv = 1.0 / m
+            for j in range(d):
+                params[j] -= lr * (gw[j] * inv + l2 * params[j])
+            params[d] -= lr * gb * inv
+            total += batch_loss * inv
+            n_batches += 1
+            start = stop
+        trace[e] = total / n_batches
+    return trace
+
+
+def mlp_epochs_ref(params, X, s, order, batch_size, lr, l2, hidden):
+    n, d = X.shape
+    h = hidden
+    n_epochs = order.shape[0]
+    trace = np.empty(n_epochs)
+    W1 = params[: d * h].reshape(d, h)
+    b1 = params[d * h : d * h + h]
+    w2 = params[d * h + h : d * h + 2 * h]
+    off_b2 = d * h + 2 * h
+    Xb = np.empty((batch_size, d))
+    sb = np.empty(batch_size)
+    for e in range(n_epochs):
+        total = 0.0
+        n_batches = 0
+        start = 0
+        while start < n:
+            stop = min(start + batch_size, n)
+            m = stop - start
+            for t in range(m):
+                i = order[e, start + t]
+                for j in range(d):
+                    Xb[t, j] = X[i, j]
+                sb[t] = s[i]
+            Xv = Xb[:m]
+            sv = sb[:m]
+            a1 = np.tanh(np.dot(Xv, W1) + b1)
+            z2 = np.dot(a1, w2) + params[off_b2]
+            g = np.empty(m)
+            diff = np.empty(m)
+            batch_loss = 0.0
+            for t in range(m):
+                g[t] = _sigmoid_scalar(z2[t])
+                batch_loss += _clipped_ce_scalar(g[t], sv[t])
+                diff[t] = (g[t] - sv[t]) / m
+            gw2 = np.dot(a1.T, diff)
+            gb2 = diff.sum()
+            dz1 = (diff.reshape(m, 1) * w2.reshape(1, h)) * (1.0 - a1 * a1)
+            gW1 = np.dot(Xv.T, dz1)
+            gb1 = dz1.sum(axis=0)
+            for j in range(d):
+                for k in range(h):
+                    W1[j, k] -= lr * (gW1[j, k] + l2 * W1[j, k])
+            for k in range(h):
+                b1[k] -= lr * gb1[k]
+                w2[k] -= lr * (gw2[k] + l2 * w2[k])
+            params[off_b2] -= lr * gb2
+            total += batch_loss / m
+            n_batches += 1
+            start = stop
+        trace[e] = total / n_batches
+    return trace
+
+
+def _eg_objective_ref(B, f, dtheta, lam):
+    n = B.shape[0]
+    den = np.dot(B, f)
+    acc = 0.0
+    for i in range(n):
+        d_i = den[i] * dtheta
+        if not np.isfinite(d_i) or d_i <= 0.0:
+            return np.inf
+        acc += np.log(d_i)
+    reg = 0.0
+    for j in range(f.shape[0]):
+        reg += f[j] * f[j]
+    return -acc / n + lam * reg * dtheta
+
+
+def eg_minimize_ref(B, f0, dtheta, lam, step0, max_iters, tol):
+    n, m = B.shape
+    f = f0.copy()
+    obj = _eg_objective_ref(B, f, dtheta, lam)
+    trace = np.empty(max_iters + 1)
+    trace[0] = obj
+    count = 1
+    step = step0
+    f_new = np.empty(m)
+    for _ in range(max_iters):
+        recip = 1.0 / (n * np.dot(B, f))
+        grad = 2.0 * lam * dtheta * f - np.dot(B.T, recip)
+        accepted = False
+        obj_new = obj
+        while step > 1e-18:
+            vmax = -np.inf
+            for j in range(m):
+                v = -step * grad[j]
+                if v > vmax:
+                    vmax = v
+            tot = 0.0
+            for j in range(m):
+                f_new[j] = f[j] * np.exp(-step * grad[j] - vmax)
+                tot += f_new[j]
+            for j in range(m):
+                f_new[j] /= tot
+            obj_new = _eg_objective_ref(B, f_new, dtheta, lam)
+            if obj_new <= obj:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+        decrease = obj - obj_new
+        for j in range(m):
+            f[j] = f_new[j]
+        obj = obj_new
+        trace[count] = obj
+        count += 1
+        if decrease < tol:
+            break
+    return f, trace[:count]
+
+
+def enumerate_confusions_ref(pos_frac, neg_frac):
+    m = pos_frac.shape[0]
+    total = 1 << m
+    fpr = np.empty(total)
+    tpr = np.empty(total)
+    for c in range(total):
+        tp = 0.0
+        fp = 0.0
+        cc = c
+        j = 0
+        while cc:
+            if cc & 1:
+                tp += pos_frac[j]
+                fp += neg_frac[j]
+            cc >>= 1
+            j += 1
+        tpr[c] = tp
+        fpr[c] = fp
+    return fpr, tpr
 
 
 def shuffle_orders(rng, epochs, n):
     return np.stack([rng.permutation(n) for _ in range(epochs)]).astype(np.int64)
 
 
-@pairs
-class TestCrossBackend:
+class TestAgainstScalarReference:
     def test_linear_epochs_agree(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((500, 3))
         s = rng.random(500)
         order = shuffle_orders(rng, 4, 500)
-        p_nb = np.zeros(4)
+        p_ref = np.zeros(4)
         p_np = np.zeros(4)
-        t_nb = kernels.linear_epochs_numba(p_nb, X, s, order, 64, 0.3, 0.01)
-        t_np = kernels.linear_epochs_numpy(p_np, X, s, order, 64, 0.3, 0.01)
-        np.testing.assert_allclose(p_nb, p_np, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(t_nb, t_np, rtol=1e-9)
+        t_ref = linear_epochs_ref(p_ref, X, s, order, 64, 0.3, 0.01)
+        t_np = kernels.linear_epochs(p_np, X, s, order, 64, 0.3, 0.01)
+        np.testing.assert_allclose(p_ref, p_np, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(t_ref, t_np, rtol=1e-9)
 
     def test_mlp_epochs_agree(self):
         rng = np.random.default_rng(1)
@@ -44,22 +224,22 @@ class TestCrossBackend:
         order = shuffle_orders(rng, 3, 300)
         n_params = 2 * 8 + 2 * 8 + 1
         init = 0.1 * rng.standard_normal(n_params)
-        p_nb = init.copy()
+        p_ref = init.copy()
         p_np = init.copy()
-        t_nb = kernels.mlp_epochs_numba(p_nb, X, s, order, 32, 0.3, 0.001, 8)
-        t_np = kernels.mlp_epochs_numpy(p_np, X, s, order, 32, 0.3, 0.001, 8)
-        np.testing.assert_allclose(p_nb, p_np, rtol=1e-8, atol=1e-11)
-        np.testing.assert_allclose(t_nb, t_np, rtol=1e-9)
+        t_ref = mlp_epochs_ref(p_ref, X, s, order, 32, 0.3, 0.001, 8)
+        t_np = kernels.mlp_epochs(p_np, X, s, order, 32, 0.3, 0.001, 8)
+        np.testing.assert_allclose(p_ref, p_np, rtol=1e-8, atol=1e-11)
+        np.testing.assert_allclose(t_ref, t_np, rtol=1e-9)
 
     def test_eg_minimize_agree(self):
         rng = np.random.default_rng(2)
         B = rng.random((200, 31)) + 1e-6
         f0 = np.full(31, 1.0 / 31)
-        f_nb, tr_nb = kernels.eg_minimize_numba(B, f0.copy(), 0.03, 1e-3, 0.5, 200, 1e-12)
-        f_np, tr_np = kernels.eg_minimize_numpy(B, f0.copy(), 0.03, 1e-3, 0.5, 200, 1e-12)
-        assert tr_nb.size == tr_np.size
-        np.testing.assert_allclose(f_nb, f_np, rtol=1e-7, atol=1e-10)
-        np.testing.assert_allclose(tr_nb, tr_np, rtol=1e-9)
+        f_ref, tr_ref = eg_minimize_ref(B, f0.copy(), 0.03, 1e-3, 0.5, 200, 1e-12)
+        f_np, tr_np = kernels.eg_minimize(B, f0.copy(), 0.03, 1e-3, 0.5, 200, 1e-12)
+        assert tr_ref.size == tr_np.size
+        np.testing.assert_allclose(f_ref, f_np, rtol=1e-7, atol=1e-10)
+        np.testing.assert_allclose(tr_ref, tr_np, rtol=1e-9)
 
     def test_enumeration_agrees(self):
         rng = np.random.default_rng(3)
@@ -67,63 +247,7 @@ class TestCrossBackend:
         pos /= pos.sum()
         neg = rng.random(11)
         neg /= neg.sum()
-        f_nb, t_nb = kernels.enumerate_confusions_numba(pos, neg)
-        f_np, t_np = kernels.enumerate_confusions_numpy(pos, neg)
-        np.testing.assert_allclose(f_nb, f_np, atol=1e-14)
-        np.testing.assert_allclose(t_nb, t_np, atol=1e-14)
-
-
-class TestBackendSelection:
-    def test_active_backend_dispatches(self):
-        assert kernels.BACKEND in ("numba", "numpy")
-        expected = {
-            "numba": kernels.linear_epochs_numba,
-            "numpy": kernels.linear_epochs_numpy,
-        }[kernels.BACKEND]
-        assert kernels.linear_epochs is expected
-
-    def test_numpy_backend_forced_by_env(self):
-        code = (
-            "import softpu.kernels as k; "
-            "assert k.BACKEND == 'numpy'; "
-            "assert k.eg_minimize is k.eg_minimize_numpy; "
-            "print('ok')"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={"PATH": "/usr/bin:/bin", "SOFTPU_BACKEND": "numpy"},
-            capture_output=True,
-            text=True,
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "ok"
-
-    def test_invalid_backend_rejected(self):
-        code = "import softpu.kernels"
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={"PATH": "/usr/bin:/bin", "SOFTPU_BACKEND": "fortran"},
-            capture_output=True,
-            text=True,
-        )
-        assert out.returncode != 0
-        assert "SOFTPU_BACKEND" in out.stderr
-
-
-class TestBenchmarkScript:
-    def test_runs_at_small_scale(self):
-        out = subprocess.run(
-            [
-                sys.executable,
-                "benchmarks/bench_kernels.py",
-                "--repeats",
-                "1",
-                "--scale",
-                "0.05",
-            ],
-            capture_output=True,
-            text=True,
-            cwd=str(__import__("pathlib").Path(__file__).resolve().parent.parent),
-        )
-        assert out.returncode == 0, out.stderr
-        assert "speedup" in out.stdout
+        f_ref, t_ref = enumerate_confusions_ref(pos, neg)
+        f_np, t_np = kernels.enumerate_confusions(pos, neg)
+        np.testing.assert_allclose(f_ref, f_np, atol=1e-14)
+        np.testing.assert_allclose(t_ref, t_np, atol=1e-14)

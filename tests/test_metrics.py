@@ -170,6 +170,34 @@ class TestSweep:
         assert fpr(y, pred) == fpr_spu(y, pred)
 
 
+class TestNonFiniteInputs:
+    """A NaN or infinite score or soft label is rejected with an error that
+    names the first bad index, whether or not the scores are tied."""
+
+    @pytest.mark.parametrize("scores", [
+        [0.5, 0.5, np.nan, 0.5, 0.5],
+        [0.1, 0.9, np.nan, 0.3, 0.7],
+        [0.1, 0.9, np.inf, 0.3, np.nan],
+    ])
+    @pytest.mark.parametrize("entry", [roc_spu, auc_spu, bound_report])
+    def test_soft_entry_points_reject_bad_scores(self, entry, scores):
+        s = np.array([1.0, 0.0, 0.5, 0.2, 0.8])
+        with pytest.raises(ValueError, match="scores must be finite: index 2"):
+            entry(s, np.array(scores))
+
+    @pytest.mark.parametrize("entry", [roc_real, auc_real])
+    def test_real_entry_points_reject_bad_scores(self, entry):
+        y = np.array([1, 0, 1, 0])
+        with pytest.raises(ValueError, match="scores must be finite: index 1 is -inf"):
+            entry(y, np.array([0.4, -np.inf, 0.4, np.nan]))
+
+    @pytest.mark.parametrize("entry", [roc_spu, auc_spu, bound_report, tpr_spu, fpr_spu])
+    def test_soft_label_vector_rejects_nan(self, entry):
+        s = np.array([1.0, np.nan, 0.5, 0.2])
+        with pytest.raises(ValueError, match="soft labels must be finite: index 1 is nan"):
+            entry(s, np.array([1.0, 0.0, 1.0, 0.0]))
+
+
 class TestAuc:
     def test_three_point_values(self):
         up = RocCurve(np.array([1.0, 0.5, -np.inf]), np.array([0.0, 0.0, 1.0]),
@@ -212,6 +240,8 @@ class TestAreaBound:
             auc_spu_bound(np.zeros(5))
         with pytest.raises(ValueError, match="bound undefined"):
             auc_spu_bound(np.ones(5))
+        with pytest.raises(ValueError, match="soft labels must be finite: index 2 is nan"):
+            auc_spu_bound(np.array([0.2, 0.7, np.nan, 0.4]))
 
     def test_closed_form_integrals_match_quadrature(self):
         # independent oracle: dense Riemann quadrature of the CDF integrals
