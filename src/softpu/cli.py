@@ -176,7 +176,8 @@ def cmd_fit_prior(args) -> int:
     loglik = mean_log_likelihood(records, prior)
     print(
         f"wrote {out / 'prior.json'} ({len(records)} records, "
-        f"{len(prior.objective_trace)} objective values, "
+        f"{len(prior.objective_trace) - 1} iterations, "
+        f"converged={'true' if prior.converged else 'false'}, "
         f"mean log-likelihood {loglik:.6f})"
     )
     return 0

@@ -101,38 +101,40 @@ def mlp_epochs(params, X, s, order, batch_size, lr, l2, hidden):
     return trace
 
 
-def _eg_objective(B, f, dtheta, lam):
+def _eg_objective(B, f, dtheta, lam, w):
     den = (B @ f) * dtheta
     if not np.all(np.isfinite(den)) or np.any(den <= 0.0):
         return np.inf
-    return -np.mean(np.log(den)) + lam * dtheta * np.sum(f * f)
+    return -(w @ np.log(den)) + lam * dtheta * np.sum(f * f)
 
 
-def eg_minimize(B, f0, dtheta, lam, step0, max_iters, tol):
+def eg_minimize(B, f0, dtheta, lam, step0, max_iters, tol, w):
     """Exponentiated-gradient descent of the prior-fit objective.
 
-    Minimizes ``-mean_i log(dtheta * (B @ f)_i) + lam * dtheta * sum(f^2)``
+    Minimizes ``-sum_i w_i log(dtheta * (B @ f)_i) + lam * dtheta * sum(f^2)``
     over the probability simplex with multiplicative updates
-    ``f <- f * exp(-step * grad)`` renormalized to sum 1. The step is halved
+    ``f <- f * exp(-step * grad)`` renormalized to sum 1. Row ``i`` of ``B``
+    carries weight ``w_i``; equal weights ``1/n`` give the plain mean over
+    rows. Scaling a row of ``B`` by ``c_i`` shifts the objective by
+    ``-w_i log c_i`` and leaves the gradient unchanged. The step is halved
     whenever a trial update raises the objective and is never grown back.
     Stops once an accepted decrease falls below ``tol`` or after
     ``max_iters`` accepted iterations. Returns ``(f, trace)`` where trace
     holds the objective at the start plus each accepted iterate.
     """
-    n = B.shape[0]
     f = f0.copy()
-    obj = _eg_objective(B, f, dtheta, lam)
+    obj = _eg_objective(B, f, dtheta, lam, w)
     trace = [obj]
     step = step0
     for _ in range(max_iters):
         den = B @ f
-        grad = 2.0 * lam * dtheta * f - (B.T @ (1.0 / den)) / n
+        grad = 2.0 * lam * dtheta * f - B.T @ (w / den)
         accepted = False
         while step > 1e-18:
             v = -step * grad
             y = f * np.exp(v - v.max())
             f_new = y / y.sum()
-            obj_new = _eg_objective(B, f_new, dtheta, lam)
+            obj_new = _eg_objective(B, f_new, dtheta, lam, w)
             if obj_new <= obj:
                 accepted = True
                 break

@@ -23,6 +23,8 @@ import numpy as np
 from . import kernels
 
 GRID_MARGIN = 1e-4
+# the prior fit holds check counts in int64 arrays
+MAX_CHECK_DAYS = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -61,26 +63,34 @@ class CheckRecord:
     def __post_init__(self):
         if self.n < 0 or self.k < 0 or self.k > self.n:
             raise ValueError(f"need 0 <= k <= n, got n={self.n}, k={self.k}")
+        if self.n > MAX_CHECK_DAYS:
+            raise ValueError(f"n must be at most {MAX_CHECK_DAYS}, got n={self.n}")
 
 
 @dataclass(frozen=True)
 class DiscretePrior:
     """Prior over the per-day pass probability, gridded on [0, 1].
 
-    Weights live on the probability simplex. ``objective_trace`` is filled
-    in by :func:`fit_prior` (objective value at the start plus each accepted
-    iterate).
+    Weights live on the probability simplex. ``objective_trace`` and
+    ``converged`` are filled in by :func:`fit_prior`: the objective value at
+    the start plus each accepted iterate, and whether the fit stopped on its
+    tolerance (not on ``max_iters`` or a vanished step).
     """
 
     grid: np.ndarray
     weights: np.ndarray
     objective_trace: tuple[float, ...] | None = None
+    converged: bool | None = None
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=np.float64)
         weights = np.asarray(self.weights, dtype=np.float64)
         if grid.ndim != 1 or grid.shape != weights.shape or grid.size < 1:
             raise ValueError("grid and weights must be matching 1-D arrays")
+        for name, values in (("grid", grid), ("weights", weights)):
+            if not np.all(np.isfinite(values)):
+                i = _first_bad(values)
+                raise ValueError(f"{name} must be finite: index {i} is {values[i]}")
         if np.any(grid < 0.0) or np.any(grid > 1.0) or np.any(np.diff(grid) <= 0):
             raise ValueError("grid must be strictly increasing within [0, 1]")
         if np.any(weights < 0.0):
@@ -89,6 +99,13 @@ class DiscretePrior:
             raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "weights", weights)
+        # log-space terms of the posterior; log 0 = -inf is meant
+        with np.errstate(divide="ignore"):
+            object.__setattr__(self, "_log_grid", np.log(grid))
+            object.__setattr__(self, "_log1m_grid", np.log1p(-grid))
+            object.__setattr__(self, "_log_weights", np.log(weights))
+        # one product gives the posterior's numerator and normalizer
+        object.__setattr__(self, "_theta_and_one", np.stack([grid, np.ones_like(grid)]))
 
     @classmethod
     def uniform(cls, grid_size: int, margin: float = GRID_MARGIN) -> "DiscretePrior":
@@ -118,6 +135,9 @@ class DiscretePrior:
         d = {"grid": self.grid.tolist(), "weights": self.weights.tolist()}
         if self.objective_trace is not None:
             d["objective_trace"] = list(self.objective_trace)
+            d["iterations"] = len(self.objective_trace) - 1
+        if self.converged is not None:
+            d["converged"] = self.converged
         return d
 
     @classmethod
@@ -127,24 +147,35 @@ class DiscretePrior:
             grid=np.asarray(d["grid"], dtype=np.float64),
             weights=np.asarray(d["weights"], dtype=np.float64),
             objective_trace=None if trace is None else tuple(trace),
+            converged=d.get("converged"),
         )
+
+
+def _first_bad(values: np.ndarray) -> int:
+    return int(np.argmin(np.isfinite(values)))
 
 
 def posterior_pass_prob(record: CheckRecord, prior: DiscretePrior) -> float:
     """Posterior mean of the per-day pass probability given a record.
 
     Computed as the ratio of the (k+1, n-k) and (k, n-k) moment sums of the
-    prior, i.e. the gridded version of the Beta-integral quotient.
+    prior, i.e. the gridded version of the Beta-integral quotient. The
+    posterior weights are formed in log space and rescaled by their maximum,
+    so histories of any length work.
     """
-    theta = prior.grid
-    base = theta**record.k * (1.0 - theta) ** (record.n - record.k) * prior.weights
-    denom = base.sum()
-    numer = (base * theta).sum()
-    if denom <= 0.0 or not math.isfinite(denom):
+    a = prior._log_weights
+    # a zero count adds nothing, also where its log is -inf (0 * -inf is nan)
+    if record.k:
+        a = a + record.k * prior._log_grid
+    if record.n - record.k:
+        a = a + (record.n - record.k) * prior._log1m_grid
+    a_max = a.max()
+    if a_max == -np.inf:
         raise ValueError(
             f"prior inconsistent with record (n={record.n}, k={record.k}): "
             "posterior normalizer vanished"
         )
+    numer, denom = prior._theta_and_one @ np.exp(a - a_max)
     return float(numer / denom)
 
 
@@ -158,21 +189,60 @@ def bayes_soft_label(record: CheckRecord, prior: DiscretePrior) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _likelihood_matrix(records, grid) -> np.ndarray:
-    """B[i, j] = theta_j^k_i * (1 - theta_j)^(n_i - k_i) (no binomial factor;
-    it cancels in the gradient and shifts the objective by a constant)."""
-    ns = np.array([r.n for r in records], dtype=np.float64)
-    ks = np.array([r.k for r in records], dtype=np.float64)
-    return grid[None, :] ** ks[:, None] * (1.0 - grid[None, :]) ** (ns - ks)[:, None]
+def _pair_likelihoods(records, grid):
+    """Row-scaled likelihoods of the distinct (n, k) pairs among ``records``.
+
+    Returns ``(pairs, w, B, m)``: the distinct pairs as an int64 (p, 2)
+    array, each pair's share ``w`` of the records, and ``B[i, j] =
+    exp(L[i, j] - m[i])`` with ``L[i, j] = k_i log theta_j + (n_i - k_i)
+    log(1 - theta_j)`` (no binomial factor; it cancels in the gradient and
+    shifts the objective by a constant) and ``m[i] = max_j L[i, j]``. Every
+    row with finite ``m`` peaks at 1, so no history length underflows; a row
+    with ``m = -inf`` has no likelihood anywhere on the grid and is nan.
+    """
+    records = list(records)
+    if not records:
+        raise ValueError("records must be non-empty")
+    n = np.fromiter((r.n for r in records), np.int64, len(records))
+    k = np.fromiter((r.k for r in records), np.int64, len(records))
+    # the distinct pairs in (n, k) order, as np.unique(axis=0) gives them at
+    # about five times the cost
+    order = np.lexsort((k, n))
+    n, k = n[order], k[order]
+    starts = np.flatnonzero(np.r_[True, (n[1:] != n[:-1]) | (k[1:] != k[:-1])])
+    pairs = np.stack([n[starts], k[starts]], axis=1)
+    counts = np.diff(np.r_[starts, n.size])
+    passes = pairs[:, 1:].astype(np.float64)
+    fails = (pairs[:, :1] - pairs[:, 1:]).astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a zero count adds nothing, also where its log is -inf
+        L = np.where(passes > 0, passes * np.log(grid), 0.0)
+        L += np.where(fails > 0, fails * np.log1p(-grid), 0.0)
+        m = L.max(axis=1)
+        B = np.exp(L - m[:, None])
+    return pairs, counts / len(records), B, m
 
 
-def _log_binomials(records) -> np.ndarray:
+def _log_binomials(pairs) -> np.ndarray:
     return np.array(
         [
-            math.lgamma(r.n + 1) - math.lgamma(r.k + 1) - math.lgamma(r.n - r.k + 1)
-            for r in records
+            math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+            for n, k in pairs.tolist()
         ]
     )
+
+
+def _cell_width(grid) -> float:
+    return float(grid[1] - grid[0]) if grid.size > 1 else 1.0
+
+
+def _log_mixture(records, prior: DiscretePrior):
+    """Per-pair ``log(dtheta * sum_j B_ij f_j)`` (``-inf`` without support),
+    with the pairs and their weights."""
+    pairs, w, B, m = _pair_likelihoods(records, prior.grid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_den = m + np.log((B @ prior.weights) * _cell_width(prior.grid))
+    return pairs, w, np.where(np.isfinite(m), log_den, -np.inf)
 
 
 def fit_prior(
@@ -192,54 +262,63 @@ def fit_prior(
     density ``integral f^2`` in its grid-independent meaning: the weights
     represent a density ``f_j / dtheta`` on cells of width dtheta.
 
+    The records enter only through their distinct (n, k) pairs and how
+    often each occurs, and every likelihood is formed in log space, so the
+    cost does not grow with the number of users and histories of any length
+    work.
+
     Returns the prior with the lowest objective seen (the last accepted
     iterate, since accepted steps never increase the objective), carrying
-    the accepted-objective trace.
+    the accepted-objective trace and whether the last accepted decrease fell
+    below ``tol``.
     """
-    records = list(records)
-    if not records:
-        raise ValueError("records must be non-empty")
+    if not (math.isfinite(step_size) and step_size > 0.0):
+        raise ValueError(f"step_size must be finite and > 0, got {step_size!r}")
+    for name, value in (("lam", lam), ("tol", tol)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters!r}")
     start = DiscretePrior.uniform(grid_size)
-    dtheta = float(start.grid[1] - start.grid[0])
-    B = _likelihood_matrix(records, start.grid)
-    row_sums = B.sum(axis=1)
-    if np.any(row_sums <= 0.0) or not np.all(np.isfinite(B)):
-        bad = int(np.argmin(row_sums))
+    dtheta = _cell_width(start.grid)
+    pairs, w, B, m = _pair_likelihoods(records, start.grid)
+    if not np.all(np.isfinite(m)):
+        n, k = pairs[_first_bad(m)]
         raise ValueError(
-            f"non-finite objective: record (n={records[bad].n}, k={records[bad].k}) "
+            f"non-finite objective: record (n={n}, k={k}) "
             "has no likelihood support on the grid"
         )
     weights, trace = kernels.eg_minimize(
-        B, start.weights.copy(), dtheta, lam, step_size, max_iters, tol
+        B, start.weights.copy(), dtheta, lam, step_size, max_iters, tol, w
     )
+    converged = trace.size > 1 and trace[-2] - trace[-1] < tol
+    # the kernel saw rows scaled by exp(-m); undo the objective's shift
+    trace = trace - w @ m
     # guard against float drift from the multiplicative updates
     weights = np.maximum(weights, 0.0)
     weights = weights / weights.sum()
     return DiscretePrior(
-        grid=start.grid, weights=weights, objective_trace=tuple(float(v) for v in trace)
+        grid=start.grid,
+        weights=weights,
+        objective_trace=tuple(float(v) for v in trace),
+        converged=bool(converged),
     )
 
 
 def fit_objective(records, prior: DiscretePrior, lam: float) -> float:
     """The fitted objective at an arbitrary prior (binomial factor dropped)."""
-    records = list(records)
-    B = _likelihood_matrix(records, prior.grid)
-    dtheta = float(prior.grid[1] - prior.grid[0]) if prior.grid.size > 1 else 1.0
-    den = (B @ prior.weights) * dtheta
-    if np.any(den <= 0.0):
+    _, w, log_den = _log_mixture(records, prior)
+    if np.any(log_den == -np.inf):
         return float("inf")
-    return float(-np.mean(np.log(den)) + lam * dtheta * np.sum(prior.weights**2))
+    return float(-(w @ log_den) + lam * _cell_width(prior.grid) * np.sum(prior.weights**2))
 
 
 def mean_log_likelihood(records, prior: DiscretePrior) -> float:
     """Reported mean log-likelihood, including the binomial coefficients."""
-    records = list(records)
-    B = _likelihood_matrix(records, prior.grid)
-    dtheta = float(prior.grid[1] - prior.grid[0]) if prior.grid.size > 1 else 1.0
-    den = (B @ prior.weights) * dtheta
-    if np.any(den <= 0.0):
+    pairs, w, log_den = _log_mixture(records, prior)
+    if np.any(log_den == -np.inf):
         return float("-inf")
-    return float(np.mean(np.log(den) + _log_binomials(records)))
+    return float(w @ (log_den + _log_binomials(pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +392,10 @@ def records_from_csv(path) -> list[CheckRecord]:
                 k = int(row["k"])
             except (TypeError, ValueError):
                 raise ValueError(f"row {row_idx}: n and k must be integers") from None
-            records.append(CheckRecord(n=n, k=k))
+            try:
+                records.append(CheckRecord(n=n, k=k))
+            except ValueError as exc:
+                raise ValueError(f"row {row_idx}: {exc}") from None
     if not records:
         raise ValueError("empty records file")
     return records

@@ -11,7 +11,7 @@ import pytest
 from softpu.cli import main
 from softpu.dataset import CsvSchema, load_csv
 from softpu.experiment import ExperimentConfig, run_experiment
-from softpu.labeling import prior_from_json
+from softpu.labeling import bayes_soft_label, fit_prior, prior_from_json, records_from_csv
 from softpu.metrics import auc, curve_from_csv
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -318,6 +318,41 @@ class TestFitPriorCommand:
         assert run(cfg, "fit-prior", tmp_path / "o") == 1
         assert "nope.csv" in capsys.readouterr().err
 
+    def test_bad_hyperparameter_exits_1(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "prior.json",
+            {"records": str(FIXTURES / "check_records.csv"), "step_size": -1.0},
+        )
+        assert run(cfg, "fit-prior", tmp_path / "o") == 1
+        assert "step_size must be finite and > 0, got -1.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "settings,iterations,converged",
+        [({"max_iters": 20}, 20, False), ({"tol": 1e-4}, None, True)],
+        ids=["max-iters-hit", "converged"],
+    )
+    def test_reports_convergence(self, tmp_path, capsys, settings, iterations, converged):
+        cfg = write_config(
+            tmp_path,
+            "prior.json",
+            {"records": str(FIXTURES / "check_records.csv"), **settings},
+        )
+        out = tmp_path / "out"
+        assert run(cfg, "fit-prior", out) == 0
+        written = json.loads((out / "prior.json").read_text(encoding="utf-8"))
+        trace = written["objective_trace"]
+        assert written["iterations"] == len(trace) - 1
+        assert written["converged"] is converged
+        if iterations is not None:
+            assert written["iterations"] == iterations
+        else:
+            assert 0 < written["iterations"] < 500
+            assert trace[-2] - trace[-1] < settings["tol"]
+        flag = "true" if converged else "false"
+        assert f"{written['iterations']} iterations, converged={flag}" in capsys.readouterr().out
+        assert prior_from_json(out / "prior.json").converged is converged
+
 
 class TestFrontierCommand:
     def test_fixture_problem_verifies(self, tmp_path):
@@ -434,6 +469,11 @@ class TestSoftLabelSources:
         evens = out.soft_labels[idx[idx % 2 == 0]]
         odds = out.soft_labels[idx[idx % 2 == 1]]
         assert odds.min() > evens.max()
+        # one posterior per distinct pair gives the per-row loop's bits
+        checks = records_from_csv(records)
+        prior = fit_prior(checks, grid_size=51)
+        per_row = np.array([bayes_soft_label(r, prior) for r in checks])
+        assert np.array_equal(out.soft_labels[unlabeled], per_row[unlabeled])
 
     def test_bayes_source_row_mismatch_errors(self, tmp_path):
         from softpu.experiment import apply_soft_label_source

@@ -120,7 +120,7 @@ def mlp_epochs_ref(params, X, s, order, batch_size, lr, l2, hidden):
     return trace
 
 
-def _eg_objective_ref(B, f, dtheta, lam):
+def _eg_objective_ref(B, f, dtheta, lam, w):
     n = B.shape[0]
     den = np.dot(B, f)
     acc = 0.0
@@ -128,24 +128,27 @@ def _eg_objective_ref(B, f, dtheta, lam):
         d_i = den[i] * dtheta
         if not np.isfinite(d_i) or d_i <= 0.0:
             return np.inf
-        acc += np.log(d_i)
+        acc += w[i] * np.log(d_i)
     reg = 0.0
     for j in range(f.shape[0]):
         reg += f[j] * f[j]
-    return -acc / n + lam * reg * dtheta
+    return -acc + lam * reg * dtheta
 
 
-def eg_minimize_ref(B, f0, dtheta, lam, step0, max_iters, tol):
+def eg_minimize_ref(B, f0, dtheta, lam, step0, max_iters, tol, w):
     n, m = B.shape
     f = f0.copy()
-    obj = _eg_objective_ref(B, f, dtheta, lam)
+    obj = _eg_objective_ref(B, f, dtheta, lam, w)
     trace = np.empty(max_iters + 1)
     trace[0] = obj
     count = 1
     step = step0
     f_new = np.empty(m)
     for _ in range(max_iters):
-        recip = 1.0 / (n * np.dot(B, f))
+        den = np.dot(B, f)
+        recip = np.empty(n)
+        for i in range(n):
+            recip[i] = w[i] / den[i]
         grad = 2.0 * lam * dtheta * f - np.dot(B.T, recip)
         accepted = False
         obj_new = obj
@@ -161,7 +164,7 @@ def eg_minimize_ref(B, f0, dtheta, lam, step0, max_iters, tol):
                 tot += f_new[j]
             for j in range(m):
                 f_new[j] /= tot
-            obj_new = _eg_objective_ref(B, f_new, dtheta, lam)
+            obj_new = _eg_objective_ref(B, f_new, dtheta, lam, w)
             if obj_new <= obj:
                 accepted = True
                 break
@@ -231,15 +234,42 @@ class TestAgainstScalarReference:
         np.testing.assert_allclose(p_ref, p_np, rtol=1e-8, atol=1e-11)
         np.testing.assert_allclose(t_ref, t_np, rtol=1e-9)
 
-    def test_eg_minimize_agree(self):
+    def _eg_agree(self, weights_of):
         rng = np.random.default_rng(2)
         B = rng.random((200, 31)) + 1e-6
+        w = weights_of(rng)
         f0 = np.full(31, 1.0 / 31)
-        f_ref, tr_ref = eg_minimize_ref(B, f0.copy(), 0.03, 1e-3, 0.5, 200, 1e-12)
-        f_np, tr_np = kernels.eg_minimize(B, f0.copy(), 0.03, 1e-3, 0.5, 200, 1e-12)
+        f_ref, tr_ref = eg_minimize_ref(B, f0.copy(), 0.03, 1e-3, 0.5, 200, 1e-12, w)
+        f_np, tr_np = kernels.eg_minimize(B, f0.copy(), 0.03, 1e-3, 0.5, 200, 1e-12, w)
         assert tr_ref.size == tr_np.size
         np.testing.assert_allclose(f_ref, f_np, rtol=1e-7, atol=1e-10)
         np.testing.assert_allclose(tr_ref, tr_np, rtol=1e-9)
+
+    def test_eg_minimize_agree(self):
+        # equal weights: the plain mean over rows
+        self._eg_agree(lambda rng: np.full(200, 1.0 / 200))
+
+    def test_eg_minimize_agree_weighted(self):
+        def count_weights(rng):
+            counts = rng.integers(1, 50, 200)
+            return counts / counts.sum()
+
+        self._eg_agree(count_weights)
+
+    def test_eg_row_scaling_shifts_objective_only(self):
+        # scaling row i by c_i leaves the iterates alone and shifts the
+        # objective by -w @ log(c)
+        rng = np.random.default_rng(4)
+        B = rng.random((40, 11)) + 1e-3
+        w = rng.random(40)
+        w /= w.sum()
+        c = np.exp(rng.uniform(-30.0, 30.0, 40))
+        f0 = np.full(11, 1.0 / 11)
+        f_a, tr_a = kernels.eg_minimize(B, f0, 0.1, 1e-3, 0.5, 50, 0.0, w)
+        f_b, tr_b = kernels.eg_minimize(B * c[:, None], f0, 0.1, 1e-3, 0.5, 50, 0.0, w)
+        assert tr_a.size == tr_b.size
+        np.testing.assert_allclose(f_a, f_b, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(tr_a, tr_b + w @ np.log(c), rtol=1e-9, atol=1e-9)
 
     def test_enumeration_agrees(self):
         rng = np.random.default_rng(3)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from softpu import kernels
 from softpu.labeling import (
     CheckRecord,
     DiscretePrior,
@@ -81,6 +82,20 @@ class TestBayesSoftLabel:
         with pytest.raises(ValueError, match="prior inconsistent"):
             bayes_soft_label(CheckRecord(n=3, k=2), prior)
 
+    def test_grid_endpoints(self):
+        # theta = 0 and theta = 1 carry weight only when the record allows
+        prior = DiscretePrior(np.array([0.0, 0.5, 1.0]), np.full(3, 1.0 / 3))
+        assert posterior_pass_prob(CheckRecord(n=0, k=0), prior) == pytest.approx(0.5)
+        assert posterior_pass_prob(CheckRecord(n=2, k=0), prior) == pytest.approx(0.1)
+        assert posterior_pass_prob(CheckRecord(n=2, k=2), prior) == pytest.approx(0.9)
+        assert posterior_pass_prob(CheckRecord(n=2, k=1), prior) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("n,k", [(2000, 1000), (2000, 1500), (100_000, 70_000)])
+    def test_laplace_rule_on_long_histories(self, n, k):
+        prior = DiscretePrior.uniform(1001)
+        got = posterior_pass_prob(CheckRecord(n=n, k=k), prior)
+        assert got == pytest.approx((k + 1) / (n + 2), abs=1e-9)
+
     def test_monotone_in_passes(self):
         # more passed checks -> lower risk label, strictly
         prior = DiscretePrior.uniform(201)
@@ -93,6 +108,21 @@ class TestBayesSoftLabel:
             CheckRecord(n=3, k=4)
         with pytest.raises(ValueError):
             CheckRecord(n=-1, k=0)
+        with pytest.raises(ValueError, match="n must be at most"):
+            CheckRecord(n=2**63, k=0)
+
+
+class TestDiscretePriorValidation:
+    @pytest.mark.parametrize(
+        "field,d",
+        [
+            ("weights", {"grid": [0.1, 0.5, 0.9], "weights": [0.5, float("nan"), 0.5]}),
+            ("grid", {"grid": [0.1, float("nan"), 0.9], "weights": [0.25, 0.5, 0.25]}),
+        ],
+    )
+    def test_non_finite_values_rejected(self, field, d):
+        with pytest.raises(ValueError, match=f"{field} must be finite: index 1 is nan"):
+            DiscretePrior.from_dict(d)
 
 
 def synth_records(rng, n_records, theta, n_days=20):
@@ -108,6 +138,65 @@ class TestFitPrior:
         prior = fit_prior(synth_records(rng, 50, 0.5), grid_size=21, max_iters=0)
         np.testing.assert_allclose(prior.weights, 1.0 / 21, atol=1e-12)
         assert len(prior.objective_trace) == 1
+        assert prior.converged is False
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("step_size", float("nan")),
+            ("step_size", -1.0),
+            ("step_size", 0.0),
+            ("lam", float("nan")),
+            ("lam", -5.0),
+            ("tol", float("nan")),
+            ("tol", -1e-9),
+            ("tol", float("inf")),
+            ("max_iters", -3),
+        ],
+    )
+    def test_bad_hyperparameter_named(self, field, value):
+        rng = np.random.default_rng(1)
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            fit_prior(synth_records(rng, 20, 0.5), grid_size=11, **{field: value})
+
+    def test_long_histories_stay_finite(self):
+        records = [
+            CheckRecord(n=20, k=12),
+            CheckRecord(n=1200, k=600),
+            CheckRecord(n=2000, k=1000),
+            CheckRecord(n=100_000, k=50_000),
+        ]
+        prior = fit_prior(records, grid_size=101, max_iters=50)
+        assert np.all(np.isfinite(prior.objective_trace))
+        assert abs(prior.weights.sum() - 1.0) <= 1e-12
+        assert np.isfinite(mean_log_likelihood(records, prior))
+        assert fit_objective(records, prior, 1e-3) == pytest.approx(
+            prior.objective_trace[-1], abs=1e-9
+        )
+
+    def test_repeating_records_leaves_fit_unchanged(self):
+        rng = np.random.default_rng(10)
+        records = synth_records(rng, 300, 0.35, n_days=12)
+        once = fit_prior(records, grid_size=51)
+        tenfold = fit_prior(records * 10, grid_size=51)
+        np.testing.assert_allclose(tenfold.weights, once.weights, rtol=0, atol=1e-12)
+
+    def test_kernel_sees_one_row_per_distinct_pair(self, monkeypatch):
+        seen = {}
+        real = kernels.eg_minimize
+
+        def capture(B, *args):
+            seen["B"] = B
+            seen["w"] = args[-1]
+            return real(B, *args)
+
+        monkeypatch.setattr(kernels, "eg_minimize", capture)
+        records = [CheckRecord(10, 7)] * 5 + [CheckRecord(10, 2)] * 3 + [CheckRecord(4, 4)]
+        fit_prior(records, grid_size=21, max_iters=5)
+        assert seen["B"].shape == (3, 21)
+        # pairs sorted by (n, k): (4, 4), (10, 2), (10, 7)
+        np.testing.assert_allclose(seen["w"], [1 / 9, 3 / 9, 5 / 9], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(seen["B"].max(axis=1), 1.0, rtol=0, atol=0)
 
     def test_concentrates_near_generating_theta(self):
         rng = np.random.default_rng(2)
@@ -228,6 +317,9 @@ class TestRecordsIo:
         path.write_text("user_id,n,k\nu1,5,x\n")
         with pytest.raises(ValueError, match="row 1"):
             records_from_csv(path)
+        path.write_text("user_id,n,k\nu1,5,3\nu2,4,9\n")
+        with pytest.raises(ValueError, match=r"^row 2: need 0 <= k <= n, got n=4, k=9$"):
+            records_from_csv(path)
         path.write_text("user_id,n\nu1,5\n")
         with pytest.raises(ValueError, match="columns"):
             records_from_csv(path)
@@ -241,3 +333,4 @@ class TestRecordsIo:
         np.testing.assert_array_equal(back.grid, prior.grid)
         np.testing.assert_array_equal(back.weights, prior.weights)
         assert back.objective_trace == prior.objective_trace
+        assert back.converged is prior.converged is False
