@@ -10,7 +10,9 @@ anything in between is an unlabeled sample believed more likely positive.
 """
 
 import csv
+import itertools
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -165,53 +167,81 @@ def _parse_cell(raw, row, column):
         ) from None
 
 
-def load_csv(path, schema: CsvSchema) -> SoftDataset:
-    """Load a UTF-8, comma-separated, header-row CSV into a SoftDataset.
+def _parse_feature(raw, row, column):
+    value = _parse_cell(raw, row, column)
+    if not math.isfinite(value):
+        raise ValueError(f"row {row}, column '{column}': non-finite value {value}")
+    return value
 
-    Lines starting with ``#`` are treated as comments. Row numbers in error
-    messages are 1-based data rows (the header is row 0). Every soft label
-    must parse to a real in [0, 1]; missing values are an error.
-    """
+
+def _open_csv(path):
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("empty dataset") from None
-        header = [h.strip() for h in header]
-        col = {name: j for j, name in enumerate(header)}
-        wanted = list(schema.features) + [schema.soft_label]
-        if schema.true_label is not None:
-            wanted.append(schema.true_label)
-        missing = [name for name in wanted if name not in col]
-        if missing:
-            raise ValueError(f"missing column(s): {missing}")
+    return path.open(newline="", encoding="utf-8")
 
-        feats, soft, truth = [], [], []
-        for row_idx, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"row {row_idx}: expected {len(header)} fields, got {len(row)}"
-                )
-            feats.append(
-                [_parse_cell(row[col[name]], row_idx, name) for name in schema.features]
+
+def _skip_comments(fh):
+    """The lines of an open CSV file that are not ``#`` comments, line ends kept."""
+    return (line for line in fh if line[0] != "#")
+
+
+def _data_lines(path) -> list[str]:
+    """All non-comment lines of a CSV file, for the row loop."""
+    with _open_csv(path) as fh:
+        return list(_skip_comments(fh))
+
+
+def _read_header(reader, schema: CsvSchema) -> tuple[list[str], dict[str, int]]:
+    """The stripped header row and each name's column; checks the schema."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError("empty dataset") from None
+    header = [h.strip() for h in header]
+    col = {name: j for j, name in enumerate(header)}
+    wanted = list(schema.features) + [schema.soft_label]
+    if schema.true_label is not None:
+        wanted.append(schema.true_label)
+    missing = [name for name in wanted if name not in col]
+    if missing:
+        raise ValueError(f"missing column(s): {missing}")
+    duplicate = [name for name in dict.fromkeys(wanted) if header.count(name) > 1]
+    if duplicate:
+        raise ValueError(f"duplicate column(s): {duplicate}")
+    return header, col
+
+
+def _load_rows(lines, schema: CsvSchema) -> SoftDataset:
+    """Parse the non-comment ``lines`` of a CSV one row at a time.
+
+    Reads everything :func:`load_csv` accepts, quoted cells included, and
+    names the row and column of the first bad cell.
+    """
+    reader = csv.reader(lines)
+    header, col = _read_header(reader, schema)
+    feats, soft, truth = [], [], []
+    for row_idx, row in enumerate(reader, start=1):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ValueError(
+                f"row {row_idx}: expected {len(header)} fields, got {len(row)}"
             )
-            s = _parse_cell(row[col[schema.soft_label]], row_idx, schema.soft_label)
-            if not 0.0 <= s <= 1.0:
-                raise ValueError(f"row {row_idx}: soft label {s} outside [0, 1]")
-            soft.append(s)
-            if schema.true_label is not None:
-                y = _parse_cell(row[col[schema.true_label]], row_idx, schema.true_label)
-                if y not in (0.0, 1.0):
-                    raise ValueError(
-                        f"row {row_idx}: true label {y} must be exactly 0 or 1"
-                    )
-                truth.append(int(y))
+        feats.append(
+            [_parse_feature(row[col[name]], row_idx, name) for name in schema.features]
+        )
+        s = _parse_cell(row[col[schema.soft_label]], row_idx, schema.soft_label)
+        if not 0.0 <= s <= 1.0:
+            raise ValueError(f"row {row_idx}: soft label {s} outside [0, 1]")
+        soft.append(s)
+        if schema.true_label is not None:
+            y = _parse_cell(row[col[schema.true_label]], row_idx, schema.true_label)
+            if y not in (0.0, 1.0):
+                raise ValueError(
+                    f"row {row_idx}: true label {y} must be exactly 0 or 1"
+                )
+            truth.append(int(y))
 
     if not feats:
         raise ValueError("empty dataset")
@@ -224,25 +254,147 @@ def load_csv(path, schema: CsvSchema) -> SoftDataset:
     )
 
 
+def _parse_table(lines, width):
+    """The data ``lines`` as one float table, or None if the row loop must read them.
+
+    None unless some line is not blank and every such line holds ``width``
+    numbers (``loadtxt`` skips blank lines, as the row loop does, and raises
+    when the field count changes). A cell with a quote never parses as a
+    number, so quoted rows always get None. ``lines`` is consumed one line
+    at a time, so the text of the file is never held whole.
+    """
+    lines = iter(lines)
+    first = next((line for line in lines if line.strip("\r\n")), None)
+    if first is None:
+        return None
+    try:
+        table = np.loadtxt(
+            itertools.chain((first,), lines),
+            delimiter=",",
+            comments=None,
+            dtype=np.float64,
+            ndmin=2,
+        )
+    except ValueError:
+        return None
+    return table if table.shape[1] == width else None
+
+
+def load_csv(path, schema: CsvSchema) -> SoftDataset:
+    """Load a UTF-8, comma-separated, header-row CSV into a SoftDataset.
+
+    Lines starting with ``#`` are treated as comments. Row numbers in error
+    messages are 1-based data rows (the header is row 0). Every soft label
+    must parse to a real in [0, 1] and every feature to a finite real;
+    missing values are an error, and so is a schema column that appears
+    twice in the header.
+
+    The data rows are parsed column-wise in one pass; a file that pass
+    cannot read, or whose values fail a check, is read again row by row,
+    which either loads it or names the first bad row and column.
+    """
+    with _open_csv(path) as fh:
+        lines = _skip_comments(fh)
+        header, col = _read_header(csv.reader(lines), schema)
+        table = _parse_table(lines, len(header))
+    if table is not None:
+        feats = table[:, [col[name] for name in schema.features]]
+        soft = table[:, col[schema.soft_label]]
+        ok = np.isfinite(feats).all() and ((soft >= 0.0) & (soft <= 1.0)).all()
+        truth = None
+        if schema.true_label is not None:
+            truth = table[:, col[schema.true_label]]
+            ok = ok and ((truth == 0.0) | (truth == 1.0)).all()
+        if ok:
+            return SoftDataset(
+                features=np.ascontiguousarray(feats),
+                soft_labels=soft.copy(),
+                true_labels=None if truth is None else truth.astype(np.int8),
+                feature_names=tuple(schema.features),
+                provenance="loaded",
+            )
+    return _load_rows(_data_lines(path), schema)
+
+
+# Rows formatted and written per call of ``write``: bounds the text held in
+# memory while keeping the per-chunk overhead small.
+CHUNK_ROWS = 8192
+
+# Text of a true label, indexed by the label (always exactly 0 or 1).
+_LABEL_TEXT = np.array(["0", "1"], dtype=object)
+
+
+def float_text(values) -> list[str]:
+    """``repr`` of each float of a 1-D float64 array.
+
+    ``repr`` is the shortest text that reads back to the same float, so
+    exports are byte-stable and reload losslessly. Each distinct bit pattern
+    is formatted once; patterns, not values, because ``-0.0 == 0.0`` is
+    written differently.
+    """
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
+def write_columns(fh, columns) -> None:
+    """Write equal-length 1-D arrays to ``fh`` as comma-separated rows.
+
+    Float columns are written by :func:`float_text`; any other column must
+    hold its cells' text already. Rows go out :data:`CHUNK_ROWS` at a time.
+    """
+    for lo in range(0, len(columns[0]), CHUNK_ROWS):
+        cells = [
+            float_text(c[lo : lo + CHUNK_ROWS])
+            if c.dtype.kind == "f"
+            else c[lo : lo + CHUNK_ROWS].tolist()
+            for c in columns
+        ]
+        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _check_writable(names) -> None:
+    """Refuse header names that :func:`load_csv` would not read back."""
+    for name in names:
+        bad = [c for c in (",", '"', "\r", "\n") if c in name]
+        if bad:
+            raise ValueError(
+                f"column name {name!r} cannot be written: contains {bad[0]!r}"
+            )
+        if name != name.strip():
+            raise ValueError(
+                f"column name {name!r} cannot be written: "
+                "leading or trailing whitespace is stripped on load"
+            )
+    if names[0].startswith("#"):
+        raise ValueError(
+            f"column name {names[0]!r} cannot be written first: "
+            "the header would read as a comment"
+        )
+    duplicate = [name for name in dict.fromkeys(names) if names.count(name) > 1]
+    if duplicate:
+        raise ValueError(f"duplicate column(s): {duplicate}")
+
+
 def save_csv(dataset: SoftDataset, path) -> None:
     """Export to the ingestion schema plus a leading ``#`` provenance line.
 
-    Floats are written with ``repr`` (shortest round-trip form) so exports
-    are byte-stable and reload losslessly.
+    Floats are written with ``repr`` (see :func:`float_text`). Column names
+    that would not read back (a comma, quote or line break, surrounding
+    whitespace, a repeated name, or a leading ``#`` on the first) are
+    refused before the file is opened.
     """
     path = Path(path)
-    columns = list(dataset.feature_names) + ["soft_label"]
+    names = list(dataset.feature_names) + ["soft_label"]
+    columns = list(dataset.features.T) + [dataset.soft_labels]
     if dataset.true_labels is not None:
-        columns.append("true_label")
+        names.append("true_label")
+        columns.append(_LABEL_TEXT[dataset.true_labels])
+    _check_writable(names)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# provenance: {dataset.provenance}\n")
-        fh.write(",".join(columns) + "\n")
-        for i in range(len(dataset)):
-            cells = [repr(float(v)) for v in dataset.features[i]]
-            cells.append(repr(float(dataset.soft_labels[i])))
-            if dataset.true_labels is not None:
-                cells.append(str(int(dataset.true_labels[i])))
-            fh.write(",".join(cells) + "\n")
+        fh.write(",".join(names) + "\n")
+        write_columns(fh, columns)
 
 
 def schema_for(dataset: SoftDataset) -> CsvSchema:

@@ -19,7 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import SoftDataset
+from .dataset import SoftDataset, write_columns
+
+_CURVE_COLUMNS = ("threshold", "x", "y")
 
 _TIE_KIND = "stable"
 
@@ -346,14 +348,17 @@ def map_auc(coeffs: MixtureCoefficients, real_auc: float) -> float:
 def curve_to_csv(curve: RocCurve, path) -> None:
     """Write a curve as CSV with columns threshold, x, y (repr floats)."""
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("threshold,x,y\n")
-        for t, x, y in zip(curve.thresholds, curve.xs, curve.ys):
-            fh.write(f"{repr(float(t))},{repr(float(x))},{repr(float(y))}\n")
+        fh.write(",".join(_CURVE_COLUMNS) + "\n")
+        write_columns(fh, [curve.thresholds, curve.xs, curve.ys])
 
 
 def curve_from_csv(path, kind: str) -> RocCurve:
     with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
+        if reader.fieldnames is not None:
+            missing = [c for c in _CURVE_COLUMNS if c not in reader.fieldnames]
+            if missing:
+                raise ValueError(f"missing column(s): {missing}")
         rows = [(float(r["threshold"]), float(r["x"]), float(r["y"])) for r in reader]
     if not rows:
         raise ValueError("empty curve file")

@@ -276,6 +276,28 @@ class TestEvalAndBound:
         from softpu.training import ScoringModel, save_model
 
         model_path = tmp_path / "model.json"
+        # features are finite (load_csv rejects nan); row 1's logit is inf * 0
+        params = np.array([np.inf, 0.0])
+        save_model(ScoringModel("linear-logistic", 1, 0, params), model_path)
+        data = tmp_path / "data.csv"
+        data.write_text("x0,soft_label\n0.3,1.0\n0.0,0.0\n0.1,0.5\n", encoding="utf-8")
+        cfg = write_config(
+            tmp_path,
+            "cfg.json",
+            {
+                "seed": 4,
+                "dataset": {"kind": "csv", "path": str(data), "features": ["x0"]},
+                "model": str(model_path),
+            },
+        )
+        assert run(cfg, command, tmp_path / "out") == 1
+        assert "scores must be finite: index 1 is nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "bound-check"])
+    def test_nan_feature_is_named_error(self, tmp_path, command, capsys):
+        from softpu.training import ScoringModel, save_model
+
+        model_path = tmp_path / "model.json"
         save_model(ScoringModel("linear-logistic", 1, 0, np.array([1.0, 0.0])), model_path)
         data = tmp_path / "data.csv"
         data.write_text("x0,soft_label\n0.3,1.0\nnan,0.0\n0.1,0.5\n", encoding="utf-8")
@@ -289,7 +311,7 @@ class TestEvalAndBound:
             },
         )
         assert run(cfg, command, tmp_path / "out") == 1
-        assert "scores must be finite: index 1 is nan" in capsys.readouterr().err
+        assert "row 2, column 'x0': non-finite value nan" in capsys.readouterr().err
 
 
 class TestFitPriorCommand:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from softpu import dataset as dataset_module
 from softpu.dataset import (
+    CHUNK_ROWS,
     AffineLink,
     CsvSchema,
     DiscreteEta,
@@ -22,6 +24,37 @@ from softpu.dataset import (
     save_csv,
     schema_for,
 )
+
+
+def save_csv_ref(dataset, path):
+    """The former per-row writer: the reference for :func:`save_csv`'s bytes."""
+    columns = list(dataset.feature_names) + ["soft_label"]
+    if dataset.true_labels is not None:
+        columns.append("true_label")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# provenance: {dataset.provenance}\n")
+        fh.write(",".join(columns) + "\n")
+        for i in range(len(dataset)):
+            cells = [repr(float(v)) for v in dataset.features[i]]
+            cells.append(repr(float(dataset.soft_labels[i])))
+            if dataset.true_labels is not None:
+                cells.append(str(int(dataset.true_labels[i])))
+            fh.write(",".join(cells) + "\n")
+
+
+def load_rows(path, schema):
+    """Parse with the row loop alone, the way the column-wise path falls back."""
+    return dataset_module._load_rows(dataset_module._data_lines(path), schema)
+
+
+def outcome(load):
+    """Loaded arrays as bytes (so -0.0 and 0.0 differ), or the error text."""
+    try:
+        ds = load()
+    except ValueError as exc:
+        return ("error", str(exc))
+    truth = None if ds.true_labels is None else ds.true_labels.tobytes()
+    return (ds.features.shape, ds.features.tobytes(), ds.soft_labels.tobytes(), truth)
 
 
 def small_dataset(n=4, with_truth=True):
@@ -91,9 +124,13 @@ class TestCsv:
         with pytest.raises(ValueError, match="row 2"):
             load_csv(path, CsvSchema(features=("a",)))
 
+    @pytest.mark.filterwarnings("error")
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("a,soft_label\n")
+        with pytest.raises(ValueError, match="empty dataset"):
+            load_csv(path, CsvSchema(features=("a",)))
+        path.write_bytes(b"a,soft_label\n\n\r\n")
         with pytest.raises(ValueError, match="empty dataset"):
             load_csv(path, CsvSchema(features=("a",)))
 
@@ -124,6 +161,190 @@ class TestCsv:
         path.write_text("a,s\n1.0,0.5\n")
         with pytest.raises(ValueError, match="missing column"):
             load_csv(path, CsvSchema(features=("a",)))
+
+    def test_duplicate_wanted_column(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,a,soft_label\n1.0,2.0,0.5\n")
+        with pytest.raises(ValueError, match=r"duplicate column\(s\): \['a'\]"):
+            load_csv(path, CsvSchema(features=("a",)))
+
+    def test_unrelated_duplicate_columns_load(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,b,soft_label\n1.0,x,y,0.5\n")
+        ds = load_csv(path, CsvSchema(features=("a",)))
+        assert np.array_equal(ds.features, [[1.0]])
+
+    @pytest.mark.parametrize(
+        "cell, shown", [("nan", "nan"), ("inf", "inf"), ("-Infinity", "-inf"), ("1e400", "inf")]
+    )
+    def test_non_finite_feature_names_row_and_column(self, tmp_path, cell, shown):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x0,soft_label\n1.0,0.5\n{cell},0.5\n")
+        with pytest.raises(ValueError) as err:
+            load_csv(path, CsvSchema(features=("x0",)))
+        assert str(err.value) == f"row 2, column 'x0': non-finite value {shown}"
+
+    def test_ordinary_file_loads_column_wise(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        save_csv(small_dataset(), path)
+
+        def no_row_loop(lines, schema):
+            raise AssertionError("row loop used")
+
+        monkeypatch.setattr(dataset_module, "_load_rows", no_row_loop)
+        back = load_csv(path, schema_for(small_dataset()))
+        assert np.array_equal(back.features, small_dataset().features)
+        assert back.features.flags.c_contiguous
+
+    def test_column_wise_path_streams_the_file(self, tmp_path, monkeypatch):
+        # the line list is built only for the row loop; the column-wise
+        # parse reads the open file one line at a time
+        path = tmp_path / "d.csv"
+        save_csv(small_dataset(), path)
+
+        def no_line_list(path):
+            raise AssertionError("file read into a line list")
+
+        monkeypatch.setattr(dataset_module, "_data_lines", no_line_list)
+        back = load_csv(path, schema_for(small_dataset()))
+        assert np.array_equal(back.soft_labels, small_dataset().soft_labels)
+
+    def test_quoted_cells_load_through_row_loop(self, tmp_path, monkeypatch):
+        plain = tmp_path / "plain.csv"
+        plain.write_text("a,soft_label,y\n1.5,0.25,1\n-2e3,1.0,0\n")
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_text('a,soft_label,y\n"1.5","0.25",1\n-2e3,"1.0","0"\n')
+        schema = CsvSchema(features=("a",), true_label="y")
+        calls = []
+        row_loop = dataset_module._load_rows
+        monkeypatch.setattr(
+            dataset_module, "_load_rows", lambda *a: calls.append(1) or row_loop(*a)
+        )
+        assert outcome(lambda: load_csv(quoted, schema)) == outcome(
+            lambda: load_csv(plain, schema)
+        )
+        assert calls == [1]
+
+
+# Cells and rows the column-wise parse and the row loop must agree on: every
+# one either loads to the same bits or fails with the same message.
+_EDGE_CELLS = [
+    "1.5", " 1.5 ", "\t1.5\t", "1_0", "1e400", "-1e400", "0x10", "Infinity",
+    "nan", "-0.0", "1e-320", "+.5", "1.", "", " ", '"1.5"', "abc", "1e", "١",
+]
+_EDGE_ROWS = [
+    "1.0,0.5,1,", ",1.0,0.5,1", "1.0,0.5", "   ", "\t", "1.0,0.5,1,extra",
+    '"1.0,0.5",1', "1.0,0.5,1 # note",
+]
+_EDGE_TABLES = (
+    [("x0 cell " + repr(c), f"{c},0.5,1") for c in _EDGE_CELLS]
+    + [("soft cell " + repr(c), f"0.25,{c},0") for c in ("-0.0", "1.0000001", "nan", "2")]
+    + [("truth cell " + repr(c), f"0.25,0.5,{c}") for c in ("-0.0", "1.0", "0.5", "nan")]
+    + [("row " + repr(r), r) for r in _EDGE_ROWS]
+)
+
+
+class TestLoaderAgreesWithRowLoop:
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("case", _EDGE_TABLES, ids=[name for name, _ in _EDGE_TABLES])
+    def test_same_result(self, tmp_path, case, newline):
+        _, row = case
+        lines = ["# provenance: test", "x0,soft_label,y", "0.5,0.25,1", "", row, "-3.25,1.0,0"]
+        path = tmp_path / "edge.csv"
+        path.write_bytes(newline.join(lines).encode("utf-8") + newline.encode())
+        schema = CsvSchema(features=("x0",), true_label="y")
+        assert outcome(lambda: load_csv(path, schema)) == outcome(
+            lambda: load_rows(path, schema)
+        )
+
+    @pytest.mark.parametrize("row", [" ", "\t", "\x0c", " 0.5 ", "-0.0"])
+    def test_same_result_one_column(self, tmp_path, row):
+        path = tmp_path / "edge.csv"
+        path.write_text(f"soft_label\n1.0\n{row}\n\n0.25\n", encoding="utf-8")
+        schema = CsvSchema(features=())
+        assert outcome(lambda: load_csv(path, schema)) == outcome(
+            lambda: load_rows(path, schema)
+        )
+
+    @pytest.mark.parametrize("rows", ["0.5,0.25,7\n1.5,1.0,8\n", "0.5\n1.5\n"])
+    def test_same_result_every_row_off_width(self, tmp_path, rows):
+        path = tmp_path / "edge.csv"
+        path.write_text("x0,soft_label\n" + rows, encoding="utf-8")
+        schema = CsvSchema(features=("x0",))
+        assert outcome(lambda: load_csv(path, schema)) == outcome(
+            lambda: load_rows(path, schema)
+        )
+
+    def test_extra_non_numeric_column_loads(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("id,x0,soft_label\nu1,0.5,0.25\nu2,1_000,1\n")
+        ds = load_csv(path, CsvSchema(features=("x0",)))
+        assert np.array_equal(ds.features, [[0.5], [1000.0]])
+
+
+class TestSaveCsv:
+    @pytest.mark.parametrize("rows", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+    def test_bytes_match_per_row_writer_across_chunks(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        feats = rng.standard_normal((rows, 2)) * 10.0 ** rng.integers(-20, 20, (rows, 1))
+        feats[:6, 0] = [-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-320]
+        feats[-1, 1] = -0.0
+        ds = SoftDataset(
+            features=feats,
+            soft_labels=rng.choice([0.0, 0.25, 1 / 3, 1.0], rows),
+            true_labels=rng.integers(0, 2, rows),
+            feature_names=("a", "b"),
+            provenance="test",
+        )
+        got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+        save_csv(ds, got)
+        save_csv_ref(ds, ref)
+        assert got.read_bytes() == ref.read_bytes()
+
+    def test_finite_round_trip_across_chunks(self, tmp_path):
+        rows = CHUNK_ROWS + 1
+        rng = np.random.default_rng(7)
+        feats = rng.standard_normal((rows, 1))
+        feats[CHUNK_ROWS - 1 : CHUNK_ROWS + 1, 0] = [-0.0, 0.0]
+        ds = SoftDataset(features=feats, soft_labels=rng.random(rows), feature_names=("a",))
+        path = tmp_path / "d.csv"
+        save_csv(ds, path)
+        back = load_csv(path, schema_for(ds))
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert back.soft_labels.tobytes() == ds.soft_labels.tobytes()
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            (("a,b",), "column name 'a,b' cannot be written: contains ','"),
+            (('a"b',), "column name 'a\"b' cannot be written: contains '\"'"),
+            (("a\nb",), "column name 'a\\nb' cannot be written: contains '\\n'"),
+            (("a\rb",), "column name 'a\\rb' cannot be written: contains '\\r'"),
+            (("#a",), "column name '#a' cannot be written first"),
+            ((" a",), "column name ' a' cannot be written: leading or trailing"),
+            (("a", "a"), "duplicate column(s): ['a']"),
+            (("soft_label",), "duplicate column(s): ['soft_label']"),
+        ],
+    )
+    def test_unreadable_names_refused_before_writing(self, tmp_path, names, message):
+        ds = SoftDataset(
+            features=np.zeros((2, len(names))),
+            soft_labels=np.array([0.0, 1.0]),
+            feature_names=names,
+        )
+        path = tmp_path / "d.csv"
+        with pytest.raises(ValueError) as err:
+            save_csv(ds, path)
+        assert str(err.value).startswith(message)
+        assert not path.exists()
+
+    def test_hash_after_first_column_round_trips(self, tmp_path):
+        ds = SoftDataset(
+            features=np.ones((2, 2)), soft_labels=np.array([0.0, 1.0]), feature_names=("a", "#b")
+        )
+        path = tmp_path / "d.csv"
+        save_csv(ds, path)
+        assert load_csv(path, schema_for(ds)).feature_names == ("a", "#b")
 
 
 class TestPuLabelize:

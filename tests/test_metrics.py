@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from softpu.dataset import GscarConfig, gen_gscar
+from softpu.dataset import CHUNK_ROWS, GscarConfig, gen_gscar
 from softpu.metrics import (
     RocCurve,
     auc,
@@ -31,6 +31,14 @@ from softpu.metrics import (
     tpr,
     tpr_spu,
 )
+
+
+def curve_to_csv_ref(curve, path):
+    """The former per-row writer: the reference for :func:`curve_to_csv`'s bytes."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("threshold,x,y\n")
+        for t, x, y in zip(curve.thresholds, curve.xs, curve.ys):
+            fh.write(f"{repr(float(t))},{repr(float(x))},{repr(float(y))}\n")
 
 
 def exact_rate(weights, predictions):
@@ -363,6 +371,29 @@ class TestCurveIo:
         np.testing.assert_array_equal(back.xs, curve.xs)
         np.testing.assert_array_equal(back.ys, curve.ys)
         assert abs(auc(back) - auc(curve)) <= 1e-12
+
+    @pytest.mark.parametrize("rows", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+    def test_bytes_match_per_row_writer_across_chunks(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        t = np.sort(rng.random(rows))[::-1].copy()
+        t[:3] = [np.inf, np.nan, -0.0]
+        t[-1] = -np.inf
+        xs = np.concatenate([[-0.0], np.sort(rng.random(rows - 2)), [1.0]])
+        ys = np.concatenate([[0.0], np.sort(rng.choice([0.25, 0.5, 1 / 3], rows - 2)), [1.0]])
+        curve = RocCurve(t, xs, ys, kind="spu")
+        got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+        curve_to_csv(curve, got)
+        curve_to_csv_ref(curve, ref)
+        assert got.read_bytes() == ref.read_bytes()
+        back = curve_from_csv(got, kind="spu")
+        for a, b in ((back.thresholds, t), (back.xs, xs), (back.ys, ys)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_missing_columns_named(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text("threshold,fpr,tpr\ninf,0.0,0.0\n-inf,1.0,1.0\n")
+        with pytest.raises(ValueError, match=r"missing column\(s\): \['x', 'y'\]"):
+            curve_from_csv(path, kind="spu")
 
     def test_json_record(self):
         curve = roc_spu(np.array([1.0, 0.0]), np.array([0.8, 0.1]))
