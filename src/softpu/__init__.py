@@ -57,8 +57,10 @@ from .metrics import (
 )
 from .oracle import (
     DiscreteProblem,
+    EnumeratedFrontier,
     Frontier,
     exhaustive_frontier,
+    frontier,
     verify_mela_optimality,
     verify_noisy_gap,
 )
@@ -81,6 +83,7 @@ __all__ = [
     "DiscreteEta",
     "DiscretePrior",
     "DiscreteProblem",
+    "EnumeratedFrontier",
     "Frontier",
     "GscarConfig",
     "LogisticWarpLink",
@@ -104,6 +107,7 @@ __all__ = [
     "fit_prior",
     "fpr",
     "fpr_spu",
+    "frontier",
     "gen_gscar",
     "gen_mela",
     "load_csv",

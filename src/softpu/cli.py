@@ -40,7 +40,7 @@ from .metrics import (
 )
 from .oracle import (
     DiscreteProblem,
-    exhaustive_frontier,
+    frontier,
     problem_from_json,
     verify_mela_optimality,
     verify_noisy_gap,
@@ -196,7 +196,7 @@ def cmd_frontier(args) -> int:
 
     record = {"n_cells": problem.n_cells, "class_prior": problem.class_prior}
     for kind in config_field(config, "kinds", list, default=["spu", "real"]):
-        record[kind] = exhaustive_frontier(problem, kind).to_dict()
+        record[kind] = frontier(problem, kind).to_dict()
     verify = config_field(config, "verify", dict, default={})
     if verify.get("mela"):
         record["mela_optimality"] = verify_mela_optimality(problem).to_dict()

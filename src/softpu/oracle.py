@@ -1,20 +1,25 @@
-"""Brute-force ground truth on small discrete problems.
+"""Exact frontiers and ranking-claim checks on discrete problems.
 
-A :class:`DiscreteProblem` describes a population on m feature cells (m <=
-20): each cell carries a probability mass, a positive-class conditional
-probability ``eta``, and a conditional soft-label mean ``eta_s``. Every one
-of the 2^m deterministic classifiers is enumerated in closed form, so the
-optimal operating frontiers are exact up to float rounding and the package's
-ranking claims can be checked against them with no Monte Carlo noise.
+A :class:`DiscreteProblem` describes a population on m feature cells: each
+cell carries a probability mass, a positive-class conditional probability
+``eta``, and a conditional soft-label mean ``eta_s``. Everything is computed
+at the population level, so the optimal operating frontiers are exact up to
+float rounding and the package's ranking claims can be checked against them
+with no Monte Carlo noise.
 
-The frontier returned here is the set of vertices of the upper-left concave
-envelope of the 2^m achievable (FPR, TPR) points: exactly the operating
-points that score-threshold sweeps can attain, and none of them is dominated
-by any enumerated classifier.
+The frontier of a kind (``real`` ranks by eta, ``spu`` by eta_s) is the set
+of vertices of the upper-left concave envelope of the (FPR, TPR) points of
+all 2^m deterministic classifiers. By the Neyman-Pearson lemma it is traced
+by the threshold chain: add cells in decreasing order of the kind's
+conditional, tied cells together (:func:`frontier`, O(m log m)). The
+brute-force enumeration of all 2^m classifiers (:func:`enumerate_points`,
+:func:`exhaustive_frontier`, m <= 20) stays as the cross-check.
 """
 
+import bisect
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -41,11 +46,12 @@ class DiscreteProblem:
             raise ValueError("masses, eta, eta_s must be matching 1-D arrays")
         if masses.size < 1:
             raise ValueError("need at least one cell")
-        if masses.size > MAX_CELLS:
-            raise ValueError(
-                f"cell_count {masses.size} too large for 2^m enumeration "
-                f"(max {MAX_CELLS})"
-            )
+        for name, v in (("masses", masses), ("eta", eta), ("eta_s", eta_s)):
+            bad = np.flatnonzero(~np.isfinite(v))
+            if bad.size:
+                raise ValueError(
+                    f"{name} must be finite: index {bad[0]} is {v[bad[0]]}"
+                )
         if np.any(masses <= 0.0):
             raise ValueError("cell masses must be positive")
         if abs(masses.sum() - 1.0) > 1e-9:
@@ -92,16 +98,15 @@ def problem_from_json(path) -> DiscreteProblem:
     return DiscreteProblem.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-# ---------------------------------------------------------------------------
-# enumeration
-# ---------------------------------------------------------------------------
+def _conditional(problem: DiscreteProblem, kind: str) -> np.ndarray:
+    if kind not in ("real", "spu"):
+        raise ValueError("kind must be 'real' or 'spu'")
+    return problem.eta if kind == "real" else problem.eta_s
 
 
 def _rate_fractions(problem: DiscreteProblem, kind: str):
     """Per-cell contributions to (TPR, FPR), normalized to sum to 1."""
-    if kind not in ("real", "spu"):
-        raise ValueError("kind must be 'real' or 'spu'")
-    cond = problem.eta if kind == "real" else problem.eta_s
+    cond = _conditional(problem, kind)
     pos = problem.masses * cond
     neg = problem.masses * (1.0 - cond)
     pos_total = pos.sum()
@@ -113,19 +118,46 @@ def _rate_fractions(problem: DiscreteProblem, kind: str):
     return pos / pos_total, neg / neg_total
 
 
+def _mask_bits(mask: int, m: int) -> np.ndarray:
+    """Boolean cell selection of one classifier bitmask."""
+    if not 0 <= mask < 1 << m:
+        raise ValueError(f"mask {mask} out of range for {m} cells")
+    raw = np.frombuffer(mask.to_bytes((m + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=m, bitorder="little").astype(bool)
+
+
+# ---------------------------------------------------------------------------
+# brute-force enumeration (the cross-check)
+# ---------------------------------------------------------------------------
+
+
 def enumerate_points(problem: DiscreteProblem, kind: str):
     """(FPR, TPR) of all 2^m deterministic classifiers, indexed by bitmask.
 
     Classifier ``c`` predicts positive exactly on the cells whose bit is set
-    in ``c``.
+    in ``c``. Limited to ``MAX_CELLS`` cells.
     """
+    if problem.n_cells > MAX_CELLS:
+        raise ValueError(
+            f"cell_count {problem.n_cells} too large for 2^m enumeration "
+            f"(max {MAX_CELLS})"
+        )
     pos_frac, neg_frac = _rate_fractions(problem, kind)
     return kernels.enumerate_confusions(pos_frac, neg_frac)
 
 
+def _frontier_dict(front) -> dict:
+    return {
+        "kind": front.kind,
+        "points": front.points.tolist(),
+        "vertex_masks": [int(m) for m in front.vertex_masks],
+        "n_on_frontier": int(front.n_on_frontier),
+    }
+
+
 @dataclass(frozen=True)
-class Frontier:
-    """Optimal operating points of one metric system.
+class EnumeratedFrontier:
+    """Brute-force frontier of one metric system.
 
     ``points`` are the hull vertices sorted by FPR; ``vertex_masks`` gives
     one witness classifier per vertex; ``on_frontier[c]`` says whether
@@ -142,13 +174,15 @@ class Frontier:
     def frontier_masks(self) -> np.ndarray:
         return np.nonzero(self.on_frontier)[0]
 
+    @property
+    def n_on_frontier(self) -> int:
+        return int(self.on_frontier.sum())
+
+    def contains(self, mask: int) -> bool:
+        return bool(self.on_frontier[mask])
+
     def to_dict(self):
-        return {
-            "kind": self.kind,
-            "points": self.points.tolist(),
-            "vertex_masks": [int(m) for m in self.vertex_masks],
-            "n_on_frontier": int(self.on_frontier.sum()),
-        }
+        return _frontier_dict(self)
 
 
 def _hull_vertices(fprs, tprs):
@@ -156,6 +190,7 @@ def _hull_vertices(fprs, tprs):
 
     Keeps the max TPR per distinct FPR, then runs a monotone-chain upper
     hull that drops collinear midpoints, so only strict vertices remain.
+    Each vertex carries the index of its point (first index on ties).
     """
     order = np.lexsort((-tprs, fprs))
     f_sorted = fprs[order]
@@ -178,13 +213,13 @@ def _hull_vertices(fprs, tprs):
     return hull
 
 
-def exhaustive_frontier(problem: DiscreteProblem, kind: str) -> Frontier:
+def exhaustive_frontier(problem: DiscreteProblem, kind: str) -> EnumeratedFrontier:
     """Enumerate all classifiers and extract the optimal frontier.
 
     The frontier is the upper concave envelope of the achievable (FPR, TPR)
     cloud; no enumerated classifier dominates any of its vertices, and
     thresholding the matching conditional (eta or eta_s) lands exactly on
-    it.
+    it. The brute-force reference for :func:`frontier`.
     """
     fprs, tprs = enumerate_points(problem, kind)
     hull = _hull_vertices(fprs, tprs)
@@ -192,12 +227,34 @@ def exhaustive_frontier(problem: DiscreteProblem, kind: str) -> Frontier:
     hull_y = np.array([h[1] for h in hull])
     envelope = np.interp(fprs, hull_x, hull_y)
     on_frontier = tprs >= envelope - HULL_ATOL
-    return Frontier(
+    return EnumeratedFrontier(
         kind=kind,
         points=np.column_stack([hull_x, hull_y]),
         vertex_masks=tuple(int(h[2]) for h in hull),
         on_frontier=on_frontier,
     )
+
+
+# ---------------------------------------------------------------------------
+# the threshold chain (the runtime path)
+# ---------------------------------------------------------------------------
+
+
+def _tie_groups(values) -> tuple[tuple[int, ...], ...]:
+    """Cell indices grouped by equal value, groups in decreasing value order
+    and cells in increasing index order within a group."""
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(-values, kind="stable")
+    breaks = np.flatnonzero(np.diff(values[order])) + 1
+    return tuple(tuple(g.tolist()) for g in np.split(order, breaks))
+
+
+def _prefix_masks(groups) -> tuple[int, ...]:
+    """Bitmasks of the empty classifier and of each prefix of whole groups."""
+    masks = [0]
+    for g in groups:
+        masks.append(masks[-1] | sum(1 << c for c in g))
+    return tuple(masks)
 
 
 def threshold_masks(values) -> list[int]:
@@ -207,20 +264,152 @@ def threshold_masks(values) -> list[int]:
     cells with equal values enter together. Starts with the empty classifier
     (threshold at the maximum) and ends with the full one.
     """
-    values = np.asarray(values, dtype=np.float64)
+    return list(_prefix_masks(_tie_groups(values)))
+
+
+# Every finite double is a whole multiple of 2**-1074, so sums of doubles are
+# accumulated exactly as integer counts of that unit and rounded once. A sum
+# then depends only on which cells it covers, not on the order they came in.
+_UNIT = 1 << 1074
+
+
+def _exact(column) -> list[int]:
+    """Each double of ``column`` as an integer count of 2**-1074."""
+    return [n * (_UNIT // d) for n, d in map(float.as_integer_ratio, column.tolist())]
+
+
+def _rounded(counts) -> np.ndarray:
+    """The correctly rounded doubles of exact counts of 2**-1074."""
+    return np.array([c / _UNIT for c in counts], dtype=np.float64)
+
+
+def _exact_prefix_sums(groups, exact) -> list[int]:
+    """Exact sums over the empty classifier and each whole-group prefix."""
+    sums = [0]
+    for g in groups:
+        sums.append(sums[-1] + sum(exact[c] for c in g))
+    return sums
+
+
+def _prefix_sums(groups, column) -> np.ndarray:
+    """``column`` summed over the empty classifier and each whole-group
+    prefix, each sum correctly rounded."""
+    return _rounded(_exact_prefix_sums(groups, _exact(column)))
+
+
+def _subsets(group, *exact):
+    """Bitmasks of the proper subsets of ``group`` and each exact column
+    summed over their cells, in subset-index order (bit i of the index is
+    ``group[i]``)."""
+    if len(group) > MAX_CELLS:
+        raise ValueError(
+            f"tie group of {len(group)} cells too large for subset "
+            f"enumeration (max {MAX_CELLS})"
+        )
     masks = [0]
-    mask = 0
-    for v in np.unique(values)[::-1]:
-        for j in np.nonzero(values == v)[0]:
-            mask |= 1 << int(j)
-        masks.append(mask)
-    return masks
+    sums = [[0] for _ in exact]
+    for c in group:
+        masks += [s | 1 << c for s in masks]
+        for acc, col in zip(sums, exact):
+            acc += [s + col[c] for s in acc]
+    return masks[:-1], [acc[:-1] for acc in sums]
+
+
+@dataclass(frozen=True)
+class Frontier:
+    """Optimal operating points of one metric system, from the threshold chain.
+
+    ``points`` are the hull vertices sorted by FPR and ``vertex_masks`` the
+    threshold classifier at each. ``groups`` are the cells tied on the
+    kind's conditional, in decreasing order. The classifiers on the
+    frontier polyline are a prefix of whole groups plus any subset of the
+    next group, except that a first group with zero negative mass (the
+    vertical segment at FPR 0) counts only whole (``whole_first``).
+    """
+
+    kind: str
+    points: np.ndarray
+    vertex_masks: tuple[int, ...]
+    groups: tuple[tuple[int, ...], ...]
+    whole_first: bool
+
+    @cached_property
+    def prefix_masks(self) -> tuple[int, ...]:
+        return _prefix_masks(self.groups)
+
+    @property
+    def n_on_frontier(self) -> int:
+        sizes = [len(g) for g in self.groups]
+        n = len(sizes) + 1 + sum((1 << s) - 2 for s in sizes)
+        return n - ((1 << sizes[0]) - 1 if self.whole_first else 0)
+
+    def contains(self, mask: int) -> bool:
+        """Whether classifier ``mask`` achieves a point on the frontier."""
+        prefixes = self.prefix_masks
+        if not 0 <= mask <= prefixes[-1]:
+            return False
+        # the first prefix that holds every cell of the mask
+        k = bisect.bisect_left(
+            range(len(prefixes)), True, key=lambda i: mask & ~prefixes[i] == 0
+        )
+        if k == 0:
+            return not self.whole_first
+        if k == 1 and self.whole_first:
+            return mask == prefixes[1]
+        return mask & prefixes[k - 1] == prefixes[k - 1]
+
+    def members(self, *columns):
+        """Every classifier on the frontier, in increasing bitmask order,
+        and each per-cell column summed over its cells (correctly rounded).
+
+        A member is a whole-group prefix plus a proper subset of the next
+        group, or the full classifier.
+        """
+        prefixes = self.prefix_masks
+        exact = [_exact(col) for col in columns]
+        bases = [_exact_prefix_sums(self.groups, col) for col in exact]
+        masks, sums = [prefixes[-1]], [[b[-1]] for b in bases]
+        for k, g in enumerate(self.groups):
+            if k == 0 and self.whole_first:
+                continue
+            sub_masks, sub_sums = _subsets(g, *exact)
+            masks += [prefixes[k] | s for s in sub_masks]
+            for acc, base, sub in zip(sums, bases, sub_sums):
+                acc += [base[k] + s for s in sub]
+        rank = sorted(range(len(masks)), key=masks.__getitem__)
+        return [masks[i] for i in rank], [_rounded([acc[i] for i in rank]) for acc in sums]
+
+    def to_dict(self):
+        return _frontier_dict(self)
+
+
+def frontier(problem: DiscreteProblem, kind: str) -> Frontier:
+    """The optimal frontier of one kind from the threshold chain.
+
+    Takes the rates of the whole-group prefixes in decreasing order of the
+    kind's conditional (at most m + 1 classifiers) and keeps the strict
+    vertices of their upper hull, at any m. In exact arithmetic these are
+    the vertices of :func:`exhaustive_frontier`; on tied cells the
+    brute-force hull can also keep a subset of a tie group that rounding
+    lifted off the segment it lies on.
+    """
+    pos_frac, neg_frac = _rate_fractions(problem, kind)
+    groups = _tie_groups(_conditional(problem, kind))
+    hull = _hull_vertices(_prefix_sums(groups, neg_frac), _prefix_sums(groups, pos_frac))
+    prefixes = _prefix_masks(groups)
+    return Frontier(
+        kind=kind,
+        points=np.array([[h[0], h[1]] for h in hull]),
+        vertex_masks=tuple(prefixes[h[2]] for h in hull),
+        groups=groups,
+        whole_first=bool(neg_frac[list(groups[0])].sum() == 0.0),
+    )
 
 
 def mask_rates(problem: DiscreteProblem, kind: str, mask: int) -> tuple[float, float]:
     """(FPR, TPR) of one classifier bitmask, computed directly."""
     pos_frac, neg_frac = _rate_fractions(problem, kind)
-    sel = np.array([(mask >> j) & 1 for j in range(problem.n_cells)], dtype=np.float64)
+    sel = _mask_bits(mask, problem.n_cells).astype(np.float64)
     return float(neg_frac @ sel), float(pos_frac @ sel)
 
 
@@ -230,18 +419,22 @@ def mask_rates(problem: DiscreteProblem, kind: str, mask: int) -> tuple[float, f
 
 
 def _check_strictly_comonotone(problem: DiscreteProblem):
+    """Raise naming a pair of cells unless eta_s rises exactly where eta does.
+
+    After sorting by (eta, eta_s), a violating pair exists if and only if
+    two neighbours break the rule, so only neighbours are compared.
+    """
     eta, eta_s = problem.eta, problem.eta_s
-    m = problem.n_cells
-    for i in range(m):
-        for j in range(i + 1, m):
-            de = eta[i] - eta[j]
-            ds = eta_s[i] - eta_s[j]
-            if (de == 0.0) != (ds == 0.0) or de * ds < 0.0:
-                raise ValueError(
-                    "eta_s is not a strictly monotone transform of eta: cells "
-                    f"{i} (eta={eta[i]}, eta_s={eta_s[i]}) and "
-                    f"{j} (eta={eta[j]}, eta_s={eta_s[j]})"
-                )
+    order = np.lexsort((eta_s, eta))
+    a, b = order[:-1], order[1:]
+    bad = np.flatnonzero((eta[b] > eta[a]) != (eta_s[b] > eta_s[a]))
+    if bad.size:
+        i, j = sorted((int(a[bad[0]]), int(b[bad[0]])))
+        raise ValueError(
+            "eta_s is not a strictly monotone transform of eta: cells "
+            f"{i} (eta={eta[i]}, eta_s={eta_s[i]}) and "
+            f"{j} (eta={eta[j]}, eta_s={eta_s[j]})"
+        )
 
 
 @dataclass(frozen=True)
@@ -274,20 +467,30 @@ class MelaOptimalityReport:
 
 def verify_mela_optimality(problem: DiscreteProblem) -> MelaOptimalityReport:
     """Check that the substitute and real frontiers are achieved by the same
-    classifiers (requires eta_s strictly comonotone with eta)."""
+    classifiers (requires eta_s strictly comonotone with eta).
+
+    Comonotone conditionals give both kinds the same ordered tie groups, so
+    the two frontier families can differ only in the proper subsets of the
+    first group, which one kind drops when that group is pure (conditional
+    1) under it alone.
+    """
     _check_strictly_comonotone(problem)
-    spu = exhaustive_frontier(problem, "spu")
-    real = exhaustive_frontier(problem, "real")
-    spu_set = frozenset(int(c) for c in spu.frontier_masks)
-    real_set = frozenset(int(c) for c in real.frontier_masks)
-    family = set(threshold_masks(problem.eta_s))
+    spu = frontier(problem, "spu")
+    real = frontier(problem, "real")
+    assert spu.groups == real.groups
+    partial = ()
+    if spu.whole_first != real.whole_first:
+        partial = tuple(sorted(_subsets(spu.groups[0])[0]))
+    family = spu.prefix_masks
     return MelaOptimalityReport(
-        passed=spu_set == real_set,
-        n_spu_frontier=len(spu_set),
-        n_real_frontier=len(real_set),
-        spu_only=tuple(sorted(spu_set - real_set)),
-        real_only=tuple(sorted(real_set - spu_set)),
-        threshold_family_on_both=family <= spu_set and family <= real_set,
+        passed=not partial,
+        n_spu_frontier=spu.n_on_frontier,
+        n_real_frontier=real.n_on_frontier,
+        spu_only=partial if real.whole_first else (),
+        real_only=partial if spu.whole_first else (),
+        threshold_family_on_both=all(
+            spu.contains(c) and real.contains(c) for c in family
+        ),
     )
 
 
@@ -308,12 +511,10 @@ def slice_density_bound(problem: DiscreteProblem, width: float) -> float:
     order = np.argsort(problem.eta)
     eta = problem.eta[order]
     cum = np.concatenate([[0.0], np.cumsum(problem.masses[order])])
-    best = 0.0
-    for a in np.concatenate([eta, eta - width]):
-        lo = np.searchsorted(eta, a, side="left")
-        hi = np.searchsorted(eta, a + width, side="right")
-        best = max(best, cum[hi] - cum[lo])
-    return float(best / width)
+    starts = np.concatenate([eta, eta - width])
+    lo = np.searchsorted(eta, starts, side="left")
+    hi = np.searchsorted(eta, starts + width, side="right")
+    return float(max(0.0, (cum[hi] - cum[lo]).max()) / width)
 
 
 def assumption4_violations(
@@ -323,16 +524,18 @@ def assumption4_violations(
 
     A monotone link h with h' >= c_h and |eta_s - h(eta)| <= epsilon forces
     ``c_h * (eta_i - eta_j) <= eta_s_i - eta_s_j + 2 * epsilon`` whenever
-    eta_i > eta_j; pairs breaking that are returned.
+    eta_i > eta_j; pairs breaking that are returned, ordered by (i, j).
     """
     eta, eta_s = problem.eta, problem.eta_s
-    bad = []
     m = problem.n_cells
-    for i in range(m):
-        for j in range(m):
-            if eta[i] > eta[j]:
-                if c_h * (eta[i] - eta[j]) > eta_s[i] - eta_s[j] + 2.0 * epsilon + 1e-12:
-                    bad.append((i, j))
+    rows = max(1, (1 << 20) // m)  # bounds the (rows, m) comparison block
+    bad = []
+    for lo in range(0, m, rows):
+        e = eta[lo : lo + rows, None]
+        s = eta_s[lo : lo + rows, None]
+        hit = (e > eta) & (c_h * (e - eta) > s - eta_s + 2.0 * epsilon + 1e-12)
+        i, j = np.nonzero(hit)
+        bad.extend(zip((i + lo).tolist(), j.tolist()))
     return bad
 
 
@@ -416,11 +619,18 @@ def verify_noisy_gap(
     classifier of equal predicted-positive mass, which always exists when
     cell masses are equal but can fail otherwise (and then the measured gap
     may legitimately exceed the bound).
+
+    The candidates are the classifiers on the substitute frontier, taken
+    from its threshold chain: subsets are enumerated only inside a tie
+    group, which must have at most ``MAX_CELLS`` cells.
     """
     if c_h <= 0.0:
         raise ValueError("c_h must be positive")
     if epsilon < 0.0:
         raise ValueError("epsilon must be non-negative")
+    # the frontiers first: they name a kind without positive or negative mass
+    real_frontier = frontier(problem, "real")
+    spu_frontier = frontier(problem, "spu")
     pi = problem.class_prior
     point_bound = 4.0 * m_const * epsilon**2 / (pi * c_h**2)
     auc_bound = 2.0 * point_bound
@@ -432,22 +642,12 @@ def verify_noisy_gap(
         m_eff = 0.0
     density_ok = m_eff <= m_const + 1e-9
 
-    fprs_real, tprs_real = enumerate_points(problem, "real")
-    real_frontier = exhaustive_frontier(problem, "real")
-    spu_frontier = exhaustive_frontier(problem, "spu")
-    spu_masks = spu_frontier.frontier_masks
-    spu_real_fpr = fprs_real[spu_masks]
-    spu_real_tpr = tprs_real[spu_masks]
-    spu_pred_mass = np.array(
-        [
-            float(
-                problem.masses[
-                    [(int(c) >> j) & 1 == 1 for j in range(problem.n_cells)]
-                ].sum()
-            )
-            for c in spu_masks
-        ]
+    tpr_frac, fpr_frac = _rate_fractions(problem, "real")
+    spu_masks, (spu_real_fpr, spu_real_tpr, spu_pred_mass) = spu_frontier.members(
+        fpr_frac, tpr_frac, problem.masses
     )
+    prefix_mass = _prefix_sums(real_frontier.groups, problem.masses)
+    prefix_index = dict(zip(real_frontier.prefix_masks, range(len(prefix_mass))))
 
     max_deficit = 0.0
     max_excess = 0.0
@@ -458,17 +658,13 @@ def verify_noisy_gap(
         deficits = np.maximum(t_r - spu_real_tpr, 0.0)
         excesses = np.maximum(spu_real_fpr - f_r, 0.0)
         worst = np.maximum(deficits, excesses)
-        vertex_mass = float(
-            problem.masses[
-                [(vmask >> j) & 1 == 1 for j in range(problem.n_cells)]
-            ].sum()
-        )
-        mass_gap = np.abs(spu_pred_mass - vertex_mass)
+        mass_gap = np.abs(spu_pred_mass - prefix_mass[prefix_index[vmask]])
         if mass_gap.min() > 1e-12:
             mass_matching_ok = False
-        # prefer the equal-predicted-mass matching, break ties by gap
-        rank = np.lexsort((worst, mass_gap))
-        best = rank[0]
+        # prefer the equal-predicted-mass matching, break ties by gap, then
+        # by the smaller bitmask
+        closest = np.flatnonzero(mass_gap == mass_gap.min())
+        best = closest[np.argmin(worst[closest])]
         if worst[best] > worst.min() + 1e-15:
             best = int(np.argmin(worst))
         matches.append((int(vmask), int(spu_masks[best])))
@@ -476,9 +672,12 @@ def verify_noisy_gap(
         max_excess = max(max_excess, float(excesses[best]))
         max_gap = max(max_gap, float(worst[best]))
 
-    spu_prefix = threshold_masks(problem.eta_s)
+    # real rates of the substitute threshold classifiers
     spu_curve = np.column_stack(
-        [fprs_real[spu_prefix], tprs_real[spu_prefix]]
+        [
+            _prefix_sums(spu_frontier.groups, fpr_frac),
+            _prefix_sums(spu_frontier.groups, tpr_frac),
+        ]
     )
     auc_real_opt = _staircase_auc(real_frontier.points)
     auc_spu_rank = _staircase_auc(spu_curve)

@@ -424,6 +424,38 @@ class TestFrontierCommand:
         assert run(cfg, "frontier", tmp_path / "out") == 0
 
 
+    def test_two_thousand_cells(self, tmp_path):
+        # far beyond 2^m enumeration: the frontiers come from the threshold chain
+        m = 2000
+        rng = np.random.default_rng(2000)
+        eta = np.sort(rng.uniform(0.05, 0.95, m))
+        problem = {
+            "masses": [1.0 / m] * m,
+            "eta": eta.tolist(),
+            "eta_s": (eta + rng.uniform(-0.05, 0.05, m)).tolist(),
+        }
+        cfg = write_config(
+            tmp_path,
+            "front.json",
+            {
+                "problem": problem,
+                "kinds": ["spu", "real"],
+                "verify": {"noisy": {"epsilon": 0.05, "c_h": 1.0, "m": 4.0}},
+            },
+        )
+        out = tmp_path / "out"
+        assert run(cfg, "frontier", out) == 0
+        record = json.loads((out / "frontier.json").read_text())
+        for kind in ("spu", "real"):
+            pts = np.asarray(record[kind]["points"])
+            np.testing.assert_allclose(pts[[0, -1]], [[0, 0], [1, 1]], rtol=0, atol=1e-12)
+            d = np.diff(pts, axis=0)
+            assert np.all(d[:-1, 0] * d[1:, 1] - d[:-1, 1] * d[1:, 0] <= 0.0)
+            assert record[kind]["n_on_frontier"] == m + 1
+        assert len(record["noisy_gap"]["matches"]) == len(record["real"]["points"])
+        assert record["noisy_gap"]["passed"]
+
+
 class TestEntryPoints:
     def test_console_script_help(self):
         out = subprocess.run(
