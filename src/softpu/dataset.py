@@ -42,7 +42,9 @@ class SoftDataset:
 
     ``true_labels`` is either ``None`` (no ground truth available) or a full
     0/1 vector; ``cond_mean`` records the exact conditional mean of the soft
-    label given the features when a generator knows it.
+    label given the features when a generator knows it. Features must be
+    finite: the error names the first bad row (0-based sample index) and
+    column.
     """
 
     features: np.ndarray
@@ -68,6 +70,12 @@ class SoftDataset:
         )
         if len(names) != feats.shape[1]:
             raise ValueError("feature_names must match feature count")
+        if not np.isfinite(feats).all():
+            row, column = np.argwhere(~np.isfinite(feats))[0]
+            raise ValueError(
+                f"features must be finite: row {row}, column {names[column]!r} "
+                f"is {feats[row, column]}"
+            )
         truth = self.true_labels
         if truth is not None:
             truth = np.asarray(truth)
@@ -221,9 +229,11 @@ def _load_rows(lines, schema: CsvSchema) -> SoftDataset:
     reader = csv.reader(lines)
     header, col = _read_header(reader, schema)
     feats, soft, truth = [], [], []
-    for row_idx, row in enumerate(reader, start=1):
+    row_idx = 0  # data rows only: blank and comment lines are not counted
+    for row in reader:
         if not row:
             continue
+        row_idx += 1
         if len(row) != len(header):
             raise ValueError(
                 f"row {row_idx}: expected {len(header)} fields, got {len(row)}"
@@ -284,7 +294,8 @@ def load_csv(path, schema: CsvSchema) -> SoftDataset:
     """Load a UTF-8, comma-separated, header-row CSV into a SoftDataset.
 
     Lines starting with ``#`` are treated as comments. Row numbers in error
-    messages are 1-based data rows (the header is row 0). Every soft label
+    messages are 1-based data rows (the header is row 0); blank and comment
+    lines are not counted. Every soft label
     must parse to a real in [0, 1] and every feature to a finite real;
     missing values are an error, and so is a schema column that appears
     twice in the header.

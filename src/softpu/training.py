@@ -51,6 +51,11 @@ class ScoringModel:
         params = np.asarray(self.params, dtype=np.float64)
         if params.shape != (expected,):
             raise ValueError(f"expected {expected} parameters, got {params.shape}")
+        bad = np.flatnonzero(~np.isfinite(params))
+        if bad.size:
+            raise ValueError(
+                f"params must be finite: index {bad[0]} is {params[bad[0]]}"
+            )
         object.__setattr__(self, "params", params)
 
     def scores(self, features) -> np.ndarray:

@@ -1,6 +1,7 @@
 """CLI subcommands: outputs, determinism, error paths."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import softpu
 from softpu.cli import main
 from softpu.dataset import CsvSchema, load_csv
 from softpu.experiment import ExperimentConfig, run_experiment
@@ -276,11 +278,44 @@ class TestEvalAndBound:
         from softpu.training import ScoringModel, save_model
 
         model_path = tmp_path / "model.json"
-        # features are finite (load_csv rejects nan); row 1's logit is inf * 0
-        params = np.array([np.inf, 0.0])
-        save_model(ScoringModel("linear-logistic", 1, 0, params), model_path)
+        # features and weights are finite (load_csv and load_model reject
+        # anything else); row 1's products overflow to +inf and -inf. With 16
+        # alternating weights the dot product's partial sums meet as
+        # inf - inf; two weights are not enough, since a fused multiply-add
+        # chain keeps the first infinity.
+        d = 16
+        params = np.append(np.tile([1e308, -1e308], d // 2), 0.0)
+        save_model(ScoringModel("linear-logistic", d, 0, params), model_path)
+        names = [f"x{j}" for j in range(d)]
+        rows = [[0.0] * d + [1.0], [10.0] * d + [0.0], [0.5, 0.25] * (d // 2) + [0.5]]
         data = tmp_path / "data.csv"
-        data.write_text("x0,soft_label\n0.3,1.0\n0.0,0.0\n0.1,0.5\n", encoding="utf-8")
+        data.write_text(
+            "\n".join([",".join(names + ["soft_label"])] + [",".join(map(str, r)) for r in rows])
+            + "\n",
+            encoding="utf-8",
+        )
+        cfg = write_config(
+            tmp_path,
+            "cfg.json",
+            {
+                "seed": 4,
+                "dataset": {"kind": "csv", "path": str(data), "features": names},
+                "model": str(model_path),
+            },
+        )
+        assert run(cfg, command, tmp_path / "out") == 1
+        assert "scores must be finite: index 1 is nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "bound-check"])
+    def test_infinite_weight_in_model_file_is_named_error(self, tmp_path, command, capsys):
+        from softpu.training import ScoringModel, save_model
+
+        model_path = tmp_path / "model.json"
+        save_model(ScoringModel("linear-logistic", 1, 0, np.array([1.0, 0.0])), model_path)
+        text = model_path.read_text(encoding="utf-8")
+        model_path.write_text(text.replace("1.0", "Infinity", 1), encoding="utf-8")
+        data = tmp_path / "data.csv"
+        data.write_text("x0,soft_label\n0.3,1.0\n0.0,0.0\n", encoding="utf-8")
         cfg = write_config(
             tmp_path,
             "cfg.json",
@@ -291,7 +326,7 @@ class TestEvalAndBound:
             },
         )
         assert run(cfg, command, tmp_path / "out") == 1
-        assert "scores must be finite: index 1 is nan" in capsys.readouterr().err
+        assert "params must be finite: index 0 is inf" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "bound-check"])
     def test_nan_feature_is_named_error(self, tmp_path, command, capsys):
@@ -458,10 +493,15 @@ class TestFrontierCommand:
 
 class TestEntryPoints:
     def test_console_script_help(self):
+        # the child imports softpu from the same tree as this process, also
+        # when pytest put src/ on sys.path rather than PYTHONPATH
+        src = str(Path(softpu.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         out = subprocess.run(
             [sys.executable, "-m", "softpu.cli", "--version"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert out.returncode == 0
 

@@ -79,6 +79,15 @@ class TestSoftDataset:
         with pytest.raises(ValueError, match="empty"):
             SoftDataset(features=np.zeros((0, 1)), soft_labels=np.zeros(0))
 
+    @pytest.mark.parametrize("value, shown", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")])
+    def test_non_finite_features_named(self, value, shown):
+        feats = np.zeros((3, 2))
+        feats[1, 1] = value
+        feats[2, 0] = np.nan  # a later row: the first bad cell is named
+        with pytest.raises(ValueError) as err:
+            SoftDataset(features=feats, soft_labels=np.full(3, 0.5), feature_names=("a", "b"))
+        assert str(err.value) == f"features must be finite: row 1, column 'b' is {shown}"
+
     def test_indexing_and_views(self):
         ds = small_dataset()
         assert len(ds) == 4
@@ -137,6 +146,15 @@ class TestCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "nope.csv", CsvSchema(features=("a",)))
+
+    @pytest.mark.parametrize("loader", ["load_csv", "row loop"])
+    def test_row_numbers_count_data_rows_only(self, tmp_path, loader):
+        path = tmp_path / "bad.csv"
+        path.write_text("# provenance: test\na,soft_label\n1.0,0.5\n\n# note\n2.0,0.5\nfoo,0.5\n")
+        load = load_csv if loader == "load_csv" else load_rows
+        with pytest.raises(ValueError) as err:
+            load(path, CsvSchema(features=("a",)))
+        assert str(err.value).startswith("row 3, column 'a': could not parse 'foo'")
 
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -287,7 +305,9 @@ class TestSaveCsv:
     def test_bytes_match_per_row_writer_across_chunks(self, tmp_path, rows):
         rng = np.random.default_rng(rows)
         feats = rng.standard_normal((rows, 2)) * 10.0 ** rng.integers(-20, 20, (rows, 1))
-        feats[:6, 0] = [-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-320]
+        # datasets hold finite features only; non-finite cells are covered
+        # by the write_columns test below
+        feats[:6, 0] = [-0.0, 0.0, 5e-324, -1.7976931348623157e308, 1e308, 1e-320]
         feats[-1, 1] = -0.0
         ds = SoftDataset(
             features=feats,
@@ -300,6 +320,25 @@ class TestSaveCsv:
         save_csv(ds, got)
         save_csv_ref(ds, ref)
         assert got.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("rows", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+    def test_write_columns_non_finite_cells_across_chunks(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows)
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-320]
+        floats[:6] = special
+        for k, v in zip(range(CHUNK_ROWS - 3, rows - 1), special):  # across the boundary
+            floats[k] = v
+        floats[-1] = -np.inf
+        text = np.array([f"u{i}" for i in range(rows)], dtype=object)
+        path = tmp_path / "cols.csv"
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            dataset_module.write_columns(fh, [floats, text, floats[::-1].copy()])
+        want = "".join(
+            f"{float(a)!r},{t},{float(b)!r}\n" for a, t, b in zip(floats, text, floats[::-1])
+        )
+        assert path.read_text(encoding="utf-8") == want
+        assert dataset_module.float_text(floats) == [repr(float(v)) for v in floats]
 
     def test_finite_round_trip_across_chunks(self, tmp_path):
         rows = CHUNK_ROWS + 1

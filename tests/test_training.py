@@ -233,3 +233,17 @@ class TestModelIo:
             ScoringModel(ARCH_LINEAR, 3, 0, np.zeros(7))
         with pytest.raises(ValueError, match="architecture"):
             ScoringModel("boosted-trees", 3, 0, np.zeros(4))
+
+    @pytest.mark.parametrize("value, shown", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")])
+    def test_non_finite_params_named(self, value, shown):
+        params = np.zeros(4)
+        params[2] = value
+        with pytest.raises(ValueError, match=f"params must be finite: index 2 is {shown}"):
+            ScoringModel(ARCH_LINEAR, 3, 0, params)
+
+    def test_model_file_with_infinity_fails_to_load(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(ScoringModel(ARCH_LINEAR, 2, 0, np.array([0.5, 1.5, 0.0])), path)
+        path.write_text(path.read_text(encoding="utf-8").replace("1.5", "-Infinity"), encoding="utf-8")
+        with pytest.raises(ValueError, match="params must be finite: index 1 is -inf"):
+            load_model(path)
