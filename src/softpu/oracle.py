@@ -18,6 +18,7 @@ brute-force enumeration of all 2^m classifiers (:func:`enumerate_points`,
 
 import bisect
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -118,14 +119,6 @@ def _rate_fractions(problem: DiscreteProblem, kind: str):
     return pos / pos_total, neg / neg_total
 
 
-def _mask_bits(mask: int, m: int) -> np.ndarray:
-    """Boolean cell selection of one classifier bitmask."""
-    if not 0 <= mask < 1 << m:
-        raise ValueError(f"mask {mask} out of range for {m} cells")
-    raw = np.frombuffer(mask.to_bytes((m + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=m, bitorder="little").astype(bool)
-
-
 # ---------------------------------------------------------------------------
 # brute-force enumeration (the cross-check)
 # ---------------------------------------------------------------------------
@@ -177,9 +170,6 @@ class EnumeratedFrontier:
     @property
     def n_on_frontier(self) -> int:
         return int(self.on_frontier.sum())
-
-    def contains(self, mask: int) -> bool:
-        return bool(self.on_frontier[mask])
 
     def to_dict(self):
         return _frontier_dict(self)
@@ -345,6 +335,7 @@ class Frontier:
 
     def contains(self, mask: int) -> bool:
         """Whether classifier ``mask`` achieves a point on the frontier."""
+        mask = operator.index(mask)  # numpy integers too, as a Python int
         prefixes = self.prefix_masks
         if not 0 <= mask <= prefixes[-1]:
             return False
@@ -409,7 +400,11 @@ def frontier(problem: DiscreteProblem, kind: str) -> Frontier:
 def mask_rates(problem: DiscreteProblem, kind: str, mask: int) -> tuple[float, float]:
     """(FPR, TPR) of one classifier bitmask, computed directly."""
     pos_frac, neg_frac = _rate_fractions(problem, kind)
-    sel = _mask_bits(mask, problem.n_cells).astype(np.float64)
+    m = problem.n_cells
+    if not 0 <= mask < 1 << m:
+        raise ValueError(f"mask {mask} out of range for {m} cells")
+    raw = np.frombuffer(mask.to_bytes((m + 7) // 8, "little"), dtype=np.uint8)
+    sel = np.unpackbits(raw, count=m, bitorder="little").astype(np.float64)
     return float(neg_frac @ sel), float(pos_frac @ sel)
 
 
@@ -477,11 +472,9 @@ def verify_mela_optimality(problem: DiscreteProblem) -> MelaOptimalityReport:
     _check_strictly_comonotone(problem)
     spu = frontier(problem, "spu")
     real = frontier(problem, "real")
-    assert spu.groups == real.groups
     partial = ()
     if spu.whole_first != real.whole_first:
         partial = tuple(sorted(_subsets(spu.groups[0])[0]))
-    family = spu.prefix_masks
     return MelaOptimalityReport(
         passed=not partial,
         n_spu_frontier=spu.n_on_frontier,
@@ -489,7 +482,7 @@ def verify_mela_optimality(problem: DiscreteProblem) -> MelaOptimalityReport:
         spu_only=partial if real.whole_first else (),
         real_only=partial if spu.whole_first else (),
         threshold_family_on_both=all(
-            spu.contains(c) and real.contains(c) for c in family
+            spu.contains(c) and real.contains(c) for c in spu.prefix_masks
         ),
     )
 

@@ -400,7 +400,7 @@ def cross_check_problems():
     return tuple(tied_problem(rng, m) for m in sizes)
 
 
-def rates_or_error(fn, *args):
+def result_or_error(fn, *args):
     try:
         return fn(*args)
     except ValueError as exc:
@@ -419,7 +419,7 @@ def exact_brute_force(index, kind):
     pairs = [(Fraction(w), Fraction(c)) for w, c in zip(problem.masses.tolist(), cond.tolist())]
     pos = [w * c for w, c in pairs]
     neg = [w * (1 - c) for w, c in pairs]
-    den = max(x.denominator for x in pos + neg)
+    den = max(x.denominator for x in pos + neg)  # powers of two: the max is the lcm
     pos = [int(x * den) for x in pos]
     neg = [int(x * den) for x in neg]
     m = problem.n_cells
@@ -447,15 +447,12 @@ def exact_brute_force(index, kind):
     xs = [h[0] for h in hull]
     on = set()
     for mask in range(1 << m):
+        # the hull segment over x (the hull spans x = 0 to fp[-1] > 0);
+        # every point lies on or under it
         x, y = fp[mask], tp[mask]
-        if len(hull) == 1:
-            on_it = y >= hull[0][1]
-        else:
-            # the hull segment over x; every point lies on or under it
-            k = min(max(bisect.bisect_left(xs, x), 1), len(hull) - 1)
-            (x1, y1, _), (x2, y2, _) = hull[k - 1], hull[k]
-            on_it = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1) >= 0
-        if on_it:
+        k = max(bisect.bisect_left(xs, x), 1)
+        (x1, y1, _), (x2, y2, _) = hull[k - 1], hull[k]
+        if (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1) >= 0:
             on.add(mask)
     points = np.array(
         [[float(Fraction(x, fp[-1])), float(Fraction(y, tp[-1]))] for x, y, _ in hull]
@@ -659,8 +656,8 @@ class TestChainAgainstBruteForce:
         # the chain's frontier
         for prob in cross_check_problems():
             for kind in ("spu", "real"):
-                want = rates_or_error(exhaustive_frontier, prob, kind)
-                got = rates_or_error(frontier, prob, kind)
+                want = result_or_error(exhaustive_frontier, prob, kind)
+                got = result_or_error(frontier, prob, kind)
                 if isinstance(want, str):
                     assert got == want
                     continue
@@ -678,8 +675,8 @@ class TestChainAgainstBruteForce:
     def test_mela_reports_equal_brute_force(self):
         compared = 0
         for prob in cross_check_problems():
-            want = rates_or_error(mela_optimality_ref, prob)
-            got = rates_or_error(verify_mela_optimality, prob)
+            want = result_or_error(mela_optimality_ref, prob)
+            got = result_or_error(verify_mela_optimality, prob)
             if isinstance(want, str) and "not a strictly monotone" in want:
                 assert "not a strictly monotone" in got
                 continue
