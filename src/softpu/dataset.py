@@ -295,10 +295,9 @@ def load_csv(path, schema: CsvSchema) -> SoftDataset:
 
     Lines starting with ``#`` are treated as comments. Row numbers in error
     messages are 1-based data rows (the header is row 0); blank and comment
-    lines are not counted. Every soft label
-    must parse to a real in [0, 1] and every feature to a finite real;
-    missing values are an error, and so is a schema column that appears
-    twice in the header.
+    lines are not counted. Every soft label must parse to a real in [0, 1]
+    and every feature to a finite real; missing values are an error, and so
+    is a schema column that appears twice in the header.
 
     The data rows are parsed column-wise in one pass; a file that pass
     cannot read, or whose values fail a check, is read again row by row,
