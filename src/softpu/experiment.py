@@ -71,6 +71,8 @@ def config_field(cfg: dict, key: str, kind, default=None, required=False):
             raise ValueError(f"config field '{key}' is required")
         return default
     value = cfg[key]
+    if kind in (int, float) and isinstance(value, bool):
+        raise ValueError(f"config field '{key}' must be {kind.__name__}, got bool")
     if kind is float and isinstance(value, int):
         value = float(value)
     if not isinstance(value, kind):

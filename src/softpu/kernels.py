@@ -1,10 +1,12 @@
 """Hot numeric kernels, vectorized with numpy.
 
-Four inner loops dominate the runtime of this package: mini-batch training
-epochs for the two scorer architectures, the exponentiated-gradient descent
-used to fit discrete priors, and the 2^m classifier enumeration behind the
-verification oracles. Each is deterministic: the same inputs give
-bit-identical outputs. ``BACKEND`` names this kernel path for run reports.
+Three inner loops dominate the runtime of this package: mini-batch training
+epochs for the two scorer architectures and the exponentiated-gradient
+descent used to fit discrete priors. ``enumerate_confusions`` scores all 2^m
+classifiers for the brute-force frontier that the tests cross-check the
+threshold-chain frontiers against. Each kernel is deterministic: the same
+inputs give bit-identical outputs. ``BACKEND`` names this kernel path for
+run reports.
 """
 
 import numpy as np
@@ -24,80 +26,131 @@ def sigmoid(z):
     return out
 
 
-def _clipped_ce(g, s):
-    gc = np.clip(g, LOSS_CLIP, 1.0 - LOSS_CLIP)
-    return -np.mean(s * np.log(gc) + (1.0 - s) * np.log(1.0 - gc))
+def _logistic_inplace(z, b):
+    """z <- 1 / (1 + exp(-(z + b))) in place, with no masks.
+
+    Training only: a logit below about -709 overflows ``exp`` and gives an
+    output of exactly 0, which the clipped loss tolerates. Scoring uses
+    :func:`sigmoid`, whose outputs stay strictly inside (0, 1).
+    """
+    np.subtract(-b, z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    np.reciprocal(z, out=z)
+
+
+def _batch_losses(g, s, starts):
+    """Mean clipped cross-entropy of each batch; overwrites ``g``.
+
+    ``g`` and ``s`` hold one epoch's outputs and targets in batch order, and
+    batch ``i`` starts at row ``starts[i]``.
+    """
+    np.clip(g, LOSS_CLIP, 1.0 - LOSS_CLIP, out=g)
+    ce = np.log(g)
+    ce *= s
+    np.subtract(1.0, g, out=g)
+    np.log(g, out=g)
+    g *= 1.0 - s
+    ce += g
+    sizes = np.diff(starts, append=g.shape[0])
+    return -(np.add.reduceat(ce, starts) / sizes)
 
 
 def linear_epochs(params, X, s, order, batch_size, lr, l2):
     """Mini-batch gradient descent epochs for the linear-logistic scorer.
 
     ``params`` is the flat vector [w (d), b] and is updated in place.
-    ``order`` is an (epochs, n) int64 matrix of pre-drawn shuffle orders, so
-    the result is a pure function of its arguments. Returns the per-epoch
-    mean batch loss.
+    ``order`` is a (k, n) int64 matrix: row ``e`` is the shuffle order of
+    epoch ``e``, and ``k`` epochs run. The result is a pure function of the
+    arguments; a caller may run one epoch per call with ``k = 1``. Returns
+    the per-epoch mean batch loss.
     """
     n, d = X.shape
-    n_epochs = order.shape[0]
-    trace = np.empty(n_epochs)
+    starts = np.arange(0, n, batch_size)
+    trace = np.empty(order.shape[0])
     w = params[:d]
+    g = np.empty(n)
+    diff_full = np.empty(batch_size)
+    gw = np.empty(d)
     # divergence shows up as non-finite values caught by the caller
     with np.errstate(over="ignore", invalid="ignore"):
-        for e in range(n_epochs):
-            idx = order[e]
-            total = 0.0
-            n_batches = 0
+        for e, idx in enumerate(order):
+            Xe = X[idx]
+            se = s[idx]
+            diff = diff_full
             for start in range(0, n, batch_size):
-                rows = idx[start : start + batch_size]
-                Xb = X[rows]
-                sb = s[rows]
-                g = sigmoid(Xb @ w + params[d])
-                total += _clipped_ce(g, sb)
-                n_batches += 1
-                diff = (g - sb) / rows.size
-                w -= lr * (Xb.T @ diff + l2 * w)
+                stop = start + batch_size
+                Xb = Xe[start:stop]
+                gb = g[start:stop]
+                if stop > n:
+                    diff = diff_full[: n - start]
+                np.matmul(Xb, w, out=gb)
+                _logistic_inplace(gb, params[d])
+                np.subtract(gb, se[start:stop], out=diff)
+                diff /= diff.shape[0]
+                np.matmul(diff, Xb, out=gw)
+                if l2:
+                    gw += l2 * w
+                gw *= lr
+                w -= gw
                 params[d] -= lr * diff.sum()
-            trace[e] = total / n_batches
+            trace[e] = _batch_losses(g, se, starts).mean()
     return trace
 
 
 def mlp_epochs(params, X, s, order, batch_size, lr, l2, hidden):
     """Mini-batch GD epochs for the one-hidden-layer scorer (tanh units).
 
-    Flat layout: [W1 (d*h, row-major), b1 (h), w2 (h), b2 (1)]. Updated in
-    place; returns the per-epoch mean batch loss.
+    Flat layout: [W1 (d*h, row-major), b1 (h), w2 (h), b2 (1)], so the
+    first (d+1)*h entries are the augmented matrix [W1; b1], which meets a
+    ones column appended to the features. Updated in place. ``order`` is as
+    in :func:`linear_epochs`. Returns the per-epoch mean batch loss.
     """
     n, d = X.shape
     h = hidden
-    n_epochs = order.shape[0]
-    trace = np.empty(n_epochs)
-    W1 = params[: d * h].reshape(d, h)
-    b1 = params[d * h : d * h + h]
-    w2 = params[d * h + h : d * h + 2 * h]
+    starts = np.arange(0, n, batch_size)
+    trace = np.empty(order.shape[0])
+    W1b = params[: (d + 1) * h].reshape(d + 1, h)
+    W1 = W1b[:d]
+    w2 = params[(d + 1) * h : -1]
+    Xe = np.empty((n, d + 1))
+    Xe[:, d] = 1.0
+    g = np.empty(n)
+    full = tuple(np.empty((batch_size, h)) for _ in range(3)) + (np.empty(batch_size),)
+    gW1b = np.empty((d + 1, h))
+    gw2 = np.empty(h)
     with np.errstate(over="ignore", invalid="ignore"):
-        for e in range(n_epochs):
-            idx = order[e]
-            total = 0.0
-            n_batches = 0
+        for e, idx in enumerate(order):
+            np.take(X, idx, axis=0, out=Xe[:, :d])
+            se = s[idx]
+            a1, tmp, dz1, diff = full
             for start in range(0, n, batch_size):
-                rows = idx[start : start + batch_size]
-                Xb = X[rows]
-                sb = s[rows]
-                a1 = np.tanh(Xb @ W1 + b1)
-                g = sigmoid(a1 @ w2 + params[-1])
-                total += _clipped_ce(g, sb)
-                n_batches += 1
-                diff = (g - sb) / rows.size
-                gw2 = a1.T @ diff + l2 * w2
-                gb2 = diff.sum()
-                dz1 = (diff[:, None] * w2[None, :]) * (1.0 - a1 * a1)
-                gW1 = Xb.T @ dz1 + l2 * W1
-                gb1 = dz1.sum(axis=0)
-                W1 -= lr * gW1
-                b1 -= lr * gb1
-                w2 -= lr * gw2
-                params[-1] -= lr * gb2
-            trace[e] = total / n_batches
+                stop = start + batch_size
+                Xb = Xe[start:stop]
+                gb = g[start:stop]
+                if stop > n:
+                    a1, tmp, dz1, diff = (buf[: n - start] for buf in full)
+                np.matmul(Xb, W1b, out=a1)
+                np.tanh(a1, out=a1)
+                np.matmul(a1, w2, out=gb)
+                _logistic_inplace(gb, params[-1])
+                np.subtract(gb, se[start:stop], out=diff)
+                diff /= diff.shape[0]
+                np.multiply(a1, a1, out=tmp)
+                np.subtract(1.0, tmp, out=tmp)
+                np.multiply(diff[:, None], w2, out=dz1)
+                dz1 *= tmp
+                np.matmul(Xb.T, dz1, out=gW1b)
+                np.matmul(diff, a1, out=gw2)
+                if l2:
+                    gW1b[:d] += l2 * W1
+                    gw2 += l2 * w2
+                gW1b *= lr
+                W1b -= gW1b
+                gw2 *= lr
+                w2 -= gw2
+                params[-1] -= lr * diff.sum()
+            trace[e] = _batch_losses(g, se, starts).mean()
     return trace
 
 

@@ -11,10 +11,11 @@ with tanh units and a logistic output. Optimization is plain mini-batch
 gradient descent with a fixed learning rate and optional L2 on the weights
 (biases excluded); determinism is trivial because all randomness (init and
 shuffles) comes from one seeded generator and the epoch loops run in the
-selected kernel backend.
+deterministic numpy kernels of :mod:`softpu.kernels`.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,14 +96,16 @@ class TrainConfig:
     l2: float = 0.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(
+                f"learning_rate must be finite and positive, got {self.learning_rate!r}"
+            )
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if self.l2 < 0.0:
-            raise ValueError("l2 must be non-negative")
+        if not (math.isfinite(self.l2) and self.l2 >= 0.0):
+            raise ValueError(f"l2 must be finite and non-negative, got {self.l2!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +203,16 @@ def initial_params(arch, feature_dim, hidden_width, rng) -> np.ndarray:
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a non-finite loss shows up; carries the trace so far."""
+    """Raised at the first epoch that ends with a non-finite loss or
+    non-finite parameters; carries the finite losses of the epochs before
+    it (and of that epoch, if its loss is finite)."""
 
-    def __init__(self, trace):
+    def __init__(self, trace, epoch):
         self.trace = tuple(float(v) for v in trace)
+        self.epoch = epoch
         super().__init__(
-            f"non-finite training loss after {len(self.trace)} epochs: {self.trace[-3:]}"
+            f"training diverged in epoch {epoch}: non-finite loss or parameters; "
+            f"last losses {self.trace[-3:]}"
         )
 
 
@@ -219,8 +226,11 @@ def train(
 
     Deterministic given the seed: one generator drives the initial
     parameters (hidden layer only) and then the per-epoch shuffles, in that
-    order. Returns the final-epoch model with the per-epoch mean batch loss
-    attached as ``loss_trace``.
+    order. Each epoch's permutation is drawn when the epoch starts, so the
+    orders take O(n) memory. Returns the final-epoch model with the
+    per-epoch mean batch loss attached as ``loss_trace``; raises
+    :class:`TrainingDiverged` at the first epoch that leaves a non-finite
+    loss or non-finite parameters.
     """
     if arch == ARCH_LINEAR:
         hidden_width = 0
@@ -229,20 +239,21 @@ def train(
     s = np.ascontiguousarray(data.soft_labels)
     n = X.shape[0]
     params = initial_params(arch, data.feature_dim, hidden_width, rng)
-    order = np.empty((cfg.epochs, n), dtype=np.int64)
+    trace = np.empty(cfg.epochs)
     for e in range(cfg.epochs):
-        order[e] = rng.permutation(n)
-    if arch == ARCH_LINEAR:
-        trace = kernels.linear_epochs(
-            params, X, s, order, cfg.batch_size, cfg.learning_rate, cfg.l2
-        )
-    else:
-        trace = kernels.mlp_epochs(
-            params, X, s, order, cfg.batch_size, cfg.learning_rate, cfg.l2,
-            hidden_width,
-        )
-    if not np.all(np.isfinite(trace)) or not np.all(np.isfinite(params)):
-        raise TrainingDiverged(trace[np.isfinite(trace).cumprod().astype(bool)])
+        order = rng.permutation(n)[None]
+        if arch == ARCH_LINEAR:
+            trace[e] = kernels.linear_epochs(
+                params, X, s, order, cfg.batch_size, cfg.learning_rate, cfg.l2
+            )[0]
+        else:
+            trace[e] = kernels.mlp_epochs(
+                params, X, s, order, cfg.batch_size, cfg.learning_rate, cfg.l2,
+                hidden_width,
+            )[0]
+        if not (np.isfinite(trace[e]) and np.all(np.isfinite(params))):
+            done = trace[: e + 1]
+            raise TrainingDiverged(done[np.isfinite(done)], e + 1)
     return ScoringModel(
         arch=arch,
         feature_dim=data.feature_dim,

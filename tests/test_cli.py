@@ -218,6 +218,32 @@ class TestExperiment:
         assert "'seed'" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("learning_rate", float("nan"), "learning_rate must be finite and positive, got nan"),
+            ("learning_rate", float("inf"), "learning_rate must be finite and positive, got inf"),
+            ("l2", float("nan"), "l2 must be finite and non-negative, got nan"),
+            ("l2", float("inf"), "l2 must be finite and non-negative, got inf"),
+            ("batch_size", True, "config field 'batch_size' must be int, got bool"),
+            ("epochs", False, "config field 'epochs' must be int, got bool"),
+            ("learning_rate", True, "config field 'learning_rate' must be float, got bool"),
+        ],
+    )
+    def test_bad_training_field_is_named_error(self, tmp_path, capsys, field, value, message):
+        cfg = write_config(
+            tmp_path,
+            "exp.json",
+            {
+                "seed": 3,
+                "dataset": {"kind": "pu-benchmark", "n": 400},
+                "model": {"arch": "linear-logistic", "epochs": 2, field: value},
+            },
+        )
+        assert run(cfg, "experiment", tmp_path / "o") == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+
 class TestEvalAndBound:
     @pytest.fixture()
     def trained_model_path(self, tmp_path):

@@ -8,6 +8,7 @@ covered by the training tests.
 """
 
 import numpy as np
+import pytest
 
 from softpu import kernels
 from softpu.kernels import LOSS_CLIP
@@ -231,6 +232,43 @@ class TestAgainstScalarReference:
         p_np = init.copy()
         t_ref = mlp_epochs_ref(p_ref, X, s, order, 32, 0.3, 0.001, 8)
         t_np = kernels.mlp_epochs(p_np, X, s, order, 32, 0.3, 0.001, 8)
+        np.testing.assert_allclose(p_ref, p_np, rtol=1e-8, atol=1e-11)
+        np.testing.assert_allclose(t_ref, t_np, rtol=1e-9)
+
+    # (n, d, batch_size, l2): one row per batch, one batch of exactly n
+    # rows, one batch larger than n, a ragged last batch, a single feature
+    EDGE_CASES = [
+        (40, 3, 1, 0.01),
+        (50, 2, 50, 0.01),
+        (50, 2, 500, 0.0),
+        (203, 3, 32, 0.05),
+        (101, 1, 16, 0.05),
+    ]
+
+    @pytest.mark.parametrize("n, d, batch_size, l2", EDGE_CASES)
+    def test_linear_epochs_edge_cases(self, n, d, batch_size, l2):
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((n, d))
+        s = rng.random(n)
+        order = shuffle_orders(rng, 3, n)
+        init = 0.1 * rng.standard_normal(d + 1)
+        p_ref, p_np = init.copy(), init.copy()
+        t_ref = linear_epochs_ref(p_ref, X, s, order, batch_size, 0.3, l2)
+        t_np = kernels.linear_epochs(p_np, X, s, order, batch_size, 0.3, l2)
+        np.testing.assert_allclose(p_ref, p_np, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(t_ref, t_np, rtol=1e-9)
+
+    @pytest.mark.parametrize("n, d, batch_size, l2", EDGE_CASES)
+    def test_mlp_epochs_edge_cases(self, n, d, batch_size, l2):
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((n, d))
+        s = rng.random(n)
+        order = shuffle_orders(rng, 3, n)
+        h = 4
+        init = 0.1 * rng.standard_normal(d * h + 2 * h + 1)
+        p_ref, p_np = init.copy(), init.copy()
+        t_ref = mlp_epochs_ref(p_ref, X, s, order, batch_size, 0.3, l2, h)
+        t_np = kernels.mlp_epochs(p_np, X, s, order, batch_size, 0.3, l2, h)
         np.testing.assert_allclose(p_ref, p_np, rtol=1e-8, atol=1e-11)
         np.testing.assert_allclose(t_ref, t_np, rtol=1e-9)
 

@@ -1,10 +1,12 @@
 """Soft cross-entropy loss, analytic gradients, and the trainer."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from softpu import kernels
 from softpu.dataset import SoftDataset
 from softpu.training import (
     ARCH_LINEAR,
@@ -129,8 +131,55 @@ def binary_feature_dataset(n, seed, means=(0.2, 0.7)):
     )
 
 
+def train_all_orders_first(data, arch, cfg, hidden_width=5):
+    """The trainer as it was before per-epoch draws: every epoch's
+    permutation is drawn up front into one (epochs, n) matrix, and a single
+    kernel call runs all epochs. Returns (params, full loss trace)."""
+    h = 0 if arch == ARCH_LINEAR else hidden_width
+    rng = np.random.default_rng(cfg.seed)
+    n = len(data)
+    params = initial_params(arch, data.feature_dim, h, rng)
+    order = np.empty((cfg.epochs, n), dtype=np.int64)
+    for e in range(cfg.epochs):
+        order[e] = rng.permutation(n)
+    args = (params, data.features, data.soft_labels, order, cfg.batch_size,
+            cfg.learning_rate, cfg.l2)
+    with np.errstate(all="ignore"):
+        if arch == ARCH_LINEAR:
+            trace = kernels.linear_epochs(*args)
+        else:
+            trace = kernels.mlp_epochs(*args, h)
+    return params, trace
+
+
 class TestTrain:
     CFG = TrainConfig(learning_rate=0.5, epochs=40, batch_size=256, seed=0)
+
+    def test_same_bits_as_drawing_all_orders_first(self):
+        ds = binary_feature_dataset(3000, seed=32)
+        cfg = TrainConfig(learning_rate=0.5, epochs=7, batch_size=100, seed=9, l2=0.01)
+        for arch in (ARCH_LINEAR, ARCH_MLP):
+            model = train(ds, arch, cfg, hidden_width=5)
+            params, trace = train_all_orders_first(ds, arch, cfg)
+            assert np.array_equal(model.params, params), arch
+            assert model.loss_trace == tuple(trace.tolist()), arch
+
+    def test_orders_take_linear_memory(self):
+        # drawing every epoch's order up front took epochs * n * 8 bytes
+        # (80 MB here); per-epoch draws keep the peak to a few n-vectors
+        n = 200_000
+        rng = np.random.default_rng(33)
+        ds = SoftDataset(features=rng.standard_normal((n, 2)), soft_labels=rng.random(n))
+        cfg = TrainConfig(learning_rate=0.1, epochs=50, batch_size=4096, seed=0)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            train(ds, ARCH_LINEAR, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * n * 8
 
     def test_converges_to_conditional_means(self):
         ds = binary_feature_dataset(50_000, seed=23)
@@ -173,6 +222,30 @@ class TestTrain:
         with pytest.raises(TrainingDiverged) as err:
             train(ds, ARCH_LINEAR, bad)
         assert isinstance(err.value.trace, tuple)
+        # training stops in the first bad epoch; the trace is the finite
+        # prefix that running every epoch would have produced
+        _, full = train_all_orders_first(ds, ARCH_LINEAR, bad)
+        prefix = full[np.isfinite(full).cumprod().astype(bool)]
+        assert 0 < prefix.size < bad.epochs
+        assert err.value.trace == tuple(prefix.tolist())
+        # the weights overflow in the last epoch whose loss is still finite
+        assert err.value.epoch == prefix.size
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("learning_rate", float("nan"), "learning_rate must be finite and positive, got nan"),
+            ("learning_rate", float("inf"), "learning_rate must be finite and positive, got inf"),
+            ("learning_rate", 0.0, "learning_rate must be finite and positive, got 0.0"),
+            ("l2", float("nan"), "l2 must be finite and non-negative, got nan"),
+            ("l2", float("inf"), "l2 must be finite and non-negative, got inf"),
+            ("l2", -1.0, "l2 must be finite and non-negative, got -1.0"),
+        ],
+    )
+    def test_bad_hyperparameter_named(self, field, value, message):
+        good = dict(learning_rate=0.5, epochs=3, batch_size=8, seed=0, l2=0.0)
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**{**good, field: value})
 
     def test_scores_strictly_inside_unit_interval(self):
         ds = binary_feature_dataset(1000, seed=28)
