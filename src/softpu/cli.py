@@ -45,7 +45,7 @@ from .oracle import (
     verify_mela_optimality,
     verify_noisy_gap,
 )
-from .training import load_model, threshold_classify
+from .training import TrainingDiverged, load_model, threshold_classify
 
 
 def _load_config(path) -> dict:
@@ -246,7 +246,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -243,6 +243,21 @@ class TestExperiment:
         assert run(cfg, "experiment", tmp_path / "o") == 1
         assert f"error: {message}" in capsys.readouterr().err
 
+    def test_diverged_training_is_named_error(self, tmp_path, capsys):
+        # lr * l2 > 2 makes the weight-decay factor explosive
+        cfg = write_config(
+            tmp_path,
+            "exp.json",
+            {
+                "seed": 3,
+                "dataset": {"kind": "gscar", "n": 2000, "pi": 0.2},
+                "model": {"arch": "linear-logistic", "epochs": 20, "batch_size": 64,
+                          "learning_rate": 10.0, "l2": 100.0},
+            },
+        )
+        assert run(cfg, "experiment", tmp_path / "o") == 1
+        assert "error: training diverged in epoch 5" in capsys.readouterr().err
+
 
 class TestEvalAndBound:
     @pytest.fixture()

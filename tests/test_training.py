@@ -144,11 +144,10 @@ def train_all_orders_first(data, arch, cfg, hidden_width=5):
         order[e] = rng.permutation(n)
     args = (params, data.features, data.soft_labels, order, cfg.batch_size,
             cfg.learning_rate, cfg.l2)
-    with np.errstate(all="ignore"):
-        if arch == ARCH_LINEAR:
-            trace = kernels.linear_epochs(*args)
-        else:
-            trace = kernels.mlp_epochs(*args, h)
+    if arch == ARCH_LINEAR:
+        trace = kernels.linear_epochs(*args)
+    else:
+        trace = kernels.mlp_epochs(*args, h)
     return params, trace
 
 
