@@ -132,9 +132,10 @@ def binary_feature_dataset(n, seed, means=(0.2, 0.7)):
 
 
 def train_all_orders_first(data, arch, cfg, hidden_width=5):
-    """The trainer as it was before per-epoch draws: every epoch's
-    permutation is drawn up front into one (epochs, n) matrix, and a single
-    kernel call runs all epochs. Returns (params, full loss trace)."""
+    """Reference trainer: the same generator draws every epoch's
+    permutation up front into one (epochs, n) matrix, and a single kernel
+    call runs all epochs without stopping early. Returns (params, full loss
+    trace)."""
     h = 0 if arch == ARCH_LINEAR else hidden_width
     rng = np.random.default_rng(cfg.seed)
     n = len(data)
