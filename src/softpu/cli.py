@@ -69,10 +69,9 @@ def _resolve_out(args, config: dict) -> Path:
 
 
 def _resolve_seed(args, config: dict) -> int:
-    seed = args.seed if args.seed is not None else config.get("seed")
-    if seed is None:
-        raise ValueError("config field 'seed' is required (or pass --seed)")
-    return int(seed)
+    if args.seed is not None:
+        return args.seed
+    return config_field(config, "seed", int, required=True)
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +199,13 @@ def cmd_frontier(args) -> int:
     verify = config_field(config, "verify", dict, default={})
     if verify.get("mela"):
         record["mela_optimality"] = verify_mela_optimality(problem).to_dict()
-    if "noisy" in verify:
-        noisy = verify["noisy"]
+    noisy = config_field(verify, "noisy", dict)
+    if noisy is not None:
         record["noisy_gap"] = verify_noisy_gap(
             problem,
-            epsilon=float(noisy["epsilon"]),
-            c_h=float(noisy.get("c_h", 1.0)),
-            m_const=float(noisy["m"]),
+            epsilon=config_field(noisy, "epsilon", float, required=True),
+            c_h=config_field(noisy, "c_h", float, default=1.0),
+            m_const=config_field(noisy, "m", float, required=True),
         ).to_dict()
     save_json(record, out / "frontier.json")
     print(f"wrote {out / 'frontier.json'}")

@@ -39,7 +39,6 @@ from .dataset import (
 )
 from .kernels import sigmoid
 from .labeling import (
-    CheckRecord,
     RuleStats,
     bayes_soft_label,
     fit_prior,
@@ -302,10 +301,9 @@ def apply_soft_label_source(data: SoftDataset, soft_labels_cfg: dict) -> SoftDat
         grid_size=config_field(soft_labels_cfg, "grid_size", int, default=101),
         lam=config_field(soft_labels_cfg, "lambda", float, default=1e-3),
     )
-    # one posterior per distinct (n, k) pair, scattered back to the rows
-    pairs, rows = np.unique([(r.n, r.k) for r in records], axis=0, return_inverse=True)
-    risk = np.array([bayes_soft_label(CheckRecord(n, k), prior) for n, k in pairs.tolist()])
-    soft = np.where(data.soft_labels == 1.0, 1.0, risk[rows.reshape(-1)])
+    # the prior computes one posterior per distinct (n, k) pair
+    risk = np.array([bayes_soft_label(r, prior) for r in records])
+    soft = np.where(data.soft_labels == 1.0, 1.0, risk)
     return data.with_soft_labels(soft)
 
 

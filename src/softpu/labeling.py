@@ -13,6 +13,7 @@ simplex), and assigns soft label ``1 - posterior_mean(theta)``.
 """
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -106,6 +107,8 @@ class DiscretePrior:
             object.__setattr__(self, "_log_weights", np.log(weights))
         # one product gives the posterior's numerator and normalizer
         object.__setattr__(self, "_theta_and_one", np.stack([grid, np.ones_like(grid)]))
+        # (n, k) -> posterior pass probability, filled by posterior_pass_prob
+        object.__setattr__(self, "_posteriors", {})
 
     @classmethod
     def uniform(cls, grid_size: int, margin: float = GRID_MARGIN) -> "DiscretePrior":
@@ -161,8 +164,18 @@ def posterior_pass_prob(record: CheckRecord, prior: DiscretePrior) -> float:
     Computed as the ratio of the (k+1, n-k) and (k, n-k) moment sums of the
     prior, i.e. the gridded version of the Beta-integral quotient. The
     posterior weights are formed in log space and rescaled by their maximum,
-    so histories of any length work.
+    so histories of any length work. Each prior computes the posterior of a
+    distinct (n, k) pair once and keeps it; a record without support raises
+    on every call.
     """
+    key = (record.n, record.k)
+    p = prior._posteriors.get(key)
+    if p is None:
+        p = prior._posteriors[key] = _posterior_pass_prob(record, prior)
+    return p
+
+
+def _posterior_pass_prob(record: CheckRecord, prior: DiscretePrior) -> float:
     a = prior._log_weights
     # a zero count adds nothing, also where its log is -inf (0 * -inf is nan)
     if record.k:
@@ -189,6 +202,21 @@ def bayes_soft_label(record: CheckRecord, prior: DiscretePrior) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _group_pairs(n, k):
+    """The distinct pairs of int64 arrays ``n, k`` and each row's pair.
+
+    Returns the pairs in (n, k) order as an int64 (p, 2) array, as
+    np.unique(axis=0) gives them at about five times the cost, and the
+    index of each row's pair among them.
+    """
+    order = np.lexsort((k, n))
+    n, k = n[order], k[order]
+    first = np.r_[True, (n[1:] != n[:-1]) | (k[1:] != k[:-1])]
+    index = np.empty(order.size, np.intp)
+    index[order] = np.cumsum(first) - 1
+    return np.stack([n[first], k[first]], axis=1), index
+
+
 def _pair_likelihoods(records, grid):
     """Row-scaled likelihoods of the distinct (n, k) pairs among ``records``.
 
@@ -205,13 +233,8 @@ def _pair_likelihoods(records, grid):
         raise ValueError("records must be non-empty")
     n = np.fromiter((r.n for r in records), np.int64, len(records))
     k = np.fromiter((r.k for r in records), np.int64, len(records))
-    # the distinct pairs in (n, k) order, as np.unique(axis=0) gives them at
-    # about five times the cost
-    order = np.lexsort((k, n))
-    n, k = n[order], k[order]
-    starts = np.flatnonzero(np.r_[True, (n[1:] != n[:-1]) | (k[1:] != k[:-1])])
-    pairs = np.stack([n[starts], k[starts]], axis=1)
-    counts = np.diff(np.r_[starts, n.size])
+    pairs, index = _group_pairs(n, k)
+    counts = np.bincount(index, minlength=len(pairs))
     passes = pairs[:, 1:].astype(np.float64)
     fails = (pairs[:, :1] - pairs[:, 1:]).astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -377,10 +400,19 @@ def check_label_separation(soft_labels, true_labels, pi: float) -> LabelSeparati
 
 
 def records_from_csv(path) -> list[CheckRecord]:
-    """Read check records from a CSV with columns user_id, n, k."""
+    """Read check records from a CSV with columns user_id, n, k.
+
+    The ``n`` and ``k`` columns are parsed column-wise in one pass, and the
+    rows of each distinct (n, k) pair share one frozen record. A file that
+    pass cannot vouch for is read row by row instead, which either loads it
+    or names the first bad row.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
+    records = _records_from_columns(path.read_bytes())
+    if records is not None:
+        return records
     records = []
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -399,6 +431,57 @@ def records_from_csv(path) -> list[CheckRecord]:
     if not records:
         raise ValueError("empty records file")
     return records
+
+
+# The bytes the column pass reads: tab, line ends and printable ASCII other
+# than the quote. A quote can join lines into one csv field; loadtxt reads
+# "5\x1c" as 5 and some non-ASCII letters as digits where int() refuses
+# them; and some other characters end a line for str.splitlines but not for
+# csv.
+_VOUCHED_BYTES = b"\t\n\r" + bytes(range(0x20, 0x7F)).replace(b'"', b"")
+
+
+def _records_from_columns(raw: bytes) -> list[CheckRecord] | None:
+    """The records in the bytes of a records CSV, or None if the row loop of
+    :func:`records_from_csv` must read them.
+
+    None unless the file has only vouched characters, one ``n`` and one
+    ``k`` header column, at least one data row, no line longer than the
+    csv module's field size limit and as many fields on each data row as in
+    the header, and every cell of ``n`` and ``k`` parses to an int64 with
+    0 <= k <= n. Blank lines are skipped, as the row loop skips them.
+    """
+    if raw.translate(None, _VOUCHED_BYTES):
+        return None
+    lines = raw.decode("ascii").splitlines()
+    if not lines:
+        return None
+    header = lines[0].split(",")
+    if header.count("n") != 1 or header.count("k") != 1:
+        return None
+    rows = list(filter(None, lines[1:]))
+    if not rows or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    if set(map(str.count, rows, itertools.repeat(","))) != {len(header) - 1}:
+        return None
+    try:
+        table = np.loadtxt(
+            rows,
+            delimiter=",",
+            comments=None,
+            usecols=(header.index("n"), header.index("k")),
+            dtype=np.int64,
+            ndmin=2,
+        )
+    except ValueError:
+        return None
+    n, k = table[:, 0], table[:, 1]
+    if np.any(k < 0) or np.any(k > n):
+        return None
+    pairs, index = _group_pairs(n, k)
+    distinct = np.empty(len(pairs), dtype=object)
+    distinct[:] = [CheckRecord(n=a, k=b) for a, b in pairs.tolist()]
+    return distinct[index].tolist()
 
 
 def prior_to_json(prior: DiscretePrior, path) -> None:

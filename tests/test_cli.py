@@ -97,6 +97,27 @@ class TestGenerate:
         assert (out1 / "dataset.csv").read_bytes() != (out2 / "dataset.csv").read_bytes()
         assert (out2 / "dataset.csv").read_bytes() == (out3 / "dataset.csv").read_bytes()
 
+    @pytest.mark.parametrize("command", ["generate", "eval", "bound-check"])
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (1.5, "config field 'seed' must be int, got float"),
+            ("7", "config field 'seed' must be int, got str"),
+            (True, "config field 'seed' must be int, got bool"),
+            (None, "config field 'seed' is required"),
+        ],
+    )
+    def test_bad_seed_is_named_error(self, tmp_path, capsys, command, seed, message):
+        cfg = write_config(
+            tmp_path,
+            "gen.json",
+            {"seed": seed, "dataset": {"kind": "gscar", "n": 100, "pi": 0.1},
+             "model": str(tmp_path / "model.json")},
+        )
+        assert run(cfg, command, tmp_path / "o") == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "provenance.json").exists()
+
     def test_env_var_sets_out_dir(self, tmp_path, monkeypatch):
         cfg = write_config(
             tmp_path,
@@ -468,6 +489,31 @@ class TestFrontierCommand:
         record = json.loads((out / "frontier.json").read_text())
         assert record["noisy_gap"]["passed"]
         assert record["spu"]["points"][0] == [0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "noisy, message",
+        [
+            ({"epsilon": 0.05}, "config field 'm' is required"),
+            ({"m": 4.0}, "config field 'epsilon' is required"),
+            ({"epsilon": "a", "m": 4.0}, "config field 'epsilon' must be float, got str"),
+            ({"epsilon": 0.05, "m": 4.0, "c_h": [1]}, "config field 'c_h' must be float, got list"),
+            ([0.05, 4.0], "config field 'noisy' must be dict, got list"),
+        ],
+    )
+    def test_bad_noisy_field_is_named_error(self, tmp_path, capsys, noisy, message):
+        cfg = write_config(
+            tmp_path,
+            "front.json",
+            {
+                "problem": str(FIXTURES / "problems" / "noisy_mela.json"),
+                "kinds": ["spu"],
+                "verify": {"noisy": noisy},
+            },
+        )
+        assert run(cfg, "frontier", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
 
     def test_mela_fixture(self, tmp_path):
         cfg = write_config(

@@ -1,9 +1,15 @@
 """Rule-ratio labels, empirical-Bayes labels, and the prior fit."""
 
+import csv
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from softpu import kernels
+from softpu import kernels, labeling
 from softpu.labeling import (
     CheckRecord,
     DiscretePrior,
@@ -19,6 +25,8 @@ from softpu.labeling import (
     records_from_csv,
     rule_soft_label,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 class TestRuleSoftLabel:
@@ -110,6 +118,42 @@ class TestBayesSoftLabel:
             CheckRecord(n=-1, k=0)
         with pytest.raises(ValueError, match="n must be at most"):
             CheckRecord(n=2**63, k=0)
+
+
+class TestPosteriorCache:
+    def test_one_posterior_per_distinct_pair(self, monkeypatch):
+        records = records_from_csv(FIXTURES / "check_records.csv")
+        prior = fit_prior(records, grid_size=51, max_iters=20)
+        computed = []
+        compute = labeling._posterior_pass_prob
+        monkeypatch.setattr(
+            labeling,
+            "_posterior_pass_prob",
+            lambda record, p: computed.append(record) or compute(record, p),
+        )
+        labels = [bayes_soft_label(r, prior) for r in records]
+        labels += [bayes_soft_label(r, prior) for r in records]
+        assert len(computed) == len({(r.n, r.k) for r in records})
+        assert labels[: len(records)] == labels[len(records) :]
+
+    def test_labels_equal_a_fresh_prior_bit_for_bit(self):
+        records = records_from_csv(FIXTURES / "check_records.csv")
+        prior = fit_prior(records, grid_size=51, max_iters=20)
+        cached = np.array([bayes_soft_label(r, prior) for r in records])
+        fresh = np.array(
+            [
+                1.0 - posterior_pass_prob(r, DiscretePrior(prior.grid, prior.weights))
+                for r in records
+            ]
+        )
+        assert cached.tobytes() == fresh.tobytes()
+
+    def test_record_without_support_raises_on_every_call(self):
+        prior = DiscretePrior.point_mass(0.0)
+        bayes_soft_label(CheckRecord(n=3, k=0), prior)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="prior inconsistent"):
+                bayes_soft_label(CheckRecord(n=3, k=2), prior)
 
 
 class TestDiscretePriorValidation:
@@ -324,6 +368,15 @@ class TestRecordsIo:
         with pytest.raises(ValueError, match="columns"):
             records_from_csv(path)
 
+    def test_records_are_plain_ints_shared_per_pair(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text("user_id,n,k\nu1,5,3\nu2,4,2\nu3,5,3\n")
+        records = records_from_csv(path)
+        assert labeling._records_from_columns(path.read_bytes()) is not None
+        assert records == [CheckRecord(5, 3), CheckRecord(4, 2), CheckRecord(5, 3)]
+        assert records[0] is records[2]
+        assert all(type(r.n) is int and type(r.k) is int for r in records)
+
     def test_prior_json_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
         prior = fit_prior(synth_records(rng, 40, 0.5, n_days=5), grid_size=11, max_iters=3)
@@ -334,3 +387,160 @@ class TestRecordsIo:
         np.testing.assert_array_equal(back.weights, prior.weights)
         assert back.objective_trace == prior.objective_trace
         assert back.converged is prior.converged is False
+
+
+def records_reference(path):
+    """The row-at-a-time reader that the column pass must agree with."""
+    records = []
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or not {"n", "k"} <= set(reader.fieldnames):
+            raise ValueError("records CSV needs columns user_id, n, k")
+        for row_idx, row in enumerate(reader, start=1):
+            try:
+                n = int(row["n"])
+                k = int(row["k"])
+            except (TypeError, ValueError):
+                raise ValueError(f"row {row_idx}: n and k must be integers") from None
+            try:
+                records.append(CheckRecord(n=n, k=k))
+            except ValueError as exc:
+                raise ValueError(f"row {row_idx}: {exc}") from None
+    if not records:
+        raise ValueError("empty records file")
+    return records
+
+
+def outcome(read, path):
+    """``read(path)`` as (n, k) pairs, or the type and text of its error."""
+    try:
+        return [(r.n, r.k) for r in read(path)]
+    except Exception as exc:  # any error, as long as both readers give the same
+        return type(exc), str(exc)
+
+
+BAD_INTEGERS = (ValueError, "row 1: n and k must be integers")
+
+
+class TestRecordsColumnPass:
+    """records_from_csv against the row-at-a-time reader: the same records or
+    the same error, whether or not the column pass vouches for the file."""
+
+    @pytest.mark.parametrize(
+        "text, expected, by_columns",
+        [
+            ("user_id,n,k\nu1,5,3\nu2,10,10\nu3,0,0\n", [(5, 3), (10, 10), (0, 0)], True),
+            ("k,n\n3,5\n", [(5, 3)], True),
+            ("user_id,n,k\nu1, 5 ,+3\nu2,-0,0", [(5, 3), (0, 0)], True),
+            # a quote joins the rest of the file into one field
+            ('user_id,n,k\n"x,5,3\nu2,4,2\n', BAD_INTEGERS, False),
+            ("user_id,n,k\nu1,5,3,extra\n", [(5, 3)], False),
+            ("user_id,n,k\nu1,5\n", BAD_INTEGERS, False),
+            ("user_id,n,k\nu1,1_000,3\n", [(1000, 3)], False),
+            ("user_id,n,k\nu1,\uff15,3\n", [(5, 3)], False),
+            # loadtxt reads both of these as numbers, int() neither
+            ("user_id,n,k\nu1,5\x1c,3\n", BAD_INTEGERS, False),
+            ("user_id,n,k\nu1,\u01fe,3\n", BAD_INTEGERS, False),
+            ("user_id,n,k\nu1,5,3#x\n", BAD_INTEGERS, False),
+            (
+                "user_id,n,k\nu1,9223372036854775808,0\n",
+                (
+                    ValueError,
+                    "row 1: n must be at most 9223372036854775807, "
+                    "got n=9223372036854775808",
+                ),
+                False,
+            ),
+            ("user_id,n,k\nu1,9223372036854775807,0\n", [(2**63 - 1, 0)], True),
+            ("user_id,n,k,n\nu1,5,3,7\n", [(7, 3)], False),
+            ("user_id,n,k\n\nu1,5,3\n\n\nu2,4,2\n\n", [(5, 3), (4, 2)], True),
+            ("user_id,n,k\r\nu1,5,3\r\n\r\nu2,4,2\r\n", [(5, 3), (4, 2)], True),
+            ("user_id,n,k\ru1,5,3\ru2,4,2\r", [(5, 3), (4, 2)], True),
+            ("user_id,n,k\nu1,5,3\n \n", (ValueError, "row 2: n and k must be integers"), False),
+            ("\ufeffuser_id,n,k\nu1,5,3\n", [(5, 3)], False),
+            ("\ufeffn,k\n5,3\n", (ValueError, "records CSV needs columns user_id, n, k"), False),
+            ("user_id,n,k\n", (ValueError, "empty records file"), False),
+            ("user_id,n,k\n\n\n", (ValueError, "empty records file"), False),
+            ("", (ValueError, "records CSV needs columns user_id, n, k"), False),
+            (
+                "user_id,n,k\nu1,5,3\nu2,4,9\n",
+                (ValueError, "row 2: need 0 <= k <= n, got n=4, k=9"),
+                False,
+            ),
+            (
+                "user_id,n,k\nu1,-1,0\n",
+                (ValueError, "row 1: need 0 <= k <= n, got n=-1, k=0"),
+                False,
+            ),
+        ],
+    )
+    def test_agrees_with_row_loop(self, tmp_path, text, expected, by_columns):
+        path = tmp_path / "records.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(records_from_csv, path) == outcome(records_reference, path)
+        assert outcome(records_from_csv, path) == expected
+        assert (labeling._records_from_columns(path.read_bytes()) is not None) == by_columns
+
+    def test_undecodable_file_fails_as_the_row_loop_does(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_bytes(b"user_id,n,k\n" + b"u1,5,3\n" * 3000 + b"u\xff,5,3\n")
+        got = outcome(records_from_csv, path)
+        assert got[0] is UnicodeDecodeError
+        assert got == outcome(records_reference, path)
+
+    def test_field_over_the_csv_limit_fails_as_the_row_loop_does(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text("user_id,n,k\n" + "u" * (csv.field_size_limit() + 1) + ",5,3\n")
+        got = outcome(records_from_csv, path)
+        assert got[0] is csv.Error
+        assert got == outcome(records_reference, path)
+
+    def test_no_warnings(self, tmp_path):
+        path = tmp_path / "records.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for text in ("user_id,n,k\nu1,5,3\n", "user_id,n,k\n", "user_id,n,k\n\n \n"):
+                path.write_text(text)
+                outcome(records_from_csv, path)
+            assert records_from_csv(FIXTURES / "check_records.csv")
+
+
+HEADERS = ["user_id,n,k", "n,k", "k,n,user_id", "user_id,n,k,n", "user_id,n", "user_id, n,k"]
+CELLS = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.sampled_from(["+4", " 7", "3 ", "1_0", '"4"', '"', '"u', "", "x", "-0", "007", "3#",
+                     "9223372036854775808", "5\x1c", "\u0663", "\t2"]),
+    st.text(alphabet=' ,"_+-0123456789u\t', max_size=4),
+)
+
+
+@st.composite
+def records_files(draw):
+    """Record files whose rows are mostly valid; the others have one odd cell,
+    a field too few or too many, or nothing but a space."""
+    header = draw(st.sampled_from(HEADERS))
+    names = header.split(",")
+    lines = [header]
+    for _ in range(draw(st.integers(0, 6))):
+        # every n column gets its own draw, so a duplicated header shows
+        k = draw(st.integers(0, 6))
+        row = [str(draw(st.integers(k, 12))) if name == "n" else str(k) if name == "k"
+               else "u1" for name in names]
+        kind = draw(st.sampled_from(["valid"] * 4 + ["odd"] * 3 + ["short", "long", "blank"]))
+        if kind == "odd":
+            row[draw(st.integers(0, len(row) - 1))] = draw(CELLS)
+        elif kind == "short":
+            row.pop()
+        elif kind == "long":
+            row.append(draw(CELLS))
+        lines.append(draw(st.sampled_from(["", " "])) if kind == "blank" else ",".join(row))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(text=records_files())
+def test_column_pass_agrees_with_row_loop(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "property-records.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert outcome(records_from_csv, path) == outcome(records_reference, path)
