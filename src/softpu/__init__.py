@@ -34,6 +34,8 @@ from .labeling import (
     DiscretePrior,
     RuleStats,
     bayes_soft_label,
+    bayes_soft_labels,
+    check_counts_from_csv,
     check_label_separation,
     fit_prior,
     rule_soft_label,
@@ -101,6 +103,8 @@ __all__ = [
     "auc_spu",
     "auc_spu_bound",
     "bayes_soft_label",
+    "bayes_soft_labels",
+    "check_counts_from_csv",
     "check_label_separation",
     "estimate_mixture_stats",
     "exhaustive_frontier",

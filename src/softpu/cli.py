@@ -26,8 +26,9 @@ from .experiment import (
     build_dataset,
     report_to_json,
     run_experiment,
+    seed_field,
 )
-from .labeling import fit_prior, mean_log_likelihood, prior_to_json, records_from_csv
+from .labeling import check_counts_from_csv, fit_prior, mean_log_likelihood, prior_to_json
 from .metrics import (
     auc,
     bound_report,
@@ -71,7 +72,18 @@ def _resolve_out(args, config: dict) -> Path:
 def _resolve_seed(args, config: dict) -> int:
     if args.seed is not None:
         return args.seed
-    return config_field(config, "seed", int, required=True)
+    return seed_field(config)
+
+
+def _seed_flag(text: str) -> int:
+    """``--seed``: an int that numpy accepts as a seed."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +174,10 @@ def cmd_bound_check(args) -> int:
 def cmd_fit_prior(args) -> int:
     config = _load_config(args.config)
     out = _resolve_out(args, config)
-    records = records_from_csv(config_field(config, "records", str, required=True))
+    n, k = check_counts_from_csv(config_field(config, "records", str, required=True))
     prior = fit_prior(
-        records,
+        n,
+        k,
         grid_size=config_field(config, "grid_size", int, default=101),
         lam=config_field(config, "lambda", float, default=1e-3),
         step_size=config_field(config, "step_size", float, default=0.5),
@@ -172,9 +185,9 @@ def cmd_fit_prior(args) -> int:
         tol=config_field(config, "tol", float, default=1e-9),
     )
     prior_to_json(prior, out / "prior.json")
-    loglik = mean_log_likelihood(records, prior)
+    loglik = mean_log_likelihood(n, k, prior)
     print(
-        f"wrote {out / 'prior.json'} ({len(records)} records, "
+        f"wrote {out / 'prior.json'} ({n.size} records, "
         f"{len(prior.objective_trace) - 1} iterations, "
         f"converged={'true' if prior.converged else 'false'}, "
         f"mean log-likelihood {loglik:.6f})"
@@ -236,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
+        p.add_argument("--seed", type=_seed_flag, default=None, help="seed override")
         p.add_argument("--out", default=None, help="output directory override")
     return parser
 

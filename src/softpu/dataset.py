@@ -186,7 +186,8 @@ def _open_csv(path):
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    return path.open(newline="", encoding="utf-8")
+    # utf-8-sig skips a leading byte-order mark, as spreadsheet exports write
+    return path.open(newline="", encoding="utf-8-sig")
 
 
 def _skip_comments(fh):
@@ -293,11 +294,12 @@ def _parse_table(lines, width):
 def load_csv(path, schema: CsvSchema) -> SoftDataset:
     """Load a UTF-8, comma-separated, header-row CSV into a SoftDataset.
 
-    Lines starting with ``#`` are treated as comments. Row numbers in error
-    messages are 1-based data rows (the header is row 0); blank and comment
-    lines are not counted. Every soft label must parse to a real in [0, 1]
-    and every feature to a finite real; missing values are an error, and so
-    is a schema column that appears twice in the header.
+    A leading byte-order mark is skipped and lines starting with ``#`` are
+    treated as comments. Row numbers in error messages are 1-based data
+    rows (the header is row 0); blank and comment lines are not counted.
+    Every soft label must parse to a real in [0, 1] and every feature to a
+    finite real; missing values are an error, and so is a schema column
+    that appears twice in the header.
 
     The data rows are parsed column-wise in one pass; a file that pass
     cannot read, or whose values fail a check, is read again row by row,

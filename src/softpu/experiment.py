@@ -40,9 +40,9 @@ from .dataset import (
 from .kernels import sigmoid
 from .labeling import (
     RuleStats,
-    bayes_soft_label,
+    bayes_soft_labels,
+    check_counts_from_csv,
     fit_prior,
-    records_from_csv,
     rule_soft_label,
 )
 from .metrics import (
@@ -82,6 +82,14 @@ def config_field(cfg: dict, key: str, kind, default=None, required=False):
     return value
 
 
+def seed_field(cfg: dict) -> int:
+    """The config's required ``seed``: an int that numpy accepts as a seed."""
+    seed = config_field(cfg, "seed", int, required=True)
+    if seed < 0:
+        raise ValueError(f"config field 'seed' must be non-negative, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description; see README for the JSON schema."""
@@ -96,7 +104,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        seed = config_field(raw, "seed", int, required=True)
+        seed = seed_field(raw)
         dataset = config_field(raw, "dataset", dict, required=True)
         model = config_field(raw, "model", dict, default={})
         soft_labels = config_field(raw, "soft_labels", dict, default={"source": "column"})
@@ -290,19 +298,19 @@ def apply_soft_label_source(data: SoftDataset, soft_labels_cfg: dict) -> SoftDat
         )
         soft = np.where(data.soft_labels == 1.0, 1.0, label)
         return data.with_soft_labels(soft)
-    records = records_from_csv(config_field(soft_labels_cfg, "records", str, required=True))
-    if len(records) != len(data):
+    n, k = check_counts_from_csv(config_field(soft_labels_cfg, "records", str, required=True))
+    if n.size != len(data):
         raise ValueError(
-            f"soft_labels.records has {len(records)} rows but the dataset has "
+            f"soft_labels.records has {n.size} rows but the dataset has "
             f"{len(data)} (they must be row-aligned)"
         )
     prior = fit_prior(
-        records,
+        n,
+        k,
         grid_size=config_field(soft_labels_cfg, "grid_size", int, default=101),
         lam=config_field(soft_labels_cfg, "lambda", float, default=1e-3),
     )
-    # the prior computes one posterior per distinct (n, k) pair
-    risk = np.array([bayes_soft_label(r, prior) for r in records])
+    risk = bayes_soft_labels(n, k, prior)
     soft = np.where(data.soft_labels == 1.0, 1.0, risk)
     return data.with_soft_labels(soft)
 

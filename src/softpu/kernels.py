@@ -154,11 +154,13 @@ def mlp_epochs(params, X, s, order, batch_size, lr, l2, hidden):
     return trace
 
 
-def _eg_objective(B, f, dtheta, lam, w):
-    den = (B @ f) * dtheta
-    if not np.all(np.isfinite(den)) or np.any(den <= 0.0):
+def _eg_objective(Bf, f, dtheta, lam, w):
+    """The objective at ``f``, given its product ``Bf = B @ f``."""
+    den = Bf * dtheta
+    # nan fails both tests, as min and max propagate it
+    if not (den.min() > 0.0 and den.max() < np.inf):
         return np.inf
-    return -(w @ np.log(den)) + lam * dtheta * np.sum(f * f)
+    return -(w @ np.log(den)) + lam * dtheta * (f * f).sum()
 
 
 def eg_minimize(B, f0, dtheta, lam, step0, max_iters, tol, w):
@@ -174,20 +176,24 @@ def eg_minimize(B, f0, dtheta, lam, step0, max_iters, tol, w):
     Stops once an accepted decrease falls below ``tol`` or after
     ``max_iters`` accepted iterations. Returns ``(f, trace)`` where trace
     holds the objective at the start plus each accepted iterate.
+
+    Each trial costs one product ``B @ f``; the accepted trial's product
+    also gives the next gradient.
     """
     f = f0.copy()
-    obj = _eg_objective(B, f, dtheta, lam, w)
+    Bf = B @ f
+    obj = _eg_objective(Bf, f, dtheta, lam, w)
     trace = [obj]
     step = step0
     for _ in range(max_iters):
-        den = B @ f
-        grad = 2.0 * lam * dtheta * f - B.T @ (w / den)
+        grad = 2.0 * lam * dtheta * f - B.T @ (w / Bf)
         accepted = False
         while step > 1e-18:
             v = -step * grad
             y = f * np.exp(v - v.max())
             f_new = y / y.sum()
-            obj_new = _eg_objective(B, f_new, dtheta, lam, w)
+            Bf_new = B @ f_new
+            obj_new = _eg_objective(Bf_new, f_new, dtheta, lam, w)
             if obj_new <= obj:
                 accepted = True
                 break
@@ -195,8 +201,7 @@ def eg_minimize(B, f0, dtheta, lam, step0, max_iters, tol, w):
         if not accepted:
             break
         decrease = obj - obj_new
-        f = f_new
-        obj = obj_new
+        f, Bf, obj = f_new, Bf_new, obj_new
         trace.append(obj)
         if decrease < tol:
             break

@@ -10,10 +10,15 @@ checked, k days passed), models the per-day pass probability theta as drawn
 from an unknown prior, fits that prior on a discrete grid by penalized
 maximum likelihood (exponentiated-gradient descent on the probability
 simplex), and assigns soft label ``1 - posterior_mean(theta)``.
+
+The fit and its log-likelihood take the check counts as two int64 arrays
+``n, k`` with one entry per user, as :func:`check_counts_from_csv` reads
+them; :class:`CheckRecord` is the per-user form that
+:func:`bayes_soft_label` labels.
 """
 
+import codecs
 import csv
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -62,10 +67,14 @@ class CheckRecord:
     k: int
 
     def __post_init__(self):
-        if self.n < 0 or self.k < 0 or self.k > self.n:
-            raise ValueError(f"need 0 <= k <= n, got n={self.n}, k={self.k}")
-        if self.n > MAX_CHECK_DAYS:
-            raise ValueError(f"n must be at most {MAX_CHECK_DAYS}, got n={self.n}")
+        _check_pair(self.n, self.k)
+
+
+def _check_pair(n: int, k: int) -> None:
+    if n < 0 or k < 0 or k > n:
+        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
+    if n > MAX_CHECK_DAYS:
+        raise ValueError(f"n must be at most {MAX_CHECK_DAYS}, got n={n}")
 
 
 @dataclass(frozen=True)
@@ -197,9 +206,38 @@ def bayes_soft_label(record: CheckRecord, prior: DiscretePrior) -> float:
     return 1.0 - posterior_pass_prob(record, prior)
 
 
+def bayes_soft_labels(n, k, prior: DiscretePrior) -> np.ndarray:
+    """:func:`bayes_soft_label` of every user's check counts, as an array.
+
+    Each distinct (n, k) pair is labeled once.
+    """
+    pairs, index = _group_pairs(*_as_counts(n, k))
+    labels = [bayes_soft_label(CheckRecord(a, b), prior) for a, b in pairs.tolist()]
+    return np.array(labels)[index]
+
+
 # ---------------------------------------------------------------------------
 # prior fitting
 # ---------------------------------------------------------------------------
+
+
+def _as_counts(n, k):
+    """Check counts as validated, non-empty, matching 1-D int64 arrays."""
+    n, k = np.asarray(n), np.asarray(k)
+    if n.ndim != 1 or n.shape != k.shape:
+        raise ValueError(
+            f"n and k must be matching 1-D arrays, got shapes {n.shape} and {k.shape}"
+        )
+    if not n.size:
+        raise ValueError("check counts must be non-empty")
+    if not (np.can_cast(n.dtype, np.int64) and np.can_cast(k.dtype, np.int64)):
+        raise ValueError(f"n and k must be integer arrays, got {n.dtype} and {k.dtype}")
+    n, k = n.astype(np.int64, copy=False), k.astype(np.int64, copy=False)
+    bad = (k < 0) | (k > n)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"need 0 <= k <= n, got n={n[i]}, k={k[i]} at index {i}")
+    return n, k
 
 
 def _group_pairs(n, k):
@@ -207,32 +245,37 @@ def _group_pairs(n, k):
 
     Returns the pairs in (n, k) order as an int64 (p, 2) array, as
     np.unique(axis=0) gives them at about five times the cost, and the
-    index of each row's pair among them.
+    index of each row's pair among them. Rows are sorted on one int64 key
+    ``n * (max k + 1) + k`` where that cannot overflow, on (n, k) otherwise.
     """
-    order = np.lexsort((k, n))
-    n, k = n[order], k[order]
-    first = np.r_[True, (n[1:] != n[:-1]) | (k[1:] != k[:-1])]
+    span = int(k.max()) + 1
+    if int(n.max()) <= (MAX_CHECK_DAYS - span + 1) // span:
+        key = n * span + k
+        order = np.argsort(key)
+        key = key[order]
+        first = np.r_[True, key[1:] != key[:-1]]
+    else:
+        order = np.lexsort((k, n))
+        n_sorted, k_sorted = n[order], k[order]
+        first = np.r_[True, (n_sorted[1:] != n_sorted[:-1]) | (k_sorted[1:] != k_sorted[:-1])]
     index = np.empty(order.size, np.intp)
     index[order] = np.cumsum(first) - 1
-    return np.stack([n[first], k[first]], axis=1), index
+    rows = order[first]
+    return np.stack([n[rows], k[rows]], axis=1), index
 
 
-def _pair_likelihoods(records, grid):
-    """Row-scaled likelihoods of the distinct (n, k) pairs among ``records``.
+def _pair_likelihoods(n, k, grid):
+    """Row-scaled likelihoods of the distinct pairs of check counts ``n, k``.
 
     Returns ``(pairs, w, B, m)``: the distinct pairs as an int64 (p, 2)
-    array, each pair's share ``w`` of the records, and ``B[i, j] =
+    array, each pair's share ``w`` of the users, and ``B[i, j] =
     exp(L[i, j] - m[i])`` with ``L[i, j] = k_i log theta_j + (n_i - k_i)
     log(1 - theta_j)`` (no binomial factor; it cancels in the gradient and
     shifts the objective by a constant) and ``m[i] = max_j L[i, j]``. Every
     row with finite ``m`` peaks at 1, so no history length underflows; a row
     with ``m = -inf`` has no likelihood anywhere on the grid and is nan.
     """
-    records = list(records)
-    if not records:
-        raise ValueError("records must be non-empty")
-    n = np.fromiter((r.n for r in records), np.int64, len(records))
-    k = np.fromiter((r.k for r in records), np.int64, len(records))
+    n, k = _as_counts(n, k)
     pairs, index = _group_pairs(n, k)
     counts = np.bincount(index, minlength=len(pairs))
     passes = pairs[:, 1:].astype(np.float64)
@@ -243,7 +286,7 @@ def _pair_likelihoods(records, grid):
         L += np.where(fails > 0, fails * np.log1p(-grid), 0.0)
         m = L.max(axis=1)
         B = np.exp(L - m[:, None])
-    return pairs, counts / len(records), B, m
+    return pairs, counts / n.size, B, m
 
 
 def _log_binomials(pairs) -> np.ndarray:
@@ -259,17 +302,18 @@ def _cell_width(grid) -> float:
     return float(grid[1] - grid[0]) if grid.size > 1 else 1.0
 
 
-def _log_mixture(records, prior: DiscretePrior):
+def _log_mixture(n, k, prior: DiscretePrior):
     """Per-pair ``log(dtheta * sum_j B_ij f_j)`` (``-inf`` without support),
     with the pairs and their weights."""
-    pairs, w, B, m = _pair_likelihoods(records, prior.grid)
+    pairs, w, B, m = _pair_likelihoods(n, k, prior.grid)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_den = m + np.log((B @ prior.weights) * _cell_width(prior.grid))
     return pairs, w, np.where(np.isfinite(m), log_den, -np.inf)
 
 
 def fit_prior(
-    records,
+    n,
+    k,
     grid_size: int = 101,
     lam: float = 1e-3,
     step_size: float = 0.5,
@@ -285,10 +329,11 @@ def fit_prior(
     density ``integral f^2`` in its grid-independent meaning: the weights
     represent a density ``f_j / dtheta`` on cells of width dtheta.
 
-    The records enter only through their distinct (n, k) pairs and how
-    often each occurs, and every likelihood is formed in log space, so the
-    cost does not grow with the number of users and histories of any length
-    work.
+    ``n`` and ``k`` hold each user's days checked and days passed (integer
+    arrays, 0 <= k <= n). They enter only through their distinct (n, k)
+    pairs and how often each occurs, and every likelihood is formed in log
+    space, so the cost does not grow with the number of users and histories
+    of any length work.
 
     Returns the prior with the lowest objective seen (the last accepted
     iterate, since accepted steps never increase the objective), carrying
@@ -304,11 +349,11 @@ def fit_prior(
         raise ValueError(f"max_iters must be >= 0, got {max_iters!r}")
     start = DiscretePrior.uniform(grid_size)
     dtheta = _cell_width(start.grid)
-    pairs, w, B, m = _pair_likelihoods(records, start.grid)
+    pairs, w, B, m = _pair_likelihoods(n, k, start.grid)
     if not np.all(np.isfinite(m)):
-        n, k = pairs[_first_bad(m)]
+        bad_n, bad_k = pairs[_first_bad(m)]
         raise ValueError(
-            f"non-finite objective: record (n={n}, k={k}) "
+            f"non-finite objective: record (n={bad_n}, k={bad_k}) "
             "has no likelihood support on the grid"
         )
     weights, trace = kernels.eg_minimize(
@@ -328,17 +373,17 @@ def fit_prior(
     )
 
 
-def fit_objective(records, prior: DiscretePrior, lam: float) -> float:
+def fit_objective(n, k, prior: DiscretePrior, lam: float) -> float:
     """The fitted objective at an arbitrary prior (binomial factor dropped)."""
-    _, w, log_den = _log_mixture(records, prior)
+    _, w, log_den = _log_mixture(n, k, prior)
     if np.any(log_den == -np.inf):
         return float("inf")
     return float(-(w @ log_den) + lam * _cell_width(prior.grid) * np.sum(prior.weights**2))
 
 
-def mean_log_likelihood(records, prior: DiscretePrior) -> float:
+def mean_log_likelihood(n, k, prior: DiscretePrior) -> float:
     """Reported mean log-likelihood, including the binomial coefficients."""
-    pairs, w, log_den = _log_mixture(records, prior)
+    pairs, w, log_den = _log_mixture(n, k, prior)
     if np.any(log_den == -np.inf):
         return float("-inf")
     return float(w @ (log_den + _log_binomials(pairs)))
@@ -399,22 +444,22 @@ def check_label_separation(soft_labels, true_labels, pi: float) -> LabelSeparati
     )
 
 
-def records_from_csv(path) -> list[CheckRecord]:
-    """Read check records from a CSV with columns user_id, n, k.
+def check_counts_from_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Each user's (n, k) from a check-records CSV with columns user_id, n, k.
 
-    The ``n`` and ``k`` columns are parsed column-wise in one pass, and the
-    rows of each distinct (n, k) pair share one frozen record. A file that
-    pass cannot vouch for is read row by row instead, which either loads it
-    or names the first bad row.
+    Returns two int64 arrays in row order. The ``n`` and ``k`` columns are
+    parsed column-wise in one pass. A file that pass cannot vouch for is
+    read row by row instead, which either loads it or names the first bad
+    row. One leading UTF-8 byte-order mark is skipped.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    records = _records_from_columns(path.read_bytes())
-    if records is not None:
-        return records
-    records = []
-    with path.open(newline="", encoding="utf-8") as fh:
+    counts = _counts_from_columns(path.read_bytes())
+    if counts is not None:
+        return counts
+    ns, ks = [], []
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"n", "k"} <= set(reader.fieldnames):
             raise ValueError("records CSV needs columns user_id, n, k")
@@ -425,12 +470,25 @@ def records_from_csv(path) -> list[CheckRecord]:
             except (TypeError, ValueError):
                 raise ValueError(f"row {row_idx}: n and k must be integers") from None
             try:
-                records.append(CheckRecord(n=n, k=k))
+                _check_pair(n, k)
             except ValueError as exc:
                 raise ValueError(f"row {row_idx}: {exc}") from None
-    if not records:
+            ns.append(n)
+            ks.append(k)
+    if not ns:
         raise ValueError("empty records file")
-    return records
+    return np.array(ns, dtype=np.int64), np.array(ks, dtype=np.int64)
+
+
+def records_from_csv(path) -> list[CheckRecord]:
+    """The check records of :func:`check_counts_from_csv`, one per row.
+
+    The rows of each distinct (n, k) pair share one frozen record.
+    """
+    pairs, index = _group_pairs(*check_counts_from_csv(path))
+    distinct = np.empty(len(pairs), dtype=object)
+    distinct[:] = [CheckRecord(n=a, k=b) for a, b in pairs.tolist()]
+    return distinct[index].tolist()
 
 
 # The bytes the column pass reads: tab, line ends and printable ASCII other
@@ -441,47 +499,72 @@ def records_from_csv(path) -> list[CheckRecord]:
 _VOUCHED_BYTES = b"\t\n\r" + bytes(range(0x20, 0x7F)).replace(b'"', b"")
 
 
-def _records_from_columns(raw: bytes) -> list[CheckRecord] | None:
-    """The records in the bytes of a records CSV, or None if the row loop of
-    :func:`records_from_csv` must read them.
+def _counts_from_columns(raw: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """The check counts in the bytes of a records CSV, or None if the row
+    loop of :func:`check_counts_from_csv` must read them.
 
-    None unless the file has only vouched characters, one ``n`` and one
-    ``k`` header column, at least one data row, no line longer than the
-    csv module's field size limit and as many fields on each data row as in
-    the header, and every cell of ``n`` and ``k`` parses to an int64 with
-    0 <= k <= n. Blank lines are skipped, as the row loop skips them.
+    One leading byte-order mark is skipped. None unless :func:`_vouched_header`
+    vouches for the rest and every cell of ``n`` and ``k`` parses to an
+    int64 with 0 <= k <= n. Blank lines are skipped, as the row loop skips
+    them.
     """
-    if raw.translate(None, _VOUCHED_BYTES):
-        return None
-    lines = raw.decode("ascii").splitlines()
-    if not lines:
-        return None
-    header = lines[0].split(",")
-    if header.count("n") != 1 or header.count("k") != 1:
-        return None
-    rows = list(filter(None, lines[1:]))
-    if not rows or max(map(len, lines)) > csv.field_size_limit():
-        return None
-    if set(map(str.count, rows, itertools.repeat(","))) != {len(header) - 1}:
+    raw = raw.removeprefix(codecs.BOM_UTF8)
+    header = _vouched_header(raw)
+    if header is None:
         return None
     try:
         table = np.loadtxt(
-            rows,
+            raw.decode("ascii").splitlines(),
             delimiter=",",
             comments=None,
+            skiprows=1,
             usecols=(header.index("n"), header.index("k")),
             dtype=np.int64,
             ndmin=2,
         )
     except ValueError:
         return None
-    n, k = table[:, 0], table[:, 1]
+    n, k = table[:, 0].copy(), table[:, 1].copy()
     if np.any(k < 0) or np.any(k > n):
         return None
-    pairs, index = _group_pairs(n, k)
-    distinct = np.empty(len(pairs), dtype=object)
-    distinct[:] = [CheckRecord(n=a, k=b) for a, b in pairs.tolist()]
-    return distinct[index].tolist()
+    return n, k
+
+
+def _vouched_header(raw: bytes) -> list[str] | None:
+    """The header fields of a records CSV the column pass can read, or None.
+
+    None unless the file has only vouched bytes, a first line that is not
+    blank and names one ``n`` and one ``k`` column, at least one data row,
+    no line longer than the csv module's field size limit and as many
+    fields on each data row as in the header. Every check is an array
+    operation over the file's bytes.
+    """
+    if not raw or raw.translate(None, _VOUCHED_BYTES):
+        return None
+    data = np.frombuffer(raw, dtype=np.uint8)
+    # the file alternates runs of line text and of line ends; the header
+    # is the first run and must open the file
+    ends = (data == ord("\n")) | (data == ord("\r"))
+    if ends[0]:
+        return None
+    bounds = np.concatenate(([0], np.flatnonzero(ends[1:] != ends[:-1]) + 1, [data.size]))
+    starts, stops = bounds[:-1:2], bounds[1::2]
+    header = raw[: stops[0]].decode("ascii").split(",")
+    if header.count("n") != 1 or header.count("k") != 1:
+        return None
+    if starts.size < 2 or (stops - starts).max() > csv.field_size_limit():
+        return None
+    # With as many commas in the file as the header has on every line, each
+    # line holds exactly that many if every line holds its share of the
+    # sorted comma positions.
+    width = len(header) - 1
+    commas = np.flatnonzero(data == ord(","))
+    if commas.size != width * starts.size:
+        return None
+    commas = commas.reshape(starts.size, width)
+    if np.any(commas[:, 0] < starts) or np.any(commas[:, -1] >= stops):
+        return None
+    return header
 
 
 def prior_to_json(prior: DiscretePrior, path) -> None:

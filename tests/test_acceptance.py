@@ -303,10 +303,9 @@ def test_a9_bayes_labeler_and_prior_fit():
 
         rng = np.random.default_rng(909)
         true_theta = 0.5
-        records = [
-            CheckRecord(n=20, k=int(rng.binomial(20, true_theta))) for _ in range(2000)
-        ]
-        fitted = fit_prior(records, grid_size=101, lam=1e-3)
+        k = np.array([int(rng.binomial(20, true_theta)) for _ in range(2000)])
+        n = np.full(2000, 20)
+        fitted = fit_prior(n, k, grid_size=101, lam=1e-3)
         assert fitted.mass_in(true_theta - 0.1, true_theta + 0.1) >= 0.8
         trace = np.array(fitted.objective_trace)
         assert np.all(np.diff(trace) <= 0)
@@ -314,7 +313,7 @@ def test_a9_bayes_labeler_and_prior_fit():
         assert np.all(fitted.weights >= 0.0)
         # simplex preserved at intermediate iterates (prefix runs are exact)
         for iters in (1, 3, 7):
-            partial = fit_prior(records[:200], grid_size=31, max_iters=iters)
+            partial = fit_prior(n[:200], k[:200], grid_size=31, max_iters=iters)
             assert abs(partial.weights.sum() - 1.0) <= 1e-12
             assert np.all(partial.weights >= 0.0)
 

@@ -13,7 +13,13 @@ import softpu
 from softpu.cli import main
 from softpu.dataset import CsvSchema, load_csv
 from softpu.experiment import ExperimentConfig, run_experiment
-from softpu.labeling import bayes_soft_label, fit_prior, prior_from_json, records_from_csv
+from softpu.labeling import (
+    bayes_soft_label,
+    check_counts_from_csv,
+    fit_prior,
+    prior_from_json,
+    records_from_csv,
+)
 from softpu.metrics import auc, curve_from_csv
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -117,6 +123,34 @@ class TestGenerate:
         assert run(cfg, command, tmp_path / "o") == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o" / "provenance.json").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "eval", "bound-check", "experiment"])
+    def test_negative_config_seed_is_named_error(self, tmp_path, capsys, command):
+        cfg = write_config(
+            tmp_path,
+            "gen.json",
+            {"seed": -1, "dataset": {"kind": "gscar", "n": 100, "pi": 0.1}},
+        )
+        assert run(cfg, command, tmp_path / "o") == 1
+        assert "error: config field 'seed' must be non-negative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "eval", "experiment"])
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("-3", "must be non-negative, got -3"), ("abc", "invalid int value: 'abc'")],
+    )
+    def test_bad_seed_flag_is_named_error(self, tmp_path, capsys, command, flag, message):
+        cfg = write_config(
+            tmp_path,
+            "gen.json",
+            {"seed": 1, "dataset": {"kind": "gscar", "n": 100, "pi": 0.1}},
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            run(cfg, command, tmp_path / "o", extra=("--seed", flag))
+        assert exit_info.value.code == 2
+        assert f"argument --seed: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_env_var_sets_out_dir(self, tmp_path, monkeypatch):
         cfg = write_config(
@@ -652,7 +686,7 @@ class TestSoftLabelSources:
         assert odds.min() > evens.max()
         # one posterior per distinct pair gives the per-row loop's bits
         checks = records_from_csv(records)
-        prior = fit_prior(checks, grid_size=51)
+        prior = fit_prior(*check_counts_from_csv(records), grid_size=51)
         per_row = np.array([bayes_soft_label(r, prior) for r in checks])
         assert np.array_equal(out.soft_labels[unlabeled], per_row[unlabeled])
 

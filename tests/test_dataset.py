@@ -143,6 +143,18 @@ class TestCsv:
         with pytest.raises(ValueError, match="empty dataset"):
             load_csv(path, CsvSchema(features=("a",)))
 
+    @pytest.mark.parametrize("loader", ["load_csv", "row loop"])
+    @pytest.mark.parametrize("first", ["", "# provenance: test\n"], ids=["header", "comment"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, loader, first):
+        # a spreadsheet's "CSV UTF-8" export starts with one
+        path = tmp_path / "bom.csv"
+        text = first + "x0,x1,soft_label\n0.5,1.5,0.25\n"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        load = load_csv if loader == "load_csv" else load_rows
+        ds = load(path, CsvSchema(features=("x0", "x1")))
+        assert np.array_equal(ds.features, [[0.5, 1.5]])
+        assert np.array_equal(ds.soft_labels, [0.25])
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "nope.csv", CsvSchema(features=("a",)))

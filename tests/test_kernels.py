@@ -183,6 +183,47 @@ def eg_minimize_ref(B, f0, dtheta, lam, step0, max_iters, tol, w):
     return f, trace[:count]
 
 
+def _eg_objective_two_matvec(B, f, dtheta, lam, w):
+    den = (B @ f) * dtheta
+    if not np.all(np.isfinite(den)) or np.any(den <= 0.0):
+        return np.inf
+    return -(w @ np.log(den)) + lam * dtheta * np.sum(f * f)
+
+
+def eg_minimize_two_matvec(B, f0, dtheta, lam, step0, max_iters, tol, w):
+    """The vectorized EG loop as it was before it kept the accepted trial's
+    ``B @ f`` for the next gradient: two products per iteration. Also
+    returns how many times the step was halved."""
+    f = f0.copy()
+    obj = _eg_objective_two_matvec(B, f, dtheta, lam, w)
+    trace = [obj]
+    step = step0
+    halvings = 0
+    for _ in range(max_iters):
+        den = B @ f
+        grad = 2.0 * lam * dtheta * f - B.T @ (w / den)
+        accepted = False
+        while step > 1e-18:
+            v = -step * grad
+            y = f * np.exp(v - v.max())
+            f_new = y / y.sum()
+            obj_new = _eg_objective_two_matvec(B, f_new, dtheta, lam, w)
+            if obj_new <= obj:
+                accepted = True
+                break
+            step *= 0.5
+            halvings += 1
+        if not accepted:
+            break
+        decrease = obj - obj_new
+        f = f_new
+        obj = obj_new
+        trace.append(obj)
+        if decrease < tol:
+            break
+    return f, np.array(trace), halvings
+
+
 def enumerate_confusions_ref(pos_frac, neg_frac):
     m = pos_frac.shape[0]
     total = 1 << m
@@ -308,6 +349,55 @@ class TestAgainstScalarReference:
         assert tr_a.size == tr_b.size
         np.testing.assert_allclose(f_a, f_b, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(tr_a, tr_b + w @ np.log(c), rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "step0, max_iters, tol, weighted, stop",
+        [
+            (0.5, 40, 0.0, False, "max_iters"),
+            (0.5, 40, 0.0, True, "max_iters"),
+            (1e3, 60, 0.0, True, "max_iters"),
+            (0.5, 5000, 1e-6, False, "tol"),
+            (1e3, 5000, 1e-6, True, "tol"),
+        ],
+    )
+    def test_eg_minimize_bits_match_two_matvec_loop(self, step0, max_iters, tol, weighted, stop):
+        # one product per trial, reused for the next gradient, must give the
+        # very bits of the loop that formed B @ f again for each gradient
+        rng = np.random.default_rng(11)
+        B = rng.random((120, 41)) + 1e-6
+        if weighted:
+            counts = rng.integers(1, 50, 120)
+            w = counts / counts.sum()
+        else:
+            w = np.full(120, 1.0 / 120)
+        f0 = np.full(41, 1.0 / 41)
+        args = (0.025, 1e-3, step0, max_iters, tol, w)
+        f_ref, tr_ref, halvings = eg_minimize_two_matvec(B, f0, *args)
+        f_np, tr_np = kernels.eg_minimize(B, f0, *args)
+        assert f_np.tobytes() == f_ref.tobytes()
+        assert tr_np.tobytes() == tr_ref.tobytes()
+        assert (halvings > 0) == (step0 > 1.0)
+        if stop == "max_iters":
+            assert tr_np.size == max_iters + 1
+        else:
+            assert 1 < tr_np.size < max_iters + 1
+            assert tr_np[-2] - tr_np[-1] < tol
+
+    def test_eg_minimize_bits_match_two_matvec_loop_on_a_prior_fit(self):
+        # rows scaled to peak 1 over a wide range of history lengths
+        from softpu import labeling
+
+        rng = np.random.default_rng(12)
+        n = rng.integers(5, 400, 3000)
+        k = rng.binomial(n, rng.beta(4.0, 2.0, 3000))
+        grid = labeling.DiscretePrior.uniform(101).grid
+        _, w, B, _ = labeling._pair_likelihoods(n, k, grid)
+        f0 = np.full(101, 1.0 / 101)
+        args = (grid[1] - grid[0], 1e-3, 0.5, 300, 1e-9, w)
+        f_ref, tr_ref, _ = eg_minimize_two_matvec(B, f0, *args)
+        f_np, tr_np = kernels.eg_minimize(B, f0, *args)
+        assert f_np.tobytes() == f_ref.tobytes()
+        assert tr_np.tobytes() == tr_ref.tobytes()
 
     def test_enumeration_agrees(self):
         rng = np.random.default_rng(3)

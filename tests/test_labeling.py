@@ -1,6 +1,9 @@
 """Rule-ratio labels, empirical-Bayes labels, and the prior fit."""
 
+import codecs
 import csv
+import hashlib
+import re
 import warnings
 from pathlib import Path
 
@@ -19,6 +22,8 @@ from softpu.labeling import (
     fit_objective,
     fit_prior,
     mean_log_likelihood,
+    bayes_soft_labels,
+    check_counts_from_csv,
     posterior_pass_prob,
     prior_from_json,
     prior_to_json,
@@ -123,7 +128,7 @@ class TestBayesSoftLabel:
 class TestPosteriorCache:
     def test_one_posterior_per_distinct_pair(self, monkeypatch):
         records = records_from_csv(FIXTURES / "check_records.csv")
-        prior = fit_prior(records, grid_size=51, max_iters=20)
+        prior = fit_prior(*counts(records), grid_size=51, max_iters=20)
         computed = []
         compute = labeling._posterior_pass_prob
         monkeypatch.setattr(
@@ -138,7 +143,7 @@ class TestPosteriorCache:
 
     def test_labels_equal_a_fresh_prior_bit_for_bit(self):
         records = records_from_csv(FIXTURES / "check_records.csv")
-        prior = fit_prior(records, grid_size=51, max_iters=20)
+        prior = fit_prior(*counts(records), grid_size=51, max_iters=20)
         cached = np.array([bayes_soft_label(r, prior) for r in records])
         fresh = np.array(
             [
@@ -176,10 +181,15 @@ def synth_records(rng, n_records, theta, n_days=20):
     ]
 
 
+def counts(records):
+    """The (n, k) arrays of a list of records, as the prior fit takes them."""
+    return np.array([r.n for r in records]), np.array([r.k for r in records])
+
+
 class TestFitPrior:
     def test_zero_iterations_returns_uniform(self):
         rng = np.random.default_rng(1)
-        prior = fit_prior(synth_records(rng, 50, 0.5), grid_size=21, max_iters=0)
+        prior = fit_prior(*counts(synth_records(rng, 50, 0.5)), grid_size=21, max_iters=0)
         np.testing.assert_allclose(prior.weights, 1.0 / 21, atol=1e-12)
         assert len(prior.objective_trace) == 1
         assert prior.converged is False
@@ -201,7 +211,7 @@ class TestFitPrior:
     def test_bad_hyperparameter_named(self, field, value):
         rng = np.random.default_rng(1)
         with pytest.raises(ValueError, match=f"^{field} must be"):
-            fit_prior(synth_records(rng, 20, 0.5), grid_size=11, **{field: value})
+            fit_prior(*counts(synth_records(rng, 20, 0.5)), grid_size=11, **{field: value})
 
     def test_long_histories_stay_finite(self):
         records = [
@@ -210,19 +220,19 @@ class TestFitPrior:
             CheckRecord(n=2000, k=1000),
             CheckRecord(n=100_000, k=50_000),
         ]
-        prior = fit_prior(records, grid_size=101, max_iters=50)
+        prior = fit_prior(*counts(records), grid_size=101, max_iters=50)
         assert np.all(np.isfinite(prior.objective_trace))
         assert abs(prior.weights.sum() - 1.0) <= 1e-12
-        assert np.isfinite(mean_log_likelihood(records, prior))
-        assert fit_objective(records, prior, 1e-3) == pytest.approx(
+        assert np.isfinite(mean_log_likelihood(*counts(records), prior))
+        assert fit_objective(*counts(records), prior, 1e-3) == pytest.approx(
             prior.objective_trace[-1], abs=1e-9
         )
 
     def test_repeating_records_leaves_fit_unchanged(self):
         rng = np.random.default_rng(10)
         records = synth_records(rng, 300, 0.35, n_days=12)
-        once = fit_prior(records, grid_size=51)
-        tenfold = fit_prior(records * 10, grid_size=51)
+        once = fit_prior(*counts(records), grid_size=51)
+        tenfold = fit_prior(*counts(records * 10), grid_size=51)
         np.testing.assert_allclose(tenfold.weights, once.weights, rtol=0, atol=1e-12)
 
     def test_kernel_sees_one_row_per_distinct_pair(self, monkeypatch):
@@ -236,7 +246,7 @@ class TestFitPrior:
 
         monkeypatch.setattr(kernels, "eg_minimize", capture)
         records = [CheckRecord(10, 7)] * 5 + [CheckRecord(10, 2)] * 3 + [CheckRecord(4, 4)]
-        fit_prior(records, grid_size=21, max_iters=5)
+        fit_prior(*counts(records), grid_size=21, max_iters=5)
         assert seen["B"].shape == (3, 21)
         # pairs sorted by (n, k): (4, 4), (10, 2), (10, 7)
         np.testing.assert_allclose(seen["w"], [1 / 9, 3 / 9, 5 / 9], rtol=0, atol=1e-15)
@@ -245,19 +255,19 @@ class TestFitPrior:
     def test_concentrates_near_generating_theta(self):
         rng = np.random.default_rng(2)
         records = synth_records(rng, 2000, 0.5)
-        prior = fit_prior(records, grid_size=101, lam=1e-3)
+        prior = fit_prior(*counts(records), grid_size=101, lam=1e-3)
         assert prior.mass_in(0.4, 0.6) >= 0.8
         # independent oracle: best single-point-mass prior sits near 0.5
         grid = prior.grid
         objs = [
-            fit_objective(records, DiscretePrior(np.array([t]), np.array([1.0])), 0.0)
+            fit_objective(*counts(records), DiscretePrior(np.array([t]), np.array([1.0])), 0.0)
             for t in grid
         ]
         assert abs(grid[int(np.argmin(objs))] - 0.5) < 0.05
 
     def test_objective_trace_non_increasing(self):
         rng = np.random.default_rng(3)
-        prior = fit_prior(synth_records(rng, 300, 0.3), grid_size=51)
+        prior = fit_prior(*counts(synth_records(rng, 300, 0.3)), grid_size=51)
         diffs = np.diff(prior.objective_trace)
         assert np.all(diffs <= 0)
         assert np.all(diffs[:-1] < 0)
@@ -268,7 +278,7 @@ class TestFitPrior:
         rng = np.random.default_rng(4)
         records = synth_records(rng, 100, 0.6, n_days=10)
         for iters in (0, 1, 2, 5, 10, 50):
-            prior = fit_prior(records, grid_size=31, max_iters=iters)
+            prior = fit_prior(*counts(records), grid_size=31, max_iters=iters)
             assert abs(prior.weights.sum() - 1.0) <= 1e-12
             assert np.all(prior.weights >= 0.0)
 
@@ -278,12 +288,12 @@ class TestFitPrior:
         records = synth_records(rng, 200, 0.15, n_days=8) + synth_records(
             rng, 600, 0.97, n_days=8
         )
-        fitted = fit_prior(records, grid_size=2, lam=0.0, max_iters=4000, tol=1e-15)
+        fitted = fit_prior(*counts(records), grid_size=2, lam=0.0, max_iters=4000, tol=1e-15)
         grid = fitted.grid
         sweep = np.arange(0.0, 1.0 + 1e-9, 1e-3)
         objs = [
             fit_objective(
-                records, DiscretePrior(grid, np.array([w, 1.0 - w])), 0.0
+                *counts(records), DiscretePrior(grid, np.array([w, 1.0 - w])), 0.0
             )
             for w in sweep
         ]
@@ -293,19 +303,19 @@ class TestFitPrior:
     def test_returned_iterate_is_best_seen(self):
         rng = np.random.default_rng(6)
         records = synth_records(rng, 200, 0.4)
-        prior = fit_prior(records, grid_size=41, lam=1e-3)
+        prior = fit_prior(*counts(records), grid_size=41, lam=1e-3)
         assert prior.objective_trace[-1] == min(prior.objective_trace)
-        got = fit_objective(records, prior, 1e-3)
+        got = fit_objective(*counts(records), prior, 1e-3)
         assert got == pytest.approx(prior.objective_trace[-1], abs=1e-9)
 
     def test_empty_records_error(self):
         with pytest.raises(ValueError, match="non-empty"):
-            fit_prior([], grid_size=11)
+            fit_prior([], [], grid_size=11)
 
     def test_reported_likelihood_includes_binomial_constant(self):
         rng = np.random.default_rng(7)
         records = synth_records(rng, 50, 0.5, n_days=6)
-        prior = fit_prior(records, grid_size=21, max_iters=5)
+        prior = fit_prior(*counts(records), grid_size=21, max_iters=5)
         # reported value differs from the optimized one exactly by the
         # mean log binomial coefficient
         import math
@@ -316,8 +326,8 @@ class TestFitPrior:
                 for r in records
             ]
         )
-        opt = fit_objective(records, prior, 0.0)
-        rep = mean_log_likelihood(records, prior)
+        opt = fit_objective(*counts(records), prior, 0.0)
+        rep = mean_log_likelihood(*counts(records), prior)
         assert rep == pytest.approx(-opt + mean_log_binom, abs=1e-9)
 
 
@@ -372,14 +382,15 @@ class TestRecordsIo:
         path = tmp_path / "records.csv"
         path.write_text("user_id,n,k\nu1,5,3\nu2,4,2\nu3,5,3\n")
         records = records_from_csv(path)
-        assert labeling._records_from_columns(path.read_bytes()) is not None
+        assert labeling._counts_from_columns(path.read_bytes()) is not None
         assert records == [CheckRecord(5, 3), CheckRecord(4, 2), CheckRecord(5, 3)]
         assert records[0] is records[2]
         assert all(type(r.n) is int and type(r.k) is int for r in records)
 
     def test_prior_json_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
-        prior = fit_prior(synth_records(rng, 40, 0.5, n_days=5), grid_size=11, max_iters=3)
+        records = synth_records(rng, 40, 0.5, n_days=5)
+        prior = fit_prior(*counts(records), grid_size=11, max_iters=3)
         path = tmp_path / "prior.json"
         prior_to_json(prior, path)
         back = prior_from_json(path)
@@ -392,7 +403,7 @@ class TestRecordsIo:
 def records_reference(path):
     """The row-at-a-time reader that the column pass must agree with."""
     records = []
-    with Path(path).open(newline="", encoding="utf-8") as fh:
+    with Path(path).open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"n", "k"} <= set(reader.fieldnames):
             raise ValueError("records CSV needs columns user_id, n, k")
@@ -422,64 +433,87 @@ def outcome(read, path):
 BAD_INTEGERS = (ValueError, "row 1: n and k must be integers")
 
 
+# Record files with what both readers give, and whether the column pass
+# vouches for them.
+RECORD_FILES = [
+    ("user_id,n,k\nu1,5,3\nu2,10,10\nu3,0,0\n", [(5, 3), (10, 10), (0, 0)], True),
+    ("k,n\n3,5\n", [(5, 3)], True),
+    ("user_id,n,k\nu1, 5 ,+3\nu2,-0,0", [(5, 3), (0, 0)], True),
+    # a quote joins the rest of the file into one field
+    ('user_id,n,k\n"x,5,3\nu2,4,2\n', BAD_INTEGERS, False),
+    ("user_id,n,k\nu1,5,3,extra\n", [(5, 3)], False),
+    # as many commas as the header has on every line, but not on each line
+    ("user_id,n,k,x\nu1,5,3,x,y\nu2,4,2\n", [(5, 3), (4, 2)], False),
+    ("user_id,n,k,x\nu1,5,3\nu2,4,2,x,y\n", [(5, 3), (4, 2)], False),
+    ("user_id,n,k\nu1,5\n", BAD_INTEGERS, False),
+    ("user_id,n,k\nu1,1_000,3\n", [(1000, 3)], False),
+    ("user_id,n,k\nu1,\uff15,3\n", [(5, 3)], False),
+    # loadtxt reads both of these as numbers, int() neither
+    ("user_id,n,k\nu1,5\x1c,3\n", BAD_INTEGERS, False),
+    ("user_id,n,k\nu1,\u01fe,3\n", BAD_INTEGERS, False),
+    ("user_id,n,k\nu1,5,3#x\n", BAD_INTEGERS, False),
+    (
+        "user_id,n,k\nu1,9223372036854775808,0\n",
+        (
+            ValueError,
+            "row 1: n must be at most 9223372036854775807, "
+            "got n=9223372036854775808",
+        ),
+        False,
+    ),
+    ("user_id,n,k\nu1,9223372036854775807,0\n", [(2**63 - 1, 0)], True),
+    ("user_id,n,k,n\nu1,5,3,7\n", [(7, 3)], False),
+    ("user_id,n,k\n\nu1,5,3\n\n\nu2,4,2\n\n", [(5, 3), (4, 2)], True),
+    ("user_id,n,k\r\nu1,5,3\r\n\r\nu2,4,2\r\n", [(5, 3), (4, 2)], True),
+    ("user_id,n,k\ru1,5,3\ru2,4,2\r", [(5, 3), (4, 2)], True),
+    ("user_id,n,k\nu1,5,3\n \n", (ValueError, "row 2: n and k must be integers"), False),
+    ("\ufeffuser_id,n,k\nu1,5,3\n", [(5, 3)], True),
+    ("\ufeffn,k\n5,3\n", [(5, 3)], True),
+    ("user_id,n,k\n", (ValueError, "empty records file"), False),
+    ("user_id,n,k\n\n\n", (ValueError, "empty records file"), False),
+    ("", (ValueError, "records CSV needs columns user_id, n, k"), False),
+    ("\nuser_id,n,k\nu1,5,3\n", (ValueError, "records CSV needs columns user_id, n, k"), False),
+    (
+        "user_id,n,k\nu1,5,3\nu2,4,9\n",
+        (ValueError, "row 2: need 0 <= k <= n, got n=4, k=9"),
+        False,
+    ),
+    (
+        "user_id,n,k\nu1,-1,0\n",
+        (ValueError, "row 1: need 0 <= k <= n, got n=-1, k=0"),
+        False,
+    ),
+]
+
+
+def counts_outcome(path):
+    """check_counts_from_csv(path) as (n, k) pairs, or the type and text of
+    its error."""
+    try:
+        n, k = check_counts_from_csv(path)
+    except Exception as exc:  # any error, as long as both readers give the same
+        return type(exc), str(exc)
+    assert n.dtype == k.dtype == np.int64
+    return list(zip(n.tolist(), k.tolist()))
+
+
 class TestRecordsColumnPass:
     """records_from_csv against the row-at-a-time reader: the same records or
     the same error, whether or not the column pass vouches for the file."""
 
-    @pytest.mark.parametrize(
-        "text, expected, by_columns",
-        [
-            ("user_id,n,k\nu1,5,3\nu2,10,10\nu3,0,0\n", [(5, 3), (10, 10), (0, 0)], True),
-            ("k,n\n3,5\n", [(5, 3)], True),
-            ("user_id,n,k\nu1, 5 ,+3\nu2,-0,0", [(5, 3), (0, 0)], True),
-            # a quote joins the rest of the file into one field
-            ('user_id,n,k\n"x,5,3\nu2,4,2\n', BAD_INTEGERS, False),
-            ("user_id,n,k\nu1,5,3,extra\n", [(5, 3)], False),
-            ("user_id,n,k\nu1,5\n", BAD_INTEGERS, False),
-            ("user_id,n,k\nu1,1_000,3\n", [(1000, 3)], False),
-            ("user_id,n,k\nu1,\uff15,3\n", [(5, 3)], False),
-            # loadtxt reads both of these as numbers, int() neither
-            ("user_id,n,k\nu1,5\x1c,3\n", BAD_INTEGERS, False),
-            ("user_id,n,k\nu1,\u01fe,3\n", BAD_INTEGERS, False),
-            ("user_id,n,k\nu1,5,3#x\n", BAD_INTEGERS, False),
-            (
-                "user_id,n,k\nu1,9223372036854775808,0\n",
-                (
-                    ValueError,
-                    "row 1: n must be at most 9223372036854775807, "
-                    "got n=9223372036854775808",
-                ),
-                False,
-            ),
-            ("user_id,n,k\nu1,9223372036854775807,0\n", [(2**63 - 1, 0)], True),
-            ("user_id,n,k,n\nu1,5,3,7\n", [(7, 3)], False),
-            ("user_id,n,k\n\nu1,5,3\n\n\nu2,4,2\n\n", [(5, 3), (4, 2)], True),
-            ("user_id,n,k\r\nu1,5,3\r\n\r\nu2,4,2\r\n", [(5, 3), (4, 2)], True),
-            ("user_id,n,k\ru1,5,3\ru2,4,2\r", [(5, 3), (4, 2)], True),
-            ("user_id,n,k\nu1,5,3\n \n", (ValueError, "row 2: n and k must be integers"), False),
-            ("\ufeffuser_id,n,k\nu1,5,3\n", [(5, 3)], False),
-            ("\ufeffn,k\n5,3\n", (ValueError, "records CSV needs columns user_id, n, k"), False),
-            ("user_id,n,k\n", (ValueError, "empty records file"), False),
-            ("user_id,n,k\n\n\n", (ValueError, "empty records file"), False),
-            ("", (ValueError, "records CSV needs columns user_id, n, k"), False),
-            (
-                "user_id,n,k\nu1,5,3\nu2,4,9\n",
-                (ValueError, "row 2: need 0 <= k <= n, got n=4, k=9"),
-                False,
-            ),
-            (
-                "user_id,n,k\nu1,-1,0\n",
-                (ValueError, "row 1: need 0 <= k <= n, got n=-1, k=0"),
-                False,
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("text, expected, by_columns", RECORD_FILES)
     def test_agrees_with_row_loop(self, tmp_path, text, expected, by_columns):
         path = tmp_path / "records.csv"
         path.write_bytes(text.encode("utf-8"))
         assert outcome(records_from_csv, path) == outcome(records_reference, path)
         assert outcome(records_from_csv, path) == expected
-        assert (labeling._records_from_columns(path.read_bytes()) is not None) == by_columns
+        assert (labeling._counts_from_columns(path.read_bytes()) is not None) == by_columns
+
+    @pytest.mark.parametrize("text, expected, by_columns", RECORD_FILES)
+    def test_counts_agree_with_row_loop(self, tmp_path, text, expected, by_columns):
+        path = tmp_path / "records.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert counts_outcome(path) == outcome(records_reference, path) == expected
 
     def test_undecodable_file_fails_as_the_row_loop_does(self, tmp_path):
         path = tmp_path / "records.csv"
@@ -544,3 +578,99 @@ def test_column_pass_agrees_with_row_loop(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "property-records.csv"
     path.write_bytes(text.encode("utf-8"))
     assert outcome(records_from_csv, path) == outcome(records_reference, path)
+
+
+def benchmark_records(seed, users):
+    """A records CSV shaped like the benchmark's: n on 5..30, bimodal pass rates."""
+    rng = np.random.default_rng(seed)
+    n = rng.integers(5, 31, users)
+    theta = np.where(rng.random(users) < 0.65, rng.beta(17, 3, users), rng.beta(3, 6, users))
+    k = rng.binomial(n, theta)
+    rows = [f"u{i:06d},{a},{b}" for i, (a, b) in enumerate(zip(n.tolist(), k.tolist()))]
+    return ("user_id,n,k\n" + "\n".join(rows) + "\n").encode("ascii"), n, k
+
+
+class TestByteOrderMark:
+    """One leading UTF-8 byte-order mark, as spreadsheet exports write it."""
+
+    def test_records_file_with_bom_takes_the_column_pass(self, tmp_path):
+        raw, n, k = benchmark_records(31, 2000)
+        path = tmp_path / "records.csv"
+        path.write_bytes(codecs.BOM_UTF8 + raw)
+        by_columns = labeling._counts_from_columns(path.read_bytes())
+        assert by_columns is not None
+        got = check_counts_from_csv(path)
+        for column, want in zip(got, (n, k)):
+            assert np.array_equal(column, want)
+        assert [(r.n, r.k) for r in records_from_csv(path)] == list(zip(n.tolist(), k.tolist()))
+
+    def test_bom_before_an_n_first_header(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_bytes(codecs.BOM_UTF8 + b"n,k,user_id\n5,3,u1\n7,0,u2\n")
+        assert counts_outcome(path) == [(5, 3), (7, 0)]
+
+    def test_bom_file_the_row_loop_reads(self, tmp_path):
+        # the quotes send it to the row loop, which skips the mark too
+        path = tmp_path / "records.csv"
+        path.write_bytes(codecs.BOM_UTF8 + b'n,k,user_id\n5,3,"u1"\n')
+        assert labeling._counts_from_columns(path.read_bytes()) is None
+        assert counts_outcome(path) == [(5, 3)]
+
+    def test_only_one_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_bytes(codecs.BOM_UTF8 * 2 + b"n,k\n5,3\n")
+        assert labeling._counts_from_columns(path.read_bytes()) is None
+        assert counts_outcome(path) == (ValueError, "records CSV needs columns user_id, n, k")
+
+
+class TestCheckCounts:
+    def test_fixture_labels_keep_their_bits(self):
+        # the labels' float64 bits as the per-record fit gave them before the
+        # fit took count arrays (numpy 2.4 with scipy-openblas 0.3.31)
+        path = FIXTURES / "check_records.csv"
+        prior = fit_prior(*check_counts_from_csv(path))
+        labels = np.array([bayes_soft_label(r, prior) for r in records_from_csv(path)])
+        assert hashlib.sha256(labels.tobytes()).hexdigest() == (
+            "79ac79b42958c330ccb38ff996f30e4acd414fa82716541c78d1552da1fe8ec8"
+        )
+
+    def test_bayes_soft_labels_match_the_per_record_loop(self):
+        path = FIXTURES / "check_records.csv"
+        n, k = check_counts_from_csv(path)
+        prior = fit_prior(n, k, grid_size=51, max_iters=20)
+        per_record = np.array([bayes_soft_label(r, prior) for r in records_from_csv(path)])
+        fresh = DiscretePrior(prior.grid, prior.weights)
+        assert bayes_soft_labels(n, k, fresh).tobytes() == per_record.tobytes()
+
+    @pytest.mark.parametrize(
+        "n, k, message",
+        [
+            ([5, 4], [3, 9], "need 0 <= k <= n, got n=4, k=9 at index 1"),
+            ([5, -1], [3, 0], "need 0 <= k <= n, got n=-1, k=0 at index 1"),
+            ([5, 4], [3], "n and k must be matching 1-D arrays"),
+            ([[5]], [[3]], "n and k must be matching 1-D arrays"),
+            ([5.0], [3.0], "n and k must be integer arrays, got float64 and float64"),
+            (np.array([5], np.uint64), [3], "n and k must be integer arrays, got uint64"),
+            ([], [], "check counts must be non-empty"),
+        ],
+    )
+    def test_bad_counts_are_named(self, n, k, message):
+        for call in (
+            lambda: fit_prior(n, k, grid_size=11),
+            lambda: mean_log_likelihood(n, k, DiscretePrior.uniform(11)),
+            lambda: bayes_soft_labels(n, k, DiscretePrior.uniform(11)),
+        ):
+            with pytest.raises(ValueError, match="^" + re.escape(message)):
+                call()
+
+    @pytest.mark.parametrize("big", [False, True], ids=["one-key sort", "two-key sort"])
+    def test_group_pairs_matches_unique(self, big):
+        rng = np.random.default_rng(13)
+        n = rng.integers(0, 40, 500)
+        if big:
+            n[::7] += 2**62  # n * (max k + 1) overflows int64
+        k = rng.integers(0, 6, 500) % (n + 1)
+        pairs, index = labeling._group_pairs(n, k)
+        want, inverse = np.unique(np.stack([n, k], axis=1), axis=0, return_inverse=True)
+        assert np.array_equal(pairs, want)
+        assert np.array_equal(index, inverse.ravel())
