@@ -18,12 +18,12 @@ from softpu.labeling import (
     DiscretePrior,
     RuleStats,
     bayes_soft_label,
+    bayes_soft_labels,
+    check_counts_from_csv,
     check_label_separation,
     fit_objective,
     fit_prior,
     mean_log_likelihood,
-    bayes_soft_labels,
-    check_counts_from_csv,
     posterior_pass_prob,
     prior_from_json,
     prior_to_json,
