@@ -10,7 +10,7 @@ covered by the training tests.
 import numpy as np
 import pytest
 
-from softpu import kernels
+from softpu import kernels, labeling
 from softpu.kernels import LOSS_CLIP
 
 
@@ -385,8 +385,6 @@ class TestAgainstScalarReference:
 
     def test_eg_minimize_bits_match_two_matvec_loop_on_a_prior_fit(self):
         # rows scaled to peak 1 over a wide range of history lengths
-        from softpu import labeling
-
         rng = np.random.default_rng(12)
         n = rng.integers(5, 400, 3000)
         k = rng.binomial(n, rng.beta(4.0, 2.0, 3000))
