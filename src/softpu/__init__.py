@@ -20,7 +20,6 @@ from .dataset import (
     MelaConfig,
     PiecewiseLinearEta,
     SoftDataset,
-    SoftSample,
     gen_gscar,
     gen_mela,
     load_csv,
@@ -96,7 +95,6 @@ __all__ = [
     "RuleStats",
     "ScoringModel",
     "SoftDataset",
-    "SoftSample",
     "TrainConfig",
     "auc",
     "auc_real",

@@ -210,7 +210,7 @@ def cmd_frontier(args) -> int:
     for kind in config_field(config, "kinds", list, default=["spu", "real"]):
         record[kind] = frontier(problem, kind).to_dict()
     verify = config_field(config, "verify", dict, default={})
-    if verify.get("mela"):
+    if config_field(verify, "mela", bool, default=False):
         record["mela_optimality"] = verify_mela_optimality(problem).to_dict()
     noisy = config_field(verify, "noisy", dict)
     if noisy is not None:

@@ -28,15 +28,6 @@ GSCAR_MAX_PI = 15.0 / 28.0
 
 
 @dataclass(frozen=True)
-class SoftSample:
-    """One sample: features, soft label in [0,1], optional hidden true label."""
-
-    features: np.ndarray
-    soft_label: float
-    true_label: int | None = None
-
-
-@dataclass(frozen=True)
 class SoftDataset:
     """Columnar collection of soft-labeled samples.
 
@@ -97,10 +88,6 @@ class SoftDataset:
 
     def __len__(self):
         return self.features.shape[0]
-
-    def __getitem__(self, i) -> SoftSample:
-        truth = None if self.true_labels is None else int(self.true_labels[i])
-        return SoftSample(self.features[i], float(self.soft_labels[i]), truth)
 
     @property
     def feature_dim(self) -> int:
@@ -207,6 +194,8 @@ def _read_header(reader, schema: CsvSchema) -> tuple[list[str], dict[str, int]]:
         header = next(reader)
     except StopIteration:
         raise ValueError("empty dataset") from None
+    except csv.Error as exc:
+        raise ValueError(f"row 0: {exc}") from None
     header = [h.strip() for h in header]
     col = {name: j for j, name in enumerate(header)}
     wanted = list(schema.features) + [schema.soft_label]
@@ -231,28 +220,31 @@ def _load_rows(lines, schema: CsvSchema) -> SoftDataset:
     header, col = _read_header(reader, schema)
     feats, soft, truth = [], [], []
     row_idx = 0  # data rows only: blank and comment lines are not counted
-    for row in reader:
-        if not row:
-            continue
-        row_idx += 1
-        if len(row) != len(header):
-            raise ValueError(
-                f"row {row_idx}: expected {len(header)} fields, got {len(row)}"
-            )
-        feats.append(
-            [_parse_feature(row[col[name]], row_idx, name) for name in schema.features]
-        )
-        s = _parse_cell(row[col[schema.soft_label]], row_idx, schema.soft_label)
-        if not 0.0 <= s <= 1.0:
-            raise ValueError(f"row {row_idx}: soft label {s} outside [0, 1]")
-        soft.append(s)
-        if schema.true_label is not None:
-            y = _parse_cell(row[col[schema.true_label]], row_idx, schema.true_label)
-            if y not in (0.0, 1.0):
+    try:
+        for row in reader:
+            if not row:
+                continue
+            row_idx += 1
+            if len(row) != len(header):
                 raise ValueError(
-                    f"row {row_idx}: true label {y} must be exactly 0 or 1"
+                    f"row {row_idx}: expected {len(header)} fields, got {len(row)}"
                 )
-            truth.append(int(y))
+            feats.append(
+                [_parse_feature(row[col[name]], row_idx, name) for name in schema.features]
+            )
+            s = _parse_cell(row[col[schema.soft_label]], row_idx, schema.soft_label)
+            if not 0.0 <= s <= 1.0:
+                raise ValueError(f"row {row_idx}: soft label {s} outside [0, 1]")
+            soft.append(s)
+            if schema.true_label is not None:
+                y = _parse_cell(row[col[schema.true_label]], row_idx, schema.true_label)
+                if y not in (0.0, 1.0):
+                    raise ValueError(
+                        f"row {row_idx}: true label {y} must be exactly 0 or 1"
+                    )
+                truth.append(int(y))
+    except csv.Error as exc:
+        raise ValueError(f"row {row_idx + 1}: {exc}") from None
 
     if not feats:
         raise ValueError("empty dataset")
@@ -547,7 +539,7 @@ class DiscreteEta:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.size < 1:
             raise ValueError("need at least one cell")
-        if np.any(vals < 0.0) or np.any(vals > 1.0):
+        if not np.all((vals >= 0.0) & (vals <= 1.0)):
             raise ValueError("eta values must lie in [0, 1]")
 
     @property
@@ -576,9 +568,9 @@ class PiecewiseLinearEta:
         ys = np.asarray(self.ys, dtype=np.float64)
         if xs.size != ys.size or xs.size < 2:
             raise ValueError("need matching knot arrays with at least 2 knots")
-        if xs[0] != 0.0 or xs[-1] != 1.0 or np.any(np.diff(xs) <= 0):
+        if xs[0] != 0.0 or xs[-1] != 1.0 or not np.all(np.diff(xs) > 0):
             raise ValueError("knot positions must increase from 0 to 1")
-        if np.any(ys < 0.0) or np.any(ys > 1.0):
+        if not np.all((ys >= 0.0) & (ys <= 1.0)):
             raise ValueError("eta values must lie in [0, 1]")
 
     def eta_at(self, x):
@@ -593,8 +585,10 @@ class AffineLink:
     intercept: float = 0.0
 
     def __post_init__(self):
-        if self.slope <= 0.0:
-            raise ValueError("slope must be positive")
+        if not math.isfinite(self.intercept):
+            raise ValueError(f"intercept must be finite, got {self.intercept}")
+        if not (math.isfinite(self.slope) and self.slope > 0.0):
+            raise ValueError(f"slope must be finite and positive, got {self.slope}")
         lo, hi = self.intercept, self.intercept + self.slope
         if lo < -1e-12 or hi > 1.0 + 1e-12:
             raise ValueError("affine link must map [0,1] into [0,1]")
@@ -613,8 +607,8 @@ class LogisticWarpLink:
     gain: float = 4.0
 
     def __post_init__(self):
-        if self.gain <= 0.0:
-            raise ValueError("gain must be positive")
+        if not (math.isfinite(self.gain) and self.gain > 0.0):
+            raise ValueError(f"gain must be finite and positive, got {self.gain}")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=np.float64)
@@ -649,10 +643,10 @@ class MelaConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be positive")
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be non-negative")
-        if self.c_h <= 0.0:
-            raise ValueError("c_h must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
+            raise ValueError(f"epsilon must be finite and non-negative, got {self.epsilon}")
+        if not (math.isfinite(self.c_h) and self.c_h > 0.0):
+            raise ValueError(f"c_h must be finite and positive, got {self.c_h}")
         grid = np.linspace(0.0, 1.0, 1001)
         deriv = self.h_spec.derivative(grid)
         if np.any(deriv < self.c_h - 1e-12):

@@ -82,6 +82,15 @@ def config_field(cfg: dict, key: str, kind, default=None, required=False):
     return value
 
 
+def numbers_field(cfg: dict, key: str) -> tuple[float, ...]:
+    """The config's required list ``key``, whose items must all be numbers."""
+    values = config_field(cfg, key, list, required=True)
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"config field '{key}' must hold numbers, got {v!r}")
+    return tuple(values)
+
+
 def seed_field(cfg: dict) -> int:
     """The config's required ``seed``: an int that numpy accepts as a seed."""
     seed = config_field(cfg, "seed", int, required=True)
@@ -124,11 +133,11 @@ class ExperimentConfig:
             sources = list(BENCHMARK_SOFT_SOURCES)
         split_cfg = config_field(raw, "split", dict, default={})
         split = (
-            float(split_cfg.get("train", 0.7)),
-            float(split_cfg.get("val", 0.15)),
-            float(split_cfg.get("test", 0.15)),
+            config_field(split_cfg, "train", float, default=0.7),
+            config_field(split_cfg, "val", float, default=0.15),
+            config_field(split_cfg, "test", float, default=0.15),
         )
-        if abs(sum(split) - 1.0) > 1e-9 or min(split) <= 0.0:
+        if not (abs(sum(split) - 1.0) <= 1e-9 and min(split) > 0.0):
             raise ValueError("config field 'split' fractions must be positive and sum to 1")
         if dataset.get("kind") == "csv":
             path = config_field(dataset, "path", str, required=True)
@@ -195,6 +204,8 @@ def make_pu_benchmark(
     columns); labeled samples keep soft label 1. Models in the soft arm
     must therefore drop x1 and x2.
     """
+    if not 0.0 < pi < 1.0:
+        raise ValueError(f"pi must lie in (0, 1), got {pi}")
     rng = np.random.default_rng(seed)
     y = (rng.random(n) < pi).astype(np.int8)
     latents = shift * y[:, None] + rng.standard_normal((n, 2))
@@ -220,19 +231,22 @@ def make_pu_benchmark(
 def _mela_from_config(cfg: dict, seed: int) -> MelaConfig:
     eta_cfg = config_field(cfg, "eta", dict, required=True)
     if "values" in eta_cfg:
-        eta_spec = DiscreteEta(values=tuple(eta_cfg["values"]))
+        eta_spec = DiscreteEta(values=numbers_field(eta_cfg, "values"))
     else:
         eta_spec = PiecewiseLinearEta(
-            xs=tuple(eta_cfg["xs"]), ys=tuple(eta_cfg["ys"])
+            xs=numbers_field(eta_cfg, "xs"), ys=numbers_field(eta_cfg, "ys")
         )
     link_cfg = config_field(cfg, "link", dict, default={"kind": "affine", "slope": 1.0})
-    if link_cfg.get("kind", "affine") == "affine":
+    link = config_field(link_cfg, "kind", str, default="affine")
+    if link == "affine":
         h_spec = AffineLink(
-            slope=float(link_cfg.get("slope", 1.0)),
-            intercept=float(link_cfg.get("intercept", 0.0)),
+            slope=config_field(link_cfg, "slope", float, default=1.0),
+            intercept=config_field(link_cfg, "intercept", float, default=0.0),
         )
+    elif link == "logistic-warp":
+        h_spec = LogisticWarpLink(gain=config_field(link_cfg, "gain", float, default=4.0))
     else:
-        h_spec = LogisticWarpLink(gain=float(link_cfg.get("gain", 4.0)))
+        raise ValueError(f"config field 'link.kind': unknown link {link!r}")
     return MelaConfig(
         n=config_field(cfg, "n", int, required=True),
         eta_spec=eta_spec,

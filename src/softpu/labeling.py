@@ -447,10 +447,10 @@ def check_label_separation(soft_labels, true_labels, pi: float) -> LabelSeparati
 def check_counts_from_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Each user's (n, k) from a check-records CSV with columns user_id, n, k.
 
-    Returns two int64 arrays in row order. The ``n`` and ``k`` columns are
-    parsed column-wise in one pass. A file that pass cannot vouch for is
-    read row by row instead, which either loads it or names the first bad
-    row. One leading UTF-8 byte-order mark is skipped.
+    Returns two int64 arrays in row order, parsed column-wise in one pass
+    (see :func:`_counts_from_columns`). A file that pass refuses is read row
+    by row instead, which either loads it or names the first bad row (the
+    header is row 0). One leading UTF-8 byte-order mark is skipped.
     """
     path = Path(path)
     if not path.exists():
@@ -459,22 +459,27 @@ def check_counts_from_csv(path) -> tuple[np.ndarray, np.ndarray]:
     if counts is not None:
         return counts
     ns, ks = [], []
+    row_idx = -1  # the row being read is row_idx + 1
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"n", "k"} <= set(reader.fieldnames):
-            raise ValueError("records CSV needs columns user_id, n, k")
-        for row_idx, row in enumerate(reader, start=1):
-            try:
-                n = int(row["n"])
-                k = int(row["k"])
-            except (TypeError, ValueError):
-                raise ValueError(f"row {row_idx}: n and k must be integers") from None
-            try:
-                _check_pair(n, k)
-            except ValueError as exc:
-                raise ValueError(f"row {row_idx}: {exc}") from None
-            ns.append(n)
-            ks.append(k)
+        try:
+            if reader.fieldnames is None or not {"n", "k"} <= set(reader.fieldnames):
+                raise ValueError("records CSV needs columns user_id, n, k")
+            row_idx = 0
+            for row_idx, row in enumerate(reader, start=1):
+                try:
+                    n = int(row["n"])
+                    k = int(row["k"])
+                except (TypeError, ValueError):
+                    raise ValueError(f"row {row_idx}: n and k must be integers") from None
+                try:
+                    _check_pair(n, k)
+                except ValueError as exc:
+                    raise ValueError(f"row {row_idx}: {exc}") from None
+                ns.append(n)
+                ks.append(k)
+        except csv.Error as exc:
+            raise ValueError(f"row {row_idx + 1}: {exc}") from None
     if not ns:
         raise ValueError("empty records file")
     return np.array(ns, dtype=np.int64), np.array(ks, dtype=np.int64)
@@ -503,18 +508,25 @@ def _counts_from_columns(raw: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     """The check counts in the bytes of a records CSV, or None if the row
     loop of :func:`check_counts_from_csv` must read them.
 
-    One leading byte-order mark is skipped. None unless :func:`_vouched_header`
-    vouches for the rest and every cell of ``n`` and ``k`` parses to an
-    int64 with 0 <= k <= n. Blank lines are skipped, as the row loop skips
-    them.
+    One leading byte-order mark is skipped. None unless the rest has only
+    vouched bytes, a first line naming one ``n`` and one ``k`` column, a
+    data line that is not blank, no line over the csv field size limit, and
+    on every data line ``n`` and ``k`` cells that parse to int64 with
+    0 <= k <= n. ``loadtxt`` reads those cells by position, as the row loop
+    does, and refuses a row too short to hold them; both skip blank lines.
     """
     raw = raw.removeprefix(codecs.BOM_UTF8)
-    header = _vouched_header(raw)
-    if header is None:
+    if raw.translate(None, _VOUCHED_BYTES):
+        return None
+    lines = raw.decode("ascii").splitlines()
+    header = lines[0].split(",") if lines else []
+    if header.count("n") != 1 or header.count("k") != 1:
+        return None
+    if not any(lines[1:]) or max(map(len, lines)) > csv.field_size_limit():
         return None
     try:
         table = np.loadtxt(
-            raw.decode("ascii").splitlines(),
+            lines,
             delimiter=",",
             comments=None,
             skiprows=1,
@@ -528,43 +540,6 @@ def _counts_from_columns(raw: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     if np.any(k < 0) or np.any(k > n):
         return None
     return n, k
-
-
-def _vouched_header(raw: bytes) -> list[str] | None:
-    """The header fields of a records CSV the column pass can read, or None.
-
-    None unless the file has only vouched bytes, a first line that is not
-    blank and names one ``n`` and one ``k`` column, at least one data row,
-    no line longer than the csv module's field size limit and as many
-    fields on each data row as in the header. Every check is an array
-    operation over the file's bytes.
-    """
-    if not raw or raw.translate(None, _VOUCHED_BYTES):
-        return None
-    data = np.frombuffer(raw, dtype=np.uint8)
-    # the file alternates runs of line text and of line ends; the header
-    # is the first run and must open the file
-    ends = (data == ord("\n")) | (data == ord("\r"))
-    if ends[0]:
-        return None
-    bounds = np.concatenate(([0], np.flatnonzero(ends[1:] != ends[:-1]) + 1, [data.size]))
-    starts, stops = bounds[:-1:2], bounds[1::2]
-    header = raw[: stops[0]].decode("ascii").split(",")
-    if header.count("n") != 1 or header.count("k") != 1:
-        return None
-    if starts.size < 2 or (stops - starts).max() > csv.field_size_limit():
-        return None
-    # With as many commas in the file as the header has on every line, each
-    # line holds exactly that many if every line holds its share of the
-    # sorted comma positions.
-    width = len(header) - 1
-    commas = np.flatnonzero(data == ord(","))
-    if commas.size != width * starts.size:
-        return None
-    commas = commas.reshape(starts.size, width)
-    if np.any(commas[:, 0] < starts) or np.any(commas[:, -1] >= stops):
-        return None
-    return header
 
 
 def prior_to_json(prior: DiscretePrior, path) -> None:

@@ -366,16 +366,6 @@ def curve_from_csv(path, kind: str) -> RocCurve:
     return RocCurve(t, xs, ys, kind=kind)
 
 
-def curve_to_dict(curve: RocCurve) -> dict:
-    return {
-        "kind": curve.kind,
-        "thresholds": curve.thresholds.tolist(),
-        "x": curve.xs.tolist(),
-        "y": curve.ys.tolist(),
-        "area": auc(curve),
-    }
-
-
 def bound_report(data, scores) -> dict:
     """JSON-ready record comparing an achieved substitute AUC to its bound."""
     achieved = auc_spu(data, scores)

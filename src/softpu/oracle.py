@@ -18,6 +18,7 @@ brute-force enumeration of all 2^m classifiers (:func:`enumerate_points`,
 
 import bisect
 import json
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -81,11 +82,15 @@ class DiscreteProblem:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            masses=np.asarray(d["masses"], dtype=np.float64),
-            eta=np.asarray(d["eta"], dtype=np.float64),
-            eta_s=np.asarray(d["eta_s"], dtype=np.float64),
-        )
+        arrays = {}
+        for name in ("masses", "eta", "eta_s"):
+            if not isinstance(d, dict) or name not in d:
+                raise ValueError(f"problem field '{name}' is required")
+            try:
+                arrays[name] = np.asarray(d[name], dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ValueError(f"problem field '{name}' must hold numbers") from None
+        return cls(**arrays)
 
 
 def problem_to_json(problem: DiscreteProblem, path) -> None:
@@ -96,7 +101,12 @@ def problem_to_json(problem: DiscreteProblem, path) -> None:
 
 
 def problem_from_json(path) -> DiscreteProblem:
-    return DiscreteProblem.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    path = Path(path)
+    try:
+        record = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"problem file {path} is not valid JSON: {exc}") from None
+    return DiscreteProblem.from_dict(record)
 
 
 def _conditional(problem: DiscreteProblem, kind: str) -> np.ndarray:
@@ -162,10 +172,6 @@ class EnumeratedFrontier:
     points: np.ndarray
     vertex_masks: tuple[int, ...]
     on_frontier: np.ndarray
-
-    @property
-    def frontier_masks(self) -> np.ndarray:
-        return np.nonzero(self.on_frontier)[0]
 
     @property
     def n_on_frontier(self) -> int:
@@ -617,10 +623,12 @@ def verify_noisy_gap(
     from its threshold chain: subsets are enumerated only inside a tie
     group, which must have at most ``MAX_CELLS`` cells.
     """
-    if c_h <= 0.0:
-        raise ValueError("c_h must be positive")
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be non-negative")
+    if not (math.isfinite(c_h) and c_h > 0.0):
+        raise ValueError(f"c_h must be finite and positive, got {c_h}")
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon}")
+    if not math.isfinite(m_const):
+        raise ValueError(f"m must be finite, got {m_const}")
     # the frontiers first: they name a kind without positive or negative mass
     real_frontier = frontier(problem, "real")
     spu_frontier = frontier(problem, "spu")

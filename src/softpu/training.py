@@ -289,7 +289,17 @@ def save_model(model: ScoringModel, path) -> None:
 
 
 def load_model(path) -> ScoringModel:
-    record = json.loads(Path(path).read_text(encoding="utf-8"))
+    path = Path(path)
+    try:
+        record = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"model file {path} is not valid JSON: {exc}") from None
+    if not isinstance(record, dict):
+        raise ValueError(f"model file {path} must hold a JSON object")
+    fields = ("arch", "feature_dim", "hidden_width", "params", "seed", "loss_trace")
+    missing = [f for f in fields if f not in record]
+    if missing:
+        raise ValueError(f"model file {path} is missing field(s): {missing}")
     return ScoringModel(
         arch=record["arch"],
         feature_dim=record["feature_dim"],

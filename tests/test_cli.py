@@ -1,5 +1,6 @@
 """CLI subcommands: outputs, determinism, error paths."""
 
+import csv
 import json
 import os
 import subprocess
@@ -444,6 +445,50 @@ class TestEvalAndBound:
         assert run(cfg, command, tmp_path / "out") == 1
         assert "row 2, column 'x0': non-finite value nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{not json", "is not valid JSON: Expecting property name"),
+            ("[1.0, 0.0]", "must hold a JSON object"),
+            ('{"feature_dim": 1, "hidden_width": 0, "params": [1.0, 0.0], "seed": 4, '
+             '"loss_trace": []}', "is missing field(s): ['arch']"),
+        ],
+    )
+    def test_bad_model_file_names_the_file(self, tmp_path, capsys, text, message):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(text, encoding="utf-8")
+        cfg = write_config(
+            tmp_path,
+            "cfg.json",
+            {"seed": 4, "dataset": {"kind": "gscar", "n": 100, "pi": 0.2},
+             "model": str(model_path)},
+        )
+        assert run(cfg, "eval", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: model file {model_path} {message}")
+        assert "Traceback" not in err
+
+    def test_field_over_the_csv_limit_is_named_error(self, tmp_path, capsys):
+        from softpu.training import ScoringModel, save_model
+
+        model_path = tmp_path / "model.json"
+        save_model(ScoringModel("linear-logistic", 1, 0, np.array([1.0, 0.0])), model_path)
+        data = tmp_path / "data.csv"
+        limit = csv.field_size_limit()
+        data.write_text("x0,soft_label,note\n0.3,1.0,a\n0.1,0.5," + "b" * (limit + 1) + "\n")
+        cfg = write_config(
+            tmp_path,
+            "cfg.json",
+            {
+                "seed": 4,
+                "dataset": {"kind": "csv", "path": str(data), "features": ["x0"]},
+                "model": str(model_path),
+            },
+        )
+        assert run(cfg, "eval", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: row 2: field larger than field limit ({limit})\n"
+
 
 class TestFitPriorCommand:
     def test_fixture_records_fit(self, tmp_path):
@@ -465,6 +510,15 @@ class TestFitPriorCommand:
         # fixture mixes mostly-pass users with a risky third
         assert prior.mass_in(0.7, 1.0) > 0.4
         assert prior.mass_in(0.0, 0.45) > 0.15
+
+    def test_field_over_the_csv_limit_is_named_error(self, tmp_path, capsys):
+        limit = csv.field_size_limit()
+        records = tmp_path / "records.csv"
+        records.write_text("user_id,n,k\nu1,5,3\n" + "u" * (limit + 1) + ",4,2\n")
+        cfg = write_config(tmp_path, "prior.json", {"records": str(records)})
+        assert run(cfg, "fit-prior", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: row 2: field larger than field limit ({limit})\n"
 
     def test_missing_records_file(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "prior.json", {"records": "nope.csv"})
@@ -548,6 +602,15 @@ class TestFrontierCommand:
         err = capsys.readouterr().err
         assert f"error: {message}" in err
         assert "Traceback" not in err
+
+    def test_problem_file_that_is_not_json_is_named(self, tmp_path, capsys):
+        problem = tmp_path / "problem.json"
+        problem.write_text("masses: [1]")
+        cfg = write_config(tmp_path, "front.json", {"problem": str(problem)})
+        assert run(cfg, "frontier", tmp_path / "out") == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: problem file {problem} is not valid JSON: Expecting value"
+        )
 
     def test_mela_fixture(self, tmp_path):
         cfg = write_config(
@@ -742,3 +805,139 @@ class TestShippedConfigs:
         )
         assert code == 0
         assert any((tmp_path / "out").iterdir())
+
+
+def sweep_inputs():
+    """Name -> (command, config): the shipped configs, with the experiment
+    shrunk, plus an inline-problem frontier and a piecewise-eta mela generator."""
+    shipped = {
+        path.name: json.loads(path.read_text(encoding="utf-8"))
+        for path in sorted((FIXTURES / "configs").glob("*.json"))
+    }
+    experiment = shipped["experiment_benchmark.json"]
+    experiment["dataset"]["n"] = 400
+    experiment["model"]["epochs"] = 2
+    return {
+        "gscar": ("generate", shipped["generate_gscar.json"]),
+        "mela": ("generate", shipped["generate_mela.json"]),
+        "experiment": ("experiment", experiment),
+        "fit-prior": ("fit-prior", shipped["fit_prior.json"]),
+        "frontier": ("frontier", shipped["frontier_noisy.json"]),
+        "inline-frontier": (
+            "frontier",
+            {
+                "problem": {"masses": [0.5, 0.5], "eta": [0.2, 0.8], "eta_s": [0.3, 0.7]},
+                "kinds": ["spu", "real"],
+                "verify": {"mela": True},
+            },
+        ),
+        "piecewise-mela": (
+            "generate",
+            {
+                "seed": 5,
+                "dataset": {
+                    "kind": "mela",
+                    "n": 500,
+                    "eta": {"xs": [0.0, 0.5, 1.0], "ys": [0.1, 0.5, 0.9]},
+                    "link": {"kind": "affine", "slope": 0.8, "intercept": 0.1},
+                    "epsilon": 0.02,
+                    "c_h": 0.5,
+                },
+            },
+        ),
+    }
+
+
+DROP = object()
+
+
+def mutations(node, path=()):
+    """(path, value) edits of a config: each key dropped (value DROP), and each
+    value below the root, leaf or not, set to "a" and to NaN."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        here = path + (key,)
+        if isinstance(node, dict):
+            yield here, DROP
+        yield here, "a"
+        yield here, float("nan")
+        if isinstance(value, (dict, list)):
+            yield from mutations(value, here)
+
+
+def mutated(config, path, value):
+    config = json.loads(json.dumps(config))
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    if value is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return config
+
+
+SWEEP_INPUTS = sweep_inputs()
+
+
+@pytest.mark.parametrize("name", SWEEP_INPUTS)
+def test_config_sweep_exits_0_or_names_the_error(tmp_path, capsys, monkeypatch, name):
+    """Every config edit runs, or exits 1 with an ``error:`` line; no
+    exception escapes."""
+    monkeypatch.chdir(FIXTURES.parent)  # configs use repo-relative paths
+    command, config = SWEEP_INPUTS[name]
+    escaped = []
+    for path, value in mutations(config):
+        cfg = write_config(tmp_path, "sweep.json", mutated(config, path, value))
+        edit = ("drop" if value is DROP else repr(value), ".".join(map(str, path)))
+        try:
+            code = run(cfg, command, tmp_path / "out")
+        except BaseException as exc:  # noqa: BLE001 - every escape is a finding
+            escaped.append((*edit, f"{type(exc).__name__}: {exc}"))
+            continue
+        err = capsys.readouterr().err
+        if code not in (0, 1) or (code == 1 and not err.startswith("error: ")):
+            escaped.append((*edit, code, err))
+    assert escaped == []
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "name, path, value, message",
+    [
+        ("inline-frontier", ("problem", "masses"), DROP, "problem field 'masses' is required"),
+        ("inline-frontier", ("problem", "eta_s"), DROP, "problem field 'eta_s' is required"),
+        ("inline-frontier", ("problem", "eta"), ["a", 1], "problem field 'eta' must hold numbers"),
+        ("piecewise-mela", ("dataset", "eta", "ys"), DROP, "config field 'ys' is required"),
+        ("piecewise-mela", ("dataset", "eta", "xs"), 0.5,
+         "config field 'xs' must be list, got float"),
+        ("mela", ("dataset", "eta", "values"), 3, "config field 'values' must be list, got int"),
+        ("mela", ("dataset", "eta", "values", 1), "a",
+         "config field 'values' must hold numbers, got 'a'"),
+        ("mela", ("dataset", "eta", "values", 1), NAN, "eta values must lie in [0, 1]"),
+        ("piecewise-mela", ("dataset", "link", "slope"), NAN,
+         "slope must be finite and positive, got nan"),
+        ("piecewise-mela", ("dataset", "link", "intercept"), NAN,
+         "intercept must be finite, got nan"),
+        ("piecewise-mela", ("dataset", "link", "slope"), "a",
+         "config field 'slope' must be float, got str"),
+        ("mela", ("dataset", "link", "gain"), NAN, "gain must be finite and positive, got nan"),
+        ("mela", ("dataset", "link", "kind"), "a", "config field 'link.kind': unknown link 'a'"),
+        ("mela", ("dataset", "epsilon"), NAN, "epsilon must be finite and non-negative, got nan"),
+        ("mela", ("dataset", "c_h"), NAN, "c_h must be finite and positive, got nan"),
+        ("experiment", ("split",), {"train": "a"}, "config field 'train' must be float, got str"),
+        ("experiment", ("split",), {"train": NAN},
+         "config field 'split' fractions must be positive and sum to 1"),
+        ("experiment", ("dataset", "pi"), NAN, "pi must lie in (0, 1), got nan"),
+        ("frontier", ("verify", "noisy", "m"), NAN, "m must be finite, got nan"),
+        ("inline-frontier", ("verify", "mela"), "a", "config field 'mela' must be bool, got str"),
+    ],
+)
+def test_bad_field_is_named(tmp_path, capsys, monkeypatch, name, path, value, message):
+    monkeypatch.chdir(FIXTURES.parent)
+    command, config = SWEEP_INPUTS[name]
+    cfg = write_config(tmp_path, "cfg.json", mutated(config, path, value))
+    assert run(cfg, command, tmp_path / "out") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

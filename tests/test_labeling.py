@@ -403,20 +403,25 @@ class TestRecordsIo:
 def records_reference(path):
     """The row-at-a-time reader that the column pass must agree with."""
     records = []
+    row_idx = -1  # the row being read is row_idx + 1
     with Path(path).open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"n", "k"} <= set(reader.fieldnames):
-            raise ValueError("records CSV needs columns user_id, n, k")
-        for row_idx, row in enumerate(reader, start=1):
-            try:
-                n = int(row["n"])
-                k = int(row["k"])
-            except (TypeError, ValueError):
-                raise ValueError(f"row {row_idx}: n and k must be integers") from None
-            try:
-                records.append(CheckRecord(n=n, k=k))
-            except ValueError as exc:
-                raise ValueError(f"row {row_idx}: {exc}") from None
+        try:
+            if reader.fieldnames is None or not {"n", "k"} <= set(reader.fieldnames):
+                raise ValueError("records CSV needs columns user_id, n, k")
+            row_idx = 0
+            for row_idx, row in enumerate(reader, start=1):
+                try:
+                    n = int(row["n"])
+                    k = int(row["k"])
+                except (TypeError, ValueError):
+                    raise ValueError(f"row {row_idx}: n and k must be integers") from None
+                try:
+                    records.append(CheckRecord(n=n, k=k))
+                except ValueError as exc:
+                    raise ValueError(f"row {row_idx}: {exc}") from None
+        except csv.Error as exc:
+            raise ValueError(f"row {row_idx + 1}: {exc}") from None
     if not records:
         raise ValueError("empty records file")
     return records
@@ -441,11 +446,15 @@ RECORD_FILES = [
     ("user_id,n,k\nu1, 5 ,+3\nu2,-0,0", [(5, 3), (0, 0)], True),
     # a quote joins the rest of the file into one field
     ('user_id,n,k\n"x,5,3\nu2,4,2\n', BAD_INTEGERS, False),
-    ("user_id,n,k\nu1,5,3,extra\n", [(5, 3)], False),
-    # as many commas as the header has on every line, but not on each line
-    ("user_id,n,k,x\nu1,5,3,x,y\nu2,4,2\n", [(5, 3), (4, 2)], False),
-    ("user_id,n,k,x\nu1,5,3\nu2,4,2,x,y\n", [(5, 3), (4, 2)], False),
+    # a multi-line quoted field is one csv row, but two lines for loadtxt
+    ('n,k,id\n5,3,"x\n6,2,y"\n', [(5, 3)], False),
+    # ragged rows: both readers take n and k by position
+    ("user_id,n,k\nu1,5,3,extra\n", [(5, 3)], True),
+    ("user_id,n,k,x\nu1,5,3,x,y\nu2,4,2\n", [(5, 3), (4, 2)], True),
+    ("user_id,n,k,x\nu1,5,3\nu2,4,2,x,y\n", [(5, 3), (4, 2)], True),
     ("user_id,n,k\nu1,5\n", BAD_INTEGERS, False),
+    # a row that holds n but not k
+    ("user_id,n,k\nu1,5,3\nu2,4\n", (ValueError, "row 2: n and k must be integers"), False),
     ("user_id,n,k\nu1,1_000,3\n", [(1000, 3)], False),
     ("user_id,n,k\nu1,\uff15,3\n", [(5, 3)], False),
     # loadtxt reads both of these as numbers, int() neither
@@ -467,10 +476,12 @@ RECORD_FILES = [
     ("user_id,n,k\r\nu1,5,3\r\n\r\nu2,4,2\r\n", [(5, 3), (4, 2)], True),
     ("user_id,n,k\ru1,5,3\ru2,4,2\r", [(5, 3), (4, 2)], True),
     ("user_id,n,k\nu1,5,3\n \n", (ValueError, "row 2: n and k must be integers"), False),
+    ("n,k\n5,3\n \n", (ValueError, "row 2: n and k must be integers"), False),
     ("\ufeffuser_id,n,k\nu1,5,3\n", [(5, 3)], True),
     ("\ufeffn,k\n5,3\n", [(5, 3)], True),
     ("user_id,n,k\n", (ValueError, "empty records file"), False),
     ("user_id,n,k\n\n\n", (ValueError, "empty records file"), False),
+    ("user_id,n,k\r\n\r\n\r\n", (ValueError, "empty records file"), False),
     ("", (ValueError, "records CSV needs columns user_id, n, k"), False),
     ("\nuser_id,n,k\nu1,5,3\n", (ValueError, "records CSV needs columns user_id, n, k"), False),
     (
@@ -524,10 +535,15 @@ class TestRecordsColumnPass:
 
     def test_field_over_the_csv_limit_fails_as_the_row_loop_does(self, tmp_path):
         path = tmp_path / "records.csv"
-        path.write_text("user_id,n,k\n" + "u" * (csv.field_size_limit() + 1) + ",5,3\n")
-        got = outcome(records_from_csv, path)
-        assert got[0] is csv.Error
-        assert got == outcome(records_reference, path)
+        limit = csv.field_size_limit()
+        for text, row in [
+            ("user_id,n,k\nu1,5,3\n\n" + "u" * (limit + 1) + ",5,3\n", 2),
+            ("user_id,n,k," + "x" * (limit + 1) + "\nu1,5,3\n", 0),
+        ]:
+            path.write_text(text)
+            got = outcome(records_from_csv, path)
+            assert got == (ValueError, f"row {row}: field larger than field limit ({limit})")
+            assert got == outcome(records_reference, path)
 
     def test_no_warnings(self, tmp_path):
         path = tmp_path / "records.csv"

@@ -20,7 +20,6 @@ from softpu.metrics import (
     bound_report,
     curve_from_csv,
     curve_to_csv,
-    curve_to_dict,
     estimate_mixture_stats,
     fpr,
     fpr_spu,
@@ -394,12 +393,6 @@ class TestCurveIo:
         path.write_text("threshold,fpr,tpr\ninf,0.0,0.0\n-inf,1.0,1.0\n")
         with pytest.raises(ValueError, match=r"missing column\(s\): \['x', 'y'\]"):
             curve_from_csv(path, kind="spu")
-
-    def test_json_record(self):
-        curve = roc_spu(np.array([1.0, 0.0]), np.array([0.8, 0.1]))
-        record = curve_to_dict(curve)
-        assert record["kind"] == "spu"
-        assert record["area"] == 1.0
 
     def test_bound_report(self):
         rng = np.random.default_rng(14)

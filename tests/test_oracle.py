@@ -247,8 +247,8 @@ class TestMelaOptimality:
         )
         spu = exhaustive_frontier(prob, "spu")
         real = exhaustive_frontier(prob, "real")
-        spu_set = set(map(int, spu.frontier_masks))
-        real_set = set(map(int, real.frontier_masks))
+        spu_set = set(map(int, np.flatnonzero(spu.on_frontier)))
+        real_set = set(map(int, np.flatnonzero(real.on_frontier)))
         assert spu_set != real_set
 
 
@@ -477,8 +477,10 @@ def mela_optimality_ref(problem):
     eta_s = problem.eta_s
     if comonotone_violations_ref(problem):
         raise ValueError("eta_s is not a strictly monotone transform of eta")
-    spu_set = frozenset(map(int, exhaustive_frontier(problem, "spu").frontier_masks))
-    real_set = frozenset(map(int, exhaustive_frontier(problem, "real").frontier_masks))
+    spu_on = exhaustive_frontier(problem, "spu").on_frontier
+    real_on = exhaustive_frontier(problem, "real").on_frontier
+    spu_set = frozenset(map(int, np.flatnonzero(spu_on)))
+    real_set = frozenset(map(int, np.flatnonzero(real_on)))
     family = set(threshold_masks(eta_s))
     return MelaOptimalityReport(
         passed=spu_set == real_set,
@@ -554,7 +556,7 @@ def noisy_gap_ref(index, epsilon, c_h, m_const, exact):
 
         real = exhaustive_frontier(problem, "real")
         real_masks, real_points = real.vertex_masks, real.points
-        spu_masks = exhaustive_frontier(problem, "spu").frontier_masks
+        spu_masks = np.flatnonzero(exhaustive_frontier(problem, "spu").on_frontier)
 
     pi = problem.class_prior
     point_bound = 4.0 * m_const * epsilon**2 / (pi * c_h**2)
