@@ -132,12 +132,14 @@ def cmd_eval(args) -> int:
     scores = _scores_for(config, data)
 
     curve = roc_spu(data, scores)
-    curve_to_csv(curve, out / "curve_spu.csv")
     record = {"spu.auc": auc(curve), "n_samples": len(data)}
+    more = ()
     if data.true_labels is not None:
         real_curve = roc_real(data, scores)
-        curve_to_csv(real_curve, out / "curve_real.csv")
         record["real.auc"] = auc(real_curve)
+        # both curves sweep the same scores, so they share the threshold text
+        more = ((real_curve, out / "curve_real.csv"),)
+    curve_to_csv(curve, out / "curve_spu.csv", more=more)
     thresholds = config_field(config, "thresholds", list, default=[])
     rows = []
     for t in thresholds:

@@ -150,7 +150,8 @@ class CsvSchema:
         }
 
 
-def _parse_cell(raw, row, column):
+def parse_cell(raw, row, column):
+    """One CSV cell as a float; errors name the 1-based data ``row`` and ``column``."""
     text = raw.strip()
     if not text:
         raise ValueError(f"row {row}, column '{column}': missing value")
@@ -163,13 +164,14 @@ def _parse_cell(raw, row, column):
 
 
 def _parse_feature(raw, row, column):
-    value = _parse_cell(raw, row, column)
+    value = parse_cell(raw, row, column)
     if not math.isfinite(value):
         raise ValueError(f"row {row}, column '{column}': non-finite value {value}")
     return value
 
 
-def _open_csv(path):
+def open_csv(path):
+    """Open a CSV file for :mod:`csv` reading, as UTF-8 with an optional BOM."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
@@ -184,7 +186,7 @@ def _skip_comments(fh):
 
 def _data_lines(path) -> list[str]:
     """All non-comment lines of a CSV file, for the row loop."""
-    with _open_csv(path) as fh:
+    with open_csv(path) as fh:
         return list(_skip_comments(fh))
 
 
@@ -232,12 +234,12 @@ def _load_rows(lines, schema: CsvSchema) -> SoftDataset:
             feats.append(
                 [_parse_feature(row[col[name]], row_idx, name) for name in schema.features]
             )
-            s = _parse_cell(row[col[schema.soft_label]], row_idx, schema.soft_label)
+            s = parse_cell(row[col[schema.soft_label]], row_idx, schema.soft_label)
             if not 0.0 <= s <= 1.0:
                 raise ValueError(f"row {row_idx}: soft label {s} outside [0, 1]")
             soft.append(s)
             if schema.true_label is not None:
-                y = _parse_cell(row[col[schema.true_label]], row_idx, schema.true_label)
+                y = parse_cell(row[col[schema.true_label]], row_idx, schema.true_label)
                 if y not in (0.0, 1.0):
                     raise ValueError(
                         f"row {row_idx}: true label {y} must be exactly 0 or 1"
@@ -262,9 +264,11 @@ def _parse_table(lines, width):
 
     None unless some line is not blank and every such line holds ``width``
     numbers (``loadtxt`` skips blank lines, as the row loop does, and raises
-    when the field count changes). A cell with a quote never parses as a
-    number, so quoted rows always get None. ``lines`` is consumed one line
-    at a time, so the text of the file is never held whole.
+    when the field count changes). A cell with a quote or a ``#`` line never
+    parses as a number, so files with either always get None. ``lines`` is
+    consumed one line at a time, so the text of the file is never held
+    whole; given the open file, ``loadtxt`` iterates it without a Python
+    generator in between.
     """
     lines = iter(lines)
     first = next((line for line in lines if line.strip("\r\n")), None)
@@ -293,14 +297,14 @@ def load_csv(path, schema: CsvSchema) -> SoftDataset:
     finite real; missing values are an error, and so is a schema column
     that appears twice in the header.
 
-    The data rows are parsed column-wise in one pass; a file that pass
-    cannot read, or whose values fail a check, is read again row by row,
-    which either loads it or names the first bad row and column.
+    The data rows are parsed column-wise in one pass over the open file;
+    a file that pass cannot read (a quoted cell, or a ``#`` line after the
+    header), or whose values fail a check, is read again row by row, which
+    either loads it or names the first bad row and column.
     """
-    with _open_csv(path) as fh:
-        lines = _skip_comments(fh)
-        header, col = _read_header(csv.reader(lines), schema)
-        table = _parse_table(lines, len(header))
+    with open_csv(path) as fh:
+        header, col = _read_header(csv.reader(_skip_comments(fh)), schema)
+        table = _parse_table(fh, len(header))
     if table is not None:
         feats = table[:, [col[name] for name in schema.features]]
         soft = table[:, col[schema.soft_label]]
@@ -341,11 +345,28 @@ def float_text(values) -> list[str]:
     return texts[inverse].tolist()
 
 
+def rows_text(cells) -> str:
+    """Equal-length lists of cell text, one per column, as comma-separated rows.
+
+    Every row ends in ``\n``. The text is built by slice assignment into one
+    flat list of cells and separators and a single ``"".join``, so no
+    per-row tuple or string is made.
+    """
+    rows = len(cells[0])
+    step = 2 * len(cells)
+    flat = [","] * (step * rows)
+    for j, column in enumerate(cells):
+        flat[2 * j :: step] = column
+    flat[step - 1 :: step] = ["\n"] * rows
+    return "".join(flat)
+
+
 def write_columns(fh, columns) -> None:
     """Write equal-length 1-D arrays to ``fh`` as comma-separated rows.
 
     Float columns are written by :func:`float_text`; any other column must
-    hold its cells' text already. Rows go out :data:`CHUNK_ROWS` at a time.
+    hold its cells' text already. Rows go out :data:`CHUNK_ROWS` at a time,
+    each chunk as one string from :func:`rows_text`.
     """
     for lo in range(0, len(columns[0]), CHUNK_ROWS):
         cells = [
@@ -354,7 +375,7 @@ def write_columns(fh, columns) -> None:
             else c[lo : lo + CHUNK_ROWS].tolist()
             for c in columns
         ]
-        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        fh.write(rows_text(cells))
 
 
 def _check_writable(names) -> None:

@@ -14,12 +14,20 @@ independent given Y.
 
 import csv
 import json
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import SoftDataset, write_columns
+from .dataset import (
+    CHUNK_ROWS,
+    SoftDataset,
+    float_text,
+    open_csv,
+    parse_cell,
+    rows_text,
+)
 
 _CURVE_COLUMNS = ("threshold", "x", "y")
 
@@ -345,24 +353,74 @@ def map_auc(coeffs: MixtureCoefficients, real_auc: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def curve_to_csv(curve: RocCurve, path) -> None:
-    """Write a curve as CSV with columns threshold, x, y (repr floats)."""
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(_CURVE_COLUMNS) + "\n")
-        write_columns(fh, [curve.thresholds, curve.xs, curve.ys])
+def curve_to_csv(curve: RocCurve, path, more=()) -> None:
+    """Write a curve as CSV with columns threshold, x, y (repr floats).
+
+    ``more`` holds further ``(curve, path)`` pairs that share ``curve``'s
+    thresholds, such as the substitute and real curves of one score vector.
+    All files are written in one pass, :data:`~softpu.dataset.CHUNK_ROWS`
+    rows at a time, and each chunk of the shared threshold column is
+    formatted once for all of them; every file gets the bytes a call for its
+    curve alone would write. A curve whose thresholds differ from
+    ``curve``'s, bit for bit, is refused before any file is opened.
+    """
+    pairs = [(curve, Path(path))] + [(c, Path(p)) for c, p in more]
+    bits = curve.thresholds.view(np.int64)
+    for other, other_path in pairs[1:]:
+        if not np.array_equal(other.thresholds.view(np.int64), bits):
+            raise ValueError(
+                f"curve for {other_path}: thresholds differ from those for {path}"
+            )
+    header = ",".join(_CURVE_COLUMNS) + "\n"
+    with ExitStack() as stack:
+        files = [
+            stack.enter_context(p.open("w", encoding="utf-8", newline="\n"))
+            for _, p in pairs
+        ]
+        for fh in files:
+            fh.write(header)
+        for lo in range(0, len(curve), CHUNK_ROWS):
+            hi = lo + CHUNK_ROWS
+            thresholds = float_text(curve.thresholds[lo:hi])
+            for (c, _), fh in zip(pairs, files):
+                fh.write(
+                    rows_text([thresholds, float_text(c.xs[lo:hi]), float_text(c.ys[lo:hi])])
+                )
 
 
 def curve_from_csv(path, kind: str) -> RocCurve:
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is not None:
-            missing = [c for c in _CURVE_COLUMNS if c not in reader.fieldnames]
+    """Read a curve written by :func:`curve_to_csv`.
+
+    A leading byte-order mark is skipped and blank lines are ignored. A bad
+    cell or a row of the wrong width is named by its 1-based data row (the
+    header is row 0) and column.
+    """
+    with open_csv(path) as fh:
+        reader = csv.reader(fh)
+        rows = []
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError("empty curve file")
+            header = [h.strip() for h in header]
+            missing = [c for c in _CURVE_COLUMNS if c not in header]
             if missing:
                 raise ValueError(f"missing column(s): {missing}")
-        rows = [(float(r["threshold"]), float(r["x"]), float(r["y"])) for r in reader]
+            col = [header.index(c) for c in _CURVE_COLUMNS]
+            for row in reader:
+                if not row:
+                    continue
+                i = len(rows) + 1
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"row {i}: expected {len(header)} fields, got {len(row)}"
+                    )
+                rows.append([parse_cell(row[j], i, c) for j, c in zip(col, _CURVE_COLUMNS)])
+        except csv.Error as exc:
+            raise ValueError(f"row {len(rows) + 1}: {exc}") from None
     if not rows:
         raise ValueError("empty curve file")
-    t, xs, ys = (np.array(col) for col in zip(*rows))
+    t, xs, ys = np.array(rows, dtype=np.float64).T
     return RocCurve(t, xs, ys, kind=kind)
 
 

@@ -16,6 +16,7 @@ deterministic numpy kernels of :mod:`softpu.kernels`.
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,10 +47,21 @@ class ScoringModel:
     loss_trace: tuple[float, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.arch, str):
+            raise ValueError(f"field 'arch' must be str, got {type(self.arch).__name__}")
         if self.arch not in (ARCH_LINEAR, ARCH_MLP):
             raise ValueError(f"unknown architecture {self.arch!r}")
+        for name in ("feature_dim", "hidden_width"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"field '{name}' must be int, got {type(value).__name__}")
+        if self.feature_dim < 1:
+            raise ValueError(f"field 'feature_dim' must be positive, got {self.feature_dim}")
         expected = param_count(self.arch, self.feature_dim, self.hidden_width)
-        params = np.asarray(self.params, dtype=np.float64)
+        params = np.asarray(self.params)
+        if params.dtype.kind not in "iuf":
+            raise ValueError(f"field 'params' must hold numbers, got dtype {params.dtype}")
+        params = params.astype(np.float64, copy=False)
         if params.shape != (expected,):
             raise ValueError(f"expected {expected} parameters, got {params.shape}")
         bad = np.flatnonzero(~np.isfinite(params))
@@ -288,6 +300,17 @@ def save_model(model: ScoringModel, path) -> None:
     )
 
 
+def _check_numbers(values, name) -> None:
+    """Refuse a model-file field that is not a JSON list of numbers."""
+    if not isinstance(values, list):
+        raise ValueError(f"field '{name}' must be list, got {type(values).__name__}")
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"field '{name}' must hold numbers, got {v!r}")
+        if isinstance(v, int) and abs(v) > sys.float_info.max:
+            raise ValueError(f"field '{name}' holds an integer too large for a float")
+
+
 def load_model(path) -> ScoringModel:
     path = Path(path)
     try:
@@ -300,11 +323,19 @@ def load_model(path) -> ScoringModel:
     missing = [f for f in fields if f not in record]
     if missing:
         raise ValueError(f"model file {path} is missing field(s): {missing}")
-    return ScoringModel(
-        arch=record["arch"],
-        feature_dim=record["feature_dim"],
-        hidden_width=record["hidden_width"],
-        params=np.asarray(record["params"], dtype=np.float64),
-        seed=record["seed"],
-        loss_trace=tuple(record["loss_trace"]),
-    )
+    try:
+        for name in ("params", "loss_trace"):
+            _check_numbers(record[name], name)
+        seed = record["seed"]
+        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+            raise ValueError(f"field 'seed' must be int or null, got {type(seed).__name__}")
+        return ScoringModel(
+            arch=record["arch"],
+            feature_dim=record["feature_dim"],
+            hidden_width=record["hidden_width"],
+            params=np.asarray(record["params"], dtype=np.float64),
+            seed=seed,
+            loss_trace=tuple(record["loss_trace"]),
+        )
+    except ValueError as exc:
+        raise ValueError(f"model file {path}: {exc}") from None

@@ -1,6 +1,7 @@
 """CLI subcommands: outputs, determinism, error paths."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -468,6 +469,41 @@ class TestEvalAndBound:
         assert err.startswith(f"error: model file {model_path} {message}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("arch", 3, "field 'arch' must be str, got int"),
+            ("feature_dim", "a", "field 'feature_dim' must be int, got str"),
+            ("feature_dim", 2.5, "field 'feature_dim' must be int, got float"),
+            ("feature_dim", True, "field 'feature_dim' must be int, got bool"),
+            ("feature_dim", 0, "field 'feature_dim' must be positive, got 0"),
+            ("hidden_width", None, "field 'hidden_width' must be int, got NoneType"),
+            ("params", ["x", 1, 2], "field 'params' must hold numbers, got 'x'"),
+            ("params", [True, 1, 2], "field 'params' must hold numbers, got True"),
+            ("params", 5, "field 'params' must be list, got int"),
+            pytest.param("params", [10**400, 1, 2],
+                         "field 'params' holds an integer too large for a float",
+                         id="params-huge-int"),
+            ("seed", "7", "field 'seed' must be int or null, got str"),
+            ("loss_trace", {}, "field 'loss_trace' must be list, got dict"),
+        ],
+    )
+    def test_wrongly_typed_model_field_names_field_and_file(
+        self, tmp_path, capsys, field, value, message
+    ):
+        record = {"arch": "linear-logistic", "feature_dim": 2, "hidden_width": 0,
+                  "params": [1.0, 0.5, 0.0], "seed": 4, "loss_trace": []}
+        record[field] = value
+        model_path = write_config(tmp_path, "model.json", record)
+        cfg = write_config(
+            tmp_path,
+            "cfg.json",
+            {"seed": 4, "dataset": {"kind": "gscar", "n": 100, "pi": 0.2},
+             "model": str(model_path)},
+        )
+        assert run(cfg, "eval", tmp_path / "out") == 1
+        assert capsys.readouterr().err == f"error: model file {model_path}: {message}\n"
+
     def test_field_over_the_csv_limit_is_named_error(self, tmp_path, capsys):
         from softpu.training import ScoringModel, save_model
 
@@ -488,6 +524,55 @@ class TestEvalAndBound:
         assert run(cfg, "eval", tmp_path / "out") == 1
         err = capsys.readouterr().err
         assert err == f"error: row 2: field larger than field limit ({limit})\n"
+
+
+class TestCsvOutputBytes:
+    # sha256 of each output as the per-file writers gave them before eval
+    # wrote both curves in one pass (numpy 2.4); 9000 rows cross a chunk
+    # boundary of the dataset and of both curve files
+    DIGESTS = {
+        "dataset.csv": "707ae9cae81a12b64c2bc8a418858d16409e138814dea38748abadeabd9c82c8",
+        "provenance.json": "bbd09af89174a7f9a942e746a712e539d0c6f7b63c630a60b4a09a4710545012",
+        "curve_spu.csv": "96bf144d7ed6a65f57398e58feb80ef8132479b37c603d9756b21a3a82c46017",
+        "curve_real.csv": "b1998a58aba5ae4bdb157a8fb7c3e22215098c58cca8ec751b6bd85cc590a372",
+        "eval.json": "6ca840db46ddc91fc4388f2a73e2be25fe3d03dc861a64c439070fd3e4938de8",
+        "bound.json": "82d358828640c88b8a0ac856776a2f9143afa136a30beb4d682952fe3a92f465",
+    }
+
+    def test_generate_eval_bound_check_keep_their_bytes(self, tmp_path):
+        from softpu.training import ScoringModel, save_model
+
+        out = tmp_path / "out"
+        model_path = tmp_path / "model.json"
+        save_model(
+            ScoringModel("linear-logistic", 2, 0, np.array([1.4, -0.23, 0.11])), model_path
+        )
+        gen = write_config(
+            tmp_path, "gen.json", {"seed": 11, "dataset": {"kind": "gscar", "n": 9000, "pi": 0.3}}
+        )
+        evaluate = write_config(
+            tmp_path,
+            "eval.json",
+            {
+                "seed": 11,
+                "model": str(model_path),
+                "thresholds": [0.25, 0.5],
+                "dataset": {
+                    "kind": "csv",
+                    "path": str(out / "dataset.csv"),
+                    "features": ["x0", "x1"],
+                    "true_label": "true_label",
+                },
+            },
+        )
+        assert run(gen, "generate", out) == 0
+        assert run(evaluate, "eval", out) == 0
+        assert run(evaluate, "bound-check", out) == 0
+        got = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in self.DIGESTS
+        }
+        assert got == self.DIGESTS
 
 
 class TestFitPriorCommand:

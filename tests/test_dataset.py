@@ -1,9 +1,13 @@
 """Data model, CSV round-trips, and the synthetic generators."""
 
+import codecs
 import csv
+import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softpu import dataset as dataset_module
 from softpu.dataset import (
@@ -42,6 +46,19 @@ def save_csv_ref(dataset, path):
             if dataset.true_labels is not None:
                 cells.append(str(int(dataset.true_labels[i])))
             fh.write(",".join(cells) + "\n")
+
+
+def write_columns_ref(fh, columns):
+    """The former chunk writer, one tuple and one string per row: the
+    reference for :func:`write_columns`' bytes."""
+    for lo in range(0, len(columns[0]), CHUNK_ROWS):
+        cells = [
+            dataset_module.float_text(c[lo : lo + CHUNK_ROWS])
+            if c.dtype.kind == "f"
+            else c[lo : lo + CHUNK_ROWS].tolist()
+            for c in columns
+        ]
+        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def load_rows(path, schema):
@@ -319,6 +336,49 @@ class TestLoaderAgreesWithRowLoop:
             lambda: load_rows(path, schema)
         )
 
+    @pytest.mark.parametrize(
+        "raw, by_columns",
+        [
+            pytest.param(
+                b"x0,soft_label,y\n0.5,0.25,1\n# note\n-1.5,1.0,0\n", False, id="hash line after data rows"
+            ),
+            pytest.param(
+                b"x0,soft_label,y\n# note\n0.5,0.25,1\n", False, id="hash line after header"
+            ),
+            pytest.param(
+                b"x0,soft_label,y\r\n0.5,0.25,1\r\n\r\n-1.5,1.0,0\r\n", True, id="crlf"
+            ),
+            pytest.param(
+                b"x0,soft_label,y\r0.5,0.25,1\r-1.5,1.0,0\r", True, id="cr"
+            ),
+            pytest.param(
+                b"x0,soft_label,y\n\n\r\n0.5,0.25,1\n-1.5,1.0,0", True, id="leading blank lines"
+            ),
+            pytest.param(
+                codecs.BOM_UTF8 + b"# p\nx0,soft_label,y\n0.5,0.25,1\n", True, id="bom"
+            ),
+            pytest.param(
+                codecs.BOM_UTF8 + b"x0,soft_label,y\r\n0.5,-0.0,0\r\n", True, id="bom crlf"
+            ),
+        ],
+    )
+    def test_same_result_on_line_layouts(self, tmp_path, monkeypatch, raw, by_columns):
+        # the column pass hands loadtxt the open file after the header; a
+        # '#' line there fails it, and the row loop, which skips comments,
+        # reads the file
+        path = tmp_path / "layout.csv"
+        path.write_bytes(raw)
+        schema = CsvSchema(features=("x0",), true_label="y")
+        calls = []
+        row_loop = dataset_module._load_rows
+        monkeypatch.setattr(
+            dataset_module, "_load_rows", lambda *a: calls.append(1) or row_loop(*a)
+        )
+        got = outcome(lambda: load_csv(path, schema))
+        assert calls == ([] if by_columns else [1])
+        assert got == outcome(lambda: load_rows(path, schema))
+        assert got[0] != "error"
+
     def test_extra_non_numeric_column_loads(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("id,x0,soft_label\nu1,0.5,0.25\nu2,1_000,1\n")
@@ -365,6 +425,36 @@ class TestSaveCsv:
         )
         assert path.read_text(encoding="utf-8") == want
         assert dataset_module.float_text(floats) == [repr(float(v)) for v in floats]
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        rows=st.sampled_from([0, 1, 2, 7, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]),
+        kinds=st.lists(st.sampled_from(["float", "special", "text"]), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_write_columns_matches_zip_join_writer(self, rows, kinds, seed):
+        rng = np.random.default_rng(seed)
+        special = np.array([-0.0, 0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan, 1e308])
+        columns = []
+        for kind in kinds:
+            if kind == "text":
+                columns.append(
+                    np.array([f"u{v}" for v in rng.integers(0, 50, rows)], dtype=object)
+                )
+            elif kind == "special":
+                columns.append(rng.choice(special, rows))
+            else:
+                columns.append(rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows))
+        got, want = io.StringIO(), io.StringIO()
+        dataset_module.write_columns(got, columns)
+        write_columns_ref(want, columns)
+        assert got.getvalue() == want.getvalue()
+
+    def test_rows_text_joins_rows_with_separators(self):
+        cells = [["1.5", "-0.0"], ["a", "b"], ["inf", "nan"]]
+        assert dataset_module.rows_text(cells) == "1.5,a,inf\n-0.0,b,nan\n"
+        assert dataset_module.rows_text([["x"]]) == "x\n"
+        assert dataset_module.rows_text([[], []]) == ""
 
     def test_finite_round_trip_across_chunks(self, tmp_path):
         rows = CHUNK_ROWS + 1

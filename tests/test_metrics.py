@@ -5,6 +5,7 @@ where it matters); distribution-level claims are property-tested with
 seeded random draws.
 """
 
+import csv
 from fractions import Fraction
 
 import numpy as np
@@ -387,6 +388,73 @@ class TestCurveIo:
         back = curve_from_csv(got, kind="spu")
         for a, b in ((back.thresholds, t), (back.xs, xs), (back.ys, ys)):
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, CHUNK_ROWS - 2, CHUNK_ROWS, 2 * CHUNK_ROWS + 5])
+    def test_curves_written_together_match_separate_writes(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        y = np.arange(rows + 1) % 2
+        scores = rng.random(rows + 1)
+        scores[: rows // 3] = -0.0  # ties, and a threshold whose sign must survive
+        curves = [roc_spu(rng.random(rows + 1), scores), roc_real(y, scores)]
+        curves.append(RocCurve(curves[0].thresholds, curves[1].xs, curves[0].ys, kind="spu"))
+        together = [tmp_path / f"together{i}.csv" for i in range(3)]
+        curve_to_csv(curves[0], together[0], more=list(zip(curves[1:], together[1:])))
+        for i, curve in enumerate(curves):
+            alone = tmp_path / f"alone{i}.csv"
+            curve_to_csv(curve, alone)
+            assert together[i].read_bytes() == alone.read_bytes()
+            curve_to_csv_ref(curve, tmp_path / "ref.csv")
+            assert alone.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("change", ["value", "sign of zero", "length"])
+    def test_curves_with_other_thresholds_refused(self, tmp_path, change):
+        first = RocCurve([np.inf, 0.0, -np.inf], [0.0, 0.5, 1.0], [0.0, 0.5, 1.0], kind="spu")
+        t, xs = [np.inf, 0.25, -np.inf], [0.0, 0.5, 1.0]
+        if change == "sign of zero":
+            t[1] = -0.0
+        elif change == "length":
+            t, xs = [np.inf, 0.0, 0.0, -np.inf], [0.0, 0.5, 0.5, 1.0]
+        other = RocCurve(t, xs, xs, kind="real")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        with pytest.raises(ValueError) as err:
+            curve_to_csv(first, a, more=((other, b),))
+        assert str(err.value) == f"curve for {b}: thresholds differ from those for {a}"
+        assert not a.exists() and not b.exists()
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_bytes(b"\xef\xbb\xbfthreshold,x,y\r\ninf,0.0,0.0\r\n\r\n-inf,1.0,1.0\r\n")
+        curve = curve_from_csv(path, kind="spu")
+        assert curve.thresholds.tolist() == [np.inf, -np.inf]
+        assert curve.xs.tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0.5,abc,0.5", "row 2, column 'x': could not parse 'abc' as a number"),
+            ("0.5,0.5,", "row 2, column 'y': missing value"),
+            ("0.5,0.5", "row 2: expected 3 fields, got 2"),
+            ("0.5,0.5,0.5,0.5", "row 2: expected 3 fields, got 4"),
+            (
+                "0.5,0.5," + "9" * (csv.field_size_limit() + 1),
+                f"row 2: field larger than field limit ({csv.field_size_limit()})",
+            ),
+        ],
+        ids=["bad cell", "missing cell", "short row", "long row", "field over the limit"],
+    )
+    def test_bad_row_is_named(self, tmp_path, row, message):
+        path = tmp_path / "curve.csv"
+        path.write_text(f"threshold,x,y\ninf,0.0,0.0\n{row}\n-inf,1.0,1.0\n")
+        with pytest.raises(ValueError) as err:
+            curve_from_csv(path, kind="spu")
+        assert str(err.value) == message
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        for text in ("", "threshold,x,y\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="empty curve file"):
+                curve_from_csv(path, kind="spu")
 
     def test_missing_columns_named(self, tmp_path):
         path = tmp_path / "curve.csv"

@@ -307,6 +307,27 @@ class TestModelIo:
         with pytest.raises(ValueError, match="architecture"):
             ScoringModel("boosted-trees", 3, 0, np.zeros(4))
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((None, 3, 0, np.zeros(4)), "field 'arch' must be str, got NoneType"),
+            ((ARCH_LINEAR, 3.0, 0, np.zeros(4)), "field 'feature_dim' must be int, got float"),
+            ((ARCH_MLP, 3, False, np.zeros(4)), "field 'hidden_width' must be int, got bool"),
+            ((ARCH_LINEAR, -1, 0, np.zeros(0)), "field 'feature_dim' must be positive, got -1"),
+            ((ARCH_LINEAR, 3, 0, ["1", "2", "3", "4"]), "field 'params' must hold numbers"),
+            ((ARCH_LINEAR, 3, 0, np.array([True, False, True, True])),
+             "field 'params' must hold numbers"),
+        ],
+    )
+    def test_wrongly_typed_fields_named(self, args, message):
+        with pytest.raises(ValueError) as err:
+            ScoringModel(*args)
+        assert str(err.value).startswith(message)
+
+    def test_numpy_integer_sizes_accepted(self):
+        model = ScoringModel(ARCH_MLP, np.int64(2), np.int32(3), np.zeros(13, dtype=np.int64))
+        assert model.params.dtype == np.float64
+
     @pytest.mark.parametrize("value, shown", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")])
     def test_non_finite_params_named(self, value, shown):
         params = np.zeros(4)
