@@ -403,8 +403,6 @@ class TestCurveIo:
             alone = tmp_path / f"alone{i}.csv"
             curve_to_csv(curve, alone)
             assert together[i].read_bytes() == alone.read_bytes()
-            curve_to_csv_ref(curve, tmp_path / "ref.csv")
-            assert alone.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     @pytest.mark.parametrize("change", ["value", "sign of zero", "length"])
     def test_curves_with_other_thresholds_refused(self, tmp_path, change):
