@@ -28,14 +28,19 @@ from .experiment import (
     run_experiment,
     seed_field,
 )
-from .labeling import check_counts_from_csv, fit_prior, mean_log_likelihood, prior_to_json
+from .labeling import (
+    check_counts_from_csv,
+    fit_prior,
+    fitted_mean_log_likelihood,
+    prior_to_json,
+)
 from .metrics import (
     auc,
     bound_report,
     curve_to_csv,
     fpr_spu,
-    roc_real,
     roc_spu,
+    roc_spu_and_real,
     save_json,
     tpr_spu,
 )
@@ -131,11 +136,13 @@ def cmd_eval(args) -> int:
     data = build_dataset(config_field(config, "dataset", dict, required=True), seed)
     scores = _scores_for(config, data)
 
-    curve = roc_spu(data, scores)
+    if data.true_labels is None:
+        curve, real_curve = roc_spu(data, scores), None
+    else:
+        curve, real_curve = roc_spu_and_real(data, scores)
     record = {"spu.auc": auc(curve), "n_samples": len(data)}
     more = ()
-    if data.true_labels is not None:
-        real_curve = roc_real(data, scores)
+    if real_curve is not None:
         record["real.auc"] = auc(real_curve)
         # both curves sweep the same scores, so they share the threshold text
         more = ((real_curve, out / "curve_real.csv"),)
@@ -187,7 +194,7 @@ def cmd_fit_prior(args) -> int:
         tol=config_field(config, "tol", float, default=1e-9),
     )
     prior_to_json(prior, out / "prior.json")
-    loglik = mean_log_likelihood(n, k, prior)
+    loglik = fitted_mean_log_likelihood(prior)
     print(
         f"wrote {out / 'prior.json'} ({n.size} records, "
         f"{len(prior.objective_trace) - 1} iterations, "
@@ -207,6 +214,7 @@ def cmd_frontier(args) -> int:
         problem = problem_from_json(problem_cfg)
     else:
         problem = DiscreteProblem.from_dict(problem_cfg)
+    _check_mask_digits(problem.n_cells)
 
     record = {"n_cells": problem.n_cells, "class_prior": problem.class_prior}
     for kind in config_field(config, "kinds", list, default=["spu", "real"]):
@@ -225,6 +233,26 @@ def cmd_frontier(args) -> int:
     save_json(record, out / "frontier.json")
     print(f"wrote {out / 'frontier.json'}")
     return 0
+
+
+def _check_mask_digits(n_cells: int) -> None:
+    """Refuse a problem whose classifier bitmasks JSON cannot write.
+
+    ``frontier.json`` holds bitmasks as decimal integers, and the mask of the
+    classifier that takes every cell, ``2**n_cells - 1``, is always written.
+    Python refuses to turn an integer of more than
+    ``sys.get_int_max_str_digits()`` digits into text (0 means no limit).
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return
+    max_cells = (10**limit).bit_length() - 1  # largest m with 2**m < 10**limit
+    if n_cells > max_cells:
+        raise ValueError(
+            f"problem has {n_cells} cells, but frontier.json can hold at most "
+            f"{max_cells}: its classifier bitmasks would exceed Python's limit of "
+            f"{limit} digits for integer text (sys.get_int_max_str_digits())"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -154,13 +154,18 @@ def mlp_epochs(params, X, s, order, batch_size, lr, l2, hidden):
     return trace
 
 
-def _eg_objective(Bf, f, dtheta, lam, w):
-    """The objective at ``f``, given its product ``Bf = B @ f``."""
+# the reductions of ndarray.min/max/sum without their Python-level frames
+_min, _max, _sum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
+
+
+def _eg_objective(Bf, f, dtheta, penalty, w):
+    """The objective at ``f``, given its product ``Bf = B @ f`` and
+    ``penalty = lam * dtheta``."""
     den = Bf * dtheta
     # nan fails both tests, as min and max propagate it
-    if not (den.min() > 0.0 and den.max() < np.inf):
+    if not (_min(den) > 0.0 and _max(den) < np.inf):
         return np.inf
-    return -(w @ np.log(den)) + lam * dtheta * (f * f).sum()
+    return -(w @ np.log(den, out=den)) + penalty * _sum(f * f)
 
 
 def eg_minimize(B, f0, dtheta, lam, step0, max_iters, tol, w):
@@ -178,22 +183,29 @@ def eg_minimize(B, f0, dtheta, lam, step0, max_iters, tol, w):
     holds the objective at the start plus each accepted iterate.
 
     Each trial costs one product ``B @ f``; the accepted trial's product
-    also gives the next gradient.
+    also gives the next gradient. A trial's update is formed in one buffer,
+    which becomes ``f`` if the trial is accepted.
     """
     f = f0.copy()
     Bf = B @ f
-    obj = _eg_objective(Bf, f, dtheta, lam, w)
+    penalty = lam * dtheta
+    obj = _eg_objective(Bf, f, dtheta, penalty, w)
     trace = [obj]
     step = step0
+    grad_scale = 2.0 * lam * dtheta
+    BT = B.T
     for _ in range(max_iters):
-        grad = 2.0 * lam * dtheta * f - B.T @ (w / Bf)
+        grad = grad_scale * f
+        grad -= BT @ (w / Bf)
         accepted = False
         while step > 1e-18:
-            v = -step * grad
-            y = f * np.exp(v - v.max())
-            f_new = y / y.sum()
+            f_new = np.multiply(grad, -step)
+            f_new -= _max(f_new)
+            np.exp(f_new, out=f_new)
+            f_new *= f
+            f_new /= _sum(f_new)
             Bf_new = B @ f_new
-            obj_new = _eg_objective(Bf_new, f_new, dtheta, lam, w)
+            obj_new = _eg_objective(Bf_new, f_new, dtheta, penalty, w)
             if obj_new <= obj:
                 accepted = True
                 break

@@ -14,11 +14,18 @@ simplex), and assigns soft label ``1 - posterior_mean(theta)``.
 The fit and its log-likelihood take the check counts as two int64 arrays
 ``n, k`` with one entry per user, as :func:`check_counts_from_csv` reads
 them; :class:`CheckRecord` is the per-user form that
-:func:`bayes_soft_label` labels.
+:func:`bayes_soft_label` labels. The reader streams the file: one scan of
+its bytes in fixed-size chunks vouches for it, then one ``np.loadtxt`` pass
+reads the two columns, so neither the decoded text nor a list of its lines
+is ever held. Users enter the fit, its log-likelihood and the array labels
+only through their distinct (n, k) pairs, which are found in linear time by
+counting keys whenever the pairs span a range not much wider than the user
+count (every history shorter than a few thousand days, in practice).
 """
 
 import codecs
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -116,8 +123,10 @@ class DiscretePrior:
             object.__setattr__(self, "_log_weights", np.log(weights))
         # one product gives the posterior's numerator and normalizer
         object.__setattr__(self, "_theta_and_one", np.stack([grid, np.ones_like(grid)]))
-        # (n, k) -> posterior pass probability, filled by posterior_pass_prob
+        # (n, k) -> posterior pass probability and soft label, filled by
+        # posterior_pass_prob and bayes_soft_label
         object.__setattr__(self, "_posteriors", {})
+        object.__setattr__(self, "_labels", {})
 
     @classmethod
     def uniform(cls, grid_size: int, margin: float = GRID_MARGIN) -> "DiscretePrior":
@@ -202,8 +211,15 @@ def _posterior_pass_prob(record: CheckRecord, prior: DiscretePrior) -> float:
 
 
 def bayes_soft_label(record: CheckRecord, prior: DiscretePrior) -> float:
-    """Soft label ``1 - posterior_pass_prob``: low pass rates mean high risk."""
-    return 1.0 - posterior_pass_prob(record, prior)
+    """Soft label ``1 - posterior_pass_prob``: low pass rates mean high risk.
+
+    Kept per prior like the posterior, so a repeated pair costs one lookup.
+    """
+    try:
+        return prior._labels[record.n, record.k]
+    except KeyError:
+        label = prior._labels[record.n, record.k] = 1.0 - posterior_pass_prob(record, prior)
+        return label
 
 
 def bayes_soft_labels(n, k, prior: DiscretePrior) -> np.ndarray:
@@ -240,15 +256,33 @@ def _as_counts(n, k):
     return n, k
 
 
+# _group_pairs counts keys when there are at most this many per row
+COUNTED_KEYS_PER_ROW = 4
+
+
 def _group_pairs(n, k):
     """The distinct pairs of int64 arrays ``n, k`` and each row's pair.
 
     Returns the pairs in (n, k) order as an int64 (p, 2) array, as
-    np.unique(axis=0) gives them at about five times the cost, and the
-    index of each row's pair among them. Rows are sorted on one int64 key
-    ``n * (max k + 1) + k`` where that cannot overflow, on (n, k) otherwise.
+    np.unique(axis=0) gives them at many times the cost, and the index of
+    each row's pair among them. Each row gets the key ``(n - min n) * (max
+    k + 1) + k``, which orders the pairs. When the keys span at most
+    :data:`COUNTED_KEYS_PER_ROW` values per row, the pairs are found by
+    counting keys, in linear time. Otherwise rows are sorted on the key
+    ``n * (max k + 1) + k`` where that cannot overflow, on (n, k) if it can.
     """
     span = int(k.max()) + 1
+    lo = int(n.min())
+    if (int(n.max()) - lo + 1) * span <= COUNTED_KEYS_PER_ROW * n.size:
+        key = n - lo
+        key *= span
+        key += k
+        present = np.bincount(key).astype(bool)
+        rank = np.cumsum(present)
+        rank -= 1
+        n_of, k_of = np.divmod(np.flatnonzero(present), span)
+        n_of += lo
+        return np.stack([n_of, k_of], axis=1), rank[key]
     if int(n.max()) <= (MAX_CHECK_DAYS - span + 1) // span:
         key = n * span + k
         order = np.argsort(key)
@@ -302,10 +336,11 @@ def _cell_width(grid) -> float:
     return float(grid[1] - grid[0]) if grid.size > 1 else 1.0
 
 
-def _log_mixture(n, k, prior: DiscretePrior):
+def _log_mixture(likelihoods, prior: DiscretePrior):
     """Per-pair ``log(dtheta * sum_j B_ij f_j)`` (``-inf`` without support),
-    with the pairs and their weights."""
-    pairs, w, B, m = _pair_likelihoods(n, k, prior.grid)
+    with the pairs and their weights, from ``_pair_likelihoods`` on the
+    prior's grid."""
+    pairs, w, B, m = likelihoods
     with np.errstate(divide="ignore", invalid="ignore"):
         log_den = m + np.log((B @ prior.weights) * _cell_width(prior.grid))
     return pairs, w, np.where(np.isfinite(m), log_den, -np.inf)
@@ -338,7 +373,9 @@ def fit_prior(
     Returns the prior with the lowest objective seen (the last accepted
     iterate, since accepted steps never increase the objective), carrying
     the accepted-objective trace and whether the last accepted decrease fell
-    below ``tol``.
+    below ``tol``. The prior also keeps the pair likelihoods the fit built,
+    from which :func:`fitted_mean_log_likelihood` reports without grouping
+    the users again.
     """
     if not (math.isfinite(step_size) and step_size > 0.0):
         raise ValueError(f"step_size must be finite and > 0, got {step_size!r}")
@@ -365,17 +402,19 @@ def fit_prior(
     # guard against float drift from the multiplicative updates
     weights = np.maximum(weights, 0.0)
     weights = weights / weights.sum()
-    return DiscretePrior(
+    prior = DiscretePrior(
         grid=start.grid,
         weights=weights,
         objective_trace=tuple(float(v) for v in trace),
         converged=bool(converged),
     )
+    object.__setattr__(prior, "_fit_likelihoods", (pairs, w, B, m))
+    return prior
 
 
 def fit_objective(n, k, prior: DiscretePrior, lam: float) -> float:
     """The fitted objective at an arbitrary prior (binomial factor dropped)."""
-    _, w, log_den = _log_mixture(n, k, prior)
+    _, w, log_den = _log_mixture(_pair_likelihoods(n, k, prior.grid), prior)
     if np.any(log_den == -np.inf):
         return float("inf")
     return float(-(w @ log_den) + lam * _cell_width(prior.grid) * np.sum(prior.weights**2))
@@ -383,7 +422,24 @@ def fit_objective(n, k, prior: DiscretePrior, lam: float) -> float:
 
 def mean_log_likelihood(n, k, prior: DiscretePrior) -> float:
     """Reported mean log-likelihood, including the binomial coefficients."""
-    pairs, w, log_den = _log_mixture(n, k, prior)
+    return _mean_log_likelihood(_pair_likelihoods(n, k, prior.grid), prior)
+
+
+def fitted_mean_log_likelihood(prior: DiscretePrior) -> float:
+    """:func:`mean_log_likelihood` of the check counts ``prior`` was fit to.
+
+    Takes the pair likelihoods :func:`fit_prior` kept, so the users are not
+    grouped again; the result has the same bits. Only a prior returned by
+    :func:`fit_prior` has them.
+    """
+    likelihoods = getattr(prior, "_fit_likelihoods", None)
+    if likelihoods is None:
+        raise ValueError("prior was not returned by fit_prior: no fitted check counts")
+    return _mean_log_likelihood(likelihoods, prior)
+
+
+def _mean_log_likelihood(likelihoods, prior: DiscretePrior) -> float:
+    pairs, w, log_den = _log_mixture(likelihoods, prior)
     if np.any(log_den == -np.inf):
         return float("-inf")
     return float(w @ (log_den + _log_binomials(pairs)))
@@ -447,15 +503,18 @@ def check_label_separation(soft_labels, true_labels, pi: float) -> LabelSeparati
 def check_counts_from_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Each user's (n, k) from a check-records CSV with columns user_id, n, k.
 
-    Returns two int64 arrays in row order, parsed column-wise in one pass
-    (see :func:`_counts_from_columns`). A file that pass refuses is read row
-    by row instead, which either loads it or names the first bad row (the
-    header is row 0). One leading UTF-8 byte-order mark is skipped.
+    Returns two int64 arrays in row order, read from the open file by one
+    scan and one column-wise pass (see :func:`_counts_from_columns`). A file
+    that pass refuses is read row by row instead, which either loads it or
+    names the first bad row (the header is row 0). One leading UTF-8
+    byte-order mark is skipped.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    counts = _counts_from_columns(path.read_bytes())
+    with path.open("rb") as fh:
+        # the column pass reads the file twice; a pipe is read into memory
+        counts = _counts_from_columns(fh if fh.seekable() else fh.read())
     if counts is not None:
         return counts
     ns, ks = [], []
@@ -502,44 +561,91 @@ def records_from_csv(path) -> list[CheckRecord]:
 # them; and some other characters end a line for str.splitlines but not for
 # csv.
 _VOUCHED_BYTES = b"\t\n\r" + bytes(range(0x20, 0x7F)).replace(b'"', b"")
+# the scan reads a records file this many bytes at a time
+SCAN_CHUNK_BYTES = 1 << 20
 
 
-def _counts_from_columns(raw: bytes) -> tuple[np.ndarray, np.ndarray] | None:
-    """The check counts in the bytes of a records CSV, or None if the row
-    loop of :func:`check_counts_from_csv` must read them.
+def _counts_from_columns(source) -> tuple[np.ndarray, np.ndarray] | None:
+    """The check counts of a records CSV, or None if the row loop of
+    :func:`check_counts_from_csv` must read them.
 
-    One leading byte-order mark is skipped. None unless the rest has only
+    ``source`` is a binary file open at its start, or the file's bytes. One
+    leading byte-order mark is skipped. None unless the rest has only
     vouched bytes, a first line naming one ``n`` and one ``k`` column, a
     data line that is not blank, no line over the csv field size limit, and
     on every data line ``n`` and ``k`` cells that parse to int64 with
-    0 <= k <= n. ``loadtxt`` reads those cells by position, as the row loop
-    does, and refuses a row too short to hold them; both skip blank lines.
+    0 <= k <= n. ``\\r``, ``\\n`` and ``\\r\\n`` each end a line. A scan
+    of the bytes in chunks checks all but the cells; then ``loadtxt`` reads
+    those cells by position from the same file, as the row loop does, and
+    refuses a row too short to hold them; both skip blank lines.
     """
-    raw = raw.removeprefix(codecs.BOM_UTF8)
-    if raw.translate(None, _VOUCHED_BYTES):
+    fh = io.BytesIO(source) if isinstance(source, bytes) else source
+    if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+        fh.seek(0)
+    start = fh.tell()
+    usecols = _scan_records(fh)
+    if usecols is None:
         return None
-    lines = raw.decode("ascii").splitlines()
-    header = lines[0].split(",") if lines else []
-    if header.count("n") != 1 or header.count("k") != 1:
-        return None
-    if not any(lines[1:]) or max(map(len, lines)) > csv.field_size_limit():
-        return None
+    fh.seek(start)
+    text = io.TextIOWrapper(fh, encoding="ascii", newline=None)
     try:
         table = np.loadtxt(
-            lines,
+            text,
             delimiter=",",
             comments=None,
             skiprows=1,
-            usecols=(header.index("n"), header.index("k")),
+            usecols=usecols,
             dtype=np.int64,
             ndmin=2,
         )
     except ValueError:
         return None
+    finally:
+        text.detach()
     n, k = table[:, 0].copy(), table[:, 1].copy()
+    del table  # before the checks allocate
     if np.any(k < 0) or np.any(k > n):
         return None
     return n, k
+
+
+def _scan_records(fh) -> tuple[int, int] | None:
+    """The positions of the n and k columns if the rest of ``fh`` passes the
+    byte, header, blank-line and line-length rules of
+    :func:`_counts_from_columns`, else None.
+
+    Reads :data:`SCAN_CHUNK_BYTES` at a time and keeps only the first line
+    and the length of the line open at the end of the last chunk.
+    """
+    limit = csv.field_size_limit()
+    header = None  # the first line once its end is read
+    first = b""  # the first line's bytes before that
+    has_data = False
+    open_len = 0  # the length of the line the last chunk left open
+    while chunk := fh.read(SCAN_CHUNK_BYTES):
+        if chunk.translate(None, _VOUCHED_BYTES):
+            return None
+        # a line ends at \r, \n or \r\n; the empty line \r\n makes does not matter
+        chunk = chunk.replace(b"\r", b"\n")
+        ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+        # the lengths of the lines this chunk ends, then of the one it leaves open
+        lengths = np.diff(ends, prepend=-1 - open_len, append=len(chunk)) - 1
+        if lengths.max() > limit:
+            return None
+        open_len = int(lengths[-1])
+        rest = chunk
+        if header is None:
+            if not ends.size:
+                first += chunk
+                continue
+            header = (first + chunk[: ends[0]]).decode("ascii").split(",")
+            rest = chunk[ends[0] :]
+        has_data = has_data or bool(rest.strip(b"\n"))
+    if header is None or not has_data:
+        return None
+    if header.count("n") != 1 or header.count("k") != 1:
+        return None
+    return header.index("n"), header.index("k")
 
 
 def prior_to_json(prior: DiscretePrior, path) -> None:

@@ -161,54 +161,84 @@ class RocCurve:
         return np.column_stack([self.xs, self.ys])
 
 
-def _threshold_sweep(scores, pos_weight, neg_weight):
-    """Weighted confusion sums at every distinct threshold.
+def _score_order(scores):
+    """The threshold sweep of a score vector: ``(order, ends, thresholds)``.
 
     Predictions follow the strict rule score > T. Samples with equal scores
     enter the positive set together. T sweeps the distinct score values top
     down plus a final -inf, so every achievable split appears exactly once,
-    from the empty split (equivalently T = +inf) to the full one.
+    from the empty split (equivalently T = +inf) to the full one. ``order``
+    sorts the scores top down, ties in sample order, and ``ends[i]`` is the
+    last sorted position of the i-th distinct score.
     """
     order = np.argsort(-scores, kind=_TIE_KIND)
     s_sorted = scores[order]
     boundaries = np.nonzero(np.diff(s_sorted))[0]
     ends = np.concatenate([boundaries, [s_sorted.size - 1]])
+    thresholds = np.concatenate([[s_sorted[0]], s_sorted[ends[:-1] + 1], [-np.inf]])
+    return order, ends, thresholds
+
+
+def _swept_curve(sweep, pos_weight, neg_weight, kind) -> RocCurve:
+    """The curve of weighted confusion sums at every threshold of ``sweep``."""
+    order, ends, thresholds = sweep
     tp_cum = np.cumsum(pos_weight[order])[ends]
     fp_cum = np.cumsum(neg_weight[order])[ends]
     pos_total = tp_cum[-1]
     neg_total = fp_cum[-1]
     ys = np.concatenate([[0.0], tp_cum / pos_total])
     xs = np.concatenate([[0.0], fp_cum / neg_total])
-    thresholds = np.concatenate([[s_sorted[0]], s_sorted[ends[:-1] + 1], [-np.inf]])
-    return thresholds, xs, ys
+    return RocCurve(thresholds, xs, ys, kind=kind)
 
 
-def roc_spu(data, scores) -> RocCurve:
-    """Substitute ROC: sweep of (fpr_spu, tpr_spu) over all thresholds."""
-    s = _soft_vector(data)
+def _checked_scores(labels, scores) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
-    _check_lengths(s, scores, "scores")
+    _check_lengths(labels, scores, "scores")
     _check_finite(scores, "scores")
+    return scores
+
+
+def _spu_inputs(data, scores):
+    s = _soft_vector(data)
+    scores = _checked_scores(s, scores)
     if s.sum() <= 0.0:
         raise ValueError("no positive soft mass: sum of soft labels is 0")
     if (1.0 - s).sum() <= 0.0:
         raise ValueError("no negative soft mass: sum of (1 - soft label) is 0")
-    thresholds, xs, ys = _threshold_sweep(scores, s, 1.0 - s)
-    return RocCurve(thresholds, xs, ys, kind="spu")
+    return s, scores
 
 
-def roc_real(data, scores) -> RocCurve:
-    """Classical ROC over true labels."""
+def _real_inputs(data, scores):
     y = _true_vector(data)
-    scores = np.asarray(scores, dtype=np.float64)
-    _check_lengths(y, scores, "scores")
-    _check_finite(scores, "scores")
+    scores = _checked_scores(y, scores)
     if y.sum() == 0:
         raise ValueError("positive class (Y=1) is empty")
     if (1 - y).sum() == 0:
         raise ValueError("negative class (Y=0) is empty")
-    thresholds, xs, ys = _threshold_sweep(scores, y, 1.0 - y)
-    return RocCurve(thresholds, xs, ys, kind="real")
+    return y, scores
+
+
+def roc_spu(data, scores) -> RocCurve:
+    """Substitute ROC: sweep of (fpr_spu, tpr_spu) over all thresholds."""
+    s, scores = _spu_inputs(data, scores)
+    return _swept_curve(_score_order(scores), s, 1.0 - s, "spu")
+
+
+def roc_real(data, scores) -> RocCurve:
+    """Classical ROC over true labels."""
+    y, scores = _real_inputs(data, scores)
+    return _swept_curve(_score_order(scores), y, 1.0 - y, "real")
+
+
+def roc_spu_and_real(data, scores) -> tuple[RocCurve, RocCurve]:
+    """:func:`roc_spu` and :func:`roc_real` of one score vector, sorted once.
+
+    Both curves have the bits the two calls give, and share their thresholds.
+    """
+    s, scores = _spu_inputs(data, scores)
+    y, _ = _real_inputs(data, scores)
+    sweep = _score_order(scores)
+    return _swept_curve(sweep, s, 1.0 - s, "spu"), _swept_curve(sweep, y, 1.0 - y, "real")
 
 
 def auc(curve: RocCurve) -> float:

@@ -401,7 +401,15 @@ class TestEvalAndBound:
                 "model": str(model_path),
             },
         )
-        assert run(cfg, command, tmp_path / "out") == 1
+        # scoring row 1 overflows in the product, which numpy reports
+        with pytest.warns(RuntimeWarning) as caught:
+            assert run(cfg, command, tmp_path / "out") == 1
+        messages = {str(w.message) for w in caught}
+        assert "invalid value encountered in matmul" in messages
+        assert messages <= {
+            "overflow encountered in matmul",
+            "invalid value encountered in matmul",
+        }
         assert "scores must be finite: index 1 is nan" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "bound-check"])
@@ -727,6 +735,48 @@ class TestFrontierCommand:
         )
         assert run(cfg, "frontier", tmp_path / "out") == 0
 
+
+    @pytest.fixture
+    def digit_limit(self):
+        """Sets Python's integer-text digit limit for one test."""
+        before = sys.get_int_max_str_digits()
+        yield sys.set_int_max_str_digits
+        sys.set_int_max_str_digits(before)
+
+    @staticmethod
+    def equal_mass_problem(m):
+        eta = np.linspace(0.05, 0.95, m)
+        return {"masses": [1.0 / m] * m, "eta": eta.tolist(), "eta_s": eta.tolist()}
+
+    def test_more_cells_than_bitmask_text_allows_is_named(self, tmp_path, capsys, digit_limit):
+        digit_limit(4300)  # Python's default
+        cfg = write_config(tmp_path, "front.json", {"problem": self.equal_mass_problem(15000)})
+        out = tmp_path / "out"
+        assert run(cfg, "frontier", out) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: problem has 15000 cells, but frontier.json can hold at most 14284: "
+            "its classifier bitmasks would exceed Python's limit of 4300 digits for "
+            "integer text (sys.get_int_max_str_digits())\n"
+        )
+        assert not (out / "frontier.json").exists()
+
+    def test_cell_limit_is_exact(self, tmp_path, capsys, digit_limit):
+        digit_limit(640)  # the lowest limit Python allows
+        most = 2126
+        str((1 << most) - 1)  # the full classifier's mask at the most cells fits
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            str((1 << (most + 1)) - 1)
+        for m, status in ((most + 1, 1), (most, 0)):
+            problem = {"problem": self.equal_mass_problem(m), "kinds": ["spu"]}
+            assert run(write_config(tmp_path, "front.json", problem), "frontier", tmp_path) == status
+        assert capsys.readouterr().err == (
+            f"error: problem has {most + 1} cells, but frontier.json can hold at most {most}: "
+            "its classifier bitmasks would exceed Python's limit of 640 digits for "
+            "integer text (sys.get_int_max_str_digits())\n"
+        )
+        record = json.loads((tmp_path / "frontier.json").read_text())
+        assert record["spu"]["vertex_masks"][-1] == (1 << most) - 1
 
     def test_two_thousand_cells(self, tmp_path):
         # far beyond 2^m enumeration: the frontiers come from the threshold chain

@@ -3,9 +3,14 @@
 import codecs
 import csv
 import hashlib
+import io
+import os
 import re
+import threading
+import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +28,7 @@ from softpu.labeling import (
     check_label_separation,
     fit_objective,
     fit_prior,
+    fitted_mean_log_likelihood,
     mean_log_likelihood,
     posterior_pass_prob,
     prior_from_json,
@@ -596,6 +602,49 @@ def test_column_pass_agrees_with_row_loop(tmp_path_factory, text):
     assert outcome(records_from_csv, path) == outcome(records_reference, path)
 
 
+def counts_from_columns_reference(raw):
+    """The column pass as it read a whole file's bytes before it streamed:
+    the reference for the rules the scan applies chunk by chunk."""
+    raw = raw.removeprefix(codecs.BOM_UTF8)
+    if raw.translate(None, labeling._VOUCHED_BYTES):
+        return None
+    lines = raw.decode("ascii").splitlines()
+    header = lines[0].split(",") if lines else []
+    if header.count("n") != 1 or header.count("k") != 1:
+        return None
+    if not any(lines[1:]) or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, skiprows=1,
+                           usecols=(header.index("n"), header.index("k")),
+                           dtype=np.int64, ndmin=2)
+    except ValueError:
+        return None
+    n, k = table[:, 0], table[:, 1]
+    if np.any(k < 0) or np.any(k > n):
+        return None
+    return n.tolist(), k.tolist()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    text=records_files(),
+    bom=st.booleans(),
+    chunk=st.sampled_from([1, 2, 3, 5, 8, 64, 1 << 20]),
+    limit=st.sampled_from([3, 6, 12, 131072]),
+)
+def test_streamed_column_pass_agrees_with_the_whole_file_pass(text, bom, chunk, limit):
+    raw = codecs.BOM_UTF8 * bom + text.encode("utf-8")
+    old_limit = csv.field_size_limit(limit)
+    try:
+        want = counts_from_columns_reference(raw)
+        with mock.patch.object(labeling, "SCAN_CHUNK_BYTES", chunk):
+            got = labeling._counts_from_columns(raw)
+    finally:
+        csv.field_size_limit(old_limit)
+    assert (None if got is None else (got[0].tolist(), got[1].tolist())) == want
+
+
 def benchmark_records(seed, users):
     """A records CSV shaped like the benchmark's: n on 5..30, bimodal pass rates."""
     rng = np.random.default_rng(seed)
@@ -690,3 +739,97 @@ class TestCheckCounts:
         want, inverse = np.unique(np.stack([n, k], axis=1), axis=0, return_inverse=True)
         assert np.array_equal(pairs, want)
         assert np.array_equal(index, inverse.ravel())
+
+    def test_records_from_a_pipe(self, tmp_path):
+        raw, n, k = benchmark_records(43, 3000)
+        path = tmp_path / "records.pipe"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(raw,))
+        writer.start()
+        try:
+            got = check_counts_from_csv(path)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        for column, want in zip(got, (n, k)):
+            assert np.array_equal(column, want)
+
+    def test_parse_peak_stays_within_three_times_the_file(self, tmp_path):
+        raw, n, k = benchmark_records(41, 200_000)
+        path = tmp_path / "records.csv"
+        path.write_bytes(raw)
+        tracemalloc.start()
+        try:
+            got = check_counts_from_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for column, want in zip(got, (n, k)):
+            assert np.array_equal(column, want)
+        assert peak <= 3 * len(raw)
+
+    def test_fitted_log_likelihood_has_the_bits_of_a_fresh_grouping(self):
+        _, n, k = benchmark_records(7, 5000)
+        for n, k in (check_counts_from_csv(FIXTURES / "check_records.csv"), (n, k)):
+            prior = fit_prior(n, k, max_iters=30)
+            fitted = fitted_mean_log_likelihood(prior)
+            assert np.float64(fitted).tobytes() == np.float64(
+                mean_log_likelihood(n, k, prior)
+            ).tobytes()
+        with pytest.raises(ValueError, match="^prior was not returned by fit_prior"):
+            fitted_mean_log_likelihood(DiscretePrior(prior.grid, prior.weights))
+
+
+def sorted_groups(n, k):
+    """``_group_pairs`` with key counting turned off: the argsort path, or
+    the lexsort path where one int64 key would overflow."""
+    with mock.patch.object(labeling, "COUNTED_KEYS_PER_ROW", 0):
+        return labeling._group_pairs(n, k)
+
+
+def counts_keys(n, k):
+    """Whether ``_group_pairs`` groups these counts by counting keys."""
+    size = (int(n.max()) - int(n.min()) + 1) * (int(k.max()) + 1)
+    return size <= labeling.COUNTED_KEYS_PER_ROW * n.size
+
+
+class TestGroupPairs:
+    @pytest.mark.parametrize(
+        "rows, lo, width, k_cap, counted",
+        [
+            (20000, 5, 26, 31, True),  # the benchmark's shape
+            (500, 10**6, 10, 6, True),  # long histories on a narrow range
+            (50, 0, 40, 5, True),  # 40 * 5 keys: exactly four per row
+            (49, 0, 40, 5, False),  # one row fewer: sorted
+            (500, 0, 10**6, 30, False),
+            (500, 2**62, 10, 6, True),  # n * (max k + 1) overflows: the sort path is lexsort
+            (500, 0, 2**62, 6, False),  # lexsort
+        ],
+    )
+    def test_counting_equals_sorting(self, rows, lo, width, k_cap, counted):
+        rng = np.random.default_rng(rows + width)
+        n = lo + rng.integers(0, width, rows)
+        n[:2] = lo, lo + width - 1
+        k = rng.integers(0, k_cap, rows) % (n - lo + 1)
+        k[1] = k_cap - 1
+        assert counts_keys(n, k) is counted
+        pairs, index = labeling._group_pairs(n, k)
+        want_pairs, want_index = sorted_groups(n, k)
+        assert pairs.dtype == want_pairs.dtype == np.int64
+        assert np.array_equal(pairs, want_pairs)
+        assert np.array_equal(index, want_index)
+        unique, inverse = np.unique(np.stack([n, k], axis=1), axis=0, return_inverse=True)
+        assert np.array_equal(pairs, unique)
+        assert np.array_equal(index, inverse.ravel())
+
+    def test_counting_equals_sorting_on_random_counts(self):
+        rng = np.random.default_rng(5)
+        seen = set()
+        for _ in range(200):
+            rows = int(rng.integers(1, 60))
+            n = int(rng.integers(0, 5)) + rng.integers(0, int(rng.integers(1, 60)), rows)
+            k = rng.integers(0, 12, rows) % (n + 1)
+            seen.add(counts_keys(n, k))
+            got, want = labeling._group_pairs(n, k), sorted_groups(n, k)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert seen == {True, False}

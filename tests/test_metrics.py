@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softpu.dataset import CHUNK_ROWS, GscarConfig, gen_gscar
 from softpu.metrics import (
@@ -28,6 +30,7 @@ from softpu.metrics import (
     mixture_coefficients,
     roc_real,
     roc_spu,
+    roc_spu_and_real,
     tpr,
     tpr_spu,
 )
@@ -176,6 +179,54 @@ class TestSweep:
         pred = (scores > 0.5).astype(float)
         assert tpr(y, pred) == tpr_spu(y, pred)
         assert fpr(y, pred) == fpr_spu(y, pred)
+
+
+def auc_spu_pairs(s, scores):
+    """The substitute AUC as a soft-weighted pair count, O(n^2): every sample
+    is positive with weight s and negative with weight 1 - s; a pair counts
+    when the positive scores higher, half when they tie (Fawcett 2006)."""
+    won = (scores[:, None] > scores[None, :]) + 0.5 * (scores[:, None] == scores[None, :])
+    return (s @ won @ (1.0 - s)) / (s.sum() * (1.0 - s).sum())
+
+
+@st.composite
+def scored_soft_labels(draw):
+    """Soft labels with both masses positive and scores with frequent ties."""
+    size = draw(st.integers(2, 40))
+    s = draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.9, 1.0]), min_size=size,
+                      max_size=size))
+    s[:2] = [0.0, 1.0]
+    values = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6))
+    scores = draw(st.lists(st.sampled_from(values), min_size=size, max_size=size))
+    return np.array(s), np.array(scores)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=scored_soft_labels())
+def test_auc_spu_is_the_soft_weighted_pair_count(data):
+    s, scores = data
+    assert auc_spu(s, scores) == pytest.approx(auc_spu_pairs(s, scores), rel=0, abs=1e-12)
+
+
+class TestSpuAndReal:
+    def test_curves_equal_the_separate_sweeps_bit_for_bit(self):
+        data = gen_gscar(GscarConfig(n=5000, pi=0.3, seed=12))
+        rng = np.random.default_rng(11)
+        for scores in (rng.choice([0.1, 0.4, 0.7, 0.9], 5000), rng.random(5000)):
+            spu, real = roc_spu_and_real(data, scores)
+            for got, want in ((spu, roc_spu(data, scores)), (real, roc_real(data, scores))):
+                assert got.kind == want.kind
+                for name in ("thresholds", "xs", "ys"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_inputs_are_checked_as_the_separate_sweeps_check_them(self):
+        data = gen_gscar(GscarConfig(n=50, pi=0.3, seed=2))
+        with pytest.raises(ValueError, match="scores length 3 != sample count 50"):
+            roc_spu_and_real(data, np.zeros(3))
+        bad = np.zeros(50)
+        bad[4] = np.nan
+        with pytest.raises(ValueError, match="scores must be finite: index 4 is nan"):
+            roc_spu_and_real(data, bad)
 
 
 class TestNonFiniteInputs:
