@@ -16,6 +16,7 @@ echo alone.
 
 import hashlib
 import json
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,7 +38,7 @@ from .dataset import (
     load_csv,
     pu_labelize,
 )
-from .kernels import sigmoid
+from .kernels import LOSS_CLIP, sigmoid
 from .labeling import (
     RuleStats,
     bayes_soft_labels,
@@ -55,6 +56,10 @@ from .metrics import (
 from .training import ARCH_LINEAR, ARCH_MLP, DEFAULT_HIDDEN, TrainConfig, train
 
 MIN_SPLIT_SIZE = 10
+# an arm warns when more than this share of its validation scores lie within
+# LOSS_CLIP of 0 or 1, where the training loss clips them (logits beyond
+# about +-16); the benchmark config puts none of its scores there
+SATURATED_SHARE_WARN = 0.1
 BENCHMARK_FEATURES = ("x1", "x2", "x3", "x4")
 BENCHMARK_SOFT_SOURCES = ("x1", "x2")
 
@@ -357,12 +362,28 @@ def _config_hash(config_echo: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
+def saturation_warning(arm: str, val_scores) -> str | None:
+    """The warning line for an arm whose validation scores are saturated:
+    more than ``SATURATED_SHARE_WARN`` of them within ``LOSS_CLIP`` of 0
+    or 1. None for a healthy arm."""
+    share = float(np.mean(np.minimum(val_scores, 1.0 - val_scores) <= LOSS_CLIP))
+    if share <= SATURATED_SHARE_WARN:
+        return None
+    return (
+        f"warning: {arm} training saturated: {share:.1%} of validation scores "
+        f"lie within {LOSS_CLIP:g} of 0 or 1 (more than {SATURATED_SHARE_WARN:.0%}); "
+        "its metrics are unreliable; try a lower model.learning_rate"
+    )
+
+
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run both arms and return the JSON-ready report.
 
     Reports validation substitute AUC (with its distribution bound) and,
     because the synthetic datasets keep their hidden truth, the real test
-    AUC per arm plus the soft-minus-baseline delta.
+    AUC per arm plus the soft-minus-baseline delta. Prints the
+    :func:`saturation_warning` line of each saturated arm on stderr; the
+    report does not change.
     """
     t0 = time.perf_counter()
     data = build_dataset(config.dataset, config.seed)
@@ -392,6 +413,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
         train_ds = arm_data.subset(tr_idx).with_soft_labels(targets[tr_idx])
         model = train(train_ds, arch, train_config_from(config.model, arm_seed), hidden)
         val_scores = model.scores(arm_data.features[val_idx])
+        line = saturation_warning(name, val_scores)
+        if line:
+            print(line, file=sys.stderr)
         test_scores = model.scores(arm_data.features[te_idx])
         metrics = {
             "validation.auc_spu": auc_spu(data.soft_labels[val_idx], val_scores),

@@ -39,11 +39,11 @@ def _logistic_inplace(z, b):
     np.reciprocal(z, out=z)
 
 
-def _batch_losses(g, s, starts):
+def _batch_losses(g, s, starts, sizes):
     """Mean clipped cross-entropy of each batch; overwrites ``g``.
 
-    ``g`` and ``s`` hold one epoch's outputs and targets in batch order, and
-    batch ``i`` starts at row ``starts[i]``.
+    ``g`` and ``s`` hold one epoch's outputs and targets in batch order,
+    batch ``i`` starts at row ``starts[i]`` and holds ``sizes[i]`` rows.
     """
     np.clip(g, LOSS_CLIP, 1.0 - LOSS_CLIP, out=g)
     ce = np.log(g)
@@ -52,8 +52,15 @@ def _batch_losses(g, s, starts):
     np.log(g, out=g)
     g *= 1.0 - s
     ce += g
-    sizes = np.diff(starts, append=g.shape[0])
     return -(np.add.reduceat(ce, starts) / sizes)
+
+
+def _batches(n, batch_size):
+    """Start rows and row counts of the mini-batches of ``n`` rows."""
+    starts = np.arange(0, n, batch_size)
+    sizes = np.full(starts.shape[0], float(batch_size))
+    sizes[-1] = n - starts[-1]
+    return starts, sizes
 
 
 def linear_epochs(params, X, s, order, batch_size, lr, l2):
@@ -64,37 +71,44 @@ def linear_epochs(params, X, s, order, batch_size, lr, l2):
     epoch ``e``, and ``k`` epochs run. The result is a pure function of the
     arguments; a caller may run one epoch per call with ``k = 1``. Returns
     the per-epoch mean batch loss.
+
+    A batch writes its gradient into one buffer laid out like ``params``
+    and applies it with ``grad *= lr; params -= grad``, the same bits as
+    ``params -= lr * grad``; see :func:`mlp_epochs`.
     """
     n, d = X.shape
-    starts = np.arange(0, n, batch_size)
+    starts, sizes = _batches(n, batch_size)
     trace = np.empty(order.shape[0])
     w = params[:d]
+    Xe = np.empty((n, d))
+    se = np.empty(n)
     g = np.empty(n)
     diff_full = np.empty(batch_size)
-    gw = np.empty(d)
+    grad = np.empty_like(params)
+    gw, gb = grad[:d], grad[d:]
     # divergence shows up as non-finite values caught by the caller
     with np.errstate(over="ignore", invalid="ignore"):
         for e, idx in enumerate(order):
-            Xe = X[idx]
-            se = s[idx]
+            np.take(X, idx, axis=0, out=Xe)
+            np.take(s, idx, out=se)
             diff = diff_full
             for start in range(0, n, batch_size):
                 stop = start + batch_size
                 Xb = Xe[start:stop]
-                gb = g[start:stop]
+                zb = g[start:stop]
                 if stop > n:
                     diff = diff_full[: n - start]
-                np.matmul(Xb, w, out=gb)
-                _logistic_inplace(gb, params[d])
-                np.subtract(gb, se[start:stop], out=diff)
+                np.dot(Xb, w, out=zb)
+                _logistic_inplace(zb, params[d])
+                np.subtract(zb, se[start:stop], out=diff)
                 diff /= diff.shape[0]
-                np.matmul(diff, Xb, out=gw)
+                np.dot(diff, Xb, out=gw)
                 if l2:
                     gw += l2 * w
-                gw *= lr
-                w -= gw
-                params[d] -= lr * diff.sum()
-            trace[e] = _batch_losses(g, se, starts).mean()
+                np.add.reduce(diff, out=gb, keepdims=True)
+                grad *= lr
+                params -= grad
+            trace[e] = _batch_losses(g, se, starts, sizes).mean()
     return trace
 
 
@@ -105,52 +119,71 @@ def mlp_epochs(params, X, s, order, batch_size, lr, l2, hidden):
     first (d+1)*h entries are the augmented matrix [W1; b1], which meets a
     ones column appended to the features. Updated in place. ``order`` is as
     in :func:`linear_epochs`. Returns the per-epoch mean batch loss.
+
+    Each batch costs a fixed handful of numpy calls, with no temporaries
+    but the ``l2`` terms: four ``np.dot`` products, the elementwise
+    backward pass, one reduction for the output bias, and one update.
+    The gradient goes into a single buffer laid out like ``params``, whose
+    views take the products' outputs, and ``grad *= lr; params -= grad``
+    applies it. The bits are those of the textbook step
+    ``params -= lr * grad`` with ``matmul`` products:
+
+    * ``np.dot`` makes the same BLAS call as ``np.matmul`` for each of
+      these shapes;
+    * ``dz1 = diff w2^T`` is an outer product, a K=1 matrix product whose
+      entries are each one rounded multiply, as in the broadcast
+      ``diff[:, None] * w2``;
+    * ``grad *= lr`` then ``params -= grad`` rounds the same two
+      operations per entry as ``params -= lr * grad``.
     """
     n, d = X.shape
     h = hidden
-    starts = np.arange(0, n, batch_size)
+    starts, sizes = _batches(n, batch_size)
     trace = np.empty(order.shape[0])
     W1b = params[: (d + 1) * h].reshape(d + 1, h)
     W1 = W1b[:d]
     w2 = params[(d + 1) * h : -1]
+    w2_row = w2[None, :]
+    grad = np.empty_like(params)
+    gW1b = grad[: (d + 1) * h].reshape(d + 1, h)
+    gW1 = gW1b[:d]
+    gw2 = grad[(d + 1) * h : -1]
+    gb2 = grad[-1:]
     Xe = np.empty((n, d + 1))
     Xe[:, d] = 1.0
+    se = np.empty(n)
     g = np.empty(n)
     full = tuple(np.empty((batch_size, h)) for _ in range(3)) + (np.empty(batch_size),)
-    gW1b = np.empty((d + 1, h))
-    gw2 = np.empty(h)
     with np.errstate(over="ignore", invalid="ignore"):
         for e, idx in enumerate(order):
             np.take(X, idx, axis=0, out=Xe[:, :d])
-            se = s[idx]
+            np.take(s, idx, out=se)
             a1, tmp, dz1, diff = full
             for start in range(0, n, batch_size):
                 stop = start + batch_size
                 Xb = Xe[start:stop]
-                gb = g[start:stop]
+                zb = g[start:stop]
                 if stop > n:
                     a1, tmp, dz1, diff = (buf[: n - start] for buf in full)
-                np.matmul(Xb, W1b, out=a1)
+                np.dot(Xb, W1b, out=a1)
                 np.tanh(a1, out=a1)
-                np.matmul(a1, w2, out=gb)
-                _logistic_inplace(gb, params[-1])
-                np.subtract(gb, se[start:stop], out=diff)
+                np.dot(a1, w2, out=zb)
+                _logistic_inplace(zb, params[-1])
+                np.subtract(zb, se[start:stop], out=diff)
                 diff /= diff.shape[0]
-                np.multiply(a1, a1, out=tmp)
+                np.square(a1, out=tmp)
                 np.subtract(1.0, tmp, out=tmp)
-                np.multiply(diff[:, None], w2, out=dz1)
+                np.dot(diff[:, None], w2_row, out=dz1)
                 dz1 *= tmp
-                np.matmul(Xb.T, dz1, out=gW1b)
-                np.matmul(diff, a1, out=gw2)
+                np.dot(Xb.T, dz1, out=gW1b)
+                np.dot(diff, a1, out=gw2)
                 if l2:
-                    gW1b[:d] += l2 * W1
+                    gW1 += l2 * W1
                     gw2 += l2 * w2
-                gW1b *= lr
-                W1b -= gW1b
-                gw2 *= lr
-                w2 -= gw2
-                params[-1] -= lr * diff.sum()
-            trace[e] = _batch_losses(g, se, starts).mean()
+                np.add.reduce(diff, out=gb2, keepdims=True)
+                grad *= lr
+                params -= grad
+            trace[e] = _batch_losses(g, se, starts, sizes).mean()
     return trace
 
 

@@ -14,7 +14,13 @@ import pytest
 import softpu
 from softpu.cli import main
 from softpu.dataset import CsvSchema, load_csv
-from softpu.experiment import ExperimentConfig, run_experiment
+from softpu.experiment import (
+    SATURATED_SHARE_WARN,
+    ExperimentConfig,
+    run_experiment,
+    saturation_warning,
+)
+from softpu.kernels import LOSS_CLIP
 from softpu.labeling import (
     bayes_soft_label,
     check_counts_from_csv,
@@ -314,6 +320,48 @@ class TestExperiment:
         )
         assert run(cfg, "experiment", tmp_path / "o") == 1
         assert "error: training diverged in epoch 5" in capsys.readouterr().err
+
+    # the benchmark experiment shrunk to n=4000 and 10 epochs, with a
+    # learning rate that drives every score to the clip
+    SATURATING = {
+        "seed": 1234,
+        "dataset": {"kind": "pu-benchmark", "n": 4000, "pi": 0.4},
+        "soft_source_features": ["x1", "x2"],
+        "model": {"arch": "mlp-1hidden", "hidden_width": 16, "learning_rate": 1e3,
+                  "epochs": 10, "batch_size": 256},
+    }
+
+    def test_saturated_training_is_named_on_stderr(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "exp.json", self.SATURATING)
+        assert run(cfg, "experiment", tmp_path / "o") == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: {arm} training saturated: 100.0% of validation scores lie "
+            "within 1e-07 of 0 or 1 (more than 10%); its metrics are unreliable; "
+            "try a lower model.learning_rate"
+            for arm in ("soft_arm", "baseline_arm")
+        ]
+        # the warning is not part of the report
+        assert "saturated" not in (tmp_path / "o" / "report.json").read_text()
+
+    def test_benchmark_config_prints_no_warning(self, tmp_path, capsys):
+        cfg = FIXTURES / "configs" / "experiment_benchmark.json"
+        assert run(cfg, "experiment", tmp_path / "o") == 0
+        assert capsys.readouterr().err == ""
+
+    def test_saturation_threshold(self):
+        # more than SATURATED_SHARE_WARN of the scores, counting both ends
+        # and LOSS_CLIP itself, within LOSS_CLIP of 0 or 1
+        at = int(SATURATED_SHARE_WARN * 1000)
+        scores = np.full(1000, 0.5)
+        scores[: at // 2] = LOSS_CLIP
+        scores[at // 2 : at] = 1.0 - LOSS_CLIP
+        assert saturation_warning("arm", scores) is None
+        scores[at] = 0.0
+        assert saturation_warning("arm", scores).startswith(
+            "warning: arm training saturated: 10.1% of validation scores"
+        )
+        scores[at] = 2 * LOSS_CLIP
+        assert saturation_warning("arm", scores) is None
 
 
 class TestEvalAndBound:

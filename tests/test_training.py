@@ -1,5 +1,6 @@
 """Soft cross-entropy loss, analytic gradients, and the trainer."""
 
+import hashlib
 import tracemalloc
 from dataclasses import replace
 
@@ -261,6 +262,77 @@ class TestTrain:
         weights = np.concatenate([mlp[: 4 * 8], mlp[4 * 8 + 8 : 4 * 8 + 16]])
         assert np.abs(weights).max() <= 0.1
         assert mlp[4 * 8 : 4 * 8 + 8].max() == 0.0  # hidden biases
+
+
+class TestPinnedBits:
+    # sha256 of params.tobytes() followed by the float64 loss trace after
+    # four epochs, taken from the epoch kernels as they stood before their
+    # per-batch step was rewritten (matmul products, a broadcast outer
+    # product and separate per-block updates). Any change to the
+    # arithmetic or its order moves a digest.
+    CASES = [
+        # (arch, n, d, hidden_width, batch_size, l2, digest)
+        (ARCH_LINEAR, 203, 3, 0, 32, 0.0,  # ragged last batch
+         "d04166e5ec1961ab8c29e61b62d58df3b4215b09e549ad199777cc98e2f2b5e4"),
+        (ARCH_LINEAR, 203, 3, 0, 32, 0.01,
+         "f432283435bf8cffe0585213accd26624ea0e1080b300634c6caedac159dd109"),
+        (ARCH_LINEAR, 40, 3, 0, 1, 0.01,  # one row per batch
+         "bf79b0dd77f651101e51d537c869babbb5dbb6751faf71a94748b67cc3c91714"),
+        (ARCH_LINEAR, 50, 2, 0, 500, 0.0,  # one batch larger than n
+         "541b56173b448c538a6b4e6d37934fa9b9e9cb3d7818fffa2c1583df74fecd17"),
+        (ARCH_MLP, 203, 3, 4, 32, 0.0,
+         "ea1375397f6597a87d53b2c1ff83acd32953a3cf1c80a62e173ff539315e8c39"),
+        (ARCH_MLP, 203, 3, 4, 32, 0.01,
+         "e3eaa2a698a444b8b667c1413065abdaf2e29f94366d434e179ee3724da1d1a6"),
+        (ARCH_MLP, 40, 3, 4, 1, 0.01,
+         "214bb15259ccc8dff53d16b3512e52238194fdef5302115c37a3aff815d7ab8a"),
+        (ARCH_MLP, 50, 2, 4, 500, 0.0,
+         "6aa52c7010f99ebb910d28e28a0937b956c20f98f2c76abc1f47ea43cfcf03a1"),
+        (ARCH_MLP, 101, 1, 1, 16, 0.01,  # one hidden unit, one feature
+         "3504e9df1be86a4a2a065529742e99174c9ac64b13b78dc227c0dd6442038d21"),
+        (ARCH_MLP, 1000, 4, 16, 256, 0.0,  # the benchmark's width and batch
+         "7c71692fe3603ecdfc031e46622a04896191f8a08812776a9e059de30d4d6dce"),
+        (ARCH_MLP, 1000, 4, 16, 256, 0.01,
+         "d253d2b452c8f9db12e84a923b6f8499fcc0ccc21075f1ef37a7e06aa51af86e"),
+    ]
+
+    @pytest.mark.parametrize("arch, n, d, hidden, batch_size, l2, digest", CASES)
+    def test_params_and_loss_trace_bits(self, arch, n, d, hidden, batch_size, l2, digest):
+        rng = np.random.default_rng(n * 100 + d)
+        ds = SoftDataset(features=rng.standard_normal((n, d)), soft_labels=rng.random(n))
+        cfg = TrainConfig(learning_rate=0.5, epochs=4, batch_size=batch_size, seed=3, l2=l2)
+        model = train(ds, arch, cfg, hidden_width=hidden)
+        blob = model.params.tobytes() + np.array(model.loss_trace).tobytes()
+        assert hashlib.sha256(blob).hexdigest() == digest
+
+
+class TestKernelsWriteOnlyParams:
+    @pytest.mark.parametrize("arch", [ARCH_LINEAR, ARCH_MLP])
+    @pytest.mark.parametrize("batch_size, l2", [(32, 0.0), (32, 0.01), (1, 0.01), (500, 0.0)])
+    def test_inputs_untouched(self, arch, batch_size, l2):
+        # read-only inputs make any write into them raise; guard entries on
+        # both sides of params catch a write past its ends
+        rng = np.random.default_rng(34)
+        n, d, h = 203, 3, 4
+        X = rng.standard_normal((n, d))
+        s = rng.random(n)
+        order = np.stack([rng.permutation(n) for _ in range(2)])
+        kept = [a.copy() for a in (X, s, order)]
+        for a in (X, s, order):
+            a.flags.writeable = False
+        size = param_count(arch, d, h if arch == ARCH_MLP else 0)
+        padded = np.full(size + 2, -7.0)
+        params = padded[1:-1]
+        params[:] = 0.1 * rng.standard_normal(size)
+        before = params.copy()
+        if arch == ARCH_LINEAR:
+            kernels.linear_epochs(params, X, s, order, batch_size, 0.3, l2)
+        else:
+            kernels.mlp_epochs(params, X, s, order, batch_size, 0.3, l2, h)
+        for a, b in zip((X, s, order), kept):
+            assert a.tobytes() == b.tobytes()
+        assert padded[0] == padded[-1] == -7.0
+        assert not np.array_equal(params, before)
 
 
 class TestThresholdClassify:
