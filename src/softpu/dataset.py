@@ -9,6 +9,8 @@ Soft-label semantics: 1 means observed positive, 0 means ordinary unlabeled,
 anything in between is an unlabeled sample believed more likely positive.
 """
 
+import codecs
+import contextlib
 import csv
 import itertools
 import json
@@ -170,13 +172,52 @@ def _parse_feature(raw, row, column):
     return value
 
 
+@contextlib.contextmanager
 def open_csv(path):
-    """Open a CSV file for :mod:`csv` reading, as UTF-8 with an optional BOM."""
+    """Open a CSV file for :mod:`csv` reading, as UTF-8 with an optional BOM.
+
+    A byte that is not UTF-8, met while the file is open, raises the
+    :func:`not_utf8_error` of the file.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
     # utf-8-sig skips a leading byte-order mark, as spreadsheet exports write
-    return path.open(newline="", encoding="utf-8-sig")
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raise not_utf8_error(path, fh.buffer) from None
+
+
+# not_utf8_error reads a file this many bytes at a time
+DECODE_CHUNK_BYTES = 1 << 20
+
+
+def not_utf8_error(path, fh) -> ValueError:
+    """The error for a file that is not UTF-8 text (a compressed file, say),
+    naming it and its first byte that does not decode, at its offset.
+
+    ``fh`` is the file open in binary mode; it is read again from its start.
+    """
+    if not fh.seekable():
+        return ValueError(f"{path}: not UTF-8 text")
+    fh.seek(0)
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    end = 0  # the offset after the bytes fed to the decoder
+    try:
+        while chunk := fh.read(DECODE_CHUNK_BYTES):
+            end += len(chunk)
+            decoder.decode(chunk)
+        decoder.decode(b"", final=True)
+    except UnicodeDecodeError as exc:
+        # exc.object is the undecoded tail of the bytes fed so far
+        offset = end - len(exc.object) + exc.start
+        return ValueError(
+            f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+            f"at offset {offset}"
+        )
+    return ValueError(f"{path}: not UTF-8 text")
 
 
 def _skip_comments(fh):

@@ -16,7 +16,11 @@ LOSS_CLIP = 1e-7
 
 
 def sigmoid(z):
-    """Numerically stable logistic function, elementwise."""
+    """Numerically stable logistic function, elementwise.
+
+    Never overflows, but its float64 outputs saturate: exactly 1.0 for a
+    logit above about 37 and exactly 0.0 below about -745.
+    """
     z = np.asarray(z, dtype=np.float64)
     out = np.empty_like(z)
     pos = z >= 0
@@ -30,8 +34,10 @@ def _logistic_inplace(z, b):
     """z <- 1 / (1 + exp(-(z + b))) in place, with no masks.
 
     Training only: a logit below about -709 overflows ``exp`` and gives an
-    output of exactly 0, which the clipped loss tolerates. Scoring uses
-    :func:`sigmoid`, whose outputs stay strictly inside (0, 1).
+    output of exactly 0, and one above about 37 rounds to exactly 1; the
+    clipped loss tolerates both. Scoring uses :func:`sigmoid`, which
+    saturates the same way (1.0 above a logit of about 37, 0.0 below about
+    -745).
     """
     np.subtract(-b, z, out=z)
     np.exp(z, out=z)
@@ -187,18 +193,23 @@ def mlp_epochs(params, X, s, order, batch_size, lr, l2, hidden):
     return trace
 
 
-# the reductions of ndarray.min/max/sum without their Python-level frames
-_min, _max, _sum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
+# the reductions of ndarray.max/sum without their Python-level frames
+_max, _sum = np.maximum.reduce, np.add.reduce
 
 
 def _eg_objective(Bf, f, dtheta, penalty, w):
     """The objective at ``f``, given its product ``Bf = B @ f`` and
-    ``penalty = lam * dtheta``."""
+    ``penalty = lam * dtheta``; inf where ``Bf`` has no finite log.
+
+    A ``den`` entry that is 0, negative, inf or nan makes its log -inf,
+    nan or inf, and so the weighted sum non-finite (``0 * -inf`` is nan).
+    The caller ignores the log's divide and invalid warnings.
+    """
     den = Bf * dtheta
-    # nan fails both tests, as min and max propagate it
-    if not (_min(den) > 0.0 and _max(den) < np.inf):
+    ll = w @ np.log(den, out=den)
+    if not -np.inf < ll < np.inf:
         return np.inf
-    return -(w @ np.log(den, out=den)) + penalty * _sum(f * f)
+    return -ll + penalty * _sum(f * f)
 
 
 def eg_minimize(B, f0, dtheta, lam, step0, max_iters, tol, w):
@@ -219,38 +230,40 @@ def eg_minimize(B, f0, dtheta, lam, step0, max_iters, tol, w):
     also gives the next gradient. A trial's update is formed in one buffer,
     which becomes ``f`` if the trial is accepted.
     """
-    f = f0.copy()
-    Bf = B @ f
-    penalty = lam * dtheta
-    obj = _eg_objective(Bf, f, dtheta, penalty, w)
-    trace = [obj]
-    step = step0
-    grad_scale = 2.0 * lam * dtheta
-    BT = B.T
-    for _ in range(max_iters):
-        grad = grad_scale * f
-        grad -= BT @ (w / Bf)
-        accepted = False
-        while step > 1e-18:
-            f_new = np.multiply(grad, -step)
-            f_new -= _max(f_new)
-            np.exp(f_new, out=f_new)
-            f_new *= f
-            f_new /= _sum(f_new)
-            Bf_new = B @ f_new
-            obj_new = _eg_objective(Bf_new, f_new, dtheta, penalty, w)
-            if obj_new <= obj:
-                accepted = True
+    # _eg_objective takes the log of a rejected trial's zero or negative rows
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = f0.copy()
+        Bf = B @ f
+        penalty = lam * dtheta
+        obj = _eg_objective(Bf, f, dtheta, penalty, w)
+        trace = [obj]
+        step = step0
+        grad_scale = 2.0 * lam * dtheta
+        BT = B.T
+        for _ in range(max_iters):
+            grad = grad_scale * f
+            grad -= BT @ (w / Bf)
+            accepted = False
+            while step > 1e-18:
+                f_new = np.multiply(grad, -step)
+                f_new -= _max(f_new)
+                np.exp(f_new, out=f_new)
+                f_new *= f
+                f_new /= _sum(f_new)
+                Bf_new = B @ f_new
+                obj_new = _eg_objective(Bf_new, f_new, dtheta, penalty, w)
+                if obj_new <= obj:
+                    accepted = True
+                    break
+                step *= 0.5
+            if not accepted:
                 break
-            step *= 0.5
-        if not accepted:
-            break
-        decrease = obj - obj_new
-        f, Bf, obj = f_new, Bf_new, obj_new
-        trace.append(obj)
-        if decrease < tol:
-            break
-    return f, np.array(trace)
+            decrease = obj - obj_new
+            f, Bf, obj = f_new, Bf_new, obj_new
+            trace.append(obj)
+            if decrease < tol:
+                break
+        return f, np.array(trace)
 
 
 def enumerate_confusions(pos_frac, neg_frac):

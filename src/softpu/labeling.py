@@ -28,12 +28,15 @@ import csv
 import io
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import kernels
+from .dataset import not_utf8_error
 
 GRID_MARGIN = 1e-4
 # the prior fit holds check counts in int64 arrays
@@ -123,9 +126,7 @@ class DiscretePrior:
             object.__setattr__(self, "_log_weights", np.log(weights))
         # one product gives the posterior's numerator and normalizer
         object.__setattr__(self, "_theta_and_one", np.stack([grid, np.ones_like(grid)]))
-        # (n, k) -> posterior pass probability and soft label, filled by
-        # posterior_pass_prob and bayes_soft_label
-        object.__setattr__(self, "_posteriors", {})
+        # (n, k) -> soft label, filled by bayes_soft_label
         object.__setattr__(self, "_labels", {})
 
     @classmethod
@@ -180,56 +181,76 @@ def posterior_pass_prob(record: CheckRecord, prior: DiscretePrior) -> float:
     """Posterior mean of the per-day pass probability given a record.
 
     Computed as the ratio of the (k+1, n-k) and (k, n-k) moment sums of the
-    prior, i.e. the gridded version of the Beta-integral quotient. The
-    posterior weights are formed in log space and rescaled by their maximum,
-    so histories of any length work. Each prior computes the posterior of a
-    distinct (n, k) pair once and keeps it; a record without support raises
-    on every call.
+    prior, i.e. the gridded version of the Beta-integral quotient; see
+    :func:`_posterior_rows`. A record without support raises.
     """
-    key = (record.n, record.k)
-    p = prior._posteriors.get(key)
-    if p is None:
-        p = prior._posteriors[key] = _posterior_pass_prob(record, prior)
-    return p
+    (p,) = _posterior_rows(prior, np.array([record.n]), np.array([record.k]))
+    if np.isnan(p):
+        raise _no_support(record.n, record.k)
+    return float(p)
 
 
-def _posterior_pass_prob(record: CheckRecord, prior: DiscretePrior) -> float:
-    a = prior._log_weights
-    # a zero count adds nothing, also where its log is -inf (0 * -inf is nan)
-    if record.k:
-        a = a + record.k * prior._log_grid
-    if record.n - record.k:
-        a = a + (record.n - record.k) * prior._log1m_grid
-    a_max = a.max()
-    if a_max == -np.inf:
-        raise ValueError(
-            f"prior inconsistent with record (n={record.n}, k={record.k}): "
-            "posterior normalizer vanished"
-        )
-    numer, denom = prior._theta_and_one @ np.exp(a - a_max)
-    return float(numer / denom)
+def _posterior_rows(prior: DiscretePrior, n, k) -> np.ndarray:
+    """The posterior pass probability of each pair ``(n[i], k[i])`` of int64
+    arrays, nan where no grid point with weight can give the record.
+
+    The posterior weights of all pairs form one log-space (pairs x grid)
+    matrix, each row rescaled by its maximum, so histories of any length
+    work. Each row then takes its own product with ``_theta_and_one``: one
+    product for all rows rounds differently.
+    """
+    a = _log_likelihoods(n, k, prior._log_grid, prior._log1m_grid, prior._log_weights)
+    a_max = a.max(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        a -= a_max  # a row without support is -inf - -inf = nan
+    np.exp(a, out=a)
+    moments = np.empty((len(a), 2))
+    for row, out in zip(a, moments):
+        np.dot(prior._theta_and_one, row, out=out)
+    return moments[:, 0] / moments[:, 1]
+
+
+def _no_support(n, k) -> ValueError:
+    return ValueError(
+        f"prior inconsistent with record (n={n}, k={k}): posterior normalizer vanished"
+    )
 
 
 def bayes_soft_label(record: CheckRecord, prior: DiscretePrior) -> float:
     """Soft label ``1 - posterior_pass_prob``: low pass rates mean high risk.
 
-    Kept per prior like the posterior, so a repeated pair costs one lookup.
+    Kept per prior, so a repeated pair costs one lookup. The first record
+    of a history length n below the grid size labels every (n, 0..n) pair
+    at once, so a prior labels at most grid size squared pairs that way;
+    a longer history labels its own pair.
     """
+    n, k = record.n, record.k
     try:
-        return prior._labels[record.n, record.k]
+        return prior._labels[n, k]
     except KeyError:
-        label = prior._labels[record.n, record.k] = 1.0 - posterior_pass_prob(record, prior)
-        return label
+        pass
+    passes = np.arange(n + 1) if n < prior.grid.size else np.array([k])
+    labels = (1.0 - _posterior_rows(prior, np.full(passes.size, n), passes)).tolist()
+    for j, label in zip(passes.tolist(), labels):
+        if label == label:  # nan: no support
+            prior._labels[n, j] = label
+    try:
+        return prior._labels[n, k]
+    except KeyError:
+        raise _no_support(n, k) from None
 
 
 def bayes_soft_labels(n, k, prior: DiscretePrior) -> np.ndarray:
     """:func:`bayes_soft_label` of every user's check counts, as an array.
 
-    Each distinct (n, k) pair is labeled once.
+    All distinct (n, k) pairs are labeled in one :func:`_posterior_rows` call.
     """
     pairs, index = _group_pairs(*_as_counts(n, k))
-    labels = [bayes_soft_label(CheckRecord(a, b), prior) for a, b in pairs.tolist()]
-    return np.array(labels)[index]
+    labels = 1.0 - _posterior_rows(prior, pairs[:, 0], pairs[:, 1])
+    bad = np.isnan(labels)
+    if bad.any():
+        raise _no_support(*pairs[np.argmax(bad)].tolist())
+    return labels[index]
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +333,28 @@ def _pair_likelihoods(n, k, grid):
     n, k = _as_counts(n, k)
     pairs, index = _group_pairs(n, k)
     counts = np.bincount(index, minlength=len(pairs))
-    passes = pairs[:, 1:].astype(np.float64)
-    fails = (pairs[:, :1] - pairs[:, 1:]).astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # a zero count adds nothing, also where its log is -inf
-        L = np.where(passes > 0, passes * np.log(grid), 0.0)
-        L += np.where(fails > 0, fails * np.log1p(-grid), 0.0)
+        L = _log_likelihoods(pairs[:, 0], pairs[:, 1], np.log(grid), np.log1p(-grid))
         m = L.max(axis=1)
         B = np.exp(L - m[:, None])
     return pairs, counts / n.size, B, m
+
+
+def _log_likelihoods(n, k, log_grid, log1m_grid, log_weights=None) -> np.ndarray:
+    """``k_i log theta_j (+ log_weights_j) + (n_i - k_i) log(1 - theta_j)``
+    for int64 arrays ``n, k`` and the grid's logs, in that order of sums.
+
+    A zero count adds nothing, also where its log is -inf (``0 * -inf`` is
+    nan).
+    """
+    passes = k.astype(np.float64)[:, None]
+    fails = (n - k).astype(np.float64)[:, None]
+    with np.errstate(invalid="ignore"):
+        L = np.where(passes > 0, passes * log_grid, 0.0)
+        if log_weights is not None:
+            L += log_weights
+        L += np.where(fails > 0, fails * log1m_grid, 0.0)
+    return L
 
 
 def _log_binomials(pairs) -> np.ndarray:
@@ -507,41 +541,57 @@ def check_counts_from_csv(path) -> tuple[np.ndarray, np.ndarray]:
     scan and one column-wise pass (see :func:`_counts_from_columns`). A file
     that pass refuses is read row by row instead, which either loads it or
     names the first bad row (the header is row 0). One leading UTF-8
-    byte-order mark is skipped.
+    byte-order mark is skipped; a file that is not UTF-8 text is a named
+    error (:func:`~softpu.dataset.not_utf8_error`).
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
     with path.open("rb") as fh:
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        by_path = path if regular and path.suffix not in _UNPACKED_SUFFIXES else None
         # the column pass reads the file twice; a pipe is read into memory
-        counts = _counts_from_columns(fh if fh.seekable() else fh.read())
-    if counts is not None:
-        return counts
+        source = fh if fh.seekable() else io.BytesIO(fh.read())
+        counts = _counts_from_columns(source, by_path)
+        if counts is not None:
+            return counts
+        source.seek(0)
+        text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
+        try:
+            ns, ks = _counts_from_rows(text)
+        except UnicodeDecodeError:
+            raise not_utf8_error(path, source) from None
+        finally:
+            text.detach()
+    return np.array(ns, dtype=np.int64), np.array(ks, dtype=np.int64)
+
+
+def _counts_from_rows(fh) -> tuple[list[int], list[int]]:
+    """The row loop of :func:`check_counts_from_csv` over the open text file."""
     ns, ks = [], []
     row_idx = -1  # the row being read is row_idx + 1
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            if reader.fieldnames is None or not {"n", "k"} <= set(reader.fieldnames):
-                raise ValueError("records CSV needs columns user_id, n, k")
-            row_idx = 0
-            for row_idx, row in enumerate(reader, start=1):
-                try:
-                    n = int(row["n"])
-                    k = int(row["k"])
-                except (TypeError, ValueError):
-                    raise ValueError(f"row {row_idx}: n and k must be integers") from None
-                try:
-                    _check_pair(n, k)
-                except ValueError as exc:
-                    raise ValueError(f"row {row_idx}: {exc}") from None
-                ns.append(n)
-                ks.append(k)
-        except csv.Error as exc:
-            raise ValueError(f"row {row_idx + 1}: {exc}") from None
+    reader = csv.DictReader(fh)
+    try:
+        if reader.fieldnames is None or not {"n", "k"} <= set(reader.fieldnames):
+            raise ValueError("records CSV needs columns user_id, n, k")
+        row_idx = 0
+        for row_idx, row in enumerate(reader, start=1):
+            try:
+                n = int(row["n"])
+                k = int(row["k"])
+            except (TypeError, ValueError):
+                raise ValueError(f"row {row_idx}: n and k must be integers") from None
+            try:
+                _check_pair(n, k)
+            except ValueError as exc:
+                raise ValueError(f"row {row_idx}: {exc}") from None
+            ns.append(n)
+            ks.append(k)
+    except csv.Error as exc:
+        raise ValueError(f"row {row_idx + 1}: {exc}") from None
     if not ns:
         raise ValueError("empty records file")
-    return np.array(ns, dtype=np.int64), np.array(ks, dtype=np.int64)
+    return ns, ks
 
 
 def records_from_csv(path) -> list[CheckRecord]:
@@ -563,9 +613,11 @@ def records_from_csv(path) -> list[CheckRecord]:
 _VOUCHED_BYTES = b"\t\n\r" + bytes(range(0x20, 0x7F)).replace(b'"', b"")
 # the scan reads a records file this many bytes at a time
 SCAN_CHUNK_BYTES = 1 << 20
+# np.loadtxt given a path decompresses files with these suffixes
+_UNPACKED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def _counts_from_columns(source) -> tuple[np.ndarray, np.ndarray] | None:
+def _counts_from_columns(source, path=None) -> tuple[np.ndarray, np.ndarray] | None:
     """The check counts of a records CSV, or None if the row loop of
     :func:`check_counts_from_csv` must read them.
 
@@ -576,32 +628,65 @@ def _counts_from_columns(source) -> tuple[np.ndarray, np.ndarray] | None:
     on every data line ``n`` and ``k`` cells that parse to int64 with
     0 <= k <= n. ``\\r``, ``\\n`` and ``\\r\\n`` each end a line. A scan
     of the bytes in chunks checks all but the cells; then ``loadtxt`` reads
-    those cells by position from the same file, as the row loop does, and
-    refuses a row too short to hold them; both skip blank lines.
+    those cells by position, as the row loop does, and refuses a row too
+    short to hold them; both skip blank lines.
+
+    Given the ``path`` of the regular file ``source`` is open on,
+    ``loadtxt`` reads the path with numpy's chunked C reader, about twice as
+    fast as from the open file. That result counts only if the path still
+    names the file the scan read, unchanged (same device, inode, size and
+    modification time); otherwise ``loadtxt`` reads the open file.
     """
     fh = io.BytesIO(source) if isinstance(source, bytes) else source
+    scanned = None if path is None else _identity(os.fstat(fh.fileno()))
     if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
         fh.seek(0)
     start = fh.tell()
     usecols = _scan_records(fh)
     if usecols is None:
         return None
+    if path is not None:
+        # an absolute path, which numpy never takes for a URL
+        table = _load_counts(os.fspath(Path(path).absolute()), usecols, "utf-8-sig")
+        try:
+            unchanged = _identity(os.stat(path)) == scanned
+        except OSError:
+            unchanged = False
+        if unchanged:
+            return _checked_counts(table)
     fh.seek(start)
     text = io.TextIOWrapper(fh, encoding="ascii", newline=None)
     try:
-        table = np.loadtxt(
-            text,
+        return _checked_counts(_load_counts(text, usecols, None))
+    finally:
+        text.detach()
+
+
+def _identity(st) -> tuple[int, int, int, int]:
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _load_counts(fname, usecols, encoding) -> np.ndarray | None:
+    """The ``usecols`` cells of every data line as an int64 table, or None
+    if ``loadtxt`` cannot read them (or, given a path, open it)."""
+    try:
+        return np.loadtxt(
+            fname,
             delimiter=",",
             comments=None,
             skiprows=1,
             usecols=usecols,
             dtype=np.int64,
             ndmin=2,
+            encoding=encoding,
         )
-    except ValueError:
+    except (OSError, ValueError):
         return None
-    finally:
-        text.detach()
+
+
+def _checked_counts(table) -> tuple[np.ndarray, np.ndarray] | None:
+    if table is None:
+        return None
     n, k = table[:, 0].copy(), table[:, 1].copy()
     del table  # before the checks allocate
     if np.any(k < 0) or np.any(k > n):

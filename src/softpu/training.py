@@ -33,7 +33,7 @@ DEFAULT_HIDDEN = 16
 
 @dataclass(frozen=True)
 class ScoringModel:
-    """A parametric scorer mapping feature vectors to (0, 1).
+    """A parametric scorer mapping feature vectors to [0, 1].
 
     ``params`` is flat: [w, b] for the linear scorer, [W1, b1, w2, b2] for
     the one-hidden-layer scorer (W1 row-major, tanh units).
@@ -72,7 +72,12 @@ class ScoringModel:
         object.__setattr__(self, "params", params)
 
     def scores(self, features) -> np.ndarray:
-        """Forward pass; output strictly inside (0, 1) for finite inputs."""
+        """Forward pass; output in [0, 1] for finite inputs.
+
+        The logistic output unit saturates in float64: a logit above about
+        37 gives exactly 1.0 and one below about -745 exactly 0.0, which
+        :func:`soft_ce_loss` refuses.
+        """
         X = np.atleast_2d(np.asarray(features, dtype=np.float64))
         if X.shape[1] != self.feature_dim:
             raise ValueError(
@@ -128,16 +133,26 @@ class TrainConfig:
 def soft_ce_loss(scores, soft_labels) -> float:
     """Mean cross-entropy of scores against soft targets.
 
-    Scores must sit strictly inside (0, 1); the logistic output unit of
-    :class:`ScoringModel` guarantees that, so an exact 0 or 1 here is a
-    caller bug rather than a condition to mask.
+    Scores must sit strictly inside (0, 1), where the loss is finite. The
+    logistic output unit of :class:`ScoringModel` gives an exact 0 or 1
+    once it saturates (a logit beyond about -745 or 37); the error then
+    names the first such score rather than masking it.
     """
     g = np.asarray(scores, dtype=np.float64)
     s = np.asarray(soft_labels, dtype=np.float64)
     if g.shape != s.shape:
         raise ValueError("scores and soft_labels must have matching shapes")
-    if np.any(g <= 0.0) or np.any(g >= 1.0):
-        raise ValueError("scores must lie strictly inside (0, 1)")
+    outside = ~((g > 0.0) & (g < 1.0))
+    if outside.any():
+        i = int(np.argmax(outside))
+        value = float(g.flat[i])
+        message = f"scores must lie strictly inside (0, 1): index {i} is {value!r}"
+        if value in (0.0, 1.0):
+            message += (
+                "; the model saturated (its logistic output rounds to exactly "
+                "0 below a logit of about -745 and to exactly 1 above about 37)"
+            )
+        raise ValueError(message)
     if np.any(s < 0.0) or np.any(s > 1.0):
         raise ValueError("soft labels must lie in [0, 1]")
     return float(-np.mean(s * np.log(g) + (1.0 - s) * np.log(1.0 - g)))

@@ -1,6 +1,7 @@
 """CLI subcommands: outputs, determinism, error paths."""
 
 import csv
+import gzip
 import hashlib
 import json
 import os
@@ -581,6 +582,27 @@ class TestEvalAndBound:
         err = capsys.readouterr().err
         assert err == f"error: row 2: field larger than field limit ({limit})\n"
 
+    def test_gzipped_dataset_is_named_error(self, tmp_path, capsys):
+        from softpu.training import ScoringModel, save_model
+
+        model_path = tmp_path / "model.json"
+        save_model(ScoringModel("linear-logistic", 1, 0, np.array([1.0, 0.0])), model_path)
+        data = tmp_path / "data.csv.gz"
+        # a gzip stream starts 1f 8b: 0x8b is never the first byte of UTF-8
+        data.write_bytes(gzip.compress(b"x0,soft_label\n0.3,1.0\n0.1,0.5\n", mtime=0))
+        cfg = write_config(
+            tmp_path,
+            "cfg.json",
+            {
+                "seed": 4,
+                "dataset": {"kind": "csv", "path": str(data), "features": ["x0"]},
+                "model": str(model_path),
+            },
+        )
+        assert run(cfg, "eval", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {data}: not UTF-8 text: byte 0x8b at offset 1\n"
+
 
 class TestCsvOutputBytes:
     # sha256 of each output as the per-file writers gave them before eval
@@ -660,6 +682,16 @@ class TestFitPriorCommand:
         assert run(cfg, "fit-prior", tmp_path / "o") == 1
         err = capsys.readouterr().err
         assert err == f"error: row 2: field larger than field limit ({limit})\n"
+
+    def test_gzipped_records_are_named_error(self, tmp_path, capsys):
+        records = tmp_path / "records.csv.gz"
+        text = (FIXTURES / "check_records.csv").read_bytes()
+        records.write_bytes(gzip.compress(text, mtime=0))
+        cfg = write_config(tmp_path, "prior.json", {"records": str(records)})
+        assert run(cfg, "fit-prior", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {records}: not UTF-8 text: byte 0x8b at offset 1\n"
+        assert not (tmp_path / "o" / "prior.json").exists()
 
     def test_missing_records_file(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "prior.json", {"records": "nope.csv"})

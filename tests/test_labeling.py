@@ -2,6 +2,7 @@
 
 import codecs
 import csv
+import gzip
 import hashlib
 import io
 import os
@@ -132,19 +133,30 @@ class TestBayesSoftLabel:
 
 
 class TestPosteriorCache:
-    def test_one_posterior_per_distinct_pair(self, monkeypatch):
-        records = records_from_csv(FIXTURES / "check_records.csv")
-        prior = fit_prior(*counts(records), grid_size=51, max_iters=20)
-        computed = []
-        compute = labeling._posterior_pass_prob
+    def test_one_rows_call_per_history_length_below_the_grid_size(self, monkeypatch):
+        # lengths 0..10 are below the grid size 11: one call labels (n, 0..n);
+        # a longer history makes one call per pair
+        prior = DiscretePrior.uniform(11)
+        rng = np.random.default_rng(3)
+        n = rng.integers(0, 25, 400)
+        k = rng.integers(0, 25, 400) % (n + 1)
+        records = [CheckRecord(a, b) for a, b in zip(n.tolist(), k.tolist())]
+        calls = []
+        rows = labeling._posterior_rows
         monkeypatch.setattr(
             labeling,
-            "_posterior_pass_prob",
-            lambda record, p: computed.append(record) or compute(record, p),
+            "_posterior_rows",
+            lambda p, ns, ks: calls.append((ns.tolist(), ks.tolist())) or rows(p, ns, ks),
         )
         labels = [bayes_soft_label(r, prior) for r in records]
         labels += [bayes_soft_label(r, prior) for r in records]
-        assert len(computed) == len({(r.n, r.k) for r in records})
+        short = {a for a in n.tolist() if a < 11}
+        long_pairs = {(a, b) for a, b in zip(n.tolist(), k.tolist()) if a >= 11}
+        assert len(calls) == len(short) + len(long_pairs)
+        assert sorted((ns[0], len(ks)) for ns, ks in calls if ns[0] < 11) == [
+            (a, a + 1) for a in sorted(short)
+        ]
+        assert sorted((ns[0], ks[0]) for ns, ks in calls if ns[0] >= 11) == sorted(long_pairs)
         assert labels[: len(records)] == labels[len(records) :]
 
     def test_labels_equal_a_fresh_prior_bit_for_bit(self):
@@ -165,6 +177,73 @@ class TestPosteriorCache:
         for _ in range(3):
             with pytest.raises(ValueError, match="prior inconsistent"):
                 bayes_soft_label(CheckRecord(n=3, k=2), prior)
+
+    def test_a_long_history_labels_in_grid_sized_memory(self):
+        prior = DiscretePrior.uniform(101)
+        tracemalloc.start()
+        try:
+            label = bayes_soft_label(CheckRecord(n=10**12, k=7 * 10**11), prior)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert label == pytest.approx(0.3, abs=0.01)
+        # a handful of grid-sized float64 rows, not one row per pass count
+        assert peak <= 40 * 8 * prior.grid.size
+
+
+@st.composite
+def priors_and_pairs(draw):
+    """A prior, some with zero weights or grid points at 0 and 1, and
+    (n, k) pairs with histories below and above the grid size."""
+    size = draw(st.integers(1, 8))
+    inner = draw(
+        st.lists(st.floats(0.01, 0.99), min_size=size, max_size=size, unique=True)
+    )
+    grid = sorted(set(inner) | set(draw(st.sampled_from([(), (0.0,), (1.0,), (0.0, 1.0)]))))
+    weights = np.array([draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])) for _ in grid])
+    if not weights.sum():
+        weights[draw(st.integers(0, len(grid) - 1))] = 1.0
+    prior = DiscretePrior(np.array(grid), weights / weights.sum())
+    ns = draw(st.lists(st.sampled_from([0, 1, 2, 3, 5, 8, 13, 400, 10**9]), min_size=1,
+                       max_size=6))
+    pairs = [(n, draw(st.sampled_from([0, n, n // 2, min(1, n), n - min(1, n)]))) for n in ns]
+    return prior, pairs
+
+
+def labels_or_error(label):
+    """``label()`` as float64 bits, or the text of its error."""
+    try:
+        return np.float64(label()).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=priors_and_pairs())
+def test_the_three_labelings_agree_bit_for_bit(case):
+    prior, pairs = case
+    fresh = lambda: DiscretePrior(prior.grid, prior.weights)  # noqa: E731
+    cached = fresh()
+    for n, k in pairs:
+        record = CheckRecord(n, k)
+        one = labels_or_error(lambda: bayes_soft_label(record, cached))
+        alone = labels_or_error(lambda: bayes_soft_label(record, fresh()))
+        direct = labels_or_error(lambda: 1.0 - posterior_pass_prob(record, fresh()))
+        array = labels_or_error(lambda: bayes_soft_labels([n], [k], fresh())[0])
+        assert one == alone == direct == array
+        if isinstance(one, str):
+            assert one == (
+                f"prior inconsistent with record (n={n}, k={k}): "
+                "posterior normalizer vanished"
+            )
+    ns, ks = zip(*pairs)
+    try:
+        together = bayes_soft_labels(ns, ks, fresh())
+    except ValueError as exc:
+        assert str(exc).startswith("prior inconsistent with record")
+    else:
+        each = [bayes_soft_label(CheckRecord(n, k), cached) for n, k in pairs]
+        assert together.tobytes() == np.array(each).tobytes()
 
 
 class TestDiscretePriorValidation:
@@ -532,12 +611,15 @@ class TestRecordsColumnPass:
         path.write_bytes(text.encode("utf-8"))
         assert counts_outcome(path) == outcome(records_reference, path) == expected
 
-    def test_undecodable_file_fails_as_the_row_loop_does(self, tmp_path):
+    def test_undecodable_file_is_a_named_error(self, tmp_path):
         path = tmp_path / "records.csv"
-        path.write_bytes(b"user_id,n,k\n" + b"u1,5,3\n" * 3000 + b"u\xff,5,3\n")
-        got = outcome(records_from_csv, path)
-        assert got[0] is UnicodeDecodeError
-        assert got == outcome(records_reference, path)
+        raw = b"user_id,n,k\n" + b"u1,5,3\n" * 3000 + b"u\xff,5,3\n"
+        path.write_bytes(raw)
+        assert outcome(records_reference, path)[0] is UnicodeDecodeError
+        offset = len(raw) - len(b"\xff,5,3\n")
+        want = (ValueError, f"{path}: not UTF-8 text: byte 0xff at offset {offset}")
+        assert outcome(records_from_csv, path) == want
+        assert counts_outcome(path) == want
 
     def test_field_over_the_csv_limit_fails_as_the_row_loop_does(self, tmp_path):
         path = tmp_path / "records.csv"
@@ -686,6 +768,120 @@ class TestByteOrderMark:
         path.write_bytes(codecs.BOM_UTF8 * 2 + b"n,k\n5,3\n")
         assert labeling._counts_from_columns(path.read_bytes()) is None
         assert counts_outcome(path) == (ValueError, "records CSV needs columns user_id, n, k")
+
+
+def loadtxt_spy(monkeypatch):
+    """The first argument of every np.loadtxt call, in call order."""
+    seen = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda fname, *a, **kw: seen.append(fname)
+                        or loadtxt(fname, *a, **kw))
+    return seen
+
+
+class TestReaderRoutes:
+    """A regular file's counts are read by numpy from its path; other files,
+    and a file replaced after the scan, from the open file."""
+
+    def test_regular_file_is_read_by_path(self, tmp_path, monkeypatch):
+        raw, n, k = benchmark_records(17, 500)
+        path = tmp_path / "records.csv"
+        path.write_bytes(raw)
+        seen = loadtxt_spy(monkeypatch)
+        got = check_counts_from_csv(path)
+        assert [type(fname) for fname in seen] == [str]
+        assert Path(seen[0]) == path.absolute()
+        assert np.array_equal(got[0], n) and np.array_equal(got[1], k)
+
+    def test_bom_file_on_the_path_route(self, tmp_path, monkeypatch):
+        raw, n, k = benchmark_records(19, 500)
+        path = tmp_path / "records.csv"
+        path.write_bytes(codecs.BOM_UTF8 + raw)
+        seen = loadtxt_spy(monkeypatch)
+        got = check_counts_from_csv(path)
+        assert [type(fname) for fname in seen] == [str]
+        assert np.array_equal(got[0], n) and np.array_equal(got[1], k)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_plain_text_named_like_a_compressed_file(self, tmp_path, monkeypatch, suffix):
+        raw, n, k = benchmark_records(23, 500)
+        plain = tmp_path / "records.csv"
+        named = tmp_path / f"records{suffix}"
+        plain.write_bytes(raw)
+        named.write_bytes(raw)
+        seen = loadtxt_spy(monkeypatch)
+        got = check_counts_from_csv(named)
+        assert not any(isinstance(fname, str) for fname in seen)
+        for column, want in zip(got, check_counts_from_csv(plain)):
+            assert np.array_equal(column, want)
+        assert [(r.n, r.k) for r in records_from_csv(named)] == list(zip(n.tolist(), k.tolist()))
+
+    def test_file_replaced_between_scan_and_parse(self, tmp_path, monkeypatch):
+        raw, n, k = benchmark_records(29, 500)
+        other, _, _ = benchmark_records(31, 700)
+        path = tmp_path / "records.csv"
+        path.write_bytes(raw)
+        scan = labeling._scan_records
+
+        def scan_then_replace(fh):
+            usecols = scan(fh)
+            (tmp_path / "new.csv").write_bytes(other)
+            os.replace(tmp_path / "new.csv", path)
+            return usecols
+
+        monkeypatch.setattr(labeling, "_scan_records", scan_then_replace)
+        seen = loadtxt_spy(monkeypatch)
+        got = check_counts_from_csv(path)
+        # the path names the new file: its parse is dropped for the open file's
+        assert [type(fname) for fname in seen][0] is str
+        assert len(seen) == 2 and not isinstance(seen[1], str)
+        assert np.array_equal(got[0], n) and np.array_equal(got[1], k)
+
+    def test_file_removed_between_scan_and_parse(self, tmp_path, monkeypatch):
+        raw, n, k = benchmark_records(37, 300)
+        other, _, _ = benchmark_records(41, 400)
+        path = tmp_path / "records.csv"
+        path.write_bytes(raw)
+        # given the path, numpy opens records.csv.gz in its place
+        (tmp_path / "records.csv.gz").write_bytes(gzip.compress(other))
+        scan = labeling._scan_records
+
+        def scan_then_remove(fh):
+            usecols = scan(fh)
+            path.unlink()
+            return usecols
+
+        monkeypatch.setattr(labeling, "_scan_records", scan_then_remove)
+        got = check_counts_from_csv(path)
+        assert np.array_equal(got[0], n) and np.array_equal(got[1], k)
+
+    def test_pipe_is_read_from_memory(self, tmp_path, monkeypatch):
+        raw, n, k = benchmark_records(47, 300)
+        path = tmp_path / "records.pipe"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(raw,))
+        seen = loadtxt_spy(monkeypatch)
+        writer.start()
+        try:
+            got = check_counts_from_csv(path)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert not any(isinstance(fname, str) for fname in seen)
+        assert np.array_equal(got[0], n) and np.array_equal(got[1], k)
+
+    def test_pipe_the_row_loop_reads(self, tmp_path):
+        # the row loop reads the pipe's bytes; it cannot open the pipe again
+        path = tmp_path / "records.pipe"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(b'n,k,id\n5,3,"u1"\n',))
+        writer.start()
+        try:
+            got = counts_outcome(path)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert got == [(5, 3)]
 
 
 class TestCheckCounts:

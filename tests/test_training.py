@@ -77,6 +77,22 @@ class TestSoftCeLoss:
         with pytest.raises(ValueError, match="strictly inside"):
             soft_ce_loss(np.array([1.0]), np.array([0.5]))
 
+    def test_saturated_model_is_named(self):
+        # a logit of 40 rounds to a score of exactly 1.0
+        model = ScoringModel("linear-logistic", 1, 0, np.array([40.0, 0.0]))
+        scores = model.scores([[1.0], [-1.0]])
+        assert scores[0] == 1.0 and 0.0 < scores[1] < 1e-17
+        with pytest.raises(ValueError) as info:
+            penalized_loss(model, [[1.0], [-1.0]], [1.0, 0.0])
+        assert str(info.value).startswith(
+            "scores must lie strictly inside (0, 1): index 0 is 1.0; the model saturated"
+        )
+
+    def test_out_of_range_score_is_named_without_saturation(self):
+        with pytest.raises(ValueError) as info:
+            soft_ce_loss(np.array([0.5, 0.25, np.nan]), np.array([0.5, 0.5, 0.5]))
+        assert str(info.value) == "scores must lie strictly inside (0, 1): index 2 is nan"
+
 
 class TestLossGradient:
     def test_matches_finite_differences_both_architectures(self):
