@@ -632,10 +632,11 @@ def _counts_from_columns(source, path=None) -> tuple[np.ndarray, np.ndarray] | N
     short to hold them; both skip blank lines.
 
     Given the ``path`` of the regular file ``source`` is open on,
-    ``loadtxt`` reads the path with numpy's chunked C reader, about twice as
-    fast as from the open file. That result counts only if the path still
-    names the file the scan read, unchanged (same device, inode, size and
-    modification time); otherwise ``loadtxt`` reads the open file.
+    ``loadtxt`` reads the path with numpy's chunked C reader, in about a
+    third less time than from the open file. That result counts only if
+    the path still names the file the scan read, unchanged (same device,
+    inode, size and modification time); otherwise ``loadtxt`` reads the
+    open file.
     """
     fh = io.BytesIO(source) if isinstance(source, bytes) else source
     scanned = None if path is None else _identity(os.fstat(fh.fileno()))
