@@ -1,13 +1,13 @@
 """Command-line interface.
 
-Every subcommand reads a JSON config (``--config``), with ``--seed`` and
-``--out`` overriding the config's seed and output directory. The only
+Every command reads a JSON config (``--config``), with ``--seed`` and
+``--out`` overriding the config's seed and output directory; one flat parser
+takes the command and the options in any order. The only
 environment override is ``SOFTPU_OUT`` for the output directory (flag beats
 env beats config). All outputs are UTF-8; everything except the report's
 wall-clock field is byte-stable for a fixed config and seed.
 
-Subcommands: generate | experiment | eval | bound-check | fit-prior |
-frontier.
+Commands: generate | experiment | eval | bound-check | fit-prior | frontier.
 """
 
 import argparse
@@ -270,17 +270,16 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every command: all of them take the same options."""
     parser = argparse.ArgumentParser(
         prog="softpu",
         description="Soft-label PU learning toolkit",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--seed", type=_seed_flag, default=None, help="seed override")
-        p.add_argument("--out", default=None, help="output directory override")
+    parser.add_argument("command", choices=_COMMANDS, help="what to run")
+    parser.add_argument("--config", required=True, help="JSON config file")
+    parser.add_argument("--seed", type=_seed_flag, default=None, help="seed override")
+    parser.add_argument("--out", default=None, help="output directory override")
     return parser
 
 

@@ -12,6 +12,7 @@ anything in between is an unlabeled sample believed more likely positive.
 import codecs
 import contextlib
 import csv
+import io
 import itertools
 import json
 import math
@@ -176,18 +177,24 @@ def _parse_feature(raw, row, column):
 def open_csv(path):
     """Open a CSV file for :mod:`csv` reading, as UTF-8 with an optional BOM.
 
-    A byte that is not UTF-8, met while the file is open, raises the
-    :func:`not_utf8_error` of the file.
+    The text can be read again from its start with ``seek(0)``: a file that
+    cannot seek (a pipe) is read into memory first. A byte that is not
+    UTF-8, met while the file is open, raises the :func:`not_utf8_error` of
+    the file.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    # utf-8-sig skips a leading byte-order mark, as spreadsheet exports write
-    with path.open(newline="", encoding="utf-8-sig") as fh:
+    with path.open("rb") as raw:
+        source = raw if raw.seekable() else io.BytesIO(raw.read())
+        # utf-8-sig skips a leading byte-order mark, as spreadsheet exports write
+        fh = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
         try:
             yield fh
         except UnicodeDecodeError:
-            raise not_utf8_error(path, fh.buffer) from None
+            raise not_utf8_error(path, source) from None
+        finally:
+            fh.detach()
 
 
 # not_utf8_error reads a file this many bytes at a time
@@ -225,10 +232,10 @@ def _skip_comments(fh):
     return (line for line in fh if line[0] != "#")
 
 
-def _data_lines(path) -> list[str]:
-    """All non-comment lines of a CSV file, for the row loop."""
-    with open_csv(path) as fh:
-        return list(_skip_comments(fh))
+def _data_lines(fh) -> list[str]:
+    """All non-comment lines of an open CSV file from its start, for the row loop."""
+    fh.seek(0)
+    return list(_skip_comments(fh))
 
 
 def _read_header(reader, schema: CsvSchema) -> tuple[list[str], dict[str, int]]:
@@ -346,23 +353,24 @@ def load_csv(path, schema: CsvSchema) -> SoftDataset:
     with open_csv(path) as fh:
         header, col = _read_header(csv.reader(_skip_comments(fh)), schema)
         table = _parse_table(fh, len(header))
-    if table is not None:
-        feats = table[:, [col[name] for name in schema.features]]
-        soft = table[:, col[schema.soft_label]]
-        ok = np.isfinite(feats).all() and ((soft >= 0.0) & (soft <= 1.0)).all()
-        truth = None
-        if schema.true_label is not None:
-            truth = table[:, col[schema.true_label]]
-            ok = ok and ((truth == 0.0) | (truth == 1.0)).all()
-        if ok:
-            return SoftDataset(
-                features=np.ascontiguousarray(feats),
-                soft_labels=soft.copy(),
-                true_labels=None if truth is None else truth.astype(np.int8),
-                feature_names=tuple(schema.features),
-                provenance="loaded",
-            )
-    return _load_rows(_data_lines(path), schema)
+        if table is not None:
+            feats = table[:, [col[name] for name in schema.features]]
+            soft = table[:, col[schema.soft_label]]
+            ok = np.isfinite(feats).all() and ((soft >= 0.0) & (soft <= 1.0)).all()
+            truth = None
+            if schema.true_label is not None:
+                truth = table[:, col[schema.true_label]]
+                ok = ok and ((truth == 0.0) | (truth == 1.0)).all()
+            if ok:
+                return SoftDataset(
+                    features=np.ascontiguousarray(feats),
+                    soft_labels=soft.copy(),
+                    true_labels=None if truth is None else truth.astype(np.int8),
+                    feature_names=tuple(schema.features),
+                    provenance="loaded",
+                )
+        # the open file, read again: a pipe cannot be opened a second time
+        return _load_rows(_data_lines(fh), schema)
 
 
 # Rows formatted and written per call of ``write``: bounds the text held in

@@ -30,20 +30,28 @@ from . import kernels
 
 MAX_CELLS = 20
 HULL_ATOL = 1e-12
+# entries in one block of the pairwise comparisons (assumption4_violations,
+# the noisy-gap matching): bounds their memory at any cell count
+BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
 class DiscreteProblem:
-    """Cell masses plus per-cell P(Y=1|x) and E[S|x]."""
+    """Cell masses plus per-cell P(Y=1|x) and E[S|x].
+
+    The problem keeps its own read-only float64 copies of the three arrays,
+    so it cannot change after it is checked, and the frontiers built on it
+    are kept with it (:func:`frontier`).
+    """
 
     masses: np.ndarray
     eta: np.ndarray
     eta_s: np.ndarray
 
     def __post_init__(self):
-        masses = np.asarray(self.masses, dtype=np.float64)
-        eta = np.asarray(self.eta, dtype=np.float64)
-        eta_s = np.asarray(self.eta_s, dtype=np.float64)
+        masses = np.array(self.masses, dtype=np.float64)
+        eta = np.array(self.eta, dtype=np.float64)
+        eta_s = np.array(self.eta_s, dtype=np.float64)
         if not (masses.shape == eta.shape == eta_s.shape) or masses.ndim != 1:
             raise ValueError("masses, eta, eta_s must be matching 1-D arrays")
         if masses.size < 1:
@@ -61,9 +69,14 @@ class DiscreteProblem:
         for name, v in (("eta", eta), ("eta_s", eta_s)):
             if np.any(v < 0.0) or np.any(v > 1.0):
                 raise ValueError(f"{name} values must lie in [0, 1]")
-        object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "eta_s", eta_s)
+        for name, v in (("masses", masses), ("eta", eta), ("eta_s", eta_s)):
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
+
+    @cached_property
+    def _frontiers(self) -> dict:
+        """The :class:`Frontier` of each kind built so far, by kind."""
+        return {}
 
     @property
     def n_cells(self) -> int:
@@ -389,14 +402,28 @@ def frontier(problem: DiscreteProblem, kind: str) -> Frontier:
     the vertices of :func:`exhaustive_frontier`; on tied cells the
     brute-force hull can also keep a subset of a tie group that rounding
     lifted off the segment it lies on.
+
+    Each kind is built once per problem: later calls return the same
+    frontier, whose ``points`` are read-only.
     """
+    _conditional(problem, kind)  # a bad kind is named, not looked up
+    built = problem._frontiers
+    if kind not in built:
+        built[kind] = _build_frontier(problem, kind)
+    return built[kind]
+
+
+def _build_frontier(problem: DiscreteProblem, kind: str) -> Frontier:
+    """The frontier of :func:`frontier`, built afresh."""
     pos_frac, neg_frac = _rate_fractions(problem, kind)
     groups = _tie_groups(_conditional(problem, kind))
     hull = _hull_vertices(_prefix_sums(groups, neg_frac), _prefix_sums(groups, pos_frac))
     prefixes = _prefix_masks(groups)
+    points = np.array([[h[0], h[1]] for h in hull])
+    points.setflags(write=False)
     return Frontier(
         kind=kind,
-        points=np.array([[h[0], h[1]] for h in hull]),
+        points=points,
         vertex_masks=tuple(prefixes[h[2]] for h in hull),
         groups=groups,
         whole_first=bool(neg_frac[list(groups[0])].sum() == 0.0),
@@ -527,7 +554,7 @@ def assumption4_violations(
     """
     eta, eta_s = problem.eta, problem.eta_s
     m = problem.n_cells
-    rows = max(1, (1 << 20) // m)  # bounds the (rows, m) comparison block
+    rows = max(1, BLOCK_ENTRIES // m)  # bounds the (rows, m) comparison block
     bad = []
     for lo in range(0, m, rows):
         e = eta[lo : lo + rows, None]
@@ -606,6 +633,51 @@ class NoisyGapReport:
         return d
 
 
+def _match_vertices(vertices, vertex_mass, spu_fpr, spu_tpr, spu_mass):
+    """Each real vertex's substitute match, for blocks of vertices at once.
+
+    ``vertices`` are the real vertices' (FPR, TPR) rows and ``vertex_mass``
+    their predicted-positive masses; the candidates are the substitute
+    frontier's classifiers, in mask order, with their real rates and masses.
+    A vertex is matched to the candidate of least worst-case gap (TPR
+    deficit or FPR excess) among those of least mass gap, the first in mask
+    order on ties; if that gap exceeds the least gap of all candidates by
+    more than 1e-15, to the first candidate of least gap instead.
+
+    Returns, per vertex, the matched candidate's index, its deficit, excess
+    and worst-case gap, and the least mass gap of any candidate.
+    """
+    rows = max(1, BLOCK_ENTRIES // spu_mass.size)  # bounds the (rows, candidates) block
+    parts = []
+    for lo in range(0, len(vertices), rows):
+        fpr = vertices[lo : lo + rows, 0]
+        tpr = vertices[lo : lo + rows, 1]
+        # max(TPR deficit, FPR excess, 0), built in place: at most two
+        # blocks of floats are alive at once
+        worst = tpr[:, None] - spu_tpr
+        np.maximum(worst, spu_fpr - fpr[:, None], out=worst)
+        np.maximum(worst, 0.0, out=worst)
+        mass_gap = spu_mass - vertex_mass[lo : lo + rows, None]
+        np.abs(mass_gap, out=mass_gap)
+        least_mass_gap = mass_gap.min(axis=1)
+        closest = mass_gap == least_mass_gap[:, None]
+        del mass_gap
+        best = np.where(closest, worst, np.inf).argmin(axis=1)
+        at = np.arange(best.size)
+        fallback = worst[at, best] > worst.min(axis=1) + 1e-15
+        best = np.where(fallback, worst.argmin(axis=1), best)
+        parts.append(
+            (
+                best,
+                np.maximum(tpr - spu_tpr[best], 0.0),
+                np.maximum(spu_fpr[best] - fpr, 0.0),
+                worst[at, best],
+                least_mass_gap,
+            )
+        )
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
 def verify_noisy_gap(
     problem: DiscreteProblem, epsilon: float, c_h: float, m_const: float
 ) -> NoisyGapReport:
@@ -649,29 +721,15 @@ def verify_noisy_gap(
     )
     prefix_mass = _prefix_sums(real_frontier.groups, problem.masses)
     prefix_index = dict(zip(real_frontier.prefix_masks, range(len(prefix_mass))))
-
-    max_deficit = 0.0
-    max_excess = 0.0
-    max_gap = 0.0
-    matches = []
-    mass_matching_ok = True
-    for (f_r, t_r), vmask in zip(real_frontier.points, real_frontier.vertex_masks):
-        deficits = np.maximum(t_r - spu_real_tpr, 0.0)
-        excesses = np.maximum(spu_real_fpr - f_r, 0.0)
-        worst = np.maximum(deficits, excesses)
-        mass_gap = np.abs(spu_pred_mass - prefix_mass[prefix_index[vmask]])
-        if mass_gap.min() > 1e-12:
-            mass_matching_ok = False
-        # prefer the equal-predicted-mass matching, break ties by gap, then
-        # by the smaller bitmask
-        closest = np.flatnonzero(mass_gap == mass_gap.min())
-        best = closest[np.argmin(worst[closest])]
-        if worst[best] > worst.min() + 1e-15:
-            best = int(np.argmin(worst))
-        matches.append((int(vmask), int(spu_masks[best])))
-        max_deficit = max(max_deficit, float(deficits[best]))
-        max_excess = max(max_excess, float(excesses[best]))
-        max_gap = max(max_gap, float(worst[best]))
+    vertex_mass = prefix_mass[[prefix_index[v] for v in real_frontier.vertex_masks]]
+    best, deficit, excess, gap, least_mass_gap = _match_vertices(
+        real_frontier.points, vertex_mass, spu_real_fpr, spu_real_tpr, spu_pred_mass
+    )
+    matches = [(v, spu_masks[b]) for v, b in zip(real_frontier.vertex_masks, best)]
+    max_deficit = float(deficit.max())
+    max_excess = float(excess.max())
+    max_gap = float(gap.max())
+    mass_matching_ok = not np.any(least_mass_gap > 1e-12)
 
     # real rates of the substitute threshold classifiers
     spu_curve = np.column_stack(

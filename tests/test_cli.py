@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 import softpu
+import softpu.cli
+from softpu import oracle as oracle_module
 from softpu.cli import main
 from softpu.dataset import CsvSchema, load_csv
 from softpu.experiment import (
@@ -776,6 +778,27 @@ class TestFrontierCommand:
         assert f"error: {message}" in err
         assert "Traceback" not in err
 
+    def test_each_frontier_is_built_once(self, tmp_path, monkeypatch):
+        built = []
+        build = oracle_module._build_frontier
+        monkeypatch.setattr(
+            oracle_module, "_build_frontier", lambda p, kind: built.append(kind) or build(p, kind)
+        )
+        cfg = write_config(
+            tmp_path,
+            "front.json",
+            {
+                "problem": str(FIXTURES / "problems" / "mela_exact.json"),
+                "kinds": ["spu", "real"],
+                "verify": {"mela": True, "noisy": {"epsilon": 0.05, "c_h": 1.0, "m": 4.0}},
+            },
+        )
+        out = tmp_path / "out"
+        assert run(cfg, "frontier", out) == 0
+        assert sorted(built) == ["real", "spu"]
+        record = json.loads((out / "frontier.json").read_text())
+        assert {"spu", "real", "mela_optimality", "noisy_gap"} <= record.keys()
+
     def test_problem_file_that_is_not_json_is_named(self, tmp_path, capsys):
         problem = tmp_path / "problem.json"
         problem.write_text("masses: [1]")
@@ -888,6 +911,68 @@ class TestFrontierCommand:
             assert record[kind]["n_on_frontier"] == m + 1
         assert len(record["noisy_gap"]["matches"]) == len(record["real"]["points"])
         assert record["noisy_gap"]["passed"]
+
+
+class TestParser:
+    """One parser for every command: exit status 2 and argparse's usage and
+    ``error:`` lines on stderr for a bad command line."""
+
+    USAGE = (
+        "usage: softpu [-h] [--version] --config CONFIG [--seed SEED] [--out OUT]\n"
+        "              {generate,experiment,eval,bound-check,fit-prior,frontier}\n"
+    )
+
+    @pytest.fixture(autouse=True)
+    def width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+
+    def exit_of(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        out, err = capsys.readouterr()
+        return exit_info.value.code, out, err
+
+    def test_no_arguments(self, capsys):
+        assert self.exit_of(capsys, []) == (
+            2,
+            "",
+            self.USAGE + "softpu: error: the following arguments are required: command, --config\n",
+        )
+
+    def test_unknown_command(self, capsys):
+        code, out, err = self.exit_of(capsys, ["train", "--config", "c.json"])
+        assert (code, out) == (2, "")
+        assert err.startswith(self.USAGE + "softpu: error: argument command: invalid choice: 'train'")
+        assert all(name in err.splitlines()[-1] for name in softpu.cli._COMMANDS)
+
+    def test_missing_config(self, capsys):
+        assert self.exit_of(capsys, ["frontier", "--out", "o"]) == (
+            2,
+            "",
+            self.USAGE + "softpu: error: the following arguments are required: --config\n",
+        )
+
+    def test_version(self, capsys):
+        assert self.exit_of(capsys, ["--version"]) == (0, softpu.__version__ + "\n", "")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["frontier", "-h"]])
+    def test_help_lists_every_command(self, capsys, argv):
+        code, out, err = self.exit_of(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(self.USAGE)
+        assert out.count("{generate,experiment,eval,bound-check,fit-prior,frontier}") == 2
+        for flag in ("--config CONFIG", "--seed SEED", "--out OUT", "--version"):
+            assert flag in out
+
+    def test_options_before_the_command(self, tmp_path):
+        cfg = write_config(
+            tmp_path, "gen.json", {"seed": 1, "dataset": {"kind": "gscar", "n": 50, "pi": 0.1}}
+        )
+        first, last = tmp_path / "first", tmp_path / "last"
+        assert main(["--config", str(cfg), "--out", str(first), "--seed", "4", "generate"]) == 0
+        assert run(cfg, "generate", last, extra=("--seed", "4")) == 0
+        for name in ("dataset.csv", "provenance.json"):
+            assert (first / name).read_bytes() == (last / name).read_bytes()
 
 
 class TestEntryPoints:

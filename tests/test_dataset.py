@@ -3,6 +3,8 @@
 import codecs
 import csv
 import io
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -63,7 +65,8 @@ def write_columns_ref(fh, columns):
 
 def load_rows(path, schema):
     """Parse with the row loop alone, the way the column-wise path falls back."""
-    return dataset_module._load_rows(dataset_module._data_lines(path), schema)
+    with dataset_module.open_csv(path) as fh:
+        return dataset_module._load_rows(dataset_module._data_lines(fh), schema)
 
 
 def outcome(load):
@@ -263,7 +266,7 @@ class TestCsv:
         path = tmp_path / "d.csv"
         save_csv(small_dataset(), path)
 
-        def no_line_list(path):
+        def no_line_list(fh):
             raise AssertionError("file read into a line list")
 
         monkeypatch.setattr(dataset_module, "_data_lines", no_line_list)
@@ -285,6 +288,38 @@ class TestCsv:
             lambda: load_csv(plain, schema)
         )
         assert calls == [1]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b'x0,soft_label\n"0.3",1.0\n',  # a quoted cell: the row loop loads it
+            b'x0,soft_label\n0.5,0.25\n"0.3",1.5\n',  # the row loop names row 2
+            b"x0,soft_label\n0.5,\xff\n",  # not UTF-8
+        ],
+        ids=["quoted-cell", "bad-row", "not-utf8"],
+    )
+    def test_pipe_the_row_loop_reads(self, tmp_path, text):
+        # the row loop reads the pipe's bytes: opening the pipe again would
+        # wait for a writer forever, so the read runs in a daemon thread
+        schema = CsvSchema(features=("x0",))
+        path = tmp_path / "data.pipe"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(text,))
+        got = []
+        reader = threading.Thread(
+            target=lambda: got.append(outcome(lambda: load_csv(path, schema))), daemon=True
+        )
+        writer.start()
+        reader.start()
+        writer.join(timeout=10)
+        reader.join(timeout=10)
+        assert not writer.is_alive() and not reader.is_alive()
+        plain = tmp_path / "data.csv"
+        plain.write_bytes(text)
+        want = outcome(lambda: load_csv(plain, schema))
+        if want[0] == "error":
+            want = ("error", want[1].replace(str(plain), str(path)))
+        assert got == [want]
 
 
 # Cells and rows the column-wise parse and the row loop must agree on: every

@@ -13,6 +13,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from softpu import oracle as oracle_module
 from softpu.kernels import sigmoid
 from softpu.metrics import roc_spu
 from softpu.oracle import (
@@ -20,6 +21,7 @@ from softpu.oracle import (
     DiscreteProblem,
     MelaOptimalityReport,
     NoisyGapReport,
+    _prefix_sums,
     _rate_fractions,
     _staircase_auc,
     assumption4_violations,
@@ -92,6 +94,48 @@ class TestDiscreteProblem:
         np.testing.assert_array_equal(back.masses, prob.masses)
         np.testing.assert_array_equal(back.eta, prob.eta)
         np.testing.assert_array_equal(back.eta_s, prob.eta_s)
+
+
+    @pytest.mark.parametrize("field", ["masses", "eta", "eta_s"])
+    def test_problem_keeps_read_only_copies(self, field):
+        given = {
+            "masses": np.array([0.25, 0.75]),
+            "eta": np.array([0.2, 0.8]),
+            "eta_s": np.array([0.3, 0.7]),
+        }
+        before = given[field].copy()
+        prob = DiscreteProblem(**given)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(prob, field)[0] = 0.5
+        # the caller's array is not the problem's, and stays writable
+        assert given[field].flags.writeable
+        given[field][0] = 0.5
+        assert np.array_equal(getattr(prob, field), before)
+        assert np.array_equal(given[field], np.concatenate([[0.5], before[1:]]))
+
+    def test_each_frontier_is_built_once_per_problem(self, monkeypatch):
+        built = []
+        build = oracle_module._build_frontier
+        monkeypatch.setattr(
+            oracle_module, "_build_frontier", lambda p, kind: built.append(kind) or build(p, kind)
+        )
+        prob = DiscreteProblem(np.full(3, 1 / 3), np.array([0.2, 0.5, 0.8]), np.array([0.1, 0.5, 0.9]))
+        spu = frontier(prob, "spu")
+        assert frontier(prob, "spu") is spu and built == ["spu"]
+        verify_mela_optimality(prob)
+        verify_noisy_gap(prob, 0.05, 1.0, 4.0)
+        assert built == ["spu", "real"]
+        with pytest.raises(ValueError, match="read-only"):
+            spu.points[0, 0] = 1.0
+        # a problem with the same cells builds its own
+        frontier(DiscreteProblem(prob.masses, prob.eta, prob.eta_s), "spu")
+        assert built == ["spu", "real", "spu"]
+
+    @pytest.mark.parametrize("kind", ["both", ["spu"], None])
+    def test_bad_kind_is_named(self, kind):
+        prob = DiscreteProblem(np.array([1.0]), np.array([0.5]), np.array([0.5]))
+        with pytest.raises(ValueError, match="kind must be 'real' or 'spu'"):
+            frontier(prob, kind)
 
 
 class TestEnumeration:
@@ -607,6 +651,67 @@ def noisy_gap_ref(index, epsilon, c_h, m_const, exact):
     )
 
 
+def noisy_gap_loop_ref(problem, epsilon, c_h, m_const):
+    """The former verify_noisy_gap on the threshold chain, matching one real
+    vertex at a time."""
+    real_frontier = frontier(problem, "real")
+    spu_frontier = frontier(problem, "spu")
+    pi = problem.class_prior
+    point_bound = 4.0 * m_const * epsilon**2 / (pi * c_h**2)
+    auc_bound = 2.0 * point_bound
+    m_eff = slice_density_bound(problem, 2.0 * epsilon / c_h) if epsilon > 0.0 else 0.0
+    tpr_frac, fpr_frac = _rate_fractions(problem, "real")
+    spu_masks, (spu_real_fpr, spu_real_tpr, spu_pred_mass) = spu_frontier.members(
+        fpr_frac, tpr_frac, problem.masses
+    )
+    prefix_mass = _prefix_sums(real_frontier.groups, problem.masses)
+    prefix_index = dict(zip(real_frontier.prefix_masks, range(len(prefix_mass))))
+    max_deficit = max_excess = max_gap = 0.0
+    matches = []
+    mass_matching_ok = True
+    for (f_r, t_r), vmask in zip(real_frontier.points, real_frontier.vertex_masks):
+        deficits = np.maximum(t_r - spu_real_tpr, 0.0)
+        excesses = np.maximum(spu_real_fpr - f_r, 0.0)
+        worst = np.maximum(deficits, excesses)
+        mass_gap = np.abs(spu_pred_mass - prefix_mass[prefix_index[vmask]])
+        if mass_gap.min() > 1e-12:
+            mass_matching_ok = False
+        closest = np.flatnonzero(mass_gap == mass_gap.min())
+        best = closest[np.argmin(worst[closest])]
+        if worst[best] > worst.min() + 1e-15:
+            best = int(np.argmin(worst))
+        matches.append((int(vmask), int(spu_masks[best])))
+        max_deficit = max(max_deficit, float(deficits[best]))
+        max_excess = max(max_excess, float(excesses[best]))
+        max_gap = max(max_gap, float(worst[best]))
+    spu_curve = np.column_stack(
+        [_prefix_sums(spu_frontier.groups, fpr_frac), _prefix_sums(spu_frontier.groups, tpr_frac)]
+    )
+    auc_real_opt = _staircase_auc(real_frontier.points)
+    auc_spu_rank = _staircase_auc(spu_curve)
+    auc_gap = auc_real_opt - auc_spu_rank
+    return NoisyGapReport(
+        epsilon=float(epsilon),
+        c_h=float(c_h),
+        m_const=float(m_const),
+        class_prior=pi,
+        point_bound=point_bound,
+        auc_bound=auc_bound,
+        max_tpr_deficit=max_deficit,
+        max_fpr_excess=max_excess,
+        max_point_gap=max_gap,
+        auc_real_optimal=auc_real_opt,
+        auc_spu_ranking=auc_spu_rank,
+        auc_gap=float(auc_gap),
+        matches=tuple(matches),
+        density_bound_effective=float(m_eff),
+        density_ok=m_eff <= m_const + 1e-9,
+        link_violations=tuple(assumption4_violations(problem, epsilon, c_h)),
+        mass_matching_ok=mass_matching_ok,
+        passed=max_gap <= point_bound + 1e-9 and auc_gap <= auc_bound + 1e-9,
+    )
+
+
 def assert_same_report(got, want):
     got, want = got.to_dict(), want.to_dict()
     assert got.keys() == want.keys()
@@ -736,6 +841,76 @@ class TestChainAgainstBruteForce:
         assert frontier(prob, "spu").n_on_frontier == 2 ** (MAX_CELLS + 1) + 2
         with pytest.raises(ValueError, match="tie group of 21 cells too large for subset enumeration"):
             verify_noisy_gap(prob, 0.05, 1.0, 4.0)
+
+
+class TestMatchingAgainstTheLoop:
+    """verify_noisy_gap matches blocks of real vertices at once; the whole
+    report must equal the one-vertex-at-a-time loop's, bit for bit."""
+
+    @staticmethod
+    def settings(rng):
+        return float(rng.choice([0.0, 0.02, 0.05, 0.1])), float(rng.choice([0.5, 1.0, 2.0]))
+
+    def test_edge_problems(self):
+        rng = np.random.default_rng(520)
+        compared = 0
+        for prob in cross_check_problems():
+            epsilon, c_h = self.settings(rng)
+            want = result_or_error(noisy_gap_loop_ref, prob, epsilon, c_h, 4.0)
+            assert result_or_error(verify_noisy_gap, prob, epsilon, c_h, 4.0) == want
+            compared += not isinstance(want, str)
+        assert compared >= 200
+
+    def test_random_problems(self):
+        rng = np.random.default_rng(521)
+        for trial in range(120):
+            epsilon, c_h = self.settings(rng)
+            if trial % 2:
+                prob = random_problem(rng)
+            else:
+                prob = noisy_problem(rng, int(rng.integers(1, 40)), 0.1)
+            m_const = float(rng.choice([0.5, 4.0]))
+            want = noisy_gap_loop_ref(prob, epsilon, c_h, m_const)
+            assert verify_noisy_gap(prob, epsilon, c_h, m_const) == want
+
+    def test_unequal_masses(self):
+        rng = np.random.default_rng(522)
+        infeasible = 0
+        for _ in range(80):
+            prob = noisy_problem(rng, int(rng.integers(2, 30)), 0.1, equal_mass=False)
+            epsilon, c_h = self.settings(rng)
+            want = noisy_gap_loop_ref(prob, epsilon, c_h, 4.0)
+            assert verify_noisy_gap(prob, epsilon, c_h, 4.0) == want
+            infeasible += not want.mass_matching_ok
+        assert infeasible >= 40
+
+    def test_near_ties(self):
+        # cells of mass 1e-14 to 1e-10 on tied and pure conditionals give
+        # candidates whose mass gaps, or worst-case gaps, differ by less than
+        # any tolerance: the exact tie rules decide their matches
+        rng = np.random.default_rng(524)
+        compared = 0
+        for _ in range(400):
+            m = int(rng.integers(2, 9))
+            masses = rng.random(m) + 0.2
+            tiny = rng.random(m) < 0.3
+            masses[tiny] = 10.0 ** rng.uniform(-14, -10, tiny.sum())
+            eta = rng.choice(LEVELS, m)
+            eta_s = np.clip(eta + rng.choice([-0.1, 0.0, 0.1], m), 0.0, 1.0)
+            prob = DiscreteProblem(masses / masses.sum(), eta, eta_s)
+            want = result_or_error(noisy_gap_loop_ref, prob, 0.05, 1.0, 4.0)
+            assert result_or_error(verify_noisy_gap, prob, 0.05, 1.0, 4.0) == want
+            compared += not isinstance(want, str)
+        assert compared >= 250
+
+    def test_many_blocks(self, monkeypatch):
+        rng = np.random.default_rng(523)
+        prob = noisy_problem(rng, 60, 0.1, equal_mass=False)
+        want = noisy_gap_loop_ref(prob, 0.05, 1.0, 4.0)
+        candidates = frontier(prob, "spu").n_on_frontier
+        monkeypatch.setattr(oracle_module, "BLOCK_ENTRIES", 4 * candidates)
+        assert len(want.matches) >= 3 * 4  # blocks of 4 vertices: at least 3
+        assert verify_noisy_gap(prob, 0.05, 1.0, 4.0) == want
 
 
 class TestLinearTimeChecks:
