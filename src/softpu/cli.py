@@ -11,6 +11,7 @@ Commands: generate | experiment | eval | bound-check | fit-prior | frontier.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataset import save_csv, schema_for, write_provenance
+from .dataset import save_csv, save_json, schema_for, write_provenance
 from .experiment import (
     ExperimentConfig,
     config_field,
@@ -41,7 +42,6 @@ from .metrics import (
     fpr_spu,
     roc_spu,
     roc_spu_and_real,
-    save_json,
     tpr_spu,
 )
 from .oracle import (
@@ -246,13 +246,21 @@ def _check_mask_digits(n_cells: int) -> None:
     limit = sys.get_int_max_str_digits()
     if not limit:
         return
-    max_cells = (10**limit).bit_length() - 1  # largest m with 2**m < 10**limit
+    max_cells = _max_mask_cells(limit)
     if n_cells > max_cells:
         raise ValueError(
             f"problem has {n_cells} cells, but frontier.json can hold at most "
             f"{max_cells}: its classifier bitmasks would exceed Python's limit of "
             f"{limit} digits for integer text (sys.get_int_max_str_digits())"
         )
+
+
+@functools.lru_cache(maxsize=1)
+def _max_mask_cells(limit: int) -> int:
+    """The largest m with ``2**m < 10**limit``; computed once per digit limit,
+    because building ``10**limit`` costs a noticeable part of a small
+    ``frontier`` run."""
+    return (10**limit).bit_length() - 1
 
 
 # ---------------------------------------------------------------------------

@@ -808,8 +808,12 @@ def provenance_record(dataset: SoftDataset, config_echo: dict) -> dict:
 
 
 def write_provenance(dataset: SoftDataset, config_echo: dict, path) -> None:
+    save_json(provenance_record(dataset, config_echo), path)
+
+
+def save_json(record, path) -> None:
+    """Write ``record`` as UTF-8 JSON, indented by 2 with sorted keys and a
+    final newline. Every JSON file softpu writes goes through here."""
     Path(path).write_text(
-        json.dumps(provenance_record(dataset, config_echo), indent=2, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
+        json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

@@ -11,13 +11,20 @@ a seeded 70/15/15 split:
 Both arms share the architecture and training config; their seeds derive
 from the master seed by fixed offsets (dataset +0, labeling +1, split +2,
 soft arm +3, baseline arm +4), so a report is reproducible from its config
-echo alone.
+echo alone. Where the platform can fork and this process may run on two or
+more CPUs, the baseline arm trains in a forked child while the soft arm
+trains here; the report, the warnings and the errors are those of training
+the arms one after the other.
 """
 
 import hashlib
 import json
+import os
+import pickle
+import signal
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,6 +44,7 @@ from .dataset import (
     gen_mela,
     load_csv,
     pu_labelize,
+    save_json,
 )
 from .kernels import LOSS_CLIP, sigmoid
 from .labeling import (
@@ -376,14 +384,93 @@ def saturation_warning(arm: str, val_scores) -> str | None:
     )
 
 
+def _arm_worker_usable() -> bool:
+    """Whether an arm can train in a forked child beside this process: the
+    platform has ``os.fork`` and this process may run on two or more CPUs."""
+    return (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+    )
+
+
+def _fork_job(job):
+    """Run ``job()`` in a forked child; returns its pid and the read end of
+    the pipe on which it sends ``(ok, result or exception, warnings)``.
+
+    The child never returns into the caller: it leaves through ``os._exit``,
+    which flushes no stdio buffer it inherited, and it prints nothing. The
+    warnings the job issues are recorded, not shown, and sent along as
+    ``(text, category, filename, lineno)``. If the outcome cannot be
+    pickled, the child exits with status 1 and sends nothing.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    status = 1
+    try:
+        os.close(read_fd)
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                outcome = (True, job())
+            except Exception as exc:
+                outcome = (False, exc)
+        shown = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+        payload = pickle.dumps(outcome + (shown,))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _arm_results(first, second):
+    """Yield ``first()`` and then ``second()``, raising the first failure
+    in that order: the results, warnings and error of calling them in turn.
+
+    Where :func:`_arm_worker_usable`, ``second`` runs in a forked child
+    (:func:`_fork_job`) while this process runs ``first``. The child is
+    always reaped before ``first``'s result is yielded, and killed first if
+    ``first`` raises. Its warnings are issued here after ``first``'s result.
+    """
+    if not _arm_worker_usable():
+        yield first()
+        yield second()
+        return
+    pid, read_fd = _fork_job(second)
+    with os.fdopen(read_fd, "rb") as pipe:
+        try:
+            result = first()
+            payload = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    yield result
+    if not payload:
+        raise RuntimeError(
+            f"the arm worker (pid {pid}) sent no result: wait status {status}"
+        )
+    ok, value, shown = pickle.loads(payload)
+    for text, category, filename, lineno in shown:
+        warnings.warn_explicit(text, category, filename, lineno)
+    if not ok:
+        raise value
+    yield value
+
+
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run both arms and return the JSON-ready report.
 
     Reports validation substitute AUC (with its distribution bound) and,
     because the synthetic datasets keep their hidden truth, the real test
     AUC per arm plus the soft-minus-baseline delta. Prints the
-    :func:`saturation_warning` line of each saturated arm on stderr; the
-    report does not change.
+    :func:`saturation_warning` line of each saturated arm on stderr, in arm
+    order; the report does not change. The arms may train at once
+    (:func:`_arm_results`).
     """
     t0 = time.perf_counter()
     data = build_dataset(config.dataset, config.seed)
@@ -402,32 +489,37 @@ def run_experiment(config: ExperimentConfig) -> dict:
         else data
     )
     hard_labels = (data.soft_labels == 1.0).astype(np.float64)
-    arms = {
-        "soft_arm": (soft_data, soft_data.soft_labels, config.seed + 3),
-        "baseline_arm": (data, hard_labels, config.seed + 4),
-    }
 
-    report_arms = {}
-    test_auc = {}
-    for name, (arm_data, targets, arm_seed) in arms.items():
+    def run_arm(name, arm_data, targets, arm_seed):
+        """Train and score one arm: its report entry and its saturation
+        warning line (or None)."""
         train_ds = arm_data.subset(tr_idx).with_soft_labels(targets[tr_idx])
         model = train(train_ds, arch, train_config_from(config.model, arm_seed), hidden)
         val_scores = model.scores(arm_data.features[val_idx])
-        line = saturation_warning(name, val_scores)
-        if line:
-            print(line, file=sys.stderr)
         test_scores = model.scores(arm_data.features[te_idx])
         metrics = {
             "validation.auc_spu": auc_spu(data.soft_labels[val_idx], val_scores),
             "validation.auc_spu_bound": auc_spu_bound(data.soft_labels[val_idx]),
             "test.auc_real": auc_real(truth[te_idx], test_scores),
         }
-        test_auc[name] = metrics["test.auc_real"]
-        report_arms[name] = {
+        entry = {
             "metrics": metrics,
             "loss_trace": list(model.loss_trace),
             "n_params": int(model.params.size),
         }
+        return entry, saturation_warning(name, val_scores)
+
+    results = _arm_results(
+        lambda: run_arm("soft_arm", soft_data, soft_data.soft_labels, config.seed + 3),
+        lambda: run_arm("baseline_arm", data, hard_labels, config.seed + 4),
+    )
+    report_arms = {}
+    test_auc = {}
+    for name, (entry, line) in zip(("soft_arm", "baseline_arm"), results):
+        if line:
+            print(line, file=sys.stderr)
+        test_auc[name] = entry["metrics"]["test.auc_real"]
+        report_arms[name] = entry
 
     config_echo = config.to_dict()
     report = {
@@ -452,6 +544,4 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
 
 def report_to_json(report: dict, path) -> None:
-    Path(path).write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    save_json(report, path)

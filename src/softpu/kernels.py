@@ -69,6 +69,14 @@ def _batches(n, batch_size):
     return starts, sizes
 
 
+def _check_order(order, n):
+    """Refuse an order with a row index outside [0, n): the epoch gathers
+    clip indices instead of checking each one."""
+    if order.size and not (0 <= order.min() and order.max() < n):
+        bad = order[(order < 0) | (order >= n)][0]
+        raise IndexError(f"order holds row index {bad}, outside [0, {n})")
+
+
 def linear_epochs(params, X, s, order, batch_size, lr, l2):
     """Mini-batch gradient descent epochs for the linear-logistic scorer.
 
@@ -76,13 +84,19 @@ def linear_epochs(params, X, s, order, batch_size, lr, l2):
     ``order`` is a (k, n) int64 matrix: row ``e`` is the shuffle order of
     epoch ``e``, and ``k`` epochs run. The result is a pure function of the
     arguments; a caller may run one epoch per call with ``k = 1``. Returns
-    the per-epoch mean batch loss.
+    the per-epoch mean batch loss. An index in ``order`` outside [0, n)
+    raises ``IndexError``.
+
+    Each epoch gathers its rows with ``np.take(..., mode="clip")`` into
+    contiguous buffers: the default ``mode="raise"`` gathers through a
+    temporary copy, so ``order`` is range-checked once per call instead.
 
     A batch writes its gradient into one buffer laid out like ``params``
     and applies it with ``grad *= lr; params -= grad``, the same bits as
     ``params -= lr * grad``; see :func:`mlp_epochs`.
     """
     n, d = X.shape
+    _check_order(order, n)
     starts, sizes = _batches(n, batch_size)
     trace = np.empty(order.shape[0])
     w = params[:d]
@@ -95,8 +109,8 @@ def linear_epochs(params, X, s, order, batch_size, lr, l2):
     # divergence shows up as non-finite values caught by the caller
     with np.errstate(over="ignore", invalid="ignore"):
         for e, idx in enumerate(order):
-            np.take(X, idx, axis=0, out=Xe)
-            np.take(s, idx, out=se)
+            np.take(X, idx, axis=0, out=Xe, mode="clip")
+            np.take(s, idx, out=se, mode="clip")
             diff = diff_full
             for start in range(0, n, batch_size):
                 stop = start + batch_size
@@ -124,7 +138,9 @@ def mlp_epochs(params, X, s, order, batch_size, lr, l2, hidden):
     Flat layout: [W1 (d*h, row-major), b1 (h), w2 (h), b2 (1)], so the
     first (d+1)*h entries are the augmented matrix [W1; b1], which meets a
     ones column appended to the features. Updated in place. ``order`` is as
-    in :func:`linear_epochs`. Returns the per-epoch mean batch loss.
+    in :func:`linear_epochs`, and so are the gathers: into a contiguous
+    buffer, then one copy into the strided columns beside the ones column.
+    Returns the per-epoch mean batch loss.
 
     Each batch costs a fixed handful of numpy calls, with no temporaries
     but the ``l2`` terms: four ``np.dot`` products, the elementwise
@@ -144,6 +160,7 @@ def mlp_epochs(params, X, s, order, batch_size, lr, l2, hidden):
     """
     n, d = X.shape
     h = hidden
+    _check_order(order, n)
     starts, sizes = _batches(n, batch_size)
     trace = np.empty(order.shape[0])
     W1b = params[: (d + 1) * h].reshape(d + 1, h)
@@ -155,6 +172,7 @@ def mlp_epochs(params, X, s, order, batch_size, lr, l2, hidden):
     gW1 = gW1b[:d]
     gw2 = grad[(d + 1) * h : -1]
     gb2 = grad[-1:]
+    Xo = np.empty((n, d))
     Xe = np.empty((n, d + 1))
     Xe[:, d] = 1.0
     se = np.empty(n)
@@ -162,8 +180,9 @@ def mlp_epochs(params, X, s, order, batch_size, lr, l2, hidden):
     full = tuple(np.empty((batch_size, h)) for _ in range(3)) + (np.empty(batch_size),)
     with np.errstate(over="ignore", invalid="ignore"):
         for e, idx in enumerate(order):
-            np.take(X, idx, axis=0, out=Xe[:, :d])
-            np.take(s, idx, out=se)
+            np.take(X, idx, axis=0, out=Xo, mode="clip")
+            Xe[:, :d] = Xo
+            np.take(s, idx, out=se, mode="clip")
             a1, tmp, dz1, diff = full
             for start in range(0, n, batch_size):
                 stop = start + batch_size

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .dataset import not_utf8_error
+from .dataset import not_utf8_error, save_json
 
 GRID_MARGIN = 1e-4
 # the prior fit holds check counts in int64 arrays
@@ -735,9 +735,7 @@ def _scan_records(fh) -> tuple[int, int] | None:
 
 
 def prior_to_json(prior: DiscretePrior, path) -> None:
-    Path(path).write_text(
-        json.dumps(prior.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    save_json(prior.to_dict(), path)
 
 
 def prior_from_json(path) -> DiscretePrior:

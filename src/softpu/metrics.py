@@ -13,7 +13,6 @@ independent given Y.
 """
 
 import csv
-import json
 from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
@@ -464,9 +463,3 @@ def bound_report(data, scores) -> dict:
         "margin": bound - achieved,
         "satisfied": bool(achieved <= bound + 1e-9),
     }
-
-
-def save_json(record: dict, path) -> None:
-    Path(path).write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )

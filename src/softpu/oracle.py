@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
+from .dataset import save_json
 
 MAX_CELLS = 20
 HULL_ATOL = 1e-12
@@ -35,13 +36,14 @@ HULL_ATOL = 1e-12
 BLOCK_ENTRIES = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteProblem:
     """Cell masses plus per-cell P(Y=1|x) and E[S|x].
 
     The problem keeps its own read-only float64 copies of the three arrays,
     so it cannot change after it is checked, and the frontiers built on it
-    are kept with it (:func:`frontier`).
+    are kept with it (:func:`frontier`). Problems compare and hash by
+    identity, so two problems built from the same cells are not equal.
     """
 
     masses: np.ndarray
@@ -107,10 +109,7 @@ class DiscreteProblem:
 
 
 def problem_to_json(problem: DiscreteProblem, path) -> None:
-    Path(path).write_text(
-        json.dumps(problem.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    save_json(problem.to_dict(), path)
 
 
 def problem_from_json(path) -> DiscreteProblem:

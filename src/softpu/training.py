@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .dataset import SoftDataset
+from .dataset import SoftDataset, save_json
 from .kernels import sigmoid
 
 ARCH_LINEAR = "linear-logistic"
@@ -242,6 +242,11 @@ class TrainingDiverged(RuntimeError):
             f"last losses {self.trace[-3:]}"
         )
 
+    def __reduce__(self):
+        # an exception pickles as its class called on ``args`` (the message
+        # alone), which this __init__ does not take
+        return type(self), (self.trace, self.epoch)
+
 
 def train(
     data: SoftDataset,
@@ -310,9 +315,7 @@ def save_model(model: ScoringModel, path) -> None:
         "seed": model.seed,
         "loss_trace": list(model.loss_trace),
     }
-    Path(path).write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    save_json(record, path)
 
 
 def _check_numbers(values, name) -> None:

@@ -5,8 +5,11 @@ import gzip
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,7 @@ import pytest
 
 import softpu
 import softpu.cli
+from softpu import experiment as experiment_module
 from softpu import oracle as oracle_module
 from softpu.cli import main
 from softpu.dataset import CsvSchema, load_csv
@@ -32,6 +36,7 @@ from softpu.labeling import (
     records_from_csv,
 )
 from softpu.metrics import auc, curve_from_csv
+from softpu.training import TrainingDiverged
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -365,6 +370,132 @@ class TestExperiment:
         )
         scores[at] = 2 * LOSS_CLIP
         assert saturation_warning("arm", scores) is None
+
+
+class TestArmWorker:
+    """The baseline arm in a forked child gives what training the arms in
+    turn gives: report bytes (apart from ``wall_clock_s``), stdout, stderr
+    and exit status."""
+
+    BENCHMARK = json.loads((FIXTURES / "configs" / "experiment_benchmark.json").read_text())
+
+    @staticmethod
+    def run_both_ways(tmp_path, capsys, monkeypatch, payload, diverging_seeds=()):
+        cfg = write_config(tmp_path, "exp.json", payload)
+        out = tmp_path / "out"
+        results = {}
+        for worker in (True, False):
+            forks = []
+            with monkeypatch.context() as m:
+                fork_job = experiment_module._fork_job
+                m.setattr(experiment_module, "_arm_worker_usable", lambda: worker)
+                m.setattr(experiment_module, "_fork_job",
+                          lambda job: forks.append(job) or fork_job(job))
+                if diverging_seeds:
+                    train = experiment_module.train
+
+                    def diverging_train(data, arch, tcfg, hidden):
+                        if tcfg.seed in diverging_seeds:
+                            raise TrainingDiverged([0.5, 0.25], tcfg.seed)
+                        return train(data, arch, tcfg, hidden)
+
+                    m.setattr(experiment_module, "train", diverging_train)
+                (out / "report.json").unlink(missing_ok=True)
+                code = run(cfg, "experiment", out)
+            captured = capsys.readouterr()
+            report = None
+            if (out / "report.json").exists():
+                report = re.sub(rb'"wall_clock_s": [^\n]*', b'"wall_clock_s": null',
+                                (out / "report.json").read_bytes())
+            assert len(forks) == int(worker)
+            results[worker] = (code, captured.out, captured.err, report)
+        assert results[True] == results[False]
+        return results[True]
+
+    @pytest.mark.parametrize("l2", [0.0, 1e-3])
+    @pytest.mark.parametrize("seed", [7, 11, 901])
+    def test_benchmark_report(self, tmp_path, capsys, monkeypatch, seed, l2):
+        payload = json.loads(json.dumps(self.BENCHMARK))
+        payload.update(seed=seed, out_dir=None)
+        payload["model"]["l2"] = l2
+        code, out, err, report = self.run_both_ways(tmp_path, capsys, monkeypatch, payload)
+        assert code == 0 and err == "" and out.startswith("wrote ")
+        assert json.loads(report)["config"]["model"]["l2"] == l2
+
+    @pytest.mark.parametrize("arms", [("soft_arm",), ("baseline_arm",), ("soft_arm", "baseline_arm")])
+    def test_divergence(self, tmp_path, capsys, monkeypatch, arms):
+        # the arms' seeds are seed + 3 and seed + 4; each diverges "in epoch <its seed>"
+        seeds = {"soft_arm": 8, "baseline_arm": 9}
+        payload = {"seed": 5, "dataset": {"kind": "pu-benchmark", "n": 600},
+                   "model": {"arch": "linear-logistic", "epochs": 3}}
+        code, out, err, report = self.run_both_ways(
+            tmp_path, capsys, monkeypatch, payload, {seeds[a] for a in arms})
+        assert (code, out, report) == (1, "", None)
+        assert err == (f"error: training diverged in epoch {seeds[arms[0]]}: non-finite "
+                       "loss or parameters; last losses (0.5, 0.25)\n")
+
+    def test_saturating_config_warns_in_arm_order(self, tmp_path, capsys, monkeypatch):
+        code, _, err, _ = self.run_both_ways(
+            tmp_path, capsys, monkeypatch, TestExperiment.SATURATING)
+        assert code == 0
+        assert [line.split(" training")[0] for line in err.splitlines()] == [
+            "warning: soft_arm", "warning: baseline_arm"]
+
+    def test_saturated_soft_arm_warns_before_baseline_error(self, tmp_path, capsys, monkeypatch):
+        code, _, err, _ = self.run_both_ways(
+            tmp_path, capsys, monkeypatch, TestExperiment.SATURATING, {1234 + 4})
+        assert code == 1
+        lines = err.splitlines()
+        assert lines[0].startswith("warning: soft_arm training saturated")
+        assert lines[1].startswith("error: training diverged in epoch 1238")
+        assert len(lines) == 2
+
+    @pytest.fixture
+    def worker(self, monkeypatch):
+        monkeypatch.setattr(experiment_module, "_arm_worker_usable", lambda: True)
+
+    def test_training_diverged_survives_the_pipe(self, worker):
+        def second():
+            raise TrainingDiverged([1.0, 0.5, 0.25, 0.125], 7)
+
+        results = experiment_module._arm_results(lambda: "first", second)
+        assert next(results) == "first"
+        with pytest.raises(TrainingDiverged) as err:
+            next(results)
+        assert (err.value.trace, err.value.epoch) == ((1.0, 0.5, 0.25, 0.125), 7)
+        assert str(err.value) == str(TrainingDiverged([1.0, 0.5, 0.25, 0.125], 7))
+
+    def test_child_is_killed_when_the_first_arm_raises(self, worker):
+        def first():
+            raise ValueError("first arm failed")
+
+        results = experiment_module._arm_results(first, lambda: time.sleep(60))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="first arm failed"):
+            next(results)
+        assert time.perf_counter() - start < 30
+
+    def test_child_without_result_is_named(self, worker):
+        results = experiment_module._arm_results(lambda: "first", lambda: os._exit(3))
+        assert next(results) == "first"
+        with pytest.raises(RuntimeError, match=r"sent no result: wait status 768"):
+            next(results)
+
+    @pytest.mark.parametrize("worker_usable", [True, False])
+    def test_child_warnings_are_issued_here_in_order(self, monkeypatch, capfd, worker_usable):
+        monkeypatch.setattr(experiment_module, "_arm_worker_usable", lambda: worker_usable)
+
+        def job(name):
+            warnings.warn(f"{name} warns", UserWarning)
+            return name
+
+        with pytest.warns(UserWarning) as record:
+            results = experiment_module._arm_results(lambda: job("first"), lambda: job("second"))
+            assert next(results) == "first"
+            assert [str(w.message) for w in record] == ["first warns"]
+            assert next(results) == "second"
+        assert [str(w.message) for w in record] == ["first warns", "second warns"]
+        assert capfd.readouterr() == ("", "")
 
 
 class TestEvalAndBound:

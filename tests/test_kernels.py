@@ -313,6 +313,23 @@ class TestAgainstScalarReference:
         np.testing.assert_allclose(p_ref, p_np, rtol=1e-8, atol=1e-11)
         np.testing.assert_allclose(t_ref, t_np, rtol=1e-9)
 
+    @pytest.mark.parametrize("bad", [-1, 30, 10**6])
+    @pytest.mark.parametrize("arch", ["linear", "mlp"])
+    def test_order_outside_the_rows_is_named(self, arch, bad):
+        # the gathers clip, so the kernels check the order's range up front
+        rng = np.random.default_rng(7)
+        X, s = rng.standard_normal((30, 2)), rng.random(30)
+        order = shuffle_orders(rng, 2, 30)
+        order[1, 17] = bad
+        params = np.zeros(2 + 1 if arch == "linear" else 2 * 4 + 2 * 4 + 1)
+        before = params.copy()
+        with pytest.raises(IndexError, match=rf"order holds row index {bad}, outside \[0, 30\)"):
+            if arch == "linear":
+                kernels.linear_epochs(params, X, s, order, 8, 0.3, 0.0)
+            else:
+                kernels.mlp_epochs(params, X, s, order, 8, 0.3, 0.0, 4)
+        assert np.array_equal(params, before)
+
     def _eg_agree(self, weights_of):
         rng = np.random.default_rng(2)
         B = rng.random((200, 31)) + 1e-6

@@ -131,6 +131,13 @@ class TestDiscreteProblem:
         frontier(DiscreteProblem(prob.masses, prob.eta, prob.eta_s), "spu")
         assert built == ["spu", "real", "spu"]
 
+    def test_equality_and_hash_are_by_identity(self):
+        cells = (np.full(3, 1 / 3), np.array([0.2, 0.5, 0.8]), np.array([0.1, 0.5, 0.9]))
+        prob, twin = DiscreteProblem(*cells), DiscreteProblem(*cells)
+        assert prob == prob and prob != twin
+        assert len({prob, twin, prob}) == 2
+        assert {prob: "a"}[prob] == "a"
+
     @pytest.mark.parametrize("kind", ["both", ["spu"], None])
     def test_bad_kind_is_named(self, kind):
         prob = DiscreteProblem(np.array([1.0]), np.array([0.5]), np.array([0.5]))
