@@ -807,10 +807,6 @@ def provenance_record(dataset: SoftDataset, config_echo: dict) -> dict:
     }
 
 
-def write_provenance(dataset: SoftDataset, config_echo: dict, path) -> None:
-    save_json(provenance_record(dataset, config_echo), path)
-
-
 def save_json(record, path) -> None:
     """Write ``record`` as UTF-8 JSON, indented by 2 with sorted keys and a
     final newline. Every JSON file softpu writes goes through here."""

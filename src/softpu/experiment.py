@@ -44,7 +44,6 @@ from .dataset import (
     gen_mela,
     load_csv,
     pu_labelize,
-    save_json,
 )
 from .kernels import LOSS_CLIP, sigmoid
 from .labeling import (
@@ -400,12 +399,17 @@ def _fork_job(job):
 
     The child never returns into the caller: it leaves through ``os._exit``,
     which flushes no stdio buffer it inherited, and it prints nothing. The
-    warnings the job issues are recorded, not shown, and sent along as
+    warnings the job emits are recorded, not shown, and sent along as
     ``(text, category, filename, lineno)``. If the outcome cannot be
     pickled, the child exits with status 1 and sends nothing.
     """
     read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
     if pid:
         os.close(write_fd)
         return pid, read_fd
@@ -433,7 +437,7 @@ def _arm_results(first, second):
     Where :func:`_arm_worker_usable`, ``second`` runs in a forked child
     (:func:`_fork_job`) while this process runs ``first``. The child is
     always reaped before ``first``'s result is yielded, and killed first if
-    ``first`` raises. Its warnings are issued here after ``first``'s result.
+    ``first`` raises. Its warnings are emitted here after ``first``'s result.
     """
     if not _arm_worker_usable():
         yield first()
@@ -541,7 +545,3 @@ def run_experiment(config: ExperimentConfig) -> dict:
         ).to_dict()
     report["wall_clock_s"] = time.perf_counter() - t0
     return report
-
-
-def report_to_json(report: dict, path) -> None:
-    save_json(report, path)

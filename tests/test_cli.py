@@ -475,6 +475,17 @@ class TestArmWorker:
             next(results)
         assert time.perf_counter() - start < 30
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds in /proc")
+    def test_failed_fork_closes_its_pipe(self, worker, monkeypatch):
+        def no_fork():
+            raise BlockingIOError("Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        before = os.listdir("/proc/self/fd")
+        with pytest.raises(BlockingIOError):
+            next(experiment_module._arm_results(lambda: "first", lambda: "second"))
+        assert os.listdir("/proc/self/fd") == before
+
     def test_child_without_result_is_named(self, worker):
         results = experiment_module._arm_results(lambda: "first", lambda: os._exit(3))
         assert next(results) == "first"
@@ -482,7 +493,7 @@ class TestArmWorker:
             next(results)
 
     @pytest.mark.parametrize("worker_usable", [True, False])
-    def test_child_warnings_are_issued_here_in_order(self, monkeypatch, capfd, worker_usable):
+    def test_child_warnings_are_emitted_here_in_order(self, monkeypatch, capfd, worker_usable):
         monkeypatch.setattr(experiment_module, "_arm_worker_usable", lambda: worker_usable)
 
         def job(name):
