@@ -128,8 +128,23 @@ def _scores_for(config: dict, data) -> np.ndarray:
     return load_model(model_path).scores(data.features)
 
 
+def _thresholds(config: dict) -> list[float]:
+    """The config's optional ``thresholds``: each entry an int or float
+    (not a bool, not numeric text) that is a finite float."""
+    values = config_field(config, "thresholds", list, default=[])
+    for i, t in enumerate(values):
+        # the comparison is exact for ints of any size and false for nan
+        finite = isinstance(t, (int, float)) and abs(t) <= sys.float_info.max
+        if isinstance(t, bool) or not finite:
+            raise ValueError(
+                f"config field 'thresholds' entry {i} must be a finite number, got {t!r}"
+            )
+    return [float(t) for t in values]
+
+
 def cmd_eval(args) -> int:
     config = _load_config(args.config)
+    thresholds = _thresholds(config)
     seed = _resolve_seed(args, config)
     out = _resolve_out(args, config)
     data = build_dataset(config_field(config, "dataset", dict, required=True), seed)
@@ -146,13 +161,12 @@ def cmd_eval(args) -> int:
         # both curves sweep the same scores, so they share the threshold text
         more = ((real_curve, out / "curve_real.csv"),)
     curve_to_csv(curve, out / "curve_spu.csv", more=more)
-    thresholds = config_field(config, "thresholds", list, default=[])
     rows = []
     for t in thresholds:
-        pred = threshold_classify(scores, float(t))
+        pred = threshold_classify(scores, t)
         rows.append(
             {
-                "threshold": float(t),
+                "threshold": t,
                 "tpr_spu": tpr_spu(data, pred),
                 "fpr_spu": fpr_spu(data, pred),
             }

@@ -16,11 +16,14 @@ import io
 import itertools
 import json
 import math
+import shutil
+import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import workers
 from .kernels import sigmoid
 
 SOFT_GRID = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
@@ -377,6 +380,10 @@ def load_csv(path, schema: CsvSchema) -> SoftDataset:
 # memory while keeping the per-chunk overhead small.
 CHUNK_ROWS = 8192
 
+# Characters per piece when a forked writer's half is appended: bounds the
+# child's text held here at once.
+COPY_CHARS = 1 << 20
+
 # Text of a true label, indexed by the label (always exactly 0 or 1).
 _LABEL_TEXT = np.array(["0", "1"], dtype=object)
 
@@ -410,21 +417,64 @@ def rows_text(cells) -> str:
     return "".join(flat)
 
 
-def write_columns(fh, columns) -> None:
+def _write_rows(tables, lo, hi) -> None:
+    """Write rows ``lo`` to ``hi`` of each ``(fh, columns)`` table,
+    :data:`CHUNK_ROWS` at a time. In each chunk, a column object that
+    several tables share is formatted once for all of them."""
+    for start in range(lo, hi, CHUNK_ROWS):
+        end = min(start + CHUNK_ROWS, hi)
+        texts = {}
+        for fh, columns in tables:
+            cells = []
+            for c in columns:
+                if id(c) not in texts:
+                    part = c[start:end]
+                    texts[id(c)] = float_text(part) if c.dtype.kind == "f" else part.tolist()
+                cells.append(texts[id(c)])
+            fh.write(rows_text(cells))
+
+
+def write_columns(fh, columns, more=()) -> None:
     """Write equal-length 1-D arrays to ``fh`` as comma-separated rows.
 
     Float columns are written by :func:`float_text`; any other column must
-    hold its cells' text already. Rows go out :data:`CHUNK_ROWS` at a time,
-    each chunk as one string from :func:`rows_text`.
+    hold its cells' text already. ``more`` holds further ``(fh, columns)``
+    tables with the same number of rows; a column object that several
+    tables list is formatted once per chunk for all of them. Rows are
+    formatted :data:`CHUNK_ROWS` at a time, each chunk as one string from
+    :func:`rows_text`.
+
+    From ``2 * CHUNK_ROWS`` rows up, where :func:`softpu.workers.worker_usable`,
+    the rows split in two at a chunk boundary: a forked child formats the
+    second half of every table into an anonymous temporary file while this
+    process formats and writes the first, and then appends the child's
+    text, :data:`COPY_CHARS` at a time. Every file gets the bytes of the
+    serial write.
     """
-    for lo in range(0, len(columns[0]), CHUNK_ROWS):
-        cells = [
-            float_text(c[lo : lo + CHUNK_ROWS])
-            if c.dtype.kind == "f"
-            else c[lo : lo + CHUNK_ROWS].tolist()
-            for c in columns
+    tables = [(fh, columns)] + list(more)
+    rows = len(columns[0])
+    if rows < 2 * CHUNK_ROWS or not workers.worker_usable():
+        _write_rows(tables, 0, rows)
+        return
+    split = CHUNK_ROWS * (-(-rows // CHUNK_ROWS) // 2)
+    with contextlib.ExitStack() as stack:
+        spools = [
+            stack.enter_context(
+                tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
+            )
+            for _ in tables
         ]
-        fh.write(rows_text(cells))
+
+        def second_half():
+            _write_rows([(s, c) for s, (_, c) in zip(spools, tables)], split, rows)
+            for spool in spools:
+                spool.flush()
+
+        for _ in workers.pair_results(lambda: _write_rows(tables, 0, split), second_half):
+            pass
+        for (out, _), spool in zip(tables, spools):
+            spool.seek(0)
+            shutil.copyfileobj(spool, out, COPY_CHARS)
 
 
 def _check_writable(names) -> None:
@@ -453,7 +503,9 @@ def _check_writable(names) -> None:
 def save_csv(dataset: SoftDataset, path) -> None:
     """Export to the ingestion schema plus a leading ``#`` provenance line.
 
-    Floats are written with ``repr`` (see :func:`float_text`). Column names
+    Floats are written with ``repr`` (see :func:`float_text`); the rows go
+    out through :func:`write_columns`, so a long dataset may have its second
+    half formatted in a forked child, with the same bytes. Column names
     that would not read back (a comma, quote or line break, surrounding
     whitespace, a repeated name, or a leading ``#`` on the first) are
     refused before the file is opened.

@@ -19,18 +19,14 @@ the arms one after the other.
 
 import hashlib
 import json
-import os
-import pickle
-import signal
 import sys
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, workers
 from .dataset import (
     CsvSchema,
     DiscreteEta,
@@ -383,89 +379,6 @@ def saturation_warning(arm: str, val_scores) -> str | None:
     )
 
 
-def _arm_worker_usable() -> bool:
-    """Whether an arm can train in a forked child beside this process: the
-    platform has ``os.fork`` and this process may run on two or more CPUs."""
-    return (
-        hasattr(os, "fork")
-        and hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) >= 2
-    )
-
-
-def _fork_job(job):
-    """Run ``job()`` in a forked child; returns its pid and the read end of
-    the pipe on which it sends ``(ok, result or exception, warnings)``.
-
-    The child never returns into the caller: it leaves through ``os._exit``,
-    which flushes no stdio buffer it inherited, and it prints nothing. The
-    warnings the job emits are recorded, not shown, and sent along as
-    ``(text, category, filename, lineno)``. If the outcome cannot be
-    pickled, the child exits with status 1 and sends nothing.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid:
-        os.close(write_fd)
-        return pid, read_fd
-    status = 1
-    try:
-        os.close(read_fd)
-        with warnings.catch_warnings(record=True) as caught:
-            try:
-                outcome = (True, job())
-            except Exception as exc:
-                outcome = (False, exc)
-        shown = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
-        payload = pickle.dumps(outcome + (shown,))
-        with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(payload)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _arm_results(first, second):
-    """Yield ``first()`` and then ``second()``, raising the first failure
-    in that order: the results, warnings and error of calling them in turn.
-
-    Where :func:`_arm_worker_usable`, ``second`` runs in a forked child
-    (:func:`_fork_job`) while this process runs ``first``. The child is
-    always reaped before ``first``'s result is yielded, and killed first if
-    ``first`` raises. Its warnings are emitted here after ``first``'s result.
-    """
-    if not _arm_worker_usable():
-        yield first()
-        yield second()
-        return
-    pid, read_fd = _fork_job(second)
-    with os.fdopen(read_fd, "rb") as pipe:
-        try:
-            result = first()
-            payload = pipe.read()
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            status = os.waitpid(pid, 0)[1]
-    yield result
-    if not payload:
-        raise RuntimeError(
-            f"the arm worker (pid {pid}) sent no result: wait status {status}"
-        )
-    ok, value, shown = pickle.loads(payload)
-    for text, category, filename, lineno in shown:
-        warnings.warn_explicit(text, category, filename, lineno)
-    if not ok:
-        raise value
-    yield value
-
-
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run both arms and return the JSON-ready report.
 
@@ -474,7 +387,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     AUC per arm plus the soft-minus-baseline delta. Prints the
     :func:`saturation_warning` line of each saturated arm on stderr, in arm
     order; the report does not change. The arms may train at once
-    (:func:`_arm_results`).
+    (:func:`softpu.workers.pair_results`).
     """
     t0 = time.perf_counter()
     data = build_dataset(config.dataset, config.seed)
@@ -513,7 +426,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         }
         return entry, saturation_warning(name, val_scores)
 
-    results = _arm_results(
+    results = workers.pair_results(
         lambda: run_arm("soft_arm", soft_data, soft_data.soft_labels, config.seed + 3),
         lambda: run_arm("baseline_arm", data, hard_labels, config.seed + 4),
     )

@@ -19,14 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import (
-    CHUNK_ROWS,
-    SoftDataset,
-    float_text,
-    open_csv,
-    parse_cell,
-    rows_text,
-)
+from .dataset import SoftDataset, open_csv, parse_cell, write_columns
 
 _CURVE_COLUMNS = ("threshold", "x", "y")
 
@@ -387,11 +380,13 @@ def curve_to_csv(curve: RocCurve, path, more=()) -> None:
 
     ``more`` holds further ``(curve, path)`` pairs that share ``curve``'s
     thresholds, such as the substitute and real curves of one score vector.
-    All files are written in one pass, :data:`~softpu.dataset.CHUNK_ROWS`
-    rows at a time, and each chunk of the shared threshold column is
-    formatted once for all of them; every file gets the bytes a call for its
-    curve alone would write. A curve whose thresholds differ from
-    ``curve``'s, bit for bit, is refused before any file is opened.
+    All files are written in one pass by
+    :func:`~softpu.dataset.write_columns`, which formats each chunk of the
+    shared threshold column once for all of them and, for long curves, may
+    format the second half of the rows in a forked child; every file gets
+    the bytes a call for its curve alone would write. A curve whose
+    thresholds differ from ``curve``'s, bit for bit, is refused before any
+    file is opened.
     """
     pairs = [(curve, Path(path))] + [(c, Path(p)) for c, p in more]
     bits = curve.thresholds.view(np.int64)
@@ -402,19 +397,12 @@ def curve_to_csv(curve: RocCurve, path, more=()) -> None:
             )
     header = ",".join(_CURVE_COLUMNS) + "\n"
     with ExitStack() as stack:
-        files = [
-            stack.enter_context(p.open("w", encoding="utf-8", newline="\n"))
-            for _, p in pairs
-        ]
-        for fh in files:
+        tables = []
+        for c, p in pairs:
+            fh = stack.enter_context(p.open("w", encoding="utf-8", newline="\n"))
             fh.write(header)
-        for lo in range(0, len(curve), CHUNK_ROWS):
-            hi = lo + CHUNK_ROWS
-            thresholds = float_text(curve.thresholds[lo:hi])
-            for (c, _), fh in zip(pairs, files):
-                fh.write(
-                    rows_text([thresholds, float_text(c.xs[lo:hi]), float_text(c.ys[lo:hi])])
-                )
+            tables.append((fh, [curve.thresholds, c.xs, c.ys]))
+        write_columns(*tables[0], more=tables[1:])
 
 
 def curve_from_csv(path, kind: str) -> RocCurve:

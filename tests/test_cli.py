@@ -19,6 +19,7 @@ import softpu
 import softpu.cli
 from softpu import experiment as experiment_module
 from softpu import oracle as oracle_module
+from softpu import workers as workers_module
 from softpu.cli import main
 from softpu.dataset import CsvSchema, load_csv
 from softpu.experiment import (
@@ -387,9 +388,9 @@ class TestArmWorker:
         for worker in (True, False):
             forks = []
             with monkeypatch.context() as m:
-                fork_job = experiment_module._fork_job
-                m.setattr(experiment_module, "_arm_worker_usable", lambda: worker)
-                m.setattr(experiment_module, "_fork_job",
+                fork_job = workers_module.fork_job
+                m.setattr(workers_module, "worker_usable", lambda: worker)
+                m.setattr(workers_module, "fork_job",
                           lambda job: forks.append(job) or fork_job(job))
                 if diverging_seeds:
                     train = experiment_module.train
@@ -452,13 +453,13 @@ class TestArmWorker:
 
     @pytest.fixture
     def worker(self, monkeypatch):
-        monkeypatch.setattr(experiment_module, "_arm_worker_usable", lambda: True)
+        monkeypatch.setattr(workers_module, "worker_usable", lambda: True)
 
     def test_training_diverged_survives_the_pipe(self, worker):
         def second():
             raise TrainingDiverged([1.0, 0.5, 0.25, 0.125], 7)
 
-        results = experiment_module._arm_results(lambda: "first", second)
+        results = workers_module.pair_results(lambda: "first", second)
         assert next(results) == "first"
         with pytest.raises(TrainingDiverged) as err:
             next(results)
@@ -469,7 +470,7 @@ class TestArmWorker:
         def first():
             raise ValueError("first arm failed")
 
-        results = experiment_module._arm_results(first, lambda: time.sleep(60))
+        results = workers_module.pair_results(first, lambda: time.sleep(60))
         start = time.perf_counter()
         with pytest.raises(ValueError, match="first arm failed"):
             next(results)
@@ -483,25 +484,25 @@ class TestArmWorker:
         monkeypatch.setattr(os, "fork", no_fork)
         before = os.listdir("/proc/self/fd")
         with pytest.raises(BlockingIOError):
-            next(experiment_module._arm_results(lambda: "first", lambda: "second"))
+            next(workers_module.pair_results(lambda: "first", lambda: "second"))
         assert os.listdir("/proc/self/fd") == before
 
     def test_child_without_result_is_named(self, worker):
-        results = experiment_module._arm_results(lambda: "first", lambda: os._exit(3))
+        results = workers_module.pair_results(lambda: "first", lambda: os._exit(3))
         assert next(results) == "first"
         with pytest.raises(RuntimeError, match=r"sent no result: wait status 768"):
             next(results)
 
     @pytest.mark.parametrize("worker_usable", [True, False])
     def test_child_warnings_are_emitted_here_in_order(self, monkeypatch, capfd, worker_usable):
-        monkeypatch.setattr(experiment_module, "_arm_worker_usable", lambda: worker_usable)
+        monkeypatch.setattr(workers_module, "worker_usable", lambda: worker_usable)
 
         def job(name):
             warnings.warn(f"{name} warns", UserWarning)
             return name
 
         with pytest.warns(UserWarning) as record:
-            results = experiment_module._arm_results(lambda: job("first"), lambda: job("second"))
+            results = workers_module.pair_results(lambda: job("first"), lambda: job("second"))
             assert next(results) == "first"
             assert [str(w.message) for w in record] == ["first warns"]
             assert next(results) == "second"
@@ -546,6 +547,55 @@ class TestEvalAndBound:
         grid = record["threshold_grid"]
         assert [row["threshold"] for row in grid] == [0.1, 0.5, 0.9]
         assert all(0 <= row["tpr_spu"] <= 1 for row in grid)
+
+    @pytest.mark.parametrize(
+        "entry, shown",
+        [
+            (None, "None"),
+            ([0.5], "[0.5]"),
+            ("abc", "'abc'"),
+            ("0.5", "'0.5'"),
+            (True, "True"),
+            (float("nan"), "nan"),
+            (float("-inf"), "-inf"),
+            (10**400, str(10**400)),
+        ],
+        ids=["null", "list", "text", "numeric-text", "bool", "nan", "-inf", "huge-int"],
+    )
+    def test_bad_threshold_entry_is_named_error(self, tmp_path, capsys, trained_model_path,
+                                                entry, shown):
+        cfg = write_config(
+            tmp_path,
+            "eval.json",
+            {
+                "seed": 4,
+                "dataset": {"kind": "gscar", "n": 200, "pi": 0.2},
+                "model": str(trained_model_path),
+                "thresholds": [0.5, entry],
+            },
+        )
+        out = tmp_path / "out"
+        assert run(cfg, "eval", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: config field 'thresholds' entry 1 must be a finite number, got {shown}\n"
+        )
+        assert not out.exists()
+
+    def test_integer_threshold_is_a_float(self, tmp_path, trained_model_path):
+        cfg = write_config(
+            tmp_path,
+            "eval.json",
+            {
+                "seed": 4,
+                "dataset": {"kind": "gscar", "n": 200, "pi": 0.2},
+                "model": str(trained_model_path),
+                "thresholds": [0, 1],
+            },
+        )
+        assert run(cfg, "eval", tmp_path / "out") == 0
+        text = (tmp_path / "out" / "eval.json").read_text()
+        assert [row["threshold"] for row in json.loads(text)["threshold_grid"]] == [0.0, 1.0]
+        assert '"threshold": 0.0' in text
 
     def test_bound_check_reports_margin(self, tmp_path, trained_model_path, capsys):
         cfg = write_config(

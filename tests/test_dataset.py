@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softpu import dataset as dataset_module
+from softpu import workers as workers_module
 from softpu.dataset import (
     CHUNK_ROWS,
     AffineLink,
@@ -32,6 +33,7 @@ from softpu.dataset import (
     save_csv,
     schema_for,
 )
+from softpu.metrics import RocCurve, curve_from_csv, curve_to_csv
 
 
 def save_csv_ref(dataset, path):
@@ -535,6 +537,140 @@ class TestSaveCsv:
         path = tmp_path / "d.csv"
         save_csv(ds, path)
         assert load_csv(path, schema_for(ds)).feature_names == ("a", "#b")
+
+
+class TestForkedWriter:
+    """From ``2 * CHUNK_ROWS`` rows up, a forked child formats the second
+    half of the rows; the files get the bytes of the serial write."""
+
+    # 3 * CHUNK_ROWS + 1001 is odd and above three chunks
+    ROWS = [2 * CHUNK_ROWS - 1, 2 * CHUNK_ROWS, 2 * CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 1001]
+    FINITE = [-0.0, 0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, -1e-320]
+    SPECIAL = FINITE + [np.nan, np.inf, -np.inf]
+
+    @staticmethod
+    def split_of(rows):
+        """The first row of the child's half: a chunk boundary near the middle."""
+        return CHUNK_ROWS * (2 if rows > 3 * CHUNK_ROWS else 1)
+
+    @staticmethod
+    def both_ways(monkeypatch, write):
+        """``write(tag)`` with the worker forced on and off; the number of
+        forks each way."""
+        forks = {}
+        for usable in (True, False):
+            calls = []
+            with monkeypatch.context() as m:
+                fork_job = workers_module.fork_job
+                m.setattr(workers_module, "worker_usable", lambda: usable)
+                m.setattr(workers_module, "fork_job", lambda job: calls.append(job) or fork_job(job))
+                write("forked" if usable else "serial")
+            forks[usable] = len(calls)
+        return forks
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_save_csv_bytes_match_serial_write(self, tmp_path, monkeypatch, rows):
+        rng = np.random.default_rng(rows)
+        split = self.split_of(rows)
+        feats = rng.standard_normal((rows, 2)) * 10.0 ** rng.integers(-20, 20, (rows, 1))
+        near = slice(split - 3, split + 3)
+        feats[near, 0] = self.FINITE
+        feats[near, 1] = self.FINITE[::-1]
+        soft = rng.choice([0.0, 0.25, 1 / 3, 1.0], rows)
+        soft[near] = [-0.0, 5e-324, 0.0, 1e-320, -0.0, 2.5e-310]
+        ds = SoftDataset(
+            features=feats,
+            soft_labels=soft,
+            true_labels=rng.integers(0, 2, rows),
+            feature_names=("a", "b"),
+            provenance="test",
+        )
+        forks = self.both_ways(monkeypatch, lambda tag: save_csv(ds, tmp_path / f"{tag}.csv"))
+        assert forks == {True: int(rows >= 2 * CHUNK_ROWS), False: 0}
+        assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_curve_to_csv_with_more_bytes_match_serial_write(self, tmp_path, monkeypatch, rows):
+        rng = np.random.default_rng(rows)
+        split = self.split_of(rows)
+        near = slice(split - 4, split + 5)
+        t = np.sort(rng.random(rows))[::-1].copy()
+        t[near] = self.SPECIAL
+        xs = np.concatenate([np.where(np.arange(split - 4) % 2, 0.0, -0.0),
+                             [5e-324, 5e-324, 1e-320, 2.5e-310, 2.5e-310],
+                             np.sort(rng.random(rows - split - 2)) + 1e-300, [1.0]])
+        ys = np.concatenate([[-0.0], np.sort(rng.choice([0.25, 0.5, 1 / 3], rows - 2)), [1.0]])
+        spu = RocCurve(t, xs, ys, kind="spu")
+        real = RocCurve(t.copy(), ys, xs, kind="real")
+
+        def write(tag):
+            curve_to_csv(spu, tmp_path / f"{tag}_spu.csv",
+                         more=((real, tmp_path / f"{tag}_real.csv"),))
+
+        forks = self.both_ways(monkeypatch, write)
+        assert forks == {True: int(rows >= 2 * CHUNK_ROWS), False: 0}
+        for name in ("spu", "real"):
+            forked = (tmp_path / f"forked_{name}.csv").read_bytes()
+            assert forked == (tmp_path / f"serial_{name}.csv").read_bytes()
+        back = curve_from_csv(tmp_path / "forked_real.csv", kind="real")
+        for a, b in ((back.thresholds, t), (back.xs, ys), (back.ys, xs)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_shared_column_is_formatted_once_per_chunk(self, monkeypatch):
+        rows = 2 * CHUNK_ROWS + 1
+        shared, a, b = (np.arange(rows, dtype=np.float64) + k for k in range(3))
+        calls = []
+        float_text = dataset_module.float_text
+        monkeypatch.setattr(dataset_module, "float_text", lambda v: calls.append(1) or float_text(v))
+        monkeypatch.setattr(workers_module, "worker_usable", lambda: False)
+        got = [io.StringIO(), io.StringIO()]
+        dataset_module.write_columns(got[0], [shared, a], more=((got[1], [shared, b]),))
+        assert len(calls) == 3 * 3  # three chunks, three distinct columns
+        assert got[1].getvalue().splitlines()[-1] == f"{float(rows - 1)!r},{float(rows + 1)!r}"
+
+    @pytest.mark.parametrize("half", ["parent", "child"])
+    def test_error_in_either_half_is_raised_here(self, monkeypatch, half):
+        rows = 3 * CHUNK_ROWS + 1001
+        text = np.array([f"u{i}" for i in range(rows)], dtype=object)
+        text[5 if half == "parent" else self.split_of(rows) + 5] = 17
+        errors = {}
+
+        def write(tag):
+            with pytest.raises(TypeError) as err:
+                dataset_module.write_columns(io.StringIO(), [np.zeros(rows), text])
+            errors[tag] = str(err.value)
+
+        assert self.both_ways(monkeypatch, write) == {True: 1, False: 0}
+        assert errors["forked"] == errors["serial"]
+        assert "expected str instance, int found" in errors["forked"]
+
+    def test_child_without_result_is_named(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+        float_text = dataset_module.float_text
+
+        def child_dies(values):
+            if os.getpid() != parent:
+                os._exit(3)
+            return float_text(values)
+
+        monkeypatch.setattr(dataset_module, "float_text", child_dies)
+        monkeypatch.setattr(workers_module, "worker_usable", lambda: True)
+        with pytest.raises(RuntimeError, match=r"sent no result: wait status 768"):
+            dataset_module.write_columns(io.StringIO(), [np.zeros(2 * CHUNK_ROWS)])
+
+    def test_no_fork_without_the_worker(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(workers_module, "worker_usable", lambda: False)
+        rows = 2 * CHUNK_ROWS + 1
+        ds = SoftDataset(features=np.ones((rows, 1)), soft_labels=np.zeros(rows))
+        save_csv(ds, tmp_path / "d.csv")
+        curve = RocCurve(np.linspace(1, -1, rows), np.linspace(0, 1, rows),
+                         np.linspace(0, 1, rows), kind="spu")
+        curve_to_csv(curve, tmp_path / "c.csv", more=((curve, tmp_path / "r.csv"),))
+        assert len((tmp_path / "r.csv").read_text().splitlines()) == rows + 1
 
 
 class TestPuLabelize:
