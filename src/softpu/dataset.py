@@ -380,9 +380,10 @@ def load_csv(path, schema: CsvSchema) -> SoftDataset:
 # memory while keeping the per-chunk overhead small.
 CHUNK_ROWS = 8192
 
-# Characters per piece when a forked writer's half is appended: bounds the
-# child's text held here at once.
-COPY_CHARS = 1 << 20
+# Characters per piece when a forked writer's half is appended. A text
+# piece is held about four times over (bytes read, decoded text, encoded
+# bytes), so 1 MiB pieces would add about 4 MiB to this process's peak.
+COPY_CHARS = 1 << 16
 
 # Text of a true label, indexed by the label (always exactly 0 or 1).
 _LABEL_TEXT = np.array(["0", "1"], dtype=object)
