@@ -13,11 +13,15 @@ import codecs
 import contextlib
 import csv
 import io
-import itertools
 import json
 import math
+import operator
+import os
+import re
 import shutil
+import stat
 import tempfile
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -169,211 +173,309 @@ def parse_cell(raw, row, column):
         ) from None
 
 
-def _parse_feature(raw, row, column):
-    value = parse_cell(raw, row, column)
-    if not math.isfinite(value):
-        raise ValueError(f"row {row}, column '{column}': non-finite value {value}")
-    return value
-
-
-@contextlib.contextmanager
-def open_csv(path):
-    """Open a CSV file for :mod:`csv` reading, as UTF-8 with an optional BOM.
-
-    The text can be read again from its start with ``seek(0)``: a file that
-    cannot seek (a pipe) is read into memory first. A byte that is not
-    UTF-8, met while the file is open, raises the :func:`not_utf8_error` of
-    the file.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    with path.open("rb") as raw:
-        source = raw if raw.seekable() else io.BytesIO(raw.read())
-        # utf-8-sig skips a leading byte-order mark, as spreadsheet exports write
-        fh = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
-        try:
-            yield fh
-        except UnicodeDecodeError:
-            raise not_utf8_error(path, source) from None
-        finally:
-            fh.detach()
-
-
-# not_utf8_error reads a file this many bytes at a time
-DECODE_CHUNK_BYTES = 1 << 20
-
-
-def not_utf8_error(path, fh) -> ValueError:
-    """The error for a file that is not UTF-8 text (a compressed file, say),
-    naming it and its first byte that does not decode, at its offset.
-
-    ``fh`` is the file open in binary mode; it is read again from its start.
-    """
-    if not fh.seekable():
-        return ValueError(f"{path}: not UTF-8 text")
-    fh.seek(0)
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    end = 0  # the offset after the bytes fed to the decoder
-    try:
-        while chunk := fh.read(DECODE_CHUNK_BYTES):
-            end += len(chunk)
-            decoder.decode(chunk)
-        decoder.decode(b"", final=True)
-    except UnicodeDecodeError as exc:
-        # exc.object is the undecoded tail of the bytes fed so far
-        offset = end - len(exc.object) + exc.start
-        return ValueError(
-            f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
-            f"at offset {offset}"
-        )
-    return ValueError(f"{path}: not UTF-8 text")
-
-
-def _skip_comments(fh):
-    """The lines of an open CSV file that are not ``#`` comments, line ends kept."""
-    return (line for line in fh if line[0] != "#")
-
-
-def _data_lines(fh) -> list[str]:
-    """All non-comment lines of an open CSV file from its start, for the row loop."""
-    fh.seek(0)
-    return list(_skip_comments(fh))
-
-
-def _read_header(reader, schema: CsvSchema) -> tuple[list[str], dict[str, int]]:
-    """The stripped header row and each name's column; checks the schema."""
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("empty dataset") from None
-    except csv.Error as exc:
-        raise ValueError(f"row 0: {exc}") from None
+def named_columns(header, names, empty) -> list[int]:
+    """A :attr:`TableFormat.locate` for a header that names ``names``: their
+    positions among the fields stripped of whitespace, the first of a name
+    that repeats. ``empty`` is the error for a file without a header."""
+    if header is None:
+        raise ValueError(empty)
     header = [h.strip() for h in header]
-    col = {name: j for j, name in enumerate(header)}
-    wanted = list(schema.features) + [schema.soft_label]
-    if schema.true_label is not None:
-        wanted.append(schema.true_label)
-    missing = [name for name in wanted if name not in col]
+    missing = [name for name in names if name not in header]
     if missing:
         raise ValueError(f"missing column(s): {missing}")
-    duplicate = [name for name in dict.fromkeys(wanted) if header.count(name) > 1]
-    if duplicate:
-        raise ValueError(f"duplicate column(s): {duplicate}")
-    return header, col
+    return [header.index(name) for name in names]
 
 
-def _load_rows(lines, schema: CsvSchema) -> SoftDataset:
-    """Parse the non-comment ``lines`` of a CSV one row at a time.
+@dataclass(frozen=True)
+class TableFormat:
+    """One kind of CSV file, as :func:`read_table` reads it.
 
-    Reads everything :func:`load_csv` accepts, quoted cells included, and
-    names the row and column of the first bad cell.
+    ``locate`` maps the header's fields (None without a header) to the
+    positions of the columns read. ``parse_row`` maps those cells of a row
+    (None where it is too short) and the row number to values. Both raise
+    the file type's named errors; ``empty`` is the one for a file without
+    data rows. ``exact_width``: every row has the header's width.
+    ``comments``: lines starting with ``#`` are skipped. ``check``: whether
+    a column-pass table holds only values ``parse_row`` accepts.
     """
-    reader = csv.reader(lines)
-    header, col = _read_header(reader, schema)
-    feats, soft, truth = [], [], []
-    row_idx = 0  # data rows only: blank and comment lines are not counted
+
+    locate: Callable[[list[str] | None], list[int]]
+    parse_row: Callable[[list[str | None], int], list]
+    dtype: type
+    empty: str
+    exact_width: bool = False
+    comments: bool = False
+    check: Callable[[np.ndarray], bool] = lambda table: True
+
+
+# The bytes the column pass reads: tab, line ends, printable ASCII other
+# than the quote, and bytes from 0x80 up outside the columns it parses. A
+# quote can join lines into one csv field; loadtxt reads "5\x1c" as 5 and
+# some non-ASCII letters as digits where int() refuses them; and some other
+# characters end a line for str.splitlines but not for csv.
+_VOUCHED_BYTES = (
+    b"\t\n\r" + bytes(range(0x20, 0x7F)).replace(b'"', b"") + bytes(range(0x80, 0x100))
+)
+# the scan reads a file this many bytes at a time
+SCAN_CHUNK_BYTES = 1 << 18
+# np.loadtxt given a path decompresses files with these suffixes
+_UNPACKED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+# a line ends at \r, \n or \r\n, as for csv and universal newlines
+_LINE_END = re.compile(rb"\r\n?|\n")
+# what the column pass compares to tell whether a path names the file it scanned
+_identity = operator.attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
+
+
+def read_table(path, fmt: TableFormat) -> np.ndarray:
+    """The columns ``fmt.locate`` picks from a UTF-8 CSV file with a header
+    row, as a (rows, columns) array of ``fmt.dtype``.
+
+    A leading byte-order mark and blank lines are skipped. The file is read
+    by :func:`_column_pass`, or if that declines by :func:`_read_rows`,
+    which names the first bad row (the header is row 0) and column. A pipe
+    is read into memory first. A missing file, a directory and a file that
+    is not UTF-8 text (with its first bad byte and offset) are named errors.
+    """
+    path = Path(path)
     try:
-        for row in reader:
-            if not row:
-                continue
-            row_idx += 1
-            if len(row) != len(header):
-                raise ValueError(
-                    f"row {row_idx}: expected {len(header)} fields, got {len(row)}"
-                )
-            feats.append(
-                [_parse_feature(row[col[name]], row_idx, name) for name in schema.features]
+        raw = path.open("rb")
+    except FileNotFoundError:
+        raise FileNotFoundError(f"no such file: {path}") from None
+    except IsADirectoryError:
+        raise IsADirectoryError(f"{path}: is a directory, not a CSV file") from None
+    with raw:
+        regular = stat.S_ISREG(os.fstat(raw.fileno()).st_mode)
+        # both passes read the file from its start: a pipe is read into memory
+        fh = raw if raw.seekable() else io.BytesIO(raw.read())
+        by_path = path if regular and path.suffix not in _UNPACKED_SUFFIXES else None
+        table = _column_pass(fh, fmt, by_path)
+        if table is not None:
+            return table
+        fh.seek(0)
+        text = io.TextIOWrapper(fh, encoding="utf-8-sig", newline="")
+        try:
+            return _read_rows(text, fmt)
+        except UnicodeDecodeError as exc:
+            # exc.object holds the bytes last fed to the decoder, which end
+            # where fh stands
+            offset = fh.tell() - len(exc.object) + exc.start
+            raise ValueError(
+                f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} at offset {offset}"
+            ) from None
+        finally:
+            text.detach()
+
+
+def _column_pass(fh, fmt: TableFormat, path=None) -> np.ndarray | None:
+    """The table of :func:`read_table` from one ``np.loadtxt`` pass over the
+    binary file ``fh``, open at its start, or None if :func:`_scan`,
+    ``loadtxt`` or ``fmt.check`` refuses it. Given the ``path`` of the
+    regular file ``fh`` is open on, ``loadtxt`` reads the path with numpy's
+    chunked C reader, about a third faster; that result counts only if the
+    path still names the scanned file, unchanged (device, inode, size,
+    mtime). Else ``loadtxt`` reads the open file.
+    """
+    scanned = None if path is None else _identity(os.fstat(fh.fileno()))
+    if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+        fh.seek(0)
+    if (found := _scan(fh, fmt)) is None:
+        return None
+    usecols, skiprows = found
+
+    def load(source):
+        try:
+            table = np.loadtxt(
+                source,
+                delimiter=",",
+                comments=None,
+                skiprows=skiprows,
+                usecols=usecols,
+                dtype=fmt.dtype,
+                ndmin=2,
+                encoding="utf-8-sig",
             )
-            s = parse_cell(row[col[schema.soft_label]], row_idx, schema.soft_label)
-            if not 0.0 <= s <= 1.0:
-                raise ValueError(f"row {row_idx}: soft label {s} outside [0, 1]")
-            soft.append(s)
-            if schema.true_label is not None:
-                y = parse_cell(row[col[schema.true_label]], row_idx, schema.true_label)
-                if y not in (0.0, 1.0):
-                    raise ValueError(
-                        f"row {row_idx}: true label {y} must be exactly 0 or 1"
-                    )
-                truth.append(int(y))
-    except csv.Error as exc:
-        raise ValueError(f"row {row_idx + 1}: {exc}") from None
+        except (OSError, ValueError):
+            return None
+        return table if fmt.check(table) else None
 
-    if not feats:
-        raise ValueError("empty dataset")
-    return SoftDataset(
-        features=np.array(feats, dtype=np.float64),
-        soft_labels=np.array(soft, dtype=np.float64),
-        true_labels=np.array(truth, dtype=np.int8) if truth else None,
-        feature_names=tuple(schema.features),
-        provenance="loaded",
-    )
+    if path is not None:
+        # an absolute path, which numpy never takes for a URL
+        table = load(os.fspath(Path(path).absolute()))
+        with contextlib.suppress(OSError):  # the path may name no file now
+            if _identity(os.stat(path)) == scanned:
+                return table
+    fh.seek(0)
+    text = io.TextIOWrapper(fh, encoding="utf-8-sig", newline=None)
+    try:
+        return load(text)
+    finally:
+        text.detach()
 
 
-def _parse_table(lines, width):
-    """The data ``lines`` as one float table, or None if the row loop must read them.
+def _scan(fh, fmt: TableFormat) -> tuple[list[int], int] | None:
+    """``(usecols, skiprows)`` for the column pass if the binary file
+    ``fh``, open after any byte-order mark, passes these rules, else None.
 
-    None unless some line is not blank and every such line holds ``width``
-    numbers (``loadtxt`` skips blank lines, as the row loop does, and raises
-    when the field count changes). A cell with a quote or a ``#`` line never
-    parses as a number, so files with either always get None. ``lines`` is
-    consumed one line at a time, so the text of the file is never held
-    whole; given the open file, ``loadtxt`` iterates it without a Python
-    generator in between.
+    The header (the first line not skipped as a comment) is not blank and
+    satisfies ``fmt.locate``. From it on, no line is longer than the csv
+    field size limit and every byte is vouched (:data:`_VOUCHED_BYTES`).
+    After it, some line is not blank, none is a comment, and with
+    ``fmt.exact_width`` each that is not blank has the header's width.
     """
-    lines = iter(lines)
-    first = next((line for line in lines if line.strip("\r\n")), None)
-    if first is None:
+    limit = csv.field_size_limit()
+    buf, pos, skiprows, eof = b"", 0, 0, False
+    while True:
+        end = _LINE_END.search(buf, pos)
+        # a \r at the end of the bytes read may start a \r\n
+        if end and (eof or end.end() < len(buf) or end.group() != b"\r"):
+            line, pos = buf[pos : end.start()], end.end()
+            skiprows += 1
+            if not (fmt.comments and line.startswith(b"#")):
+                break
+        elif eof or len(buf) - pos > limit:
+            return None
+        else:
+            chunk = fh.read(SCAN_CHUNK_BYTES)
+            buf, pos, eof = buf[pos:] + chunk, 0, not chunk
+    if not line or len(line) > limit or line.translate(None, _VOUCHED_BYTES):
         return None
     try:
-        table = np.loadtxt(
-            itertools.chain((first,), lines),
-            delimiter=",",
-            comments=None,
-            dtype=np.float64,
-            ndmin=2,
-        )
-    except ValueError:
+        header = line.decode("utf-8").split(",")
+        usecols = fmt.locate(header)
+    except ValueError:  # a UnicodeDecodeError too
         return None
-    return table if table.shape[1] == width else None
+    has_data = False
+    tail = buf[pos:]  # the line the bytes read so far leave open
+    while True:
+        chunk = fh.read(SCAN_CHUNK_BYTES)
+        # each piece starts at a line start; a final newline ends the last line
+        piece = tail + (chunk or b"\n")
+        if piece.translate(None, _VOUCHED_BYTES):
+            return None
+        # the empty line that \r\n makes here is blank, which does not matter
+        piece = piece.replace(b"\r", b"\n")
+        # a "#" is rare, and finding one is much faster than finding "\n#"
+        if fmt.comments and b"#" in piece and (piece[:1] == b"#" or b"\n#" in piece):
+            return None
+        arr = np.frombuffer(piece, np.uint8)
+        # the line ends are among the line ends and commas, so the commas
+        # between two of them give a line's field count
+        marks = np.flatnonzero((arr == ord("\n")) | (arr == ord(",")))
+        at_ends = np.flatnonzero(arr[marks] == ord("\n"))
+        ends = marks[at_ends]
+        # each line this piece ends, then the one it leaves open
+        lengths = np.diff(ends, prepend=-1, append=len(piece)) - 1
+        if lengths.max() > limit:
+            return None
+        filled = lengths[:-1] > 0
+        fields = np.diff(at_ends, prepend=-1)
+        if fmt.exact_width and np.any(filled & (fields != len(header))):
+            return None
+        if not piece.isascii():
+            high = np.flatnonzero(arr >= 0x80)
+            line_start = np.r_[-1, at_ends][np.searchsorted(ends, high)]
+            if np.isin(np.searchsorted(marks, high) - line_start - 1, usecols).any():
+                return None
+        has_data = has_data or bool(filled.any())
+        if not chunk:
+            return (usecols, skiprows) if has_data else None
+        tail = piece[len(piece) - int(lengths[-1]) :]
+
+
+def _read_rows(text, fmt: TableFormat) -> np.ndarray:
+    """The table of :func:`read_table` from a :mod:`csv` row loop over the
+    open ``text``, quoted cells included."""
+    lines = (line for line in text if line[0] != "#") if fmt.comments else text
+    reader = csv.reader(lines)
+    row = -1  # the row being read is row + 1
+    values = []
+    try:
+        header = next(reader, None)
+        usecols = fmt.locate(header)
+        row = 0
+        for cells in reader:
+            if not cells:
+                continue
+            row += 1
+            if fmt.exact_width and len(cells) != len(header):
+                raise ValueError(f"row {row}: expected {len(header)} fields, got {len(cells)}")
+            wanted = [cells[j] if j < len(cells) else None for j in usecols]
+            values.append(fmt.parse_row(wanted, row))
+    except csv.Error as exc:
+        raise ValueError(f"row {row + 1}: {exc}") from None
+    if not values:
+        raise ValueError(fmt.empty)
+    return np.array(values, dtype=fmt.dtype)
+
+
+def _dataset_format(schema: CsvSchema) -> TableFormat:
+    """How :func:`load_csv` reads the features, soft and true labels."""
+    names = list(schema.features) + [schema.soft_label]
+    if schema.true_label is not None:
+        names.append(schema.true_label)
+    n_features = len(schema.features)
+
+    def locate(header):
+        usecols = named_columns(header, names, "empty dataset")
+        header = [h.strip() for h in header]
+        duplicate = [name for name in dict.fromkeys(names) if header.count(name) > 1]
+        if duplicate:
+            raise ValueError(f"duplicate column(s): {duplicate}")
+        return usecols
+
+    def parse_row(cells, row):
+        values = []
+        for cell, name in zip(cells, schema.features):
+            values.append(parse_cell(cell, row, name))
+            if not math.isfinite(values[-1]):
+                raise ValueError(f"row {row}, column '{name}': non-finite value {values[-1]}")
+        s = parse_cell(cells[n_features], row, schema.soft_label)
+        if not 0.0 <= s <= 1.0:
+            raise ValueError(f"row {row}: soft label {s} outside [0, 1]")
+        values.append(s)
+        if schema.true_label is not None:
+            y = parse_cell(cells[-1], row, schema.true_label)
+            if y not in (0.0, 1.0):
+                raise ValueError(f"row {row}: true label {y} must be exactly 0 or 1")
+            values.append(y)
+        return values
+
+    def check(table):
+        soft, truth = table[:, n_features], table[:, -1]
+        return (
+            np.isfinite(table[:, :n_features]).all()
+            and ((soft >= 0.0) & (soft <= 1.0)).all()
+            and (schema.true_label is None or ((truth == 0.0) | (truth == 1.0)).all())
+        )
+
+    return TableFormat(
+        locate,
+        parse_row,
+        np.float64,
+        "empty dataset",
+        exact_width=True,
+        comments=True,
+        check=check,
+    )
 
 
 def load_csv(path, schema: CsvSchema) -> SoftDataset:
     """Load a UTF-8, comma-separated, header-row CSV into a SoftDataset.
 
-    A leading byte-order mark is skipped and lines starting with ``#`` are
-    treated as comments. Row numbers in error messages are 1-based data
-    rows (the header is row 0); blank and comment lines are not counted.
-    Every soft label must parse to a real in [0, 1] and every feature to a
-    finite real; missing values are an error, and so is a schema column
-    that appears twice in the header.
-
-    The data rows are parsed column-wise in one pass over the open file;
-    a file that pass cannot read (a quoted cell, or a ``#`` line after the
-    header), or whose values fail a check, is read again row by row, which
-    either loads it or names the first bad row and column.
+    Read by :func:`read_table`. Lines starting with ``#`` are comments,
+    header names are stripped of surrounding whitespace, and every data row
+    must hold as many fields as the header. Every soft label must parse to
+    a real in [0, 1] and every feature to a finite real; missing values are
+    an error, and so is a schema column that appears twice in the header.
     """
-    with open_csv(path) as fh:
-        header, col = _read_header(csv.reader(_skip_comments(fh)), schema)
-        table = _parse_table(fh, len(header))
-        if table is not None:
-            feats = table[:, [col[name] for name in schema.features]]
-            soft = table[:, col[schema.soft_label]]
-            ok = np.isfinite(feats).all() and ((soft >= 0.0) & (soft <= 1.0)).all()
-            truth = None
-            if schema.true_label is not None:
-                truth = table[:, col[schema.true_label]]
-                ok = ok and ((truth == 0.0) | (truth == 1.0)).all()
-            if ok:
-                return SoftDataset(
-                    features=np.ascontiguousarray(feats),
-                    soft_labels=soft.copy(),
-                    true_labels=None if truth is None else truth.astype(np.int8),
-                    feature_names=tuple(schema.features),
-                    provenance="loaded",
-                )
-        # the open file, read again: a pipe cannot be opened a second time
-        return _load_rows(_data_lines(fh), schema)
+    table = read_table(path, _dataset_format(schema))
+    n_features = len(schema.features)
+    return SoftDataset(
+        features=np.ascontiguousarray(table[:, :n_features]),
+        soft_labels=table[:, n_features].copy(),
+        true_labels=None if schema.true_label is None else table[:, -1].astype(np.int8),
+        feature_names=tuple(schema.features),
+    )
 
 
 # Rows formatted and written per call of ``write``: bounds the text held in

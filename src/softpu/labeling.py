@@ -14,29 +14,24 @@ simplex), and assigns soft label ``1 - posterior_mean(theta)``.
 The fit and its log-likelihood take the check counts as two int64 arrays
 ``n, k`` with one entry per user, as :func:`check_counts_from_csv` reads
 them; :class:`CheckRecord` is the per-user form that
-:func:`bayes_soft_label` labels. The reader streams the file: one scan of
-its bytes in fixed-size chunks vouches for it, then one ``np.loadtxt`` pass
-reads the two columns, so neither the decoded text nor a list of its lines
-is ever held. Users enter the fit, its log-likelihood and the array labels
+:func:`bayes_soft_label` labels. The reader is the table reader of
+:mod:`softpu.dataset`, which streams the file: a scan of its bytes in
+fixed-size chunks vouches for it, then one ``np.loadtxt`` pass reads the
+two columns. Users enter the fit, its log-likelihood and the array labels
 only through their distinct (n, k) pairs, which are found in linear time by
 counting keys whenever the pairs span a range not much wider than the user
 count (every history shorter than a few thousand days, in practice).
 """
 
-import codecs
-import csv
-import io
 import json
 import math
-import os
-import stat
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import kernels
-from .dataset import not_utf8_error, save_json
+from .dataset import TableFormat, read_table, save_json
 
 GRID_MARGIN = 1e-4
 # the prior fit holds check counts in int64 arrays
@@ -534,64 +529,45 @@ def check_label_separation(soft_labels, true_labels, pi: float) -> LabelSeparati
     )
 
 
+def _locate_counts(header) -> list[int]:
+    # a repeated name is read at its last position, as csv.DictReader reads it
+    if header is None or "n" not in header or "k" not in header:
+        raise ValueError("records CSV needs columns user_id, n, k")
+    return [len(header) - 1 - header[::-1].index(name) for name in ("n", "k")]
+
+
+def _parse_counts(cells, row) -> tuple[int, int]:
+    try:
+        n, k = int(cells[0]), int(cells[1])
+    except (TypeError, ValueError):
+        raise ValueError(f"row {row}: n and k must be integers") from None
+    try:
+        _check_pair(n, k)
+    except ValueError as exc:
+        raise ValueError(f"row {row}: {exc}") from None
+    return n, k
+
+
+# A records CSV, as check_counts_from_csv reads it
+_RECORDS = TableFormat(
+    _locate_counts,
+    _parse_counts,
+    np.int64,
+    "empty records file",
+    check=lambda table: not (np.any(table[:, 1] < 0) or np.any(table[:, 1] > table[:, 0])),
+)
+
+
 def check_counts_from_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Each user's (n, k) from a check-records CSV with columns user_id, n, k.
 
-    Returns two int64 arrays in row order, read from the open file by one
-    scan and one column-wise pass (see :func:`_counts_from_columns`). A file
-    that pass refuses is read row by row instead, which either loads it or
-    names the first bad row (the header is row 0). One leading UTF-8
-    byte-order mark is skipped; a file that is not UTF-8 text is a named
-    error (:func:`~softpu.dataset.not_utf8_error`).
+    Returns two int64 arrays in row order, read by
+    :func:`~softpu.dataset.read_table`. Header names are not stripped, and
+    a repeated ``n`` or ``k`` is read at its last position. A row may hold
+    more or fewer fields than the header if it holds ``n`` and ``k``, and
+    a line starting with ``#`` is a data row.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    with path.open("rb") as fh:
-        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-        by_path = path if regular and path.suffix not in _UNPACKED_SUFFIXES else None
-        # the column pass reads the file twice; a pipe is read into memory
-        source = fh if fh.seekable() else io.BytesIO(fh.read())
-        counts = _counts_from_columns(source, by_path)
-        if counts is not None:
-            return counts
-        source.seek(0)
-        text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
-        try:
-            ns, ks = _counts_from_rows(text)
-        except UnicodeDecodeError:
-            raise not_utf8_error(path, source) from None
-        finally:
-            text.detach()
-    return np.array(ns, dtype=np.int64), np.array(ks, dtype=np.int64)
-
-
-def _counts_from_rows(fh) -> tuple[list[int], list[int]]:
-    """The row loop of :func:`check_counts_from_csv` over the open text file."""
-    ns, ks = [], []
-    row_idx = -1  # the row being read is row_idx + 1
-    reader = csv.DictReader(fh)
-    try:
-        if reader.fieldnames is None or not {"n", "k"} <= set(reader.fieldnames):
-            raise ValueError("records CSV needs columns user_id, n, k")
-        row_idx = 0
-        for row_idx, row in enumerate(reader, start=1):
-            try:
-                n = int(row["n"])
-                k = int(row["k"])
-            except (TypeError, ValueError):
-                raise ValueError(f"row {row_idx}: n and k must be integers") from None
-            try:
-                _check_pair(n, k)
-            except ValueError as exc:
-                raise ValueError(f"row {row_idx}: {exc}") from None
-            ns.append(n)
-            ks.append(k)
-    except csv.Error as exc:
-        raise ValueError(f"row {row_idx + 1}: {exc}") from None
-    if not ns:
-        raise ValueError("empty records file")
-    return ns, ks
+    return tuple(read_table(path, _RECORDS).T.copy())
 
 
 def records_from_csv(path) -> list[CheckRecord]:
@@ -603,135 +579,6 @@ def records_from_csv(path) -> list[CheckRecord]:
     distinct = np.empty(len(pairs), dtype=object)
     distinct[:] = [CheckRecord(n=a, k=b) for a, b in pairs.tolist()]
     return distinct[index].tolist()
-
-
-# The bytes the column pass reads: tab, line ends and printable ASCII other
-# than the quote. A quote can join lines into one csv field; loadtxt reads
-# "5\x1c" as 5 and some non-ASCII letters as digits where int() refuses
-# them; and some other characters end a line for str.splitlines but not for
-# csv.
-_VOUCHED_BYTES = b"\t\n\r" + bytes(range(0x20, 0x7F)).replace(b'"', b"")
-# the scan reads a records file this many bytes at a time
-SCAN_CHUNK_BYTES = 1 << 20
-# np.loadtxt given a path decompresses files with these suffixes
-_UNPACKED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
-
-
-def _counts_from_columns(source, path=None) -> tuple[np.ndarray, np.ndarray] | None:
-    """The check counts of a records CSV, or None if the row loop of
-    :func:`check_counts_from_csv` must read them.
-
-    ``source`` is a binary file open at its start, or the file's bytes. One
-    leading byte-order mark is skipped. None unless the rest has only
-    vouched bytes, a first line naming one ``n`` and one ``k`` column, a
-    data line that is not blank, no line over the csv field size limit, and
-    on every data line ``n`` and ``k`` cells that parse to int64 with
-    0 <= k <= n. ``\\r``, ``\\n`` and ``\\r\\n`` each end a line. A scan
-    of the bytes in chunks checks all but the cells; then ``loadtxt`` reads
-    those cells by position, as the row loop does, and refuses a row too
-    short to hold them; both skip blank lines.
-
-    Given the ``path`` of the regular file ``source`` is open on,
-    ``loadtxt`` reads the path with numpy's chunked C reader, in about a
-    third less time than from the open file. That result counts only if
-    the path still names the file the scan read, unchanged (same device,
-    inode, size and modification time); otherwise ``loadtxt`` reads the
-    open file.
-    """
-    fh = io.BytesIO(source) if isinstance(source, bytes) else source
-    scanned = None if path is None else _identity(os.fstat(fh.fileno()))
-    if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
-        fh.seek(0)
-    start = fh.tell()
-    usecols = _scan_records(fh)
-    if usecols is None:
-        return None
-    if path is not None:
-        # an absolute path, which numpy never takes for a URL
-        table = _load_counts(os.fspath(Path(path).absolute()), usecols, "utf-8-sig")
-        try:
-            unchanged = _identity(os.stat(path)) == scanned
-        except OSError:
-            unchanged = False
-        if unchanged:
-            return _checked_counts(table)
-    fh.seek(start)
-    text = io.TextIOWrapper(fh, encoding="ascii", newline=None)
-    try:
-        return _checked_counts(_load_counts(text, usecols, None))
-    finally:
-        text.detach()
-
-
-def _identity(st) -> tuple[int, int, int, int]:
-    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
-
-
-def _load_counts(fname, usecols, encoding) -> np.ndarray | None:
-    """The ``usecols`` cells of every data line as an int64 table, or None
-    if ``loadtxt`` cannot read them (or, given a path, open it)."""
-    try:
-        return np.loadtxt(
-            fname,
-            delimiter=",",
-            comments=None,
-            skiprows=1,
-            usecols=usecols,
-            dtype=np.int64,
-            ndmin=2,
-            encoding=encoding,
-        )
-    except (OSError, ValueError):
-        return None
-
-
-def _checked_counts(table) -> tuple[np.ndarray, np.ndarray] | None:
-    if table is None:
-        return None
-    n, k = table[:, 0].copy(), table[:, 1].copy()
-    del table  # before the checks allocate
-    if np.any(k < 0) or np.any(k > n):
-        return None
-    return n, k
-
-
-def _scan_records(fh) -> tuple[int, int] | None:
-    """The positions of the n and k columns if the rest of ``fh`` passes the
-    byte, header, blank-line and line-length rules of
-    :func:`_counts_from_columns`, else None.
-
-    Reads :data:`SCAN_CHUNK_BYTES` at a time and keeps only the first line
-    and the length of the line open at the end of the last chunk.
-    """
-    limit = csv.field_size_limit()
-    header = None  # the first line once its end is read
-    first = b""  # the first line's bytes before that
-    has_data = False
-    open_len = 0  # the length of the line the last chunk left open
-    while chunk := fh.read(SCAN_CHUNK_BYTES):
-        if chunk.translate(None, _VOUCHED_BYTES):
-            return None
-        # a line ends at \r, \n or \r\n; the empty line \r\n makes does not matter
-        chunk = chunk.replace(b"\r", b"\n")
-        ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
-        # the lengths of the lines this chunk ends, then of the one it leaves open
-        lengths = np.diff(ends, prepend=-1 - open_len, append=len(chunk)) - 1
-        if lengths.max() > limit:
-            return None
-        open_len = int(lengths[-1])
-        rest = chunk
-        if header is None:
-            if not ends.size:
-                first += chunk
-                continue
-            header = (first + chunk[: ends[0]]).decode("ascii").split(",")
-            rest = chunk[ends[0] :]
-        has_data = has_data or bool(rest.strip(b"\n"))
-    if header is None or not has_data:
-        return None
-    if header.count("n") != 1 or header.count("k") != 1:
-        return None
-    return header.index("n"), header.index("k")
 
 
 def prior_to_json(prior: DiscretePrior, path) -> None:

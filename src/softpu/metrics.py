@@ -12,14 +12,16 @@ substitute metrics to real metrics when S and X are conditionally
 independent given Y.
 """
 
-import csv
 from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import SoftDataset, open_csv, parse_cell, write_columns
+from .dataset import (
+    SoftDataset, TableFormat, named_columns, parse_cell, read_table, write_columns
+)
 
 _CURVE_COLUMNS = ("threshold", "x", "y")
 
@@ -405,39 +407,25 @@ def curve_to_csv(curve: RocCurve, path, more=()) -> None:
         write_columns(*tables[0], more=tables[1:])
 
 
+# A curve file, as curve_from_csv reads it
+_CURVE_FILE = TableFormat(
+    partial(named_columns, names=_CURVE_COLUMNS, empty="empty curve file"),
+    lambda cells, row: [parse_cell(cell, row, c) for cell, c in zip(cells, _CURVE_COLUMNS)],
+    np.float64,
+    "empty curve file",
+    exact_width=True,
+)
+
+
 def curve_from_csv(path, kind: str) -> RocCurve:
     """Read a curve written by :func:`curve_to_csv`.
 
-    A leading byte-order mark is skipped and blank lines are ignored. A bad
-    cell or a row of the wrong width is named by its 1-based data row (the
-    header is row 0) and column.
+    Read by :func:`~softpu.dataset.read_table`. Header names are stripped
+    of surrounding whitespace, a repeated column is read at its first
+    position, every data row must hold as many fields as the header, and a
+    line starting with ``#`` is a data row.
     """
-    with open_csv(path) as fh:
-        reader = csv.reader(fh)
-        rows = []
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise ValueError("empty curve file")
-            header = [h.strip() for h in header]
-            missing = [c for c in _CURVE_COLUMNS if c not in header]
-            if missing:
-                raise ValueError(f"missing column(s): {missing}")
-            col = [header.index(c) for c in _CURVE_COLUMNS]
-            for row in reader:
-                if not row:
-                    continue
-                i = len(rows) + 1
-                if len(row) != len(header):
-                    raise ValueError(
-                        f"row {i}: expected {len(header)} fields, got {len(row)}"
-                    )
-                rows.append([parse_cell(row[j], i, c) for j, c in zip(col, _CURVE_COLUMNS)])
-        except csv.Error as exc:
-            raise ValueError(f"row {len(rows) + 1}: {exc}") from None
-    if not rows:
-        raise ValueError("empty curve file")
-    t, xs, ys = np.array(rows, dtype=np.float64).T
+    t, xs, ys = read_table(path, _CURVE_FILE).T
     return RocCurve(t, xs, ys, kind=kind)
 
 

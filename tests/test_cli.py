@@ -892,6 +892,13 @@ class TestFitPriorCommand:
         assert run(cfg, "fit-prior", tmp_path / "o") == 1
         assert "nope.csv" in capsys.readouterr().err
 
+    def test_records_directory_is_named_error(self, tmp_path, capsys):
+        records = tmp_path / "records"
+        records.mkdir()
+        cfg = write_config(tmp_path, "prior.json", {"records": str(records)})
+        assert run(cfg, "fit-prior", tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"error: {records}: is a directory, not a CSV file\n"
+
     def test_bad_hyperparameter_exits_1(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -1180,6 +1187,15 @@ class TestEntryPoints:
             env={**os.environ, "PYTHONPATH": path},
         )
         assert out.returncode == 0
+
+    def test_output_path_that_is_a_file_is_named_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cfg = FIXTURES / "configs" / "generate_gscar.json"
+        assert main(["generate", "--config", str(cfg), "--out", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(taken) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_unreadable_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -5,6 +5,7 @@ import csv
 import io
 import os
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from softpu.dataset import (
     save_csv,
     schema_for,
 )
+from softpu.labeling import check_counts_from_csv
 from softpu.metrics import RocCurve, curve_from_csv, curve_to_csv
 
 
@@ -67,8 +69,8 @@ def write_columns_ref(fh, columns):
 
 def load_rows(path, schema):
     """Parse with the row loop alone, the way the column-wise path falls back."""
-    with dataset_module.open_csv(path) as fh:
-        return dataset_module._load_rows(dataset_module._data_lines(fh), schema)
+    with mock.patch.object(dataset_module, "_column_pass", lambda *a: None):
+        return load_csv(path, schema)
 
 
 def outcome(load):
@@ -254,24 +256,24 @@ class TestCsv:
         path = tmp_path / "d.csv"
         save_csv(small_dataset(), path)
 
-        def no_row_loop(lines, schema):
+        def no_row_loop(text, fmt):
             raise AssertionError("row loop used")
 
-        monkeypatch.setattr(dataset_module, "_load_rows", no_row_loop)
+        monkeypatch.setattr(dataset_module, "_read_rows", no_row_loop)
         back = load_csv(path, schema_for(small_dataset()))
         assert np.array_equal(back.features, small_dataset().features)
         assert back.features.flags.c_contiguous
 
     def test_column_wise_path_streams_the_file(self, tmp_path, monkeypatch):
-        # the line list is built only for the row loop; the column-wise
-        # parse reads the open file one line at a time
+        # only the row loop holds the rows in a list; the column-wise parse
+        # hands the file to loadtxt
         path = tmp_path / "d.csv"
         save_csv(small_dataset(), path)
 
-        def no_line_list(fh):
+        def no_line_list(text, fmt):
             raise AssertionError("file read into a line list")
 
-        monkeypatch.setattr(dataset_module, "_data_lines", no_line_list)
+        monkeypatch.setattr(dataset_module, "_read_rows", no_line_list)
         back = load_csv(path, schema_for(small_dataset()))
         assert np.array_equal(back.soft_labels, small_dataset().soft_labels)
 
@@ -282,9 +284,9 @@ class TestCsv:
         quoted.write_text('a,soft_label,y\n"1.5","0.25",1\n-2e3,"1.0","0"\n')
         schema = CsvSchema(features=("a",), true_label="y")
         calls = []
-        row_loop = dataset_module._load_rows
+        row_loop = dataset_module._read_rows
         monkeypatch.setattr(
-            dataset_module, "_load_rows", lambda *a: calls.append(1) or row_loop(*a)
+            dataset_module, "_read_rows", lambda *a: calls.append(1) or row_loop(*a)
         )
         assert outcome(lambda: load_csv(quoted, schema)) == outcome(
             lambda: load_csv(plain, schema)
@@ -407,9 +409,9 @@ class TestLoaderAgreesWithRowLoop:
         path.write_bytes(raw)
         schema = CsvSchema(features=("x0",), true_label="y")
         calls = []
-        row_loop = dataset_module._load_rows
+        row_loop = dataset_module._read_rows
         monkeypatch.setattr(
-            dataset_module, "_load_rows", lambda *a: calls.append(1) or row_loop(*a)
+            dataset_module, "_read_rows", lambda *a: calls.append(1) or row_loop(*a)
         )
         got = outcome(lambda: load_csv(path, schema))
         assert calls == ([] if by_columns else [1])
@@ -421,6 +423,112 @@ class TestLoaderAgreesWithRowLoop:
         path.write_text("id,x0,soft_label\nu1,0.5,0.25\nu2,1_000,1\n")
         ds = load_csv(path, CsvSchema(features=("x0",)))
         assert np.array_equal(ds.features, [[0.5], [1000.0]])
+
+
+# Each CSV reader with the lines of a file it reads: a header and two data rows.
+READERS = {
+    "dataset": (
+        lambda path: load_csv(path, CsvSchema(features=("x0",), true_label="y")),
+        ["x0,soft_label,y", "0.5,0.25,1", "-1.5,1.0,0"],
+    ),
+    "records": (check_counts_from_csv, ["user_id,n,k", "u1,5,3", "u2,4,2"]),
+    "curve": (
+        lambda path: curve_from_csv(path, kind="spu"),
+        ["threshold,x,y", "inf,0.0,0.0", "-inf,1.0,1.0"],
+    ),
+}
+
+
+def read_outcome(read, path):
+    """The arrays ``read(path)`` gives, as bytes, or the type and text of its error."""
+    try:
+        got = read(path)
+    except Exception as exc:  # any error, as long as every route gives the same
+        return type(exc), str(exc)
+    if isinstance(got, SoftDataset):
+        got = (got.features, got.soft_labels, got.true_labels)
+    elif isinstance(got, RocCurve):
+        got = (got.thresholds, got.xs, got.ys)
+    return tuple(a.tobytes() for a in got)
+
+
+def read_from_pipe(read, path, raw):
+    """``read_outcome`` of a named pipe at ``path`` that is given ``raw``.
+
+    Opening a pipe waits for a writer, so both ends run in daemon threads.
+    """
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(raw,), daemon=True)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(read_outcome(read, path)), daemon=True)
+    writer.start()
+    reader.start()
+    writer.join(timeout=10)
+    reader.join(timeout=10)
+    assert not writer.is_alive() and not reader.is_alive()
+    return got[0]
+
+
+@pytest.mark.parametrize("reader", READERS)
+class TestTableReaders:
+    """The rules all three readers share through dataset.read_table."""
+
+    def write(self, tmp_path, reader, raw):
+        path = tmp_path / f"{reader}.csv"
+        path.write_bytes(raw)
+        return READERS[reader][0], path
+
+    def plain(self, tmp_path, reader):
+        """The outcome of the reader's plain file."""
+        read, path = self.write(tmp_path, reader, "\n".join(READERS[reader][1]).encode() + b"\n")
+        got = read_outcome(read, path)
+        assert isinstance(got[0], bytes)
+        return got
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, reader):
+        want = self.plain(tmp_path, reader)
+        raw = codecs.BOM_UTF8 + "\n".join(READERS[reader][1]).encode()
+        assert read_outcome(*self.write(tmp_path, reader, raw)) == want
+
+    @pytest.mark.parametrize("end", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    def test_blank_lines_and_line_ends(self, tmp_path, reader, end):
+        want = self.plain(tmp_path, reader)
+        header, first, second = READERS[reader][1]
+        raw = end.join([header, "", first, "", "", second, ""]).encode()
+        assert read_outcome(*self.write(tmp_path, reader, raw)) == want
+
+    def test_not_utf8_names_the_byte_and_offset(self, tmp_path, reader):
+        header, first, _ = READERS[reader][1]
+        # far enough in to lie past the first chunk the decoder reads
+        head = "\n".join([header] + [first] * 3000).encode() + b"\n"
+        read, path = self.write(tmp_path, reader, head + b"\xff" + first[1:].encode() + b"\n")
+        want = (ValueError, f"{path}: not UTF-8 text: byte 0xff at offset {len(head)}")
+        assert read_outcome(read, path) == want
+
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_field_over_the_csv_limit_names_its_row(self, tmp_path, reader, row):
+        limit = csv.field_size_limit()
+        lines = list(READERS[reader][1])
+        lines[row] = "x" * (limit + 1) + lines[row][lines[row].index(",") :]
+        read, path = self.write(tmp_path, reader, "\n".join(lines).encode())
+        want = (ValueError, f"row {row}: field larger than field limit ({limit})")
+        assert read_outcome(read, path) == want
+
+    def test_missing_file(self, tmp_path, reader):
+        path = tmp_path / "nope.csv"
+        want = (FileNotFoundError, f"no such file: {path}")
+        assert read_outcome(READERS[reader][0], path) == want
+
+    def test_directory(self, tmp_path, reader):
+        path = tmp_path / "dir.csv"
+        path.mkdir()
+        want = (IsADirectoryError, f"{path}: is a directory, not a CSV file")
+        assert read_outcome(READERS[reader][0], path) == want
+
+    def test_named_pipe(self, tmp_path, reader):
+        want = self.plain(tmp_path, reader)
+        raw = "\n".join(READERS[reader][1]).encode()
+        assert read_from_pipe(READERS[reader][0], tmp_path / "table.pipe", raw) == want
 
 
 class TestSaveCsv:

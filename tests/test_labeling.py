@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from softpu import dataset as dataset_module
 from softpu import kernels, labeling
 from softpu.labeling import (
     CheckRecord,
@@ -467,7 +468,7 @@ class TestRecordsIo:
         path = tmp_path / "records.csv"
         path.write_text("user_id,n,k\nu1,5,3\nu2,4,2\nu3,5,3\n")
         records = records_from_csv(path)
-        assert labeling._counts_from_columns(path.read_bytes()) is not None
+        assert column_pass(path.read_bytes()) is not None
         assert records == [CheckRecord(5, 3), CheckRecord(4, 2), CheckRecord(5, 3)]
         assert records[0] is records[2]
         assert all(type(r.n) is int and type(r.k) is int for r in records)
@@ -510,6 +511,13 @@ def records_reference(path):
     if not records:
         raise ValueError("empty records file")
     return records
+
+
+def column_pass(raw):
+    """The column pass of check_counts_from_csv on a file's bytes: the n and
+    k columns, or None if the row loop must read the file."""
+    table = dataset_module._column_pass(io.BytesIO(raw), labeling._RECORDS)
+    return None if table is None else (table[:, 0], table[:, 1])
 
 
 def outcome(read, path):
@@ -556,7 +564,8 @@ RECORD_FILES = [
         False,
     ),
     ("user_id,n,k\nu1,9223372036854775807,0\n", [(2**63 - 1, 0)], True),
-    ("user_id,n,k,n\nu1,5,3,7\n", [(7, 3)], False),
+    # a repeated column is read at its last position, in both passes
+    ("user_id,n,k,n\nu1,5,3,7\n", [(7, 3)], True),
     ("user_id,n,k\n\nu1,5,3\n\n\nu2,4,2\n\n", [(5, 3), (4, 2)], True),
     ("user_id,n,k\r\nu1,5,3\r\n\r\nu2,4,2\r\n", [(5, 3), (4, 2)], True),
     ("user_id,n,k\ru1,5,3\ru2,4,2\r", [(5, 3), (4, 2)], True),
@@ -579,6 +588,10 @@ RECORD_FILES = [
         (ValueError, "row 1: need 0 <= k <= n, got n=-1, k=0"),
         False,
     ),
+    # non-ASCII text outside the n and k columns: the column pass reads it
+    ("user_id,n,k\n\u00fc000007,5,3\nu2,4,2\n", [(5, 3), (4, 2)], True),
+    ("\u00fcser,n,k,note\nu1,5,3,\u2028\x85\n", [(5, 3)], True),
+    ("n,k\n5,3,\u00fc\n4\u00fc,2\n", BAD_INTEGERS[:1] + ("row 2: n and k must be integers",), False),
 ]
 
 
@@ -603,7 +616,7 @@ class TestRecordsColumnPass:
         path.write_bytes(text.encode("utf-8"))
         assert outcome(records_from_csv, path) == outcome(records_reference, path)
         assert outcome(records_from_csv, path) == expected
-        assert (labeling._counts_from_columns(path.read_bytes()) is not None) == by_columns
+        assert (column_pass(path.read_bytes()) is not None) == by_columns
 
     @pytest.mark.parametrize("text, expected, by_columns", RECORD_FILES)
     def test_counts_agree_with_row_loop(self, tmp_path, text, expected, by_columns):
@@ -688,18 +701,23 @@ def counts_from_columns_reference(raw):
     """The column pass as it read a whole file's bytes before it streamed:
     the reference for the rules the scan applies chunk by chunk."""
     raw = raw.removeprefix(codecs.BOM_UTF8)
-    if raw.translate(None, labeling._VOUCHED_BYTES):
+    if raw.translate(None, dataset_module._VOUCHED_BYTES):
         return None
-    lines = raw.decode("ascii").splitlines()
-    header = lines[0].split(",") if lines else []
-    if header.count("n") != 1 or header.count("k") != 1:
+    lines = raw.splitlines()
+    header = lines[0].decode("utf-8").split(",") if lines else []
+    if "n" not in header or "k" not in header:
+        return None
+    # a repeated name is read at its last position, as csv.DictReader reads it
+    usecols = [len(header) - 1 - header[::-1].index(name) for name in ("n", "k")]
+    rows = [line.split(b",") for line in lines[1:]]
+    if any(not row[j].isascii() for row in rows for j in usecols if j < len(row)):
         return None
     if not any(lines[1:]) or max(map(len, lines)) > csv.field_size_limit():
         return None
     try:
-        table = np.loadtxt(lines, delimiter=",", comments=None, skiprows=1,
-                           usecols=(header.index("n"), header.index("k")),
-                           dtype=np.int64, ndmin=2)
+        table = np.loadtxt([line.decode("utf-8") for line in lines], delimiter=",",
+                           comments=None, skiprows=1, usecols=usecols, dtype=np.int64,
+                           ndmin=2)
     except ValueError:
         return None
     n, k = table[:, 0], table[:, 1]
@@ -720,8 +738,8 @@ def test_streamed_column_pass_agrees_with_the_whole_file_pass(text, bom, chunk, 
     old_limit = csv.field_size_limit(limit)
     try:
         want = counts_from_columns_reference(raw)
-        with mock.patch.object(labeling, "SCAN_CHUNK_BYTES", chunk):
-            got = labeling._counts_from_columns(raw)
+        with mock.patch.object(dataset_module, "SCAN_CHUNK_BYTES", chunk):
+            got = column_pass(raw)
     finally:
         csv.field_size_limit(old_limit)
     assert (None if got is None else (got[0].tolist(), got[1].tolist())) == want
@@ -744,7 +762,7 @@ class TestByteOrderMark:
         raw, n, k = benchmark_records(31, 2000)
         path = tmp_path / "records.csv"
         path.write_bytes(codecs.BOM_UTF8 + raw)
-        by_columns = labeling._counts_from_columns(path.read_bytes())
+        by_columns = column_pass(path.read_bytes())
         assert by_columns is not None
         got = check_counts_from_csv(path)
         for column, want in zip(got, (n, k)):
@@ -760,13 +778,13 @@ class TestByteOrderMark:
         # the quotes send it to the row loop, which skips the mark too
         path = tmp_path / "records.csv"
         path.write_bytes(codecs.BOM_UTF8 + b'n,k,user_id\n5,3,"u1"\n')
-        assert labeling._counts_from_columns(path.read_bytes()) is None
+        assert column_pass(path.read_bytes()) is None
         assert counts_outcome(path) == [(5, 3)]
 
     def test_only_one_mark_is_skipped(self, tmp_path):
         path = tmp_path / "records.csv"
         path.write_bytes(codecs.BOM_UTF8 * 2 + b"n,k\n5,3\n")
-        assert labeling._counts_from_columns(path.read_bytes()) is None
+        assert column_pass(path.read_bytes()) is None
         assert counts_outcome(path) == (ValueError, "records CSV needs columns user_id, n, k")
 
 
@@ -813,15 +831,15 @@ class TestReaderRoutes:
         other, _, _ = benchmark_records(31, 700)
         path = tmp_path / "records.csv"
         path.write_bytes(raw)
-        scan = labeling._scan_records
+        scan = dataset_module._scan
 
-        def scan_then_replace(fh):
-            usecols = scan(fh)
+        def scan_then_replace(*args):
+            usecols = scan(*args)
             (tmp_path / "new.csv").write_bytes(other)
             os.replace(tmp_path / "new.csv", path)
             return usecols
 
-        monkeypatch.setattr(labeling, "_scan_records", scan_then_replace)
+        monkeypatch.setattr(dataset_module, "_scan", scan_then_replace)
         seen = loadtxt_spy(monkeypatch)
         got = check_counts_from_csv(path)
         # the path names the new file: its parse is dropped for the open file's
@@ -836,16 +854,37 @@ class TestReaderRoutes:
         path.write_bytes(raw)
         # given the path, numpy opens records.csv.gz in its place
         (tmp_path / "records.csv.gz").write_bytes(gzip.compress(other))
-        scan = labeling._scan_records
+        scan = dataset_module._scan
 
-        def scan_then_remove(fh):
-            usecols = scan(fh)
+        def scan_then_remove(*args):
+            usecols = scan(*args)
             path.unlink()
             return usecols
 
-        monkeypatch.setattr(labeling, "_scan_records", scan_then_remove)
+        monkeypatch.setattr(dataset_module, "_scan", scan_then_remove)
         got = check_counts_from_csv(path)
         assert np.array_equal(got[0], n) and np.array_equal(got[1], k)
+
+    def test_non_ascii_outside_n_and_k_is_read_by_path(self, tmp_path, monkeypatch):
+        raw, n, k = benchmark_records(901, 20000)
+        path = tmp_path / "records.csv"
+        path.write_bytes(raw.replace(b"\nu000007,", "\n\u00fc000007,".encode()))
+        seen = loadtxt_spy(monkeypatch)
+        got = check_counts_from_csv(path)
+        assert [type(fname) for fname in seen] == [str]
+        assert np.array_equal(got[0], n) and np.array_equal(got[1], k)
+
+    def test_non_ascii_in_n_takes_the_row_loop(self, tmp_path, monkeypatch):
+        raw, n, k = benchmark_records(901, 2000)
+        # n of user 7 in fullwidth digits, which int() reads
+        wide = "".join(chr(0xFF10 + int(d)) for d in str(n[7]))
+        row = f"u000007,{n[7]},{k[7]}\n".encode()
+        path = tmp_path / "records.csv"
+        path.write_bytes(raw.replace(row, f"u000007,{wide},{k[7]}\n".encode()))
+        seen = loadtxt_spy(monkeypatch)
+        assert counts_outcome(path) == outcome(records_reference, path)
+        assert seen == []
+        assert np.array_equal(check_counts_from_csv(path)[0], n)
 
     def test_pipe_the_row_loop_reads(self, tmp_path):
         # the row loop reads the pipe's bytes: opening the pipe again would
