@@ -217,7 +217,7 @@ _VOUCHED_BYTES = (
     b"\t\n\r" + bytes(range(0x20, 0x7F)).replace(b'"', b"") + bytes(range(0x80, 0x100))
 )
 # the scan reads a file this many bytes at a time
-SCAN_CHUNK_BYTES = 1 << 18
+SCAN_CHUNK_BYTES = 1 << 19
 # np.loadtxt given a path decompresses files with these suffixes
 _UNPACKED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 # a line ends at \r, \n or \r\n, as for csv and universal newlines
@@ -346,10 +346,10 @@ def _scan(fh, fmt: TableFormat) -> tuple[list[int], int] | None:
         return None
     has_data = False
     tail = buf[pos:]  # the line the bytes read so far leave open
+    del buf
     while True:
         chunk = fh.read(SCAN_CHUNK_BYTES)
-        # each piece starts at a line start; a final newline ends the last line
-        piece = tail + (chunk or b"\n")
+        piece = tail + chunk  # each piece starts at a line start
         if piece.translate(None, _VOUCHED_BYTES):
             return None
         # the empty line that \r\n makes here is blank, which does not matter
@@ -358,19 +358,24 @@ def _scan(fh, fmt: TableFormat) -> tuple[list[int], int] | None:
         if fmt.comments and b"#" in piece and (piece[:1] == b"#" or b"\n#" in piece):
             return None
         arr = np.frombuffer(piece, np.uint8)
-        # the line ends are among the line ends and commas, so the commas
-        # between two of them give a line's field count
-        marks = np.flatnonzero((arr == ord("\n")) | (arr == ord(",")))
-        at_ends = np.flatnonzero(arr[marks] == ord("\n"))
-        ends = marks[at_ends]
-        # each line this piece ends, then the one it leaves open
+        if fmt.exact_width or not piece.isascii():
+            # the line ends are among the line ends and commas, so the commas
+            # between two of them give a line's field count
+            marks = np.flatnonzero((arr == ord("\n")) | (arr == ord(",")))
+            at_ends = np.flatnonzero(arr[marks] == ord("\n"))
+            ends = marks[at_ends]
+        else:
+            ends = np.flatnonzero(arr == ord("\n"))
+        # each line this piece ends, then the one it leaves open, which the
+        # end of the file ends
         lengths = np.diff(ends, prepend=-1, append=len(piece)) - 1
         if lengths.max() > limit:
             return None
-        filled = lengths[:-1] > 0
-        fields = np.diff(at_ends, prepend=-1)
-        if fmt.exact_width and np.any(filled & (fields != len(header))):
-            return None
+        filled = lengths[: len(ends) + (not chunk)] > 0
+        if fmt.exact_width:
+            fields = np.diff(at_ends, prepend=-1, append=len(marks))[: len(filled)]
+            if np.any(filled & (fields != len(header))):
+                return None
         if not piece.isascii():
             high = np.flatnonzero(arr >= 0x80)
             line_start = np.r_[-1, at_ends][np.searchsorted(ends, high)]

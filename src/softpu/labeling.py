@@ -75,11 +75,11 @@ class CheckRecord:
         _check_pair(self.n, self.k)
 
 
-def _check_pair(n: int, k: int) -> None:
+def _check_pair(n: int, k: int, where: str = "") -> None:
     if n < 0 or k < 0 or k > n:
-        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
+        raise ValueError(f"{where}need 0 <= k <= n, got n={n}, k={k}")
     if n > MAX_CHECK_DAYS:
-        raise ValueError(f"n must be at most {MAX_CHECK_DAYS}, got n={n}")
+        raise ValueError(f"{where}n must be at most {MAX_CHECK_DAYS}, got n={n}")
 
 
 @dataclass(frozen=True)
@@ -541,10 +541,7 @@ def _parse_counts(cells, row) -> tuple[int, int]:
         n, k = int(cells[0]), int(cells[1])
     except (TypeError, ValueError):
         raise ValueError(f"row {row}: n and k must be integers") from None
-    try:
-        _check_pair(n, k)
-    except ValueError as exc:
-        raise ValueError(f"row {row}: {exc}") from None
+    _check_pair(n, k, f"row {row}: ")
     return n, k
 
 
