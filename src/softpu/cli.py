@@ -2,7 +2,9 @@
 
 Every command reads a JSON config (``--config``), with ``--seed`` and
 ``--out`` overriding the config's seed and output directory; one flat parser
-takes the command and the options in any order. The only
+takes the command and the options in any order. The config, and the model
+or problem file it names, are read by :func:`softpu.dataset.load_json`,
+whose errors name the file and what is wrong with it. The only
 environment override is ``SOFTPU_OUT`` for the output directory (flag beats
 env beats config). All outputs are UTF-8; everything except the report's
 wall-clock field is byte-stable for a fixed config and seed.
@@ -12,15 +14,15 @@ Commands: generate | experiment | eval | bound-check | fit-prior | frontier.
 
 import argparse
 import functools
-import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .dataset import provenance_record, save_csv, save_json, schema_for
+from .dataset import load_json, provenance_record, save_csv, save_json, schema_for
 from .experiment import (
     ExperimentConfig,
     config_field,
@@ -51,16 +53,6 @@ from .oracle import (
     verify_noisy_gap,
 )
 from .training import TrainingDiverged, load_model, threshold_classify
-
-
-def _load_config(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such config file: {path}")
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config {path} is not valid JSON: {exc}") from None
 
 
 def _resolve_out(args, config: dict) -> Path:
@@ -95,21 +87,19 @@ def _seed_flag(text: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_generate(args) -> int:
-    config = _load_config(args.config)
+def cmd_generate(args, config: dict) -> int:
     seed = _resolve_seed(args, config)
     out = _resolve_out(args, config)
     dataset_cfg = config_field(config, "dataset", dict, required=True)
     data = build_dataset(dataset_cfg, seed)
     save_csv(data, out / "dataset.csv")
-    echo = {"dataset": dataset_cfg, "seed": seed, "schema": schema_for(data).to_dict()}
+    echo = {"dataset": dataset_cfg, "seed": seed, "schema": asdict(schema_for(data))}
     save_json(provenance_record(data, echo), out / "provenance.json")
     print(f"wrote {out / 'dataset.csv'} ({len(data)} rows)")
     return 0
 
 
-def cmd_experiment(args) -> int:
-    config = _load_config(args.config)
+def cmd_experiment(args, config: dict) -> int:
     if args.seed is not None:
         config["seed"] = args.seed
     exp = ExperimentConfig.from_dict(config)
@@ -123,8 +113,6 @@ def cmd_experiment(args) -> int:
 
 def _scores_for(config: dict, data) -> np.ndarray:
     model_path = config_field(config, "model", str, required=True)
-    if not Path(model_path).exists():
-        raise FileNotFoundError(f"no such model file: {model_path}")
     return load_model(model_path).scores(data.features)
 
 
@@ -142,8 +130,7 @@ def _thresholds(config: dict) -> list[float]:
     return [float(t) for t in values]
 
 
-def cmd_eval(args) -> int:
-    config = _load_config(args.config)
+def cmd_eval(args, config: dict) -> int:
     thresholds = _thresholds(config)
     seed = _resolve_seed(args, config)
     out = _resolve_out(args, config)
@@ -177,8 +164,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_bound_check(args) -> int:
-    config = _load_config(args.config)
+def cmd_bound_check(args, config: dict) -> int:
     seed = _resolve_seed(args, config)
     out = _resolve_out(args, config)
     data = build_dataset(config_field(config, "dataset", dict, required=True), seed)
@@ -193,8 +179,7 @@ def cmd_bound_check(args) -> int:
     return 0 if record["satisfied"] else 1
 
 
-def cmd_fit_prior(args) -> int:
-    config = _load_config(args.config)
+def cmd_fit_prior(args, config: dict) -> int:
     out = _resolve_out(args, config)
     n, k = check_counts_from_csv(config_field(config, "records", str, required=True))
     prior = fit_prior(
@@ -217,13 +202,10 @@ def cmd_fit_prior(args) -> int:
     return 0
 
 
-def cmd_frontier(args) -> int:
-    config = _load_config(args.config)
+def cmd_frontier(args, config: dict) -> int:
     out = _resolve_out(args, config)
     problem_cfg = config_field(config, "problem", (str, dict), required=True)
     if isinstance(problem_cfg, str):
-        if not Path(problem_cfg).exists():
-            raise FileNotFoundError(f"no such problem file: {problem_cfg}")
         problem = problem_from_json(problem_cfg)
     else:
         problem = DiscreteProblem.from_dict(problem_cfg)
@@ -234,15 +216,15 @@ def cmd_frontier(args) -> int:
         record[kind] = frontier(problem, kind).to_dict()
     verify = config_field(config, "verify", dict, default={})
     if config_field(verify, "mela", bool, default=False):
-        record["mela_optimality"] = verify_mela_optimality(problem).to_dict()
+        record["mela_optimality"] = asdict(verify_mela_optimality(problem))
     noisy = config_field(verify, "noisy", dict)
     if noisy is not None:
-        record["noisy_gap"] = verify_noisy_gap(
+        record["noisy_gap"] = asdict(verify_noisy_gap(
             problem,
             epsilon=config_field(noisy, "epsilon", float, required=True),
             c_h=config_field(noisy, "c_h", float, default=1.0),
             m_const=config_field(noisy, "m", float, required=True),
-        ).to_dict()
+        ))
     save_json(record, out / "frontier.json")
     print(f"wrote {out / 'frontier.json'}")
     return 0
@@ -306,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, load_json(args.config, "config file"))
     except (ValueError, OSError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

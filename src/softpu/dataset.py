@@ -152,13 +152,6 @@ class CsvSchema:
     soft_label: str = "soft_label"
     true_label: str | None = None
 
-    def to_dict(self):
-        return {
-            "features": list(self.features),
-            "soft_label": self.soft_label,
-            "true_label": self.true_label,
-        }
-
 
 def parse_cell(raw, row, column):
     """One CSV cell as a float; errors name the 1-based data ``row`` and ``column``."""
@@ -973,3 +966,44 @@ def save_json(record, path) -> None:
     Path(path).write_text(
         json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
+
+
+def load_json(path, what: str) -> dict:
+    """The JSON object in the UTF-8 file at ``path``. Every JSON file softpu
+    reads comes through here, and ``what`` ("config file", "model file",
+    ...) names it in the errors: a missing file, a directory, a file that
+    is not UTF-8 text (with its first bad byte and offset), text that is
+    not JSON (a byte-order mark included) and JSON that is not an object.
+    """
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise FileNotFoundError(f"no such {what}: {path}") from None
+    except IsADirectoryError:
+        raise IsADirectoryError(f"{path}: is a directory, not a {what}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
+        ) from None
+    try:
+        record = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(record, dict):
+        raise ValueError(f"{what} {path} must hold a JSON object")
+    return record
+
+
+def float_fields(record, names, what: str) -> dict:
+    """The fields ``names`` of a JSON ``record`` as float64 arrays; the errors
+    name a missing field or one that does not hold numbers as a ``what`` field."""
+    arrays = {}
+    for name in names:
+        if not isinstance(record, dict) or name not in record:
+            raise ValueError(f"{what} field '{name}' is required")
+        try:
+            arrays[name] = np.asarray(record[name], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValueError(f"{what} field '{name}' must hold numbers") from None
+    return arrays

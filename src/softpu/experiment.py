@@ -107,6 +107,16 @@ def seed_field(cfg: dict) -> int:
     return seed
 
 
+def _input_file(cfg: dict, key: str, field: str) -> None:
+    """Refuse an input-file field (``field`` its dotted name) that names no
+    file or a directory."""
+    path = config_field(cfg, key, str, required=True)
+    if not Path(path).exists():
+        raise ValueError(f"config field '{field}': no such file {path!r}")
+    if Path(path).is_dir():
+        raise ValueError(f"config field '{field}': {path!r} is a directory, not a file")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description; see README for the JSON schema."""
@@ -131,11 +141,7 @@ class ExperimentConfig:
                 f"config field 'soft_labels.source': unknown source {source!r}"
             )
         if source == "bayes":
-            records = config_field(soft_labels, "records", str, required=True)
-            if not Path(records).exists():
-                raise ValueError(
-                    f"config field 'soft_labels.records': no such file {records!r}"
-                )
+            _input_file(soft_labels, "records", "soft_labels.records")
         sources = config_field(raw, "soft_source_features", list, default=None)
         if sources is None and dataset.get("kind") == "pu-benchmark":
             sources = list(BENCHMARK_SOFT_SOURCES)
@@ -148,9 +154,7 @@ class ExperimentConfig:
         if not (abs(sum(split) - 1.0) <= 1e-9 and min(split) > 0.0):
             raise ValueError("config field 'split' fractions must be positive and sum to 1")
         if dataset.get("kind") == "csv":
-            path = config_field(dataset, "path", str, required=True)
-            if not Path(path).exists():
-                raise ValueError(f"config field 'dataset.path': no such file {path!r}")
+            _input_file(dataset, "path", "dataset.path")
         return cls(
             seed=seed,
             dataset=dataset,

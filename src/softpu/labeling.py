@@ -23,15 +23,13 @@ counting keys whenever the pairs span a range not much wider than the user
 count (every history shorter than a few thousand days, in practice).
 """
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import kernels
-from .dataset import TableFormat, read_table, save_json
+from .dataset import TableFormat, float_fields, load_json, read_table, save_json
 
 GRID_MARGIN = 1e-4
 # the prior fit holds check counts in int64 arrays
@@ -159,10 +157,10 @@ class DiscretePrior:
 
     @classmethod
     def from_dict(cls, d):
+        arrays = float_fields(d, ("grid", "weights"), "prior")
         trace = d.get("objective_trace")
         return cls(
-            grid=np.asarray(d["grid"], dtype=np.float64),
-            weights=np.asarray(d["weights"], dtype=np.float64),
+            **arrays,
             objective_trace=None if trace is None else tuple(trace),
             converged=d.get("converged"),
         )
@@ -495,16 +493,6 @@ class LabelSeparationReport:
     all_nonzero_above_pi: bool
     pi: float
 
-    def to_dict(self):
-        return {
-            "mean_soft_positive": self.mean_soft_positive,
-            "mean_soft_negative": self.mean_soft_negative,
-            "difference": self.difference,
-            "separated": self.separated,
-            "all_nonzero_above_pi": self.all_nonzero_above_pi,
-            "pi": self.pi,
-        }
-
 
 def check_label_separation(soft_labels, true_labels, pi: float) -> LabelSeparationReport:
     s = np.asarray(soft_labels, dtype=np.float64)
@@ -583,4 +571,5 @@ def prior_to_json(prior: DiscretePrior, path) -> None:
 
 
 def prior_from_json(path) -> DiscretePrior:
-    return DiscretePrior.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """The prior in a JSON file, read by :func:`softpu.dataset.load_json`."""
+    return DiscretePrior.from_dict(load_json(path, "prior file"))

@@ -13,7 +13,7 @@ independent given Y.
 """
 
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 
@@ -309,16 +309,7 @@ class MixtureCoefficients:
         return self.a * self.d - self.b * self.c
 
     def to_dict(self):
-        return {
-            "pi": self.pi,
-            "s_p": self.s_p,
-            "s_n": self.s_n,
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "d": self.d,
-            "determinant": self.determinant,
-        }
+        return asdict(self) | {"determinant": self.determinant}
 
 
 def mixture_coefficients(pi: float, s_p: float, s_n: float) -> MixtureCoefficients:

@@ -17,17 +17,15 @@ brute-force enumeration of all 2^m classifiers (:func:`enumerate_points`,
 """
 
 import bisect
-import json
 import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
 from . import kernels
-from .dataset import save_json
+from .dataset import float_fields, load_json, save_json
 
 MAX_CELLS = 20
 HULL_ATOL = 1e-12
@@ -97,15 +95,7 @@ class DiscreteProblem:
 
     @classmethod
     def from_dict(cls, d):
-        arrays = {}
-        for name in ("masses", "eta", "eta_s"):
-            if not isinstance(d, dict) or name not in d:
-                raise ValueError(f"problem field '{name}' is required")
-            try:
-                arrays[name] = np.asarray(d[name], dtype=np.float64)
-            except (TypeError, ValueError):
-                raise ValueError(f"problem field '{name}' must hold numbers") from None
-        return cls(**arrays)
+        return cls(**float_fields(d, ("masses", "eta", "eta_s"), "problem"))
 
 
 def problem_to_json(problem: DiscreteProblem, path) -> None:
@@ -113,12 +103,8 @@ def problem_to_json(problem: DiscreteProblem, path) -> None:
 
 
 def problem_from_json(path) -> DiscreteProblem:
-    path = Path(path)
-    try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"problem file {path} is not valid JSON: {exc}") from None
-    return DiscreteProblem.from_dict(record)
+    """The problem in a JSON file, read by :func:`softpu.dataset.load_json`."""
+    return DiscreteProblem.from_dict(load_json(path, "problem file"))
 
 
 def _conditional(problem: DiscreteProblem, kind: str) -> np.ndarray:
@@ -481,16 +467,6 @@ class MelaOptimalityReport:
     real_only: tuple[int, ...]
     threshold_family_on_both: bool
 
-    def to_dict(self):
-        return {
-            "passed": self.passed,
-            "n_spu_frontier": self.n_spu_frontier,
-            "n_real_frontier": self.n_real_frontier,
-            "spu_only": [int(m) for m in self.spu_only],
-            "real_only": [int(m) for m in self.real_only],
-            "threshold_family_on_both": self.threshold_family_on_both,
-        }
-
 
 def verify_mela_optimality(problem: DiscreteProblem) -> MelaOptimalityReport:
     """Check that the substitute and real frontiers are achieved by the same
@@ -607,29 +583,6 @@ class NoisyGapReport:
     link_violations: tuple[tuple[int, int], ...]
     mass_matching_ok: bool
     passed: bool
-
-    def to_dict(self):
-        d = {
-            "epsilon": self.epsilon,
-            "c_h": self.c_h,
-            "m_const": self.m_const,
-            "class_prior": self.class_prior,
-            "point_bound": self.point_bound,
-            "auc_bound": self.auc_bound,
-            "max_tpr_deficit": self.max_tpr_deficit,
-            "max_fpr_excess": self.max_fpr_excess,
-            "max_point_gap": self.max_point_gap,
-            "auc_real_optimal": self.auc_real_optimal,
-            "auc_spu_ranking": self.auc_spu_ranking,
-            "auc_gap": self.auc_gap,
-            "matches": [[int(a), int(b)] for a, b in self.matches],
-            "density_bound_effective": self.density_bound_effective,
-            "density_ok": self.density_ok,
-            "link_violations": [[int(a), int(b)] for a, b in self.link_violations],
-            "mass_matching_ok": self.mass_matching_ok,
-            "passed": self.passed,
-        }
-        return d
 
 
 def _match_vertices(vertices, vertex_mass, spu_fpr, spu_tpr, spu_mass):

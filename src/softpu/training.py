@@ -14,16 +14,15 @@ shuffles) comes from one seeded generator and the epoch loops run in the
 deterministic numpy kernels of :mod:`softpu.kernels`.
 """
 
-import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import kernels
-from .dataset import SoftDataset, save_json
+from .dataset import SoftDataset, load_json, save_json
 from .kernels import sigmoid
 
 ARCH_LINEAR = "linear-logistic"
@@ -307,15 +306,7 @@ def threshold_classify(scores, t: float) -> np.ndarray:
 
 
 def save_model(model: ScoringModel, path) -> None:
-    record = {
-        "arch": model.arch,
-        "feature_dim": model.feature_dim,
-        "hidden_width": model.hidden_width,
-        "params": model.params.tolist(),
-        "seed": model.seed,
-        "loss_trace": list(model.loss_trace),
-    }
-    save_json(record, path)
+    save_json(asdict(model) | {"params": model.params.tolist()}, path)
 
 
 def _check_numbers(values, name) -> None:
@@ -330,15 +321,10 @@ def _check_numbers(values, name) -> None:
 
 
 def load_model(path) -> ScoringModel:
+    """The model in a :func:`save_model` file, read by :func:`softpu.dataset.load_json`."""
     path = Path(path)
-    try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"model file {path} is not valid JSON: {exc}") from None
-    if not isinstance(record, dict):
-        raise ValueError(f"model file {path} must hold a JSON object")
-    fields = ("arch", "feature_dim", "hidden_width", "params", "seed", "loss_trace")
-    missing = [f for f in fields if f not in record]
+    record = load_json(path, "model file")
+    missing = [f.name for f in fields(ScoringModel) if f.name not in record]
     if missing:
         raise ValueError(f"model file {path} is missing field(s): {missing}")
     try:

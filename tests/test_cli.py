@@ -697,11 +697,10 @@ class TestEvalAndBound:
         assert run(cfg, command, tmp_path / "out") == 1
         assert "row 2, column 'x0': non-finite value nan" in capsys.readouterr().err
 
+    # a file that is not a JSON object: TestJsonInputs, for every JSON reader
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("{not json", "is not valid JSON: Expecting property name"),
-            ("[1.0, 0.0]", "must hold a JSON object"),
             ('{"feature_dim": 1, "hidden_width": 0, "params": [1.0, 0.0], "seed": 4, '
              '"loss_trace": []}', "is missing field(s): ['arch']"),
         ],
@@ -1204,6 +1203,59 @@ class TestEntryPoints:
         assert "not valid JSON" in capsys.readouterr().err
 
 
+# (id, content, message): None is no file, "dir" a directory
+BAD_JSON_FILES = [
+    ("missing", None, "no such {what}: {path}"),
+    ("directory", "dir", "{path}: is a directory, not a {what}"),
+    ("not-utf8", b'{"a": "\xff"}', "{path}: not UTF-8 text: byte 0xff at offset 7"),
+    ("bom", b"\xef\xbb\xbf{}", "{what} {path} is not valid JSON: Unexpected UTF-8 BOM "
+     "(decode using utf-8-sig): line 1 column 1 (char 0)"),
+    ("invalid", b"{not json", "{what} {path} is not valid JSON: Expecting property name "
+     "enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("number", b"5", "{what} {path} must hold a JSON object"),
+    ("string", b'"x"', "{what} {path} must hold a JSON object"),
+    ("null", b"null", "{what} {path} must hold a JSON object"),
+    ("list", b"[1, 2]", "{what} {path} must hold a JSON object"),
+]
+
+
+class TestJsonInputs:
+    """Every JSON file softpu reads goes through ``dataset.load_json``: a bad
+    config, model or problem file is one named ``error:`` line and exit 1,
+    and a bad prior file raises the same text."""
+
+    @pytest.mark.parametrize("reader", ["config", "model", "problem", "prior"])
+    @pytest.mark.parametrize(
+        "content, message", [c[1:] for c in BAD_JSON_FILES], ids=[c[0] for c in BAD_JSON_FILES]
+    )
+    def test_bad_file_is_named_error(self, tmp_path, capsys, reader, content, message):
+        path = tmp_path / f"{reader}.json"
+        if content == "dir":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        want = message.format(what=f"{reader} file", path=path)
+        if reader == "prior":
+            with pytest.raises((OSError, ValueError)) as info:
+                prior_from_json(path)
+            assert str(info.value) == want
+            return
+        if reader == "config":
+            command, cfg = "generate", path
+        elif reader == "model":
+            command = "eval"
+            cfg = write_config(
+                tmp_path,
+                "cfg.json",
+                {"seed": 4, "dataset": {"kind": "gscar", "n": 100, "pi": 0.2},
+                 "model": str(path)},
+            )
+        else:
+            command, cfg = "frontier", write_config(tmp_path, "cfg.json", {"problem": str(path)})
+        assert run(cfg, command, tmp_path / "out") == 1
+        assert capsys.readouterr().err == f"error: {want}\n"
+
+
 class TestSoftLabelSources:
     def _base_dataset(self, n=40):
         from softpu.dataset import SoftDataset
@@ -1290,6 +1342,18 @@ class TestSoftLabelSources:
                     "soft_labels": {"source": "bayes", "records": "missing.csv"},
                 }
             )
+
+    @pytest.mark.parametrize("field", ["soft_labels.records", "dataset.path"])
+    def test_directory_rejected_at_validation(self, tmp_path, field):
+        raw = {"seed": 1, "dataset": {"kind": "pu-benchmark", "n": 400}}
+        if field == "dataset.path":
+            raw["dataset"] = {"kind": "csv", "path": str(tmp_path), "features": ["x0"]}
+        else:
+            raw["soft_labels"] = {"source": "bayes", "records": str(tmp_path)}
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig.from_dict(raw)
+        want = f"config field '{field}': {str(tmp_path)!r} is a directory, not a file"
+        assert str(info.value) == want
 
 
 class TestShippedConfigs:

@@ -5,6 +5,7 @@ import csv
 import gzip
 import hashlib
 import io
+import json
 import os
 import re
 import threading
@@ -258,6 +259,21 @@ class TestDiscretePriorValidation:
     def test_non_finite_values_rejected(self, field, d):
         with pytest.raises(ValueError, match=f"{field} must be finite: index 1 is nan"):
             DiscretePrior.from_dict(d)
+
+    @pytest.mark.parametrize(
+        "d, message",
+        [
+            ({"weights": [1.0]}, "prior field 'grid' is required"),
+            ({"grid": [0.5]}, "prior field 'weights' is required"),
+            ({"grid": {"a": 0.5}, "weights": [1.0]}, "prior field 'grid' must hold numbers"),
+        ],
+    )
+    def test_missing_or_non_numeric_field_named(self, tmp_path, d, message):
+        path = tmp_path / "prior.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            prior_from_json(path)
+        assert str(info.value) == message
 
 
 def synth_records(rng, n_records, theta, n_days=20):

@@ -1,0 +1,59 @@
+"""Structure guards: each kind of file I/O and process start has one home.
+
+These tests read the package's source as syntax trees and run none of it.
+They pin decisions about where code lives:
+
+- every JSON file is read by ``dataset.load_json``, so ``json.load`` and
+  ``json.loads`` are called only in ``dataset.py``;
+- every CSV file is read by ``dataset.read_table``: one ``np.loadtxt`` call
+  (its column pass) and one ``csv.reader`` call (its row loop);
+- every forked worker is started by ``workers``: one ``os.fork`` call.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "softpu"
+
+
+def _calls() -> Counter:
+    """(module file, 'name.attr') of every call of an attribute of a plain
+    name, such as ``json.loads(...)``, counted over the package."""
+    found = Counter()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+            ):
+                found[path.name, f"{node.func.value.id}.{node.func.attr}"] += 1
+    return found
+
+
+def _sites(name: str) -> dict:
+    return {module: n for (module, call), n in _calls().items() if call == name}
+
+
+def test_json_is_read_only_in_dataset():
+    readers = {**_sites("json.load"), **_sites("json.loads")}
+    assert set(readers) == {"dataset.py"}
+    assert sum(readers.values()) == 1
+
+
+def test_no_module_imports_json_readers_by_name():
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                assert not {a.name for a in node.names} & {"load", "loads"}, path.name
+
+
+@pytest.mark.parametrize(
+    "call, module",
+    [("np.loadtxt", "dataset.py"), ("csv.reader", "dataset.py"), ("os.fork", "workers.py")],
+)
+def test_one_call_site(call, module):
+    assert _sites(call) == {module: 1}

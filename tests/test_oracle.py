@@ -7,6 +7,7 @@ are exact up to float rounding rather than Monte Carlo estimates.
 import bisect
 import math
 import re
+from dataclasses import asdict
 from fractions import Fraction
 from functools import lru_cache
 
@@ -376,7 +377,7 @@ class TestNoisyGap:
         rng = np.random.default_rng(12)
         prob = noisy_problem(rng, 6, 0.05)
         report = verify_noisy_gap(prob, 0.05, 1.0, slice_density_bound(prob, 0.1))
-        d = report.to_dict()
+        d = asdict(report)
         assert set(d) >= {"point_bound", "auc_gap", "matches", "passed"}
 
     def test_mass_matching_feasibility_reported(self):
@@ -720,7 +721,7 @@ def noisy_gap_loop_ref(problem, epsilon, c_h, m_const):
 
 
 def assert_same_report(got, want):
-    got, want = got.to_dict(), want.to_dict()
+    got, want = asdict(got), asdict(want)
     assert got.keys() == want.keys()
     for name, value in want.items():
         if isinstance(value, float):
