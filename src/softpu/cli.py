@@ -16,13 +16,12 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .dataset import load_json, provenance_record, save_csv, save_json, schema_for
+from .dataset import field_dict, load_json, provenance_record, save_csv, save_json, schema_for
 from .experiment import (
     ExperimentConfig,
     config_field,
@@ -93,7 +92,7 @@ def cmd_generate(args, config: dict) -> int:
     dataset_cfg = config_field(config, "dataset", dict, required=True)
     data = build_dataset(dataset_cfg, seed)
     save_csv(data, out / "dataset.csv")
-    echo = {"dataset": dataset_cfg, "seed": seed, "schema": asdict(schema_for(data))}
+    echo = {"dataset": dataset_cfg, "seed": seed, "schema": field_dict(schema_for(data))}
     save_json(provenance_record(data, echo), out / "provenance.json")
     print(f"wrote {out / 'dataset.csv'} ({len(data)} rows)")
     return 0
@@ -216,10 +215,10 @@ def cmd_frontier(args, config: dict) -> int:
         record[kind] = frontier(problem, kind).to_dict()
     verify = config_field(config, "verify", dict, default={})
     if config_field(verify, "mela", bool, default=False):
-        record["mela_optimality"] = asdict(verify_mela_optimality(problem))
+        record["mela_optimality"] = field_dict(verify_mela_optimality(problem))
     noisy = config_field(verify, "noisy", dict)
     if noisy is not None:
-        record["noisy_gap"] = asdict(verify_noisy_gap(
+        record["noisy_gap"] = field_dict(verify_noisy_gap(
             problem,
             epsilon=config_field(noisy, "epsilon", float, required=True),
             c_h=config_field(noisy, "c_h", float, default=1.0),

@@ -22,7 +22,7 @@ import shutil
 import stat
 import tempfile
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -966,6 +966,12 @@ def save_json(record, path) -> None:
     Path(path).write_text(
         json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
+
+
+def field_dict(obj) -> dict:
+    """A dataclass instance's fields by name, their values not copied (as
+    ``dataclasses.asdict`` would copy each), for :func:`save_json`."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def load_json(path, what: str) -> dict:

@@ -13,14 +13,14 @@ independent given Y.
 """
 
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import (
-    SoftDataset, TableFormat, named_columns, parse_cell, read_table, write_columns
+    SoftDataset, TableFormat, field_dict, named_columns, parse_cell, read_table, write_columns
 )
 
 _CURVE_COLUMNS = ("threshold", "x", "y")
@@ -309,7 +309,7 @@ class MixtureCoefficients:
         return self.a * self.d - self.b * self.c
 
     def to_dict(self):
-        return asdict(self) | {"determinant": self.determinant}
+        return field_dict(self) | {"determinant": self.determinant}
 
 
 def mixture_coefficients(pi: float, s_p: float, s_n: float) -> MixtureCoefficients:

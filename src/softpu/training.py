@@ -16,13 +16,13 @@ deterministic numpy kernels of :mod:`softpu.kernels`.
 
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import kernels
-from .dataset import SoftDataset, load_json, save_json
+from .dataset import SoftDataset, field_dict, load_json, save_json
 from .kernels import sigmoid
 
 ARCH_LINEAR = "linear-logistic"
@@ -306,7 +306,7 @@ def threshold_classify(scores, t: float) -> np.ndarray:
 
 
 def save_model(model: ScoringModel, path) -> None:
-    save_json(asdict(model) | {"params": model.params.tolist()}, path)
+    save_json(field_dict(model) | {"params": model.params.tolist()}, path)
 
 
 def _check_numbers(values, name) -> None:
