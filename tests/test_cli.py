@@ -697,7 +697,7 @@ class TestEvalAndBound:
         assert run(cfg, command, tmp_path / "out") == 1
         assert "row 2, column 'x0': non-finite value nan" in capsys.readouterr().err
 
-    # a file that is not a JSON object: TestJsonInputs, for every JSON reader
+    # a missing file, bad bytes, invalid JSON or a non-object: TestJsonInputs
     @pytest.mark.parametrize(
         "text, message",
         [
