@@ -270,8 +270,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """One parser for every command: all of them take the same options."""
+    """One parser for every command: all of them take the same options.
+    Built on first use and kept, so in-process ``main`` calls share it."""
     parser = argparse.ArgumentParser(
         prog="softpu",
         description="Soft-label PU learning toolkit",

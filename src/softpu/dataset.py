@@ -20,6 +20,7 @@ import os
 import re
 import shutil
 import stat
+import sys
 import tempfile
 from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
@@ -1001,15 +1002,27 @@ def load_json(path, what: str) -> dict:
     return record
 
 
+def check_numbers(values, field: str) -> None:
+    """Refuse a JSON value that is not a list of numbers (``true`` and numeric
+    text are not numbers); ``field`` names it in the errors, as in
+    ``"problem field 'eta'"``."""
+    if not isinstance(values, list):
+        raise ValueError(f"{field} must be list, got {type(values).__name__}")
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"{field} must hold numbers, got {v!r}")
+        if isinstance(v, int) and abs(v) > sys.float_info.max:
+            raise ValueError(f"{field} holds an integer too large for a float")
+
+
 def float_fields(record, names, what: str) -> dict:
     """The fields ``names`` of a JSON ``record`` as float64 arrays; the errors
-    name a missing field or one that does not hold numbers as a ``what`` field."""
+    name a missing field, or one that :func:`check_numbers` refuses, as a
+    ``what`` field."""
     arrays = {}
     for name in names:
         if not isinstance(record, dict) or name not in record:
             raise ValueError(f"{what} field '{name}' is required")
-        try:
-            arrays[name] = np.asarray(record[name], dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ValueError(f"{what} field '{name}' must hold numbers") from None
+        check_numbers(record[name], f"{what} field '{name}'")
+        arrays[name] = np.array(record[name], dtype=np.float64)
     return arrays

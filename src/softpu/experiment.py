@@ -36,6 +36,7 @@ from .dataset import (
     MelaConfig,
     PiecewiseLinearEta,
     SoftDataset,
+    check_numbers,
     gen_gscar,
     gen_mela,
     load_csv,
@@ -93,9 +94,7 @@ def config_field(cfg: dict, key: str, kind, default=None, required=False):
 def numbers_field(cfg: dict, key: str) -> tuple[float, ...]:
     """The config's required list ``key``, whose items must all be numbers."""
     values = config_field(cfg, key, list, required=True)
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"config field '{key}' must hold numbers, got {v!r}")
+    check_numbers(values, f"config field '{key}'")
     return tuple(values)
 
 

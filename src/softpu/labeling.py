@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .dataset import TableFormat, float_fields, load_json, read_table, save_json
+from .dataset import TableFormat, check_numbers, float_fields, load_json, read_table, save_json
 
 GRID_MARGIN = 1e-4
 # the prior fit holds check counts in int64 arrays
@@ -157,12 +157,22 @@ class DiscretePrior:
 
     @classmethod
     def from_dict(cls, d):
+        """The prior of a :meth:`to_dict` record: ``objective_trace`` and
+        ``converged``, when present and not null, must be a number list and
+        a bool."""
         arrays = float_fields(d, ("grid", "weights"), "prior")
         trace = d.get("objective_trace")
+        if trace is not None:
+            check_numbers(trace, "prior field 'objective_trace'")
+        converged = d.get("converged")
+        if converged is not None and not isinstance(converged, bool):
+            raise ValueError(
+                f"prior field 'converged' must be bool, got {type(converged).__name__}"
+            )
         return cls(
             **arrays,
             objective_trace=None if trace is None else tuple(trace),
-            converged=d.get("converged"),
+            converged=converged,
         )
 
 

@@ -21,6 +21,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -194,7 +195,7 @@ def _hull_vertices(fprs, tprs):
     ys = t_sorted[first]
     masks = order[first]
     hull = []
-    for x, y, c in zip(xs, ys, masks):
+    for x, y, c in zip(xs.tolist(), ys.tolist(), masks.tolist()):
         while len(hull) >= 2:
             x1, y1, _ = hull[-2]
             x2, y2, _ = hull[-1]
@@ -239,15 +240,18 @@ def _tie_groups(values) -> tuple[tuple[int, ...], ...]:
     and cells in increasing index order within a group."""
     values = np.asarray(values, dtype=np.float64)
     order = np.argsort(-values, kind="stable")
-    breaks = np.flatnonzero(np.diff(values[order])) + 1
-    return tuple(tuple(g.tolist()) for g in np.split(order, breaks))
+    bounds = [0, *(np.flatnonzero(np.diff(values[order])) + 1).tolist(), order.size]
+    cells = order.tolist()
+    return tuple(tuple(cells[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 def _prefix_masks(groups) -> tuple[int, ...]:
     """Bitmasks of the empty classifier and of each prefix of whole groups."""
-    masks = [0]
+    masks, mask = [0], 0
     for g in groups:
-        masks.append(masks[-1] | sum(1 << c for c in g))
+        for c in g:
+            mask |= 1 << c
+        masks.append(mask)
     return tuple(masks)
 
 
@@ -261,50 +265,67 @@ def threshold_masks(values) -> list[int]:
     return list(_prefix_masks(_tie_groups(values)))
 
 
-# Every finite double is a whole multiple of 2**-1074, so sums of doubles are
-# accumulated exactly as integer counts of that unit and rounded once. A sum
-# then depends only on which cells it covers, not on the order they came in.
-_UNIT = 1 << 1074
+# Sums of doubles are accumulated exactly as integers and rounded once, so a
+# sum depends only on which cells it covers, not on the order they came in.
+# Every double of a column is a whole multiple of the column's finest power of
+# two, its largest ``float.as_integer_ratio`` denominator: that power is the
+# column's unit. The integers then span only the column's own binades, about
+# 60 to 120 bits for rate fractions where counts of 2**-1074 took about 1100;
+# a column that holds a subnormal keeps 2**-1074 as its unit.
 
 
-def _exact(column) -> list[int]:
-    """Each double of ``column`` as an integer count of 2**-1074."""
-    return [n * (_UNIT // d) for n, d in map(float.as_integer_ratio, column.tolist())]
+class _Exact(NamedTuple):
+    """A column's doubles as integer ``counts`` of its unit ``1 / scale``."""
+
+    counts: list[int]
+    scale: int
 
 
-def _rounded(counts) -> np.ndarray:
-    """The correctly rounded doubles of exact counts of 2**-1074."""
-    return np.array([c / _UNIT for c in counts], dtype=np.float64)
+def _exact(column) -> _Exact:
+    """``column`` at its own unit: ``scale`` is the largest denominator of
+    its doubles, each a power of two."""
+    ratios = list(map(float.as_integer_ratio, column.tolist()))
+    scale = max(d for _, d in ratios)
+    return _Exact([n * (scale // d) for n, d in ratios], scale)
 
 
-def _exact_prefix_sums(groups, exact) -> list[int]:
+def _rounded(counts, scale: int) -> np.ndarray:
+    """The correctly rounded doubles of exact counts of the unit ``1 / scale``
+    (Python's integer division is correctly rounded)."""
+    return np.array([c / scale for c in counts], dtype=np.float64)
+
+
+def _exact_prefix_sums(groups, counts) -> list[int]:
     """Exact sums over the empty classifier and each whole-group prefix."""
-    sums = [0]
+    sums, total = [0], 0
     for g in groups:
-        sums.append(sums[-1] + sum(exact[c] for c in g))
+        for c in g:
+            total += counts[c]
+        sums.append(total)
     return sums
 
 
 def _prefix_sums(groups, column) -> np.ndarray:
     """``column`` summed over the empty classifier and each whole-group
     prefix, each sum correctly rounded."""
-    return _rounded(_exact_prefix_sums(groups, _exact(column)))
+    exact = _exact(column)
+    return _rounded(_exact_prefix_sums(groups, exact.counts), exact.scale)
 
 
-def _subsets(group, *exact):
-    """Bitmasks of the proper subsets of ``group`` and each exact column
-    summed over their cells, in subset-index order (bit i of the index is
-    ``group[i]``)."""
+def _subsets(group, *counts):
+    """Bitmasks of the proper subsets of ``group`` and each column of exact
+    counts summed over their cells, in subset-index order (bit i of the
+    index is ``group[i]``), which is increasing bitmask order."""
     if len(group) > MAX_CELLS:
         raise ValueError(
             f"tie group of {len(group)} cells too large for subset "
             f"enumeration (max {MAX_CELLS})"
         )
     masks = [0]
-    sums = [[0] for _ in exact]
+    sums = [[0] for _ in counts]
     for c in group:
         masks += [s | 1 << c for s in masks]
-        for acc, col in zip(sums, exact):
+        for acc, col in zip(sums, counts):
             acc += [s + col[c] for s in acc]
     return masks[:-1], [acc[:-1] for acc in sums]
 
@@ -355,24 +376,44 @@ class Frontier:
 
     def members(self, *columns):
         """Every classifier on the frontier, in increasing bitmask order,
-        and each per-cell column summed over its cells (correctly rounded).
+        and each per-cell column summed exactly over its cells and rounded
+        once.
 
         A member is a whole-group prefix plus a proper subset of the next
         group, or the full classifier.
         """
+        masks, sums, _ = self._member_sums(*map(_exact, columns))
+        return masks, sums
+
+    def _member_sums(self, *exact):
+        """:meth:`members` of columns already in :func:`_exact` form, plus
+        each column's exact sums over the whole-group prefixes (of
+        :func:`_exact_prefix_sums`): one pass forms both.
+
+        The members of group k lie between prefixes k and k + 1 as integers
+        and come out of :func:`_subsets` in increasing order, so the list is
+        built in bitmask order. A one-cell group's only proper subset is the
+        empty one, so its member is the prefix itself.
+        """
         prefixes = self.prefix_masks
-        exact = [_exact(col) for col in columns]
-        bases = [_exact_prefix_sums(self.groups, col) for col in exact]
-        masks, sums = [prefixes[-1]], [[b[-1]] for b in bases]
+        bases = [_exact_prefix_sums(self.groups, col.counts) for col in exact]
+        masks, sums = [], [[] for _ in exact]
         for k, g in enumerate(self.groups):
             if k == 0 and self.whole_first:
                 continue
-            sub_masks, sub_sums = _subsets(g, *exact)
+            if len(g) == 1:
+                masks.append(prefixes[k])
+                for acc, base in zip(sums, bases):
+                    acc.append(base[k])
+                continue
+            sub_masks, sub_sums = _subsets(g, *(col.counts for col in exact))
             masks += [prefixes[k] | s for s in sub_masks]
             for acc, base, sub in zip(sums, bases, sub_sums):
                 acc += [base[k] + s for s in sub]
-        rank = sorted(range(len(masks)), key=masks.__getitem__)
-        return [masks[i] for i in rank], [_rounded([acc[i] for i in rank]) for acc in sums]
+        masks.append(prefixes[-1])
+        for acc, base in zip(sums, bases):
+            acc.append(base[-1])
+        return masks, [_rounded(acc, col.scale) for acc, col in zip(sums, exact)], bases
 
     def to_dict(self):
         return _frontier_dict(self)
@@ -667,11 +708,15 @@ def verify_noisy_gap(
         m_eff = 0.0
     density_ok = m_eff <= m_const + 1e-9
 
+    # the real rates and masses of the substitute frontier's members, and
+    # the real rates of its threshold classifiers, from one pass per column
     tpr_frac, fpr_frac = _rate_fractions(problem, "real")
-    spu_masks, (spu_real_fpr, spu_real_tpr, spu_pred_mass) = spu_frontier.members(
-        fpr_frac, tpr_frac, problem.masses
+    fpr, tpr, mass = _exact(fpr_frac), _exact(tpr_frac), _exact(problem.masses)
+    spu_masks, (spu_real_fpr, spu_real_tpr, spu_pred_mass), (fpr_base, tpr_base, _) = (
+        spu_frontier._member_sums(fpr, tpr, mass)
     )
-    prefix_mass = _prefix_sums(real_frontier.groups, problem.masses)
+    spu_curve = np.column_stack([_rounded(fpr_base, fpr.scale), _rounded(tpr_base, tpr.scale)])
+    prefix_mass = _rounded(_exact_prefix_sums(real_frontier.groups, mass.counts), mass.scale)
     prefix_index = dict(zip(real_frontier.prefix_masks, range(len(prefix_mass))))
     vertex_mass = prefix_mass[[prefix_index[v] for v in real_frontier.vertex_masks]]
     best, deficit, excess, gap, least_mass_gap = _match_vertices(
@@ -683,13 +728,6 @@ def verify_noisy_gap(
     max_gap = float(gap.max())
     mass_matching_ok = not np.any(least_mass_gap > 1e-12)
 
-    # real rates of the substitute threshold classifiers
-    spu_curve = np.column_stack(
-        [
-            _prefix_sums(spu_frontier.groups, fpr_frac),
-            _prefix_sums(spu_frontier.groups, tpr_frac),
-        ]
-    )
     auc_real_opt = _staircase_auc(real_frontier.points)
     auc_spu_rank = _staircase_auc(spu_curve)
     auc_gap = auc_real_opt - auc_spu_rank

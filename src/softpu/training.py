@@ -15,14 +15,13 @@ deterministic numpy kernels of :mod:`softpu.kernels`.
 """
 
 import math
-import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import kernels
-from .dataset import SoftDataset, field_dict, load_json, save_json
+from .dataset import SoftDataset, check_numbers, field_dict, load_json, save_json
 from .kernels import sigmoid
 
 ARCH_LINEAR = "linear-logistic"
@@ -309,17 +308,6 @@ def save_model(model: ScoringModel, path) -> None:
     save_json(field_dict(model) | {"params": model.params.tolist()}, path)
 
 
-def _check_numbers(values, name) -> None:
-    """Refuse a model-file field that is not a JSON list of numbers."""
-    if not isinstance(values, list):
-        raise ValueError(f"field '{name}' must be list, got {type(values).__name__}")
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"field '{name}' must hold numbers, got {v!r}")
-        if isinstance(v, int) and abs(v) > sys.float_info.max:
-            raise ValueError(f"field '{name}' holds an integer too large for a float")
-
-
 def load_model(path) -> ScoringModel:
     """The model in a :func:`save_model` file, read by :func:`softpu.dataset.load_json`."""
     path = Path(path)
@@ -329,7 +317,7 @@ def load_model(path) -> ScoringModel:
         raise ValueError(f"model file {path} is missing field(s): {missing}")
     try:
         for name in ("params", "loss_trace"):
-            _check_numbers(record[name], name)
+            check_numbers(record[name], f"field '{name}'")
         seed = record["seed"]
         if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
             raise ValueError(f"field 'seed' must be int or null, got {type(seed).__name__}")

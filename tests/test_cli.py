@@ -1173,6 +1173,23 @@ class TestParser:
             assert (first / name).read_bytes() == (last / name).read_bytes()
 
 
+    def test_one_parser_serves_every_call_in_a_process(self, tmp_path, capsys):
+        # a usage error and --version exit through the parser; later runs
+        # parse as if it were new
+        assert self.exit_of(capsys, ["frontier"])[0] == 2
+        assert self.exit_of(capsys, ["--version"])[0] == 0
+        cfg = write_config(
+            tmp_path, "cfg.json", {"problem": str(FIXTURES / "problems" / "noisy_mela.json"),
+                                   "verify": {"noisy": {"epsilon": 0.05, "m": 4.0}}},
+        )
+        assert run(cfg, "frontier", tmp_path / "a") == 0
+        assert run(cfg, "frontier", tmp_path / "b") == 0
+        assert (tmp_path / "a" / "frontier.json").read_bytes() == (
+            tmp_path / "b" / "frontier.json"
+        ).read_bytes()
+        assert softpu.cli.build_parser() is softpu.cli.build_parser()
+
+
 class TestEntryPoints:
     def test_console_script_help(self):
         # the child imports softpu from the same tree as this process, also
@@ -1254,6 +1271,32 @@ class TestJsonInputs:
             command, cfg = "frontier", write_config(tmp_path, "cfg.json", {"problem": str(path)})
         assert run(cfg, command, tmp_path / "out") == 1
         assert capsys.readouterr().err == f"error: {want}\n"
+
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ([True], "must hold numbers, got True"),
+            (["0.5"], "must hold numbers, got '0.5'"),
+            (0.5, "must be list, got float"),
+            ([[0.5]], "must hold numbers, got [0.5]"),
+        ],
+        ids=["true", "text", "scalar", "nested"],
+    )
+    @pytest.mark.parametrize("reader", ["problem", "prior"])
+    def test_number_list_holds_only_numbers(self, tmp_path, capsys, reader, value, message):
+        # true and numeric text are not numbers, though numpy converts both
+        if reader == "prior":
+            path = write_config(tmp_path, "prior.json", {"grid": value, "weights": [1.0]})
+            with pytest.raises(ValueError) as info:
+                prior_from_json(path)
+            assert str(info.value) == f"prior field 'grid' {message}"
+            return
+        path = write_config(tmp_path, "problem.json",
+                            {"masses": [1.0], "eta": value, "eta_s": [0.5]})
+        cfg = write_config(tmp_path, "cfg.json", {"problem": str(path)})
+        assert run(cfg, "frontier", tmp_path / "out") == 1
+        assert capsys.readouterr().err == f"error: problem field 'eta' {message}\n"
 
 
 class TestSoftLabelSources:
@@ -1481,7 +1524,8 @@ NAN = float("nan")
     [
         ("inline-frontier", ("problem", "masses"), DROP, "problem field 'masses' is required"),
         ("inline-frontier", ("problem", "eta_s"), DROP, "problem field 'eta_s' is required"),
-        ("inline-frontier", ("problem", "eta"), ["a", 1], "problem field 'eta' must hold numbers"),
+        ("inline-frontier", ("problem", "eta"), ["a", 1],
+         "problem field 'eta' must hold numbers, got 'a'"),
         ("piecewise-mela", ("dataset", "eta", "ys"), DROP, "config field 'ys' is required"),
         ("piecewise-mela", ("dataset", "eta", "xs"), 0.5,
          "config field 'xs' must be list, got float"),

@@ -265,7 +265,7 @@ class TestDiscretePriorValidation:
         [
             ({"weights": [1.0]}, "prior field 'grid' is required"),
             ({"grid": [0.5]}, "prior field 'weights' is required"),
-            ({"grid": {"a": 0.5}, "weights": [1.0]}, "prior field 'grid' must hold numbers"),
+            ({"grid": {"a": 0.5}, "weights": [1.0]}, "prior field 'grid' must be list, got dict"),
         ],
     )
     def test_missing_or_non_numeric_field_named(self, tmp_path, d, message):
@@ -274,6 +274,36 @@ class TestDiscretePriorValidation:
         with pytest.raises(ValueError) as info:
             prior_from_json(path)
         assert str(info.value) == message
+
+
+    @pytest.mark.parametrize(
+        "fit, message",
+        [
+            ({"objective_trace": "ab"}, "prior field 'objective_trace' must be list, got str"),
+            ({"objective_trace": [0.5, "a"]},
+             "prior field 'objective_trace' must hold numbers, got 'a'"),
+            ({"objective_trace": [True]}, "prior field 'objective_trace' must hold numbers, got True"),
+            ({"converged": "no"}, "prior field 'converged' must be bool, got str"),
+            ({"converged": 1}, "prior field 'converged' must be bool, got int"),
+        ],
+    )
+    def test_fit_fields_checked(self, tmp_path, fit, message):
+        path = tmp_path / "prior.json"
+        path.write_text(json.dumps({"grid": [0.5], "weights": [1.0], **fit}), encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            prior_from_json(path)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "fit",
+        [{}, {"objective_trace": None, "converged": None},
+         {"objective_trace": [2, 1.5], "converged": False}],
+    )
+    def test_fit_fields_absent_null_or_well_typed_load(self, fit):
+        prior = DiscretePrior.from_dict({"grid": [0.5], "weights": [1.0], **fit})
+        trace = fit.get("objective_trace")
+        assert prior.objective_trace == (None if trace is None else tuple(trace))
+        assert prior.converged is fit.get("converged")
 
 
 def synth_records(rng, n_records, theta, n_days=20):

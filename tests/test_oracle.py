@@ -20,6 +20,7 @@ from softpu.metrics import roc_spu
 from softpu.oracle import (
     MAX_CELLS,
     DiscreteProblem,
+    Frontier,
     MelaOptimalityReport,
     NoisyGapReport,
     _prefix_sums,
@@ -849,6 +850,58 @@ class TestChainAgainstBruteForce:
         assert frontier(prob, "spu").n_on_frontier == 2 ** (MAX_CELLS + 1) + 2
         with pytest.raises(ValueError, match="tie group of 21 cells too large for subset enumeration"):
             verify_noisy_gap(prob, 0.05, 1.0, 4.0)
+
+
+# cells across the binades: zero, the least subnormal, the least normal, a
+# tiny normal, 0.5 and the double just below 1, and powers of ten
+SUBNORMAL_CELLS = [0.0, 5e-324, 2.2250738585072014e-308, 1e-300]
+UNIT_CELLS = [0.5, 1 - 2**-53]
+DECADE_CELLS = [1e-10, 0.1, 1.0, 10.0, 1e22, 1e300]
+
+
+class TestExactSumsAcrossBinades:
+    """Prefix and member sums are exact sums rounded once, whatever the
+    column's finest power of two: the reference adds Fractions."""
+
+    @staticmethod
+    def exact_sum(column, cells):
+        return float(sum(Fraction(float(column[c])) for c in cells))
+
+    @pytest.mark.parametrize(
+        "pool",
+        [SUBNORMAL_CELLS + UNIT_CELLS + DECADE_CELLS, UNIT_CELLS + DECADE_CELLS, UNIT_CELLS,
+         DECADE_CELLS, SUBNORMAL_CELLS],
+        ids=["all", "normal", "unit", "decades", "subnormal"],
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_prefix_and_member_sums_equal_fraction_sums(self, pool, seed):
+        rng = np.random.default_rng(seed)
+        m = 12
+        column = rng.choice(pool, m)
+        # groups of one to four cells, cells in increasing order in a group
+        order = rng.permutation(m).tolist()
+        ends = np.cumsum(rng.permutation([1, 1, 1, 2, 3, 4])).tolist()
+        groups = tuple(tuple(sorted(order[a:b])) for a, b in zip([0, *ends], ends))
+        prefixes = _prefix_sums(groups, column)
+        want = [self.exact_sum(column, [c for g in groups[:k] for c in g])
+                for k in range(len(groups) + 1)]
+        assert prefixes.tolist() == want
+        for whole_first in (False, True):
+            front = Frontier("spu", np.zeros((0, 2)), (), groups, whole_first)
+            masks, (sums,) = front.members(column)
+            assert masks == sorted(masks) and len(masks) == front.n_on_frontier
+            assert sums.tolist() == [
+                self.exact_sum(column, [c for c in range(m) if mask >> c & 1]) for mask in masks
+            ]
+
+    def test_group_sums_round_once(self):
+        # a sum of rounded partial sums would lose both halves of the ulp
+        column = np.array([1.0, 2**-53, 2**-53, 5e-324, 5e-324])
+        groups = ((0,), (1, 2), (3, 4))
+        assert _prefix_sums(groups, column).tolist() == [0.0, 1.0, 1.0 + 2**-52, 1.0 + 2**-52]
+        masks, (sums,) = Frontier("spu", np.zeros((0, 2)), (), groups, False).members(column)
+        assert dict(zip(masks, sums.tolist()))[0b00111] == 1.0 + 2**-52
+        assert _prefix_sums(((3, 4),), column).tolist() == [0.0, 1e-323]
 
 
 class TestMatchingAgainstTheLoop:
