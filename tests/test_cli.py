@@ -1172,7 +1172,6 @@ class TestParser:
         for name in ("dataset.csv", "provenance.json"):
             assert (first / name).read_bytes() == (last / name).read_bytes()
 
-
     def test_one_parser_serves_every_call_in_a_process(self, tmp_path, capsys):
         # a usage error and --version exit through the parser; later runs
         # parse as if it were new
@@ -1271,7 +1270,6 @@ class TestJsonInputs:
             command, cfg = "frontier", write_config(tmp_path, "cfg.json", {"problem": str(path)})
         assert run(cfg, command, tmp_path / "out") == 1
         assert capsys.readouterr().err == f"error: {want}\n"
-
 
     @pytest.mark.parametrize(
         "value, message",

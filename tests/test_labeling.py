@@ -275,7 +275,6 @@ class TestDiscretePriorValidation:
             prior_from_json(path)
         assert str(info.value) == message
 
-
     @pytest.mark.parametrize(
         "fit, message",
         [

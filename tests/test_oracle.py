@@ -895,7 +895,7 @@ class TestExactSumsAcrossBinades:
             ]
 
     def test_group_sums_round_once(self):
-        # a sum of rounded partial sums would lose both halves of the ulp
+        # adding the cells one at a time in floats would give 1.0 twice
         column = np.array([1.0, 2**-53, 2**-53, 5e-324, 5e-324])
         groups = ((0,), (1, 2), (3, 4))
         assert _prefix_sums(groups, column).tolist() == [0.0, 1.0, 1.0 + 2**-52, 1.0 + 2**-52]
