@@ -4,7 +4,9 @@ Every command reads a JSON config (``--config``), with ``--seed`` and
 ``--out`` overriding the config's seed and output directory; one flat parser
 takes the command and the options in any order. The config, and the model
 or problem file it names, are read by :func:`softpu.dataset.load_json`,
-whose errors name the file and what is wrong with it. The only
+whose errors name the file and what is wrong with it. The config is then
+checked against the command's table in :mod:`softpu.config`, before any
+work. The only
 environment override is ``SOFTPU_OUT`` for the output directory (flag beats
 env beats config). All outputs are UTF-8; everything except the report's
 wall-clock field is byte-stable for a fixed config and seed.
@@ -18,56 +20,25 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
+from .config import TABLES, check
 from .dataset import field_dict, load_json, provenance_record, save_csv, save_json, schema_for
-from .experiment import (
-    ExperimentConfig,
-    config_field,
-    build_dataset,
-    run_experiment,
-    seed_field,
-)
-from .labeling import (
-    check_counts_from_csv,
-    fit_prior,
-    fitted_mean_log_likelihood,
-    prior_to_json,
-)
-from .metrics import (
-    auc,
-    bound_report,
-    curve_to_csv,
-    fpr_spu,
-    roc_spu,
-    roc_spu_and_real,
-    tpr_spu,
-)
-from .oracle import (
-    DiscreteProblem,
-    frontier,
-    problem_from_json,
-    verify_mela_optimality,
-    verify_noisy_gap,
-)
+from .experiment import ExperimentConfig, build_dataset, run_experiment
+from .labeling import check_counts_from_csv, fit_prior, fitted_mean_log_likelihood, prior_to_json
+from .metrics import auc, bound_report, curve_to_csv, fpr_spu, roc_spu, roc_spu_and_real, tpr_spu
+from .oracle import DiscreteProblem, frontier, problem_from_json, verify_mela_optimality
+from .oracle import verify_noisy_gap
 from .training import TrainingDiverged, load_model, threshold_classify
 
 
-def _resolve_out(args, config: dict) -> Path:
-    out = args.out or os.environ.get("SOFTPU_OUT") or config.get("out_dir")
+def _resolve_out(args, values: dict) -> Path:
+    out = args.out or os.environ.get("SOFTPU_OUT") or values["out_dir"]
     if not out:
         raise ValueError("no output directory: pass --out, set SOFTPU_OUT, "
                          "or put 'out_dir' in the config")
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _resolve_seed(args, config: dict) -> int:
-    if args.seed is not None:
-        return args.seed
-    return seed_field(config)
 
 
 def _seed_flag(text: str) -> int:
@@ -82,27 +53,25 @@ def _seed_flag(text: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed flags, the config as read and the
+# config's checked values (:func:`softpu.config.check`)
 # ---------------------------------------------------------------------------
 
 
-def cmd_generate(args, config: dict) -> int:
-    seed = _resolve_seed(args, config)
-    out = _resolve_out(args, config)
-    dataset_cfg = config_field(config, "dataset", dict, required=True)
-    data = build_dataset(dataset_cfg, seed)
+def cmd_generate(args, config: dict, values: dict) -> int:
+    out = _resolve_out(args, values)
+    data = build_dataset(values["dataset"], values["seed"])
     save_csv(data, out / "dataset.csv")
-    echo = {"dataset": dataset_cfg, "seed": seed, "schema": field_dict(schema_for(data))}
+    echo = {"dataset": config["dataset"], "seed": values["seed"],
+            "schema": field_dict(schema_for(data))}
     save_json(provenance_record(data, echo), out / "provenance.json")
     print(f"wrote {out / 'dataset.csv'} ({len(data)} rows)")
     return 0
 
 
-def cmd_experiment(args, config: dict) -> int:
-    if args.seed is not None:
-        config["seed"] = args.seed
-    exp = ExperimentConfig.from_dict(config)
-    out = _resolve_out(args, config)
+def cmd_experiment(args, config: dict, values: dict) -> int:
+    exp = ExperimentConfig.from_dict(config, values)
+    out = _resolve_out(args, values)
     report = run_experiment(exp)
     save_json(report, out / "report.json")
     delta = report["delta.test.auc_real"]
@@ -110,31 +79,10 @@ def cmd_experiment(args, config: dict) -> int:
     return 0
 
 
-def _scores_for(config: dict, data) -> np.ndarray:
-    model_path = config_field(config, "model", str, required=True)
-    return load_model(model_path).scores(data.features)
-
-
-def _thresholds(config: dict) -> list[float]:
-    """The config's optional ``thresholds``: each entry an int or float
-    (not a bool, not numeric text) that is a finite float."""
-    values = config_field(config, "thresholds", list, default=[])
-    for i, t in enumerate(values):
-        # the comparison is exact for ints of any size and false for nan
-        finite = isinstance(t, (int, float)) and abs(t) <= sys.float_info.max
-        if isinstance(t, bool) or not finite:
-            raise ValueError(
-                f"config field 'thresholds' entry {i} must be a finite number, got {t!r}"
-            )
-    return [float(t) for t in values]
-
-
-def cmd_eval(args, config: dict) -> int:
-    thresholds = _thresholds(config)
-    seed = _resolve_seed(args, config)
-    out = _resolve_out(args, config)
-    data = build_dataset(config_field(config, "dataset", dict, required=True), seed)
-    scores = _scores_for(config, data)
+def cmd_eval(args, config: dict, values: dict) -> int:
+    out = _resolve_out(args, values)
+    data = build_dataset(values["dataset"], values["seed"])
+    scores = load_model(values["model"]).scores(data.features)
 
     if data.true_labels is None:
         curve, real_curve = roc_spu(data, scores), None
@@ -147,28 +95,20 @@ def cmd_eval(args, config: dict) -> int:
         # both curves sweep the same scores, so they share the threshold text
         more = ((real_curve, out / "curve_real.csv"),)
     curve_to_csv(curve, out / "curve_spu.csv", more=more)
-    rows = []
-    for t in thresholds:
-        pred = threshold_classify(scores, t)
-        rows.append(
-            {
-                "threshold": t,
-                "tpr_spu": tpr_spu(data, pred),
-                "fpr_spu": fpr_spu(data, pred),
-            }
-        )
-    record["threshold_grid"] = rows
+    preds = [(t, threshold_classify(scores, t)) for t in values["thresholds"]]
+    record["threshold_grid"] = [
+        {"threshold": t, "tpr_spu": tpr_spu(data, pred), "fpr_spu": fpr_spu(data, pred)}
+        for t, pred in preds
+    ]
     save_json(record, out / "eval.json")
     print(f"wrote {out / 'curve_spu.csv'} and {out / 'eval.json'}")
     return 0
 
 
-def cmd_bound_check(args, config: dict) -> int:
-    seed = _resolve_seed(args, config)
-    out = _resolve_out(args, config)
-    data = build_dataset(config_field(config, "dataset", dict, required=True), seed)
-    scores = _scores_for(config, data)
-    record = bound_report(data, scores)
+def cmd_bound_check(args, config: dict, values: dict) -> int:
+    out = _resolve_out(args, values)
+    data = build_dataset(values["dataset"], values["seed"])
+    record = bound_report(data, load_model(values["model"]).scores(data.features))
     save_json(record, out / "bound.json")
     status = "ok" if record["satisfied"] else "VIOLATED"
     print(
@@ -178,17 +118,12 @@ def cmd_bound_check(args, config: dict) -> int:
     return 0 if record["satisfied"] else 1
 
 
-def cmd_fit_prior(args, config: dict) -> int:
-    out = _resolve_out(args, config)
-    n, k = check_counts_from_csv(config_field(config, "records", str, required=True))
+def cmd_fit_prior(args, config: dict, values: dict) -> int:
+    out = _resolve_out(args, values)
+    n, k = check_counts_from_csv(values["records"])
     prior = fit_prior(
-        n,
-        k,
-        grid_size=config_field(config, "grid_size", int, default=101),
-        lam=config_field(config, "lambda", float, default=1e-3),
-        step_size=config_field(config, "step_size", float, default=0.5),
-        max_iters=config_field(config, "max_iters", int, default=500),
-        tol=config_field(config, "tol", float, default=1e-9),
+        n, k, values["grid_size"], values["lambda"], values["step_size"],
+        values["max_iters"], values["tol"],
     )
     prior_to_json(prior, out / "prior.json")
     loglik = fitted_mean_log_likelihood(prior)
@@ -201,29 +136,26 @@ def cmd_fit_prior(args, config: dict) -> int:
     return 0
 
 
-def cmd_frontier(args, config: dict) -> int:
-    out = _resolve_out(args, config)
-    problem_cfg = config_field(config, "problem", (str, dict), required=True)
-    if isinstance(problem_cfg, str):
-        problem = problem_from_json(problem_cfg)
+def cmd_frontier(args, config: dict, values: dict) -> int:
+    out = _resolve_out(args, values)
+    problem = values["problem"]
+    if isinstance(problem, str):
+        problem = problem_from_json(problem)
     else:
-        problem = DiscreteProblem.from_dict(problem_cfg)
+        problem = DiscreteProblem.from_dict(problem)
     _check_mask_digits(problem.n_cells)
 
     record = {"n_cells": problem.n_cells, "class_prior": problem.class_prior}
-    for kind in config_field(config, "kinds", list, default=["spu", "real"]):
+    for kind in values["kinds"]:
         record[kind] = frontier(problem, kind).to_dict()
-    verify = config_field(config, "verify", dict, default={})
-    if config_field(verify, "mela", bool, default=False):
+    verify = values["verify"]
+    if verify["mela"]:
         record["mela_optimality"] = field_dict(verify_mela_optimality(problem))
-    noisy = config_field(verify, "noisy", dict)
+    noisy = verify["noisy"]
     if noisy is not None:
-        record["noisy_gap"] = field_dict(verify_noisy_gap(
-            problem,
-            epsilon=config_field(noisy, "epsilon", float, required=True),
-            c_h=config_field(noisy, "c_h", float, default=1.0),
-            m_const=config_field(noisy, "m", float, required=True),
-        ))
+        record["noisy_gap"] = field_dict(
+            verify_noisy_gap(problem, noisy["epsilon"], noisy["c_h"], noisy["m"])
+        )
     save_json(record, out / "frontier.json")
     print(f"wrote {out / 'frontier.json'}")
     return 0
@@ -288,12 +220,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    table = TABLES[args.command]
     try:
-        return _COMMANDS[args.command](args, load_json(args.config, "config file"))
+        config = load_json(args.config, "config file")
+        if args.seed is not None and "seed" in table:
+            config["seed"] = args.seed
+        # the whole config is checked before any command starts work
+        return _COMMANDS[args.command](args, config, check(table, config))
     except (ValueError, OSError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
 
 if __name__ == "__main__":
     sys.exit(main())

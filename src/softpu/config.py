@@ -1,0 +1,223 @@
+"""Config tables: the keys each command reads, with their types and defaults.
+
+A table maps each key of a JSON object to ``(kind, default)`` or ``(kind,
+default, test)``. ``kind`` is a JSON type (or a tuple of them), a nested
+table, or :class:`Variants`; ``default`` is :data:`REQUIRED` or the value of
+a missing or null key (read once, at import, from a builder that declares
+it too); ``test(value, where)`` checks the value of the dotted key
+``where`` further and returns the value the builders get. :func:`check`
+walks a whole config against its command's table before any work.
+"""
+
+import inspect
+import sys
+from pathlib import Path
+
+from .dataset import AffineLink, CsvSchema, LogisticWarpLink, MelaConfig, check_numbers
+from .dataset import make_pu_benchmark
+from .labeling import fit_prior
+from .training import ARCH_LINEAR, ARCH_MLP, DEFAULT_HIDDEN, TrainConfig
+
+REQUIRED = object()
+
+
+class Variants:
+    """An object whose table is ``tables[pick(section, name, tables)]``, with
+    ``name`` its own key. Its keys are first checked against all the tables'."""
+
+    def __init__(self, pick, tables: dict):
+        self.pick, self.tables = pick, tables
+        self.keys = {key: None for table in tables.values() for key in table}
+
+
+def check(table: dict, config: dict, path: str = "") -> dict:
+    """The values of ``config``, the object at the dotted ``path`` ("" for a
+    whole config), by the keys of ``table``, with defaults filled in."""
+    _refuse_unknown(config, table, path)
+    values = {}
+    for key, (kind, default, *test) in table.items():
+        value = config.get(key)
+        if value is None:
+            if default is REQUIRED:
+                raise ValueError(f"config field '{key}' is required")
+            if default is None or not isinstance(kind, (dict, Variants)):
+                values[key] = default
+                continue
+            value = default
+        where = path + key
+        if isinstance(kind, Variants):
+            section = _typed(value, key, dict)
+            _refuse_unknown(section, kind.keys, where + ".")
+            value = check(kind.tables[kind.pick(section, key, kind.tables)], section, where + ".")
+        elif isinstance(kind, dict):
+            value = check(kind, _typed(value, key, dict), where + ".")
+        else:
+            value = _typed(value, key, kind)
+        values[key] = test[0](value, where) if test else value
+    return values
+
+
+def _typed(value, key: str, kind):
+    """``value`` if it is a ``kind``; an int is a float, a bool is neither."""
+    if kind in (int, float) and isinstance(value, bool):
+        raise ValueError(f"config field '{key}' must be {kind.__name__}, got bool")
+    if kind is float and isinstance(value, int):
+        if abs(value) > sys.float_info.max:
+            raise ValueError(f"config field '{key}' holds an integer too large for a float")
+        return float(value)
+    if not isinstance(value, kind):
+        name = getattr(kind, "__name__", kind)
+        raise ValueError(f"config field '{key}' must be {name}, got {type(value).__name__}")
+    return value
+
+
+def _refuse_unknown(config: dict, known, path: str) -> None:
+    for key in config:
+        if key not in known:
+            import difflib  # only on this error path: a good config never loads it
+
+            near = difflib.get_close_matches(key, list(known), n=1)
+            known_keys = "known keys: " + ", ".join(path + k for k in known)
+            hint = f"did you mean '{path}{near[0]}'?" if near else known_keys
+            raise ValueError(f"config field '{path}{key}' is not a known key; {hint}")
+
+
+def _selector(noun: str, key: str, entry: tuple):
+    """A :class:`Variants` pick: the value of ``key``, read as the table entry
+    ``entry`` says, which must name one of the tables."""
+
+    def pick(section, name, tables):
+        value = check({key: entry}, {key: section.get(key)})[key]
+        if value not in tuple(tables):
+            raise ValueError(f"config field '{name}.{key}': unknown {noun} {value!r}")
+        return value
+
+    return pick
+
+
+def _defaults(builder) -> dict:
+    """The parameter defaults of ``builder``, a function or a dataclass."""
+    return {name: p.default for name, p in inspect.signature(builder).parameters.items()}
+
+
+# tests
+
+
+def _non_negative(seed, where):
+    if seed < 0:
+        raise ValueError(f"config field '{where}' must be non-negative, got {seed}")
+    return seed
+
+
+def _numbers(values, where):
+    check_numbers(values, f"config field '{where.rpartition('.')[2]}'")
+    return tuple(values)
+
+
+def _strings(values, where):
+    for v in values:
+        if not isinstance(v, str):
+            raise ValueError(f"config field '{where}' must hold strings, got {v!r}")
+    return values
+
+
+def _finite_numbers(values, where):
+    for i, t in enumerate(values):
+        # the comparison is exact for ints of any size and false for nan
+        finite = isinstance(t, (int, float)) and abs(t) <= sys.float_info.max
+        if isinstance(t, bool) or not finite:
+            raise ValueError(f"config field '{where}' entry {i} must be a finite number, got {t!r}")
+    return [float(t) for t in values]
+
+
+def _existing_file(path, where):
+    if not Path(path).exists():
+        raise ValueError(f"config field '{where}': no such file {path!r}")
+    if Path(path).is_dir():
+        raise ValueError(f"config field '{where}': {path!r} is a directory, not a file")
+    return path
+
+
+def _architecture(arch, where):
+    if arch not in (ARCH_LINEAR, ARCH_MLP):
+        raise ValueError(f"config field '{where}': unknown architecture {arch!r}")
+    return arch
+
+
+def _fractions(split, where):
+    if not (abs(sum(split.values()) - 1.0) <= 1e-9 and min(split.values()) > 0.0):
+        raise ValueError(f"config field '{where}' fractions must be positive and sum to 1")
+    return split
+
+
+# the tables
+
+_FIT, _MELA, _PU = _defaults(fit_prior), _defaults(MelaConfig), _defaults(make_pu_benchmark)
+SEED = (int, REQUIRED, _non_negative)
+OUT_DIR = (str, None)
+
+_LINK = (str, "affine")
+LINK = Variants(_selector("link", "kind", _LINK), {
+    "affine": {"kind": _LINK, "slope": (float, 1.0),
+               "intercept": (float, _defaults(AffineLink)["intercept"])},
+    "logistic-warp": {"kind": _LINK, "gain": (float, _defaults(LogisticWarpLink)["gain"])},
+})
+ETA = Variants(lambda section, name, tables: "values" if "values" in section else "knots", {
+    "values": {"values": (list, REQUIRED, _numbers)},
+    "knots": {"xs": (list, REQUIRED, _numbers), "ys": (list, REQUIRED, _numbers)},
+})
+
+_KIND = (str, REQUIRED)
+
+
+def _datasets(path: tuple) -> Variants:
+    """The dataset tables, with ``path`` the entry of a ``csv`` dataset's file."""
+    csv = _defaults(CsvSchema)
+    return Variants(_selector("kind", "kind", _KIND), {
+        "gscar": {"kind": _KIND, "n": (int, REQUIRED), "pi": (float, REQUIRED)},
+        "mela": {"kind": _KIND, "n": (int, REQUIRED), "eta": (ETA, REQUIRED), "link": (LINK, {}),
+                 "epsilon": (float, _MELA["epsilon"]), "c_h": (float, _MELA["c_h"])},
+        "pu-benchmark": {"kind": _KIND, "n": (int, REQUIRED), "pi": (float, _PU["pi"]),
+                         "shift": (float, _PU["shift"]),
+                         "view_noise": (float, _PU["view_noise"])},
+        "csv": {"kind": _KIND, "path": path, "features": (list, REQUIRED),
+                "soft_label": (str, csv["soft_label"]), "true_label": (str, csv["true_label"])},
+    })
+
+
+DATASET = _datasets(_KIND)
+
+MODEL = {"arch": (str, ARCH_MLP, _architecture), "hidden_width": (int, DEFAULT_HIDDEN),
+         "learning_rate": (float, 0.5), "epochs": (int, 60), "batch_size": (int, 256),
+         "l2": (float, _defaults(TrainConfig)["l2"])}
+# any value is read, so that one naming no source is refused as unknown
+_SOURCE = (object, "column")
+SOFT_LABELS = Variants(_selector("source", "source", _SOURCE), {
+    "column": {"source": _SOURCE},
+    "rule": {"source": _SOURCE, "fail_ratio_rule": (float, REQUIRED),
+             "fail_ratio_random": (float, REQUIRED)},
+    "bayes": {"source": _SOURCE, "records": (str, REQUIRED, _existing_file),
+              "grid_size": (int, _FIT["grid_size"]), "lambda": (float, _FIT["lam"])},
+})
+SPLIT = {"train": (float, 0.7), "val": (float, 0.15), "test": (float, 0.15)}
+NOISY = {"epsilon": (float, REQUIRED), "c_h": (float, 1.0), "m": (float, REQUIRED)}
+
+# per command, in the order the command reads its keys
+TABLES = {
+    "generate": {"seed": SEED, "out_dir": OUT_DIR, "dataset": (DATASET, REQUIRED)},
+    "experiment": {"seed": SEED, "dataset": (_datasets((str, REQUIRED, _existing_file)), REQUIRED),
+                   "model": (MODEL, {}), "soft_labels": (SOFT_LABELS, {}),
+                   "soft_source_features": (list, None, _strings),
+                   "split": (SPLIT, {}, _fractions), "out_dir": OUT_DIR},
+    "eval": {"thresholds": (list, [], _finite_numbers), "seed": SEED, "out_dir": OUT_DIR,
+             "dataset": (DATASET, REQUIRED), "model": (str, REQUIRED)},
+    "bound-check": {"seed": SEED, "out_dir": OUT_DIR, "dataset": (DATASET, REQUIRED),
+                    "model": (str, REQUIRED)},
+    "fit-prior": {"out_dir": OUT_DIR, "records": (str, REQUIRED),
+                  "grid_size": (int, _FIT["grid_size"]), "lambda": (float, _FIT["lam"]),
+                  "step_size": (float, _FIT["step_size"]),
+                  "max_iters": (int, _FIT["max_iters"]), "tol": (float, _FIT["tol"])},
+    "frontier": {"out_dir": OUT_DIR, "problem": ((str, dict), REQUIRED),
+                 "kinds": (list, ["spu", "real"]),
+                 "verify": ({"mela": (bool, False), "noisy": (NOISY, None)}, {})},
+}

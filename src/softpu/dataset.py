@@ -32,6 +32,7 @@ from . import workers
 from .kernels import sigmoid
 
 SOFT_GRID = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+BENCHMARK_FEATURES = ("x1", "x2", "x3", "x4")
 
 # Largest class prior for which the negative-stratum soft-label masses of the
 # conditionally-independent generator sum to at most 1: 13*pi/(15*(1-pi)) <= 1.
@@ -662,6 +663,50 @@ def pu_labelize(fully_labeled: SoftDataset, seed: int) -> SoftDataset:
     )
 
 
+def make_pu_benchmark(
+    n: int,
+    pi: float = 0.4,
+    seed: int = 0,
+    shift: float = 1.4,
+    view_noise: float = 0.4,
+    soft_scale: float = 0.9,
+) -> SoftDataset:
+    """Uneven-labeling benchmark with feature-derived soft labels.
+
+    Two class-shifted Gaussian latents are observed through four noisy
+    views: x1/x3 see the first latent, x2/x4 the second (real tabular
+    features correlate like this, which is what makes dropping a couple of
+    them survivable). PU-ification appends the labeling-propensity feature
+    and hides the positives it does not label. Unlabeled samples then get a
+    soft label built only from x1 and x2 (a scaled posterior-style squash,
+    the way a domain expert would score risk from a couple of telltale
+    columns); labeled samples keep soft label 1. Models in the soft arm
+    must therefore drop x1 and x2.
+    """
+    if not 0.0 < pi < 1.0:
+        raise ValueError(f"pi must lie in (0, 1), got {pi}")
+    rng = np.random.default_rng(seed)
+    y = (rng.random(n) < pi).astype(np.int8)
+    latents = shift * y[:, None] + rng.standard_normal((n, 2))
+    views = latents[:, [0, 1, 0, 1]] + view_noise * rng.standard_normal((n, 4))
+    full = SoftDataset(
+        features=views,
+        soft_labels=y.astype(np.float64),
+        true_labels=y,
+        feature_names=BENCHMARK_FEATURES,
+        provenance="loaded",
+    )
+    pu = pu_labelize(full, seed + 1)
+    view_var = 1.0 + view_noise**2
+    logit_pi = np.log(pi / (1.0 - pi))
+    x1, x2 = pu.features[:, 0], pu.features[:, 1]
+    q = soft_scale * sigmoid(
+        shift / view_var * (x1 + x2) - shift**2 / view_var + logit_pi
+    )
+    soft = np.where(pu.soft_labels == 1.0, 1.0, q)
+    return pu.with_soft_labels(soft)
+
+
 # ---------------------------------------------------------------------------
 # Conditionally independent generator (soft label independent of X given Y)
 # ---------------------------------------------------------------------------
@@ -853,7 +898,8 @@ class MelaConfig:
     """Config for :func:`gen_mela`.
 
     ``epsilon`` bounds the deviation of E[S|X] from the monotone link of
-    P(Y=1|X); 0 gives the exact regime. The link derivative must be at
+    P(Y=1|X); 0 gives the exact regime. Both lie in [0, 1], so no epsilon
+    above 1 could matter, and it is refused. The link derivative must be at
     least ``c_h`` everywhere on [0, 1] (checked on a 1001-point grid).
     """
 
@@ -869,6 +915,8 @@ class MelaConfig:
             raise ValueError("n must be positive")
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
             raise ValueError(f"epsilon must be finite and non-negative, got {self.epsilon}")
+        if self.epsilon > 1.0:
+            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
         if not (math.isfinite(self.c_h) and self.c_h > 0.0):
             raise ValueError(f"c_h must be finite and positive, got {self.c_h}")
         grid = np.linspace(0.0, 1.0, 1001)

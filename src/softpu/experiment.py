@@ -21,50 +21,27 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__, workers
-from .dataset import (
-    CsvSchema,
-    DiscreteEta,
-    AffineLink,
-    GscarConfig,
-    LogisticWarpLink,
-    MelaConfig,
-    PiecewiseLinearEta,
-    SoftDataset,
-    check_numbers,
-    gen_gscar,
-    gen_mela,
-    load_csv,
-    pu_labelize,
-)
-from .kernels import LOSS_CLIP, sigmoid
-from .labeling import (
-    RuleStats,
-    bayes_soft_labels,
-    check_counts_from_csv,
-    fit_prior,
-    rule_soft_label,
-)
-from .metrics import (
-    auc_real,
-    auc_spu,
-    auc_spu_bound,
-    estimate_mixture_stats,
-    mixture_coefficients,
-)
-from .training import ARCH_LINEAR, ARCH_MLP, DEFAULT_HIDDEN, TrainConfig, train
+from .config import TABLES, check
+from .dataset import AffineLink, CsvSchema, DiscreteEta, GscarConfig, LogisticWarpLink
+from .dataset import MelaConfig, PiecewiseLinearEta, SoftDataset, gen_gscar, gen_mela, load_csv
+from .dataset import make_pu_benchmark
+from .kernels import LOSS_CLIP
+from .labeling import RuleStats, bayes_soft_labels, check_counts_from_csv, fit_prior
+from .labeling import rule_soft_label
+from .metrics import auc_real, auc_spu, auc_spu_bound, estimate_mixture_stats
+from .metrics import mixture_coefficients
+from .training import TrainConfig, train
 
 MIN_SPLIT_SIZE = 10
 # an arm warns when more than this share of its validation scores lie within
 # LOSS_CLIP of 0 or 1, where the training loss clips them (logits beyond
 # about +-16); the benchmark config puts none of its scores there
 SATURATED_SHARE_WARN = 0.1
-BENCHMARK_FEATURES = ("x1", "x2", "x3", "x4")
 BENCHMARK_SOFT_SOURCES = ("x1", "x2")
 
 
@@ -73,121 +50,32 @@ BENCHMARK_SOFT_SOURCES = ("x1", "x2")
 # ---------------------------------------------------------------------------
 
 
-def config_field(cfg: dict, key: str, kind, default=None, required=False):
-    if key not in cfg or cfg[key] is None:
-        if required:
-            raise ValueError(f"config field '{key}' is required")
-        return default
-    value = cfg[key]
-    if kind in (int, float) and isinstance(value, bool):
-        raise ValueError(f"config field '{key}' must be {kind.__name__}, got bool")
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind):
-        raise ValueError(
-            f"config field '{key}' must be {getattr(kind, '__name__', kind)}, "
-            f"got {type(value).__name__}"
-        )
-    return value
-
-
-def numbers_field(cfg: dict, key: str) -> tuple[float, ...]:
-    """The config's required list ``key``, whose items must all be numbers."""
-    values = config_field(cfg, key, list, required=True)
-    check_numbers(values, f"config field '{key}'")
-    return tuple(values)
-
-
-def seed_field(cfg: dict) -> int:
-    """The config's required ``seed``: an int that numpy accepts as a seed."""
-    seed = config_field(cfg, "seed", int, required=True)
-    if seed < 0:
-        raise ValueError(f"config field 'seed' must be non-negative, got {seed}")
-    return seed
-
-
-def _input_file(cfg: dict, key: str, field: str) -> None:
-    """Refuse an input-file field (``field`` its dotted name) that names no
-    file or a directory."""
-    path = config_field(cfg, key, str, required=True)
-    if not Path(path).exists():
-        raise ValueError(f"config field '{field}': no such file {path!r}")
-    if Path(path).is_dir():
-        raise ValueError(f"config field '{field}': {path!r} is a directory, not a file")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description; see README for the JSON schema."""
+    """An experiment config checked against the ``experiment`` table of
+    :mod:`softpu.config` (README lists it). ``values`` holds every key's
+    value, defaults and the soft-source features resolved; ``echo`` is the
+    report's config echo, with the ``dataset``, ``model`` and
+    ``soft_labels`` sections as given."""
 
-    seed: int
-    dataset: dict
-    model: dict
-    soft_labels: dict
-    soft_source_features: tuple[str, ...] = ()
-    split: tuple[float, float, float] = (0.7, 0.15, 0.15)
-    out_dir: str | None = None
+    values: dict
+    echo: dict
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        seed = seed_field(raw)
-        dataset = config_field(raw, "dataset", dict, required=True)
-        model = config_field(raw, "model", dict, default={})
-        soft_labels = config_field(raw, "soft_labels", dict, default={"source": "column"})
-        source = soft_labels.get("source", "column")
-        if source not in ("column", "rule", "bayes"):
-            raise ValueError(
-                f"config field 'soft_labels.source': unknown source {source!r}"
-            )
-        if source == "bayes":
-            _input_file(soft_labels, "records", "soft_labels.records")
-        sources = config_field(raw, "soft_source_features", list, default=None)
-        if sources is None and dataset.get("kind") == "pu-benchmark":
-            sources = list(BENCHMARK_SOFT_SOURCES)
-        split_cfg = config_field(raw, "split", dict, default={})
-        split = (
-            config_field(split_cfg, "train", float, default=0.7),
-            config_field(split_cfg, "val", float, default=0.15),
-            config_field(split_cfg, "test", float, default=0.15),
-        )
-        if not (abs(sum(split) - 1.0) <= 1e-9 and min(split) > 0.0):
-            raise ValueError("config field 'split' fractions must be positive and sum to 1")
-        if dataset.get("kind") == "csv":
-            _input_file(dataset, "path", "dataset.path")
-        return cls(
-            seed=seed,
-            dataset=dataset,
-            model=model,
-            soft_labels=soft_labels,
-            soft_source_features=tuple(sources or ()),
-            split=split,
-            out_dir=config_field(raw, "out_dir", str),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "dataset": self.dataset,
-            "model": self.model,
-            "soft_labels": self.soft_labels,
-            "soft_source_features": list(self.soft_source_features),
-            "split": {
-                "train": self.split[0],
-                "val": self.split[1],
-                "test": self.split[2],
-            },
-            "out_dir": self.out_dir,
-        }
-
-
-def train_config_from(model_cfg: dict, seed: int) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=config_field(model_cfg, "learning_rate", float, default=0.5),
-        epochs=config_field(model_cfg, "epochs", int, default=60),
-        batch_size=config_field(model_cfg, "batch_size", int, default=256),
-        seed=seed,
-        l2=config_field(model_cfg, "l2", float, default=0.0),
-    )
+    def from_dict(cls, raw: dict, values: dict | None = None) -> "ExperimentConfig":
+        """The experiment of the config ``raw``; ``values`` is what
+        :func:`softpu.config.check` returns for it, found here if not given."""
+        values = dict(check(TABLES["experiment"], raw) if values is None else values)
+        sources = values["soft_source_features"]
+        if sources is None and values["dataset"]["kind"] == "pu-benchmark":
+            sources = BENCHMARK_SOFT_SOURCES
+        values["soft_source_features"] = sources = list(sources or ())
+        soft_labels = raw.get("soft_labels")
+        echo = {"seed": values["seed"], "dataset": raw["dataset"], "model": raw.get("model") or {},
+                "soft_labels": {"source": "column"} if soft_labels is None else soft_labels,
+                "soft_source_features": sources, "split": values["split"],
+                "out_dir": values["out_dir"]}
+        return cls(values, echo)
 
 
 # ---------------------------------------------------------------------------
@@ -195,149 +83,51 @@ def train_config_from(model_cfg: dict, seed: int) -> TrainConfig:
 # ---------------------------------------------------------------------------
 
 
-def make_pu_benchmark(
-    n: int,
-    pi: float = 0.4,
-    seed: int = 0,
-    shift: float = 1.4,
-    view_noise: float = 0.4,
-    soft_scale: float = 0.9,
-) -> SoftDataset:
-    """Uneven-labeling benchmark with feature-derived soft labels.
-
-    Two class-shifted Gaussian latents are observed through four noisy
-    views: x1/x3 see the first latent, x2/x4 the second (real tabular
-    features correlate like this, which is what makes dropping a couple of
-    them survivable). PU-ification appends the labeling-propensity feature
-    and hides the positives it does not label. Unlabeled samples then get a
-    soft label built only from x1 and x2 (a scaled posterior-style squash,
-    the way a domain expert would score risk from a couple of telltale
-    columns); labeled samples keep soft label 1. Models in the soft arm
-    must therefore drop x1 and x2.
-    """
-    if not 0.0 < pi < 1.0:
-        raise ValueError(f"pi must lie in (0, 1), got {pi}")
-    rng = np.random.default_rng(seed)
-    y = (rng.random(n) < pi).astype(np.int8)
-    latents = shift * y[:, None] + rng.standard_normal((n, 2))
-    views = latents[:, [0, 1, 0, 1]] + view_noise * rng.standard_normal((n, 4))
-    full = SoftDataset(
-        features=views,
-        soft_labels=y.astype(np.float64),
-        true_labels=y,
-        feature_names=BENCHMARK_FEATURES,
-        provenance="loaded",
-    )
-    pu = pu_labelize(full, seed + 1)
-    view_var = 1.0 + view_noise**2
-    logit_pi = np.log(pi / (1.0 - pi))
-    x1, x2 = pu.features[:, 0], pu.features[:, 1]
-    q = soft_scale * sigmoid(
-        shift / view_var * (x1 + x2) - shift**2 / view_var + logit_pi
-    )
-    soft = np.where(pu.soft_labels == 1.0, 1.0, q)
-    return pu.with_soft_labels(soft)
-
-
-def _mela_from_config(cfg: dict, seed: int) -> MelaConfig:
-    eta_cfg = config_field(cfg, "eta", dict, required=True)
-    if "values" in eta_cfg:
-        eta_spec = DiscreteEta(values=numbers_field(eta_cfg, "values"))
-    else:
-        eta_spec = PiecewiseLinearEta(
-            xs=numbers_field(eta_cfg, "xs"), ys=numbers_field(eta_cfg, "ys")
-        )
-    link_cfg = config_field(cfg, "link", dict, default={"kind": "affine", "slope": 1.0})
-    link = config_field(link_cfg, "kind", str, default="affine")
-    if link == "affine":
-        h_spec = AffineLink(
-            slope=config_field(link_cfg, "slope", float, default=1.0),
-            intercept=config_field(link_cfg, "intercept", float, default=0.0),
-        )
-    elif link == "logistic-warp":
-        h_spec = LogisticWarpLink(gain=config_field(link_cfg, "gain", float, default=4.0))
-    else:
-        raise ValueError(f"config field 'link.kind': unknown link {link!r}")
-    return MelaConfig(
-        n=config_field(cfg, "n", int, required=True),
-        eta_spec=eta_spec,
-        h_spec=h_spec,
-        epsilon=config_field(cfg, "epsilon", float, default=0.0),
-        c_h=config_field(cfg, "c_h", float, default=1e-3),
-        seed=seed,
-    )
-
-
-def build_dataset(dataset_cfg: dict, seed: int) -> SoftDataset:
-    kind = config_field(dataset_cfg, "kind", str, required=True)
+def build_dataset(dataset: dict, seed: int) -> SoftDataset:
+    """The dataset of a checked ``dataset`` section, drawn with ``seed``."""
+    params = dict(dataset)
+    kind = params.pop("kind")
     if kind == "gscar":
-        return gen_gscar(
-            GscarConfig(
-                n=config_field(dataset_cfg, "n", int, required=True),
-                pi=config_field(dataset_cfg, "pi", float, required=True),
-                seed=seed,
-            )
-        )
+        return gen_gscar(GscarConfig(seed=seed, **params))
     if kind == "mela":
-        return gen_mela(_mela_from_config(dataset_cfg, seed))
+        eta, link = params.pop("eta"), dict(params.pop("link"))
+        eta_spec = (DiscreteEta if "values" in eta else PiecewiseLinearEta)(**eta)
+        h_spec = (AffineLink if link.pop("kind") == "affine" else LogisticWarpLink)(**link)
+        return gen_mela(MelaConfig(eta_spec=eta_spec, h_spec=h_spec, seed=seed, **params))
     if kind == "pu-benchmark":
-        return make_pu_benchmark(
-            n=config_field(dataset_cfg, "n", int, required=True),
-            pi=config_field(dataset_cfg, "pi", float, default=0.4),
-            seed=seed,
-            shift=config_field(dataset_cfg, "shift", float, default=1.4),
-            view_noise=config_field(dataset_cfg, "view_noise", float, default=0.4),
-        )
-    if kind == "csv":
-        schema = CsvSchema(
-            features=tuple(config_field(dataset_cfg, "features", list, required=True)),
-            soft_label=config_field(dataset_cfg, "soft_label", str, default="soft_label"),
-            true_label=config_field(dataset_cfg, "true_label", str),
-        )
-        return load_csv(config_field(dataset_cfg, "path", str, required=True), schema)
-    raise ValueError(f"config field 'dataset.kind': unknown kind {kind!r}")
+        return make_pu_benchmark(seed=seed, **params)
+    return load_csv(params.pop("path"), CsvSchema(**params))
 
 
-def apply_soft_label_source(data: SoftDataset, soft_labels_cfg: dict) -> SoftDataset:
-    """Resolve the experiment's soft-label source.
+def soft_label_source(soft_labels: dict):
+    """The soft-label source of a checked ``soft_labels`` section, as a
+    function from a dataset to the dataset with those soft labels.
 
     ``column`` keeps the dataset's own labels. ``rule`` assigns the
     rule-vs-random failure label to every sample that is not an observed
-    positive. ``bayes`` fits a prior on a row-aligned check-record CSV and
-    assigns each non-positive sample its posterior risk. Observed positives
-    (soft label exactly 1) keep their label under every source.
+    positive; its :class:`RuleStats` is built here, before any dataset.
+    ``bayes`` fits a prior on a row-aligned check-record CSV and assigns
+    each non-positive sample its posterior risk. Observed positives (soft
+    label exactly 1) keep their label under every source.
     """
-    source = soft_labels_cfg.get("source", "column")
+    source = soft_labels["source"]
     if source == "column":
-        return data
+        return lambda data: data
     if source == "rule":
-        label = rule_soft_label(
-            RuleStats(
-                fail_ratio_rule=config_field(
-                    soft_labels_cfg, "fail_ratio_rule", float, required=True
-                ),
-                fail_ratio_random=config_field(
-                    soft_labels_cfg, "fail_ratio_random", float, required=True
-                ),
-            )
-        )
-        soft = np.where(data.soft_labels == 1.0, 1.0, label)
-        return data.with_soft_labels(soft)
-    n, k = check_counts_from_csv(config_field(soft_labels_cfg, "records", str, required=True))
+        stats = RuleStats(soft_labels["fail_ratio_rule"], soft_labels["fail_ratio_random"])
+        label = rule_soft_label(stats)
+        return lambda data: data.with_soft_labels(np.where(data.soft_labels == 1.0, 1.0, label))
+    return lambda data: _bayes_labels(data, soft_labels)
+
+
+def _bayes_labels(data: SoftDataset, soft_labels: dict) -> SoftDataset:
+    n, k = check_counts_from_csv(soft_labels["records"])
     if n.size != len(data):
-        raise ValueError(
-            f"soft_labels.records has {n.size} rows but the dataset has "
-            f"{len(data)} (they must be row-aligned)"
-        )
-    prior = fit_prior(
-        n,
-        k,
-        grid_size=config_field(soft_labels_cfg, "grid_size", int, default=101),
-        lam=config_field(soft_labels_cfg, "lambda", float, default=1e-3),
-    )
+        raise ValueError(f"soft_labels.records has {n.size} rows but the dataset has "
+                         f"{len(data)} (they must be row-aligned)")
+    prior = fit_prior(n, k, grid_size=soft_labels["grid_size"], lam=soft_labels["lambda"])
     risk = bayes_soft_labels(n, k, prior)
-    soft = np.where(data.soft_labels == 1.0, 1.0, risk)
-    return data.with_soft_labels(soft)
+    return data.with_soft_labels(np.where(data.soft_labels == 1.0, 1.0, risk))
 
 
 def split_indices(n: int, fractions, seed: int):
@@ -393,28 +183,24 @@ def run_experiment(config: ExperimentConfig) -> dict:
     (:func:`softpu.workers.pair_results`).
     """
     t0 = time.perf_counter()
-    data = build_dataset(config.dataset, config.seed)
-    data = apply_soft_label_source(data, config.soft_labels)
+    values = config.values
+    seed, training = values["seed"], dict(values["model"])
+    arch, hidden = training.pop("arch"), training.pop("hidden_width")
+    # built before any dataset, so that a bad training field stops the run first
+    train_cfg = TrainConfig(seed=seed + 3, **training)
+    relabel = soft_label_source(values["soft_labels"])
+    data = relabel(build_dataset(values["dataset"], seed))
     truth = data.require_true_labels()
-    tr_idx, val_idx, te_idx = split_indices(len(data), config.split, config.seed + 2)
-
-    arch = config_field(config.model, "arch", str, default=ARCH_MLP)
-    if arch not in (ARCH_LINEAR, ARCH_MLP):
-        raise ValueError(f"config field 'model.arch': unknown architecture {arch!r}")
-    hidden = config_field(config.model, "hidden_width", int, default=DEFAULT_HIDDEN)
-
-    soft_data = (
-        data.drop_features(config.soft_source_features)
-        if config.soft_source_features
-        else data
-    )
+    tr_idx, val_idx, te_idx = split_indices(len(data), tuple(values["split"].values()), seed + 2)
+    sources = values["soft_source_features"]
+    soft_data = data.drop_features(sources) if sources else data
     hard_labels = (data.soft_labels == 1.0).astype(np.float64)
 
     def run_arm(name, arm_data, targets, arm_seed):
         """Train and score one arm: its report entry and its saturation
         warning line (or None)."""
         train_ds = arm_data.subset(tr_idx).with_soft_labels(targets[tr_idx])
-        model = train(train_ds, arch, train_config_from(config.model, arm_seed), hidden)
+        model = train(train_ds, arch, replace(train_cfg, seed=arm_seed), hidden)
         val_scores = model.scores(arm_data.features[val_idx])
         test_scores = model.scores(arm_data.features[te_idx])
         metrics = {
@@ -430,8 +216,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
         return entry, saturation_warning(name, val_scores)
 
     results = workers.pair_results(
-        lambda: run_arm("soft_arm", soft_data, soft_data.soft_labels, config.seed + 3),
-        lambda: run_arm("baseline_arm", data, hard_labels, config.seed + 4),
+        lambda: run_arm("soft_arm", soft_data, soft_data.soft_labels, seed + 3),
+        lambda: run_arm("baseline_arm", data, hard_labels, seed + 4),
     )
     report_arms = {}
     test_auc = {}
@@ -441,11 +227,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
         test_auc[name] = entry["metrics"]["test.auc_real"]
         report_arms[name] = entry
 
-    config_echo = config.to_dict()
     report = {
         "version": __version__,
-        "config": config_echo,
-        "config_sha256": _config_hash(config_echo),
+        "config": config.echo,
+        "config_sha256": _config_hash(config.echo),
         "split_sizes": {
             "train": int(tr_idx.size),
             "val": int(val_idx.size),
@@ -454,7 +239,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "arms": report_arms,
         "delta.test.auc_real": test_auc["soft_arm"] - test_auc["baseline_arm"],
     }
-    if config.dataset.get("kind") == "gscar":
+    if values["dataset"]["kind"] == "gscar":
         pi_hat, s_p, s_n = estimate_mixture_stats(data)
         report["mixture_coefficients"] = mixture_coefficients(
             pi_hat, s_p, s_n

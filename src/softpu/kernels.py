@@ -222,7 +222,7 @@ def _eg_objective(Bf, f, dtheta, penalty, w):
 
     A ``den`` entry that is 0, negative, inf or nan makes its log -inf,
     nan or inf, and so the weighted sum non-finite (``0 * -inf`` is nan).
-    The caller ignores the log's divide and invalid warnings.
+    The caller ignores the divide, invalid and overflow warnings.
     """
     den = Bf * dtheta
     ll = w @ np.log(den, out=den)
@@ -249,8 +249,9 @@ def eg_minimize(B, f0, dtheta, lam, step0, max_iters, tol, w):
     also gives the next gradient. A trial's update is formed in one buffer,
     which becomes ``f`` if the trial is accepted.
     """
-    # _eg_objective takes the log of a rejected trial's zero or negative rows
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # _eg_objective takes the log of a rejected trial's zero or negative rows,
+    # and a huge step overflows its trial, which the objective then rejects
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f = f0.copy()
         Bf = B @ f
         penalty = lam * dtheta

@@ -698,7 +698,10 @@ def verify_noisy_gap(
     real_frontier = frontier(problem, "real")
     spu_frontier = frontier(problem, "spu")
     pi = problem.class_prior
-    point_bound = 4.0 * m_const * epsilon**2 / (pi * c_h**2)
+    try:
+        point_bound = 4.0 * m_const * epsilon**2 / (pi * c_h**2)
+    except (OverflowError, ZeroDivisionError):  # a square past the float range
+        raise ValueError(f"epsilon={epsilon} and c_h={c_h} overflow the noisy bound") from None
     auc_bound = 2.0 * point_bound
 
     link_bad = assumption4_violations(problem, epsilon, c_h)

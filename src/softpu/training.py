@@ -83,13 +83,16 @@ class ScoringModel:
             )
         d, h = self.feature_dim, self.hidden_width
         p = self.params
-        if self.arch == ARCH_LINEAR:
-            return sigmoid(X @ p[:d] + p[d])
-        W1 = p[: d * h].reshape(d, h)
-        b1 = p[d * h : d * h + h]
-        w2 = p[d * h + h : d * h + 2 * h]
-        b2 = p[-1]
-        return sigmoid(np.tanh(X @ W1 + b1) @ w2 + b2)
+        # a product past the float range is an infinite logit or hidden input,
+        # which saturates as a large finite one would
+        with np.errstate(over="ignore"):
+            if self.arch == ARCH_LINEAR:
+                return sigmoid(X @ p[:d] + p[d])
+            W1 = p[: d * h].reshape(d, h)
+            b1 = p[d * h : d * h + h]
+            w2 = p[d * h + h : d * h + 2 * h]
+            b2 = p[-1]
+            return sigmoid(np.tanh(X @ W1 + b1) @ w2 + b2)
 
 
 def param_count(arch: str, feature_dim: int, hidden_width: int) -> int:

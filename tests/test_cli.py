@@ -131,12 +131,10 @@ class TestGenerate:
         ],
     )
     def test_bad_seed_is_named_error(self, tmp_path, capsys, command, seed, message):
-        cfg = write_config(
-            tmp_path,
-            "gen.json",
-            {"seed": seed, "dataset": {"kind": "gscar", "n": 100, "pi": 0.1},
-             "model": str(tmp_path / "model.json")},
-        )
+        payload = {"seed": seed, "dataset": {"kind": "gscar", "n": 100, "pi": 0.1}}
+        if command != "generate":  # generate reads no model, so refuses the key
+            payload["model"] = str(tmp_path / "model.json")
+        cfg = write_config(tmp_path, "gen.json", payload)
         assert run(cfg, command, tmp_path / "o") == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o" / "provenance.json").exists()
@@ -821,24 +819,22 @@ class TestCsvOutputBytes:
         gen = write_config(
             tmp_path, "gen.json", {"seed": 11, "dataset": {"kind": "gscar", "n": 9000, "pi": 0.3}}
         )
-        evaluate = write_config(
-            tmp_path,
-            "eval.json",
-            {
-                "seed": 11,
-                "model": str(model_path),
-                "thresholds": [0.25, 0.5],
-                "dataset": {
-                    "kind": "csv",
-                    "path": str(out / "dataset.csv"),
-                    "features": ["x0", "x1"],
-                    "true_label": "true_label",
-                },
+        bound = {
+            "seed": 11,
+            "model": str(model_path),
+            "dataset": {
+                "kind": "csv",
+                "path": str(out / "dataset.csv"),
+                "features": ["x0", "x1"],
+                "true_label": "true_label",
             },
-        )
+        }
+        # bound-check reads no thresholds, so refuses the key
+        evaluate = write_config(tmp_path, "eval.json", {**bound, "thresholds": [0.25, 0.5]})
+        bound = write_config(tmp_path, "bound.json", bound)
         assert run(gen, "generate", out) == 0
         assert run(evaluate, "eval", out) == 0
-        assert run(evaluate, "bound-check", out) == 0
+        assert run(bound, "bound-check", out) == 0
         got = {
             name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in self.DIGESTS
@@ -866,6 +862,20 @@ class TestFitPriorCommand:
         # fixture mixes mostly-pass users with a risky third
         assert prior.mass_in(0.7, 1.0) > 0.4
         assert prior.mass_in(0.0, 0.45) > 0.15
+
+    def test_overflowing_step_is_rejected_like_a_rising_one(self, tmp_path):
+        # the first trials overflow, without a warning, and are halved away
+        records = str(FIXTURES / "check_records.csv")
+        traces = []
+        for step in (0.5, 1e308):
+            cfg = write_config(tmp_path, "prior.json", {"records": records, "step_size": step})
+            assert run(cfg, "fit-prior", tmp_path / "out") == 0
+            prior = prior_from_json(tmp_path / "out" / "prior.json")
+            assert np.all(np.isfinite(prior.weights))
+            assert prior.weights.sum() == pytest.approx(1.0, abs=1e-12)
+            traces.append(np.array(prior.objective_trace))
+        assert len(traces[1]) == 501 and np.all(np.diff(traces[1]) <= 0)
+        assert traces[1][-1] <= traces[0][-1]
 
     def test_field_over_the_csv_limit_is_named_error(self, tmp_path, capsys):
         limit = csv.field_size_limit()
@@ -1311,27 +1321,26 @@ class TestSoftLabelSources:
         )
 
     def test_column_source_is_identity(self):
-        from softpu.experiment import apply_soft_label_source
+        from softpu.experiment import soft_label_source
 
         ds = self._base_dataset()
-        out = apply_soft_label_source(ds, {"source": "column"})
+        out = soft_label_source({"source": "column"})(ds)
         assert out is ds
 
     def test_rule_source_labels_unlabeled_samples(self):
-        from softpu.experiment import apply_soft_label_source
+        from softpu.experiment import soft_label_source
 
         ds = self._base_dataset()
-        out = apply_soft_label_source(
-            ds,
-            {"source": "rule", "fail_ratio_rule": 0.1, "fail_ratio_random": 0.02},
-        )
+        out = soft_label_source(
+            {"source": "rule", "fail_ratio_rule": 0.1, "fail_ratio_random": 0.02}
+        )(ds)
         assert np.all(out.soft_labels[ds.soft_labels == 1.0] == 1.0)
         np.testing.assert_allclose(
             out.soft_labels[ds.soft_labels == 0.0], 0.8, atol=1e-12
         )
 
     def test_bayes_source_uses_row_aligned_records(self, tmp_path):
-        from softpu.experiment import apply_soft_label_source
+        from softpu.experiment import soft_label_source
 
         ds = self._base_dataset()
         rows = ["user_id,n,k"]
@@ -1339,9 +1348,9 @@ class TestSoftLabelSources:
         rows += [f"u{i},10,{10 if i % 2 == 0 else 0}" for i in range(len(ds))]
         records = tmp_path / "records.csv"
         records.write_text("\n".join(rows) + "\n")
-        out = apply_soft_label_source(
-            ds, {"source": "bayes", "records": str(records), "grid_size": 51}
-        )
+        out = soft_label_source(
+            {"source": "bayes", "records": str(records), "grid_size": 51, "lambda": 1e-3}
+        )(ds)
         assert np.all(out.soft_labels[ds.soft_labels == 1.0] == 1.0)
         unlabeled = ds.soft_labels == 0.0
         idx = np.nonzero(unlabeled)[0]
@@ -1355,13 +1364,13 @@ class TestSoftLabelSources:
         assert np.array_equal(out.soft_labels[unlabeled], per_row[unlabeled])
 
     def test_bayes_source_row_mismatch_errors(self, tmp_path):
-        from softpu.experiment import apply_soft_label_source
+        from softpu.experiment import soft_label_source
 
         records = tmp_path / "records.csv"
         records.write_text("user_id,n,k\nu0,5,5\n")
         with pytest.raises(ValueError, match="row-aligned"):
-            apply_soft_label_source(
-                self._base_dataset(), {"source": "bayes", "records": str(records)}
+            soft_label_source({"source": "bayes", "records": str(records)})(
+                self._base_dataset()
             )
 
     def test_unknown_source_rejected(self):
@@ -1462,18 +1471,21 @@ def sweep_inputs():
 
 
 DROP = object()
+RENAME = object()
 
 
 def mutations(node, path=()):
-    """(path, value) edits of a config: each key dropped (value DROP), and each
-    value below the root, leaf or not, set to "a" and to NaN."""
+    """(path, value) edits of a config: each key dropped (value DROP) and
+    renamed with a trailing "_" (value RENAME), and each value below the
+    root, leaf or not, set to "a", NaN, 5, [1] and 1e308."""
     items = node.items() if isinstance(node, dict) else enumerate(node)
     for key, value in items:
         here = path + (key,)
         if isinstance(node, dict):
             yield here, DROP
-        yield here, "a"
-        yield here, float("nan")
+            yield here, RENAME
+        for edit in ("a", float("nan"), 5, [1], 1e308):
+            yield here, edit
         if isinstance(value, (dict, list)):
             yield from mutations(value, here)
 
@@ -1485,6 +1497,8 @@ def mutated(config, path, value):
         node = node[key]
     if value is DROP:
         del node[path[-1]]
+    elif value is RENAME:
+        node[path[-1] + "_"] = node.pop(path[-1])
     else:
         node[path[-1]] = value
     return config
@@ -1496,13 +1510,16 @@ SWEEP_INPUTS = sweep_inputs()
 @pytest.mark.parametrize("name", SWEEP_INPUTS)
 def test_config_sweep_exits_0_or_names_the_error(tmp_path, capsys, monkeypatch, name):
     """Every config edit runs, or exits 1 with an ``error:`` line; no
-    exception escapes."""
+    exception escapes. A renamed key is refused as unknown, with its own
+    name as the nearest key, except inside an inline problem, which its own
+    reader reads."""
     monkeypatch.chdir(FIXTURES.parent)  # configs use repo-relative paths
     command, config = SWEEP_INPUTS[name]
     escaped = []
     for path, value in mutations(config):
         cfg = write_config(tmp_path, "sweep.json", mutated(config, path, value))
-        edit = ("drop" if value is DROP else repr(value), ".".join(map(str, path)))
+        dotted = ".".join(map(str, path))
+        edit = ("drop" if value is DROP else "rename" if value is RENAME else repr(value), dotted)
         try:
             code = run(cfg, command, tmp_path / "out")
         except Exception as exc:  # every escape is a finding
@@ -1511,6 +1528,10 @@ def test_config_sweep_exits_0_or_names_the_error(tmp_path, capsys, monkeypatch, 
         err = capsys.readouterr().err
         if code not in (0, 1) or (code == 1 and not err.startswith("error: ")):
             escaped.append((*edit, code, err))
+        elif value is RENAME and (path[0] != "problem" or len(path) == 1):
+            want = f"error: config field '{dotted}_' is not a known key; did you mean '{dotted}'?\n"
+            if (code, err) != (1, want):
+                escaped.append((*edit, code, err))
     assert escaped == []
 
 
@@ -1547,6 +1568,15 @@ NAN = float("nan")
         ("experiment", ("dataset", "pi"), NAN, "pi must lie in (0, 1), got nan"),
         ("frontier", ("verify", "noisy", "m"), NAN, "m must be finite, got nan"),
         ("inline-frontier", ("verify", "mela"), "a", "config field 'mela' must be bool, got str"),
+        ("gscar", ("out_dir",), 5, "config field 'out_dir' must be str, got int"),
+        ("mela", ("dataset", "epsilon"), 1e308, "epsilon must lie in [0, 1], got 1e+308"),
+        ("experiment", ("soft_source_features", 1), [1],
+         "config field 'soft_source_features' must hold strings, got [1]"),
+        ("frontier", ("verify", "noisy", "epsilon"), 1e308,
+         "epsilon=1e+308 and c_h=1.0 overflow the noisy bound"),
+        pytest.param("experiment", ("dataset", "pi"), 10**400,
+                     "config field 'pi' holds an integer too large for a float",
+                     id="huge-int-pi"),
     ],
 )
 def test_bad_field_is_named(tmp_path, capsys, monkeypatch, name, path, value, message):
@@ -1555,3 +1585,54 @@ def test_bad_field_is_named(tmp_path, capsys, monkeypatch, name, path, value, me
     cfg = write_config(tmp_path, "cfg.json", mutated(config, path, value))
     assert run(cfg, command, tmp_path / "out") == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "name, path, key, value, near",
+    [
+        ("experiment", ("model",), "learning_rte", 5.0, "model.learning_rate"),
+        ("experiment", ("dataset",), "shfit", 3.0, "dataset.shift"),
+        ("experiment", (), "spilt", {"train": 0.5, "val": 0.25, "test": 0.25}, "split"),
+        ("mela", ("dataset",), "epsilonn", 0.1, "dataset.epsilon"),
+        ("frontier", (), "verfy", {"mela": True}, "verify"),
+    ],
+)
+def test_misspelled_key_is_refused(tmp_path, capsys, monkeypatch, name, path, key, value, near):
+    """A key the command does not read is refused before any work, by its
+    dotted path and the nearest key the command reads."""
+    monkeypatch.chdir(FIXTURES.parent)
+    command, config = SWEEP_INPUTS[name]
+    config = mutated(config, (*path, key), value)
+    assert run(write_config(tmp_path, "cfg.json", config), command, tmp_path / "out") == 1
+    dotted = ".".join((*path, key))
+    assert capsys.readouterr().err == (
+        f"error: config field '{dotted}' is not a known key; did you mean '{near}'?\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"model": {"learning_rate": -1}}, "learning_rate must be finite and positive, got -1.0"),
+        ({"soft_labels": {"source": "rule", "fail_ratio_rule": 2, "fail_ratio_random": 0.1}},
+         "fail_ratio_rule must lie in [0, 1], got 2.0"),
+    ],
+)
+def test_bad_experiment_field_stops_the_run_before_the_dataset(
+    tmp_path, capsys, monkeypatch, edit, message
+):
+    def build_dataset(*args):
+        pytest.fail("the dataset was built")
+
+    monkeypatch.setattr(experiment_module, "build_dataset", build_dataset)
+    config = {"seed": 3, "dataset": {"kind": "pu-benchmark", "n": 400}, **edit}
+    assert run(write_config(tmp_path, "exp.json", config), "experiment", tmp_path / "o") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_out_dir_of_the_wrong_type_is_named(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("SOFTPU_OUT", raising=False)
+    config = {"seed": 7, "out_dir": 5, "dataset": {"kind": "gscar", "n": 100, "pi": 0.1}}
+    assert main(["generate", "--config", str(write_config(tmp_path, "gen.json", config))]) == 1
+    assert capsys.readouterr().err == "error: config field 'out_dir' must be str, got int\n"

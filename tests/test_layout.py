@@ -7,7 +7,10 @@ They pin decisions about where code lives:
   ``json.loads`` are called only in ``dataset.py``;
 - every CSV file is read by ``dataset.read_table``: one ``np.loadtxt`` call
   (its column pass) and one ``csv.reader`` call (its row loop);
-- every forked worker is started by ``workers``: one ``os.fork`` call.
+- every forked worker is started by ``workers``: one ``os.fork`` call;
+- every config field is checked in ``config.py``, the one module whose
+  errors say ``config field``, and ``difflib``, which only names the key
+  nearest an unknown one, is imported inside a function there.
 """
 
 import ast
@@ -57,3 +60,28 @@ def test_no_module_imports_json_readers_by_name():
 )
 def test_one_call_site(call, module):
     assert _sites(call) == {module: 1}
+
+
+def test_config_fields_are_named_in_one_module():
+    named = [p.name for p in sorted(SRC.glob("*.py")) if "config field" in p.read_text("utf-8")]
+    assert named == ["config.py"]
+
+
+def test_difflib_is_imported_only_inside_a_config_function():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {
+            id(node)
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+        }
+        for node in ast.walk(tree):
+            names = (
+                [a.name for a in node.names] if isinstance(node, ast.Import)
+                else [node.module] if isinstance(node, ast.ImportFrom) else []
+            )
+            if "difflib" in names:
+                found.append((path.name, id(node) in inside))
+    assert found == [("config.py", True)]
