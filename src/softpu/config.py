@@ -1,85 +1,21 @@
 """Config tables: the keys each command reads, with their types and defaults.
 
-A table maps each key of a JSON object to ``(kind, default)`` or ``(kind,
-default, test)``. ``kind`` is a JSON type (or a tuple of them), a nested
-table, or :class:`Variants`; ``default`` is :data:`REQUIRED` or the value of
-a missing or null key (read once, at import, from a builder that declares
-it too); ``test(value, where)`` checks the value of the dotted key
-``where`` further and returns the value the builders get. :func:`check`
-walks a whole config against its command's table before any work.
+Each table has the form that the walker :func:`softpu.dataset.check` reads;
+a default that a builder also declares is read from it once, at import.
+``cli.main`` walks a whole config against its command's table before any
+work. The walker lives in :mod:`softpu.dataset` because this module imports
+:mod:`softpu.labeling` and :mod:`softpu.training` for their defaults, and
+their file tables use the walker too.
 """
 
 import inspect
 import sys
 from pathlib import Path
 
-from .dataset import AffineLink, CsvSchema, LogisticWarpLink, MelaConfig, check_numbers
-from .dataset import make_pu_benchmark
+from .dataset import NUMBERS, REQUIRED, AffineLink, CsvSchema, LogisticWarpLink, MelaConfig
+from .dataset import Variants, check, make_pu_benchmark
 from .labeling import fit_prior
 from .training import ARCH_LINEAR, ARCH_MLP, DEFAULT_HIDDEN, TrainConfig
-
-REQUIRED = object()
-
-
-class Variants:
-    """An object whose table is ``tables[pick(section, name, tables)]``, with
-    ``name`` its own key. Its keys are first checked against all the tables'."""
-
-    def __init__(self, pick, tables: dict):
-        self.pick, self.tables = pick, tables
-        self.keys = {key: None for table in tables.values() for key in table}
-
-
-def check(table: dict, config: dict, path: str = "") -> dict:
-    """The values of ``config``, the object at the dotted ``path`` ("" for a
-    whole config), by the keys of ``table``, with defaults filled in."""
-    _refuse_unknown(config, table, path)
-    values = {}
-    for key, (kind, default, *test) in table.items():
-        value = config.get(key)
-        if value is None:
-            if default is REQUIRED:
-                raise ValueError(f"config field '{key}' is required")
-            if default is None or not isinstance(kind, (dict, Variants)):
-                values[key] = default
-                continue
-            value = default
-        where = path + key
-        if isinstance(kind, Variants):
-            section = _typed(value, key, dict)
-            _refuse_unknown(section, kind.keys, where + ".")
-            value = check(kind.tables[kind.pick(section, key, kind.tables)], section, where + ".")
-        elif isinstance(kind, dict):
-            value = check(kind, _typed(value, key, dict), where + ".")
-        else:
-            value = _typed(value, key, kind)
-        values[key] = test[0](value, where) if test else value
-    return values
-
-
-def _typed(value, key: str, kind):
-    """``value`` if it is a ``kind``; an int is a float, a bool is neither."""
-    if kind in (int, float) and isinstance(value, bool):
-        raise ValueError(f"config field '{key}' must be {kind.__name__}, got bool")
-    if kind is float and isinstance(value, int):
-        if abs(value) > sys.float_info.max:
-            raise ValueError(f"config field '{key}' holds an integer too large for a float")
-        return float(value)
-    if not isinstance(value, kind):
-        name = getattr(kind, "__name__", kind)
-        raise ValueError(f"config field '{key}' must be {name}, got {type(value).__name__}")
-    return value
-
-
-def _refuse_unknown(config: dict, known, path: str) -> None:
-    for key in config:
-        if key not in known:
-            import difflib  # only on this error path: a good config never loads it
-
-            near = difflib.get_close_matches(key, list(known), n=1)
-            known_keys = "known keys: " + ", ".join(path + k for k in known)
-            hint = f"did you mean '{path}{near[0]}'?" if near else known_keys
-            raise ValueError(f"config field '{path}{key}' is not a known key; {hint}")
 
 
 def _selector(noun: str, key: str, entry: tuple):
@@ -107,11 +43,6 @@ def _non_negative(seed, where):
     if seed < 0:
         raise ValueError(f"config field '{where}' must be non-negative, got {seed}")
     return seed
-
-
-def _numbers(values, where):
-    check_numbers(values, f"config field '{where.rpartition('.')[2]}'")
-    return tuple(values)
 
 
 def _strings(values, where):
@@ -163,8 +94,8 @@ LINK = Variants(_selector("link", "kind", _LINK), {
     "logistic-warp": {"kind": _LINK, "gain": (float, _defaults(LogisticWarpLink)["gain"])},
 })
 ETA = Variants(lambda section, name, tables: "values" if "values" in section else "knots", {
-    "values": {"values": (list, REQUIRED, _numbers)},
-    "knots": {"xs": (list, REQUIRED, _numbers), "ys": (list, REQUIRED, _numbers)},
+    "values": {"values": (NUMBERS, REQUIRED)},
+    "knots": {"xs": (NUMBERS, REQUIRED), "ys": (NUMBERS, REQUIRED)},
 })
 
 _KIND = (str, REQUIRED)

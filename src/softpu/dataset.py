@@ -7,6 +7,12 @@ identical inputs produce bit-identical datasets.
 
 Soft-label semantics: 1 means observed positive, 0 means ordinary unlabeled,
 anything in between is an unlabeled sample believed more likely positive.
+
+Every JSON file softpu reads comes through :func:`load_json`, and every JSON
+object it reads (a config, a model, problem or prior file, an inline problem)
+is checked by one table walker, :func:`check`, which lives here beside it:
+:mod:`softpu.config` holds the command tables, and the file tables sit next
+to their classes (``MODEL_FILE``, ``PROBLEM_FILE``, ``PRIOR_FILE``).
 """
 
 import codecs
@@ -1050,27 +1056,91 @@ def load_json(path, what: str) -> dict:
     return record
 
 
-def check_numbers(values, field: str) -> None:
-    """Refuse a JSON value that is not a list of numbers (``true`` and numeric
-    text are not numbers); ``field`` names it in the errors, as in
-    ``"problem field 'eta'"``."""
-    if not isinstance(values, list):
-        raise ValueError(f"{field} must be list, got {type(values).__name__}")
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"{field} must hold numbers, got {v!r}")
-        if isinstance(v, int) and abs(v) > sys.float_info.max:
-            raise ValueError(f"{field} holds an integer too large for a float")
+# The walker: every JSON object softpu reads (a config, a model, problem or
+# prior file) is checked by :func:`check` against a table that maps each key
+# to ``(kind, default)`` or ``(kind, default, test)``. ``kind`` is a JSON type
+# (or a tuple of them), :data:`NUMBERS`, a nested table, or :class:`Variants`;
+# ``default`` is :data:`REQUIRED` or the value of a missing or null key;
+# ``test(value, where)`` checks the value of the dotted key ``where`` further
+# and returns the value the caller gets.
+
+REQUIRED = object()
+# a JSON list of numbers, read as a tuple: ``true`` and numeric text are not numbers
+NUMBERS = "list of numbers"
 
 
-def float_fields(record, names, what: str) -> dict:
-    """The fields ``names`` of a JSON ``record`` as float64 arrays; the errors
-    name a missing field, or one that :func:`check_numbers` refuses, as a
-    ``what`` field."""
-    arrays = {}
-    for name in names:
-        if not isinstance(record, dict) or name not in record:
-            raise ValueError(f"{what} field '{name}' is required")
-        check_numbers(record[name], f"{what} field '{name}'")
-        arrays[name] = np.array(record[name], dtype=np.float64)
-    return arrays
+class Variants:
+    """An object whose table is ``tables[pick(section, name, tables)]``, with
+    ``name`` its own key. Its keys are first checked against all the tables'."""
+
+    def __init__(self, pick, tables: dict):
+        self.pick, self.tables = pick, tables
+        self.keys = {key: None for table in tables.values() for key in table}
+
+
+def check(table: dict, record: dict, path: str = "", noun: str = "config field") -> dict:
+    """The values of ``record``, the object at the dotted ``path`` ("" for a
+    whole file), by the keys of ``table``, with defaults filled in. ``noun``
+    names a key in the errors: ``config field``, ``problem field``, ..."""
+    _refuse_unknown(record, table, path, noun)
+    values = {}
+    for key, (kind, default, *test) in table.items():
+        value = record.get(key)
+        if value is None:
+            if default is REQUIRED:
+                raise ValueError(f"{noun} '{key}' is required")
+            if default is None or not isinstance(kind, (dict, Variants)):
+                values[key] = default
+                continue
+            value = default
+        where = path + key
+        if isinstance(kind, Variants):
+            section = _typed(value, key, dict, noun)
+            _refuse_unknown(section, kind.keys, where + ".", noun)
+            pick = kind.pick(section, key, kind.tables)
+            value = check(kind.tables[pick], section, where + ".", noun)
+        elif isinstance(kind, dict):
+            value = check(kind, _typed(value, key, dict, noun), where + ".", noun)
+        else:
+            value = _typed(value, key, kind, noun)
+        values[key] = test[0](value, where) if test else value
+    return values
+
+
+def _typed(value, key: str, kind, noun: str):
+    """``value`` if it is a ``kind``; an int is a float, a bool is neither."""
+    if kind is NUMBERS:
+        for v in _typed(value, key, list, noun):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"{noun} '{key}' must hold numbers, got {v!r}")
+            if isinstance(v, int) and abs(v) > sys.float_info.max:
+                raise ValueError(f"{noun} '{key}' holds an integer too large for a float")
+        return tuple(value)
+    if kind in (int, float) and isinstance(value, bool):
+        raise ValueError(f"{noun} '{key}' must be {kind.__name__}, got bool")
+    if kind is float and isinstance(value, int):
+        if abs(value) > sys.float_info.max:
+            raise ValueError(f"{noun} '{key}' holds an integer too large for a float")
+        return float(value)
+    if not isinstance(value, kind):
+        name = getattr(kind, "__name__", kind)
+        raise ValueError(f"{noun} '{key}' must be {name}, got {type(value).__name__}")
+    return value
+
+
+def _refuse_unknown(record: dict, known, path: str, noun: str) -> None:
+    for key in record:
+        if key not in known:
+            import difflib  # only on this error path: a good file never loads it
+
+            near = difflib.get_close_matches(key, list(known), n=1)
+            known_keys = "known keys: " + ", ".join(path + k for k in known)
+            hint = f"did you mean '{path}{near[0]}'?" if near else known_keys
+            raise ValueError(f"{noun} '{path}{key}' is not a known key; {hint}")
+
+
+def check_finite(values, what: str) -> None:
+    """Refuse an array with a non-finite entry, naming the first one."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"{what} must be finite: index {bad[0]} is {values[bad[0]]}")

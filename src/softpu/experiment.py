@@ -105,10 +105,11 @@ def soft_label_source(soft_labels: dict):
 
     ``column`` keeps the dataset's own labels. ``rule`` assigns the
     rule-vs-random failure label to every sample that is not an observed
-    positive; its :class:`RuleStats` is built here, before any dataset.
-    ``bayes`` fits a prior on a row-aligned check-record CSV and assigns
-    each non-positive sample its posterior risk. Observed positives (soft
-    label exactly 1) keep their label under every source.
+    positive. ``bayes`` fits a prior on a row-aligned check-record CSV and
+    assigns each non-positive sample its posterior risk. A ``rule`` source's
+    :class:`RuleStats` and a ``bayes`` source's prior are made here, before
+    any dataset. Observed positives (soft label exactly 1) keep their label
+    under every source.
     """
     source = soft_labels["source"]
     if source == "column":
@@ -117,17 +118,17 @@ def soft_label_source(soft_labels: dict):
         stats = RuleStats(soft_labels["fail_ratio_rule"], soft_labels["fail_ratio_random"])
         label = rule_soft_label(stats)
         return lambda data: data.with_soft_labels(np.where(data.soft_labels == 1.0, 1.0, label))
-    return lambda data: _bayes_labels(data, soft_labels)
-
-
-def _bayes_labels(data: SoftDataset, soft_labels: dict) -> SoftDataset:
     n, k = check_counts_from_csv(soft_labels["records"])
-    if n.size != len(data):
-        raise ValueError(f"soft_labels.records has {n.size} rows but the dataset has "
-                         f"{len(data)} (they must be row-aligned)")
     prior = fit_prior(n, k, grid_size=soft_labels["grid_size"], lam=soft_labels["lambda"])
-    risk = bayes_soft_labels(n, k, prior)
-    return data.with_soft_labels(np.where(data.soft_labels == 1.0, 1.0, risk))
+
+    def bayes_labels(data: SoftDataset) -> SoftDataset:
+        if n.size != len(data):
+            raise ValueError(f"soft_labels.records has {n.size} rows but the dataset has "
+                             f"{len(data)} (they must be row-aligned)")
+        risk = bayes_soft_labels(n, k, prior)
+        return data.with_soft_labels(np.where(data.soft_labels == 1.0, 1.0, risk))
+
+    return bayes_labels
 
 
 def split_indices(n: int, fractions, seed: int):

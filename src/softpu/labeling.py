@@ -29,11 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .dataset import TableFormat, check_numbers, float_fields, load_json, read_table, save_json
+from .dataset import NUMBERS, REQUIRED, TableFormat, check, check_finite, load_json, read_table
+from .dataset import save_json
 
 GRID_MARGIN = 1e-4
 # the prior fit holds check counts in int64 arrays
 MAX_CHECK_DAYS = np.iinfo(np.int64).max
+# the keys of a prior file, as DiscretePrior.to_dict writes them
+PRIOR_FILE = {"grid": (NUMBERS, REQUIRED), "weights": (NUMBERS, REQUIRED),
+              "objective_trace": (NUMBERS, None), "iterations": (int, None),
+              "converged": (bool, None)}
 
 
 @dataclass(frozen=True)
@@ -100,10 +105,8 @@ class DiscretePrior:
         weights = np.asarray(self.weights, dtype=np.float64)
         if grid.ndim != 1 or grid.shape != weights.shape or grid.size < 1:
             raise ValueError("grid and weights must be matching 1-D arrays")
-        for name, values in (("grid", grid), ("weights", weights)):
-            if not np.all(np.isfinite(values)):
-                i = _first_bad(values)
-                raise ValueError(f"{name} must be finite: index {i} is {values[i]}")
+        check_finite(grid, "grid")
+        check_finite(weights, "weights")
         if np.any(grid < 0.0) or np.any(grid > 1.0) or np.any(np.diff(grid) <= 0):
             raise ValueError("grid must be strictly increasing within [0, 1]")
         if np.any(weights < 0.0):
@@ -157,27 +160,10 @@ class DiscretePrior:
 
     @classmethod
     def from_dict(cls, d):
-        """The prior of a :meth:`to_dict` record: ``objective_trace`` and
-        ``converged``, when present and not null, must be a number list and
-        a bool."""
-        arrays = float_fields(d, ("grid", "weights"), "prior")
-        trace = d.get("objective_trace")
-        if trace is not None:
-            check_numbers(trace, "prior field 'objective_trace'")
-        converged = d.get("converged")
-        if converged is not None and not isinstance(converged, bool):
-            raise ValueError(
-                f"prior field 'converged' must be bool, got {type(converged).__name__}"
-            )
-        return cls(
-            **arrays,
-            objective_trace=None if trace is None else tuple(trace),
-            converged=converged,
-        )
-
-
-def _first_bad(values: np.ndarray) -> int:
-    return int(np.argmin(np.isfinite(values)))
+        """The prior of a :meth:`to_dict` record, checked against ``PRIOR_FILE``."""
+        values = check(PRIOR_FILE, d, noun="prior field")
+        del values["iterations"]  # the trace's length, which to_dict writes for readers
+        return cls(**values)
 
 
 def posterior_pass_prob(record: CheckRecord, prior: DiscretePrior) -> float:
@@ -425,7 +411,7 @@ def fit_prior(
     dtheta = _cell_width(start.grid)
     pairs, w, B, m = _pair_likelihoods(n, k, start.grid)
     if not np.all(np.isfinite(m)):
-        bad_n, bad_k = pairs[_first_bad(m)]
+        bad_n, bad_k = pairs[np.argmin(np.isfinite(m))]
         raise ValueError(
             f"non-finite objective: record (n={bad_n}, k={bad_k}) "
             "has no likelihood support on the grid"

@@ -19,9 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import (
-    SoftDataset, TableFormat, field_dict, named_columns, parse_cell, read_table, write_columns
-)
+from .dataset import SoftDataset, TableFormat, check_finite, field_dict, named_columns, parse_cell
+from .dataset import read_table, write_columns
 
 _CURVE_COLUMNS = ("threshold", "x", "y")
 
@@ -34,7 +33,7 @@ def _soft_vector(data) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("expected a 1-D soft-label vector or a SoftDataset")
-    _check_finite(arr, "soft labels")
+    check_finite(arr, "soft labels")
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise ValueError("soft labels must lie in [0, 1]")
     return arr
@@ -52,13 +51,6 @@ def _true_vector(data) -> np.ndarray:
 def _check_lengths(a, b, what):
     if len(a) != len(b):
         raise ValueError(f"{what} length {len(b)} != sample count {len(a)}")
-
-
-def _check_finite(arr, what):
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        i = bad[0]
-        raise ValueError(f"{what} must be finite: index {i} is {arr[i]}")
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +180,7 @@ def _swept_curve(sweep, pos_weight, neg_weight, kind) -> RocCurve:
 def _checked_scores(labels, scores) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     _check_lengths(labels, scores, "scores")
-    _check_finite(scores, "scores")
+    check_finite(scores, "scores")
     return scores
 
 

@@ -26,13 +26,16 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .dataset import float_fields, load_json, save_json
+from .dataset import NUMBERS, REQUIRED, check, check_finite, load_json, save_json
 
 MAX_CELLS = 20
 HULL_ATOL = 1e-12
 # entries in one block of the pairwise comparisons (assumption4_violations,
 # the noisy-gap matching): bounds their memory at any cell count
 BLOCK_ENTRIES = 1 << 20
+# the keys of a problem file, and of a problem inline in a frontier config
+PROBLEM_FILE = {"masses": (NUMBERS, REQUIRED), "eta": (NUMBERS, REQUIRED),
+                "eta_s": (NUMBERS, REQUIRED)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,11 +61,7 @@ class DiscreteProblem:
         if masses.size < 1:
             raise ValueError("need at least one cell")
         for name, v in (("masses", masses), ("eta", eta), ("eta_s", eta_s)):
-            bad = np.flatnonzero(~np.isfinite(v))
-            if bad.size:
-                raise ValueError(
-                    f"{name} must be finite: index {bad[0]} is {v[bad[0]]}"
-                )
+            check_finite(v, name)
         if np.any(masses <= 0.0):
             raise ValueError("cell masses must be positive")
         if abs(masses.sum() - 1.0) > 1e-9:
@@ -96,7 +95,7 @@ class DiscreteProblem:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**float_fields(d, ("masses", "eta", "eta_s"), "problem"))
+        return cls(**check(PROBLEM_FILE, d, noun="problem field"))
 
 
 def problem_to_json(problem: DiscreteProblem, path) -> None:

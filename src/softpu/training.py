@@ -15,18 +15,23 @@ deterministic numpy kernels of :mod:`softpu.kernels`.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import kernels
-from .dataset import SoftDataset, check_numbers, field_dict, load_json, save_json
+from .dataset import NUMBERS, REQUIRED, SoftDataset, check, check_finite, field_dict, load_json
+from .dataset import save_json
 from .kernels import sigmoid
 
 ARCH_LINEAR = "linear-logistic"
 ARCH_MLP = "mlp-1hidden"
 DEFAULT_HIDDEN = 16
+# the keys of a save_model file; ScoringModel checks the types of the first three
+MODEL_FILE = {"arch": (object, REQUIRED), "feature_dim": (object, REQUIRED),
+              "hidden_width": (object, REQUIRED), "params": (NUMBERS, REQUIRED),
+              "seed": (int, None), "loss_trace": (NUMBERS, REQUIRED)}
 
 
 @dataclass(frozen=True)
@@ -62,11 +67,7 @@ class ScoringModel:
         params = params.astype(np.float64, copy=False)
         if params.shape != (expected,):
             raise ValueError(f"expected {expected} parameters, got {params.shape}")
-        bad = np.flatnonzero(~np.isfinite(params))
-        if bad.size:
-            raise ValueError(
-                f"params must be finite: index {bad[0]} is {params[bad[0]]}"
-            )
+        check_finite(params, "params")
         object.__setattr__(self, "params", params)
 
     def scores(self, features) -> np.ndarray:
@@ -315,22 +316,9 @@ def load_model(path) -> ScoringModel:
     """The model in a :func:`save_model` file, read by :func:`softpu.dataset.load_json`."""
     path = Path(path)
     record = load_json(path, "model file")
-    missing = [f.name for f in fields(ScoringModel) if f.name not in record]
-    if missing:
-        raise ValueError(f"model file {path} is missing field(s): {missing}")
     try:
-        for name in ("params", "loss_trace"):
-            check_numbers(record[name], f"field '{name}'")
-        seed = record["seed"]
-        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-            raise ValueError(f"field 'seed' must be int or null, got {type(seed).__name__}")
-        return ScoringModel(
-            arch=record["arch"],
-            feature_dim=record["feature_dim"],
-            hidden_width=record["hidden_width"],
-            params=np.asarray(record["params"], dtype=np.float64),
-            seed=seed,
-            loss_trace=tuple(record["loss_trace"]),
-        )
+        values = check(MODEL_FILE, record, noun="field")
+        # a huge int among floats would make numpy guess an object array
+        return ScoringModel(**values | {"params": np.array(values["params"], dtype=np.float64)})
     except ValueError as exc:
         raise ValueError(f"model file {path}: {exc}") from None

@@ -700,7 +700,7 @@ class TestEvalAndBound:
         "text, message",
         [
             ('{"feature_dim": 1, "hidden_width": 0, "params": [1.0, 0.0], "seed": 4, '
-             '"loss_trace": []}', "is missing field(s): ['arch']"),
+             '"loss_trace": []}', "field 'arch' is required"),
         ],
     )
     def test_bad_model_file_names_the_file(self, tmp_path, capsys, text, message):
@@ -714,8 +714,7 @@ class TestEvalAndBound:
         )
         assert run(cfg, "eval", tmp_path / "out") == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: model file {model_path} {message}")
-        assert "Traceback" not in err
+        assert err == f"error: model file {model_path}: {message}\n"
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -725,15 +724,17 @@ class TestEvalAndBound:
             ("feature_dim", 2.5, "field 'feature_dim' must be int, got float"),
             ("feature_dim", True, "field 'feature_dim' must be int, got bool"),
             ("feature_dim", 0, "field 'feature_dim' must be positive, got 0"),
-            ("hidden_width", None, "field 'hidden_width' must be int, got NoneType"),
+            ("hidden_width", None, "field 'hidden_width' is required"),
             ("params", ["x", 1, 2], "field 'params' must hold numbers, got 'x'"),
             ("params", [True, 1, 2], "field 'params' must hold numbers, got True"),
             ("params", 5, "field 'params' must be list, got int"),
             pytest.param("params", [10**400, 1, 2],
                          "field 'params' holds an integer too large for a float",
                          id="params-huge-int"),
-            ("seed", "7", "field 'seed' must be int or null, got str"),
+            ("seed", "7", "field 'seed' must be int, got str"),
             ("loss_trace", {}, "field 'loss_trace' must be list, got dict"),
+            ("hidden_widht", 4,
+             "field 'hidden_widht' is not a known key; did you mean 'hidden_width'?"),
         ],
     )
     def test_wrongly_typed_model_field_names_field_and_file(
@@ -1306,6 +1307,17 @@ class TestJsonInputs:
         assert run(cfg, "frontier", tmp_path / "out") == 1
         assert capsys.readouterr().err == f"error: problem field 'eta' {message}\n"
 
+    @pytest.mark.parametrize("inline", [False, True], ids=["file", "inline"])
+    def test_unknown_problem_key_is_refused(self, tmp_path, capsys, inline):
+        problem = {"masses": [1.0], "eta": [0.5], "eta_s": [0.5], "eta_S": [0.5]}
+        if not inline:
+            problem = str(write_config(tmp_path, "problem.json", problem))
+        cfg = write_config(tmp_path, "cfg.json", {"problem": problem})
+        assert run(cfg, "frontier", tmp_path / "out") == 1
+        assert capsys.readouterr().err == (
+            "error: problem field 'eta_S' is not a known key; did you mean 'eta_s'?\n"
+        )
+
 
 class TestSoftLabelSources:
     def _base_dataset(self, n=40):
@@ -1368,10 +1380,9 @@ class TestSoftLabelSources:
 
         records = tmp_path / "records.csv"
         records.write_text("user_id,n,k\nu0,5,5\n")
+        section = {"source": "bayes", "records": str(records), "grid_size": 11, "lambda": 0.0}
         with pytest.raises(ValueError, match="row-aligned"):
-            soft_label_source({"source": "bayes", "records": str(records)})(
-                self._base_dataset()
-            )
+            soft_label_source(section)(self._base_dataset())
 
     def test_unknown_source_rejected(self):
         with pytest.raises(ValueError, match="soft_labels.source"):
@@ -1617,6 +1628,10 @@ def test_misspelled_key_is_refused(tmp_path, capsys, monkeypatch, name, path, ke
         ({"model": {"learning_rate": -1}}, "learning_rate must be finite and positive, got -1.0"),
         ({"soft_labels": {"source": "rule", "fail_ratio_rule": 2, "fail_ratio_random": 0.1}},
          "fail_ratio_rule must lie in [0, 1], got 2.0"),
+        ({"soft_labels": {"source": "bayes", "records": str(FIXTURES / "check_records.csv"),
+                          "lambda": -1}}, "lam must be finite and >= 0, got -1.0"),
+        ({"soft_labels": {"source": "bayes", "records": str(FIXTURES / "check_records.csv"),
+                          "grid_size": 1}}, "grid_size must be at least 2"),
     ],
 )
 def test_bad_experiment_field_stops_the_run_before_the_dataset(

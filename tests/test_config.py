@@ -1,5 +1,5 @@
-"""The config tables: README lists them as they are, and every config the
-project ships or benchmarks with passes them."""
+"""The config and file tables: README lists them as they are, and every
+config, problem and model the project ships or benchmarks with passes them."""
 
 import importlib
 import json
@@ -9,7 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from softpu.config import REQUIRED, TABLES, Variants, check
+from softpu.config import TABLES
+from softpu.dataset import REQUIRED, Variants, check
+from softpu.labeling import PRIOR_FILE
+from softpu.oracle import PROBLEM_FILE
+from softpu.training import MODEL_FILE
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,12 +35,12 @@ def rows(table, prefix=""):
                 yield from rows(own, f"{prefix}{key}[{name}].")
 
 
-def readme_rows() -> dict:
-    """README's key tables under "Config keys": heading -> [(key, default)].
-    A default cell starts with ``required``, ``null`` or a JSON value in
-    backticks."""
+def readme_rows(start="### Config keys", end="## Library example") -> dict:
+    """README's key tables from the heading ``start`` to ``end``: heading ->
+    [(key, default)]. A default cell starts with ``required``, ``null`` or a
+    JSON value in backticks."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = text[text.index("### Config keys") : text.index("## Library example")]
+    section = text[text.index(start) : text.index(end)]
     tables = {}
     for block in re.split(r"^#### ", section, flags=re.M)[1:]:
         heading, _, body = block.partition("\n")
@@ -68,6 +72,14 @@ def test_readme_lists_the_tables():
         assert readme[command] == listed, command
         dataset = [row for row in rows(table) if in_dataset(row[0])]
         assert dataset in ([], readme["dataset"]), command
+
+
+def test_readme_lists_the_file_tables():
+    assert readme_rows("### JSON files", "### Config keys") == {
+        "model file": list(rows(MODEL_FILE)),
+        "problem file": list(rows(PROBLEM_FILE)),
+        "prior file": list(rows(PRIOR_FILE)),
+    }
 
 
 def shipped_configs():
@@ -105,3 +117,9 @@ def test_shipped_and_benchmark_configs_pass_the_tables(inputs, monkeypatch):
     ]
     for command, config in configs:
         check(TABLES[command], config)
+    problems = [json.loads(p.read_text(encoding="utf-8"))
+                for p in sorted((ROOT / "fixtures" / "problems").glob("*.json"))]
+    assert len(problems) == 3
+    for problem in problems + [inputs.frontier_problem(7, tiny.frontier_cells)]:
+        check(PROBLEM_FILE, problem, noun="problem field")
+    check(MODEL_FILE, inputs.linear_model(7), noun="field")

@@ -284,6 +284,9 @@ class TestDiscretePriorValidation:
             ({"objective_trace": [True]}, "prior field 'objective_trace' must hold numbers, got True"),
             ({"converged": "no"}, "prior field 'converged' must be bool, got str"),
             ({"converged": 1}, "prior field 'converged' must be bool, got int"),
+            ({"iterations": "many"}, "prior field 'iterations' must be int, got str"),
+            ({"convergd": True, "iterations": "many"},
+             "prior field 'convergd' is not a known key; did you mean 'converged'?"),
         ],
     )
     def test_fit_fields_checked(self, tmp_path, fit, message):
@@ -524,6 +527,7 @@ class TestRecordsIo:
         prior = fit_prior(*counts(records), grid_size=11, max_iters=3)
         path = tmp_path / "prior.json"
         prior_to_json(prior, path)
+        assert json.loads(path.read_text(encoding="utf-8"))["iterations"] == 3
         back = prior_from_json(path)
         np.testing.assert_array_equal(back.grid, prior.grid)
         np.testing.assert_array_equal(back.weights, prior.weights)

@@ -8,9 +8,10 @@ They pin decisions about where code lives:
 - every CSV file is read by ``dataset.read_table``: one ``np.loadtxt`` call
   (its column pass) and one ``csv.reader`` call (its row loop);
 - every forked worker is started by ``workers``: one ``os.fork`` call;
-- every config field is checked in ``config.py``, the one module whose
-  errors say ``config field``, and ``difflib``, which only names the key
-  nearest an unknown one, is imported inside a function there.
+- every JSON object (a config, a model, problem or prior file) is checked
+  by the walker in ``dataset.py``, the one module that refuses an unknown
+  key, and ``difflib``, which only names the key nearest an unknown one, is
+  imported inside a function there.
 """
 
 import ast
@@ -62,12 +63,13 @@ def test_one_call_site(call, module):
     assert _sites(call) == {module: 1}
 
 
-def test_config_fields_are_named_in_one_module():
-    named = [p.name for p in sorted(SRC.glob("*.py")) if "config field" in p.read_text("utf-8")]
-    assert named == ["config.py"]
+def test_unknown_keys_are_refused_in_one_module():
+    named = [p.name for p in sorted(SRC.glob("*.py"))
+             if "is not a known key" in p.read_text("utf-8")]
+    assert named == ["dataset.py"]
 
 
-def test_difflib_is_imported_only_inside_a_config_function():
+def test_difflib_is_imported_only_inside_a_walker_function():
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -84,4 +86,4 @@ def test_difflib_is_imported_only_inside_a_config_function():
             )
             if "difflib" in names:
                 found.append((path.name, id(node) in inside))
-    assert found == [("config.py", True)]
+    assert found == [("dataset.py", True)]

@@ -1,6 +1,7 @@
 """Soft cross-entropy loss, analytic gradients, and the trainer."""
 
 import hashlib
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -388,6 +389,21 @@ class TestModelIo:
         np.testing.assert_array_equal(back.params, model.params)
         x = ds.features[:10]
         np.testing.assert_array_equal(back.scores(x), model.scores(x))
+
+    @pytest.mark.parametrize("seed", [None, "omitted"])
+    def test_json_round_trip_without_seed(self, tmp_path, seed):
+        model = ScoringModel(ARCH_LINEAR, 2, 0, np.array([0.5, -1.5, 0.25]), loss_trace=(0.7,))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        if seed == "omitted":
+            record = json.loads(path.read_text(encoding="utf-8"))
+            del record["seed"]
+            path.write_text(json.dumps(record), encoding="utf-8")
+        back = load_model(path)
+        assert (back.arch, back.feature_dim, back.hidden_width) == (ARCH_LINEAR, 2, 0)
+        assert back.seed is None
+        assert back.loss_trace == (0.7,)
+        np.testing.assert_array_equal(back.params, model.params)
 
     def test_param_count_validation(self):
         with pytest.raises(ValueError, match="parameters"):
