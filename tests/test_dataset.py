@@ -4,6 +4,7 @@ import codecs
 import csv
 import io
 import os
+import sys
 import threading
 from unittest import mock
 
@@ -181,6 +182,23 @@ class TestCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "nope.csv", CsvSchema(features=("a",)))
+
+    @pytest.mark.parametrize("loader", ["load_csv", "row loop"])
+    def test_empty_line_between_comment_and_header_is_skipped(self, tmp_path, loader):
+        path = tmp_path / "d.csv"
+        path.write_text("# provenance: test\n\nx0,soft_label\n0.5,0.25\n")
+        load = load_csv if loader == "load_csv" else load_rows
+        ds = load(path, CsvSchema(features=("x0",)))
+        assert np.array_equal(ds.features, [[0.5]])
+
+    @pytest.mark.parametrize("loader", ["load_csv", "row loop"])
+    def test_whitespace_line_before_the_header_is_the_header(self, tmp_path, loader):
+        path = tmp_path / "d.csv"
+        path.write_text(" \nx0,soft_label\n0.5,0.25\n")
+        load = load_csv if loader == "load_csv" else load_rows
+        with pytest.raises(ValueError) as err:
+            load(path, CsvSchema(features=("x0",)))
+        assert str(err.value) == "missing column(s): ['x0', 'soft_label']"
 
     @pytest.mark.parametrize("loader", ["load_csv", "row loop"])
     def test_row_numbers_count_data_rows_only(self, tmp_path, loader):
@@ -497,6 +515,12 @@ class TestTableReaders:
         raw = end.join([header, "", first, "", "", second, ""]).encode()
         assert read_outcome(*self.write(tmp_path, reader, raw)) == want
 
+    @pytest.mark.parametrize("lead", ["\n", "\r\n\r\n", "\r", "\n\r\n"], ids=["lf", "crlf", "cr", "mixed"])
+    def test_empty_lines_before_the_header_are_skipped(self, tmp_path, reader, lead):
+        want = self.plain(tmp_path, reader)
+        raw = (lead + "\n".join(READERS[reader][1]) + "\n").encode()
+        assert read_outcome(*self.write(tmp_path, reader, raw)) == want
+
     def test_not_utf8_names_the_byte_and_offset(self, tmp_path, reader):
         header, first, _ = READERS[reader][1]
         # far enough in to lie past the first chunk the decoder reads
@@ -529,6 +553,186 @@ class TestTableReaders:
         want = self.plain(tmp_path, reader)
         raw = "\n".join(READERS[reader][1]).encode()
         assert read_from_pipe(READERS[reader][0], tmp_path / "table.pipe", raw) == want
+
+
+def data_rows(reader, count, end="\n", big=False):
+    """``count`` valid data lines for ``reader`` (see SPLIT_HEADERS), each
+    ending in ``end``; with ``big`` the records' counts are near 2**63."""
+    if reader == "dataset":
+        rows = (f"{(i * 0.37 - 3.0)!r},{i % 5 / 4},{i % 2},n{i}" for i in range(count))
+    elif big:
+        rows = (f"u{i},{2**63 - 1 - i},{2**62 + i}" for i in range(count))
+    else:
+        rows = (f"u{i},{5 + i % 7},{i % 5}" for i in range(count))
+    return "".join(row + end for row in rows).encode()
+
+
+# The header line each reader of the split tests reads, and a data line of
+# exactly ``size`` bytes for the padding that puts the split in place.
+SPLIT_HEADERS = {"dataset": b"x0,soft_label,y,note\n", "records": b"user_id,n,k\n"}
+SPLIT_PADS = {
+    "dataset": lambda size: b"0.5,0.25,1," + b"p" * (size - 12) + b"\n",
+    "records": lambda size: b"p" * (size - 5) + b",5,3\n",
+    "blank": lambda size: b"\n" * size,
+}
+SPLIT_READERS = {
+    "dataset": lambda path: load_csv(path, CsvSchema(features=("x0",), true_label="y")),
+    "records": check_counts_from_csv,
+}
+
+
+def at_split(head, first, second, pad):
+    """``head + first + second``, padded at the end so that the split read
+    cuts the file where ``first`` ends: the middle of the lines after the
+    header falls on the last byte of ``first``."""
+    return head + first + second + pad(len(first) - 2 - len(second))
+
+
+def _layouts():
+    """(name, reader, head, first, second, pad): byte layouts at the split."""
+    ds, rec = SPLIT_HEADERS["dataset"], SPLIT_HEADERS["records"]
+    dpad, rpad = SPLIT_PADS["dataset"], SPLIT_PADS["records"]
+    rows = data_rows("dataset", 40)
+    return [
+        ("lf", "dataset", ds, rows, b"", dpad),
+        ("crlf", "dataset", ds, data_rows("dataset", 40, "\r\n"), data_rows("dataset", 3, "\r\n"), dpad),
+        ("cr", "dataset", ds, data_rows("dataset", 40, "\r"), data_rows("dataset", 3, "\r"), dpad),
+        # a CR ends the first half and an LF starts the second: one line end
+        ("cr lf across the split", "dataset", ds, rows[:-1] + b"\r", b"\n" + data_rows("dataset", 3), dpad),
+        ("empty line before the split", "dataset", ds, rows + b"\n", data_rows("dataset", 3), dpad),
+        ("empty line after the split", "dataset", ds, rows, b"\n" + data_rows("dataset", 3), dpad),
+        ("empty crlf lines on both sides", "dataset", ds, data_rows("dataset", 40, "\r\n") + b"\r\n",
+         b"\r\n\r\n" + data_rows("dataset", 3, "\r\n"), dpad),
+        ("bom", "dataset", codecs.BOM_UTF8 + b"# p\n" + ds, rows, b"", dpad),
+        ("comment line after the split", "dataset", ds, rows, b"# note\n" + data_rows("dataset", 3), dpad),
+        ("bad cell after the split", "dataset", ds, rows, b"foo,0.5,1,n\n", dpad),
+        ("short row after the split", "dataset", ds, rows, data_rows("dataset", 2) + b"0.5,0.25\n", dpad),
+        ("no data line after the split", "dataset", ds, rows, b"", SPLIT_PADS["blank"]),
+        ("no data line before the split", "dataset", ds, b"\n" * 3000, data_rows("dataset", 30), dpad),
+        ("hash line after the split", "records", rec, data_rows("records", 40), b"#x,5,3\n", rpad),
+        ("non-ascii id after the split", "records", rec, data_rows("records", 40),
+         "\u00fc7,5,3\n".encode(), rpad),
+        ("bad count after the split", "records", rec, data_rows("records", 40), b"u9,x,3\n", rpad),
+        ("int64", "records", rec, data_rows("records", 40, big=True),
+         data_rows("records", 5, big=True), rpad),
+    ]
+
+
+SPLIT_LAYOUTS = _layouts()
+
+
+class TestSplitRead:
+    """From SPLIT_BYTES up, a regular file's lines are checked and parsed in
+    two halves, the second in a forked child: the same arrays, bit for bit,
+    or the same error as the serial read, wherever the halves meet."""
+
+    @staticmethod
+    def both_ways(monkeypatch, read, path):
+        """``read_outcome`` of ``path`` with the split forced on and off, and
+        the number of forks each way."""
+        got = {}
+        for usable in (True, False):
+            calls = []
+            with monkeypatch.context() as m:
+                fork_job = workers_module.fork_job
+                m.setattr(dataset_module, "SPLIT_BYTES", 1)
+                m.setattr(workers_module, "worker_usable", lambda: usable)
+                m.setattr(workers_module, "fork_job", lambda job: calls.append(job) or fork_job(job))
+                got[usable] = (read_outcome(read, path), len(calls))
+        return got
+
+    @pytest.mark.parametrize(
+        "reader, head, first, second, pad",
+        [layout[1:] for layout in SPLIT_LAYOUTS],
+        ids=[layout[0] for layout in SPLIT_LAYOUTS],
+    )
+    def test_same_outcome_as_the_serial_read(self, tmp_path, monkeypatch, reader, head, first, second, pad):
+        path = tmp_path / "split.csv"
+        path.write_bytes(at_split(head, first, second, pad))
+        with path.open("rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            split = dataset_module._line_start(fh.fileno(), (len(head) + size) // 2)
+        assert split == len(head) + len(first) + first.endswith(b"\r") * second.startswith(b"\n")
+        got = self.both_ways(monkeypatch, SPLIT_READERS[reader], path)
+        assert got[True][0] == got[False][0]
+        assert (got[True][1], got[False][1]) == (1, 0)
+
+    def test_rows_numbered_across_the_split(self, tmp_path, monkeypatch):
+        first = data_rows("dataset", 40)
+        path = tmp_path / "split.csv"
+        raw = at_split(SPLIT_HEADERS["dataset"], first, b"\n0.5,0.25,1,n\nfoo,0.5,1,n\n",
+                       SPLIT_PADS["dataset"])
+        path.write_bytes(raw)
+        got = self.both_ways(monkeypatch, SPLIT_READERS["dataset"], path)
+        want = (ValueError, "row 42, column 'x0': could not parse 'foo' as a number")
+        assert got[True][0] == got[False][0] == want
+
+    @pytest.mark.parametrize("below", [0, 1])
+    def test_a_file_forks_from_split_bytes_up(self, tmp_path, monkeypatch, below):
+        size = dataset_module.SPLIT_BYTES - below
+        head = SPLIT_HEADERS["dataset"]
+        rows = data_rows("dataset", size // 20)
+        rows = rows[: rows.rindex(b"\n", 0, size - len(head) - 100) + 1]
+        path = tmp_path / "big.csv"
+        path.write_bytes(head + rows + SPLIT_PADS["dataset"](size - len(head) - len(rows)))
+        assert path.stat().st_size == size
+        calls = []
+        fork_job = workers_module.fork_job
+        monkeypatch.setattr(workers_module, "worker_usable", lambda: True)
+        monkeypatch.setattr(workers_module, "fork_job", lambda job: calls.append(job) or fork_job(job))
+        ds = SPLIT_READERS["dataset"](path)
+        assert len(calls) == 1 - below
+        assert len(ds) == rows.count(b"\n") + 1
+
+    def test_a_half_parsed_short_is_refused(self, tmp_path, monkeypatch):
+        # loadtxt parsing fewer rows than the check counted, as a file
+        # rewritten in place between the two would make it, sends the file
+        # to the row loop rather than into the table
+        path = tmp_path / "split.csv"
+        path.write_bytes(at_split(SPLIT_HEADERS["records"], data_rows("records", 40),
+                                  data_rows("records", 5), SPLIT_PADS["records"]))
+        load = dataset_module._load
+        monkeypatch.setattr(dataset_module, "_load", lambda *a: load(*a)[:-1])
+        row_loop = dataset_module._read_rows
+        calls = []
+        monkeypatch.setattr(dataset_module, "_read_rows", lambda *a: calls.append(1) or row_loop(*a))
+        got = self.both_ways(monkeypatch, SPLIT_READERS["records"], path)
+        assert got[True] == (got[False][0], 1)
+        assert calls == [1, 1]
+        n, k = check_counts_from_csv(path)
+        assert len(n) == 46
+
+    def test_unbounded_field_limit(self, tmp_path, monkeypatch):
+        # the split looks for a line end in a bounded window, not one of the
+        # csv field size limit, which callers may raise to sys.maxsize
+        path = tmp_path / "split.csv"
+        path.write_bytes(at_split(SPLIT_HEADERS["dataset"], data_rows("dataset", 40), b"",
+                                  SPLIT_PADS["dataset"]))
+        old_limit = csv.field_size_limit(sys.maxsize)
+        try:
+            got = self.both_ways(monkeypatch, SPLIT_READERS["dataset"], path)
+        finally:
+            csv.field_size_limit(old_limit)
+        assert got[True] == (got[False][0], 1)
+        assert isinstance(got[True][0][0], bytes)
+
+    def test_child_without_result_is_named(self, tmp_path, monkeypatch):
+        path = tmp_path / "split.csv"
+        path.write_bytes(at_split(SPLIT_HEADERS["records"], data_rows("records", 40), b"",
+                                  SPLIT_PADS["records"]))
+        parent = os.getpid()
+        lines = dataset_module._lines
+
+        def child_dies(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return lines(*args)
+
+        monkeypatch.setattr(dataset_module, "_lines", child_dies)
+        monkeypatch.setattr(dataset_module, "SPLIT_BYTES", 1)
+        monkeypatch.setattr(workers_module, "worker_usable", lambda: True)
+        with pytest.raises(RuntimeError, match=r"sent no result: wait status 768"):
+            check_counts_from_csv(path)
 
 
 class TestSaveCsv:

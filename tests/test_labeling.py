@@ -5,6 +5,7 @@ import csv
 import gzip
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -540,7 +541,8 @@ def records_reference(path):
     records = []
     row_idx = -1  # the row being read is row_idx + 1
     with Path(path).open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
+        # DictReader takes its first line for the header, even an empty one
+        reader = csv.DictReader(itertools.dropwhile(lambda line: not line.strip("\r\n"), fh))
         try:
             if reader.fieldnames is None or not {"n", "k"} <= set(reader.fieldnames):
                 raise ValueError("records CSV needs columns user_id, n, k")
@@ -626,7 +628,8 @@ RECORD_FILES = [
     ("user_id,n,k\n\n\n", (ValueError, "empty records file"), False),
     ("user_id,n,k\r\n\r\n\r\n", (ValueError, "empty records file"), False),
     ("", (ValueError, "records CSV needs columns user_id, n, k"), False),
-    ("\nuser_id,n,k\nu1,5,3\n", (ValueError, "records CSV needs columns user_id, n, k"), False),
+    # empty lines before the header are skipped, as after it
+    ("\nuser_id,n,k\nu1,5,3\n", [(5, 3)], True),
     (
         "user_id,n,k\nu1,5,3\nu2,4,9\n",
         (ValueError, "row 2: need 0 <= k <= n, got n=4, k=9"),
@@ -880,7 +883,7 @@ class TestReaderRoutes:
         other, _, _ = benchmark_records(31, 700)
         path = tmp_path / "records.csv"
         path.write_bytes(raw)
-        scan = dataset_module._scan
+        scan = dataset_module._lines
 
         def scan_then_replace(*args):
             usecols = scan(*args)
@@ -888,7 +891,7 @@ class TestReaderRoutes:
             os.replace(tmp_path / "new.csv", path)
             return usecols
 
-        monkeypatch.setattr(dataset_module, "_scan", scan_then_replace)
+        monkeypatch.setattr(dataset_module, "_lines", scan_then_replace)
         seen = loadtxt_spy(monkeypatch)
         got = check_counts_from_csv(path)
         # the path names the new file: its parse is dropped for the open file's
@@ -903,14 +906,14 @@ class TestReaderRoutes:
         path.write_bytes(raw)
         # given the path, numpy opens records.csv.gz in its place
         (tmp_path / "records.csv.gz").write_bytes(gzip.compress(other))
-        scan = dataset_module._scan
+        scan = dataset_module._lines
 
         def scan_then_remove(*args):
             usecols = scan(*args)
             path.unlink()
             return usecols
 
-        monkeypatch.setattr(dataset_module, "_scan", scan_then_remove)
+        monkeypatch.setattr(dataset_module, "_lines", scan_then_remove)
         got = check_counts_from_csv(path)
         assert np.array_equal(got[0], n) and np.array_equal(got[1], k)
 
