@@ -18,6 +18,7 @@ to their classes (``MODEL_FILE``, ``PROBLEM_FILE``, ``PRIOR_FILE``).
 import codecs
 import contextlib
 import csv
+import functools
 import io
 import itertools
 import json
@@ -37,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import workers
+from . import kernels, workers
 from .kernels import sigmoid
 
 SOFT_GRID = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
@@ -621,46 +622,261 @@ def load_csv(path, schema: CsvSchema) -> SoftDataset:
     )
 
 
-# Rows formatted and written per call of ``write``: bounds the text held in
-# memory while keeping the per-chunk overhead small.
+# CHUNK_ROWS rows are formatted and written per call of ``write``: this
+# bounds the text and the formatter's temporaries held in memory while
+# keeping the per-chunk overhead small. From SPLIT_ROWS rows up,
+# write_columns formats the second half in a forked child. Measured with
+# the vectorized formatter (2-vCPU Xeon; a table of two normal features,
+# a soft label and a true label; medians of 21 interleaved writes, raw):
+# at 16384 rows the split write and the serial one tie (19.7 against
+# 21.0 ms), at 32768 the split wins (29.8 against 39.6 ms); at 100k rows
+# 4096-row chunks are slower (72 against 64-67 ms split, 126 against
+# 93-104 ms serial) and 16384-row chunks no faster (74-80 ms split).
 CHUNK_ROWS = 8192
+SPLIT_ROWS = 2 * CHUNK_ROWS
 
 # Characters per piece when a forked writer's half is appended. A text
 # piece is held about four times over (bytes read, decoded text, encoded
 # bytes), so 1 MiB pieces would add about 4 MiB to this process's peak.
 COPY_CHARS = 1 << 16
 
-# Text of a true label, indexed by the label (always exactly 0 or 1).
-_LABEL_TEXT = np.array(["0", "1"], dtype=object)
+# Text of a true label, indexed by the label (always exactly 0 or 1)
+_LABEL_TEXT = np.array(["0", "1"])
+
+# A float's text is at most 24 bytes, three words: "-1.2345678901234567e-308"
+_FLOAT_WORDS = 3
+_NO_DOT = 8 * _FLOAT_WORDS
+_COMMA, _NEWLINE = ord(","), ord("\n")
+# A chunk's float column is formatted per distinct bit pattern when its
+# first _SAMPLE values hold at most a quarter distinct ones (a soft-label
+# column: 5 in 8192), and per run of equal values when at most 3/4 of its
+# values start a run (a curve's rate columns: 40-90%). Measured at 8192
+# values on a 2-vCPU Xeon, raw, best of 50: formatting costs 220-320 ns a
+# value, np.unique with its inverse 26-33 ns, finding the runs about 1 ns,
+# and the sample's np.unique 26-34 us a chunk.
+_SAMPLE = 256
+# 0x01 in each of a word's first k bytes, k = 0..8: the keep mask of k bytes
+_KEEP_BYTES = np.array([(1 << 8 * k) - 1 & 0x0101010101010101 for k in range(9)], np.uint64)
 
 
-def float_text(values) -> list[str]:
-    """``repr`` of each float of a 1-D float64 array.
+def _ascii_word(text: str) -> int:
+    """Up to 8 ASCII characters as a little-endian word: first char lowest."""
+    return int.from_bytes(text.encode("ascii"), "little")
+
+
+@functools.cache
+def _text_tables() -> dict:
+    """Constant pieces of ``repr`` text as little-endian uint64 words (first
+    character in the lowest byte), built once on first use:
+
+    - ``digits4[k]``: the four digits of ``k`` (0 to 9999), zero-padded;
+    - ``count[b]``: the decimal digits of ``2**(b - 1023)``, for the biased
+      exponent ``b`` of a positive integer below ``2**60`` (1 at ``b = 0``);
+    - ``keep[k][p]``, ``mark[k][p]``: word ``k``'s mask of the bytes before
+      ``p``, and its ``"."`` at byte ``p`` (none for ``p = 24``);
+    - ``prefix[neg * 5 + lead]``: the sign, then ``"0." + "0" * (lead - 1)``
+      when ``lead`` (0 to 4) is not 0;
+    - ``suffix[e + 324]``: ``"e-05"``, ``"e+16"``, ``"e-308"`` for the
+      exponent ``e``, at least two digits with a sign, and ``suffix_len``;
+    - ``special``: ``inf``, ``-inf``, ``nan``, and ``special_len``.
+    """
+    k = np.arange(10000, dtype=np.uint64)
+    digits4 = (k // 1000 | k // 100 % 10 << 8 | k // 10 % 10 << 16 | k % 10 << 24) | 0x30303030
+    count = np.ones(1024 + 60, dtype=np.int64)
+    count[1023:] = [len(str(1 << e)) for e in range(61)]
+
+    def split(values):
+        """Each value below 2**192 as three little-endian words."""
+        return [np.array([v >> 64 * w & (1 << 64) - 1 for v in values], np.uint64)
+                for w in range(_FLOAT_WORDS)]
+
+    keep = split([(1 << 8 * p) - 1 for p in range(25)])
+    mark = split([0x2E << 8 * p for p in range(24)] + [0])
+    prefix = ["-" * neg + ("0." + "0" * (lead - 1) if lead else "")
+              for neg in (0, 1) for lead in range(5)]
+    suffix = [f"e{e:+03d}" for e in range(-324, 309)]
+    special = ["inf", "-inf", "nan"]
+    words = lambda texts: np.array([_ascii_word(t) for t in texts], dtype=np.uint64)
+    lengths = lambda texts: np.array([len(t) for t in texts], dtype=np.int64)
+    return {
+        "digits4": digits4, "count": count, "keep": keep, "mark": mark,
+        "prefix": words(prefix), "suffix": words(suffix), "suffix_len": lengths(suffix),
+        "special": words(special), "special_len": lengths(special),
+    }
+
+
+def _digit_words(digits, count, four):
+    """The 17 digits of ``digits * 10**(17 - count)`` (zeros after the
+    last digit) as ASCII in three words; ``four`` is the digits4 table."""
+    left = (digits * kernels.POW10[17 - count]).view(np.uint64)
+    first = left // 10**16
+    left -= first * 10**16
+    upper = left // 10**8
+    left -= upper * 10**8
+    high, low = upper // 10000, left // 10000
+    a = four[high] | four[upper - high * 10000] << 32
+    b = four[low] | four[left - low * 10000] << 32
+    return [first | 0x30 | a << 8, a >> 56 | b << 8, b >> 56]
+
+
+def _with_point(words, dot, keep, mark):
+    """``words`` with a ``"."`` at byte ``dot``: the bytes from ``dot`` on
+    move up one byte (none move for ``dot = 24``)."""
+    kept = [w & k[dot] for w, k in zip(words, keep)]
+    moved = [w ^ k for w, k in zip(words, kept)]
+    return [
+        kept[k] | moved[k] << 8 | mark[k][dot] | (moved[k - 1] >> 56 if k else 0)
+        for k in range(_FLOAT_WORDS)
+    ]
+
+
+def _float_words(values) -> tuple:
+    """``repr`` of each float64 as three arrays of little-endian uint64 words
+    (the text, then anything) and the int64 text lengths.
+
+    The shortest digits come from :func:`softpu.kernels.shortest_digits`.
+    With the decimal point ``point`` digits from the first (the digits times
+    ``10**(point - count)``), the text follows ``repr``: exponent form
+    ``d.ddde-05`` when ``point <= -4`` or ``point > 16``, otherwise fixed
+    form, ``0.000ddd`` below 1 and ``ddd.0`` for integral values.
+    """
+    t = _text_tables()
+    digits, exponent = kernels.shortest_digits(values)
+    neg = (values.view(np.uint64) >> 63).astype(np.int64)
+    guess = t["count"][digits.astype(np.float64).view(np.int64) >> 52]
+    count = guess + (digits >= kernels.POW10[guess])
+    point = exponent + count
+
+    # fixed form: a sign, "0." and zeros below 1, the point inserted at
+    # `point` from 1 up; exponent form: the point after the first digit
+    low = point <= 0
+    pad = neg + np.where(low, 2 - point, 0)
+    dot = np.where(low, _NO_DOT, point)
+    length = np.where(low, count, np.maximum(count, point + 1) + 1)
+    lead = neg * 5 + np.where(low, 1 - point, 0)
+    sci = (point <= -4) | (point > 16)
+    if sci.any():
+        (at,) = np.nonzero(sci)
+        several = count[at] > 1
+        pad[at] = neg[at]
+        lead[at] = neg[at] * 5
+        dot[at] = np.where(several, 1, _NO_DOT)
+        length[at] = count[at] + several
+
+    words = _with_point(_digit_words(digits, count, t["digits4"]), dot, t["keep"], t["mark"])
+    # the body moves up past the sign and a leading "0.00", which go first
+    shift = (8 * pad).view(np.uint64)
+    words = [words[k] << shift | (words[k - 1] >> (64 - shift) if k else t["prefix"][lead])
+             for k in range(_FLOAT_WORDS)]
+    length += pad
+    if sci.any():
+        e = point[at] - 1 + 324
+        end = length[at]
+        shift = (8 * (end % 8)).view(np.uint64)
+        word = end // 8
+        suffix = t["suffix"][e]
+        for k in range(_FLOAT_WORDS):
+            cut = words[k][at] & t["keep"][k][end]  # drops the zeros after the digits
+            cut |= np.where(word == k, suffix << shift, 0)
+            cut |= np.where(word == k - 1, suffix >> (64 - shift), 0)
+            words[k][at] = cut
+        length[at] += t["suffix_len"][e]
+    nonfinite = (values.view(np.uint64) & 0x7FF0000000000000) == 0x7FF0000000000000
+    if nonfinite.any():
+        (at,) = np.nonzero(nonfinite)
+        kind = np.where(values.view(np.uint64)[at] << 12 != 0, 2, neg[at])
+        for k in range(_FLOAT_WORDS):
+            words[k][at] = t["special"][kind] if k == 0 else 0
+        length[at] = t["special_len"][kind]
+    return words, length
+
+
+def float_cells(values) -> tuple:
+    """The ``repr`` text of each float of a 1-D float64 array, as cells: a
+    list of three uint64 arrays, one little-endian word of the text per
+    value each, and the int64 text lengths.
 
     ``repr`` is the shortest text that reads back to the same float, so
-    exports are byte-stable and reload losslessly. Each distinct bit pattern
-    is formatted once; patterns, not values, because ``-0.0 == 0.0`` is
-    written differently.
+    exports are byte-stable and reload losslessly; ``repr`` itself is not
+    called. Where the values repeat (see :data:`_SAMPLE`), each distinct
+    bit pattern, or each run of one, is formatted once; patterns, not
+    values, because ``-0.0 == 0.0`` is written differently.
     """
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    return texts[inverse].tolist()
+    values = np.asarray(values, dtype=np.float64)
+    bits = values.view(np.int64)
+    if len(np.unique(bits[:_SAMPLE])) * 4 <= len(bits[:_SAMPLE]):
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        words, length = _float_words(distinct.view(np.float64))
+    else:
+        head = np.empty(len(bits), dtype=bool)
+        head[:1] = True
+        np.not_equal(bits[1:], bits[:-1], out=head[1:])
+        if np.count_nonzero(head) * 4 > len(bits) * 3:
+            return _float_words(values)
+        inverse = np.cumsum(head) - 1
+        words, length = _float_words(values[head])
+    return [w[inverse] for w in words], length[inverse]
 
 
-def rows_text(cells) -> str:
-    """Equal-length lists of cell text, one per column, as comma-separated rows.
+def text_cells(values) -> tuple:
+    """The UTF-8 text of each ``str`` of a 1-D object or unicode array, as
+    cells: a list of uint64 arrays, one little-endian word of the text per
+    value each (zeros after it), and the int64 byte lengths. A non-str cell
+    raises ``TypeError``."""
+    if values.dtype.kind == "U":
+        # numpy's str type holds UCS-4 codes and drops trailing NULs
+        codes = values.view(np.uint32).reshape(len(values), -1)
+        if codes.max(initial=0) < 0x80:
+            nonzero = codes != 0
+            length = codes.shape[1] - np.argmax(nonzero[:, ::-1], axis=1)
+            return _words(codes, np.where(nonzero.any(axis=1), length, 0))
+        values = values.astype(object)
+    items = values.tolist()
+    text = "".join(items)
+    data = text.encode("utf-8")
+    if len(data) == len(text):
+        length = np.fromiter(map(len, items), np.int64, len(items))
+    else:
+        length = np.fromiter((len(s.encode("utf-8")) for s in items), np.int64, len(items))
+    width = int(length.max(initial=0))
+    start = np.cumsum(length) - length
+    padded = np.frombuffer(data + bytes(width), dtype=np.uint8)
+    return _words(padded[start[:, None] + np.arange(width)], length)
 
-    Every row ends in ``\n``. The text is built by slice assignment into one
-    flat list of cells and separators and a single ``"".join``, so no
-    per-row tuple or string is made.
+
+def _words(cells, length) -> tuple:
+    """A ``(rows, width)`` matrix of bytes as a list of little-endian uint64
+    word arrays (zero-padded to whole words), and ``length``."""
+    padded = np.zeros((len(cells), -(-cells.shape[1] // 8) * 8), dtype=np.uint8)
+    padded[:, : cells.shape[1]] = cells
+    matrix = padded.view("<u8")
+    return [matrix[:, k] for k in range(matrix.shape[1])], length
+
+
+def rows_bytes(cells) -> memoryview:
+    """Comma-separated rows, each ending in ``\n``, as UTF-8 bytes, from one
+    ``(words, lengths)`` pair of equal row counts per column, as
+    :func:`float_cells` and :func:`text_cells` give them.
+
+    Each column takes whole words of a row, enough for its longest text
+    and one more byte, in which the separator goes. The row's bytes are
+    kept by the cell lengths, so a cell may hold any byte, NUL included.
     """
-    rows = len(cells[0])
-    step = 2 * len(cells)
-    flat = [","] * (step * rows)
-    for j, column in enumerate(cells):
-        flat[2 * j :: step] = column
-    flat[step - 1 :: step] = ["\n"] * rows
-    return "".join(flat)
+    rows = len(cells[0][1])
+    spans = [int(length.max(initial=0)) // 8 + 1 for _, length in cells]
+    out = np.empty((rows, sum(spans)), dtype="<u8")
+    keep = np.empty_like(out)
+    at = 0
+    for j, ((words, length), span) in enumerate(zip(cells, spans)):
+        for k in range(span):
+            out[:, at + k] = words[k] if k < len(words) else 0
+            keep[:, at + k] = _KEEP_BYTES[np.clip(length - 8 * k, 0, 8)]
+        separator = _NEWLINE if j == len(cells) - 1 else _COMMA
+        out[:, at + span - 1] &= (1 << 56) - 1
+        out[:, at + span - 1] |= separator << 56
+        keep[:, at + span - 1] |= 1 << 56
+        at += span
+    return memoryview(out.view(np.uint8)[keep.view(bool)])
 
 
 def _write_rows(tables, lo, hi) -> None:
@@ -669,28 +885,29 @@ def _write_rows(tables, lo, hi) -> None:
     several tables share is formatted once for all of them."""
     for start in range(lo, hi, CHUNK_ROWS):
         end = min(start + CHUNK_ROWS, hi)
-        texts = {}
+        done = {}
         for fh, columns in tables:
             cells = []
             for c in columns:
-                if id(c) not in texts:
+                if id(c) not in done:
                     part = c[start:end]
-                    texts[id(c)] = float_text(part) if c.dtype.kind == "f" else part.tolist()
-                cells.append(texts[id(c)])
-            fh.write(rows_text(cells))
+                    done[id(c)] = float_cells(part) if c.dtype.kind == "f" else text_cells(part)
+                cells.append(done[id(c)])
+            fh.write(str(rows_bytes(cells), "utf-8"))
 
 
 def write_columns(fh, columns, more=()) -> None:
     """Write equal-length 1-D arrays to ``fh`` as comma-separated rows.
 
-    Float columns are written by :func:`float_text`; any other column must
-    hold its cells' text already. ``more`` holds further ``(fh, columns)``
+    A float column is written as the ``repr`` text of its values
+    (:func:`float_cells`); any other column must hold ``str`` cells, written
+    as UTF-8 (:func:`text_cells`). ``more`` holds further ``(fh, columns)``
     tables with the same number of rows; a column object that several
     tables list is formatted once per chunk for all of them. Rows are
-    formatted :data:`CHUNK_ROWS` at a time, each chunk as one string from
-    :func:`rows_text`.
+    formatted :data:`CHUNK_ROWS` at a time, each chunk laid out by
+    :func:`rows_bytes` and written as one string.
 
-    From ``2 * CHUNK_ROWS`` rows up, where :func:`softpu.workers.worker_usable`,
+    From :data:`SPLIT_ROWS` rows up, where :func:`softpu.workers.worker_usable`,
     the rows split in two at a chunk boundary: a forked child formats the
     second half of every table into an anonymous temporary file while this
     process formats and writes the first, and then appends the child's
@@ -699,7 +916,7 @@ def write_columns(fh, columns, more=()) -> None:
     """
     tables = [(fh, columns)] + list(more)
     rows = len(columns[0])
-    if rows < 2 * CHUNK_ROWS or not workers.worker_usable():
+    if rows < SPLIT_ROWS or not workers.worker_usable():
         _write_rows(tables, 0, rows)
         return
     split = CHUNK_ROWS * (-(-rows // CHUNK_ROWS) // 2)
@@ -749,9 +966,11 @@ def _check_writable(names) -> None:
 def save_csv(dataset: SoftDataset, path) -> None:
     """Export to the ingestion schema plus a leading ``#`` provenance line.
 
-    Floats are written with ``repr`` (see :func:`float_text`); the rows go
-    out through :func:`write_columns`, so a long dataset may have its second
-    half formatted in a forked child, with the same bytes. Column names
+    Floats are written as their ``repr`` text, byte for byte, by the
+    vectorized shortest round-trip kernel (:func:`float_cells`), and the
+    true labels as ``0`` and ``1``. The rows go out through
+    :func:`write_columns`, so a long dataset may have its second half
+    formatted in a forked child, with the same bytes. Column names
     that would not read back (a comma, quote or line break, surrounding
     whitespace, a repeated name, or a leading ``#`` on the first) are
     refused before the file is opened.

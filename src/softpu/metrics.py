@@ -361,9 +361,11 @@ def map_auc(coeffs: MixtureCoefficients, real_auc: float) -> float:
 
 
 def curve_to_csv(curve: RocCurve, path, more=()) -> None:
-    """Write a curve as CSV with columns threshold, x, y (repr floats).
+    """Write a curve as CSV with columns threshold, x, y.
 
-    ``more`` holds further ``(curve, path)`` pairs that share ``curve``'s
+    Each float is written as its ``repr`` text, byte for byte, by the
+    vectorized shortest round-trip formatter
+    (:func:`~softpu.dataset.float_cells`). ``more`` holds further ``(curve, path)`` pairs that share ``curve``'s
     thresholds, such as the substitute and real curves of one score vector.
     All files are written in one pass by
     :func:`~softpu.dataset.write_columns`, which formats each chunk of the

@@ -280,6 +280,10 @@ class _Exact(NamedTuple):
     scale: int
 
 
+# The largest unit 1 / scale of which no nonzero count is a subnormal double
+_NORMAL_SCALE = 2**1022
+
+
 def _exact(column) -> _Exact:
     """``column`` at its own unit: ``scale`` is the largest denominator of
     its doubles, each a power of two."""
@@ -289,8 +293,21 @@ def _exact(column) -> _Exact:
 
 
 def _rounded(counts, scale: int) -> np.ndarray:
-    """The correctly rounded doubles of exact counts of the unit ``1 / scale``
-    (Python's integer division is correctly rounded)."""
+    """The correctly rounded doubles of exact counts of the unit ``1 / scale``,
+    a power of two.
+
+    Each count is rounded to a double once, and scaling that by ``1 / scale``
+    is exact while the result is normal, which every nonzero result is for
+    ``scale <= 2**1022``. A larger scale (a column with subnormal values),
+    or a count past the double range, takes Python's integer division,
+    which rounds correctly in software, whatever the FPU does with
+    subnormals.
+    """
+    if scale <= _NORMAL_SCALE:
+        try:
+            return np.ldexp(np.array(counts, dtype=np.float64), 1 - scale.bit_length())
+        except OverflowError:
+            pass
     return np.array([c / scale for c in counts], dtype=np.float64)
 
 

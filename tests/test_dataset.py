@@ -17,6 +17,7 @@ from softpu import dataset as dataset_module
 from softpu import workers as workers_module
 from softpu.dataset import (
     CHUNK_ROWS,
+    SPLIT_ROWS,
     AffineLink,
     CsvSchema,
     DiscreteEta,
@@ -56,16 +57,24 @@ def save_csv_ref(dataset, path):
 
 
 def write_columns_ref(fh, columns):
-    """The former chunk writer, one tuple and one string per row: the
-    reference for :func:`write_columns`' bytes."""
+    """The former chunk writer, ``repr`` per float and one tuple and one
+    string per row: the reference for :func:`write_columns`' bytes."""
     for lo in range(0, len(columns[0]), CHUNK_ROWS):
         cells = [
-            dataset_module.float_text(c[lo : lo + CHUNK_ROWS])
+            list(map(repr, c[lo : lo + CHUNK_ROWS].tolist()))
             if c.dtype.kind == "f"
             else c[lo : lo + CHUNK_ROWS].tolist()
             for c in columns
         ]
         fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def cell_texts(cells):
+    """The text of each cell of a ``(words, lengths)`` pair."""
+    words, length = cells
+    width = 8 * len(words)
+    data = np.stack(words, axis=1).astype("<u8").tobytes()
+    return [data[i * width : i * width + n].decode() for i, n in enumerate(length.tolist())]
 
 
 def load_rows(path, schema):
@@ -773,7 +782,7 @@ class TestSaveCsv:
             f"{float(a)!r},{t},{float(b)!r}\n" for a, t, b in zip(floats, text, floats[::-1])
         )
         assert path.read_text(encoding="utf-8") == want
-        assert dataset_module.float_text(floats) == [repr(float(v)) for v in floats]
+        assert cell_texts(dataset_module.float_cells(floats)) == [repr(float(v)) for v in floats]
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(
@@ -799,11 +808,46 @@ class TestSaveCsv:
         write_columns_ref(want, columns)
         assert got.getvalue() == want.getvalue()
 
-    def test_rows_text_joins_rows_with_separators(self):
-        cells = [["1.5", "-0.0"], ["a", "b"], ["inf", "nan"]]
-        assert dataset_module.rows_text(cells) == "1.5,a,inf\n-0.0,b,nan\n"
-        assert dataset_module.rows_text([["x"]]) == "x\n"
-        assert dataset_module.rows_text([[], []]) == ""
+    @pytest.mark.parametrize("shape", ["few distinct", "runs", "distinct"])
+    def test_float_cells_format_repeats_once(self, monkeypatch, shape):
+        rng = np.random.default_rng(3)
+        if shape == "few distinct":  # sorted out by bit pattern: -0.0 is not 0.0
+            values = rng.choice(np.array([0.0, -0.0, 0.25, 1 / 3, -2.5e300, np.nan, np.inf]), 5000)
+            formatted = len(np.unique(values.view(np.int64)))
+        elif shape == "runs":  # a rising curve's rates: each run formatted once
+            values = np.repeat(np.sort(rng.random(1500)), rng.integers(1, 5, 1500))
+            values[:40] = np.repeat([0.0, -0.0, 0.0, -0.0], 10)
+            formatted = 1 + np.count_nonzero(np.diff(values.view(np.int64)))
+        else:
+            values = rng.standard_normal(5000)
+            formatted = len(values)
+        sizes = []
+        words = dataset_module._float_words
+        monkeypatch.setattr(dataset_module, "_float_words", lambda v: sizes.append(len(v)) or words(v))
+        assert cell_texts(dataset_module.float_cells(values)) == list(map(repr, values.tolist()))
+        assert sizes == [formatted]
+
+    def test_rows_bytes_joins_rows_with_separators(self):
+        def text(*cells):
+            return dataset_module.text_cells(np.array(cells, dtype=object))
+
+        floats = dataset_module.float_cells(np.array([1.5, -0.0]))
+        specials = dataset_module.float_cells(np.array([np.inf, np.nan]))
+        rows = dataset_module.rows_bytes([floats, text("a", "b"), specials])
+        assert rows == b"1.5,a,inf\n-0.0,b,nan\n"
+        assert dataset_module.rows_bytes([text("x")]) == b"x\n"
+        assert dataset_module.rows_bytes([text(), text()]) == b""
+        # cells are kept by their lengths: NUL, empty and long cells survive
+        cells = [text("\x00", "", "é" * 9), text("a\x00", "12345678", "\x00\x00")]
+        assert dataset_module.rows_bytes(cells) == (
+            "\x00,a\x00\n,12345678\n" + "é" * 9 + ",\x00\x00\n"
+        ).encode()
+
+    @pytest.mark.parametrize("kind", ["object", "unicode"])
+    def test_text_cells_are_utf8_by_length(self, kind):
+        items = ["", "a", "ü", "x\x00y", "a" * 17, "\u20ac" * 3]
+        cells = dataset_module.text_cells(np.array(items, dtype=object if kind == "object" else str))
+        assert cell_texts(cells) == items
 
     def test_finite_round_trip_across_chunks(self, tmp_path):
         rows = CHUNK_ROWS + 1
@@ -852,11 +896,11 @@ class TestSaveCsv:
 
 
 class TestForkedWriter:
-    """From ``2 * CHUNK_ROWS`` rows up, a forked child formats the second
+    """From ``SPLIT_ROWS`` rows up, a forked child formats the second
     half of the rows; the files get the bytes of the serial write."""
 
     # 3 * CHUNK_ROWS + 1001 is odd and above three chunks
-    ROWS = [2 * CHUNK_ROWS - 1, 2 * CHUNK_ROWS, 2 * CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 1001]
+    ROWS = [SPLIT_ROWS - 1, SPLIT_ROWS, SPLIT_ROWS + 1, 3 * CHUNK_ROWS + 1001]
     FINITE = [-0.0, 0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, -1e-320]
     SPECIAL = FINITE + [np.nan, np.inf, -np.inf]
 
@@ -898,7 +942,7 @@ class TestForkedWriter:
             provenance="test",
         )
         forks = self.both_ways(monkeypatch, lambda tag: save_csv(ds, tmp_path / f"{tag}.csv"))
-        assert forks == {True: int(rows >= 2 * CHUNK_ROWS), False: 0}
+        assert forks == {True: int(rows >= SPLIT_ROWS), False: 0}
         assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
     @pytest.mark.parametrize("rows", ROWS)
@@ -920,7 +964,7 @@ class TestForkedWriter:
                          more=((real, tmp_path / f"{tag}_real.csv"),))
 
         forks = self.both_ways(monkeypatch, write)
-        assert forks == {True: int(rows >= 2 * CHUNK_ROWS), False: 0}
+        assert forks == {True: int(rows >= SPLIT_ROWS), False: 0}
         for name in ("spu", "real"):
             forked = (tmp_path / f"forked_{name}.csv").read_bytes()
             assert forked == (tmp_path / f"serial_{name}.csv").read_bytes()
@@ -932,8 +976,8 @@ class TestForkedWriter:
         rows = 2 * CHUNK_ROWS + 1
         shared, a, b = (np.arange(rows, dtype=np.float64) + k for k in range(3))
         calls = []
-        float_text = dataset_module.float_text
-        monkeypatch.setattr(dataset_module, "float_text", lambda v: calls.append(1) or float_text(v))
+        float_cells = dataset_module.float_cells
+        monkeypatch.setattr(dataset_module, "float_cells", lambda v: calls.append(1) or float_cells(v))
         monkeypatch.setattr(workers_module, "worker_usable", lambda: False)
         got = [io.StringIO(), io.StringIO()]
         dataset_module.write_columns(got[0], [shared, a], more=((got[1], [shared, b]),))
@@ -958,17 +1002,17 @@ class TestForkedWriter:
 
     def test_child_without_result_is_named(self, tmp_path, monkeypatch):
         parent = os.getpid()
-        float_text = dataset_module.float_text
+        float_cells = dataset_module.float_cells
 
         def child_dies(values):
             if os.getpid() != parent:
                 os._exit(3)
-            return float_text(values)
+            return float_cells(values)
 
-        monkeypatch.setattr(dataset_module, "float_text", child_dies)
+        monkeypatch.setattr(dataset_module, "float_cells", child_dies)
         monkeypatch.setattr(workers_module, "worker_usable", lambda: True)
         with pytest.raises(RuntimeError, match=r"sent no result: wait status 768"):
-            dataset_module.write_columns(io.StringIO(), [np.zeros(2 * CHUNK_ROWS)])
+            dataset_module.write_columns(io.StringIO(), [np.zeros(SPLIT_ROWS)])
 
     def test_no_fork_without_the_worker(self, tmp_path, monkeypatch):
         def no_fork():
@@ -976,7 +1020,7 @@ class TestForkedWriter:
 
         monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.setattr(workers_module, "worker_usable", lambda: False)
-        rows = 2 * CHUNK_ROWS + 1
+        rows = SPLIT_ROWS + 1
         ds = SoftDataset(features=np.ones((rows, 1)), soft_labels=np.zeros(rows))
         save_csv(ds, tmp_path / "d.csv")
         curve = RocCurve(np.linspace(1, -1, rows), np.linspace(0, 1, rows),

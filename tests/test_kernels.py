@@ -7,10 +7,12 @@ tolerances rather than bit equality; kernel determinism is bit-exact and
 covered by the training tests.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from softpu import kernels, labeling
+from softpu import dataset, kernels, labeling
 from softpu.kernels import LOSS_CLIP
 
 
@@ -424,3 +426,110 @@ class TestAgainstScalarReference:
         f_np, t_np = kernels.enumerate_confusions(pos, neg)
         np.testing.assert_allclose(f_ref, f_np, atol=1e-14)
         np.testing.assert_allclose(t_ref, t_np, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# shortest round-trip digits (Ryū)
+# ---------------------------------------------------------------------------
+
+
+def repr_digits(values):
+    """``(digits, exponent)`` of ``repr`` of each float, digits without
+    trailing zeros: the reference for :func:`kernels.shortest_digits`;
+    ``(0, 0)`` for zeros, infs and nans."""
+    out = []
+    for v in values.tolist():
+        if v == 0 or not math.isfinite(v):
+            out.append((0, 0))
+            continue
+        mantissa, _, exp = repr(abs(v)).partition("e")
+        whole, _, frac = mantissa.partition(".")
+        frac = frac.rstrip("0")
+        digits, exponent = int(whole + frac), int(exp or 0) - len(frac)
+        while digits % 10 == 0:
+            digits, exponent = digits // 10, exponent + 1
+        out.append((digits, exponent))
+    return out
+
+
+def _around(values):
+    """Each value and its neighbours on both sides, both signs."""
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore"):  # the largest finite value's neighbour is inf
+        near = [values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)]
+    both = np.concatenate(near)
+    return np.concatenate([both, -both])
+
+
+_TWO_EXPONENTS = np.arange(-1074, 1024)
+SHORTEST_SETS = {
+    "powers of two": np.ldexp(1.0, _TWO_EXPONENTS),
+    # every binade's ends, the least subnormal, the largest subnormal, the
+    # least normal and the largest finite value among them
+    "subnormal and normal boundaries": _around(
+        np.concatenate([np.ldexp(1.0, _TWO_EXPONENTS),
+                        [5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                         1.7976931348623157e308]])
+    ),
+    "powers of ten": _around([float(f"1e{k}") for k in range(-323, 309)]),
+    "integers near 2**53": np.concatenate(
+        [np.arange(2**53 - 3000, 2**53 + 3000, dtype=np.int64).astype(np.float64),
+         _around([2.0**54, 2.0**63, 2.0**64, 1e17, 1e22, 1e23])]
+    ),
+    # where repr changes form (1e16, 1e-4, 1e-5) or the digit count
+    "decimal boundaries": _around(
+        [1e16, 9999999999999998.0, 1e-4, 1e-5, 1e15, 0.1, 0.2, 0.3, 0.5, 1.0, 9.5,
+         123456789012345678.0, 0.1 + 0.2, 1 / 3, 2 / 3, 4.35, 5e-5, 9.999999999999999e-5]
+        + [k / 8.0 for k in range(1, 200)] + [k / 1e5 for k in range(1, 200)]
+    ),
+    "nan, inf and zeros": np.array(
+        [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0,
+         np.uint64(0x7FF8000000000001).view(np.float64)]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SHORTEST_SETS))
+def test_shortest_digits_are_repr_digits(name):
+    values = SHORTEST_SETS[name]
+    digits, exponent = kernels.shortest_digits(values)
+    assert digits.dtype == exponent.dtype == np.int64
+    assert list(zip(digits.tolist(), exponent.tolist())) == repr_digits(values)
+
+
+def test_shortest_digits_random_bit_patterns():
+    rng = np.random.default_rng(20180618)
+    values = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+    digits, exponent = kernels.shortest_digits(values)
+    assert list(zip(digits.tolist(), exponent.tolist())) == repr_digits(values)
+
+
+def test_shortest_digits_strided_input_and_empty():
+    values = np.linspace(-3.0, 7.0, 101)
+    digits, exponent = kernels.shortest_digits(values[::3])
+    assert list(zip(digits.tolist(), exponent.tolist())) == repr_digits(values[::3])
+    digits, exponent = kernels.shortest_digits(np.empty(0))
+    assert digits.shape == exponent.shape == (0,)
+
+
+def _text(values):
+    """The text the CSV writer gives ``values``, one per line."""
+    cells = dataset.float_cells(values)
+    return str(dataset.rows_bytes([cells]), "ascii")
+
+
+def _repr_text(values):
+    return "".join(f"{v!r}\n" for v in values.tolist())
+
+
+@pytest.mark.parametrize("name", list(SHORTEST_SETS))
+def test_float_text_is_repr_text(name):
+    values = SHORTEST_SETS[name]
+    assert _text(values) == _repr_text(values)
+
+
+def test_float_text_of_a_million_random_bit_patterns_is_repr_text():
+    rng = np.random.default_rng(2018)
+    for _ in range(16):
+        values = rng.integers(0, 2**64, 65536, dtype=np.uint64).view(np.float64)
+        assert _text(values) == _repr_text(values)

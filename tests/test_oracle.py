@@ -1009,3 +1009,53 @@ class TestLinearTimeChecks:
                 assert m < 40 or want
             for width in (1e-3, 0.05, 0.3):
                 assert slice_density_bound(prob, width) == slice_density_bound_ref(prob, width)
+
+
+class TestRounded:
+    """``_rounded`` gives the bits of one correctly rounded integer division
+    per count, as the division it replaced did."""
+
+    @staticmethod
+    def division(counts, scale):
+        return np.array([c / scale for c in counts], dtype=np.float64)
+
+    def test_tie_heavy_problem_rounds_as_division(self, monkeypatch):
+        # eta and eta_s on steps of 0.05: large tie groups, whose every
+        # subset is a frontier member with three rounded columns
+        rng = np.random.default_rng(100)
+        masses = rng.random(100)
+        prob = DiscreteProblem(
+            masses / masses.sum(), np.round(rng.random(100) * 20) / 20, np.round(rng.random(100) * 20) / 20
+        )
+        rounded, seen = oracle_module._rounded, []
+
+        def both(counts, scale):
+            got = rounded(counts, scale)
+            assert got.tobytes() == self.division(counts, scale).tobytes()
+            seen.append(len(got))
+            return got
+
+        monkeypatch.setattr(oracle_module, "_rounded", both)
+        for kind in ("spu", "real"):
+            frontier(prob, kind).members(prob.masses, prob.eta, prob.eta_s)
+        verify_noisy_gap(prob, 0.05, 1.0, 4.0)
+        assert sum(seen) > 1000
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            [5e-324, 1e-310, 2.2250738585072014e-308, 0.5],  # subnormal sums, counts past 2**1024
+            [5e-324, 3 * 5e-324, 2.225073858507201e-308],  # subnormal and least-normal sums
+            [1e-300, 2.0**-1000, 3.0, 2.0**-1021],  # counts of about 1100 bits
+            [0.1, 0.2, 0.3, 1 / 3, 2.0**-60],  # rounding at 53 bits
+        ],
+    )
+    def test_subnormal_and_wide_counts_round_as_division(self, column):
+        exact = oracle_module._exact(np.array(column))
+        sums = [0]
+        for c in exact.counts * 3:
+            sums.append(sums[-1] + c)
+        negative = [-c for c in sums]
+        for counts in (exact.counts, sums, negative):
+            got = oracle_module._rounded(counts, exact.scale)
+            assert got.tobytes() == self.division(counts, exact.scale).tobytes()
