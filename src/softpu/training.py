@@ -250,6 +250,20 @@ class TrainingDiverged(RuntimeError):
         return type(self), (self.trace, self.epoch)
 
 
+class _Shuffles:
+    """The (epochs, n) shuffle orders of a run as the epoch kernels take
+    them: each epoch's ``rng.permutation(n)`` is drawn when the epoch
+    starts, so one order exists at a time."""
+
+    def __init__(self, rng, epochs, n):
+        self.rng = rng
+        self.shape = (epochs, n)
+
+    def __iter__(self):
+        for _ in range(self.shape[0]):
+            yield self.rng.permutation(self.shape[1])
+
+
 def train(
     data: SoftDataset,
     arch: str,
@@ -260,34 +274,27 @@ def train(
 
     Deterministic given the seed: one generator drives the initial
     parameters (hidden layer only) and then the per-epoch shuffles, in that
-    order. Each epoch's permutation is drawn when the epoch starts, so the
-    orders take O(n) memory. Returns the final-epoch model with the
-    per-epoch mean batch loss attached as ``loss_trace``; raises
-    :class:`TrainingDiverged` at the first epoch that leaves a non-finite
-    loss or non-finite parameters.
+    order. One epoch-kernel call runs every epoch; each epoch's permutation
+    is drawn when the epoch starts, so the orders take O(n) memory. Returns
+    the final-epoch model with the per-epoch mean batch loss attached as
+    ``loss_trace``; raises :class:`TrainingDiverged` at the first epoch
+    that leaves a non-finite loss or non-finite parameters, where the
+    kernel stops.
     """
     if arch == ARCH_LINEAR:
         hidden_width = 0
     rng = np.random.default_rng(cfg.seed)
     X = np.ascontiguousarray(data.features)
     s = np.ascontiguousarray(data.soft_labels)
-    n = X.shape[0]
     params = initial_params(arch, data.feature_dim, hidden_width, rng)
-    trace = np.empty(cfg.epochs)
-    for e in range(cfg.epochs):
-        order = rng.permutation(n)[None]
-        if arch == ARCH_LINEAR:
-            trace[e] = kernels.linear_epochs(
-                params, X, s, order, cfg.batch_size, cfg.learning_rate, cfg.l2
-            )[0]
-        else:
-            trace[e] = kernels.mlp_epochs(
-                params, X, s, order, cfg.batch_size, cfg.learning_rate, cfg.l2,
-                hidden_width,
-            )[0]
-        if not (np.isfinite(trace[e]) and np.all(np.isfinite(params))):
-            done = trace[: e + 1]
-            raise TrainingDiverged(done[np.isfinite(done)], e + 1)
+    args = (params, X, s, _Shuffles(rng, cfg.epochs, X.shape[0]), cfg.batch_size,
+            cfg.learning_rate, cfg.l2)
+    if arch == ARCH_LINEAR:
+        trace = kernels.linear_epochs(*args)
+    else:
+        trace = kernels.mlp_epochs(*args, hidden_width)
+    if not (np.isfinite(trace[-1]) and np.all(np.isfinite(params))):
+        raise TrainingDiverged(trace[np.isfinite(trace)], trace.size)
     return ScoringModel(
         arch=arch,
         feature_dim=data.feature_dim,

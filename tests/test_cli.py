@@ -328,6 +328,23 @@ class TestExperiment:
         assert run(cfg, "experiment", tmp_path / "o") == 1
         assert "error: training diverged in epoch 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("arch", ["linear-logistic", "mlp-1hidden"])
+    def test_batch_larger_than_the_training_rows(self, tmp_path, arch):
+        # a batch_size past the 280 training rows once sized buffers of
+        # batch_size rows and ended in a MemoryError; it is one batch of 280
+        reports = []
+        for batch_size in (10**12, 280):
+            cfg = write_config(tmp_path, "exp.json", {
+                "seed": 6,
+                "dataset": {"kind": "pu-benchmark", "n": 400, "pi": 0.4},
+                "model": {"arch": arch, "epochs": 3, "batch_size": batch_size},
+            })
+            out = tmp_path / str(batch_size)
+            assert run(cfg, "experiment", out) == 0
+            reports.append(json.loads((out / "report.json").read_text()))
+        assert reports[0]["split_sizes"]["train"] == 280
+        assert reports[0]["arms"] == reports[1]["arms"]
+
     # the benchmark experiment shrunk to n=4000 and 10 epochs, with a
     # learning rate that drives every score to the clip
     SATURATING = {

@@ -332,6 +332,31 @@ class TestAgainstScalarReference:
                 kernels.mlp_epochs(params, X, s, order, 8, 0.3, 0.0, 4)
         assert np.array_equal(params, before)
 
+    @pytest.mark.parametrize("arch", ["linear", "mlp"])
+    def test_lazy_order_outside_the_rows_is_named(self, arch):
+        # a lazy order's rows are checked as each epoch starts
+        rng = np.random.default_rng(7)
+        X, s = rng.standard_normal((30, 2)), rng.random(30)
+        rows = shuffle_orders(rng, 3, 30)
+        rows[1, 17] = 30
+        drawn = []
+
+        class LazyOrder:
+            shape = rows.shape
+
+            def __iter__(self):
+                for row in rows:
+                    drawn.append(row)
+                    yield row
+
+        params = np.zeros(2 + 1 if arch == "linear" else 2 * 4 + 2 * 4 + 1)
+        with pytest.raises(IndexError, match=r"order holds row index 30, outside \[0, 30\)"):
+            if arch == "linear":
+                kernels.linear_epochs(params, X, s, LazyOrder(), 8, 0.3, 0.0)
+            else:
+                kernels.mlp_epochs(params, X, s, LazyOrder(), 8, 0.3, 0.0, 4)
+        assert len(drawn) == 2
+
     def _eg_agree(self, weights_of):
         rng = np.random.default_rng(2)
         B = rng.random((200, 31)) + 1e-6

@@ -151,9 +151,10 @@ def binary_feature_dataset(n, seed, means=(0.2, 0.7)):
 
 def train_all_orders_first(data, arch, cfg, hidden_width=5):
     """Reference trainer: the same generator draws every epoch's
-    permutation up front into one (epochs, n) matrix, and a single kernel
-    call runs all epochs without stopping early. Returns (params, full loss
-    trace)."""
+    permutation up front into one (epochs, n) matrix, which a single kernel
+    call takes in place of the lazy orders of :func:`train`. Returns
+    (params, loss trace); like every kernel run, it stops after the first
+    epoch that leaves a non-finite loss or non-finite parameters."""
     h = 0 if arch == ARCH_LINEAR else hidden_width
     rng = np.random.default_rng(cfg.seed)
     n = len(data)
@@ -168,6 +169,18 @@ def train_all_orders_first(data, arch, cfg, hidden_width=5):
     else:
         trace = kernels.mlp_epochs(*args, h)
     return params, trace
+
+
+def peak_bytes(fn, *args, **kwargs):
+    """Peak bytes traced by tracemalloc while ``fn`` runs, above the start."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 class TestTrain:
@@ -189,15 +202,45 @@ class TestTrain:
         rng = np.random.default_rng(33)
         ds = SoftDataset(features=rng.standard_normal((n, 2)), soft_labels=rng.random(n))
         cfg = TrainConfig(learning_rate=0.1, epochs=50, batch_size=4096, seed=0)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            train(ds, ARCH_LINEAR, cfg)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak < 10 * n * 8
+        assert peak_bytes(train, ds, ARCH_LINEAR, cfg) < 10 * n * 8
+
+    def test_mlp_orders_take_linear_memory(self):
+        # the MLP keeps 2d + 5 n-vectors (the features with the ones column,
+        # as given and as gathered, targets, outputs, one order) and batch
+        # buffers of 3 * batch_size * hidden floats, a quarter of one here
+        n = 200_000
+        rng = np.random.default_rng(33)
+        ds = SoftDataset(features=rng.standard_normal((n, 2)), soft_labels=rng.random(n))
+        cfg = TrainConfig(learning_rate=0.1, epochs=50, batch_size=1024, seed=0)
+        assert peak_bytes(train, ds, ARCH_MLP, cfg, hidden_width=16) < 10 * n * 8
+
+    def test_one_kernel_call_per_arm(self, monkeypatch):
+        calls = []
+        for name in ("linear_epochs", "mlp_epochs"):
+            kernel = getattr(kernels, name)
+            monkeypatch.setattr(kernels, name,
+                                lambda *args, kernel=kernel: calls.append(args) or kernel(*args))
+        ds = binary_feature_dataset(300, seed=35)
+        cfg = TrainConfig(learning_rate=0.5, epochs=6, batch_size=32, seed=1)
+        for arch in (ARCH_LINEAR, ARCH_MLP):
+            calls.clear()
+            model = train(ds, arch, cfg, hidden_width=5)
+            assert len(calls) == 1, arch
+            order = calls[0][3]
+            # the lazy orders have the (epochs, n) shape of drawn-up-front ones
+            assert order.shape == (cfg.epochs, len(ds)), arch
+            assert len(model.loss_trace) == cfg.epochs, arch
+
+    @pytest.mark.parametrize("arch", [ARCH_LINEAR, ARCH_MLP])
+    def test_batch_larger_than_rows_trains_as_one_batch(self, arch):
+        # the batch buffers hold min(batch_size, n) rows, not batch_size
+        ds = binary_feature_dataset(300, seed=36)
+        one = TrainConfig(learning_rate=0.5, epochs=4, batch_size=len(ds), seed=2, l2=0.01)
+        huge = replace(one, batch_size=10**12)
+        a = train(ds, arch, one, hidden_width=5)
+        b = train(ds, arch, huge, hidden_width=5)
+        assert a.params.tobytes() == b.params.tobytes()
+        assert a.loss_trace == b.loss_trace
 
     def test_converges_to_conditional_means(self):
         ds = binary_feature_dataset(50_000, seed=23)
@@ -248,6 +291,24 @@ class TestTrain:
         assert err.value.trace == tuple(prefix.tolist())
         # the weights overflow in the last epoch whose loss is still finite
         assert err.value.epoch == prefix.size
+
+    def test_mlp_divergence_aborts_with_trace(self):
+        # lr * l2 > 2 blows up both weight layers; tanh saturates, so the
+        # loss stays finite until the weights overflow
+        ds = binary_feature_dataset(500, seed=27)
+        bad = TrainConfig(learning_rate=10.0, epochs=20, batch_size=64, seed=0, l2=100.0)
+        with pytest.raises(TrainingDiverged) as err:
+            train(ds, ARCH_MLP, bad, hidden_width=5)
+        _, stopped = train_all_orders_first(ds, ARCH_MLP, bad)
+        prefix = stopped[np.isfinite(stopped)]
+        assert 0 < prefix.size < bad.epochs
+        assert err.value.trace == tuple(prefix.tolist())
+        assert err.value.epoch == stopped.size
+        # every epoch before the reported one trains to finite parameters
+        # with the same losses
+        before = train(ds, ARCH_MLP, replace(bad, epochs=err.value.epoch - 1), hidden_width=5)
+        assert np.all(np.isfinite(before.params))
+        assert before.loss_trace == err.value.trace[: err.value.epoch - 1]
 
     @pytest.mark.parametrize(
         "field, value, message",
