@@ -230,6 +230,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 1
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -197,20 +197,23 @@ class TableFormat:
 
     ``locate`` maps the header's fields (None without a header) to the
     positions of the columns read. ``parse_row`` maps those cells of a row
-    (None where it is too short) and the row number to values. Both raise
-    the file type's named errors; ``empty`` is the one for a file without
-    data rows. ``exact_width``: every row has the header's width.
-    ``comments``: lines starting with ``#`` are skipped. ``check``: whether
-    a column-pass table holds only values ``parse_row`` accepts.
+    (None where it is too short) and the row number to values; it parses
+    and checks no value. Both raise the file type's named errors; ``empty``
+    is the one for a file without data rows. ``validate`` raises the named
+    error of the first data row (row ``i + 1`` of a table row ``i``) that
+    holds a value the file type refuses: each value rule is written there
+    once, for both passes. ``strict``: every data row has the header's
+    width and lines starting with ``#`` are comments, as in the datasets
+    :func:`save_csv` writes; else a row may hold any number of fields and a
+    ``#`` line is a data row.
     """
 
     locate: Callable[[list[str] | None], list[int]]
     parse_row: Callable[[list[str | None], int], list]
     dtype: type
     empty: str
-    exact_width: bool = False
-    comments: bool = False
-    check: Callable[[np.ndarray], bool] = lambda table: True
+    validate: Callable[[np.ndarray], None]
+    strict: bool = False
 
 
 # The bytes the column pass reads: tab, line ends, printable ASCII other
@@ -242,13 +245,15 @@ def read_table(path, fmt: TableFormat) -> np.ndarray:
     row, as a (rows, columns) array of ``fmt.dtype``.
 
     A leading byte-order mark and empty lines are skipped, before the
-    header too. The file is read by :func:`_column_pass`, or if that
-    declines by :func:`_read_rows`, which names the first bad row (the
-    header is row 0) and column. A long regular file is checked and parsed
-    in two halves, the second in a forked child, with the same result. A
-    pipe is read into memory first. A missing file, a directory and a file
-    that is not UTF-8 text (with its first bad byte and offset) are named
-    errors.
+    header too. The file is parsed by :func:`_column_pass`, or if that
+    declines by :func:`_read_rows`, which names the first row (the header
+    is row 0) and column that does not parse. A long regular file is
+    checked and parsed in two halves, the second in a forked child, with
+    the same result. A pipe is read into memory first. A missing file, a
+    directory and a file that is not UTF-8 text (with its first bad byte
+    and offset) are named errors. ``fmt.validate`` then checks the values
+    of the parsed table once, whichever pass parsed it; so a row that does
+    not parse is named before an earlier row holding a refused value.
     """
     path = Path(path)
     try:
@@ -263,21 +268,22 @@ def read_table(path, fmt: TableFormat) -> np.ndarray:
         fh = raw if raw.seekable() else io.BytesIO(raw.read())
         by_path = path if regular and path.suffix not in _UNPACKED_SUFFIXES else None
         table = _column_pass(fh, fmt, by_path)
-        if table is not None:
-            return table
-        fh.seek(0)
-        text = io.TextIOWrapper(fh, encoding="utf-8-sig", newline="")
-        try:
-            return _read_rows(text, fmt)
-        except UnicodeDecodeError as exc:
-            # exc.object holds the bytes last fed to the decoder, which end
-            # where fh stands
-            offset = fh.tell() - len(exc.object) + exc.start
-            raise ValueError(
-                f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} at offset {offset}"
-            ) from None
-        finally:
-            text.detach()
+        if table is None:
+            fh.seek(0)
+            text = io.TextIOWrapper(fh, encoding="utf-8-sig", newline="")
+            try:
+                table = _read_rows(text, fmt)
+            except UnicodeDecodeError as exc:
+                # exc.object holds the bytes last fed to the decoder, which
+                # end where fh stands
+                offset = fh.tell() - len(exc.object) + exc.start
+                raise ValueError(
+                    f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} at offset {offset}"
+                ) from None
+            finally:
+                text.detach()
+    fmt.validate(table)
+    return table
 
 
 @dataclass(frozen=True)
@@ -293,10 +299,11 @@ class _Header:
 
 
 def _column_pass(fh, fmt: TableFormat, path=None) -> np.ndarray | None:
-    """The table of :func:`read_table` from ``np.loadtxt`` over the binary
-    file ``fh``, open at its start, or None if :func:`_header`,
-    :func:`_lines`, ``loadtxt`` or ``fmt.check`` refuses it, or it holds no
-    data line. Given the ``path`` of the regular file ``fh`` is open on,
+    """The parsed table of :func:`read_table` from ``np.loadtxt`` over the
+    binary file ``fh``, open at its start, or None if :func:`_header`,
+    :func:`_lines` or ``loadtxt`` refuses it, or it holds no data line. Its
+    values are not checked here: :func:`read_table` has ``fmt.validate``
+    check them. Given the ``path`` of the regular file ``fh`` is open on,
     :func:`_by_path` checks the lines in the open file and has ``loadtxt``
     read the path, with numpy's chunked C reader, about a third faster;
     that result counts only if the path still names the scanned file,
@@ -326,7 +333,7 @@ def _column_pass(fh, fmt: TableFormat, path=None) -> np.ndarray | None:
             table = _load(text, fmt, head.usecols, head.skiprows)
         finally:
             text.detach()
-    return table if table is not None and fmt.check(table) else None
+    return table
 
 
 def _by_path(fd, fmt: TableFormat, head: _Header, path, size) -> tuple:
@@ -410,7 +417,7 @@ def _load(source, fmt: TableFormat, usecols, skiprows, max_rows=None) -> np.ndar
 
 def _header(fh, fmt: TableFormat) -> _Header | None:
     """The header of the binary file ``fh``, open after any byte-order
-    mark: its first line that is not empty or, with ``fmt.comments``, a
+    mark: its first line that is not empty or, with ``fmt.strict``, a
     comment. None unless that line is no longer than the csv field size
     limit, every byte of it is vouched (:data:`_VOUCHED_BYTES`), and it
     satisfies ``fmt.locate``.
@@ -423,7 +430,7 @@ def _header(fh, fmt: TableFormat) -> _Header | None:
         if end and (eof or end.end() < len(buf) or end.group() != b"\r"):
             line, pos = buf[pos : end.start()], end.end()
             skiprows += 1
-            if line and not (fmt.comments and line.startswith(b"#")):
+            if line and not (fmt.strict and line.startswith(b"#")):
                 break
         elif eof or len(buf) - pos > limit:
             return None
@@ -446,8 +453,8 @@ def _lines(chunks, fmt: TableFormat, head: _Header) -> int | None:
     line breaks a rule of the column pass.
 
     The rules: every byte is vouched (:data:`_VOUCHED_BYTES`), no line is
-    longer than the csv field size limit, and none is a comment; with
-    ``fmt.exact_width`` each data line has the header's width; and a byte
+    longer than the csv field size limit; with ``fmt.strict`` none is a
+    comment and each data line has the header's width; and a byte
     from 0x80 up lies only in a column not read. The whole run after the
     header and each half of a split one are checked here; the caller
     requires a data line in the whole file.
@@ -462,10 +469,10 @@ def _lines(chunks, fmt: TableFormat, head: _Header) -> int | None:
         # does not matter
         piece = piece.replace(b"\r", b"\n")
         # a "#" is rare, and finding one is much faster than finding "\n#"
-        if fmt.comments and b"#" in piece and (piece[:1] == b"#" or b"\n#" in piece):
+        if fmt.strict and b"#" in piece and (piece[:1] == b"#" or b"\n#" in piece):
             return None
         arr = np.frombuffer(piece, np.uint8)
-        if fmt.exact_width or not piece.isascii():
+        if fmt.strict or not piece.isascii():
             # the line ends are among the line ends and commas, so the commas
             # between two of them give a line's field count
             marks = np.flatnonzero((arr == ord("\n")) | (arr == ord(",")))
@@ -479,7 +486,7 @@ def _lines(chunks, fmt: TableFormat, head: _Header) -> int | None:
         if lengths.max() > limit:
             return None
         filled = lengths[: len(ends) + (not chunk)] > 0
-        if fmt.exact_width:
+        if fmt.strict:
             fields = np.diff(at_ends, prepend=-1, append=len(marks))[: len(filled)]
             if np.any(filled & (fields != head.width)):
                 return None
@@ -527,9 +534,9 @@ def _count_lines(fd, lo, hi) -> int:
 
 
 def _read_rows(text, fmt: TableFormat) -> np.ndarray:
-    """The table of :func:`read_table` from a :mod:`csv` row loop over the
-    open ``text``, quoted cells included."""
-    lines = (line for line in text if line[0] != "#") if fmt.comments else text
+    """The parsed table of :func:`read_table` from a :mod:`csv` row loop
+    over the open ``text``, quoted cells included."""
+    lines = (line for line in text if line[0] != "#") if fmt.strict else text
     reader = csv.reader(lines)
     row = -1  # the row being read is row + 1
     values = []
@@ -541,7 +548,7 @@ def _read_rows(text, fmt: TableFormat) -> np.ndarray:
             if not cells:
                 continue
             row += 1
-            if fmt.exact_width and len(cells) != len(header):
+            if fmt.strict and len(cells) != len(header):
                 raise ValueError(f"row {row}: expected {len(header)} fields, got {len(cells)}")
             wanted = [cells[j] if j < len(cells) else None for j in usecols]
             values.append(fmt.parse_row(wanted, row))
@@ -568,39 +575,26 @@ def _dataset_format(schema: CsvSchema) -> TableFormat:
         return usecols
 
     def parse_row(cells, row):
-        values = []
-        for cell, name in zip(cells, schema.features):
-            values.append(parse_cell(cell, row, name))
-            if not math.isfinite(values[-1]):
-                raise ValueError(f"row {row}, column '{name}': non-finite value {values[-1]}")
-        s = parse_cell(cells[n_features], row, schema.soft_label)
-        if not 0.0 <= s <= 1.0:
-            raise ValueError(f"row {row}: soft label {s} outside [0, 1]")
-        values.append(s)
+        return [parse_cell(cell, row, name) for cell, name in zip(cells, names)]
+
+    def validate(table):
+        # a refused value per cell, the cells of a row in the order named
+        bad = ~np.isfinite(table)
+        soft = table[:, n_features]
+        bad[:, n_features] = ~((soft >= 0.0) & (soft <= 1.0))
         if schema.true_label is not None:
-            y = parse_cell(cells[-1], row, schema.true_label)
-            if y not in (0.0, 1.0):
-                raise ValueError(f"row {row}: true label {y} must be exactly 0 or 1")
-            values.append(y)
-        return values
+            bad[:, -1] = (table[:, -1] != 0.0) & (table[:, -1] != 1.0)
+        if not bad.any():
+            return
+        i, j = np.argwhere(bad)[0]
+        row, value = i + 1, float(table[i, j])
+        if j < n_features:
+            raise ValueError(f"row {row}, column '{names[j]}': non-finite value {value}")
+        if j == n_features:
+            raise ValueError(f"row {row}: soft label {value} outside [0, 1]")
+        raise ValueError(f"row {row}: true label {value} must be exactly 0 or 1")
 
-    def check(table):
-        soft, truth = table[:, n_features], table[:, -1]
-        return (
-            np.isfinite(table[:, :n_features]).all()
-            and ((soft >= 0.0) & (soft <= 1.0)).all()
-            and (schema.true_label is None or ((truth == 0.0) | (truth == 1.0)).all())
-        )
-
-    return TableFormat(
-        locate,
-        parse_row,
-        np.float64,
-        "empty dataset",
-        exact_width=True,
-        comments=True,
-        check=check,
-    )
+    return TableFormat(locate, parse_row, np.float64, "empty dataset", validate, strict=True)
 
 
 def load_csv(path, schema: CsvSchema) -> SoftDataset:
@@ -634,14 +628,6 @@ def load_csv(path, schema: CsvSchema) -> SoftDataset:
 # 93-104 ms serial) and 16384-row chunks no faster (74-80 ms split).
 CHUNK_ROWS = 8192
 SPLIT_ROWS = 2 * CHUNK_ROWS
-
-# Characters per piece when a forked writer's half is appended. A text
-# piece is held about four times over (bytes read, decoded text, encoded
-# bytes), so 1 MiB pieces would add about 4 MiB to this process's peak.
-COPY_CHARS = 1 << 16
-
-# Text of a true label, indexed by the label (always exactly 0 or 1)
-_LABEL_TEXT = np.array(["0", "1"])
 
 # A float's text is at most 24 bytes, three words: "-1.2345678901234567e-308"
 _FLOAT_WORDS = 3
@@ -818,45 +804,10 @@ def float_cells(values) -> tuple:
     return [w[inverse] for w in words], length[inverse]
 
 
-def text_cells(values) -> tuple:
-    """The UTF-8 text of each ``str`` of a 1-D object or unicode array, as
-    cells: a list of uint64 arrays, one little-endian word of the text per
-    value each (zeros after it), and the int64 byte lengths. A non-str cell
-    raises ``TypeError``."""
-    if values.dtype.kind == "U":
-        # numpy's str type holds UCS-4 codes and drops trailing NULs
-        codes = values.view(np.uint32).reshape(len(values), -1)
-        if codes.max(initial=0) < 0x80:
-            nonzero = codes != 0
-            length = codes.shape[1] - np.argmax(nonzero[:, ::-1], axis=1)
-            return _words(codes, np.where(nonzero.any(axis=1), length, 0))
-        values = values.astype(object)
-    items = values.tolist()
-    text = "".join(items)
-    data = text.encode("utf-8")
-    if len(data) == len(text):
-        length = np.fromiter(map(len, items), np.int64, len(items))
-    else:
-        length = np.fromiter((len(s.encode("utf-8")) for s in items), np.int64, len(items))
-    width = int(length.max(initial=0))
-    start = np.cumsum(length) - length
-    padded = np.frombuffer(data + bytes(width), dtype=np.uint8)
-    return _words(padded[start[:, None] + np.arange(width)], length)
-
-
-def _words(cells, length) -> tuple:
-    """A ``(rows, width)`` matrix of bytes as a list of little-endian uint64
-    word arrays (zero-padded to whole words), and ``length``."""
-    padded = np.zeros((len(cells), -(-cells.shape[1] // 8) * 8), dtype=np.uint8)
-    padded[:, : cells.shape[1]] = cells
-    matrix = padded.view("<u8")
-    return [matrix[:, k] for k in range(matrix.shape[1])], length
-
-
 def rows_bytes(cells) -> memoryview:
-    """Comma-separated rows, each ending in ``\n``, as UTF-8 bytes, from one
+    """Comma-separated rows, each ending in ``\n``, as bytes, from one
     ``(words, lengths)`` pair of equal row counts per column, as
-    :func:`float_cells` and :func:`text_cells` give them.
+    :func:`_write_rows` builds them.
 
     Each column takes whole words of a row, enough for its longest text
     and one more byte, in which the separator goes. The row's bytes are
@@ -882,7 +833,9 @@ def rows_bytes(cells) -> memoryview:
 def _write_rows(tables, lo, hi) -> None:
     """Write rows ``lo`` to ``hi`` of each ``(fh, columns)`` table,
     :data:`CHUNK_ROWS` at a time. In each chunk, a column object that
-    several tables share is formatted once for all of them."""
+    several tables share is formatted once for all of them: a float column
+    by :func:`float_cells`, a 0/1 integer column as one word, ``0`` or
+    ``1``, a cell."""
     for start in range(lo, hi, CHUNK_ROWS):
         end = min(start + CHUNK_ROWS, hi)
         done = {}
@@ -891,28 +844,31 @@ def _write_rows(tables, lo, hi) -> None:
             for c in columns:
                 if id(c) not in done:
                     part = c[start:end]
-                    done[id(c)] = float_cells(part) if c.dtype.kind == "f" else text_cells(part)
+                    done[id(c)] = (
+                        float_cells(part) if c.dtype.kind == "f"
+                        else ([part.astype(np.uint64) | ord("0")], np.ones(len(part), np.int64))
+                    )
                 cells.append(done[id(c)])
-            fh.write(str(rows_bytes(cells), "utf-8"))
+            fh.write(rows_bytes(cells))
 
 
 def write_columns(fh, columns, more=()) -> None:
-    """Write equal-length 1-D arrays to ``fh`` as comma-separated rows.
+    """Write equal-length 1-D arrays to the binary file ``fh`` as
+    comma-separated rows.
 
     A float column is written as the ``repr`` text of its values
-    (:func:`float_cells`); any other column must hold ``str`` cells, written
-    as UTF-8 (:func:`text_cells`). ``more`` holds further ``(fh, columns)``
-    tables with the same number of rows; a column object that several
-    tables list is formatted once per chunk for all of them. Rows are
-    formatted :data:`CHUNK_ROWS` at a time, each chunk laid out by
-    :func:`rows_bytes` and written as one string.
+    (:func:`float_cells`); any other column holds integer labels, each
+    exactly 0 or 1, written as ``0`` and ``1``. ``more`` holds further
+    ``(fh, columns)`` tables with the same number of rows; a column object
+    that several tables list is formatted once per chunk for all of them.
+    Rows are formatted :data:`CHUNK_ROWS` at a time, each chunk laid out by
+    :func:`rows_bytes` and written as it is, with no text decoded.
 
     From :data:`SPLIT_ROWS` rows up, where :func:`softpu.workers.worker_usable`,
     the rows split in two at a chunk boundary: a forked child formats the
-    second half of every table into an anonymous temporary file while this
-    process formats and writes the first, and then appends the child's
-    text, :data:`COPY_CHARS` at a time. Every file gets the bytes of the
-    serial write.
+    second half of every table into an anonymous binary temporary file
+    while this process formats and writes the first, and then appends the
+    child's bytes. Every file gets the bytes of the serial write.
     """
     tables = [(fh, columns)] + list(more)
     rows = len(columns[0])
@@ -921,12 +877,7 @@ def write_columns(fh, columns, more=()) -> None:
         return
     split = CHUNK_ROWS * (-(-rows // CHUNK_ROWS) // 2)
     with contextlib.ExitStack() as stack:
-        spools = [
-            stack.enter_context(
-                tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
-            )
-            for _ in tables
-        ]
+        spools = [stack.enter_context(tempfile.TemporaryFile()) for _ in tables]
 
         def second_half():
             _write_rows([(s, c) for s, (_, c) in zip(spools, tables)], split, rows)
@@ -937,7 +888,7 @@ def write_columns(fh, columns, more=()) -> None:
             pass
         for (out, _), spool in zip(tables, spools):
             spool.seek(0)
-            shutil.copyfileobj(spool, out, COPY_CHARS)
+            shutil.copyfileobj(spool, out)
 
 
 def _check_writable(names) -> None:
@@ -966,25 +917,25 @@ def _check_writable(names) -> None:
 def save_csv(dataset: SoftDataset, path) -> None:
     """Export to the ingestion schema plus a leading ``#`` provenance line.
 
-    Floats are written as their ``repr`` text, byte for byte, by the
+    The file is written as bytes, UTF-8 for the provenance and header
+    lines. Floats are written as their ``repr`` text, byte for byte, by the
     vectorized shortest round-trip kernel (:func:`float_cells`), and the
-    true labels as ``0`` and ``1``. The rows go out through
-    :func:`write_columns`, so a long dataset may have its second half
-    formatted in a forked child, with the same bytes. Column names
-    that would not read back (a comma, quote or line break, surrounding
-    whitespace, a repeated name, or a leading ``#`` on the first) are
-    refused before the file is opened.
+    true labels, from their 0/1 integers, as ``0`` and ``1``. The rows go
+    out through :func:`write_columns`, so a long dataset may have its
+    second half formatted in a forked child, with the same bytes. Column
+    names that would not read back (a comma, quote or line break,
+    surrounding whitespace, a repeated name, or a leading ``#`` on the
+    first) are refused before the file is opened.
     """
     path = Path(path)
     names = list(dataset.feature_names) + ["soft_label"]
     columns = list(dataset.features.T) + [dataset.soft_labels]
     if dataset.true_labels is not None:
         names.append("true_label")
-        columns.append(_LABEL_TEXT[dataset.true_labels])
+        columns.append(dataset.true_labels)
     _check_writable(names)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# provenance: {dataset.provenance}\n")
-        fh.write(",".join(names) + "\n")
+    with path.open("wb") as fh:
+        fh.write(f"# provenance: {dataset.provenance}\n{','.join(names)}\n".encode())
         write_columns(fh, columns)
 
 

@@ -78,8 +78,14 @@ class CheckRecord:
         _check_pair(self.n, self.k)
 
 
+def _refused_pairs(n, k):
+    """Where the day counts ``n`` and pass counts ``k`` (numbers or arrays)
+    break 0 <= k <= n."""
+    return (n < 0) | (k < 0) | (k > n)
+
+
 def _check_pair(n: int, k: int, where: str = "") -> None:
-    if n < 0 or k < 0 or k > n:
+    if _refused_pairs(n, k):
         raise ValueError(f"{where}need 0 <= k <= n, got n={n}, k={k}")
     if n > MAX_CHECK_DAYS:
         raise ValueError(f"{where}n must be at most {MAX_CHECK_DAYS}, got n={n}")
@@ -259,7 +265,7 @@ def _as_counts(n, k):
     if not (np.can_cast(n.dtype, np.int64) and np.can_cast(k.dtype, np.int64)):
         raise ValueError(f"n and k must be integer arrays, got {n.dtype} and {k.dtype}")
     n, k = n.astype(np.int64, copy=False), k.astype(np.int64, copy=False)
-    bad = (k < 0) | (k > n)
+    bad = _refused_pairs(n, k)
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"need 0 <= k <= n, got n={n[i]}, k={k[i]} at index {i}")
@@ -525,17 +531,22 @@ def _parse_counts(cells, row) -> tuple[int, int]:
         n, k = int(cells[0]), int(cells[1])
     except (TypeError, ValueError):
         raise ValueError(f"row {row}: n and k must be integers") from None
-    _check_pair(n, k, f"row {row}: ")
+    if max(abs(n), abs(k)) > MAX_CHECK_DAYS:
+        # a count an int64 table cannot hold, which _check_pair refuses
+        _check_pair(n, k, f"row {row}: ")
     return n, k
+
+
+def _validate_counts(table) -> None:
+    bad = _refused_pairs(table[:, 0], table[:, 1])
+    if bad.any():
+        i = int(np.argmax(bad))
+        _check_pair(*table[i].tolist(), f"row {i + 1}: ")
 
 
 # A records CSV, as check_counts_from_csv reads it
 _RECORDS = TableFormat(
-    _locate_counts,
-    _parse_counts,
-    np.int64,
-    "empty records file",
-    check=lambda table: not (np.any(table[:, 1] < 0) or np.any(table[:, 1] > table[:, 0])),
+    _locate_counts, _parse_counts, np.int64, "empty records file", _validate_counts
 )
 
 

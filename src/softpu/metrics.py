@@ -14,15 +14,11 @@ independent given Y.
 
 from contextlib import ExitStack
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import SoftDataset, TableFormat, check_finite, field_dict, named_columns, parse_cell
-from .dataset import read_table, write_columns
-
-_CURVE_COLUMNS = ("threshold", "x", "y")
+from .dataset import SoftDataset, check_finite, field_dict, write_columns
 
 _TIE_KIND = "stable"
 
@@ -356,24 +352,26 @@ def map_auc(coeffs: MixtureCoefficients, real_auc: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# export / import
+# export
 # ---------------------------------------------------------------------------
 
 
 def curve_to_csv(curve: RocCurve, path, more=()) -> None:
     """Write a curve as CSV with columns threshold, x, y.
 
-    Each float is written as its ``repr`` text, byte for byte, by the
-    vectorized shortest round-trip formatter
-    (:func:`~softpu.dataset.float_cells`). ``more`` holds further ``(curve, path)`` pairs that share ``curve``'s
-    thresholds, such as the substitute and real curves of one score vector.
-    All files are written in one pass by
-    :func:`~softpu.dataset.write_columns`, which formats each chunk of the
-    shared threshold column once for all of them and, for long curves, may
-    format the second half of the rows in a forked child; every file gets
-    the bytes a call for its curve alone would write. A curve whose
-    thresholds differ from ``curve``'s, bit for bit, is refused before any
-    file is opened.
+    Each file is written as bytes, and each float as its ``repr`` text,
+    byte for byte, by the vectorized shortest round-trip formatter
+    (:func:`~softpu.dataset.float_cells`). ``more`` holds further
+    ``(curve, path)`` pairs that share ``curve``'s thresholds, such as the
+    substitute and real curves of one score vector. All files are written
+    in one pass by :func:`~softpu.dataset.write_columns`, which formats
+    each chunk of the shared threshold column once for all of them and, for
+    long curves, may format the second half of the rows in a forked child;
+    every file gets the bytes a call for its curve alone would write. A
+    curve whose thresholds differ from ``curve``'s, bit for bit, is refused
+    before any file is opened. softpu reads no curve back: a curve file
+    reads as an array of rows with ``np.loadtxt(path, delimiter=",",
+    skiprows=1)``.
     """
     pairs = [(curve, Path(path))] + [(c, Path(p)) for c, p in more]
     bits = curve.thresholds.view(np.int64)
@@ -382,36 +380,13 @@ def curve_to_csv(curve: RocCurve, path, more=()) -> None:
             raise ValueError(
                 f"curve for {other_path}: thresholds differ from those for {path}"
             )
-    header = ",".join(_CURVE_COLUMNS) + "\n"
     with ExitStack() as stack:
         tables = []
         for c, p in pairs:
-            fh = stack.enter_context(p.open("w", encoding="utf-8", newline="\n"))
-            fh.write(header)
+            fh = stack.enter_context(p.open("wb"))
+            fh.write(b"threshold,x,y\n")
             tables.append((fh, [curve.thresholds, c.xs, c.ys]))
         write_columns(*tables[0], more=tables[1:])
-
-
-# A curve file, as curve_from_csv reads it
-_CURVE_FILE = TableFormat(
-    partial(named_columns, names=_CURVE_COLUMNS, empty="empty curve file"),
-    lambda cells, row: [parse_cell(cell, row, c) for cell, c in zip(cells, _CURVE_COLUMNS)],
-    np.float64,
-    "empty curve file",
-    exact_width=True,
-)
-
-
-def curve_from_csv(path, kind: str) -> RocCurve:
-    """Read a curve written by :func:`curve_to_csv`.
-
-    Read by :func:`~softpu.dataset.read_table`. Header names are stripped
-    of surrounding whitespace, a repeated column is read at its first
-    position, every data row must hold as many fields as the header, and a
-    line starting with ``#`` is a data row.
-    """
-    t, xs, ys = read_table(path, _CURVE_FILE).T
-    return RocCurve(t, xs, ys, kind=kind)
 
 
 def bound_report(data, scores) -> dict:

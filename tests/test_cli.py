@@ -36,8 +36,10 @@ from softpu.labeling import (
     prior_from_json,
     records_from_csv,
 )
-from softpu.metrics import auc, curve_from_csv
+from softpu.metrics import RocCurve, auc
 from softpu.training import TrainingDiverged
+
+from test_file_inputs import POOL
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -555,10 +557,11 @@ class TestEvalAndBound:
         out = tmp_path / "out"
         assert run(cfg, "eval", out) == 0
         record = json.loads((out / "eval.json").read_text())
-        curve = curve_from_csv(out / "curve_spu.csv", kind="spu")
-        assert abs(auc(curve) - record["spu.auc"]) <= 1e-12
-        real_curve = curve_from_csv(out / "curve_real.csv", kind="real")
-        assert abs(auc(real_curve) - record["real.auc"]) <= 1e-12
+        # a curve file reads back as the README says
+        for kind in ("spu", "real"):
+            rows = np.loadtxt(out / f"curve_{kind}.csv", delimiter=",", skiprows=1)
+            curve = RocCurve(*rows.T, kind=kind)
+            assert abs(auc(curve) - record[f"{kind}.auc"]) <= 1e-12
         grid = record["threshold_grid"]
         assert [row["threshold"] for row in grid] == [0.1, 0.5, 0.9]
         assert all(0 <= row["tpr_spu"] <= 1 for row in grid)
@@ -1505,14 +1508,15 @@ RENAME = object()
 def mutations(node, path=()):
     """(path, value) edits of a config: each key dropped (value DROP) and
     renamed with a trailing "_" (value RENAME), and each value below the
-    root, leaf or not, set to "a", NaN, 5, [1] and 1e308."""
+    root, leaf or not, set to each value of the file-key ``POOL`` and to
+    NaN, which the pool, made for files JSON writes, lacks."""
     items = node.items() if isinstance(node, dict) else enumerate(node)
     for key, value in items:
         here = path + (key,)
         if isinstance(node, dict):
             yield here, DROP
             yield here, RENAME
-        for edit in ("a", float("nan"), 5, [1], 1e308):
+        for edit in [*POOL, float("nan")]:
             yield here, edit
         if isinstance(value, (dict, list)):
             yield from mutations(value, here)
@@ -1561,6 +1565,48 @@ def test_config_sweep_exits_0_or_names_the_error(tmp_path, capsys, monkeypatch, 
             if (code, err) != (1, want):
                 escaped.append((*edit, code, err))
     assert escaped == []
+
+
+# Run a command in a process that may map at most 2 GiB, so an allocation
+# sized by a config fails at once, with no memory taken, even on a host that
+# overcommits.
+UNDER_AN_ADDRESS_LIMIT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from softpu.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "name, path",
+    [
+        ("gscar", ("dataset", "n")),
+        ("experiment", ("dataset", "n")),  # pu-benchmark
+        ("mela", ("dataset", "n")),
+        ("experiment", ("model", "epochs")),
+        ("experiment", ("model", "hidden_width")),
+        ("fit-prior", ("grid_size",)),
+    ],
+    ids=["gscar.n", "pu-benchmark.n", "mela.n", "epochs", "hidden_width", "grid_size"],
+)
+def test_size_past_memory_is_a_named_error(tmp_path, name, path):
+    command, config = SWEEP_INPUTS[name]
+    cfg = write_config(tmp_path, "huge.json", mutated(config, path, 10**12))
+    src = str(Path(softpu.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", UNDER_AN_ADDRESS_LIMIT, command,
+         "--config", str(cfg), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        cwd=FIXTURES.parent,  # configs use repo-relative paths
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])), "OPENBLAS_NUM_THREADS": "1"},
+        timeout=120,
+    )
+    assert out.returncode == 1, out.stderr
+    assert out.stderr.startswith("error: out of memory: Unable to allocate ")
+    assert out.stderr.count("\n") == 1, out.stderr
 
 
 NAN = float("nan")

@@ -1,8 +1,9 @@
 """Byte mutations of each CSV file softpu reads, tried through its reader.
 
 A dataset goes through ``eval``, a records file through ``fit-prior`` and a
-curve through ``curve_from_csv``. Each mutated file is read with the file
-below and above the size from which ``read_table`` splits its work with a
+curve that ``curve_to_csv`` wrote through the test reader
+``reference.read_curve``. Each mutated file is read with the file below
+and above the size from which ``read_table`` splits its work with a
 forked child (``dataset.SPLIT_BYTES``, lowered here so small files cross
 it). Every case must run, or exit 1 with one ``error:`` line (a curve: raise
 one named ``ValueError``), with no traceback and no warning, and both reads
@@ -21,7 +22,9 @@ from softpu import dataset as dataset_module
 from softpu import workers as workers_module
 from softpu.cli import main
 from softpu.dataset import GscarConfig, gen_gscar, save_csv
-from softpu.metrics import RocCurve, curve_from_csv, curve_to_csv
+from softpu.metrics import RocCurve, curve_to_csv
+
+from reference import read_curve
 
 
 def _middle(raw: bytes) -> int:
@@ -93,7 +96,7 @@ def _records_case(tmp_path):
 
 
 def _curve_case(tmp_path):
-    """A curve file and a reader that reads it with ``curve_from_csv``,
+    """A curve file and a reader that reads it with ``read_curve``,
     returning 0 or printing a ``ValueError`` the way the CLI does."""
     t = np.linspace(1.0, -1.0, 300)
     t[0], t[-1] = np.inf, -np.inf
@@ -102,7 +105,7 @@ def _curve_case(tmp_path):
 
     def run(path):
         try:
-            curve_from_csv(path, kind="spu")
+            read_curve(path)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -7,6 +7,10 @@ They pin decisions about where code lives:
   ``json.loads`` are called only in ``dataset.py``;
 - every CSV file is read by ``dataset.read_table``: one ``np.loadtxt`` call
   (its column pass) and one ``csv.reader`` call (its row loop);
+- every file softpu opens, it opens in binary mode, so each CSV file it
+  writes gets the bytes of ``dataset.rows_bytes``, whose one caller is
+  ``dataset._write_rows``; text goes to a file only through
+  ``Path.write_text`` in ``dataset.save_json``, which writes every JSON file;
 - every forked worker is started by ``workers``: one ``os.fork`` call;
 - every JSON object (a config, a model, problem or prior file) is checked
   by the walker in ``dataset.py``, the one module that refuses an unknown
@@ -61,6 +65,64 @@ def test_no_module_imports_json_readers_by_name():
 )
 def test_one_call_site(call, module):
     assert _sites(call) == {module: 1}
+
+
+def _calls_by_function() -> list:
+    """(module file, innermost enclosing function, call) for every call in
+    the package, the function None at module level."""
+    found = []
+
+    def visit(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                found.append((module, function, child))
+            visit(child, module, function)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
+    return found
+
+
+def _called_name(call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _mode(call):
+    """The mode a file-opening call names: a constant argument or keyword,
+    ``TemporaryFile``'s default, or None for a mode that is not a constant."""
+    name = _called_name(call)
+    # open(file, mode) and os.fdopen(fd, mode) take it second, the others first
+    place = 1 if name == "fdopen" or isinstance(call.func, ast.Name) else 0
+    given = [k.value for k in call.keywords if k.arg == "mode"]
+    given += call.args[place : place + 1]
+    if not given:
+        return "w+b" if name == "TemporaryFile" else "r"
+    return given[0].value if isinstance(given[0], ast.Constant) else None
+
+
+def test_every_file_is_opened_in_binary_mode():
+    opened = [
+        (module, function, _mode(call))
+        for module, function, call in _calls_by_function()
+        if _called_name(call) in {"open", "fdopen", "TemporaryFile", "NamedTemporaryFile"}
+    ]
+    assert ("dataset.py", "save_csv", "wb") in opened
+    assert ("metrics.py", "curve_to_csv", "wb") in opened
+    assert [site for site in opened if site[2] is None or "b" not in site[2]] == []
+
+
+def test_rows_bytes_has_one_caller_and_json_is_the_only_text_written():
+    calls = _calls_by_function()
+    assert [(m, f) for m, f, c in calls if _called_name(c) == "rows_bytes"] == [
+        ("dataset.py", "_write_rows")
+    ]
+    assert [(m, f) for m, f, c in calls if _called_name(c) in {"write_text", "write_bytes"}] == [
+        ("dataset.py", "save_json")
+    ]
 
 
 def test_unknown_keys_are_refused_in_one_module():
