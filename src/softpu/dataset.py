@@ -23,6 +23,7 @@ import io
 import itertools
 import json
 import math
+import numbers
 import operator
 import os
 import re
@@ -49,15 +50,41 @@ BENCHMARK_FEATURES = ("x1", "x2", "x3", "x4")
 GSCAR_MAX_PI = 15.0 / 28.0
 
 
+def check_rows(features=None, soft=None, truth=None, names=()) -> None:
+    """Refuse the first row (row N at index N - 1) with a value no sample
+    may hold, naming its first bad cell in the order features (2-D, columns
+    named by ``names`` or ``x0``, ``x1``, ...), soft label, true label: a
+    non-finite feature, a soft label outside [0, 1] or nan, a true label not
+    exactly 0 or 1. The one place each of these rules is worded."""
+    parts = []
+    if features is not None:
+        parts.append(~np.isfinite(features))
+    if soft is not None:
+        parts.append(~((soft >= 0.0) & (soft <= 1.0)).reshape(-1, 1))
+    if truth is not None:
+        parts.append(((truth != 0) & (truth != 1)).reshape(-1, 1))
+    if not any(part.any() for part in parts):
+        return
+    i, j = np.argwhere(np.hstack(parts))[0]
+    n_features = 0 if features is None else features.shape[1]
+    if j < n_features:
+        name = names[j] if names else f"x{j}"
+        raise ValueError(f"row {i + 1}, column '{name}': non-finite value {float(features[i, j])}")
+    if soft is not None and j == n_features:
+        raise ValueError(f"row {i + 1}: soft label {float(soft.flat[i])} outside [0, 1]")
+    value = truth.flat[i]
+    shown = float(value) if isinstance(value, numbers.Real) else repr(value)
+    raise ValueError(f"row {i + 1}: true label {shown} must be exactly 0 or 1")
+
+
 @dataclass(frozen=True)
 class SoftDataset:
     """Columnar collection of soft-labeled samples.
 
     ``true_labels`` is either ``None`` (no ground truth available) or a full
     0/1 vector; ``cond_mean`` records the exact conditional mean of the soft
-    label given the features when a generator knows it. Features must be
-    finite: the error names the first bad row (0-based sample index) and
-    column.
+    label given the features when a generator knows it. Every value is
+    checked by :func:`check_rows`, which names the first bad row and cell.
     """
 
     features: np.ndarray
@@ -76,26 +103,18 @@ class SoftDataset:
         soft = np.asarray(self.soft_labels, dtype=np.float64)
         if soft.shape != (feats.shape[0],):
             raise ValueError("soft_labels length must match sample count")
-        if np.any(soft < 0.0) or np.any(soft > 1.0) or not np.all(np.isfinite(soft)):
-            raise ValueError("soft labels must lie in [0, 1]")
         names = tuple(self.feature_names) or tuple(
             f"x{j}" for j in range(feats.shape[1])
         )
         if len(names) != feats.shape[1]:
             raise ValueError("feature_names must match feature count")
-        if not np.isfinite(feats).all():
-            row, column = np.argwhere(~np.isfinite(feats))[0]
-            raise ValueError(
-                f"features must be finite: row {row}, column {names[column]!r} "
-                f"is {feats[row, column]}"
-            )
         truth = self.true_labels
         if truth is not None:
             truth = np.asarray(truth)
             if truth.shape != (feats.shape[0],):
                 raise ValueError("true_labels length must match sample count")
-            if not np.all(np.isin(truth, (0, 1))):
-                raise ValueError("true labels must be exactly 0 or 1")
+        check_rows(feats, soft, truth, names)
+        if truth is not None:
             truth = truth.astype(np.int8)
         cm = self.cond_mean
         if cm is not None:
@@ -179,15 +198,18 @@ def parse_cell(raw, row, column):
 
 
 def named_columns(header, names, empty) -> list[int]:
-    """A :attr:`TableFormat.locate` for a header that names ``names``: their
-    positions among the fields stripped of whitespace, the first of a name
-    that repeats. ``empty`` is the error for a file without a header."""
+    """A :attr:`TableFormat.locate` for a header that names each of
+    ``names`` once: their positions among the fields stripped of
+    whitespace. ``empty`` is the error for a file without a header."""
     if header is None:
         raise ValueError(empty)
     header = [h.strip() for h in header]
     missing = [name for name in names if name not in header]
     if missing:
         raise ValueError(f"missing column(s): {missing}")
+    duplicate = [name for name in dict.fromkeys(names) if header.count(name) > 1]
+    if duplicate:
+        raise ValueError(f"duplicate column(s): {duplicate}")
     return [header.index(name) for name in names]
 
 
@@ -199,11 +221,12 @@ class TableFormat:
     positions of the columns read. ``parse_row`` maps those cells of a row
     (None where it is too short) and the row number to values; it parses
     and checks no value. Both raise the file type's named errors; ``empty``
-    is the one for a file without data rows. ``validate`` raises the named
-    error of the first data row (row ``i + 1`` of a table row ``i``) that
-    holds a value the file type refuses: each value rule is written there
-    once, for both passes. ``strict``: every data row has the header's
-    width and lines starting with ``#`` are comments, as in the datasets
+    is the one for a file without data rows. No value that parses is
+    checked by the format: the type built from the table is the gate (a
+    :class:`SoftDataset` by :func:`check_rows`, check counts by
+    ``labeling._as_counts``), naming row ``i + 1`` for a table row ``i``.
+    ``strict``: every data row has the header's width and lines starting
+    with ``#`` are comments, as in the datasets
     :func:`save_csv` writes; else a row may hold any number of fields and a
     ``#`` line is a data row.
     """
@@ -212,7 +235,6 @@ class TableFormat:
     parse_row: Callable[[list[str | None], int], list]
     dtype: type
     empty: str
-    validate: Callable[[np.ndarray], None]
     strict: bool = False
 
 
@@ -251,9 +273,9 @@ def read_table(path, fmt: TableFormat) -> np.ndarray:
     checked and parsed in two halves, the second in a forked child, with
     the same result. A pipe is read into memory first. A missing file, a
     directory and a file that is not UTF-8 text (with its first bad byte
-    and offset) are named errors. ``fmt.validate`` then checks the values
-    of the parsed table once, whichever pass parsed it; so a row that does
-    not parse is named before an earlier row holding a refused value.
+    and offset) are named errors. No value that parses is checked here:
+    the caller's type checks the returned table, so a row that does not
+    parse is named before an earlier row holding a refused value.
     """
     path = Path(path)
     try:
@@ -282,7 +304,6 @@ def read_table(path, fmt: TableFormat) -> np.ndarray:
                 ) from None
             finally:
                 text.detach()
-    fmt.validate(table)
     return table
 
 
@@ -302,13 +323,12 @@ def _column_pass(fh, fmt: TableFormat, path=None) -> np.ndarray | None:
     """The parsed table of :func:`read_table` from ``np.loadtxt`` over the
     binary file ``fh``, open at its start, or None if :func:`_header`,
     :func:`_lines` or ``loadtxt`` refuses it, or it holds no data line. Its
-    values are not checked here: :func:`read_table` has ``fmt.validate``
-    check them. Given the ``path`` of the regular file ``fh`` is open on,
-    :func:`_by_path` checks the lines in the open file and has ``loadtxt``
-    read the path, with numpy's chunked C reader, about a third faster;
-    that result counts only if the path still names the scanned file,
-    unchanged (device, inode, size, mtime). Else ``loadtxt`` reads the
-    open file.
+    values are not checked here. Given the ``path`` of the regular file
+    ``fh`` is open on, :func:`_by_path` checks the lines in the open file
+    and has ``loadtxt`` read the path, with numpy's chunked C reader, about
+    a third faster; that result counts only if the path still names the
+    scanned file, unchanged (device, inode, size, mtime). Else ``loadtxt``
+    reads the open file.
     """
     scanned = None if path is None else os.fstat(fh.fileno())
     if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
@@ -564,54 +584,30 @@ def _dataset_format(schema: CsvSchema) -> TableFormat:
     names = list(schema.features) + [schema.soft_label]
     if schema.true_label is not None:
         names.append(schema.true_label)
-    n_features = len(schema.features)
-
-    def locate(header):
-        usecols = named_columns(header, names, "empty dataset")
-        header = [h.strip() for h in header]
-        duplicate = [name for name in dict.fromkeys(names) if header.count(name) > 1]
-        if duplicate:
-            raise ValueError(f"duplicate column(s): {duplicate}")
-        return usecols
+    locate = partial(named_columns, names=names, empty="empty dataset")
 
     def parse_row(cells, row):
         return [parse_cell(cell, row, name) for cell, name in zip(cells, names)]
 
-    def validate(table):
-        # a refused value per cell, the cells of a row in the order named
-        bad = ~np.isfinite(table)
-        soft = table[:, n_features]
-        bad[:, n_features] = ~((soft >= 0.0) & (soft <= 1.0))
-        if schema.true_label is not None:
-            bad[:, -1] = (table[:, -1] != 0.0) & (table[:, -1] != 1.0)
-        if not bad.any():
-            return
-        i, j = np.argwhere(bad)[0]
-        row, value = i + 1, float(table[i, j])
-        if j < n_features:
-            raise ValueError(f"row {row}, column '{names[j]}': non-finite value {value}")
-        if j == n_features:
-            raise ValueError(f"row {row}: soft label {value} outside [0, 1]")
-        raise ValueError(f"row {row}: true label {value} must be exactly 0 or 1")
-
-    return TableFormat(locate, parse_row, np.float64, "empty dataset", validate, strict=True)
+    return TableFormat(locate, parse_row, np.float64, "empty dataset", strict=True)
 
 
 def load_csv(path, schema: CsvSchema) -> SoftDataset:
     """Load a UTF-8, comma-separated, header-row CSV into a SoftDataset.
 
-    Read by :func:`read_table`. Lines starting with ``#`` are comments,
+    Parsed by :func:`read_table`. Lines starting with ``#`` are comments,
     header names are stripped of surrounding whitespace, and every data row
-    must hold as many fields as the header. Every soft label must parse to
-    a real in [0, 1] and every feature to a finite real; missing values are
-    an error, and so is a schema column that appears twice in the header.
+    must hold as many fields as the header. Missing values are an error, and
+    so is a schema column that appears twice in the header. The columns go
+    to :class:`SoftDataset` as parsed, true labels as floats (so 0.5 is
+    refused, not cast to 0), and its :func:`check_rows` is the value check.
     """
     table = read_table(path, _dataset_format(schema))
     n_features = len(schema.features)
     return SoftDataset(
         features=np.ascontiguousarray(table[:, :n_features]),
         soft_labels=table[:, n_features].copy(),
-        true_labels=None if schema.true_label is None else table[:, -1].astype(np.int8),
+        true_labels=None if schema.true_label is None else table[:, -1],
         feature_names=tuple(schema.features),
     )
 
@@ -909,9 +905,7 @@ def _check_writable(names) -> None:
             f"column name {names[0]!r} cannot be written first: "
             "the header would read as a comment"
         )
-    duplicate = [name for name in dict.fromkeys(names) if names.count(name) > 1]
-    if duplicate:
-        raise ValueError(f"duplicate column(s): {duplicate}")
+    named_columns(names, names, "no columns")  # each name read back once
 
 
 def save_csv(dataset: SoftDataset, path) -> None:

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .dataset import NUMBERS, REQUIRED, TableFormat, check, check_finite, load_json, read_table
-from .dataset import save_json
+from .dataset import NUMBERS, REQUIRED, TableFormat, check, check_finite, check_rows, load_json
+from .dataset import read_table, save_json
 
 GRID_MARGIN = 1e-4
 # the prior fit holds check counts in int64 arrays
@@ -254,7 +254,8 @@ def bayes_soft_labels(n, k, prior: DiscretePrior) -> np.ndarray:
 
 
 def _as_counts(n, k):
-    """Check counts as validated, non-empty, matching 1-D int64 arrays."""
+    """Check counts as validated, non-empty, matching 1-D int64 arrays; the
+    first pair breaking 0 <= k <= n is named as row N for index N - 1."""
     n, k = np.asarray(n), np.asarray(k)
     if n.ndim != 1 or n.shape != k.shape:
         raise ValueError(
@@ -268,7 +269,7 @@ def _as_counts(n, k):
     bad = _refused_pairs(n, k)
     if bad.any():
         i = int(np.argmax(bad))
-        raise ValueError(f"need 0 <= k <= n, got n={n[i]}, k={k[i]} at index {i}")
+        _check_pair(int(n[i]), int(k[i]), f"row {i + 1}: ")
     return n, k
 
 
@@ -501,6 +502,7 @@ def check_label_separation(soft_labels, true_labels, pi: float) -> LabelSeparati
     y = np.asarray(true_labels)
     if s.shape != y.shape:
         raise ValueError("soft_labels and true_labels must have matching shapes")
+    check_rows(soft=s, truth=y)
     pos = y == 1
     if not pos.any():
         raise ValueError("positive class (Y=1) is empty")
@@ -537,29 +539,21 @@ def _parse_counts(cells, row) -> tuple[int, int]:
     return n, k
 
 
-def _validate_counts(table) -> None:
-    bad = _refused_pairs(table[:, 0], table[:, 1])
-    if bad.any():
-        i = int(np.argmax(bad))
-        _check_pair(*table[i].tolist(), f"row {i + 1}: ")
-
-
 # A records CSV, as check_counts_from_csv reads it
-_RECORDS = TableFormat(
-    _locate_counts, _parse_counts, np.int64, "empty records file", _validate_counts
-)
+_RECORDS = TableFormat(_locate_counts, _parse_counts, np.int64, "empty records file")
 
 
 def check_counts_from_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Each user's (n, k) from a check-records CSV with columns user_id, n, k.
 
-    Returns two int64 arrays in row order, read by
-    :func:`~softpu.dataset.read_table`. Header names are not stripped, and
-    a repeated ``n`` or ``k`` is read at its last position. A row may hold
-    more or fewer fields than the header if it holds ``n`` and ``k``, and
-    a line starting with ``#`` is a data row.
+    Returns two int64 arrays in row order, parsed by
+    :func:`~softpu.dataset.read_table` and checked by :func:`_as_counts`,
+    which names the first row whose pair breaks 0 <= k <= n. Header names
+    are not stripped, and a repeated ``n`` or ``k`` is read at its last
+    position. A row may hold more or fewer fields than the header if it
+    holds ``n`` and ``k``, and a line starting with ``#`` is a data row.
     """
-    return tuple(read_table(path, _RECORDS).T.copy())
+    return _as_counts(*read_table(path, _RECORDS).T.copy())
 
 
 def records_from_csv(path) -> list[CheckRecord]:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import SoftDataset, check_finite, field_dict, write_columns
+from .dataset import SoftDataset, check_finite, check_rows, field_dict, write_columns
 
 _TIE_KIND = "stable"
 
@@ -29,9 +29,7 @@ def _soft_vector(data) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("expected a 1-D soft-label vector or a SoftDataset")
-    check_finite(arr, "soft labels")
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError("soft labels must lie in [0, 1]")
+    check_rows(soft=arr)
     return arr
 
 
@@ -39,14 +37,20 @@ def _true_vector(data) -> np.ndarray:
     if isinstance(data, SoftDataset):
         return data.require_true_labels().astype(np.float64)
     arr = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isin(arr, (0.0, 1.0))):
-        raise ValueError("true labels must be exactly 0 or 1")
+    check_rows(truth=arr)
     return arr
 
 
-def _check_lengths(a, b, what):
-    if len(a) != len(b):
-        raise ValueError(f"{what} length {len(b)} != sample count {len(a)}")
+def _checked(labels, values, what) -> np.ndarray:
+    """``values`` as float64, refused unless 1-D, finite and as long as
+    ``labels`` (an (n, 1) column would broadcast to a wrong rate)."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise ValueError(f"{what} must be a 1-D array, got shape {values.shape}")
+    if len(labels) != len(values):
+        raise ValueError(f"{what} length {len(values)} != sample count {len(labels)}")
+    check_finite(values, what)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -57,8 +61,7 @@ def _check_lengths(a, b, what):
 def tpr_spu(data, predictions) -> float:
     """Substitute TPR: soft-positive mass predicted positive over total."""
     s = _soft_vector(data)
-    yhat = np.asarray(predictions, dtype=np.float64)
-    _check_lengths(s, yhat, "predictions")
+    yhat = _checked(s, predictions, "predictions")
     denom = s.sum()
     if denom <= 0.0:
         raise ValueError("no positive soft mass: sum of soft labels is 0")
@@ -68,8 +71,7 @@ def tpr_spu(data, predictions) -> float:
 def fpr_spu(data, predictions) -> float:
     """Substitute FPR: soft-negative mass predicted positive over total."""
     s = _soft_vector(data)
-    yhat = np.asarray(predictions, dtype=np.float64)
-    _check_lengths(s, yhat, "predictions")
+    yhat = _checked(s, predictions, "predictions")
     neg = 1.0 - s
     denom = neg.sum()
     if denom <= 0.0:
@@ -80,8 +82,7 @@ def fpr_spu(data, predictions) -> float:
 def tpr(data, predictions) -> float:
     """Empirical P(Yhat=1 | Y=1)."""
     y = _true_vector(data)
-    yhat = np.asarray(predictions, dtype=np.float64)
-    _check_lengths(y, yhat, "predictions")
+    yhat = _checked(y, predictions, "predictions")
     n_pos = y.sum()
     if n_pos == 0:
         raise ValueError("positive class (Y=1) is empty")
@@ -91,8 +92,7 @@ def tpr(data, predictions) -> float:
 def fpr(data, predictions) -> float:
     """Empirical P(Yhat=1 | Y=0)."""
     y = _true_vector(data)
-    yhat = np.asarray(predictions, dtype=np.float64)
-    _check_lengths(y, yhat, "predictions")
+    yhat = _checked(y, predictions, "predictions")
     n_neg = (1.0 - y).sum()
     if n_neg == 0:
         raise ValueError("negative class (Y=0) is empty")
@@ -173,16 +173,9 @@ def _swept_curve(sweep, pos_weight, neg_weight, kind) -> RocCurve:
     return RocCurve(thresholds, xs, ys, kind=kind)
 
 
-def _checked_scores(labels, scores) -> np.ndarray:
-    scores = np.asarray(scores, dtype=np.float64)
-    _check_lengths(labels, scores, "scores")
-    check_finite(scores, "scores")
-    return scores
-
-
 def _spu_inputs(data, scores):
     s = _soft_vector(data)
-    scores = _checked_scores(s, scores)
+    scores = _checked(s, scores, "scores")
     if s.sum() <= 0.0:
         raise ValueError("no positive soft mass: sum of soft labels is 0")
     if (1.0 - s).sum() <= 0.0:
@@ -192,7 +185,7 @@ def _spu_inputs(data, scores):
 
 def _real_inputs(data, scores):
     y = _true_vector(data)
-    scores = _checked_scores(y, scores)
+    scores = _checked(y, scores, "scores")
     if y.sum() == 0:
         raise ValueError("positive class (Y=1) is empty")
     if (1 - y).sum() == 0:

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .dataset import NUMBERS, REQUIRED, SoftDataset, check, check_finite, field_dict, load_json
-from .dataset import save_json
+from .dataset import NUMBERS, REQUIRED, SoftDataset, check, check_finite, check_rows, field_dict
+from .dataset import load_json, save_json
 from .kernels import sigmoid
 
 ARCH_LINEAR = "linear-logistic"
@@ -138,7 +138,8 @@ def soft_ce_loss(scores, soft_labels) -> float:
     Scores must sit strictly inside (0, 1), where the loss is finite. The
     logistic output unit of :class:`ScoringModel` gives an exact 0 or 1
     once it saturates (a logit beyond about -745 or 37); the error then
-    names the first such score rather than masking it.
+    names the first such score rather than masking it. Soft labels must lie
+    in [0, 1], nan refused, by :func:`~softpu.dataset.check_rows`.
     """
     g = np.asarray(scores, dtype=np.float64)
     s = np.asarray(soft_labels, dtype=np.float64)
@@ -155,8 +156,7 @@ def soft_ce_loss(scores, soft_labels) -> float:
                 "0 below a logit of about -745 and to exactly 1 above about 37)"
             )
         raise ValueError(message)
-    if np.any(s < 0.0) or np.any(s > 1.0):
-        raise ValueError("soft labels must lie in [0, 1]")
+    check_rows(soft=s)
     return float(-np.mean(s * np.log(g) + (1.0 - s) * np.log(1.0 - g)))
 
 

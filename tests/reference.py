@@ -21,7 +21,6 @@ CURVE_FILE = TableFormat(
     lambda cells, row: [parse_cell(cell, row, c) for cell, c in zip(cells, CURVE_COLUMNS)],
     np.float64,
     "empty curve file",
-    lambda table: None,
     strict=True,
 )
 

@@ -715,6 +715,27 @@ class TestEvalAndBound:
         assert run(cfg, command, tmp_path / "out") == 1
         assert "row 2, column 'x0': non-finite value nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell, shown", [("0.5", "0.5"), ("2", "2.0"), ("nan", "nan")])
+    def test_bad_true_label_is_named_error(self, tmp_path, cell, shown, capsys):
+        from softpu.training import ScoringModel, save_model
+
+        model_path = tmp_path / "model.json"
+        save_model(ScoringModel("linear-logistic", 1, 0, np.array([1.0, 0.0])), model_path)
+        data = tmp_path / "data.csv"
+        data.write_text(f"x0,soft_label,y\n0.3,1.0,1\n0.2,0.0,0\n0.1,0.5,{cell}\n")
+        cfg = write_config(
+            tmp_path,
+            "cfg.json",
+            {
+                "seed": 4,
+                "dataset": {"kind": "csv", "path": str(data), "features": ["x0"],
+                            "true_label": "y"},
+                "model": str(model_path),
+            },
+        )
+        assert run(cfg, "eval", tmp_path / "out") == 1
+        assert f"row 3: true label {shown} must be exactly 0 or 1" in capsys.readouterr().err
+
     # a missing file, bad bytes, invalid JSON or a non-object: TestJsonInputs
     @pytest.mark.parametrize(
         "text, message",

@@ -114,13 +114,19 @@ def small_dataset(n=4, with_truth=True):
 
 class TestSoftDataset:
     def test_invariants_enforced(self):
-        with pytest.raises(ValueError, match="soft labels"):
+        with pytest.raises(ValueError, match=r"^row 2: soft label 1\.2 outside \[0, 1\]$"):
             SoftDataset(features=np.zeros((2, 1)), soft_labels=np.array([0.1, 1.2]))
-        with pytest.raises(ValueError, match="0 or 1"):
+        with pytest.raises(ValueError, match=r"^row 2: true label 2\.0 must be exactly 0 or 1$"):
             SoftDataset(
                 features=np.zeros((2, 1)),
                 soft_labels=np.array([0.1, 0.2]),
                 true_labels=np.array([0, 2]),
+            )
+        with pytest.raises(ValueError, match=r"^row 2: true label None must be exactly 0 or 1$"):
+            SoftDataset(
+                features=np.zeros((2, 1)),
+                soft_labels=np.array([0.1, 0.2]),
+                true_labels=np.array([0, None], dtype=object),
             )
         with pytest.raises(ValueError, match="empty"):
             SoftDataset(features=np.zeros((0, 1)), soft_labels=np.zeros(0))
@@ -132,7 +138,7 @@ class TestSoftDataset:
         feats[2, 0] = np.nan  # a later row: the first bad cell is named
         with pytest.raises(ValueError) as err:
             SoftDataset(features=feats, soft_labels=np.full(3, 0.5), feature_names=("a", "b"))
-        assert str(err.value) == f"features must be finite: row 1, column 'b' is {shown}"
+        assert str(err.value) == f"row 2, column 'b': non-finite value {shown}"
 
     def test_indexing_and_views(self):
         ds = small_dataset()
@@ -288,6 +294,15 @@ class TestCsv:
         with pytest.raises(ValueError) as err:
             load_csv(path, CsvSchema(features=("x0",)))
         assert str(err.value) == f"row 2, column 'x0': non-finite value {shown}"
+
+    # a true label of 0.5 cast to int8 first would read as 0
+    @pytest.mark.parametrize("cell, shown", [("0.5", "0.5"), ("2", "2.0"), ("nan", "nan")])
+    def test_bad_true_label_names_row(self, tmp_path, cell, shown):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x0,soft_label,y\n1.0,0.5,1\n2.0,0.5,0\n3.0,0.5,{cell}\n")
+        with pytest.raises(ValueError) as err:
+            load_csv(path, CsvSchema(features=("x0",), true_label="y"))
+        assert str(err.value) == f"row 3: true label {shown} must be exactly 0 or 1"
 
     def test_ordinary_file_loads_column_wise(self, tmp_path, monkeypatch):
         path = tmp_path / "d.csv"

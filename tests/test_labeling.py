@@ -493,6 +493,19 @@ class TestLabelSeparationCheck:
         with pytest.raises(ValueError, match="class"):
             check_label_separation(np.array([0.1, 0.2]), np.array([1, 1]), pi=0.5)
 
+    @pytest.mark.parametrize(
+        "soft, truth, message",
+        [
+            ([0.1, 0.2, 0.3], [1, 0, 2], "row 3: true label 2.0 must be exactly 0 or 1"),
+            ([0.1, np.nan, 0.3], [1, 0, 0], "row 2: soft label nan outside [0, 1]"),
+        ],
+        ids=["true label 2", "nan soft label"],
+    )
+    def test_bad_labels_are_named(self, soft, truth, message):
+        with pytest.raises(ValueError) as info:
+            check_label_separation(np.array(soft), np.array(truth), pi=0.5)
+        assert str(info.value) == message
+
 
 class TestRecordsIo:
     def test_csv_ingestion(self, tmp_path):
@@ -982,8 +995,11 @@ class TestCheckCounts:
     @pytest.mark.parametrize(
         "n, k, message",
         [
-            ([5, 4], [3, 9], "need 0 <= k <= n, got n=4, k=9 at index 1"),
-            ([5, -1], [3, 0], "need 0 <= k <= n, got n=-1, k=0 at index 1"),
+            # the ids name the index of the bad pair, which the text names as its row
+            pytest.param([5, 4], [3, 9], "row 2: need 0 <= k <= n, got n=4, k=9",
+                         id="n0-k0-need 0 <= k <= n, got n=4, k=9 at index 1"),
+            pytest.param([5, -1], [3, 0], "row 2: need 0 <= k <= n, got n=-1, k=0",
+                         id="n1-k1-need 0 <= k <= n, got n=-1, k=0 at index 1"),
             ([5, 4], [3], "n and k must be matching 1-D arrays"),
             ([[5]], [[3]], "n and k must be matching 1-D arrays"),
             ([5.0], [3.0], "n and k must be integer arrays, got float64 and float64"),

@@ -15,7 +15,11 @@ They pin decisions about where code lives:
 - every JSON object (a config, a model, problem or prior file) is checked
   by the walker in ``dataset.py``, the one module that refuses an unknown
   key, and ``difflib``, which only names the key nearest an unknown one, is
-  imported inside a function there.
+  imported inside a function there;
+- each value rule of a dataset or of check counts is worded in one
+  function: ``dataset.check_rows`` (features, soft and true labels),
+  ``labeling._check_pair`` (a check pair) and ``dataset.named_columns``
+  (a repeated column name).
 """
 
 import ast
@@ -67,23 +71,32 @@ def test_one_call_site(call, module):
     assert _sites(call) == {module: 1}
 
 
-def _calls_by_function() -> list:
-    """(module file, innermost enclosing function, call) for every call in
-    the package, the function None at module level."""
+def _by_function(keep) -> list:
+    """(module file, innermost enclosing function, node) for every node in
+    the package that ``keep`` accepts, docstrings left out, the function
+    None at module level."""
     found = []
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
     def visit(node, module, function):
+        documented = isinstance(node, scopes) and ast.get_docstring(node) is not None
         for child in ast.iter_child_nodes(node):
+            if documented and child is node.body[0]:
+                continue
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, module, child.name)
                 continue
-            if isinstance(child, ast.Call):
+            if keep(child):
                 found.append((module, function, child))
             visit(child, module, function)
 
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
     return found
+
+
+def _calls_by_function() -> list:
+    return _by_function(lambda node: isinstance(node, ast.Call))
 
 
 def _called_name(call):
@@ -149,3 +162,19 @@ def test_difflib_is_imported_only_inside_a_walker_function():
             if "difflib" in names:
                 found.append((path.name, id(node) in inside))
     assert found == [("dataset.py", True)]
+
+
+def test_each_value_rule_is_worded_in_one_function():
+    homes = {
+        "outside [0, 1]": ("dataset.py", "check_rows"),
+        "must be exactly 0 or 1": ("dataset.py", "check_rows"),
+        "non-finite value": ("dataset.py", "check_rows"),
+        "need 0 <= k <= n": ("labeling.py", "_check_pair"),
+        "duplicate column(s)": ("dataset.py", "named_columns"),
+    }
+    strings = _by_function(lambda node: isinstance(node, ast.Constant)
+                           and isinstance(node.value, str))
+    found = {
+        text: sorted({(m, f) for m, f, node in strings if text in node.value}) for text in homes
+    }
+    assert found == {text: [home] for text, home in homes.items()}

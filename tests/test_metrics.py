@@ -251,10 +251,28 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError, match="scores must be finite: index 1 is -inf"):
             entry(y, np.array([0.4, -np.inf, 0.4, np.nan]))
 
+    @pytest.mark.parametrize(
+        "entry, labels",
+        [(tpr_spu, [0.5, 0.5]), (fpr_spu, [0.5, 0.5]), (tpr, [0, 1]), (fpr, [0, 1])],
+        ids=["tpr_spu", "fpr_spu", "tpr", "fpr"],
+    )
+    def test_rates_reject_non_finite_predictions(self, entry, labels):
+        with pytest.raises(ValueError) as info:
+            entry(np.array(labels), np.array([np.nan, np.inf]))
+        assert str(info.value) == "predictions must be finite: index 0 is nan"
+
+    @pytest.mark.parametrize("entry", [tpr_spu, fpr_spu, tpr, fpr, roc_spu, roc_real])
+    def test_column_of_predictions_is_refused(self, entry):
+        # an (n, 1) column broadcast against n labels gave tpr_spu 1.0 for 1/3
+        what = "scores" if entry in (roc_spu, roc_real) else "predictions"
+        with pytest.raises(ValueError) as info:
+            entry(np.array([0.0, 1.0, 0.0]), np.array([[1.0], [0.0], [0.3]]))
+        assert str(info.value) == f"{what} must be a 1-D array, got shape (3, 1)"
+
     @pytest.mark.parametrize("entry", [roc_spu, auc_spu, bound_report, tpr_spu, fpr_spu])
     def test_soft_label_vector_rejects_nan(self, entry):
         s = np.array([1.0, np.nan, 0.5, 0.2])
-        with pytest.raises(ValueError, match="soft labels must be finite: index 1 is nan"):
+        with pytest.raises(ValueError, match=r"^row 2: soft label nan outside \[0, 1\]$"):
             entry(s, np.array([1.0, 0.0, 1.0, 0.0]))
 
 
@@ -300,7 +318,7 @@ class TestAreaBound:
             auc_spu_bound(np.zeros(5))
         with pytest.raises(ValueError, match="bound undefined"):
             auc_spu_bound(np.ones(5))
-        with pytest.raises(ValueError, match="soft labels must be finite: index 2 is nan"):
+        with pytest.raises(ValueError, match=r"^row 3: soft label nan outside \[0, 1\]$"):
             auc_spu_bound(np.array([0.2, 0.7, np.nan, 0.4]))
 
     def test_closed_form_integrals_match_quadrature(self):

@@ -94,6 +94,15 @@ class TestSoftCeLoss:
             soft_ce_loss(np.array([0.5, 0.25, np.nan]), np.array([0.5, 0.5, 0.5]))
         assert str(info.value) == "scores must lie strictly inside (0, 1): index 2 is nan"
 
+    def test_nan_soft_label_is_named(self):
+        with pytest.raises(ValueError) as info:
+            soft_ce_loss(np.array([0.5, 0.5]), np.array([np.nan, 0.2]))
+        assert str(info.value) == "row 1: soft label nan outside [0, 1]"
+        model = ScoringModel("linear-logistic", 1, 0, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError) as info:
+            penalized_loss(model, [[1.0], [-1.0]], [0.5, np.nan], l2=0.1)
+        assert str(info.value) == "row 2: soft label nan outside [0, 1]"
+
 
 class TestLossGradient:
     def test_matches_finite_differences_both_architectures(self):
