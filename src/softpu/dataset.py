@@ -1115,8 +1115,7 @@ class DiscreteEta:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.size < 1:
             raise ValueError("need at least one cell")
-        if not np.all((vals >= 0.0) & (vals <= 1.0)):
-            raise ValueError("eta values must lie in [0, 1]")
+        check_unit_interval(vals, "eta")
 
     @property
     def n_cells(self):
@@ -1146,8 +1145,7 @@ class PiecewiseLinearEta:
             raise ValueError("need matching knot arrays with at least 2 knots")
         if xs[0] != 0.0 or xs[-1] != 1.0 or not np.all(np.diff(xs) > 0):
             raise ValueError("knot positions must increase from 0 to 1")
-        if not np.all((ys >= 0.0) & (ys <= 1.0)):
-            raise ValueError("eta values must lie in [0, 1]")
+        check_unit_interval(ys, "eta")
 
     def eta_at(self, x):
         return np.interp(np.asarray(x), self.xs, self.ys)
@@ -1220,10 +1218,7 @@ class MelaConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be positive")
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ValueError(f"epsilon must be finite and non-negative, got {self.epsilon}")
-        if self.epsilon > 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
+        check_unit_interval(self.epsilon, "epsilon")
         if not (math.isfinite(self.c_h) and self.c_h > 0.0):
             raise ValueError(f"c_h must be finite and positive, got {self.c_h}")
         grid = np.linspace(0.0, 1.0, 1001)
@@ -1445,3 +1440,12 @@ def check_finite(values, what: str) -> None:
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise ValueError(f"{what} must be finite: index {bad[0]} is {values[bad[0]]}")
+
+
+def check_unit_interval(values, what: str) -> None:
+    """Refuse a value, or an array holding one, outside [0, 1] or nan,
+    naming the first such value."""
+    values = np.asarray(values)
+    bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
+    if bad.size:
+        raise ValueError(f"{what} must lie in [0, 1], got {values.flat[bad[0]]}")

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import kernels
 from .dataset import NUMBERS, REQUIRED, TableFormat, check, check_finite, check_rows, load_json
-from .dataset import read_table, save_json
+from .dataset import check_unit_interval, read_table, save_json
 
 GRID_MARGIN = 1e-4
 # the prior fit holds check counts in int64 arrays
@@ -50,9 +50,7 @@ class RuleStats:
 
     def __post_init__(self):
         for name in ("fail_ratio_rule", "fail_ratio_random"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+            check_unit_interval(getattr(self, name), name)
 
 
 def rule_soft_label(stats: RuleStats) -> float:

@@ -18,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import SoftDataset, check_finite, check_rows, field_dict, write_columns
-
-_TIE_KIND = "stable"
+from . import kernels
+from .dataset import SoftDataset, check_finite, check_rows, check_unit_interval, field_dict
+from .dataset import write_columns
 
 
 def _soft_vector(data) -> np.ndarray:
@@ -150,13 +150,17 @@ def _score_order(scores):
     enter the positive set together. T sweeps the distinct score values top
     down plus a final -inf, so every achievable split appears exactly once,
     from the empty split (equivalently T = +inf) to the full one. ``order``
-    sorts the scores top down, ties in sample order, and ``ends[i]`` is the
-    last sorted position of the i-th distinct score.
+    sorts the scores top down, ties in sample order
+    (:func:`~softpu.kernels.descending_order`), and ``ends[i]`` is the last
+    sorted position of the i-th distinct score; with no tied scores,
+    ``ends`` is None, standing for ``arange(n)``.
     """
-    order = np.argsort(-scores, kind=_TIE_KIND)
+    order = kernels.descending_order(scores)
     s_sorted = scores[order]
-    boundaries = np.nonzero(np.diff(s_sorted))[0]
-    ends = np.concatenate([boundaries, [s_sorted.size - 1]])
+    new = s_sorted[1:] != s_sorted[:-1]
+    if new.all():
+        return order, None, np.concatenate([s_sorted, [-np.inf]])
+    ends = np.concatenate([np.flatnonzero(new), [s_sorted.size - 1]])
     thresholds = np.concatenate([[s_sorted[0]], s_sorted[ends[:-1] + 1], [-np.inf]])
     return order, ends, thresholds
 
@@ -164,8 +168,10 @@ def _score_order(scores):
 def _swept_curve(sweep, pos_weight, neg_weight, kind) -> RocCurve:
     """The curve of weighted confusion sums at every threshold of ``sweep``."""
     order, ends, thresholds = sweep
-    tp_cum = np.cumsum(pos_weight[order])[ends]
-    fp_cum = np.cumsum(neg_weight[order])[ends]
+    tp_cum = np.cumsum(pos_weight[order])
+    fp_cum = np.cumsum(neg_weight[order])
+    if ends is not None:
+        tp_cum, fp_cum = tp_cum[ends], fp_cum[ends]
     pos_total = tp_cum[-1]
     neg_total = fp_cum[-1]
     ys = np.concatenate([[0.0], tp_cum / pos_total])
@@ -173,47 +179,54 @@ def _swept_curve(sweep, pos_weight, neg_weight, kind) -> RocCurve:
     return RocCurve(thresholds, xs, ys, kind=kind)
 
 
-def _spu_inputs(data, scores):
-    s = _soft_vector(data)
-    scores = _checked(s, scores, "scores")
+def _soft_weights(s):
+    """``(s, 1 - s)``, refused unless both hold some soft mass."""
     if s.sum() <= 0.0:
         raise ValueError("no positive soft mass: sum of soft labels is 0")
-    if (1.0 - s).sum() <= 0.0:
+    neg = 1.0 - s
+    if neg.sum() <= 0.0:
         raise ValueError("no negative soft mass: sum of (1 - soft label) is 0")
-    return s, scores
+    return s, neg
 
 
-def _real_inputs(data, scores):
-    y = _true_vector(data)
-    scores = _checked(y, scores, "scores")
+def _true_weights(y):
+    """``(y, 1 - y)``, refused unless both classes are present."""
     if y.sum() == 0:
         raise ValueError("positive class (Y=1) is empty")
-    if (1 - y).sum() == 0:
+    neg = 1.0 - y
+    if neg.sum() == 0:
         raise ValueError("negative class (Y=0) is empty")
-    return y, scores
+    return y, neg
 
 
 def roc_spu(data, scores) -> RocCurve:
     """Substitute ROC: sweep of (fpr_spu, tpr_spu) over all thresholds."""
-    s, scores = _spu_inputs(data, scores)
-    return _swept_curve(_score_order(scores), s, 1.0 - s, "spu")
+    s = _soft_vector(data)
+    scores = _checked(s, scores, "scores")
+    weights = _soft_weights(s)
+    return _swept_curve(_score_order(scores), *weights, "spu")
 
 
 def roc_real(data, scores) -> RocCurve:
     """Classical ROC over true labels."""
-    y, scores = _real_inputs(data, scores)
-    return _swept_curve(_score_order(scores), y, 1.0 - y, "real")
+    y = _true_vector(data)
+    scores = _checked(y, scores, "scores")
+    weights = _true_weights(y)
+    return _swept_curve(_score_order(scores), *weights, "real")
 
 
 def roc_spu_and_real(data, scores) -> tuple[RocCurve, RocCurve]:
-    """:func:`roc_spu` and :func:`roc_real` of one score vector, sorted once.
+    """:func:`roc_spu` and :func:`roc_real` of one score vector, checked and
+    sorted once.
 
     Both curves have the bits the two calls give, and share their thresholds.
     """
-    s, scores = _spu_inputs(data, scores)
-    y, _ = _real_inputs(data, scores)
+    s = _soft_vector(data)
+    scores = _checked(s, scores, "scores")
+    soft = _soft_weights(s)
+    real = _true_weights(_true_vector(data))
     sweep = _score_order(scores)
-    return _swept_curve(sweep, s, 1.0 - s, "spu"), _swept_curve(sweep, y, 1.0 - y, "real")
+    return _swept_curve(sweep, *soft, "spu"), _swept_curve(sweep, *real, "real")
 
 
 def auc(curve: RocCurve) -> float:
@@ -302,9 +315,8 @@ def mixture_coefficients(pi: float, s_p: float, s_n: float) -> MixtureCoefficien
     """
     if not 0.0 < pi < 1.0:
         raise ValueError("pi must lie in (0, 1)")
-    for name, v in (("s_p", s_p), ("s_n", s_n)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1]")
+    check_unit_interval(s_p, "s_p")
+    check_unit_interval(s_n, "s_n")
     mix = pi * s_p + (1.0 - pi) * s_n
     if mix <= 0.0:
         raise ValueError("mixture soft-label mean is 0: top row undefined")
@@ -339,8 +351,7 @@ def estimate_mixture_stats(dataset: SoftDataset) -> tuple[float, float, float]:
 
 def map_auc(coeffs: MixtureCoefficients, real_auc: float) -> float:
     """Substitute AUC predicted from the real AUC under the linear map."""
-    if not 0.0 <= real_auc <= 1.0:
-        raise ValueError("real_auc must lie in [0, 1]")
+    check_unit_interval(real_auc, "real_auc")
     return float(0.5 * (coeffs.b + coeffs.c) + coeffs.determinant * real_auc)
 
 

@@ -26,7 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .dataset import NUMBERS, REQUIRED, check, check_finite, load_json, save_json
+from .dataset import NUMBERS, REQUIRED, check, check_finite, check_unit_interval, load_json
+from .dataset import save_json
 
 MAX_CELLS = 20
 HULL_ATOL = 1e-12
@@ -66,9 +67,8 @@ class DiscreteProblem:
             raise ValueError("cell masses must be positive")
         if abs(masses.sum() - 1.0) > 1e-9:
             raise ValueError(f"cell masses must sum to 1, got {masses.sum()!r}")
-        for name, v in (("eta", eta), ("eta_s", eta_s)):
-            if np.any(v < 0.0) or np.any(v > 1.0):
-                raise ValueError(f"{name} values must lie in [0, 1]")
+        check_unit_interval(eta, "eta")
+        check_unit_interval(eta_s, "eta_s")
         for name, v in (("masses", masses), ("eta", eta), ("eta_s", eta_s)):
             v.setflags(write=False)
             object.__setattr__(self, name, v)
@@ -236,9 +236,10 @@ def exhaustive_frontier(problem: DiscreteProblem, kind: str) -> EnumeratedFronti
 
 def _tie_groups(values) -> tuple[tuple[int, ...], ...]:
     """Cell indices grouped by equal value, groups in decreasing value order
-    and cells in increasing index order within a group."""
+    and cells in increasing index order within a group: the order of
+    :func:`~softpu.kernels.descending_order`, cut where the value changes."""
     values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(-values, kind="stable")
+    order = kernels.descending_order(values)
     bounds = [0, *(np.flatnonzero(np.diff(values[order])) + 1).tolist(), order.size]
     cells = order.tolist()
     return tuple(tuple(cells[a:b]) for a, b in zip(bounds, bounds[1:]))

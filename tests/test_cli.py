@@ -1646,7 +1646,7 @@ NAN = float("nan")
         ("mela", ("dataset", "eta", "values"), 3, "config field 'values' must be list, got int"),
         ("mela", ("dataset", "eta", "values", 1), "a",
          "config field 'values' must hold numbers, got 'a'"),
-        ("mela", ("dataset", "eta", "values", 1), NAN, "eta values must lie in [0, 1]"),
+        ("mela", ("dataset", "eta", "values", 1), NAN, "eta must lie in [0, 1], got nan"),
         ("piecewise-mela", ("dataset", "link", "slope"), NAN,
          "slope must be finite and positive, got nan"),
         ("piecewise-mela", ("dataset", "link", "intercept"), NAN,
@@ -1655,7 +1655,7 @@ NAN = float("nan")
          "config field 'slope' must be float, got str"),
         ("mela", ("dataset", "link", "gain"), NAN, "gain must be finite and positive, got nan"),
         ("mela", ("dataset", "link", "kind"), "a", "config field 'link.kind': unknown link 'a'"),
-        ("mela", ("dataset", "epsilon"), NAN, "epsilon must be finite and non-negative, got nan"),
+        ("mela", ("dataset", "epsilon"), NAN, "epsilon must lie in [0, 1], got nan"),
         ("mela", ("dataset", "c_h"), NAN, "c_h must be finite and positive, got nan"),
         ("experiment", ("split",), {"train": "a"}, "config field 'train' must be float, got str"),
         ("experiment", ("split",), {"train": NAN},

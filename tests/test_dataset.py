@@ -36,8 +36,9 @@ from softpu.dataset import (
     save_csv,
     schema_for,
 )
-from softpu.labeling import check_counts_from_csv
-from softpu.metrics import RocCurve, curve_to_csv
+from softpu.labeling import RuleStats, check_counts_from_csv
+from softpu.metrics import RocCurve, curve_to_csv, map_auc, mixture_coefficients
+from softpu.oracle import DiscreteProblem
 
 from reference import read_curve
 
@@ -1262,7 +1263,7 @@ class TestMela:
             )
 
     def test_eta_range_validated(self):
-        with pytest.raises(ValueError, match="eta values"):
+        with pytest.raises(ValueError, match=r"^eta must lie in \[0, 1\], got 1.2$"):
             DiscreteEta(values=(0.5, 1.2))
 
     def test_deterministic(self):
@@ -1298,3 +1299,39 @@ class TestGeneratedLabelRanges:
         for ds in datasets:
             assert ds.soft_labels.min() >= 0.0 and ds.soft_labels.max() <= 1.0
             assert set(np.unique(ds.true_labels)) <= {0, 1}
+
+
+def _mela(epsilon):
+    return MelaConfig(n=10, eta_spec=DiscreteEta(values=(0.2, 0.7)),
+                      h_spec=AffineLink(slope=1.0), epsilon=epsilon)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DiscreteProblem([1.0], [1.5], [0.5]), "eta must lie in [0, 1], got 1.5"),
+        (lambda: DiscreteProblem([0.5, 0.5], [0.5, 0.5], [0.5, -0.25]),
+         "eta_s must lie in [0, 1], got -0.25"),
+        (lambda: DiscreteEta(values=(0.5, -0.0, 2.0, -1.0)), "eta must lie in [0, 1], got 2.0"),
+        (lambda: PiecewiseLinearEta(xs=(0.0, 1.0), ys=(0.2, np.nan)),
+         "eta must lie in [0, 1], got nan"),
+        (lambda: mixture_coefficients(0.5, 1.5, 0.2), "s_p must lie in [0, 1], got 1.5"),
+        (lambda: mixture_coefficients(0.5, 0.5, -np.inf), "s_n must lie in [0, 1], got -inf"),
+        (lambda: RuleStats(0.5, 2.0), "fail_ratio_random must lie in [0, 1], got 2.0"),
+        (lambda: _mela(-0.5), "epsilon must lie in [0, 1], got -0.5"),
+        (lambda: _mela(1.5), "epsilon must lie in [0, 1], got 1.5"),
+        (lambda: map_auc(mixture_coefficients(0.5, 0.8, 0.2), 1.25),
+         "real_auc must lie in [0, 1], got 1.25"),
+    ],
+    ids=["eta", "eta_s", "DiscreteEta", "PiecewiseLinearEta", "s_p", "s_n", "RuleStats",
+         "negative epsilon", "epsilon above 1", "real_auc"],
+)
+def test_unit_interval_rule_names_the_first_value_outside(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_unit_interval_rule_admits_both_ends_and_negative_zero():
+    dataset_module.check_unit_interval(np.array([0.0, -0.0, 1.0, 0.5]), "p")
+    dataset_module.check_unit_interval(-0.0, "p")

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softpu import dataset, kernels, labeling
 from softpu.kernels import LOSS_CLIP
@@ -558,3 +560,48 @@ def test_float_text_of_a_million_random_bit_patterns_is_repr_text():
     for _ in range(16):
         values = rng.integers(0, 2**64, 65536, dtype=np.uint64).view(np.float64)
         assert _text(values) == _repr_text(values)
+
+
+# descending order: the stable argsort's answer, ties in index order
+
+TIE_POOL = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e308, 0.5, np.nextafter(0.5, 1.0)]
+
+
+def _assert_stable_order(values):
+    got = kernels.descending_order(values)
+    want = np.argsort(-values, kind="stable")
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(TIE_POOL), max_size=300))
+def test_descending_order_of_pooled_values_is_the_stable_argsort(values):
+    _assert_stable_order(np.array(values, dtype=np.float64))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(TIE_POOL), st.floats(allow_nan=False)), max_size=300))
+def test_descending_order_of_pooled_and_drawn_values_is_the_stable_argsort(values):
+    _assert_stable_order(np.array(values, dtype=np.float64))
+
+
+def _hundred_thousand(case):
+    rng = np.random.default_rng(28)
+    n = 100_000
+    values = rng.random(n)
+    if case == "50 levels":
+        values = rng.integers(0, 50, n) / 49.0
+    elif case == "half equal":
+        values[rng.random(n) < 0.5] = 0.0
+    elif case == "1% repeated":
+        values[rng.integers(0, n, n // 100)] = values[rng.integers(0, n, n // 100)]
+    elif case == "all equal":
+        values[:] = 0.25
+    return values
+
+
+@pytest.mark.parametrize("case", ["tie-free", "50 levels", "half equal", "1% repeated",
+                                  "all equal"])
+def test_descending_order_of_100k_values_is_the_stable_argsort(case):
+    _assert_stable_order(_hundred_thousand(case))

@@ -19,7 +19,11 @@ They pin decisions about where code lives:
 - each value rule of a dataset or of check counts is worded in one
   function: ``dataset.check_rows`` (features, soft and true labels),
   ``labeling._check_pair`` (a check pair) and ``dataset.named_columns``
-  (a repeated column name).
+  (a repeated column name); so is the [0, 1] range of a per-cell or
+  scalar probability, in ``dataset.check_unit_interval``;
+- every descending sort that puts tied values in index order is
+  ``kernels.descending_order``: no other ``argsort`` or ``sort`` call in
+  the package asks numpy for a stable sort.
 """
 
 import ast
@@ -171,6 +175,7 @@ def test_each_value_rule_is_worded_in_one_function():
         "non-finite value": ("dataset.py", "check_rows"),
         "need 0 <= k <= n": ("labeling.py", "_check_pair"),
         "duplicate column(s)": ("dataset.py", "named_columns"),
+        "must lie in [0, 1]": ("dataset.py", "check_unit_interval"),
     }
     strings = _by_function(lambda node: isinstance(node, ast.Constant)
                            and isinstance(node.value, str))
@@ -178,3 +183,20 @@ def test_each_value_rule_is_worded_in_one_function():
         text: sorted({(m, f) for m, f, node in strings if text in node.value}) for text in homes
     }
     assert found == {text: [home] for text, home in homes.items()}
+
+
+def _asks_for_stable(call) -> bool:
+    """Whether a call passes ``kind``, as "stable", its alias "mergesort",
+    or as anything that is not a constant."""
+    kinds = [k.value for k in call.keywords if k.arg == "kind"]
+    return any(not isinstance(k, ast.Constant) or k.value in {"stable", "mergesort"}
+               for k in kinds)
+
+
+def test_stable_sorts_live_only_in_the_descending_order_kernel():
+    stable = [
+        (module, function)
+        for module, function, call in _calls_by_function()
+        if _called_name(call) in {"argsort", "sort"} and _asks_for_stable(call)
+    ]
+    assert [site for site in stable if site != ("kernels.py", "descending_order")] == []

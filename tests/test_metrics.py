@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from softpu import metrics
 from softpu.dataset import CHUNK_ROWS, GscarConfig, gen_gscar
 from softpu.metrics import (
     RocCurve,
@@ -34,6 +35,7 @@ from softpu.metrics import (
     tpr_spu,
 )
 
+import reference
 from reference import read_curve
 
 
@@ -228,6 +230,70 @@ class TestSpuAndReal:
         bad[4] = np.nan
         with pytest.raises(ValueError, match="scores must be finite: index 4 is nan"):
             roc_spu_and_real(data, bad)
+
+
+def _sweep_scores(case):
+    """Scores of 3000 samples: tie-free, rounded to two decimals, or with a
+    group of 0.0 and -0.0 whose first sample holds the zero named."""
+    rng = np.random.default_rng(28)
+    scores = rng.random(3000)
+    if case == "two decimals":
+        return np.round(scores, 2)
+    if case != "tie-free":
+        zeros = rng.choice([0.0, -0.0], 400)
+        zeros[0] = -0.0 if case == "-0.0 first" else 0.0
+        scores[np.sort(rng.choice(3000, 400, replace=False))] = zeros
+    return scores
+
+
+def _bits(result):
+    """A sweep result as comparable bytes: each curve's kind and arrays, each
+    float's bits."""
+    if isinstance(result, tuple):
+        return tuple(_bits(r) for r in result)
+    if isinstance(result, RocCurve):
+        return result.kind, result.thresholds.tobytes(), result.xs.tobytes(), result.ys.tobytes()
+    if isinstance(result, dict):
+        return {k: _bits(v) for k, v in result.items()}
+    return np.float64(result).tobytes() if isinstance(result, float) else result
+
+
+SWEEP_CASES = ["tie-free", "two decimals", "-0.0 first", "0.0 first"]
+
+
+class TestSweepAgainstTheStableSort:
+    """The sweeps give the bits of the stable-sort sweep in
+    ``reference.score_order``, on tie-free and tied scores alike."""
+
+    @pytest.mark.parametrize("case", SWEEP_CASES)
+    @pytest.mark.parametrize(
+        "sweep", [roc_spu, roc_real, roc_spu_and_real, auc_spu, bound_report],
+        ids=lambda f: f.__name__,
+    )
+    def test_results_keep_their_bits(self, monkeypatch, sweep, case):
+        data = gen_gscar(GscarConfig(n=3000, pi=0.3, seed=28))
+        scores = _sweep_scores(case)
+        got = sweep(data, scores)
+        monkeypatch.setattr(metrics, "_score_order", reference.score_order)
+        assert _bits(got) == _bits(sweep(data, scores))
+
+    @pytest.mark.parametrize("case", SWEEP_CASES)
+    def test_curve_files_keep_their_bytes(self, tmp_path, monkeypatch, case):
+        data = gen_gscar(GscarConfig(n=3000, pi=0.3, seed=28))
+        scores = _sweep_scores(case)
+        written = {}
+        for side in ("got", "want"):
+            if side == "want":
+                monkeypatch.setattr(metrics, "_score_order", reference.score_order)
+            spu, real = roc_spu_and_real(data, scores)
+            paths = tmp_path / f"{side}_spu.csv", tmp_path / f"{side}_real.csv"
+            curve_to_csv(spu, paths[0], more=[(real, paths[1])])
+            written[side] = [p.read_bytes() for p in paths]
+        assert written["got"] == written["want"]
+        if case.endswith("first"):
+            zero = case.split()[0].encode()
+            assert b"\n" + zero + b"," in written["got"][0]
+            assert b"\n" + (b"0.0" if zero == b"-0.0" else b"-0.0") + b"," not in written["got"][0]
 
 
 class TestNonFiniteInputs:
