@@ -21,9 +21,6 @@ import numpy as np
 
 BACKEND = "numpy"
 LOSS_CLIP = 1e-7
-# descending_order finds the positions of at most this many distinct values
-# one value at a time (measured on 100k values: faster up to about 8-12)
-_FEW_VALUES = 8
 
 
 def sigmoid(z):
@@ -375,26 +372,13 @@ def descending_order(values):
     in increasing index order.
 
     numpy's default argsort, which uses SIMD where the CPU has it, sorts
-    first and may leave equal values in any order; only those are then put
-    back in index order. The result is a pure function of ``values``,
-    whatever order the first sort leaves ties in, so it is the same on
-    every CPU. How the ties are put back follows from the first sort:
-
-    - no two neighbours equal: nothing to do;
-    - at most ``_FEW_VALUES`` (8) distinct values: the positions of each
-      value in turn, by one comparison pass over ``values`` per value;
-    - otherwise one int64 sort of ``run * n + index``, with ``run``
-      numbering the runs of equal values in sorted order (exact while
-      n * n < 2**63, so for n below 3e9): over the positions whose value
-      equals a neighbour's when they are at most half of all, else over
-      all positions, which costs less than gathering nearly all of them.
-
-    The threshold sweep's sort of 100k scores (``metrics._score_order``;
-    2-vCPU AVX-512 Xeon, medians of 41, raw) takes 3.4 ms against the
-    stable sort's 14-16 ms when no scores tie, 4.0-5.2 ms against 7.6-14
-    ms on 50 levels, two decimals, half the scores 0.0 or 1% repeated, and
-    1.9 ms against 1.9-4.6 ms on 2-4 values; on one value throughout it
-    takes 1.9 ms against 1.2 ms, the first sort's cost.
+    first and may leave equal values in any order. The positions whose
+    value equals a neighbour's in that order are then sorted once more, by
+    the int64 key ``run * n + index``, with ``run`` numbering the runs of
+    equal values in sorted order (exact while n * n < 2**63, so for n below
+    3e9). With no tied values that step is skipped. The result is a pure
+    function of ``values``, whatever order the first sort leaves ties in,
+    so it is the same on every CPU.
     """
     values = np.asarray(values, dtype=np.float64)
     order = np.argsort(-values)
@@ -402,16 +386,12 @@ def descending_order(values):
     new = sorted_values[1:] != sorted_values[:-1]
     if new.all():
         return order
-    if np.count_nonzero(new) + 1 <= _FEW_VALUES:
-        firsts = sorted_values[np.concatenate([[0], np.flatnonzero(new) + 1])]
-        return np.concatenate([np.flatnonzero(values == v) for v in firsts])
     n = order.size
     tied = np.zeros(n, dtype=bool)
     tied[1:] = ~new
     tied[:-1] |= ~new
-    where = np.flatnonzero(tied) if 2 * np.count_nonzero(tied) <= n else slice(None)
-    begins = np.concatenate([[False], new])[where]
-    group = np.cumsum(begins, dtype=np.int64)
+    where = np.flatnonzero(tied)
+    group = np.cumsum(np.concatenate([[False], new])[where], dtype=np.int64)
     group *= n
     key = order[where] + group
     key.sort()
