@@ -1330,7 +1330,9 @@ def load_json(path, what: str) -> dict:
     reads comes through here, and ``what`` ("config file", "model file",
     ...) names it in the errors: a missing file, a directory, a file that
     is not UTF-8 text (with its first bad byte and offset), text that is
-    not JSON (a byte-order mark included) and JSON that is not an object.
+    not JSON (a byte-order mark included), JSON nested past the parser's
+    recursion limit or holding an integer past Python's digit limit, and
+    JSON that is not an object.
     """
     path = Path(path)
     try:
@@ -1347,6 +1349,10 @@ def load_json(path, what: str) -> dict:
         record = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{what} {path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{what} {path} nests its JSON too deeply to read") from None
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ValueError(f"{what} {path} cannot be read: {exc}") from None
     if not isinstance(record, dict):
         raise ValueError(f"{what} {path} must hold a JSON object")
     return record

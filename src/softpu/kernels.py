@@ -1,7 +1,7 @@
 """Hot numeric kernels, vectorized with numpy.
 
-Three inner loops dominate the runtime of this package: mini-batch training
-epochs for the two scorer architectures and the exponentiated-gradient
+Two inner loops dominate the runtime of this package: mini-batch training
+epochs, one loop for both scorer architectures, and the exponentiated-gradient
 descent used to fit discrete priors. ``enumerate_confusions`` scores all 2^m
 classifiers for the brute-force frontier that the tests cross-check the
 threshold-chain frontiers against. ``shortest_digits`` gives the shortest
@@ -100,9 +100,26 @@ def _diverged(loss, params):
 
 
 def linear_epochs(params, X, s, order, batch_size, lr, l2):
-    """Mini-batch gradient descent epochs for the linear-logistic scorer.
+    """:func:`_scorer_epochs` for the linear-logistic scorer, params [w, b]."""
+    return _scorer_epochs(params, X, s, order, batch_size, lr, l2, 0)
 
-    ``params`` is the flat vector [w (d), b] and is updated in place.
+
+def mlp_epochs(params, X, s, order, batch_size, lr, l2, hidden):
+    """:func:`_scorer_epochs` for the scorer with ``hidden`` tanh units."""
+    return _scorer_epochs(params, X, s, order, batch_size, lr, l2, hidden)
+
+
+def _scorer_epochs(params, X, s, order, batch_size, lr, l2, h):
+    """Mini-batch gradient descent epochs for a scorer with ``h`` tanh
+    hidden units and a logistic output unit: one loop for both scorers.
+
+    Flat layout: [W1 (d*h, row-major), b1 (h), w2, b2 (1)], updated in
+    place; its first (d+1)*h entries are the augmented matrix [W1; b1],
+    which meets a ones column appended to the features. With ``h = 0`` the
+    output layer reads the gathered rows themselves, with no ones column,
+    and the layout is the linear scorer's [w (d), b]. Only the hidden
+    layer's forward and backward steps depend on ``h``.
+
     ``order`` has ``shape == (k, n)`` and iterates over ``k`` rows, row
     ``e`` being the shuffle order of epoch ``e``. It may be a (k, n) int
     ndarray, whose range is checked before the first epoch, or any
@@ -116,82 +133,29 @@ def linear_epochs(params, X, s, order, batch_size, lr, l2):
 
     One call builds everything once: the gather buffers of ``n`` rows, the
     batch buffers of ``min(batch_size, n)`` rows, and each batch's tuple of
-    views into them (about 0.6 KB per batch, 0.8 KB for the MLP, which
-    outweighs the rows of a batch of one). An epoch then gathers its rows
-    with ``np.take(..., mode="clip")`` into the contiguous buffers (the
-    default ``mode="raise"`` gathers through a temporary copy, hence the
-    range check) and runs the batches over the views.
-
-    A batch writes its gradient into one buffer laid out like ``params``
-    and applies it with ``grad *= lr; params -= grad``, the same bits as
-    ``params -= lr * grad``; see :func:`mlp_epochs`. Its logistic output
-    is ``1 / (1 + exp(-(z + b)))`` in place, with no masks: a logit below
-    about -709 overflows ``exp`` and gives exactly 0, one above about 37
-    rounds to exactly 1, and the clipped loss tolerates both (scoring uses
-    :func:`sigmoid`, which saturates the same way).
-    """
-    n, d = X.shape
-    orders = _epoch_orders(order, n)
-    starts, sizes, rows = _batches(n, batch_size)
-    trace = np.empty(order.shape[0])
-    w = params[:d]
-    grad = np.empty_like(params)
-    gw, gb = grad[:d], grad[d:]
-    Xe = np.empty((n, d))
-    se, g = np.empty(n), np.empty(n)
-    # the loss runs once the epoch's gathered rows are spent, in their buffer
-    ce = Xe.reshape(-1)[:n]
-    batches = [(Xe[i:j], g[i:j], se[i:j]) + views
-               for i, j, views in _batch_views(starts, sizes, (np.empty(rows),))]
-    dot, subtract, exp, reciprocal = np.dot, np.subtract, np.exp, np.reciprocal
-    add_reduce = np.add.reduce
-    # divergence shows up as non-finite values, which end the run
-    with np.errstate(over="ignore", invalid="ignore"):
-        for e in range(trace.size):
-            idx = next(orders)
-            np.take(X, idx, 0, Xe, "clip")
-            np.take(s, idx, None, se, "clip")
-            del idx  # so a lazy order draws the next row with this one freed
-            for Xb, zb, sb, diff, m in batches:
-                dot(Xb, w, zb)
-                subtract(-params[d], zb, zb)
-                exp(zb, zb)
-                zb += 1.0
-                reciprocal(zb, zb)
-                subtract(zb, sb, diff)
-                diff /= m
-                dot(diff, Xb, gw)
-                if l2:
-                    gw += l2 * w
-                add_reduce(diff, 0, None, gb, True)
-                grad *= lr
-                params -= grad
-            trace[e] = _epoch_loss(g, se, ce, starts, sizes)
-            if _diverged(trace[e], params):
-                return trace[: e + 1]
-    return trace
-
-
-def mlp_epochs(params, X, s, order, batch_size, lr, l2, hidden):
-    """Mini-batch GD epochs for the one-hidden-layer scorer (tanh units).
-
-    Flat layout: [W1 (d*h, row-major), b1 (h), w2 (h), b2 (1)], so the
-    first (d+1)*h entries are the augmented matrix [W1; b1], which meets a
-    ones column appended to the features. Updated in place. ``order``, the
-    early stop, the returned trace and the buffers built once per call are
-    as in :func:`linear_epochs`. So are the gathers, from a copy of ``X``
-    with the ones column appended, built once per call: an epoch's rows
-    then come in one gather, with no copy into strided columns (14,000
-    rows of 3 features on a 2-vCPU Xeon: 26 us, against 83 us to gather
-    the bare rows plus 90 us to copy them beside the ones column).
+    views into them (about 0.75 KB per batch, which outweighs the rows of a
+    batch of one). An epoch then gathers its rows with
+    ``np.take(..., mode="clip")`` into the contiguous buffers (the default
+    ``mode="raise"`` gathers through a temporary copy, hence the range
+    check) and runs the batches over the views. With a hidden layer the
+    gathers read a copy of ``X`` with the ones column appended, built once
+    per call: an epoch's rows then come in one gather, with no copy into
+    strided columns (14,000 rows of 3 features on a 2-vCPU Xeon: 26 us,
+    against 83 us to gather the bare rows plus 90 us to copy them beside
+    the ones column).
 
     Each batch costs a fixed handful of numpy calls, with no temporaries
-    but the ``l2`` terms: four ``np.dot`` products, the elementwise
-    backward pass, one reduction for the output bias, and one update.
-    The gradient goes into a single buffer laid out like ``params``, whose
-    views take the products' outputs, and ``grad *= lr; params -= grad``
-    applies it. The bits are those of the textbook step
-    ``params -= lr * grad`` with ``matmul`` products:
+    but the ``l2`` terms: four ``np.dot`` products (two without a hidden
+    layer), the elementwise backward pass, one reduction for the output
+    bias, and one update. The logistic output is
+    ``1 / (1 + exp(-(z + b)))`` in place, with no masks: a logit below
+    about -709 overflows ``exp`` and gives exactly 0, one above about 37
+    rounds to exactly 1, and the clipped loss tolerates both (scoring uses
+    :func:`sigmoid`, which saturates the same way). The gradient goes into
+    a single buffer laid out like ``params``, whose views take the
+    products' outputs, and ``grad *= lr; params -= grad`` applies it. The
+    bits are those of the textbook step ``params -= lr * grad`` with
+    ``matmul`` products:
 
     * ``np.dot`` makes the same BLAS call as ``np.matmul`` for each of
       these shapes;
@@ -202,7 +166,6 @@ def mlp_epochs(params, X, s, order, batch_size, lr, l2, hidden):
       operations per entry as ``params -= lr * grad``.
     """
     n, d = X.shape
-    h = hidden
     orders = _epoch_orders(order, n)
     starts, sizes, rows = _batches(n, batch_size)
     trace = np.empty(order.shape[0])
@@ -215,30 +178,34 @@ def mlp_epochs(params, X, s, order, batch_size, lr, l2, hidden):
     gW1 = gW1b[:d]
     gw2 = grad[(d + 1) * h : -1]
     gb2 = grad[-1:]
-    X1 = np.empty((n, d + 1))
-    X1[:, :d] = X
-    X1[:, d] = 1.0
-    Xe = np.empty_like(X1)
+    # the rows an epoch gathers: with a hidden layer, beside the ones column that meets b1
+    X1 = np.concatenate((X, np.ones((n, 1))), axis=1) if h else X
+    Xe = np.empty(X1.shape)
     se, g = np.empty(n), np.empty(n)
-    # as in linear_epochs; the next gather restores the ones column
+    # the loss runs once the epoch's gathered rows are spent, in their
+    # buffer; the next gather restores them
     ce = Xe.reshape(-1)[:n]
     # a1, tmp, dz1, then diff and diff as a column, the outer product's left factor
     diff_col = np.empty((rows, 1))
     scratch = tuple(np.empty((rows, h)) for _ in range(3)) + (diff_col[:, 0], diff_col)
-    batches = [(Xe[i:j], Xe[i:j].T, g[i:j], se[i:j]) + views
-               for i, j, views in _batch_views(starts, sizes, scratch)]
+    # the output layer reads a1, or with no hidden layer the batch's rows
+    batches = [(Xb, Xb.T, g[i:j], se[i:j], a1 if h else Xb, *views)
+               for i, j, (a1, *views) in _batch_views(starts, sizes, scratch)
+               for Xb in (Xe[i:j],)]
     dot, tanh, square, subtract, exp, reciprocal = (
         np.dot, np.tanh, np.square, np.subtract, np.exp, np.reciprocal)
     add_reduce = np.add.reduce
+    # divergence shows up as non-finite values, which end the run
     with np.errstate(over="ignore", invalid="ignore"):
         for e in range(trace.size):
             idx = next(orders)
             np.take(X1, idx, 0, Xe, "clip")
             np.take(s, idx, None, se, "clip")
-            del idx
+            del idx  # so a lazy order draws the next row with this one freed
             for Xb, XbT, zb, sb, a1, tmp, dz1, diff, diff_col, m in batches:
-                dot(Xb, W1b, a1)
-                tanh(a1, a1)
+                if h:
+                    dot(Xb, W1b, a1)
+                    tanh(a1, a1)
                 dot(a1, w2, zb)
                 subtract(-params[-1], zb, zb)
                 exp(zb, zb)
@@ -246,15 +213,17 @@ def mlp_epochs(params, X, s, order, batch_size, lr, l2, hidden):
                 reciprocal(zb, zb)
                 subtract(zb, sb, diff)
                 diff /= m
-                square(a1, tmp)
-                subtract(1.0, tmp, tmp)
-                dot(diff_col, w2_row, dz1)
-                dz1 *= tmp
-                dot(XbT, dz1, gW1b)
                 dot(diff, a1, gw2)
                 if l2:
-                    gW1 += l2 * W1
                     gw2 += l2 * w2
+                if h:
+                    square(a1, tmp)
+                    subtract(1.0, tmp, tmp)
+                    dot(diff_col, w2_row, dz1)
+                    dz1 *= tmp
+                    dot(XbT, dz1, gW1b)
+                    if l2:
+                        gW1 += l2 * W1
                 add_reduce(diff, 0, None, gb2, True)
                 grad *= lr
                 params -= grad

@@ -170,19 +170,6 @@ class DiscretePrior:
         return cls(**values)
 
 
-def posterior_pass_prob(record: CheckRecord, prior: DiscretePrior) -> float:
-    """Posterior mean of the per-day pass probability given a record.
-
-    Computed as the ratio of the (k+1, n-k) and (k, n-k) moment sums of the
-    prior, i.e. the gridded version of the Beta-integral quotient; see
-    :func:`_posterior_rows`. A record without support raises.
-    """
-    (p,) = _posterior_rows(prior, np.array([record.n]), np.array([record.k]))
-    if np.isnan(p):
-        raise _no_support(record.n, record.k)
-    return float(p)
-
-
 def _posterior_rows(prior: DiscretePrior, n, k) -> np.ndarray:
     """The posterior pass probability of each pair ``(n[i], k[i])`` of int64
     arrays, nan where no grid point with weight can give the record.
@@ -210,7 +197,9 @@ def _no_support(n, k) -> ValueError:
 
 
 def bayes_soft_label(record: CheckRecord, prior: DiscretePrior) -> float:
-    """Soft label ``1 - posterior_pass_prob``: low pass rates mean high risk.
+    """Soft label: one minus the posterior mean of the per-day pass
+    probability given the record (see :func:`_posterior_rows`), so low pass
+    rates mean high risk. A record without support raises.
 
     Kept per prior, so a repeated pair costs one lookup. The first record
     of a history length n below the grid size labels every (n, 0..n) pair
@@ -438,14 +427,6 @@ def fit_prior(
     )
     object.__setattr__(prior, "_fit_likelihoods", (pairs, w, B, m))
     return prior
-
-
-def fit_objective(n, k, prior: DiscretePrior, lam: float) -> float:
-    """The fitted objective at an arbitrary prior (binomial factor dropped)."""
-    _, w, log_den = _log_mixture(_pair_likelihoods(n, k, prior.grid), prior)
-    if np.any(log_den == -np.inf):
-        return float("inf")
-    return float(-(w @ log_den) + lam * _cell_width(prior.grid) * np.sum(prior.weights**2))
 
 
 def mean_log_likelihood(n, k, prior: DiscretePrior) -> float:

@@ -27,7 +27,6 @@ import numpy as np
 
 from . import kernels
 from .dataset import NUMBERS, REQUIRED, check, check_finite, check_unit_interval, load_json
-from .dataset import save_json
 
 MAX_CELLS = 20
 HULL_ATOL = 1e-12
@@ -96,10 +95,6 @@ class DiscreteProblem:
     @classmethod
     def from_dict(cls, d):
         return cls(**check(PROBLEM_FILE, d, noun="problem field"))
-
-
-def problem_to_json(problem: DiscreteProblem, path) -> None:
-    save_json(problem.to_dict(), path)
 
 
 def problem_from_json(path) -> DiscreteProblem:
@@ -253,16 +248,6 @@ def _prefix_masks(groups) -> tuple[int, ...]:
             mask |= 1 << c
         masks.append(mask)
     return tuple(masks)
-
-
-def threshold_masks(values) -> list[int]:
-    """Classifier bitmasks from thresholding a per-cell statistic.
-
-    Strict rule value > T with T swept over the distinct values top-down:
-    cells with equal values enter together. Starts with the empty classifier
-    (threshold at the maximum) and ends with the full one.
-    """
-    return list(_prefix_masks(_tie_groups(values)))
 
 
 # Sums of doubles are accumulated exactly as integers and rounded once, so a
@@ -471,17 +456,6 @@ def _build_frontier(problem: DiscreteProblem, kind: str) -> Frontier:
         groups=groups,
         whole_first=bool(neg_frac[list(groups[0])].sum() == 0.0),
     )
-
-
-def mask_rates(problem: DiscreteProblem, kind: str, mask: int) -> tuple[float, float]:
-    """(FPR, TPR) of one classifier bitmask, computed directly."""
-    pos_frac, neg_frac = _rate_fractions(problem, kind)
-    m = problem.n_cells
-    if not 0 <= mask < 1 << m:
-        raise ValueError(f"mask {mask} out of range for {m} cells")
-    raw = np.frombuffer(mask.to_bytes((m + 7) // 8, "little"), dtype=np.uint8)
-    sel = np.unpackbits(raw, count=m, bitorder="little").astype(np.float64)
-    return float(neg_frac @ sel), float(pos_frac @ sel)
 
 
 # ---------------------------------------------------------------------------

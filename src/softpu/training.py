@@ -6,12 +6,13 @@ conditional mean of the soft label given the features, so a trained scorer
 thresholded at T approximates the rule "predict positive when the expected
 soft label exceeds T".
 
-Two architectures: a linear-logistic scorer and a one-hidden-layer network
-with tanh units and a logistic output. Optimization is plain mini-batch
-gradient descent with a fixed learning rate and optional L2 on the weights
-(biases excluded); determinism is trivial because all randomness (init and
-shuffles) comes from one seeded generator and the epoch loops run in the
-deterministic numpy kernels of :mod:`softpu.kernels`.
+Two architectures: a one-hidden-layer network with tanh units and a
+logistic output, and a linear-logistic scorer, which is that output layer
+alone. Optimization is plain mini-batch gradient descent with a fixed
+learning rate and optional L2 on the weights (biases excluded);
+determinism is trivial because all randomness (init and shuffles) comes
+from one seeded generator and both scorers train in one deterministic
+numpy epoch kernel of :mod:`softpu.kernels`.
 """
 
 import math
@@ -38,8 +39,10 @@ MODEL_FILE = {"arch": (object, REQUIRED), "feature_dim": (object, REQUIRED),
 class ScoringModel:
     """A parametric scorer mapping feature vectors to [0, 1].
 
-    ``params`` is flat: [w, b] for the linear scorer, [W1, b1, w2, b2] for
-    the one-hidden-layer scorer (W1 row-major, tanh units).
+    ``params`` is flat, [W1, b1, w2, b2] (W1 row-major, h tanh units,
+    then a logistic output unit). The linear scorer is the output layer
+    alone, h = 0 whatever ``hidden_width`` holds, so its params are
+    [w, b]; :func:`_layers` gives the views of either.
     """
 
     arch: str
@@ -82,18 +85,23 @@ class ScoringModel:
             raise ValueError(
                 f"expected {self.feature_dim} features, got {X.shape[1]}"
             )
-        d, h = self.feature_dim, self.hidden_width
-        p = self.params
+        W1, b1, w2, b2 = _layers(self, self.params)
         # a product past the float range is an infinite logit or hidden input,
         # which saturates as a large finite one would
         with np.errstate(over="ignore"):
-            if self.arch == ARCH_LINEAR:
-                return sigmoid(X @ p[:d] + p[d])
-            W1 = p[: d * h].reshape(d, h)
-            b1 = p[d * h : d * h + h]
-            w2 = p[d * h + h : d * h + 2 * h]
-            b2 = p[-1]
-            return sigmoid(np.tanh(X @ W1 + b1) @ w2 + b2)
+            a1 = np.tanh(X @ W1 + b1) if b1.size else X
+            return sigmoid(a1 @ w2 + b2)
+
+
+def _layers(model: ScoringModel, vector) -> tuple:
+    """The views ``(W1, b1, w2, b2)`` of a vector laid out like
+    ``model.params``: W1 is (d, h), b2 holds one entry. The linear scorer
+    is the output layer alone: h = 0, whatever ``hidden_width`` the model
+    stores, and w2 holds its d feature weights."""
+    d = model.feature_dim
+    h = model.hidden_width if model.arch == ARCH_MLP else 0
+    return (vector[: d * h].reshape(d, h), vector[d * h : d * h + h],
+            vector[d * h + h : -1], vector[-1:])
 
 
 def param_count(arch: str, feature_dim: int, hidden_width: int) -> int:
@@ -170,46 +178,34 @@ def penalized_loss(model: ScoringModel, features, soft_labels, l2: float = 0.0) 
 
 def _weight_mask(model: ScoringModel) -> np.ndarray:
     """1 for weight entries, 0 for biases, matching the flat layout."""
-    d, h = model.feature_dim, model.hidden_width
     mask = np.ones_like(model.params)
-    if model.arch == ARCH_LINEAR:
-        mask[d] = 0.0
-    else:
-        mask[d * h : d * h + h] = 0.0
-        mask[-1] = 0.0
+    _, b1, _, b2 = _layers(model, mask)
+    b1[:] = b2[:] = 0.0
     return mask
 
 
 def loss_gradient(model: ScoringModel, features, soft_labels, l2: float = 0.0) -> np.ndarray:
-    """Exact analytic gradient of :func:`penalized_loss` w.r.t. the params."""
+    """Exact analytic gradient of :func:`penalized_loss` w.r.t. the params,
+    for both scorers: the linear one is the output layer alone (see
+    :func:`_layers`), and only the hidden layer's terms depend on h."""
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
     s = np.asarray(soft_labels, dtype=np.float64)
     if X.shape[0] == 0:
         raise ValueError("batch must be non-empty")
     if s.shape != (X.shape[0],):
         raise ValueError("soft_labels length must match batch size")
-    d, h = model.feature_dim, model.hidden_width
-    p = model.params
-    n = X.shape[0]
-    if model.arch == ARCH_LINEAR:
-        g = sigmoid(X @ p[:d] + p[d])
-        diff = (g - s) / n
-        grad = np.empty_like(p)
-        grad[:d] = X.T @ diff + l2 * p[:d]
-        grad[d] = diff.sum()
-        return grad
-    W1 = p[: d * h].reshape(d, h)
-    b1 = p[d * h : d * h + h]
-    w2 = p[d * h + h : d * h + 2 * h]
-    a1 = np.tanh(X @ W1 + b1)
-    g = sigmoid(a1 @ w2 + p[-1])
-    diff = (g - s) / n
-    dz1 = (diff[:, None] * w2[None, :]) * (1.0 - a1 * a1)
-    grad = np.empty_like(p)
-    grad[: d * h] = (X.T @ dz1 + l2 * W1).ravel()
-    grad[d * h : d * h + h] = dz1.sum(axis=0)
-    grad[d * h + h : d * h + 2 * h] = a1.T @ diff + l2 * w2
-    grad[-1] = diff.sum()
+    W1, b1, w2, b2 = _layers(model, model.params)
+    a1 = np.tanh(X @ W1 + b1) if b1.size else X
+    g = sigmoid(a1 @ w2 + b2)
+    diff = (g - s) / X.shape[0]
+    grad = np.empty_like(model.params)
+    gW1, gb1, gw2, gb2 = _layers(model, grad)
+    gw2[:] = a1.T @ diff + l2 * w2
+    gb2[:] = diff.sum()
+    if b1.size:
+        dz1 = (diff[:, None] * w2[None, :]) * (1.0 - a1 * a1)
+        gW1[:] = X.T @ dz1 + l2 * W1
+        gb1[:] = dz1.sum(axis=0)
     return grad
 
 
@@ -289,10 +285,8 @@ def train(
     params = initial_params(arch, data.feature_dim, hidden_width, rng)
     args = (params, X, s, _Shuffles(rng, cfg.epochs, X.shape[0]), cfg.batch_size,
             cfg.learning_rate, cfg.l2)
-    if arch == ARCH_LINEAR:
-        trace = kernels.linear_epochs(*args)
-    else:
-        trace = kernels.mlp_epochs(*args, hidden_width)
+    trace = (kernels.linear_epochs(*args) if arch == ARCH_LINEAR
+             else kernels.mlp_epochs(*args, hidden_width))
     if not (np.isfinite(trace[-1]) and np.all(np.isfinite(params))):
         raise TrainingDiverged(trace[np.isfinite(trace)], trace.size)
     return ScoringModel(

@@ -1348,6 +1348,30 @@ class TestJsonInputs:
         assert run(cfg, "frontier", tmp_path / "out") == 1
         assert capsys.readouterr().err == f"error: problem field 'eta' {message}\n"
 
+    @pytest.mark.parametrize(
+        "reader, text, message",
+        [
+            ("config", '{"seed": ' + "[" * 10**5 + "]" * 10**5 + "}",
+             "nests its JSON too deeply to read"),
+            ("problem", '{"masses": [1.0], "eta": ' + "[" * 995 + "0.5" + "]" * 995
+             + ', "eta_s": [0.5]}', "nests its JSON too deeply to read"),
+            ("config", '{"seed": ' + "7" * 5000 + "}",
+             "cannot be read: Exceeds the limit (4300 digits) for integer string "
+             "conversion: value has 5000 digits; use sys.set_int_max_str_digits() "
+             "to increase the limit"),
+        ],
+        ids=["deep-config", "deep-problem", "long-integer"],
+    )
+    def test_json_past_the_parser_limits_is_named_error(self, tmp_path, capsys, reader, text,
+                                                         message):
+        # json.loads raises RecursionError, or a ValueError that names no file
+        path = tmp_path / f"{reader}.json"
+        path.write_text(text, encoding="utf-8")
+        cfg = path if reader == "config" else write_config(tmp_path, "cfg.json",
+                                                             {"problem": str(path)})
+        assert run(cfg, "frontier", tmp_path / "out") == 1
+        assert capsys.readouterr().err == f"error: {reader} file {path} {message}\n"
+
     @pytest.mark.parametrize("inline", [False, True], ids=["file", "inline"])
     def test_unknown_problem_key_is_refused(self, tmp_path, capsys, inline):
         problem = {"masses": [1.0], "eta": [0.5], "eta_s": [0.5], "eta_S": [0.5]}

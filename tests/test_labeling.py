@@ -30,16 +30,16 @@ from softpu.labeling import (
     bayes_soft_labels,
     check_counts_from_csv,
     check_label_separation,
-    fit_objective,
     fit_prior,
     fitted_mean_log_likelihood,
     mean_log_likelihood,
-    posterior_pass_prob,
     prior_from_json,
     prior_to_json,
     records_from_csv,
     rule_soft_label,
 )
+
+from reference import fit_objective, posterior_pass_prob
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

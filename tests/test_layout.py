@@ -23,7 +23,12 @@ They pin decisions about where code lives:
   scalar probability, in ``dataset.check_unit_interval``;
 - every descending sort that puts tied values in index order is
   ``kernels.descending_order``: no other ``argsort`` or ``sort`` call in
-  the package asks numpy for a stable sort.
+  the package asks numpy for a stable sort;
+- both scorers train in one epoch loop: ``kernels._epoch_loss``, which
+  ends each epoch, has one caller;
+- every top-level function and class in the package has a caller in it
+  (a re-export in ``__init__`` is not one), or is named in
+  ``UNCALLED_API``.
 """
 
 import ast
@@ -200,3 +205,41 @@ def test_stable_sorts_live_only_in_the_descending_order_kernel():
         if _called_name(call) in {"argsort", "sort"} and _asks_for_stable(call)
     ]
     assert [site for site in stable if site != ("kernels.py", "descending_order")] == []
+
+
+def test_one_epoch_loop_trains_both_scorers():
+    callers = [(m, f) for m, f, c in _calls_by_function() if _called_name(c) == "_epoch_loss"]
+    assert callers == [("kernels.py", "_scorer_epochs")]
+
+
+# Top-level names kept though the package may not call them: the paper's
+# API, the model-file writer, and the names the benchmark's tracer wraps or
+# calls, which stay in the package whether or not it calls them.
+UNCALLED_API = {
+    "map_auc", "check_label_separation", "loss_gradient", "penalized_loss", "save_model",
+    "exhaustive_frontier", "enumerate_points", "enumerate_confusions", "records_from_csv",
+    "CheckRecord", "bayes_soft_label", "mean_log_likelihood", "prior_from_json",
+}
+
+
+def _used_names(node) -> set:
+    """Every plain name and attribute name that ``node`` loads."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+
+
+def test_every_top_level_definition_has_a_caller():
+    defined, used = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = _used_names(node)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.name))
+                names.discard(node.name)  # a recursive call is not a caller
+            used |= names
+    uncalled = [site for site in defined if site[1] not in used and site[1] not in UNCALLED_API]
+    assert uncalled == []
+    # a name the package no longer defines leaves the list
+    assert UNCALLED_API <= {name for _, name in defined}

@@ -30,14 +30,13 @@ from softpu.oracle import (
     enumerate_points,
     exhaustive_frontier,
     frontier,
-    mask_rates,
     problem_from_json,
-    problem_to_json,
     slice_density_bound,
-    threshold_masks,
     verify_mela_optimality,
     verify_noisy_gap,
 )
+
+from reference import mask_rates, problem_to_json, threshold_masks
 
 
 def random_problem(rng, m=None, eta_range=(0.02, 0.98)):

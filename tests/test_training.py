@@ -422,6 +422,46 @@ class TestKernelsWriteOnlyParams:
         assert not np.array_equal(params, before)
 
 
+class TestPinnedScoringBits:
+    # sha256 of ScoringModel.scores and of loss_gradient on a fixed batch,
+    # taken while each architecture had its own branch in both: one layout
+    # for both architectures must give these bits.
+    CASES = [
+        # (arch, hidden_width, l2, scores digest, gradient digest)
+        (ARCH_LINEAR, 0, 0.0,
+         "991ab175df176f35b0d854845451bb91a141dd380887b45c3e2c1840c5337f39", "dbdec97a83703fb0c46ad5989f7d5f0062c8bf3638feb95ad17ac1052ad2bb13"),
+        (ARCH_LINEAR, 0, 0.05,
+         "991ab175df176f35b0d854845451bb91a141dd380887b45c3e2c1840c5337f39", "58c320146ced62dae9adc77903f1c58c8bfbd2b3eeaf1b8bd14b9722bcd93541"),
+        (ARCH_MLP, 6, 0.0,
+         "92d13d5d5e8c8251df86db4b9e29ea58137451893dac3d769c8d8d9d1f9e3808", "c0db64930debaf8f223b85a5abe461910895f008037f47618600d8fd126c2abe"),
+        (ARCH_MLP, 6, 0.05,
+         "92d13d5d5e8c8251df86db4b9e29ea58137451893dac3d769c8d8d9d1f9e3808", "38d31f78e3d4ddfdb316718362b756fd2a7a14fa4a69c27aa25c04bb3c057bd1"),
+    ]
+
+    @staticmethod
+    def batch(arch, hidden):
+        rng = np.random.default_rng(37)
+        d, n = 4, 57
+        params = 0.7 * rng.standard_normal(param_count(arch, d, hidden))
+        model = ScoringModel(arch, d, hidden, params)
+        return model, 1.5 * rng.standard_normal((n, d)), rng.random(n)
+
+    @pytest.mark.parametrize("arch, hidden, l2, scores_digest, grad_digest", CASES)
+    def test_scores_and_gradient_bits(self, arch, hidden, l2, scores_digest, grad_digest):
+        model, X, s = self.batch(arch, hidden)
+        assert hashlib.sha256(model.scores(X).tobytes()).hexdigest() == scores_digest
+        grad = loss_gradient(model, X, s, l2)
+        assert hashlib.sha256(grad.tobytes()).hexdigest() == grad_digest
+
+    @pytest.mark.parametrize("l2", [0.0, 0.05])
+    def test_linear_model_ignores_its_stored_hidden_width(self, l2):
+        model, X, s = self.batch(ARCH_LINEAR, 0)
+        wide = replace(model, hidden_width=7)
+        assert wide.scores(X).tobytes() == model.scores(X).tobytes()
+        assert loss_gradient(wide, X, s, l2).tobytes() == loss_gradient(model, X, s, l2).tobytes()
+        assert penalized_loss(wide, X, s, l2) == penalized_loss(model, X, s, l2)
+
+
 class TestThresholdClassify:
     def test_basic(self):
         np.testing.assert_array_equal(
