@@ -15,7 +15,7 @@ from pathlib import Path
 from .dataset import NUMBERS, REQUIRED, AffineLink, CsvSchema, LogisticWarpLink, MelaConfig
 from .dataset import Variants, check, make_pu_benchmark
 from .labeling import fit_prior
-from .training import ARCH_LINEAR, ARCH_MLP, DEFAULT_HIDDEN, TrainConfig
+from .training import ARCH_MLP, DEFAULT_HIDDEN, TrainConfig, hidden_units
 
 
 def _selector(noun: str, key: str, entry: tuple):
@@ -70,8 +70,10 @@ def _existing_file(path, where):
 
 
 def _architecture(arch, where):
-    if arch not in (ARCH_LINEAR, ARCH_MLP):
-        raise ValueError(f"config field '{where}': unknown architecture {arch!r}")
+    try:
+        hidden_units(arch, DEFAULT_HIDDEN)  # refuses an unknown architecture
+    except ValueError as exc:
+        raise ValueError(f"config field '{where}': {exc}") from None
     return arch
 
 

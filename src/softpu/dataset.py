@@ -22,7 +22,6 @@ import functools
 import io
 import itertools
 import json
-import math
 import numbers
 import operator
 import os
@@ -75,6 +74,15 @@ def check_rows(features=None, soft=None, truth=None, names=()) -> None:
     value = truth.flat[i]
     shown = float(value) if isinstance(value, numbers.Real) else repr(value)
     raise ValueError(f"row {i + 1}: true label {shown} must be exactly 0 or 1")
+
+
+def check_classes(truth, classes=(1, 0)) -> None:
+    """Refuse true labels, each 0 or 1, in which a class of ``classes`` has
+    no sample: the real rates of that class are undefined."""
+    for label in classes:
+        if not (truth == label).any():
+            raise ValueError(f"{('negative', 'positive')[label]} class (Y={label}) is empty: "
+                             f"none of the {truth.size} true labels is {label}")
 
 
 @dataclass(frozen=True)
@@ -298,13 +306,17 @@ def read_table(path, fmt: TableFormat) -> np.ndarray:
             except UnicodeDecodeError as exc:
                 # exc.object holds the bytes last fed to the decoder, which
                 # end where fh stands
-                offset = fh.tell() - len(exc.object) + exc.start
-                raise ValueError(
-                    f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} at offset {offset}"
-                ) from None
+                raise _not_utf8(path, exc, fh.tell() - len(exc.object) + exc.start) from None
             finally:
                 text.detach()
     return table
+
+
+def _not_utf8(path, exc: UnicodeDecodeError, offset: int) -> ValueError:
+    """The error for a file whose first byte that is not UTF-8 is at ``offset``."""
+    return ValueError(
+        f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} at offset {offset}"
+    )
 
 
 @dataclass(frozen=True)
@@ -988,10 +1000,21 @@ def make_pu_benchmark(
     soft label built only from x1 and x2 (a scaled posterior-style squash,
     the way a domain expert would score risk from a couple of telltale
     columns); labeled samples keep soft label 1. Models in the soft arm
-    must therefore drop x1 and x2.
+    must therefore drop x1 and x2. ``shift`` and ``view_noise`` are refused
+    once a square passes the float range; short of that, a huge logit
+    saturates the soft label.
     """
-    if not 0.0 < pi < 1.0:
-        raise ValueError(f"pi must lie in (0, 1), got {pi}")
+    check_open_unit_interval(pi, "pi")
+    check_count(n, "n")
+    check_finite_number(shift, "shift")
+    check_finite_number(view_noise, "view_noise")
+    try:
+        view_var = 1.0 + view_noise**2
+        offset = shift**2 / view_var
+    except OverflowError:  # a square past the float range
+        raise ValueError(
+            f"shift={shift} and view_noise={view_noise} overflow the soft-label squash"
+        ) from None
     rng = np.random.default_rng(seed)
     y = (rng.random(n) < pi).astype(np.int8)
     latents = shift * y[:, None] + rng.standard_normal((n, 2))
@@ -1004,12 +1027,10 @@ def make_pu_benchmark(
         provenance="loaded",
     )
     pu = pu_labelize(full, seed + 1)
-    view_var = 1.0 + view_noise**2
     logit_pi = np.log(pi / (1.0 - pi))
     x1, x2 = pu.features[:, 0], pu.features[:, 1]
-    q = soft_scale * sigmoid(
-        shift / view_var * (x1 + x2) - shift**2 / view_var + logit_pi
-    )
+    with np.errstate(over="ignore"):  # an infinite logit saturates
+        q = soft_scale * sigmoid(shift / view_var * (x1 + x2) - offset + logit_pi)
     soft = np.where(pu.soft_labels == 1.0, 1.0, q)
     return pu.with_soft_labels(soft)
 
@@ -1032,10 +1053,8 @@ class GscarConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if not 0.0 < self.pi < 1.0:
-            raise ValueError("pi must lie in (0, 1)")
+        check_count(self.n, "n")
+        check_open_unit_interval(self.pi, "pi")
         mass = gscar_negative_mass(self.pi)
         if mass > 1.0:
             raise ValueError(
@@ -1113,8 +1132,7 @@ class DiscreteEta:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
-        if vals.size < 1:
-            raise ValueError("need at least one cell")
+        check_count(vals.size, "number of cells")
         check_unit_interval(vals, "eta")
 
     @property
@@ -1159,10 +1177,8 @@ class AffineLink:
     intercept: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.intercept):
-            raise ValueError(f"intercept must be finite, got {self.intercept}")
-        if not (math.isfinite(self.slope) and self.slope > 0.0):
-            raise ValueError(f"slope must be finite and positive, got {self.slope}")
+        check_finite_number(self.intercept, "intercept")
+        check_positive(self.slope, "slope")
         lo, hi = self.intercept, self.intercept + self.slope
         if lo < -1e-12 or hi > 1.0 + 1e-12:
             raise ValueError("affine link must map [0,1] into [0,1]")
@@ -1181,8 +1197,7 @@ class LogisticWarpLink:
     gain: float = 4.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.gain) and self.gain > 0.0):
-            raise ValueError(f"gain must be finite and positive, got {self.gain}")
+        check_positive(self.gain, "gain")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=np.float64)
@@ -1216,11 +1231,9 @@ class MelaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        check_count(self.n, "n")
         check_unit_interval(self.epsilon, "epsilon")
-        if not (math.isfinite(self.c_h) and self.c_h > 0.0):
-            raise ValueError(f"c_h must be finite and positive, got {self.c_h}")
+        check_positive(self.c_h, "c_h")
         grid = np.linspace(0.0, 1.0, 1001)
         deriv = self.h_spec.derivative(grid)
         if np.any(deriv < self.c_h - 1e-12):
@@ -1342,9 +1355,7 @@ def load_json(path, what: str) -> dict:
     except IsADirectoryError:
         raise IsADirectoryError(f"{path}: is a directory, not a {what}") from None
     except UnicodeDecodeError as exc:
-        raise ValueError(
-            f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
-        ) from None
+        raise _not_utf8(path, exc, exc.start) from None
     try:
         record = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -1455,3 +1466,39 @@ def check_unit_interval(values, what: str) -> None:
     bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
     if bad.size:
         raise ValueError(f"{what} must lie in [0, 1], got {values.flat[bad[0]]}")
+
+
+# The scalar value rules, each worded once, naming the value. A number is finite when
+# a float holds it: compared exactly for ints of any size, false for nan.
+
+
+def check_finite_number(value, what: str) -> None:
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{what} must be finite, got {value}")
+
+
+def check_positive(value, what: str) -> None:
+    if not (abs(value) <= sys.float_info.max and value > 0):
+        raise ValueError(f"{what} must be finite and positive, got {value}")
+
+
+def check_non_negative(value, what: str) -> None:
+    if not (abs(value) <= sys.float_info.max and value >= 0):
+        raise ValueError(f"{what} must be finite and non-negative, got {value}")
+
+
+def check_open_unit_interval(value, what: str) -> None:
+    if not 0 < value < 1:
+        raise ValueError(f"{what} must lie in (0, 1), got {value}")
+
+
+def check_count(value, what: str, least: int = 1) -> None:
+    """Refuse a count below ``least``; an int of any size compares exactly."""
+    if not value >= least:
+        raise ValueError(f"{what} must be at least {least}, got {value}")
+
+
+def check_kind(kind) -> None:
+    """Refuse a curve or frontier kind: ``real`` (Y, eta) or ``spu`` (S, eta_s)."""
+    if kind not in ("real", "spu"):
+        raise ValueError(f"kind must be 'real' or 'spu', got {kind!r}")

@@ -35,7 +35,7 @@ from .labeling import RuleStats, bayes_soft_labels, check_counts_from_csv, fit_p
 from .labeling import rule_soft_label
 from .metrics import auc_real, auc_spu, auc_spu_bound, estimate_mixture_stats
 from .metrics import mixture_coefficients
-from .training import TrainConfig, train
+from .training import TrainConfig, hidden_units, train
 
 MIN_SPLIT_SIZE = 10
 # an arm warns when more than this share of its validation scores lie within
@@ -187,8 +187,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
     values = config.values
     seed, training = values["seed"], dict(values["model"])
     arch, hidden = training.pop("arch"), training.pop("hidden_width")
-    # built before any dataset, so that a bad training field stops the run first
+    # checked before any dataset, so that a bad training field stops the run first
     train_cfg = TrainConfig(seed=seed + 3, **training)
+    hidden_units(arch, hidden)
     relabel = soft_label_source(values["soft_labels"])
     data = relabel(build_dataset(values["dataset"], seed))
     truth = data.require_true_labels()

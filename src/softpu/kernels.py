@@ -99,26 +99,17 @@ def _diverged(loss, params):
     return not (np.isfinite(loss) and np.isfinite(params).all())
 
 
-def linear_epochs(params, X, s, order, batch_size, lr, l2):
-    """:func:`_scorer_epochs` for the linear-logistic scorer, params [w, b]."""
-    return _scorer_epochs(params, X, s, order, batch_size, lr, l2, 0)
-
-
 def mlp_epochs(params, X, s, order, batch_size, lr, l2, hidden):
-    """:func:`_scorer_epochs` for the scorer with ``hidden`` tanh units."""
-    return _scorer_epochs(params, X, s, order, batch_size, lr, l2, hidden)
+    """Mini-batch gradient descent epochs for a scorer with ``hidden`` tanh
+    units and a logistic output unit: one loop for both scorers, with
+    ``hidden = 0`` the linear-logistic one.
 
-
-def _scorer_epochs(params, X, s, order, batch_size, lr, l2, h):
-    """Mini-batch gradient descent epochs for a scorer with ``h`` tanh
-    hidden units and a logistic output unit: one loop for both scorers.
-
-    Flat layout: [W1 (d*h, row-major), b1 (h), w2, b2 (1)], updated in
-    place; its first (d+1)*h entries are the augmented matrix [W1; b1],
-    which meets a ones column appended to the features. With ``h = 0`` the
-    output layer reads the gathered rows themselves, with no ones column,
-    and the layout is the linear scorer's [w (d), b]. Only the hidden
-    layer's forward and backward steps depend on ``h``.
+    Flat layout, with h = ``hidden``: [W1 (d*h, row-major), b1 (h), w2,
+    b2 (1)], updated in place; its first (d+1)*h entries are the augmented
+    matrix [W1; b1], which meets a ones column appended to the features.
+    With h = 0 the output layer reads the gathered rows themselves, with no
+    ones column, and the layout is the linear scorer's [w (d), b]. Only the
+    hidden layer's forward and backward steps depend on h.
 
     ``order`` has ``shape == (k, n)`` and iterates over ``k`` rows, row
     ``e`` being the shuffle order of epoch ``e``. It may be a (k, n) int
@@ -169,17 +160,17 @@ def _scorer_epochs(params, X, s, order, batch_size, lr, l2, h):
     orders = _epoch_orders(order, n)
     starts, sizes, rows = _batches(n, batch_size)
     trace = np.empty(order.shape[0])
-    W1b = params[: (d + 1) * h].reshape(d + 1, h)
+    W1b = params[: (d + 1) * hidden].reshape(d + 1, hidden)
     W1 = W1b[:d]
-    w2 = params[(d + 1) * h : -1]
+    w2 = params[(d + 1) * hidden : -1]
     w2_row = w2[None, :]
     grad = np.empty_like(params)
-    gW1b = grad[: (d + 1) * h].reshape(d + 1, h)
+    gW1b = grad[: (d + 1) * hidden].reshape(d + 1, hidden)
     gW1 = gW1b[:d]
-    gw2 = grad[(d + 1) * h : -1]
+    gw2 = grad[(d + 1) * hidden : -1]
     gb2 = grad[-1:]
     # the rows an epoch gathers: with a hidden layer, beside the ones column that meets b1
-    X1 = np.concatenate((X, np.ones((n, 1))), axis=1) if h else X
+    X1 = np.concatenate((X, np.ones((n, 1))), axis=1) if hidden else X
     Xe = np.empty(X1.shape)
     se, g = np.empty(n), np.empty(n)
     # the loss runs once the epoch's gathered rows are spent, in their
@@ -187,9 +178,9 @@ def _scorer_epochs(params, X, s, order, batch_size, lr, l2, h):
     ce = Xe.reshape(-1)[:n]
     # a1, tmp, dz1, then diff and diff as a column, the outer product's left factor
     diff_col = np.empty((rows, 1))
-    scratch = tuple(np.empty((rows, h)) for _ in range(3)) + (diff_col[:, 0], diff_col)
+    scratch = tuple(np.empty((rows, hidden)) for _ in range(3)) + (diff_col[:, 0], diff_col)
     # the output layer reads a1, or with no hidden layer the batch's rows
-    batches = [(Xb, Xb.T, g[i:j], se[i:j], a1 if h else Xb, *views)
+    batches = [(Xb, Xb.T, g[i:j], se[i:j], a1 if hidden else Xb, *views)
                for i, j, (a1, *views) in _batch_views(starts, sizes, scratch)
                for Xb in (Xe[i:j],)]
     dot, tanh, square, subtract, exp, reciprocal = (
@@ -203,7 +194,7 @@ def _scorer_epochs(params, X, s, order, batch_size, lr, l2, h):
             np.take(s, idx, None, se, "clip")
             del idx  # so a lazy order draws the next row with this one freed
             for Xb, XbT, zb, sb, a1, tmp, dz1, diff, diff_col, m in batches:
-                if h:
+                if hidden:
                     dot(Xb, W1b, a1)
                     tanh(a1, a1)
                 dot(a1, w2, zb)
@@ -216,7 +207,7 @@ def _scorer_epochs(params, X, s, order, batch_size, lr, l2, h):
                 dot(diff, a1, gw2)
                 if l2:
                     gw2 += l2 * w2
-                if h:
+                if hidden:
                     square(a1, tmp)
                     subtract(1.0, tmp, tmp)
                     dot(diff_col, w2_row, dz1)

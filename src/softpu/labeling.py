@@ -29,8 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .dataset import NUMBERS, REQUIRED, TableFormat, check, check_finite, check_rows, load_json
-from .dataset import check_unit_interval, read_table, save_json
+from .dataset import NUMBERS, REQUIRED, TableFormat, check, check_classes, check_count
+from .dataset import check_finite, check_non_negative, check_positive, check_rows
+from .dataset import check_unit_interval, load_json, read_table, save_json
 
 GRID_MARGIN = 1e-4
 # the prior fit holds check counts in int64 arrays
@@ -59,8 +60,7 @@ def rule_soft_label(stats: RuleStats) -> float:
     The raw expression goes negative when a rule underperforms random
     selection; clamping to 0 keeps the "ordinary unlabeled" meaning.
     """
-    if stats.fail_ratio_rule == 0.0:
-        raise ValueError("fail_ratio_rule is 0: failure-ratio quotient undefined")
+    check_positive(stats.fail_ratio_rule, "fail_ratio_rule")  # the quotient's denominator
     raw = 1.0 - stats.fail_ratio_random / stats.fail_ratio_rule
     return float(min(max(raw, 0.0), 1.0))
 
@@ -136,14 +136,9 @@ class DiscretePrior:
         The margin keeps every likelihood strictly positive for records with
         0 < k < n.
         """
-        if grid_size < 2:
-            raise ValueError("grid_size must be at least 2")
+        check_count(grid_size, "grid_size", least=2)
         grid = np.linspace(margin, 1.0 - margin, grid_size)
         return cls(grid=grid, weights=np.full(grid_size, 1.0 / grid_size))
-
-    @classmethod
-    def point_mass(cls, theta: float) -> "DiscretePrior":
-        return cls(grid=np.array([theta]), weights=np.array([1.0]))
 
     @property
     def mean(self) -> float:
@@ -394,13 +389,10 @@ def fit_prior(
     from which :func:`fitted_mean_log_likelihood` reports without grouping
     the users again.
     """
-    if not (math.isfinite(step_size) and step_size > 0.0):
-        raise ValueError(f"step_size must be finite and > 0, got {step_size!r}")
-    for name, value in (("lam", lam), ("tol", tol)):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be >= 0, got {max_iters!r}")
+    check_positive(step_size, "step_size")
+    check_non_negative(lam, "lam")
+    check_non_negative(tol, "tol")
+    check_count(max_iters, "max_iters", least=0)
     start = DiscretePrior.uniform(grid_size)
     dtheta = _cell_width(start.grid)
     pairs, w, B, m = _pair_likelihoods(n, k, start.grid)
@@ -482,11 +474,8 @@ def check_label_separation(soft_labels, true_labels, pi: float) -> LabelSeparati
     if s.shape != y.shape:
         raise ValueError("soft_labels and true_labels must have matching shapes")
     check_rows(soft=s, truth=y)
+    check_classes(y)
     pos = y == 1
-    if not pos.any():
-        raise ValueError("positive class (Y=1) is empty")
-    if pos.all():
-        raise ValueError("negative class (Y=0) is empty")
     mean_pos = float(s[pos].mean())
     mean_neg = float(s[~pos].mean())
     nonzero = s[s > 0.0]

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .dataset import SoftDataset, check_finite, check_rows, check_unit_interval, field_dict
-from .dataset import write_columns
+from .dataset import SoftDataset, check_classes, check_finite, check_kind, check_rows
+from .dataset import check_open_unit_interval, check_unit_interval, field_dict, write_columns
 
 
 def _soft_vector(data) -> np.ndarray:
@@ -53,6 +53,18 @@ def _checked(labels, values, what) -> np.ndarray:
     return values
 
 
+def _soft_weights(s, sides=(1, 0)):
+    """The weight of each side of ``sides``, ``s`` for side 1 and ``1 - s``
+    for side 0, refused when it holds no soft mass: the substitute rates of
+    that side are undefined."""
+    weights = [s if side else 1.0 - s for side in sides]
+    for side, weight in zip(sides, weights):
+        if weight.sum() <= 0.0:
+            raise ValueError("no positive soft mass: sum of soft labels is 0" if side
+                             else "no negative soft mass: sum of (1 - soft label) is 0")
+    return weights
+
+
 # ---------------------------------------------------------------------------
 # pointwise substitute and real rates
 # ---------------------------------------------------------------------------
@@ -62,41 +74,32 @@ def tpr_spu(data, predictions) -> float:
     """Substitute TPR: soft-positive mass predicted positive over total."""
     s = _soft_vector(data)
     yhat = _checked(s, predictions, "predictions")
-    denom = s.sum()
-    if denom <= 0.0:
-        raise ValueError("no positive soft mass: sum of soft labels is 0")
-    return float((s * yhat).sum() / denom)
+    (pos,) = _soft_weights(s, (1,))
+    return float((pos * yhat).sum() / pos.sum())
 
 
 def fpr_spu(data, predictions) -> float:
     """Substitute FPR: soft-negative mass predicted positive over total."""
     s = _soft_vector(data)
     yhat = _checked(s, predictions, "predictions")
-    neg = 1.0 - s
-    denom = neg.sum()
-    if denom <= 0.0:
-        raise ValueError("no negative soft mass: sum of (1 - soft label) is 0")
-    return float((neg * yhat).sum() / denom)
+    (neg,) = _soft_weights(s, (0,))
+    return float((neg * yhat).sum() / neg.sum())
 
 
 def tpr(data, predictions) -> float:
     """Empirical P(Yhat=1 | Y=1)."""
     y = _true_vector(data)
     yhat = _checked(y, predictions, "predictions")
-    n_pos = y.sum()
-    if n_pos == 0:
-        raise ValueError("positive class (Y=1) is empty")
-    return float((y * yhat).sum() / n_pos)
+    check_classes(y, (1,))
+    return float((y * yhat).sum() / y.sum())
 
 
 def fpr(data, predictions) -> float:
     """Empirical P(Yhat=1 | Y=0)."""
     y = _true_vector(data)
     yhat = _checked(y, predictions, "predictions")
-    n_neg = (1.0 - y).sum()
-    if n_neg == 0:
-        raise ValueError("negative class (Y=0) is empty")
-    return float(((1.0 - y) * yhat).sum() / n_neg)
+    check_classes(y, (0,))
+    return float(((1.0 - y) * yhat).sum() / (1.0 - y).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +127,7 @@ class RocCurve:
         ys = np.asarray(self.ys, dtype=np.float64)
         if not (t.shape == xs.shape == ys.shape) or t.ndim != 1 or t.size < 2:
             raise ValueError("curve needs aligned 1-D arrays with >= 2 points")
-        if self.kind not in ("real", "spu"):
-            raise ValueError("kind must be 'real' or 'spu'")
+        check_kind(self.kind)
         for name, v in (("x", xs), ("y", ys)):
             if np.any(np.diff(v) < 0):
                 raise ValueError(f"curve {name} values must be non-decreasing")
@@ -179,24 +181,10 @@ def _swept_curve(sweep, pos_weight, neg_weight, kind) -> RocCurve:
     return RocCurve(thresholds, xs, ys, kind=kind)
 
 
-def _soft_weights(s):
-    """``(s, 1 - s)``, refused unless both hold some soft mass."""
-    if s.sum() <= 0.0:
-        raise ValueError("no positive soft mass: sum of soft labels is 0")
-    neg = 1.0 - s
-    if neg.sum() <= 0.0:
-        raise ValueError("no negative soft mass: sum of (1 - soft label) is 0")
-    return s, neg
-
-
 def _true_weights(y):
     """``(y, 1 - y)``, refused unless both classes are present."""
-    if y.sum() == 0:
-        raise ValueError("positive class (Y=1) is empty")
-    neg = 1.0 - y
-    if neg.sum() == 0:
-        raise ValueError("negative class (Y=0) is empty")
-    return y, neg
+    check_classes(y)
+    return y, 1.0 - y
 
 
 def roc_spu(data, scores) -> RocCurve:
@@ -260,10 +248,7 @@ def auc_spu_bound(data) -> float:
     """
     s = _soft_vector(data)
     mean = float(s.mean())
-    if not 0.0 < mean < 1.0:
-        raise ValueError(
-            f"bound undefined: mean soft label is {mean} (needs to be inside (0, 1))"
-        )
+    check_open_unit_interval(mean, "mean soft label")
     values, counts = np.unique(s, return_counts=True)
     cdf = np.cumsum(counts) / s.size
     int_f = 1.0 - mean
@@ -313,15 +298,11 @@ def mixture_coefficients(pi: float, s_p: float, s_n: float) -> MixtureCoefficien
     ``pi*s_p + (1-pi)*s_n`` must avoid 0 and 1, else a row of the map is
     undefined.
     """
-    if not 0.0 < pi < 1.0:
-        raise ValueError("pi must lie in (0, 1)")
+    check_open_unit_interval(pi, "pi")
     check_unit_interval(s_p, "s_p")
     check_unit_interval(s_n, "s_n")
     mix = pi * s_p + (1.0 - pi) * s_n
-    if mix <= 0.0:
-        raise ValueError("mixture soft-label mean is 0: top row undefined")
-    if mix >= 1.0:
-        raise ValueError("mixture soft-label mean is 1: bottom row undefined")
+    check_open_unit_interval(mix, "mixture soft-label mean")
     a = pi * s_p / mix
     b = (1.0 - pi) * s_n / mix
     c = pi * (1.0 - s_p) / (1.0 - mix)
@@ -336,12 +317,9 @@ def estimate_mixture_stats(dataset: SoftDataset) -> tuple[float, float, float]:
     themselves never need these.
     """
     y = dataset.require_true_labels()
+    check_classes(y)
     s = dataset.soft_labels
     pos = y == 1
-    if not pos.any():
-        raise ValueError("positive class (Y=1) is empty")
-    if pos.all():
-        raise ValueError("negative class (Y=0) is empty")
     return (
         float(pos.mean()),
         float(s[pos].mean()),

@@ -26,7 +26,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .dataset import NUMBERS, REQUIRED, check, check_finite, check_unit_interval, load_json
+from .dataset import NUMBERS, REQUIRED, check, check_count, check_finite, check_finite_number
+from .dataset import check_kind, check_non_negative, check_positive, check_unit_interval
+from .dataset import load_json
 
 MAX_CELLS = 20
 HULL_ATOL = 1e-12
@@ -58,8 +60,7 @@ class DiscreteProblem:
         eta_s = np.array(self.eta_s, dtype=np.float64)
         if not (masses.shape == eta.shape == eta_s.shape) or masses.ndim != 1:
             raise ValueError("masses, eta, eta_s must be matching 1-D arrays")
-        if masses.size < 1:
-            raise ValueError("need at least one cell")
+        check_count(masses.size, "number of cells")
         for name, v in (("masses", masses), ("eta", eta), ("eta_s", eta_s)):
             check_finite(v, name)
         if np.any(masses <= 0.0):
@@ -103,8 +104,7 @@ def problem_from_json(path) -> DiscreteProblem:
 
 
 def _conditional(problem: DiscreteProblem, kind: str) -> np.ndarray:
-    if kind not in ("real", "spu"):
-        raise ValueError("kind must be 'real' or 'spu'")
+    check_kind(kind)
     return problem.eta if kind == "real" else problem.eta_s
 
 
@@ -376,21 +376,15 @@ class Frontier:
             return mask == prefixes[1]
         return mask & prefixes[k - 1] == prefixes[k - 1]
 
-    def members(self, *columns):
+    def _member_sums(self, *exact):
         """Every classifier on the frontier, in increasing bitmask order,
-        and each per-cell column summed exactly over its cells and rounded
-        once.
+        and each column of :func:`_exact` counts summed exactly over its
+        cells and rounded once, plus each column's exact sums over the
+        whole-group prefixes (of :func:`_exact_prefix_sums`): one pass
+        forms both.
 
         A member is a whole-group prefix plus a proper subset of the next
         group, or the full classifier.
-        """
-        masks, sums, _ = self._member_sums(*map(_exact, columns))
-        return masks, sums
-
-    def _member_sums(self, *exact):
-        """:meth:`members` of columns already in :func:`_exact` form, plus
-        each column's exact sums over the whole-group prefixes (of
-        :func:`_exact_prefix_sums`): one pass forms both.
 
         The members of group k lie between prefixes k and k + 1 as integers
         and come out of :func:`_subsets` in increasing order, so the list is
@@ -539,8 +533,7 @@ def slice_density_bound(problem: DiscreteProblem, width: float) -> float:
     uses; point masses make the infinitesimal-width version infinite, so the
     check is meaningful only at the supplied width.
     """
-    if width <= 0.0:
-        raise ValueError("width must be positive")
+    check_positive(width, "width")
     order = np.argsort(problem.eta)
     eta = problem.eta[order]
     cum = np.concatenate([[0.0], np.cumsum(problem.masses[order])])
@@ -679,20 +672,21 @@ def verify_noisy_gap(
     from its threshold chain: subsets are enumerated only inside a tie
     group, which must have at most ``MAX_CELLS`` cells.
     """
-    if not (math.isfinite(c_h) and c_h > 0.0):
-        raise ValueError(f"c_h must be finite and positive, got {c_h}")
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
-        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon}")
-    if not math.isfinite(m_const):
-        raise ValueError(f"m must be finite, got {m_const}")
+    check_positive(c_h, "c_h")
+    check_non_negative(epsilon, "epsilon")
+    check_finite_number(m_const, "m")
     # the frontiers first: they name a kind without positive or negative mass
     real_frontier = frontier(problem, "real")
     spu_frontier = frontier(problem, "spu")
     pi = problem.class_prior
-    try:
+    try:  # a square, a product or the quotient past the float range
         point_bound = 4.0 * m_const * epsilon**2 / (pi * c_h**2)
-    except (OverflowError, ZeroDivisionError):  # a square past the float range
-        raise ValueError(f"epsilon={epsilon} and c_h={c_h} overflow the noisy bound") from None
+        if not math.isfinite(point_bound):
+            raise OverflowError
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(
+            f"epsilon={epsilon}, c_h={c_h} and m={m_const} overflow the noisy bound"
+        ) from None
     auc_bound = 2.0 * point_bound
 
     link_bad = assumption4_violations(problem, epsilon, c_h)

@@ -15,15 +15,15 @@ from one seeded generator and both scorers train in one deterministic
 numpy epoch kernel of :mod:`softpu.kernels`.
 """
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import kernels
-from .dataset import NUMBERS, REQUIRED, SoftDataset, check, check_finite, check_rows, field_dict
-from .dataset import load_json, save_json
+from .dataset import NUMBERS, REQUIRED, SoftDataset, check, check_count, check_finite
+from .dataset import check_non_negative, check_positive, check_rows, field_dict, load_json
+from .dataset import save_json
 from .kernels import sigmoid
 
 ARCH_LINEAR = "linear-logistic"
@@ -41,8 +41,8 @@ class ScoringModel:
 
     ``params`` is flat, [W1, b1, w2, b2] (W1 row-major, h tanh units,
     then a logistic output unit). The linear scorer is the output layer
-    alone, h = 0 whatever ``hidden_width`` holds, so its params are
-    [w, b]; :func:`_layers` gives the views of either.
+    alone, h = 0 whatever ``hidden_width`` holds (:func:`hidden_units`),
+    so its params are [w, b]; :func:`_layers` gives the views of either.
     """
 
     arch: str
@@ -55,14 +55,12 @@ class ScoringModel:
     def __post_init__(self):
         if not isinstance(self.arch, str):
             raise ValueError(f"field 'arch' must be str, got {type(self.arch).__name__}")
-        if self.arch not in (ARCH_LINEAR, ARCH_MLP):
-            raise ValueError(f"unknown architecture {self.arch!r}")
         for name in ("feature_dim", "hidden_width"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"field '{name}' must be int, got {type(value).__name__}")
-        if self.feature_dim < 1:
-            raise ValueError(f"field 'feature_dim' must be positive, got {self.feature_dim}")
+        check_count(self.feature_dim, "field 'feature_dim'")
+        # refuses an unknown architecture, and an MLP without hidden units
         expected = param_count(self.arch, self.feature_dim, self.hidden_width)
         params = np.asarray(self.params)
         if params.dtype.kind not in "iuf":
@@ -99,19 +97,28 @@ def _layers(model: ScoringModel, vector) -> tuple:
     is the output layer alone: h = 0, whatever ``hidden_width`` the model
     stores, and w2 holds its d feature weights."""
     d = model.feature_dim
-    h = model.hidden_width if model.arch == ARCH_MLP else 0
+    h = hidden_units(model.arch, model.hidden_width)
     return (vector[: d * h].reshape(d, h), vector[d * h : d * h + h],
             vector[d * h + h : -1], vector[-1:])
 
 
-def param_count(arch: str, feature_dim: int, hidden_width: int) -> int:
+def hidden_units(arch: str, hidden_width: int) -> int:
+    """The tanh units h of a scorer of architecture ``arch``: at least one,
+    ``hidden_width``, for the MLP, and 0 for the linear scorer, its output
+    layer alone, whatever ``hidden_width`` holds."""
     if arch == ARCH_LINEAR:
-        return feature_dim + 1
-    if arch == ARCH_MLP:
-        if hidden_width < 1:
-            raise ValueError("hidden_width must be positive")
-        return feature_dim * hidden_width + 2 * hidden_width + 1
-    raise ValueError(f"unknown architecture {arch!r}")
+        return 0
+    if arch != ARCH_MLP:
+        raise ValueError(f"unknown architecture {arch!r}")
+    check_count(hidden_width, "hidden_width")
+    return hidden_width
+
+
+def param_count(arch: str, feature_dim: int, hidden_width: int) -> int:
+    """The length of the flat params [W1, b1, w2, b2]: w2 holds h weights,
+    or with h = 0 the d feature weights."""
+    h = hidden_units(arch, hidden_width)
+    return (feature_dim + 1) * h + (h or feature_dim) + 1
 
 
 @dataclass(frozen=True)
@@ -123,16 +130,10 @@ class TrainConfig:
     l2: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            raise ValueError(
-                f"learning_rate must be finite and positive, got {self.learning_rate!r}"
-            )
-        if self.epochs < 1:
-            raise ValueError("epochs must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if not (math.isfinite(self.l2) and self.l2 >= 0.0):
-            raise ValueError(f"l2 must be finite and non-negative, got {self.l2!r}")
+        check_positive(self.learning_rate, "learning_rate")
+        check_count(self.epochs, "epochs")
+        check_count(self.batch_size, "batch_size")
+        check_non_negative(self.l2, "l2")
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +217,10 @@ def loss_gradient(model: ScoringModel, features, soft_labels, l2: float = 0.0) -
 
 def initial_params(arch, feature_dim, hidden_width, rng) -> np.ndarray:
     """Zeros for the linear scorer; small symmetric uniform (+-0.1) for the
-    hidden-layer weights, zero biases."""
-    count = param_count(arch, feature_dim, hidden_width)
-    if arch == ARCH_LINEAR:
-        return np.zeros(count)
-    d, h = feature_dim, hidden_width
-    params = np.zeros(count)
+    hidden-layer weights, zero biases. The linear scorer's draws are empty,
+    which leaves ``rng`` as it was."""
+    d, h = feature_dim, hidden_units(arch, hidden_width)
+    params = np.zeros(param_count(arch, feature_dim, hidden_width))
     params[: d * h] = rng.uniform(-0.1, 0.1, d * h)
     params[d * h + h : d * h + 2 * h] = rng.uniform(-0.1, 0.1, h)
     return params
@@ -277,22 +276,19 @@ def train(
     that leaves a non-finite loss or non-finite parameters, where the
     kernel stops.
     """
-    if arch == ARCH_LINEAR:
-        hidden_width = 0
+    h = hidden_units(arch, hidden_width)
     rng = np.random.default_rng(cfg.seed)
     X = np.ascontiguousarray(data.features)
     s = np.ascontiguousarray(data.soft_labels)
-    params = initial_params(arch, data.feature_dim, hidden_width, rng)
-    args = (params, X, s, _Shuffles(rng, cfg.epochs, X.shape[0]), cfg.batch_size,
-            cfg.learning_rate, cfg.l2)
-    trace = (kernels.linear_epochs(*args) if arch == ARCH_LINEAR
-             else kernels.mlp_epochs(*args, hidden_width))
+    params = initial_params(arch, data.feature_dim, h, rng)
+    trace = kernels.mlp_epochs(params, X, s, _Shuffles(rng, cfg.epochs, X.shape[0]),
+                               cfg.batch_size, cfg.learning_rate, cfg.l2, h)
     if not (np.isfinite(trace[-1]) and np.all(np.isfinite(params))):
         raise TrainingDiverged(trace[np.isfinite(trace)], trace.size)
     return ScoringModel(
         arch=arch,
         feature_dim=data.feature_dim,
-        hidden_width=hidden_width,
+        hidden_width=h,
         params=params,
         seed=cfg.seed,
         loss_trace=tuple(float(v) for v in trace),

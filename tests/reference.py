@@ -16,7 +16,9 @@ cross-check the package: a problem-file writer (``problem_to_json``), one
 classifier's rates and the threshold chain's masks of a discrete problem
 (``mask_rates``, ``threshold_masks``), one record's posterior pass
 probability (``posterior_pass_prob``) and the prior fit's objective at any
-prior (``fit_objective``).
+prior (``fit_objective``), every classifier on a frontier with the exact
+sums of per-cell columns over it (``members``), and a one-point prior
+(``point_mass``).
 """
 
 from functools import partial
@@ -27,7 +29,8 @@ from softpu.dataset import TableFormat, named_columns, parse_cell, read_table, s
 from softpu.labeling import CheckRecord, DiscretePrior, _cell_width, _log_mixture
 from softpu.labeling import _no_support, _pair_likelihoods, _posterior_rows
 from softpu.metrics import RocCurve
-from softpu.oracle import DiscreteProblem, _prefix_masks, _rate_fractions, _tie_groups
+from softpu.oracle import DiscreteProblem, Frontier, _exact, _prefix_masks, _rate_fractions
+from softpu.oracle import _tie_groups
 
 CURVE_COLUMNS = ("threshold", "x", "y")
 CURVE_FILE = TableFormat(
@@ -104,3 +107,19 @@ def fit_objective(n, k, prior: DiscretePrior, lam: float) -> float:
     if np.any(log_den == -np.inf):
         return float("inf")
     return float(-(w @ log_den) + lam * _cell_width(prior.grid) * np.sum(prior.weights**2))
+
+
+def members(front: Frontier, *columns):
+    """Every classifier on the frontier, in increasing bitmask order,
+    and each per-cell column summed exactly over its cells and rounded
+    once.
+
+    A member is a whole-group prefix plus a proper subset of the next
+    group, or the full classifier.
+    """
+    masks, sums, _ = front._member_sums(*map(_exact, columns))
+    return masks, sums
+
+
+def point_mass(theta: float) -> DiscretePrior:
+    return DiscretePrior(grid=np.array([theta]), weights=np.array([1.0]))

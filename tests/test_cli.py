@@ -17,6 +17,7 @@ import pytest
 
 import softpu
 import softpu.cli
+from softpu import config as config_tables
 from softpu import experiment as experiment_module
 from softpu import oracle as oracle_module
 from softpu import workers as workers_module
@@ -764,7 +765,7 @@ class TestEvalAndBound:
             ("feature_dim", "a", "field 'feature_dim' must be int, got str"),
             ("feature_dim", 2.5, "field 'feature_dim' must be int, got float"),
             ("feature_dim", True, "field 'feature_dim' must be int, got bool"),
-            ("feature_dim", 0, "field 'feature_dim' must be positive, got 0"),
+            ("feature_dim", 0, "field 'feature_dim' must be at least 1, got 0"),
             ("hidden_width", None, "field 'hidden_width' is required"),
             ("params", ["x", 1, 2], "field 'params' must hold numbers, got 'x'"),
             ("params", [True, 1, 2], "field 'params' must hold numbers, got True"),
@@ -957,7 +958,7 @@ class TestFitPriorCommand:
             {"records": str(FIXTURES / "check_records.csv"), "step_size": -1.0},
         )
         assert run(cfg, "fit-prior", tmp_path / "o") == 1
-        assert "step_size must be finite and > 0, got -1.0" in capsys.readouterr().err
+        assert "step_size must be finite and positive, got -1.0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "settings,iterations,converged",
@@ -1507,7 +1508,10 @@ class TestShippedConfigs:
 
 def sweep_inputs():
     """Name -> (command, config): the shipped configs, with the experiment
-    shrunk, plus an inline-problem frontier and a piecewise-eta mela generator."""
+    shrunk, plus an inline-problem frontier, a piecewise-eta mela generator,
+    a pu-benchmark generator with every key set, linear and MLP experiments
+    on the ``rule`` and ``bayes`` soft-label sources, and ``eval`` on a CSV
+    dataset with a linear model file."""
     shipped = {
         path.name: json.loads(path.read_text(encoding="utf-8"))
         for path in sorted((FIXTURES / "configs").glob("*.json"))
@@ -1541,6 +1545,43 @@ def sweep_inputs():
                     "epsilon": 0.02,
                     "c_h": 0.5,
                 },
+            },
+        ),
+        "pu-benchmark": (
+            "generate",
+            {"seed": 3, "dataset": {"kind": "pu-benchmark", "n": 100, "pi": 0.4,
+                                    "shift": 1.4, "view_noise": 0.4}},
+        ),
+        "rule-experiment": (
+            "experiment",
+            {
+                "seed": 5,
+                "dataset": {"kind": "pu-benchmark", "n": 200},
+                "model": {"arch": "linear-logistic", "learning_rate": 0.5, "epochs": 1,
+                          "batch_size": 64, "l2": 0.01},
+                "soft_labels": {"source": "rule", "fail_ratio_rule": 0.5,
+                                "fail_ratio_random": 0.2},
+            },
+        ),
+        "bayes-experiment": (
+            "experiment",
+            {
+                "seed": 5,
+                "dataset": {"kind": "pu-benchmark", "n": 300},  # one per record
+                "model": {"hidden_width": 4, "epochs": 1},
+                "soft_labels": {"source": "bayes", "records": "fixtures/check_records.csv",
+                                "grid_size": 11, "lambda": 0.001},
+            },
+        ),
+        "csv-eval": (
+            "eval",
+            {
+                "seed": 1,
+                "thresholds": [0.5],
+                "dataset": {"kind": "csv", "path": "fixtures/eval/dataset.csv",
+                            "features": ["x0", "x1"], "soft_label": "soft_label",
+                            "true_label": "true_label"},
+                "model": "fixtures/eval/model.json",
             },
         ),
     }
@@ -1582,6 +1623,28 @@ def mutated(config, path, value):
 
 
 SWEEP_INPUTS = sweep_inputs()
+
+
+@pytest.mark.parametrize(
+    "path, table",
+    [
+        (("dataset",), config_tables.DATASET.keys),
+        (("dataset", "link"), config_tables.LINK.keys),
+        (("dataset", "eta"), config_tables.ETA.keys),
+        (("model",), config_tables.MODEL),
+        (("soft_labels",), config_tables.SOFT_LABELS.keys),
+    ],
+    ids=["dataset", "link", "eta", "model", "soft_labels"],
+)
+def test_every_key_of_a_section_is_set_in_a_sweep_input(path, table):
+    """The sweep edits only the keys its inputs set, so each key of these
+    sections is set in at least one input."""
+    seen = set()
+    for _, config in SWEEP_INPUTS.values():
+        for key in path:
+            config = config.get(key) if isinstance(config, dict) else None
+        seen |= set(config or ())
+    assert sorted(set(table) - seen) == []
 
 
 @pytest.mark.parametrize("name", SWEEP_INPUTS)
@@ -1692,10 +1755,39 @@ NAN = float("nan")
         ("experiment", ("soft_source_features", 1), [1],
          "config field 'soft_source_features' must hold strings, got [1]"),
         ("frontier", ("verify", "noisy", "epsilon"), 1e308,
-         "epsilon=1e+308 and c_h=1.0 overflow the noisy bound"),
+         "epsilon=1e+308, c_h=1.0 and m=4.0 overflow the noisy bound"),
         pytest.param("experiment", ("dataset", "pi"), 10**400,
                      "config field 'pi' holds an integer too large for a float",
                      id="huge-int-pi"),
+        ("pu-benchmark", ("dataset", "shift"), 1e200,
+         "shift=1e+200 and view_noise=0.4 overflow the soft-label squash"),
+        ("pu-benchmark", ("dataset", "view_noise"), 1e200,
+         "shift=1.4 and view_noise=1e+200 overflow the soft-label squash"),
+        ("pu-benchmark", ("dataset", "shift"), -1e308,
+         "shift=-1e+308 and view_noise=0.4 overflow the soft-label squash"),
+        ("pu-benchmark", ("dataset", "view_noise"), 1e308,
+         "shift=1.4 and view_noise=1e+308 overflow the soft-label squash"),
+        ("pu-benchmark", ("dataset", "shift"), NAN, "shift must be finite, got nan"),
+        ("pu-benchmark", ("dataset", "n"), 0, "n must be at least 1, got 0"),
+        ("gscar", ("dataset", "n"), -1, "n must be at least 1, got -1"),
+        ("gscar", ("dataset", "pi"), 1, "pi must lie in (0, 1), got 1.0"),
+        ("rule-experiment", ("model", "epochs"), 0, "epochs must be at least 1, got 0"),
+        ("rule-experiment", ("model", "batch_size"), -1, "batch_size must be at least 1, got -1"),
+        ("rule-experiment", ("model", "l2"), -0.5, "l2 must be finite and non-negative, got -0.5"),
+        ("rule-experiment", ("model", "arch"), "trees",
+         "config field 'model.arch': unknown architecture 'trees'"),
+        ("rule-experiment", ("soft_labels", "fail_ratio_rule"), 0,
+         "fail_ratio_rule must be finite and positive, got 0.0"),
+        ("bayes-experiment", ("soft_labels", "grid_size"), 1, "grid_size must be at least 2, got 1"),
+        ("fit-prior", ("max_iters",), -1, "max_iters must be at least 0, got -1"),
+        ("fit-prior", ("tol",), NAN, "tol must be finite and non-negative, got nan"),
+        ("frontier", ("verify", "noisy", "c_h"), 0, "c_h must be finite and positive, got 0.0"),
+        ("frontier", ("verify", "noisy", "epsilon"), -1,
+         "epsilon must be finite and non-negative, got -1.0"),
+        # the bound's quotient passes the float range though no square does
+        ("frontier", ("verify", "noisy", "c_h"), 1e-160,
+         "epsilon=0.05, c_h=1e-160 and m=4.0 overflow the noisy bound"),
+        ("frontier", ("kinds",), ["spu", "roc"], "kind must be 'real' or 'spu', got 'roc'"),
     ],
 )
 def test_bad_field_is_named(tmp_path, capsys, monkeypatch, name, path, value, message):
@@ -1737,9 +1829,10 @@ def test_misspelled_key_is_refused(tmp_path, capsys, monkeypatch, name, path, ke
         ({"soft_labels": {"source": "rule", "fail_ratio_rule": 2, "fail_ratio_random": 0.1}},
          "fail_ratio_rule must lie in [0, 1], got 2.0"),
         ({"soft_labels": {"source": "bayes", "records": str(FIXTURES / "check_records.csv"),
-                          "lambda": -1}}, "lam must be finite and >= 0, got -1.0"),
+                          "lambda": -1}}, "lam must be finite and non-negative, got -1.0"),
         ({"soft_labels": {"source": "bayes", "records": str(FIXTURES / "check_records.csv"),
-                          "grid_size": 1}}, "grid_size must be at least 2"),
+                          "grid_size": 1}}, "grid_size must be at least 2, got 1"),
+        ({"model": {"hidden_width": 0}}, "hidden_width must be at least 1, got 0"),
     ],
 )
 def test_bad_experiment_field_stops_the_run_before_the_dataset(

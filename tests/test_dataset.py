@@ -1335,3 +1335,64 @@ def test_unit_interval_rule_names_the_first_value_outside(build, message):
 def test_unit_interval_rule_admits_both_ends_and_negative_zero():
     dataset_module.check_unit_interval(np.array([0.0, -0.0, 1.0, 0.5]), "p")
     dataset_module.check_unit_interval(-0.0, "p")
+
+
+def _problem():
+    return DiscreteProblem([0.5, 0.5], [0.2, 0.8], [0.3, 0.7])
+
+
+# each call breaks one scalar rule at one of its sites
+SCALAR_RULE_SITES = [
+    (lambda: AffineLink(slope=1.0, intercept=np.nan), "intercept must be finite, got nan"),
+    (lambda: AffineLink(slope=0.0), "slope must be finite and positive, got 0.0"),
+    (lambda: AffineLink(slope=10**400), "slope must be finite and positive, got 1" + "0" * 400),
+    (lambda: LogisticWarpLink(gain=-np.inf), "gain must be finite and positive, got -inf"),
+    (lambda: MelaConfig(n=10, eta_spec=DiscreteEta(values=(0.5,)), h_spec=AffineLink(1.0),
+                        c_h=0), "c_h must be finite and positive, got 0"),
+    (lambda: MelaConfig(n=0, eta_spec=DiscreteEta(values=(0.5,)), h_spec=AffineLink(1.0)),
+     "n must be at least 1, got 0"),
+    (lambda: GscarConfig(n=-3, pi=0.1, seed=0), "n must be at least 1, got -3"),
+    (lambda: GscarConfig(n=10, pi=0.0, seed=0), "pi must lie in (0, 1), got 0.0"),
+    (lambda: mixture_coefficients(np.nan, 0.5, 0.2), "pi must lie in (0, 1), got nan"),
+    (lambda: mixture_coefficients(0.5, 0.0, 0.0),
+     "mixture soft-label mean must lie in (0, 1), got 0.0"),
+    (lambda: dataset_module.make_pu_benchmark(10, pi=1.0), "pi must lie in (0, 1), got 1.0"),
+    (lambda: dataset_module.make_pu_benchmark(0), "n must be at least 1, got 0"),
+    (lambda: dataset_module.make_pu_benchmark(10, shift=np.inf), "shift must be finite, got inf"),
+    (lambda: dataset_module.make_pu_benchmark(10, view_noise=np.nan),
+     "view_noise must be finite, got nan"),
+    (lambda: dataset_module.make_pu_benchmark(10, shift=1e200),
+     "shift=1e+200 and view_noise=0.4 overflow the soft-label squash"),
+    (lambda: dataset_module.make_pu_benchmark(10, view_noise=-1e308),
+     "shift=1.4 and view_noise=-1e+308 overflow the soft-label squash"),
+    (lambda: DiscreteEta(values=()), "number of cells must be at least 1, got 0"),
+    (lambda: DiscreteProblem([], [], []), "number of cells must be at least 1, got 0"),
+    (lambda: RocCurve([1.0, -np.inf], [0.0, 1.0], [0.0, 1.0], kind="roc"),
+     "kind must be 'real' or 'spu', got 'roc'"),
+]
+
+
+@pytest.mark.parametrize("build, message", SCALAR_RULE_SITES)
+def test_scalar_rule_names_the_value(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_scalar_rules_take_ints_of_any_size():
+    for check in (dataset_module.check_finite_number, dataset_module.check_positive,
+                  dataset_module.check_non_negative, dataset_module.check_count):
+        check(3, "x")
+        with pytest.raises(ValueError, match="^x must be"):
+            check(-(10**400), "x")
+    dataset_module.check_count(10**400, "x")
+    dataset_module.check_non_negative(-0.0, "x")
+    with pytest.raises(ValueError, match=r"^x must lie in \(0, 1\), got 1$"):
+        dataset_module.check_open_unit_interval(1, "x")
+
+
+@pytest.mark.parametrize("shift", [1e154, -1e154])
+def test_pu_benchmark_saturates_a_logit_past_the_float_range(shift):
+    # the squash's product overflows for the positives; no warning escapes
+    ds = dataset_module.make_pu_benchmark(300, shift=shift)
+    assert set(np.unique(ds.soft_labels)) == {0.0, 0.9, 1.0}

@@ -262,7 +262,7 @@ class TestAgainstScalarReference:
         p_ref = np.zeros(4)
         p_np = np.zeros(4)
         t_ref = linear_epochs_ref(p_ref, X, s, order, 64, 0.3, 0.01)
-        t_np = kernels.linear_epochs(p_np, X, s, order, 64, 0.3, 0.01)
+        t_np = kernels.mlp_epochs(p_np, X, s, order, 64, 0.3, 0.01, 0)
         np.testing.assert_allclose(p_ref, p_np, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(t_ref, t_np, rtol=1e-9)
 
@@ -299,7 +299,7 @@ class TestAgainstScalarReference:
         init = 0.1 * rng.standard_normal(d + 1)
         p_ref, p_np = init.copy(), init.copy()
         t_ref = linear_epochs_ref(p_ref, X, s, order, batch_size, 0.3, l2)
-        t_np = kernels.linear_epochs(p_np, X, s, order, batch_size, 0.3, l2)
+        t_np = kernels.mlp_epochs(p_np, X, s, order, batch_size, 0.3, l2, 0)
         np.testing.assert_allclose(p_ref, p_np, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(t_ref, t_np, rtol=1e-9)
 
@@ -328,10 +328,7 @@ class TestAgainstScalarReference:
         params = np.zeros(2 + 1 if arch == "linear" else 2 * 4 + 2 * 4 + 1)
         before = params.copy()
         with pytest.raises(IndexError, match=rf"order holds row index {bad}, outside \[0, 30\)"):
-            if arch == "linear":
-                kernels.linear_epochs(params, X, s, order, 8, 0.3, 0.0)
-            else:
-                kernels.mlp_epochs(params, X, s, order, 8, 0.3, 0.0, 4)
+            kernels.mlp_epochs(params, X, s, order, 8, 0.3, 0.0, 0 if arch == "linear" else 4)
         assert np.array_equal(params, before)
 
     @pytest.mark.parametrize("arch", ["linear", "mlp"])
@@ -353,10 +350,8 @@ class TestAgainstScalarReference:
 
         params = np.zeros(2 + 1 if arch == "linear" else 2 * 4 + 2 * 4 + 1)
         with pytest.raises(IndexError, match=r"order holds row index 30, outside \[0, 30\)"):
-            if arch == "linear":
-                kernels.linear_epochs(params, X, s, LazyOrder(), 8, 0.3, 0.0)
-            else:
-                kernels.mlp_epochs(params, X, s, LazyOrder(), 8, 0.3, 0.0, 4)
+            kernels.mlp_epochs(params, X, s, LazyOrder(), 8, 0.3, 0.0,
+                               0 if arch == "linear" else 4)
         assert len(drawn) == 2
 
     def _eg_agree(self, weights_of):

@@ -39,7 +39,7 @@ from softpu.labeling import (
     rule_soft_label,
 )
 
-from reference import fit_objective, posterior_pass_prob
+from reference import fit_objective, point_mass, posterior_pass_prob
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -55,7 +55,7 @@ class TestRuleSoftLabel:
         assert rule_soft_label(RuleStats(0.01, 0.02)) == 0.0
 
     def test_zero_rule_ratio_errors(self):
-        with pytest.raises(ValueError, match="undefined"):
+        with pytest.raises(ValueError, match=r"^fail_ratio_rule must be finite and positive, got 0\.0$"):
             rule_soft_label(RuleStats(0.0, 0.02))
 
     def test_always_in_unit_interval(self):
@@ -96,12 +96,12 @@ class TestBayesSoftLabel:
         )
 
     def test_point_mass_prior(self):
-        prior = DiscretePrior.point_mass(0.7)
+        prior = point_mass(0.7)
         assert posterior_pass_prob(CheckRecord(n=12, k=5), prior) == pytest.approx(0.7)
         assert bayes_soft_label(CheckRecord(n=12, k=5), prior) == pytest.approx(0.3)
 
     def test_inconsistent_prior_errors(self):
-        prior = DiscretePrior.point_mass(0.0)
+        prior = point_mass(0.0)
         with pytest.raises(ValueError, match="prior inconsistent"):
             bayes_soft_label(CheckRecord(n=3, k=2), prior)
 
@@ -175,7 +175,7 @@ class TestPosteriorCache:
         assert cached.tobytes() == fresh.tobytes()
 
     def test_record_without_support_raises_on_every_call(self):
-        prior = DiscretePrior.point_mass(0.0)
+        prior = point_mass(0.0)
         bayes_soft_label(CheckRecord(n=3, k=0), prior)
         for _ in range(3):
             with pytest.raises(ValueError, match="prior inconsistent"):
@@ -492,6 +492,9 @@ class TestLabelSeparationCheck:
     def test_absent_class_errors(self):
         with pytest.raises(ValueError, match="class"):
             check_label_separation(np.array([0.1, 0.2]), np.array([1, 1]), pi=0.5)
+        with pytest.raises(ValueError) as err:
+            check_label_separation(np.array([0.1, 0.2]), np.array([0, 0]), pi=0.5)
+        assert str(err.value) == "positive class (Y=1) is empty: none of the 2 true labels is 1"
 
     @pytest.mark.parametrize(
         "soft, truth, message",

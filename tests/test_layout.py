@@ -20,12 +20,15 @@ They pin decisions about where code lives:
   function: ``dataset.check_rows`` (features, soft and true labels),
   ``labeling._check_pair`` (a check pair) and ``dataset.named_columns``
   (a repeated column name); so is the [0, 1] range of a per-cell or
-  scalar probability, in ``dataset.check_unit_interval``;
+  scalar probability, in ``dataset.check_unit_interval``, each rule of a
+  scalar parameter (finite, positive, non-negative, a count, inside
+  (0, 1)), a class that must be present, soft mass that must be present,
+  a curve kind, an architecture and a file that is not UTF-8 text;
 - every descending sort that puts tied values in index order is
   ``kernels.descending_order``: no other ``argsort`` or ``sort`` call in
   the package asks numpy for a stable sort;
 - both scorers train in one epoch loop: ``kernels._epoch_loss``, which
-  ends each epoch, has one caller;
+  ends each epoch, has one caller, ``kernels.mlp_epochs``;
 - every top-level function and class in the package has a caller in it
   (a re-export in ``__init__`` is not one), or is named in
   ``UNCALLED_API``.
@@ -181,6 +184,16 @@ def test_each_value_rule_is_worded_in_one_function():
         "need 0 <= k <= n": ("labeling.py", "_check_pair"),
         "duplicate column(s)": ("dataset.py", "named_columns"),
         "must lie in [0, 1]": ("dataset.py", "check_unit_interval"),
+        "must be finite, got": ("dataset.py", "check_finite_number"),
+        "must be finite and positive": ("dataset.py", "check_positive"),
+        "must be finite and non-negative": ("dataset.py", "check_non_negative"),
+        "must be at least": ("dataset.py", "check_count"),
+        "must lie in (0, 1)": ("dataset.py", "check_open_unit_interval"),
+        "class (Y=": ("dataset.py", "check_classes"),
+        "soft mass: sum of": ("metrics.py", "_soft_weights"),
+        "kind must be 'real' or 'spu'": ("dataset.py", "check_kind"),
+        "unknown architecture": ("training.py", "hidden_units"),
+        "not UTF-8 text": ("dataset.py", "_not_utf8"),
     }
     strings = _by_function(lambda node: isinstance(node, ast.Constant)
                            and isinstance(node.value, str))
@@ -209,7 +222,7 @@ def test_stable_sorts_live_only_in_the_descending_order_kernel():
 
 def test_one_epoch_loop_trains_both_scorers():
     callers = [(m, f) for m, f, c in _calls_by_function() if _called_name(c) == "_epoch_loss"]
-    assert callers == [("kernels.py", "_scorer_epochs")]
+    assert callers == [("kernels.py", "mlp_epochs")]
 
 
 # Top-level names kept though the package may not call them: the paper's

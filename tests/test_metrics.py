@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softpu import metrics
-from softpu.dataset import CHUNK_ROWS, GscarConfig, gen_gscar
+from softpu.dataset import CHUNK_ROWS, GscarConfig, SoftDataset, gen_gscar
 from softpu.metrics import (
     RocCurve,
     auc,
@@ -114,12 +114,51 @@ class TestRealRates:
         with pytest.raises(ValueError, match="negative class"):
             fpr(np.ones(3), np.ones(3))
 
+    def test_each_rate_needs_only_its_own_class(self):
+        assert tpr(np.ones(3), np.array([1, 0, 1])) == pytest.approx(2 / 3)
+        assert fpr(np.zeros(3), np.array([1, 0, 1])) == pytest.approx(2 / 3)
+        assert tpr_spu(np.ones(3), np.array([1, 0, 1])) == pytest.approx(2 / 3)
+        assert fpr_spu(np.zeros(3), np.array([1, 0, 1])) == pytest.approx(2 / 3)
+
     def test_scores_equal_labels_give_auc_one(self):
         y = np.array([1, 0, 1, 0, 1])
         assert auc_real(y, y.astype(float)) == 1.0
 
     def test_inverted_ranking_gives_auc_zero(self):
         assert auc_real(np.array([1, 0]), np.array([0.2, 0.9])) == 0.0
+
+
+POSITIVE_EMPTY = "positive class (Y=1) is empty: none of the 4 true labels is 1"
+NEGATIVE_EMPTY = "negative class (Y=0) is empty: none of the 4 true labels is 0"
+NO_POSITIVE_MASS = "no positive soft mass: sum of soft labels is 0"
+NO_NEGATIVE_MASS = "no negative soft mass: sum of (1 - soft label) is 0"
+SCORES = np.array([0.1, 0.4, 0.2, 0.3])
+
+
+def _truth(y):
+    return SoftDataset(features=np.zeros((4, 1)), soft_labels=np.full(4, 0.5),
+                       true_labels=np.array(y))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: tpr(np.zeros(4), np.ones(4)), POSITIVE_EMPTY),
+        (lambda: fpr(np.ones(4), np.ones(4)), NEGATIVE_EMPTY),
+        (lambda: roc_real(np.zeros(4), SCORES), POSITIVE_EMPTY),
+        (lambda: roc_real(np.ones(4), SCORES), NEGATIVE_EMPTY),
+        (lambda: roc_spu_and_real(_truth([0, 0, 0, 0]), SCORES), POSITIVE_EMPTY),
+        (lambda: estimate_mixture_stats(_truth([1, 1, 1, 1])), NEGATIVE_EMPTY),
+        (lambda: tpr_spu(np.zeros(4), np.ones(4)), NO_POSITIVE_MASS),
+        (lambda: fpr_spu(np.ones(4), np.ones(4)), NO_NEGATIVE_MASS),
+        (lambda: roc_spu(np.zeros(4), SCORES), NO_POSITIVE_MASS),
+        (lambda: roc_spu_and_real(np.ones(4), SCORES), NO_NEGATIVE_MASS),
+    ],
+)
+def test_missing_class_or_soft_mass_is_worded_once(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 class TestSweep:
@@ -380,9 +419,9 @@ class TestAreaBound:
         assert auc_spu_bound(np.full(7, 0.5)) == pytest.approx(0.5, abs=1e-12)
 
     def test_degenerate_mean_errors(self):
-        with pytest.raises(ValueError, match="bound undefined"):
+        with pytest.raises(ValueError, match=r"^mean soft label must lie in \(0, 1\), got 0\.0$"):
             auc_spu_bound(np.zeros(5))
-        with pytest.raises(ValueError, match="bound undefined"):
+        with pytest.raises(ValueError, match=r"^mean soft label must lie in \(0, 1\), got 1\.0$"):
             auc_spu_bound(np.ones(5))
         with pytest.raises(ValueError, match=r"^row 3: soft label nan outside \[0, 1\]$"):
             auc_spu_bound(np.array([0.2, 0.7, np.nan, 0.4]))
@@ -454,9 +493,9 @@ class TestMixtureCoefficients:
                 assert mc.determinant > 0
 
     def test_zero_denominator_errors(self):
-        with pytest.raises(ValueError, match="mean is 0"):
+        with pytest.raises(ValueError, match=r"mixture soft-label mean must lie in \(0, 1\), got 0\.0$"):
             mixture_coefficients(0.5, 0.0, 0.0)
-        with pytest.raises(ValueError, match="mean is 1"):
+        with pytest.raises(ValueError, match=r"mixture soft-label mean must lie in \(0, 1\), got 1\.0$"):
             mixture_coefficients(0.5, 1.0, 1.0)
 
     def test_map_auc_values(self):

@@ -36,7 +36,7 @@ from softpu.oracle import (
     verify_noisy_gap,
 )
 
-from reference import mask_rates, problem_to_json, threshold_masks
+from reference import mask_rates, members, problem_to_json, threshold_masks
 
 
 def random_problem(rng, m=None, eta_range=(0.02, 0.98)):
@@ -669,8 +669,8 @@ def noisy_gap_loop_ref(problem, epsilon, c_h, m_const):
     auc_bound = 2.0 * point_bound
     m_eff = slice_density_bound(problem, 2.0 * epsilon / c_h) if epsilon > 0.0 else 0.0
     tpr_frac, fpr_frac = _rate_fractions(problem, "real")
-    spu_masks, (spu_real_fpr, spu_real_tpr, spu_pred_mass) = spu_frontier.members(
-        fpr_frac, tpr_frac, problem.masses
+    spu_masks, (spu_real_fpr, spu_real_tpr, spu_pred_mass) = members(
+        spu_frontier, fpr_frac, tpr_frac, problem.masses
     )
     prefix_mass = _prefix_sums(real_frontier.groups, problem.masses)
     prefix_index = dict(zip(real_frontier.prefix_masks, range(len(prefix_mass))))
@@ -757,7 +757,7 @@ class TestChainAgainstBruteForce:
                 front = frontier(prob, kind)
                 assert front.vertex_masks == vertex_masks
                 np.testing.assert_allclose(front.points, points, rtol=0, atol=1e-15)
-                assert set(front.members()[0]) == on
+                assert set(members(front)[0]) == on
                 assert front.n_on_frontier == len(on)
                 if prob.n_cells <= 12:
                     assert [m for m in range(1 << prob.n_cells) if front.contains(m)] == sorted(on)
@@ -777,7 +777,7 @@ class TestChainAgainstBruteForce:
                     assert got == want
                     continue
                 on = np.zeros(1 << prob.n_cells, dtype=bool)
-                on[got.members()[0]] = True
+                on[members(got)[0]] = True
                 assert np.array_equal(on, want.on_frontier)
                 assert got.n_on_frontier == want.n_on_frontier
                 assert set(got.vertex_masks) <= set(want.vertex_masks)
@@ -832,7 +832,7 @@ class TestChainAgainstBruteForce:
         assert real.groups == ((0,), (1, 2), (3,)) and real.whole_first
         # only the whole pure group at FPR 0; any subset of the next group
         # on top of it; any subset of the pure negative group at TPR 1
-        assert real.members()[0] == [0b0001, 0b0011, 0b0101, 0b0111, 0b1111]
+        assert members(real)[0] == [0b0001, 0b0011, 0b0101, 0b0111, 0b1111]
         assert not real.contains(0) and real.n_on_frontier == 5
         assert real.vertex_masks == (0b0001, 0b0111, 0b1111)
         spu = frontier(prob, "spu")
@@ -887,7 +887,7 @@ class TestExactSumsAcrossBinades:
         assert prefixes.tolist() == want
         for whole_first in (False, True):
             front = Frontier("spu", np.zeros((0, 2)), (), groups, whole_first)
-            masks, (sums,) = front.members(column)
+            masks, (sums,) = members(front, column)
             assert masks == sorted(masks) and len(masks) == front.n_on_frontier
             assert sums.tolist() == [
                 self.exact_sum(column, [c for c in range(m) if mask >> c & 1]) for mask in masks
@@ -898,7 +898,7 @@ class TestExactSumsAcrossBinades:
         column = np.array([1.0, 2**-53, 2**-53, 5e-324, 5e-324])
         groups = ((0,), (1, 2), (3, 4))
         assert _prefix_sums(groups, column).tolist() == [0.0, 1.0, 1.0 + 2**-52, 1.0 + 2**-52]
-        masks, (sums,) = Frontier("spu", np.zeros((0, 2)), (), groups, False).members(column)
+        masks, (sums,) = members(Frontier("spu", np.zeros((0, 2)), (), groups, False), column)
         assert dict(zip(masks, sums.tolist()))[0b00111] == 1.0 + 2**-52
         assert _prefix_sums(((3, 4),), column).tolist() == [0.0, 1e-323]
 
@@ -1036,7 +1036,7 @@ class TestRounded:
 
         monkeypatch.setattr(oracle_module, "_rounded", both)
         for kind in ("spu", "real"):
-            frontier(prob, kind).members(prob.masses, prob.eta, prob.eta_s)
+            members(frontier(prob, kind), prob.masses, prob.eta, prob.eta_s)
         verify_noisy_gap(prob, 0.05, 1.0, 4.0)
         assert sum(seen) > 1000
 

@@ -16,6 +16,7 @@ from softpu.training import (
     ScoringModel,
     TrainConfig,
     TrainingDiverged,
+    hidden_units,
     initial_params,
     load_model,
     loss_gradient,
@@ -171,12 +172,8 @@ def train_all_orders_first(data, arch, cfg, hidden_width=5):
     order = np.empty((cfg.epochs, n), dtype=np.int64)
     for e in range(cfg.epochs):
         order[e] = rng.permutation(n)
-    args = (params, data.features, data.soft_labels, order, cfg.batch_size,
-            cfg.learning_rate, cfg.l2)
-    if arch == ARCH_LINEAR:
-        trace = kernels.linear_epochs(*args)
-    else:
-        trace = kernels.mlp_epochs(*args, h)
+    trace = kernels.mlp_epochs(params, data.features, data.soft_labels, order,
+                               cfg.batch_size, cfg.learning_rate, cfg.l2, h)
     return params, trace
 
 
@@ -225,10 +222,9 @@ class TestTrain:
 
     def test_one_kernel_call_per_arm(self, monkeypatch):
         calls = []
-        for name in ("linear_epochs", "mlp_epochs"):
-            kernel = getattr(kernels, name)
-            monkeypatch.setattr(kernels, name,
-                                lambda *args, kernel=kernel: calls.append(args) or kernel(*args))
+        kernel = kernels.mlp_epochs
+        monkeypatch.setattr(kernels, "mlp_epochs",
+                            lambda *args: calls.append(args) or kernel(*args))
         ds = binary_feature_dataset(300, seed=35)
         cfg = TrainConfig(learning_rate=0.5, epochs=6, batch_size=32, seed=1)
         for arch in (ARCH_LINEAR, ARCH_MLP):
@@ -328,6 +324,8 @@ class TestTrain:
             ("l2", float("nan"), "l2 must be finite and non-negative, got nan"),
             ("l2", float("inf"), "l2 must be finite and non-negative, got inf"),
             ("l2", -1.0, "l2 must be finite and non-negative, got -1.0"),
+            ("epochs", 0, "epochs must be at least 1, got 0"),
+            ("batch_size", -2, "batch_size must be at least 1, got -2"),
         ],
     )
     def test_bad_hyperparameter_named(self, field, value, message):
@@ -343,8 +341,10 @@ class TestTrain:
 
     def test_linear_init_is_zero_mlp_init_is_small_uniform(self):
         rng = np.random.default_rng(29)
+        state = rng.bit_generator.state
         lin = initial_params(ARCH_LINEAR, 4, 0, rng)
         assert np.array_equal(lin, np.zeros(5))
+        assert rng.bit_generator.state == state  # its empty draws take no bits
         mlp = initial_params(ARCH_MLP, 4, 8, rng)
         weights = np.concatenate([mlp[: 4 * 8], mlp[4 * 8 + 8 : 4 * 8 + 16]])
         assert np.abs(weights).max() <= 0.1
@@ -412,10 +412,7 @@ class TestKernelsWriteOnlyParams:
         params = padded[1:-1]
         params[:] = 0.1 * rng.standard_normal(size)
         before = params.copy()
-        if arch == ARCH_LINEAR:
-            kernels.linear_epochs(params, X, s, order, batch_size, 0.3, l2)
-        else:
-            kernels.mlp_epochs(params, X, s, order, batch_size, 0.3, l2, h)
+        kernels.mlp_epochs(params, X, s, order, batch_size, 0.3, l2, h if arch == ARCH_MLP else 0)
         for a, b in zip((X, s, order), kept):
             assert a.tobytes() == b.tobytes()
         assert padded[0] == padded[-1] == -7.0
@@ -527,7 +524,7 @@ class TestModelIo:
             ((None, 3, 0, np.zeros(4)), "field 'arch' must be str, got NoneType"),
             ((ARCH_LINEAR, 3.0, 0, np.zeros(4)), "field 'feature_dim' must be int, got float"),
             ((ARCH_MLP, 3, False, np.zeros(4)), "field 'hidden_width' must be int, got bool"),
-            ((ARCH_LINEAR, -1, 0, np.zeros(0)), "field 'feature_dim' must be positive, got -1"),
+            ((ARCH_LINEAR, -1, 0, np.zeros(0)), "field 'feature_dim' must be at least 1, got -1"),
             ((ARCH_LINEAR, 3, 0, ["1", "2", "3", "4"]), "field 'params' must hold numbers"),
             ((ARCH_LINEAR, 3, 0, np.array([True, False, True, True])),
              "field 'params' must hold numbers"),
@@ -555,3 +552,23 @@ class TestModelIo:
         path.write_text(path.read_text(encoding="utf-8").replace("1.5", "-Infinity"), encoding="utf-8")
         with pytest.raises(ValueError, match="params must be finite: index 1 is -inf"):
             load_model(path)
+
+
+def test_the_architecture_is_decided_in_one_function():
+    assert hidden_units(ARCH_LINEAR, 7) == hidden_units(ARCH_LINEAR, -1) == 0
+    assert hidden_units(ARCH_MLP, 5) == 5
+    assert param_count(ARCH_LINEAR, 3, 7) == 4
+    assert param_count(ARCH_MLP, 3, 5) == 3 * 5 + 2 * 5 + 1
+    ds = binary_feature_dataset(50, seed=3)
+    cfg = TrainConfig(learning_rate=0.5, epochs=1, batch_size=8, seed=0)
+    for call, message in [
+        (lambda: hidden_units("trees", 5), "unknown architecture 'trees'"),
+        (lambda: ScoringModel("trees", 3, 0, np.zeros(4)), "unknown architecture 'trees'"),
+        (lambda: train(ds, "trees", cfg), "unknown architecture 'trees'"),
+        (lambda: hidden_units(ARCH_MLP, 0), "hidden_width must be at least 1, got 0"),
+        (lambda: ScoringModel(ARCH_MLP, 2, 0, np.zeros(3)), "hidden_width must be at least 1, got 0"),
+        (lambda: train(ds, ARCH_MLP, cfg, hidden_width=-1), "hidden_width must be at least 1, got -1"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
