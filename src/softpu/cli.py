@@ -22,7 +22,8 @@ from pathlib import Path
 
 from . import __version__
 from .config import TABLES, check
-from .dataset import field_dict, load_json, provenance_record, save_csv, save_json, schema_for
+from .dataset import check_count, field_dict, load_json, provenance_record, save_csv, save_json
+from .dataset import schema_for
 from .experiment import ExperimentConfig, build_dataset, run_experiment
 from .labeling import check_counts_from_csv, fit_prior, fitted_mean_log_likelihood, prior_to_json
 from .metrics import auc, bound_report, curve_to_csv, fpr_spu, roc_spu, roc_spu_and_real, tpr_spu
@@ -47,8 +48,10 @@ def _seed_flag(text: str) -> int:
         seed = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
+    try:
+        check_count(seed, "seed", least=0)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return seed
 
 

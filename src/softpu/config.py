@@ -13,7 +13,8 @@ import sys
 from pathlib import Path
 
 from .dataset import NUMBERS, REQUIRED, AffineLink, CsvSchema, LogisticWarpLink, MelaConfig
-from .dataset import Variants, check, make_pu_benchmark
+from .dataset import Variants, check, check_count, check_positive, check_sums_to_one
+from .dataset import make_pu_benchmark
 from .labeling import fit_prior
 from .training import ARCH_MLP, DEFAULT_HIDDEN, TrainConfig, hidden_units
 
@@ -39,9 +40,8 @@ def _defaults(builder) -> dict:
 # tests
 
 
-def _non_negative(seed, where):
-    if seed < 0:
-        raise ValueError(f"config field '{where}' must be non-negative, got {seed}")
+def _seed(seed, where):
+    check_count(seed, f"config field '{where}'", least=0)
     return seed
 
 
@@ -78,15 +78,15 @@ def _architecture(arch, where):
 
 
 def _fractions(split, where):
-    if not (abs(sum(split.values()) - 1.0) <= 1e-9 and min(split.values()) > 0.0):
-        raise ValueError(f"config field '{where}' fractions must be positive and sum to 1")
+    check_sums_to_one(list(split.values()), f"config field '{where}' fractions")
+    check_positive(min(split.values()), f"config field '{where}' smallest fraction")
     return split
 
 
 # the tables
 
 _FIT, _MELA, _PU = _defaults(fit_prior), _defaults(MelaConfig), _defaults(make_pu_benchmark)
-SEED = (int, REQUIRED, _non_negative)
+SEED = (int, REQUIRED, _seed)
 OUT_DIR = (str, None)
 
 _LINK = (str, "affine")

@@ -85,6 +85,16 @@ def check_classes(truth, classes=(1, 0)) -> None:
                              f"none of the {truth.size} true labels is {label}")
 
 
+def check_mass(total, kind: str, side: int) -> None:
+    """Refuse a side (1 positive, 0 negative) with no mass: its ``kind``
+    rates are undefined. ``spu`` rates weigh by soft labels or E[S|x] (soft
+    mass), ``real`` ones by true labels or P(Y=1|x) (real mass)."""
+    if not total > 0.0:
+        mass = "soft" if kind == "spu" else "real"
+        raise ValueError(f"no {('negative', 'positive')[side]} {mass} mass: sum {total}, "
+                         f"so the {kind} rates are undefined")
+
+
 @dataclass(frozen=True)
 class SoftDataset:
     """Columnar collection of soft-labeled samples.
@@ -108,27 +118,22 @@ class SoftDataset:
             raise ValueError("features must be a 2-D array (n_samples, n_features)")
         if feats.shape[0] == 0:
             raise ValueError("empty dataset")
+        n, d = feats.shape
         soft = np.asarray(self.soft_labels, dtype=np.float64)
-        if soft.shape != (feats.shape[0],):
-            raise ValueError("soft_labels length must match sample count")
-        names = tuple(self.feature_names) or tuple(
-            f"x{j}" for j in range(feats.shape[1])
-        )
-        if len(names) != feats.shape[1]:
-            raise ValueError("feature_names must match feature count")
+        check_vector(soft, "soft_labels", n)
+        names = tuple(self.feature_names) or tuple(f"x{j}" for j in range(d))
+        check_vector(names, "feature_names", d)
         truth = self.true_labels
         if truth is not None:
             truth = np.asarray(truth)
-            if truth.shape != (feats.shape[0],):
-                raise ValueError("true_labels length must match sample count")
+            check_vector(truth, "true_labels", n)
         check_rows(feats, soft, truth, names)
         if truth is not None:
             truth = truth.astype(np.int8)
         cm = self.cond_mean
         if cm is not None:
             cm = np.asarray(cm, dtype=np.float64)
-            if cm.shape != (feats.shape[0],):
-                raise ValueError("cond_mean length must match sample count")
+            check_vector(cm, "cond_mean", n)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "soft_labels", soft)
         object.__setattr__(self, "true_labels", truth)
@@ -314,9 +319,8 @@ def read_table(path, fmt: TableFormat) -> np.ndarray:
 
 def _not_utf8(path, exc: UnicodeDecodeError, offset: int) -> ValueError:
     """The error for a file whose first byte that is not UTF-8 is at ``offset``."""
-    return ValueError(
-        f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} at offset {offset}"
-    )
+    return ValueError(f"{path}: not UTF-8 text: "
+                      f"byte 0x{exc.object[exc.start]:02x} at offset {offset}")
 
 
 @dataclass(frozen=True)
@@ -904,19 +908,13 @@ def _check_writable(names) -> None:
     for name in names:
         bad = [c for c in (",", '"', "\r", "\n") if c in name]
         if bad:
-            raise ValueError(
-                f"column name {name!r} cannot be written: contains {bad[0]!r}"
-            )
+            raise ValueError(f"column name {name!r} cannot be written: contains {bad[0]!r}")
         if name != name.strip():
-            raise ValueError(
-                f"column name {name!r} cannot be written: "
-                "leading or trailing whitespace is stripped on load"
-            )
+            raise ValueError(f"column name {name!r} cannot be written: "
+                             "leading or trailing whitespace is stripped on load")
     if names[0].startswith("#"):
-        raise ValueError(
-            f"column name {names[0]!r} cannot be written first: "
-            "the header would read as a comment"
-        )
+        raise ValueError(f"column name {names[0]!r} cannot be written first: "
+                         "the header would read as a comment")
     named_columns(names, names, "no columns")  # each name read back once
 
 
@@ -1000,21 +998,22 @@ def make_pu_benchmark(
     soft label built only from x1 and x2 (a scaled posterior-style squash,
     the way a domain expert would score risk from a couple of telltale
     columns); labeled samples keep soft label 1. Models in the soft arm
-    must therefore drop x1 and x2. ``shift`` and ``view_noise`` are refused
-    once a square passes the float range; short of that, a huge logit
-    saturates the soft label.
+    must therefore drop x1 and x2. ``soft_scale``, the largest soft label
+    an unlabeled sample gets, lies in [0, 1]. ``shift`` and ``view_noise``
+    are refused once a square passes the float range; short of that, a huge
+    logit saturates the soft label.
     """
     check_open_unit_interval(pi, "pi")
     check_count(n, "n")
     check_finite_number(shift, "shift")
     check_finite_number(view_noise, "view_noise")
+    check_unit_interval(soft_scale, "soft_scale")
     try:
         view_var = 1.0 + view_noise**2
         offset = shift**2 / view_var
     except OverflowError:  # a square past the float range
-        raise ValueError(
-            f"shift={shift} and view_noise={view_noise} overflow the soft-label squash"
-        ) from None
+        raise ValueError(f"shift={shift} and view_noise={view_noise} overflow "
+                         "the soft-label squash") from None
     rng = np.random.default_rng(seed)
     y = (rng.random(n) < pi).astype(np.int8)
     latents = shift * y[:, None] + rng.standard_normal((n, 2))
@@ -1057,10 +1056,8 @@ class GscarConfig:
         check_open_unit_interval(self.pi, "pi")
         mass = gscar_negative_mass(self.pi)
         if mass > 1.0:
-            raise ValueError(
-                f"infeasible class prior pi={self.pi}: negative-stratum soft-label "
-                f"masses sum to {mass:.6f} > 1 (requires pi <= 15/28)"
-            )
+            raise ValueError(f"infeasible class prior pi={self.pi}: negative-stratum soft-label "
+                             f"masses sum to {mass:.6f} > 1 (requires pi <= 15/28)")
 
 
 def gscar_negative_mass(pi: float) -> float:
@@ -1151,7 +1148,8 @@ class DiscreteEta:
 
 @dataclass(frozen=True)
 class PiecewiseLinearEta:
-    """P(Y=1 | X) on [0, 1], linear between knots."""
+    """P(Y=1 | X) on [0, 1], linear between knots: at least two, their
+    positions strictly increasing from 0 to 1, an eta in [0, 1] at each."""
 
     xs: tuple[float, ...]
     ys: tuple[float, ...]
@@ -1159,10 +1157,12 @@ class PiecewiseLinearEta:
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=np.float64)
         ys = np.asarray(self.ys, dtype=np.float64)
-        if xs.size != ys.size or xs.size < 2:
-            raise ValueError("need matching knot arrays with at least 2 knots")
-        if xs[0] != 0.0 or xs[-1] != 1.0 or not np.all(np.diff(xs) > 0):
-            raise ValueError("knot positions must increase from 0 to 1")
+        check_vector(xs, "knot positions")
+        check_count(xs.size, "number of knots", least=2)
+        check_vector(ys, "eta", xs.size)
+        check_increasing(xs, "knot positions")
+        if xs[0] != 0.0 or xs[-1] != 1.0:
+            raise ValueError(f"knot positions must run from 0 to 1, got {xs[0]} to {xs[-1]}")
         check_unit_interval(ys, "eta")
 
     def eta_at(self, x):
@@ -1220,7 +1220,8 @@ class MelaConfig:
     ``epsilon`` bounds the deviation of E[S|X] from the monotone link of
     P(Y=1|X); 0 gives the exact regime. Both lie in [0, 1], so no epsilon
     above 1 could matter, and it is refused. The link derivative must be at
-    least ``c_h`` everywhere on [0, 1] (checked on a 1001-point grid).
+    least ``c_h`` everywhere on [0, 1], and the link strictly increasing
+    (both checked on a 1001-point grid).
     """
 
     n: int
@@ -1237,13 +1238,9 @@ class MelaConfig:
         grid = np.linspace(0.0, 1.0, 1001)
         deriv = self.h_spec.derivative(grid)
         if np.any(deriv < self.c_h - 1e-12):
-            raise ValueError(
-                f"link derivative falls to {deriv.min():.6g} < c_h={self.c_h} "
-                "on the check grid (link not steep enough)"
-            )
-        values = self.h_spec(grid)
-        if np.any(np.diff(values) <= 0.0):
-            raise ValueError("link is not strictly increasing on the check grid")
+            raise ValueError(f"link derivative falls to {deriv.min():.6g} < c_h={self.c_h} "
+                             "on the check grid (link not steep enough)")
+        check_increasing(self.h_spec(grid), "link on the check grid")
 
 
 def _soft_labels_with_mean(mu, u):
@@ -1466,6 +1463,40 @@ def check_unit_interval(values, what: str) -> None:
     bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
     if bad.size:
         raise ValueError(f"{what} must lie in [0, 1], got {values.flat[bad[0]]}")
+
+
+# The array rules, each worded once, naming what breaks them.
+
+
+def check_vector(values, what: str, length: int | None = None) -> None:
+    """Refuse an array that is not 1-D, or not ``length`` entries long when
+    a length is given (an (n, 1) column would broadcast to a wrong number),
+    naming its shape."""
+    shape = np.shape(values)
+    if len(shape) != 1 or length is not None and shape[0] != length:
+        entries = "" if length is None else f" of {length} entries"
+        raise ValueError(f"{what} must be a 1-D array{entries}, got shape {shape}")
+
+
+def check_sums_to_one(values, what: str) -> None:
+    """Refuse weights with a negative or nan entry, or whose sum is more
+    than 1e-9 from 1, naming the sum and the least entry."""
+    values = np.asarray(values, dtype=np.float64)
+    total = float(values.sum())
+    if not (np.all(values >= 0.0) and abs(total - 1.0) <= 1e-9):
+        raise ValueError(f"{what} must be non-negative and sum to 1, "
+                         f"got sum {total} and least entry {float(values.min())}")
+
+
+def check_increasing(values, what: str) -> None:
+    """Refuse values that are not strictly increasing (nan refused),
+    naming the first pair out of order."""
+    values = np.asarray(values)
+    bad = np.flatnonzero(~(np.diff(values) > 0))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"{what} must be strictly increasing, got {values[i]} at index {i} "
+                         f"and {values[i + 1]} at index {i + 1}")
 
 
 # The scalar value rules, each worded once, naming the value. A number is finite when

@@ -30,8 +30,9 @@ import numpy as np
 
 from . import kernels
 from .dataset import NUMBERS, REQUIRED, TableFormat, check, check_classes, check_count
-from .dataset import check_finite, check_non_negative, check_positive, check_rows
-from .dataset import check_unit_interval, load_json, read_table, save_json
+from .dataset import check_finite, check_increasing, check_non_negative, check_positive
+from .dataset import check_rows, check_sums_to_one, check_unit_interval, check_vector
+from .dataset import load_json, read_table, save_json
 
 GRID_MARGIN = 1e-4
 # the prior fit holds check counts in int64 arrays
@@ -93,7 +94,8 @@ def _check_pair(n: int, k: int, where: str = "") -> None:
 class DiscretePrior:
     """Prior over the per-day pass probability, gridded on [0, 1].
 
-    Weights live on the probability simplex. ``objective_trace`` and
+    The grid is strictly increasing within [0, 1] and the weights, one per
+    grid point, live on the probability simplex. ``objective_trace`` and
     ``converged`` are filled in by :func:`fit_prior`: the objective value at
     the start plus each accepted iterate, and whether the fit stopped on its
     tolerance (not on ``max_iters`` or a vanished step).
@@ -107,16 +109,14 @@ class DiscretePrior:
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=np.float64)
         weights = np.asarray(self.weights, dtype=np.float64)
-        if grid.ndim != 1 or grid.shape != weights.shape or grid.size < 1:
-            raise ValueError("grid and weights must be matching 1-D arrays")
+        check_vector(grid, "grid")
+        check_count(grid.size, "number of grid points")
+        check_vector(weights, "weights", grid.size)
         check_finite(grid, "grid")
         check_finite(weights, "weights")
-        if np.any(grid < 0.0) or np.any(grid > 1.0) or np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be strictly increasing within [0, 1]")
-        if np.any(weights < 0.0):
-            raise ValueError("weights must be non-negative")
-        if abs(weights.sum() - 1.0) > 1e-9:
-            raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
+        check_unit_interval(grid, "grid")
+        check_increasing(grid, "grid")
+        check_sums_to_one(weights, "weights")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "weights", weights)
         # log-space terms of the posterior; log 0 = -inf is meant
@@ -239,10 +239,8 @@ def _as_counts(n, k):
     """Check counts as validated, non-empty, matching 1-D int64 arrays; the
     first pair breaking 0 <= k <= n is named as row N for index N - 1."""
     n, k = np.asarray(n), np.asarray(k)
-    if n.ndim != 1 or n.shape != k.shape:
-        raise ValueError(
-            f"n and k must be matching 1-D arrays, got shapes {n.shape} and {k.shape}"
-        )
+    check_vector(n, "n")
+    check_vector(k, "k", n.size)
     if not n.size:
         raise ValueError("check counts must be non-empty")
     if not (np.can_cast(n.dtype, np.int64) and np.can_cast(k.dtype, np.int64)):
@@ -398,10 +396,8 @@ def fit_prior(
     pairs, w, B, m = _pair_likelihoods(n, k, start.grid)
     if not np.all(np.isfinite(m)):
         bad_n, bad_k = pairs[np.argmin(np.isfinite(m))]
-        raise ValueError(
-            f"non-finite objective: record (n={bad_n}, k={bad_k}) "
-            "has no likelihood support on the grid"
-        )
+        raise ValueError(f"non-finite objective: record (n={bad_n}, k={bad_k}) "
+                         "has no likelihood support on the grid")
     weights, trace = kernels.eg_minimize(
         B, start.weights.copy(), dtheta, lam, step_size, max_iters, tol, w
     )
@@ -469,10 +465,12 @@ class LabelSeparationReport:
 
 
 def check_label_separation(soft_labels, true_labels, pi: float) -> LabelSeparationReport:
+    """The report of soft and true labels: 1-D, of one length, checked by
+    :func:`~softpu.dataset.check_rows`, with both classes present."""
     s = np.asarray(soft_labels, dtype=np.float64)
     y = np.asarray(true_labels)
-    if s.shape != y.shape:
-        raise ValueError("soft_labels and true_labels must have matching shapes")
+    check_vector(s, "soft_labels")
+    check_vector(y, "true_labels", s.size)
     check_rows(soft=s, truth=y)
     check_classes(y)
     pos = y == 1

@@ -19,24 +19,27 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .dataset import SoftDataset, check_classes, check_finite, check_kind, check_rows
-from .dataset import check_open_unit_interval, check_unit_interval, field_dict, write_columns
+from .dataset import SoftDataset, check_classes, check_count, check_finite, check_kind
+from .dataset import check_mass, check_open_unit_interval, check_rows, check_unit_interval
+from .dataset import check_vector, field_dict, write_columns
 
 
 def _soft_vector(data) -> np.ndarray:
+    """The soft labels of a :class:`SoftDataset`, or ``data`` as a 1-D vector."""
     if isinstance(data, SoftDataset):
         return data.soft_labels
     arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("expected a 1-D soft-label vector or a SoftDataset")
+    check_vector(arr, "soft labels")
     check_rows(soft=arr)
     return arr
 
 
 def _true_vector(data) -> np.ndarray:
+    """The true labels of a :class:`SoftDataset`, or ``data`` as a 1-D vector."""
     if isinstance(data, SoftDataset):
         return data.require_true_labels().astype(np.float64)
     arr = np.asarray(data, dtype=np.float64)
+    check_vector(arr, "true labels")
     check_rows(truth=arr)
     return arr
 
@@ -45,23 +48,18 @@ def _checked(labels, values, what) -> np.ndarray:
     """``values`` as float64, refused unless 1-D, finite and as long as
     ``labels`` (an (n, 1) column would broadcast to a wrong rate)."""
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1:
-        raise ValueError(f"{what} must be a 1-D array, got shape {values.shape}")
-    if len(labels) != len(values):
-        raise ValueError(f"{what} length {len(values)} != sample count {len(labels)}")
+    check_vector(values, what, labels.size)
     check_finite(values, what)
     return values
 
 
 def _soft_weights(s, sides=(1, 0)):
     """The weight of each side of ``sides``, ``s`` for side 1 and ``1 - s``
-    for side 0, refused when it holds no soft mass: the substitute rates of
-    that side are undefined."""
+    for side 0, refused by :func:`~softpu.dataset.check_mass` when it holds
+    no soft mass: the substitute rates of that side are undefined."""
     weights = [s if side else 1.0 - s for side in sides]
     for side, weight in zip(sides, weights):
-        if weight.sum() <= 0.0:
-            raise ValueError("no positive soft mass: sum of soft labels is 0" if side
-                             else "no negative soft mass: sum of (1 - soft label) is 0")
+        check_mass(weight.sum(), "spu", side)
     return weights
 
 
@@ -112,8 +110,9 @@ class RocCurve:
     """Operating points of a score sweep: x is FPR-like, y is TPR-like.
 
     ``thresholds[k]`` realizes point k via the strict rule score > threshold;
-    the final threshold is -inf (everything predicted positive). Points are
-    sorted by x, start at (0, 0), and end at (1, 1).
+    the final threshold is -inf (everything predicted positive). The three
+    arrays are 1-D, of one length, at least 2. Points are sorted by x,
+    start at (0, 0), and end at (1, 1).
     """
 
     thresholds: np.ndarray
@@ -125,10 +124,11 @@ class RocCurve:
         t = np.asarray(self.thresholds, dtype=np.float64)
         xs = np.asarray(self.xs, dtype=np.float64)
         ys = np.asarray(self.ys, dtype=np.float64)
-        if not (t.shape == xs.shape == ys.shape) or t.ndim != 1 or t.size < 2:
-            raise ValueError("curve needs aligned 1-D arrays with >= 2 points")
+        check_vector(t, "curve thresholds")
+        check_count(t.size, "number of curve points", least=2)
         check_kind(self.kind)
         for name, v in (("x", xs), ("y", ys)):
+            check_vector(v, f"curve {name} values", t.size)
             if np.any(np.diff(v) < 0):
                 raise ValueError(f"curve {name} values must be non-decreasing")
         if not (xs[0] == 0.0 and ys[0] == 0.0 and xs[-1] == 1.0 and ys[-1] == 1.0):
@@ -359,9 +359,7 @@ def curve_to_csv(curve: RocCurve, path, more=()) -> None:
     bits = curve.thresholds.view(np.int64)
     for other, other_path in pairs[1:]:
         if not np.array_equal(other.thresholds.view(np.int64), bits):
-            raise ValueError(
-                f"curve for {other_path}: thresholds differ from those for {path}"
-            )
+            raise ValueError(f"curve for {other_path}: thresholds differ from those for {path}")
     with ExitStack() as stack:
         tables = []
         for c, p in pairs:

@@ -16,9 +16,7 @@ brute-force enumeration of all 2^m classifiers (:func:`enumerate_points`,
 :func:`exhaustive_frontier`, m <= 20) stays as the cross-check.
 """
 
-import bisect
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -27,8 +25,8 @@ import numpy as np
 
 from . import kernels
 from .dataset import NUMBERS, REQUIRED, check, check_count, check_finite, check_finite_number
-from .dataset import check_kind, check_non_negative, check_positive, check_unit_interval
-from .dataset import load_json
+from .dataset import check_kind, check_mass, check_non_negative, check_positive
+from .dataset import check_sums_to_one, check_unit_interval, check_vector, load_json
 
 MAX_CELLS = 20
 HULL_ATOL = 1e-12
@@ -44,6 +42,8 @@ PROBLEM_FILE = {"masses": (NUMBERS, REQUIRED), "eta": (NUMBERS, REQUIRED),
 class DiscreteProblem:
     """Cell masses plus per-cell P(Y=1|x) and E[S|x].
 
+    Three 1-D arrays of one length, at least one cell: the masses positive
+    and summing to 1, eta and eta_s within [0, 1], all finite.
     The problem keeps its own read-only float64 copies of the three arrays,
     so it cannot change after it is checked, and the frontiers built on it
     are kept with it (:func:`frontier`). Problems compare and hash by
@@ -58,15 +58,14 @@ class DiscreteProblem:
         masses = np.array(self.masses, dtype=np.float64)
         eta = np.array(self.eta, dtype=np.float64)
         eta_s = np.array(self.eta_s, dtype=np.float64)
-        if not (masses.shape == eta.shape == eta_s.shape) or masses.ndim != 1:
-            raise ValueError("masses, eta, eta_s must be matching 1-D arrays")
+        check_vector(masses, "masses")
         check_count(masses.size, "number of cells")
+        check_vector(eta, "eta", masses.size)
+        check_vector(eta_s, "eta_s", masses.size)
         for name, v in (("masses", masses), ("eta", eta), ("eta_s", eta_s)):
             check_finite(v, name)
-        if np.any(masses <= 0.0):
-            raise ValueError("cell masses must be positive")
-        if abs(masses.sum() - 1.0) > 1e-9:
-            raise ValueError(f"cell masses must sum to 1, got {masses.sum()!r}")
+        check_sums_to_one(masses, "cell masses")
+        check_positive(masses.min(), "smallest cell mass")
         check_unit_interval(eta, "eta")
         check_unit_interval(eta_s, "eta_s")
         for name, v in (("masses", masses), ("eta", eta), ("eta_s", eta_s)):
@@ -109,16 +108,13 @@ def _conditional(problem: DiscreteProblem, kind: str) -> np.ndarray:
 
 
 def _rate_fractions(problem: DiscreteProblem, kind: str):
-    """Per-cell contributions to (TPR, FPR), normalized to sum to 1."""
+    """Per-cell contributions to (TPR, FPR), normalized to sum to 1;
+    refused by :func:`~softpu.dataset.check_mass` when a side has no mass."""
     cond = _conditional(problem, kind)
-    pos = problem.masses * cond
-    neg = problem.masses * (1.0 - cond)
-    pos_total = pos.sum()
-    neg_total = neg.sum()
-    if pos_total <= 0.0:
-        raise ValueError(f"{kind}: positive mass is zero, rates undefined")
-    if neg_total <= 0.0:
-        raise ValueError(f"{kind}: negative mass is zero, rates undefined")
+    pos, neg = problem.masses * cond, problem.masses * (1.0 - cond)
+    pos_total, neg_total = pos.sum(), neg.sum()
+    check_mass(pos_total, kind, 1)
+    check_mass(neg_total, kind, 0)
     return pos / pos_total, neg / neg_total
 
 
@@ -134,10 +130,8 @@ def enumerate_points(problem: DiscreteProblem, kind: str):
     in ``c``. Limited to ``MAX_CELLS`` cells.
     """
     if problem.n_cells > MAX_CELLS:
-        raise ValueError(
-            f"cell_count {problem.n_cells} too large for 2^m enumeration "
-            f"(max {MAX_CELLS})"
-        )
+        raise ValueError(f"cell_count {problem.n_cells} too large for 2^m enumeration "
+                         f"(max {MAX_CELLS})")
     pos_frac, neg_frac = _rate_fractions(problem, kind)
     return kernels.enumerate_confusions(pos_frac, neg_frac)
 
@@ -319,10 +313,8 @@ def _subsets(group, *counts):
     counts summed over their cells, in subset-index order (bit i of the
     index is ``group[i]``), which is increasing bitmask order."""
     if len(group) > MAX_CELLS:
-        raise ValueError(
-            f"tie group of {len(group)} cells too large for subset "
-            f"enumeration (max {MAX_CELLS})"
-        )
+        raise ValueError(f"tie group of {len(group)} cells too large for subset "
+                         f"enumeration (max {MAX_CELLS})")
     masks = [0]
     sums = [[0] for _ in counts]
     for c in group:
@@ -359,22 +351,6 @@ class Frontier:
         sizes = [len(g) for g in self.groups]
         n = len(sizes) + 1 + sum((1 << s) - 2 for s in sizes)
         return n - ((1 << sizes[0]) - 1 if self.whole_first else 0)
-
-    def contains(self, mask: int) -> bool:
-        """Whether classifier ``mask`` achieves a point on the frontier."""
-        mask = operator.index(mask)  # numpy integers too, as a Python int
-        prefixes = self.prefix_masks
-        if not 0 <= mask <= prefixes[-1]:
-            return False
-        # the first prefix that holds every cell of the mask
-        k = bisect.bisect_left(
-            range(len(prefixes)), True, key=lambda i: mask & ~prefixes[i] == 0
-        )
-        if k == 0:
-            return not self.whole_first
-        if k == 1 and self.whole_first:
-            return mask == prefixes[1]
-        return mask & prefixes[k - 1] == prefixes[k - 1]
 
     def _member_sums(self, *exact):
         """Every classifier on the frontier, in increasing bitmask order,
@@ -469,11 +445,9 @@ def _check_strictly_comonotone(problem: DiscreteProblem):
     bad = np.flatnonzero((eta[b] > eta[a]) != (eta_s[b] > eta_s[a]))
     if bad.size:
         i, j = sorted((int(a[bad[0]]), int(b[bad[0]])))
-        raise ValueError(
-            "eta_s is not a strictly monotone transform of eta: cells "
-            f"{i} (eta={eta[i]}, eta_s={eta_s[i]}) and "
-            f"{j} (eta={eta[j]}, eta_s={eta_s[j]})"
-        )
+        raise ValueError("eta_s is not a strictly monotone transform of eta: cells "
+                         f"{i} (eta={eta[i]}, eta_s={eta_s[i]}) and "
+                         f"{j} (eta={eta[j]}, eta_s={eta_s[j]})")
 
 
 @dataclass(frozen=True)
@@ -483,7 +457,9 @@ class MelaOptimalityReport:
     When E[S|x] is a strictly monotone transform of P(Y=1|x), both systems
     rank cells identically, so the classifiers achieving either frontier
     coincide. ``spu_only`` / ``real_only`` list witness bitmasks on exactly
-    one frontier (empty on pass).
+    one frontier (empty on pass). ``threshold_family_on_both``: every
+    whole-group prefix is on both frontiers, false when the first group is
+    pure under either kind (the empty classifier is then off its frontier).
     """
 
     passed: bool
@@ -515,9 +491,7 @@ def verify_mela_optimality(problem: DiscreteProblem) -> MelaOptimalityReport:
         n_real_frontier=real.n_on_frontier,
         spu_only=partial if real.whole_first else (),
         real_only=partial if spu.whole_first else (),
-        threshold_family_on_both=all(
-            spu.contains(c) and real.contains(c) for c in spu.prefix_masks
-        ),
+        threshold_family_on_both=not (spu.whole_first or real.whole_first),
     )
 
 
@@ -684,9 +658,8 @@ def verify_noisy_gap(
         if not math.isfinite(point_bound):
             raise OverflowError
     except (OverflowError, ZeroDivisionError):
-        raise ValueError(
-            f"epsilon={epsilon}, c_h={c_h} and m={m_const} overflow the noisy bound"
-        ) from None
+        raise ValueError(f"epsilon={epsilon}, c_h={c_h} and m={m_const} overflow "
+                         "the noisy bound") from None
     auc_bound = 2.0 * point_bound
 
     link_bad = assumption4_violations(problem, epsilon, c_h)

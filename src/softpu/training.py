@@ -22,8 +22,8 @@ import numpy as np
 
 from . import kernels
 from .dataset import NUMBERS, REQUIRED, SoftDataset, check, check_count, check_finite
-from .dataset import check_non_negative, check_positive, check_rows, field_dict, load_json
-from .dataset import save_json
+from .dataset import check_non_negative, check_positive, check_rows, check_vector, field_dict
+from .dataset import load_json, save_json
 from .kernels import sigmoid
 
 ARCH_LINEAR = "linear-logistic"
@@ -39,10 +39,11 @@ MODEL_FILE = {"arch": (object, REQUIRED), "feature_dim": (object, REQUIRED),
 class ScoringModel:
     """A parametric scorer mapping feature vectors to [0, 1].
 
-    ``params`` is flat, [W1, b1, w2, b2] (W1 row-major, h tanh units,
-    then a logistic output unit). The linear scorer is the output layer
-    alone, h = 0 whatever ``hidden_width`` holds (:func:`hidden_units`),
-    so its params are [w, b]; :func:`_layers` gives the views of either.
+    ``params`` is flat, :func:`param_count` entries [W1, b1, w2, b2] (W1
+    row-major, h tanh units, then a logistic output unit). The linear
+    scorer is the output layer alone, h = 0 whatever ``hidden_width`` holds
+    (:func:`hidden_units`), so its params are [w, b]; :func:`_layers` gives
+    the views of either.
     """
 
     arch: str
@@ -66,8 +67,7 @@ class ScoringModel:
         if params.dtype.kind not in "iuf":
             raise ValueError(f"field 'params' must hold numbers, got dtype {params.dtype}")
         params = params.astype(np.float64, copy=False)
-        if params.shape != (expected,):
-            raise ValueError(f"expected {expected} parameters, got {params.shape}")
+        check_vector(params, "field 'params'", expected)
         check_finite(params, "params")
         object.__setattr__(self, "params", params)
 
@@ -80,9 +80,7 @@ class ScoringModel:
         """
         X = np.atleast_2d(np.asarray(features, dtype=np.float64))
         if X.shape[1] != self.feature_dim:
-            raise ValueError(
-                f"expected {self.feature_dim} features, got {X.shape[1]}"
-            )
+            raise ValueError(f"expected {self.feature_dim} features, got {X.shape[1]}")
         W1, b1, w2, b2 = _layers(self, self.params)
         # a product past the float range is an infinite logit or hidden input,
         # which saturates as a large finite one would
@@ -142,7 +140,8 @@ class TrainConfig:
 
 
 def soft_ce_loss(scores, soft_labels) -> float:
-    """Mean cross-entropy of scores against soft targets.
+    """Mean cross-entropy of scores against soft targets, two 1-D vectors
+    of one length.
 
     Scores must sit strictly inside (0, 1), where the loss is finite. The
     logistic output unit of :class:`ScoringModel` gives an exact 0 or 1
@@ -152,18 +151,16 @@ def soft_ce_loss(scores, soft_labels) -> float:
     """
     g = np.asarray(scores, dtype=np.float64)
     s = np.asarray(soft_labels, dtype=np.float64)
-    if g.shape != s.shape:
-        raise ValueError("scores and soft_labels must have matching shapes")
+    check_vector(g, "scores")
+    check_vector(s, "soft_labels", g.size)
     outside = ~((g > 0.0) & (g < 1.0))
     if outside.any():
         i = int(np.argmax(outside))
         value = float(g.flat[i])
         message = f"scores must lie strictly inside (0, 1): index {i} is {value!r}"
         if value in (0.0, 1.0):
-            message += (
-                "; the model saturated (its logistic output rounds to exactly "
-                "0 below a logit of about -745 and to exactly 1 above about 37)"
-            )
+            message += ("; the model saturated (its logistic output rounds to exactly "
+                        "0 below a logit of about -745 and to exactly 1 above about 37)")
         raise ValueError(message)
     check_rows(soft=s)
     return float(-np.mean(s * np.log(g) + (1.0 - s) * np.log(1.0 - g)))
@@ -188,13 +185,13 @@ def _weight_mask(model: ScoringModel) -> np.ndarray:
 def loss_gradient(model: ScoringModel, features, soft_labels, l2: float = 0.0) -> np.ndarray:
     """Exact analytic gradient of :func:`penalized_loss` w.r.t. the params,
     for both scorers: the linear one is the output layer alone (see
-    :func:`_layers`), and only the hidden layer's terms depend on h."""
+    :func:`_layers`), and only the hidden layer's terms depend on h. The
+    soft labels are a 1-D vector, one per row of a non-empty batch."""
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
     s = np.asarray(soft_labels, dtype=np.float64)
     if X.shape[0] == 0:
         raise ValueError("batch must be non-empty")
-    if s.shape != (X.shape[0],):
-        raise ValueError("soft_labels length must match batch size")
+    check_vector(s, "soft_labels", X.shape[0])
     W1, b1, w2, b2 = _layers(model, model.params)
     a1 = np.tanh(X @ W1 + b1) if b1.size else X
     g = sigmoid(a1 @ w2 + b2)

@@ -17,10 +17,12 @@ classifier's rates and the threshold chain's masks of a discrete problem
 (``mask_rates``, ``threshold_masks``), one record's posterior pass
 probability (``posterior_pass_prob``) and the prior fit's objective at any
 prior (``fit_objective``), every classifier on a frontier with the exact
-sums of per-cell columns over it (``members``), and a one-point prior
-(``point_mass``).
+sums of per-cell columns over it (``members``), whether one classifier is
+on a frontier (``contains``), and a one-point prior (``point_mass``).
 """
 
+import bisect
+import operator
 from functools import partial
 
 import numpy as np
@@ -119,6 +121,23 @@ def members(front: Frontier, *columns):
     """
     masks, sums, _ = front._member_sums(*map(_exact, columns))
     return masks, sums
+
+
+def contains(front: Frontier, mask: int) -> bool:
+    """Whether classifier ``mask`` achieves a point on the frontier."""
+    mask = operator.index(mask)  # numpy integers too, as a Python int
+    prefixes = front.prefix_masks
+    if not 0 <= mask <= prefixes[-1]:
+        return False
+    # the first prefix that holds every cell of the mask
+    k = bisect.bisect_left(
+        range(len(prefixes)), True, key=lambda i: mask & ~prefixes[i] == 0
+    )
+    if k == 0:
+        return not front.whole_first
+    if k == 1 and front.whole_first:
+        return mask == prefixes[1]
+    return mask & prefixes[k - 1] == prefixes[k - 1]
 
 
 def point_mass(theta: float) -> DiscretePrior:

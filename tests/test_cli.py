@@ -150,13 +150,13 @@ class TestGenerate:
             {"seed": -1, "dataset": {"kind": "gscar", "n": 100, "pi": 0.1}},
         )
         assert run(cfg, command, tmp_path / "o") == 1
-        assert "error: config field 'seed' must be non-negative, got -1" in capsys.readouterr().err
+        assert "error: config field 'seed' must be at least 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["generate", "eval", "experiment"])
     @pytest.mark.parametrize(
         "flag, message",
-        [("-3", "must be non-negative, got -3"), ("abc", "invalid int value: 'abc'")],
+        [("-3", "seed must be at least 0, got -3"), ("abc", "invalid int value: 'abc'")],
     )
     def test_bad_seed_flag_is_named_error(self, tmp_path, capsys, command, flag, message):
         cfg = write_config(
@@ -1746,7 +1746,8 @@ NAN = float("nan")
         ("mela", ("dataset", "c_h"), NAN, "c_h must be finite and positive, got nan"),
         ("experiment", ("split",), {"train": "a"}, "config field 'train' must be float, got str"),
         ("experiment", ("split",), {"train": NAN},
-         "config field 'split' fractions must be positive and sum to 1"),
+         "config field 'split' fractions must be non-negative and sum to 1, "
+         "got sum nan and least entry nan"),
         ("experiment", ("dataset", "pi"), NAN, "pi must lie in (0, 1), got nan"),
         ("frontier", ("verify", "noisy", "m"), NAN, "m must be finite, got nan"),
         ("inline-frontier", ("verify", "mela"), "a", "config field 'mela' must be bool, got str"),
@@ -1788,6 +1789,8 @@ NAN = float("nan")
         ("frontier", ("verify", "noisy", "c_h"), 1e-160,
          "epsilon=0.05, c_h=1e-160 and m=4.0 overflow the noisy bound"),
         ("frontier", ("kinds",), ["spu", "roc"], "kind must be 'real' or 'spu', got 'roc'"),
+        ("experiment", ("split",), {"train": 0.85, "test": 0.0},
+         "config field 'split' smallest fraction must be finite and positive, got 0.0"),
     ],
 )
 def test_bad_field_is_named(tmp_path, capsys, monkeypatch, name, path, value, message):

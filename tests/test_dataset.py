@@ -36,9 +36,11 @@ from softpu.dataset import (
     save_csv,
     schema_for,
 )
-from softpu.labeling import RuleStats, check_counts_from_csv
-from softpu.metrics import RocCurve, curve_to_csv, map_auc, mixture_coefficients
+from softpu.labeling import DiscretePrior, RuleStats, check_counts_from_csv
+from softpu.labeling import check_label_separation
+from softpu.metrics import RocCurve, curve_to_csv, map_auc, mixture_coefficients, roc_spu
 from softpu.oracle import DiscreteProblem
+from softpu.training import ARCH_LINEAR, ScoringModel, loss_gradient, soft_ce_loss
 
 from reference import read_curve
 
@@ -1322,9 +1324,11 @@ def _mela(epsilon):
         (lambda: _mela(1.5), "epsilon must lie in [0, 1], got 1.5"),
         (lambda: map_auc(mixture_coefficients(0.5, 0.8, 0.2), 1.25),
          "real_auc must lie in [0, 1], got 1.25"),
+        (lambda: dataset_module.make_pu_benchmark(100, soft_scale=1.5),
+         "soft_scale must lie in [0, 1], got 1.5"),
     ],
     ids=["eta", "eta_s", "DiscreteEta", "PiecewiseLinearEta", "s_p", "s_n", "RuleStats",
-         "negative epsilon", "epsilon above 1", "real_auc"],
+         "negative epsilon", "epsilon above 1", "real_auc", "soft_scale"],
 )
 def test_unit_interval_rule_names_the_first_value_outside(build, message):
     with pytest.raises(ValueError) as err:
@@ -1389,6 +1393,97 @@ def test_scalar_rules_take_ints_of_any_size():
     dataset_module.check_non_negative(-0.0, "x")
     with pytest.raises(ValueError, match=r"^x must lie in \(0, 1\), got 1$"):
         dataset_module.check_open_unit_interval(1, "x")
+
+
+def _dataset(**columns):
+    return SoftDataset(**{"features": np.zeros((3, 2)), "soft_labels": np.full(3, 0.5)} | columns)
+
+
+def _linear_model():
+    return ScoringModel(ARCH_LINEAR, 2, 0, np.zeros(3))
+
+
+# each call breaks one array rule at one of its sites
+ARRAY_RULE_SITES = [
+    (lambda: _dataset(soft_labels=np.zeros(2)),
+     "soft_labels must be a 1-D array of 3 entries, got shape (2,)"),
+    (lambda: _dataset(feature_names=("a",)),
+     "feature_names must be a 1-D array of 2 entries, got shape (1,)"),
+    (lambda: _dataset(true_labels=np.zeros((3, 1))),
+     "true_labels must be a 1-D array of 3 entries, got shape (3, 1)"),
+    (lambda: _dataset(cond_mean=np.zeros(4)),
+     "cond_mean must be a 1-D array of 3 entries, got shape (4,)"),
+    (lambda: PiecewiseLinearEta(xs=((0.0, 1.0),), ys=(0.2, 0.4)),
+     "knot positions must be a 1-D array, got shape (1, 2)"),
+    (lambda: PiecewiseLinearEta(xs=(0.0,), ys=(0.2,)), "number of knots must be at least 2, got 1"),
+    (lambda: PiecewiseLinearEta(xs=(0.0, 1.0), ys=(0.2, 0.4, 0.6)),
+     "eta must be a 1-D array of 2 entries, got shape (3,)"),
+    (lambda: PiecewiseLinearEta(xs=(0.0, 0.6, 0.4, 1.0), ys=(0.2, 0.4, 0.6, 0.8)),
+     "knot positions must be strictly increasing, got 0.6 at index 1 and 0.4 at index 2"),
+    (lambda: PiecewiseLinearEta(xs=(0.0, 0.5), ys=(0.2, 0.4)),
+     "knot positions must run from 0 to 1, got 0.0 to 0.5"),
+    (lambda: MelaConfig(n=10, eta_spec=DiscreteEta(values=(0.5,)),
+                        h_spec=LogisticWarpLink(gain=2000.0), c_h=1e-300),
+     "link on the check grid must be strictly increasing, got 0.0 at index 0 and 0.0 at index 1"),
+    (lambda: DiscretePrior(np.array([[0.5]]), np.array([1.0])),
+     "grid must be a 1-D array, got shape (1, 1)"),
+    (lambda: DiscretePrior(np.array([0.2, 0.8]), np.array([1.0])),
+     "weights must be a 1-D array of 2 entries, got shape (1,)"),
+    (lambda: DiscretePrior(np.array([0.5, 0.5]), np.array([0.5, 0.5])),
+     "grid must be strictly increasing, got 0.5 at index 0 and 0.5 at index 1"),
+    (lambda: DiscretePrior(np.array([0.2, 1.5]), np.array([0.5, 0.5])),
+     "grid must lie in [0, 1], got 1.5"),
+    (lambda: DiscretePrior(np.array([0.2, 0.8]), np.array([0.25, 0.5])),
+     "weights must be non-negative and sum to 1, got sum 0.75 and least entry 0.25"),
+    (lambda: DiscretePrior(np.array([0.2, 0.8]), np.array([1.5, -0.5])),
+     "weights must be non-negative and sum to 1, got sum 1.0 and least entry -0.5"),
+    (lambda: check_label_separation(np.array([[0.1], [0.9]]), np.array([[0], [1]]), 0.5),
+     "soft_labels must be a 1-D array, got shape (2, 1)"),
+    (lambda: check_label_separation(np.array([0.1, 0.9]), np.array([0, 1, 1]), 0.5),
+     "true_labels must be a 1-D array of 2 entries, got shape (3,)"),
+    (lambda: roc_spu(np.full((2, 2), 0.5), np.zeros(4)),
+     "soft labels must be a 1-D array, got shape (2, 2)"),
+    (lambda: RocCurve([1.0, -np.inf], [0.0, 1.0], [0.0, 0.5, 1.0], kind="spu"),
+     "curve y values must be a 1-D array of 2 entries, got shape (3,)"),
+    (lambda: RocCurve([-np.inf], [1.0], [1.0], kind="spu"),
+     "number of curve points must be at least 2, got 1"),
+    (lambda: DiscreteProblem([0.5, 0.5], [0.5], [0.5, 0.5]),
+     "eta must be a 1-D array of 2 entries, got shape (1,)"),
+    (lambda: DiscreteProblem([0.5, 0.25], [0.5, 0.5], [0.5, 0.5]),
+     "cell masses must be non-negative and sum to 1, got sum 0.75 and least entry 0.25"),
+    (lambda: DiscreteProblem([1.0, 0.0], [0.5, 0.5], [0.5, 0.5]),
+     "smallest cell mass must be finite and positive, got 0.0"),
+    (lambda: ScoringModel(ARCH_LINEAR, 2, 0, np.zeros((3, 1))),
+     "field 'params' must be a 1-D array of 3 entries, got shape (3, 1)"),
+    (lambda: soft_ce_loss(np.full((2, 1), 0.5), np.full((2, 1), 0.5)),
+     "scores must be a 1-D array, got shape (2, 1)"),
+    (lambda: soft_ce_loss(np.full(2, 0.5), np.full(3, 0.5)),
+     "soft_labels must be a 1-D array of 2 entries, got shape (3,)"),
+    (lambda: loss_gradient(_linear_model(), np.zeros((2, 2)), np.full((2, 1), 0.5)),
+     "soft_labels must be a 1-D array of 2 entries, got shape (2, 1)"),
+]
+
+
+@pytest.mark.parametrize("build, message", ARRAY_RULE_SITES)
+def test_array_rule_names_what_breaks_it(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_array_rules_admit_what_they_should():
+    dataset_module.check_vector(("a", "b"), "x", 2)
+    dataset_module.check_vector(np.zeros(0), "x")
+    dataset_module.check_sums_to_one([0.0, 1.0 - 1e-10], "x")
+    dataset_module.check_increasing([-np.inf, 0.0, np.inf], "x")
+    dataset_module.check_increasing([0.5], "x")
+    for values in ([0.5, np.nan], [np.nan, 0.5]):
+        with pytest.raises(ValueError, match="^x must be strictly increasing, got "):
+            dataset_module.check_increasing(values, "x")
+    with pytest.raises(ValueError, match=r"^x must be non-negative and sum to 1, got sum nan"):
+        dataset_module.check_sums_to_one([np.nan, 1.0], "x")
+    with pytest.raises(ValueError, match=r"^x must be a 1-D array, got shape \(\)$"):
+        dataset_module.check_vector(np.float64(0.5), "x")
 
 
 @pytest.mark.parametrize("shift", [1e154, -1e154])

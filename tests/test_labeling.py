@@ -1003,8 +1003,8 @@ class TestCheckCounts:
                          id="n0-k0-need 0 <= k <= n, got n=4, k=9 at index 1"),
             pytest.param([5, -1], [3, 0], "row 2: need 0 <= k <= n, got n=-1, k=0",
                          id="n1-k1-need 0 <= k <= n, got n=-1, k=0 at index 1"),
-            ([5, 4], [3], "n and k must be matching 1-D arrays"),
-            ([[5]], [[3]], "n and k must be matching 1-D arrays"),
+            ([5, 4], [3], "k must be a 1-D array of 2 entries, got shape (1,)"),
+            ([[5]], [[3]], "n must be a 1-D array, got shape (1, 1)"),
             ([5.0], [3.0], "n and k must be integer arrays, got float64 and float64"),
             (np.array([5], np.uint64), [3], "n and k must be integer arrays, got uint64"),
             ([], [], "check counts must be non-empty"),

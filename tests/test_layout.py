@@ -22,8 +22,12 @@ They pin decisions about where code lives:
   (a repeated column name); so is the [0, 1] range of a per-cell or
   scalar probability, in ``dataset.check_unit_interval``, each rule of a
   scalar parameter (finite, positive, non-negative, a count, inside
-  (0, 1)), a class that must be present, soft mass that must be present,
-  a curve kind, an architecture and a file that is not UTF-8 text;
+  (0, 1)), a class that must be present, mass that must be present on
+  a side of a real or substitute rate (``dataset.check_mass``), a curve
+  kind, an architecture and a file that is not UTF-8 text; and so is each
+  array rule: a 1-D array of a given length (``dataset.check_vector``),
+  weights that sum to 1 (``dataset.check_sums_to_one``) and values that
+  strictly increase (``dataset.check_increasing``);
 - every descending sort that puts tied values in index order is
   ``kernels.descending_order``: no other ``argsort`` or ``sort`` call in
   the package asks numpy for a stable sort;
@@ -187,20 +191,27 @@ def test_each_value_rule_is_worded_in_one_function():
         "must be finite, got": ("dataset.py", "check_finite_number"),
         "must be finite and positive": ("dataset.py", "check_positive"),
         "must be finite and non-negative": ("dataset.py", "check_non_negative"),
-        "must be at least": ("dataset.py", "check_count"),
+        "must be at least": ("dataset.py", "check_count"),  # the seed's rule too
         "must lie in (0, 1)": ("dataset.py", "check_open_unit_interval"),
         "class (Y=": ("dataset.py", "check_classes"),
-        "soft mass: sum of": ("metrics.py", "_soft_weights"),
+        "mass: sum ": ("dataset.py", "check_mass"),
         "kind must be 'real' or 'spu'": ("dataset.py", "check_kind"),
         "unknown architecture": ("training.py", "hidden_units"),
         "not UTF-8 text": ("dataset.py", "_not_utf8"),
+        "must be a 1-D array": ("dataset.py", "check_vector"),
+        "must be non-negative and sum to 1": ("dataset.py", "check_sums_to_one"),
+        "must be strictly increasing": ("dataset.py", "check_increasing"),
     }
+    # wordings each rule had at its sites before its gate
+    retired = ["must be non-negative, got", "mass is zero", "matching 1-D arrays",
+               "matching shapes", "length must match", "!= sample count", "must sum to 1"]
     strings = _by_function(lambda node: isinstance(node, ast.Constant)
                            and isinstance(node.value, str))
     found = {
         text: sorted({(m, f) for m, f, node in strings if text in node.value}) for text in homes
     }
     assert found == {text: [home] for text, home in homes.items()}
+    assert [text for text in retired if any(text in node.value for *_, node in strings)] == []
 
 
 def _asks_for_stable(call) -> bool:

@@ -6,6 +6,7 @@ seeded random draws.
 """
 
 import csv
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -130,8 +131,8 @@ class TestRealRates:
 
 POSITIVE_EMPTY = "positive class (Y=1) is empty: none of the 4 true labels is 1"
 NEGATIVE_EMPTY = "negative class (Y=0) is empty: none of the 4 true labels is 0"
-NO_POSITIVE_MASS = "no positive soft mass: sum of soft labels is 0"
-NO_NEGATIVE_MASS = "no negative soft mass: sum of (1 - soft label) is 0"
+NO_POSITIVE_MASS = "no positive soft mass: sum 0.0, so the spu rates are undefined"
+NO_NEGATIVE_MASS = "no negative soft mass: sum 0.0, so the spu rates are undefined"
 SCORES = np.array([0.1, 0.4, 0.2, 0.3])
 
 
@@ -263,7 +264,8 @@ class TestSpuAndReal:
 
     def test_inputs_are_checked_as_the_separate_sweeps_check_them(self):
         data = gen_gscar(GscarConfig(n=50, pi=0.3, seed=2))
-        with pytest.raises(ValueError, match="scores length 3 != sample count 50"):
+        wrong_length = "scores must be a 1-D array of 50 entries, got shape (3,)"
+        with pytest.raises(ValueError, match=re.escape(wrong_length)):
             roc_spu_and_real(data, np.zeros(3))
         bad = np.zeros(50)
         bad[4] = np.nan
@@ -372,7 +374,29 @@ class TestNonFiniteInputs:
         what = "scores" if entry in (roc_spu, roc_real) else "predictions"
         with pytest.raises(ValueError) as info:
             entry(np.array([0.0, 1.0, 0.0]), np.array([[1.0], [0.0], [0.3]]))
-        assert str(info.value) == f"{what} must be a 1-D array, got shape (3, 1)"
+        assert str(info.value) == f"{what} must be a 1-D array of 3 entries, got shape (3, 1)"
+
+    @pytest.mark.parametrize(
+        "entry, labels, predictions, shape",
+        [
+            # broadcast against the predictions, the column gave tpr 1.0 and fpr 2.0
+            (tpr, [[1], [0], [1]], [1, 0, 0], "(3, 1)"),
+            (fpr, [[1], [0], [1], [0]], [1, 0, 0, 1], "(4, 1)"),
+            (tpr, 1, [1], "()"),
+            (fpr, 0, [1], "()"),
+            (roc_real, [[1], [0]], [0.2, 0.4], "(2, 1)"),
+        ],
+        ids=["tpr-column", "fpr-column", "tpr-0d", "fpr-0d", "roc_real-column"],
+    )
+    def test_true_labels_that_are_not_a_vector_are_refused(self, entry, labels, predictions,
+                                                          shape):
+        with pytest.raises(ValueError) as info:
+            entry(np.array(labels), np.array(predictions))
+        assert str(info.value) == f"true labels must be a 1-D array, got shape {shape}"
+
+    def test_vector_true_labels_give_the_rates(self):
+        assert tpr(np.array([1, 0, 1]), np.array([1, 0, 0])) == 0.5
+        assert fpr(np.array([1, 0, 1, 0]), np.array([1, 0, 0, 1])) == 0.5
 
     @pytest.mark.parametrize("entry", [roc_spu, auc_spu, bound_report, tpr_spu, fpr_spu])
     def test_soft_label_vector_rejects_nan(self, entry):

@@ -36,7 +36,7 @@ from softpu.oracle import (
     verify_noisy_gap,
 )
 
-from reference import mask_rates, members, problem_to_json, threshold_masks
+from reference import contains, mask_rates, members, problem_to_json, threshold_masks
 
 
 def random_problem(rng, m=None, eta_range=(0.02, 0.98)):
@@ -170,7 +170,7 @@ class TestEnumeration:
 
     def test_degenerate_eta_requires_both_classes(self):
         prob = DiscreteProblem(np.array([1.0]), np.array([0.0]), np.array([0.5]))
-        with pytest.raises(ValueError, match="positive mass is zero"):
+        with pytest.raises(ValueError, match="no positive real mass: sum 0.0"):
             enumerate_points(prob, "real")
 
 
@@ -247,7 +247,39 @@ class TestFrontier:
         np.testing.assert_allclose(curve.ys, front.points[:, 1], atol=1e-12)
 
 
+def strictly_comonotone_problem(rng):
+    """A random problem whose eta_s is a strictly increasing function of
+    eta on a few tied levels; its top level is pure (1.0) under either kind,
+    both or neither, each about as often."""
+    m = int(rng.integers(1, 10))
+    levels = np.sort(rng.uniform(0.02, 0.98, int(rng.integers(1, m + 1))))
+    soft_levels = np.sort(rng.uniform(0.02, 0.98, levels.size))
+    pure = rng.integers(0, 4)
+    levels[-1] = 1.0 if pure & 1 else levels[-1]
+    soft_levels[-1] = 1.0 if pure & 2 else soft_levels[-1]
+    which = rng.permutation(np.arange(m) % levels.size)
+    masses = rng.random(m) + 0.2
+    return DiscreteProblem(masses / masses.sum(), levels[which], soft_levels[which])
+
+
 class TestMelaOptimality:
+    def test_threshold_family_on_both_agrees_with_membership(self):
+        rng = np.random.default_rng(34)
+        pure_first = 0
+        for _ in range(400):
+            prob = strictly_comonotone_problem(rng)
+            try:
+                report = verify_mela_optimality(prob)
+            except ValueError as exc:  # a kind with no negative mass
+                assert "negative" in str(exc)
+                continue
+            spu, real = frontier(prob, "spu"), frontier(prob, "real")
+            pure_first += spu.whole_first or real.whole_first
+            assert report.threshold_family_on_both == all(
+                contains(spu, c) and contains(real, c) for c in spu.prefix_masks
+            )
+        assert pure_first >= 100
+
     def test_identity_link(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -401,9 +433,16 @@ class TestNoisyGap:
         assert not rep2.passed
         assert rep2.max_point_gap > rep2.point_bound
 
+    def test_without_negative_soft_mass_is_named_error(self):
+        prob = DiscreteProblem(np.array([0.5, 0.5]), np.array([0.2, 0.4]), np.ones(2))
+        with pytest.raises(ValueError) as err:
+            frontier(prob, "spu")
+        assert str(err.value) == "no negative soft mass: sum 0.0, so the spu rates are undefined"
+
     def test_without_positive_mass_is_named_error(self):
         prob = DiscreteProblem(np.array([0.5, 0.5]), np.zeros(2), np.array([0.2, 0.4]))
-        with pytest.raises(ValueError, match="real: positive mass is zero"):
+        with pytest.raises(ValueError, match="^no positive real mass: sum 0.0, so the real "
+                                             "rates are undefined$"):
             verify_noisy_gap(prob, 0.05, 1.0, 4.0)
 
 
@@ -750,7 +789,8 @@ class TestChainAgainstBruteForce:
             for kind in ("spu", "real"):
                 ref = exact_brute_force(index, kind)
                 if ref is None:
-                    with pytest.raises(ValueError, match=f"{kind}: (positive|negative) mass is zero"):
+                    mass = "real" if kind == "real" else "soft"
+                    with pytest.raises(ValueError, match=f"no (positive|negative) {mass} mass"):
                         frontier(prob, kind)
                     continue
                 vertex_masks, points, on = ref
@@ -760,7 +800,7 @@ class TestChainAgainstBruteForce:
                 assert set(members(front)[0]) == on
                 assert front.n_on_frontier == len(on)
                 if prob.n_cells <= 12:
-                    assert [m for m in range(1 << prob.n_cells) if front.contains(m)] == sorted(on)
+                    assert [m for m in range(1 << prob.n_cells) if contains(front, m)] == sorted(on)
                 checked += 1
         assert checked >= 400
 
@@ -781,7 +821,7 @@ class TestChainAgainstBruteForce:
                 assert np.array_equal(on, want.on_frontier)
                 assert got.n_on_frontier == want.n_on_frontier
                 assert set(got.vertex_masks) <= set(want.vertex_masks)
-                assert all(got.contains(m) for m in want.vertex_masks)
+                assert all(contains(got, m) for m in want.vertex_masks)
                 if is_tie_free(prob, kind):
                     assert got.vertex_masks == want.vertex_masks
                 if got.vertex_masks == want.vertex_masks:
@@ -833,7 +873,7 @@ class TestChainAgainstBruteForce:
         # only the whole pure group at FPR 0; any subset of the next group
         # on top of it; any subset of the pure negative group at TPR 1
         assert members(real)[0] == [0b0001, 0b0011, 0b0101, 0b0111, 0b1111]
-        assert not real.contains(0) and real.n_on_frontier == 5
+        assert not contains(real, 0) and real.n_on_frontier == 5
         assert real.vertex_masks == (0b0001, 0b0111, 0b1111)
         spu = frontier(prob, "spu")
         assert spu.groups == ((0, 1, 2, 3),) and not spu.whole_first

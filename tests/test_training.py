@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -513,7 +514,8 @@ class TestModelIo:
         np.testing.assert_array_equal(back.params, model.params)
 
     def test_param_count_validation(self):
-        with pytest.raises(ValueError, match="parameters"):
+        with pytest.raises(ValueError, match=re.escape(
+                "field 'params' must be a 1-D array of 4 entries, got shape (7,)")):
             ScoringModel(ARCH_LINEAR, 3, 0, np.zeros(7))
         with pytest.raises(ValueError, match="architecture"):
             ScoringModel("boosted-trees", 3, 0, np.zeros(4))
