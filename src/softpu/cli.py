@@ -3,7 +3,7 @@
 Every command reads a JSON config (``--config``), with ``--seed`` and
 ``--out`` overriding the config's seed and output directory; one flat parser
 takes the command and the options in any order. The config, and the model
-or problem file it names, are read by :func:`softpu.dataset.load_json`,
+or problem file it names, are read by :func:`softpu.schema.load_json`,
 whose errors name the file and what is wrong with it. The config is then
 checked against the command's table in :mod:`softpu.config`, before any
 work. The only
@@ -21,14 +21,14 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import TABLES, check
-from .dataset import check_count, field_dict, load_json, provenance_record, save_csv, save_json
-from .dataset import schema_for
+from .config import TABLES
+from .dataset import provenance_record, save_csv, schema_for
 from .experiment import ExperimentConfig, build_dataset, run_experiment
 from .labeling import check_counts_from_csv, fit_prior, fitted_mean_log_likelihood, prior_to_json
 from .metrics import auc, bound_report, curve_to_csv, fpr_spu, roc_spu, roc_spu_and_real, tpr_spu
 from .oracle import DiscreteProblem, frontier, problem_from_json, verify_mela_optimality
 from .oracle import verify_noisy_gap
+from .schema import check, check_count, field_dict, load_json, save_json
 from .training import TrainingDiverged, load_model, threshold_classify
 
 

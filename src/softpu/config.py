@@ -1,26 +1,27 @@
 """Config tables: the keys each command reads, with their types and defaults.
 
-Each table has the form that the walker :func:`softpu.dataset.check` reads;
+Each table has the form that the walker :func:`softpu.schema.check` reads;
 a default that a builder also declares is read from it once, at import.
 ``cli.main`` walks a whole config against its command's table before any
-work. The walker lives in :mod:`softpu.dataset` because this module imports
-:mod:`softpu.labeling` and :mod:`softpu.training` for their defaults, and
-their file tables use the walker too.
+work. The walker lives in :mod:`softpu.schema`, which imports no other
+module of the package: this module imports :mod:`softpu.labeling` and
+:mod:`softpu.training` for their defaults, and their file tables, and
+:mod:`softpu.oracle`'s, use the walker too.
 """
 
 import inspect
 import sys
 from pathlib import Path
 
-from .dataset import NUMBERS, REQUIRED, AffineLink, CsvSchema, LogisticWarpLink, MelaConfig
-from .dataset import Variants, check, check_count, check_positive, check_sums_to_one
-from .dataset import make_pu_benchmark
+from .dataset import AffineLink, CsvSchema, LogisticWarpLink, MelaConfig, make_pu_benchmark
 from .labeling import fit_prior
+from .schema import NUMBERS, REQUIRED, Variants, check, check_count, check_positive
+from .schema import check_sums_to_one
 from .training import ARCH_MLP, DEFAULT_HIDDEN, TrainConfig, hidden_units
 
 
 def _selector(noun: str, key: str, entry: tuple):
-    """A :class:`Variants` pick: the value of ``key``, read as the table entry
+    """A :class:`~softpu.schema.Variants` pick: the value of ``key``, read as the table entry
     ``entry`` says, which must name one of the tables."""
 
     def pick(section, name, tables):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__, workers
-from .config import TABLES, check
+from .config import TABLES
 from .dataset import AffineLink, CsvSchema, DiscreteEta, GscarConfig, LogisticWarpLink
 from .dataset import MelaConfig, PiecewiseLinearEta, SoftDataset, gen_gscar, gen_mela, load_csv
 from .dataset import make_pu_benchmark
@@ -35,6 +35,7 @@ from .labeling import RuleStats, bayes_soft_labels, check_counts_from_csv, fit_p
 from .labeling import rule_soft_label
 from .metrics import auc_real, auc_spu, auc_spu_bound, estimate_mixture_stats
 from .metrics import mixture_coefficients
+from .schema import check
 from .training import TrainConfig, hidden_units, train
 
 MIN_SPLIT_SIZE = 10

@@ -4,17 +4,15 @@ Two inner loops dominate the runtime of this package: mini-batch training
 epochs, one loop for both scorer architectures, and the exponentiated-gradient
 descent used to fit discrete priors. ``enumerate_confusions`` scores all 2^m
 classifiers for the brute-force frontier that the tests cross-check the
-threshold-chain frontiers against. ``shortest_digits`` gives the shortest
-round-trip decimal digits of a float64 column (Ryū) for the CSV writers,
-in integer arithmetic only. ``descending_order`` is the one descending
-sort with ties in index order, for the threshold sweeps of ``metrics``
-and the tie groups of ``oracle``: numpy's SIMD argsort, with only the
-tied values then put back in index order. Each kernel is deterministic: the same
-inputs give bit-identical outputs. ``BACKEND`` names this kernel path for
-run reports.
+threshold-chain frontiers against. ``descending_order`` is the one
+descending sort with ties in index order, for the threshold sweeps of
+``metrics`` and the tie groups of ``oracle``: numpy's SIMD argsort, with
+only the tied values then put back in index order. The CSV writer's digit
+kernel lives with the rest of the text format, in :mod:`softpu.tables`.
+Each kernel is deterministic: the same inputs give bit-identical outputs.
+``BACKEND`` names this kernel path for run reports.
 """
 
-import functools
 import itertools
 
 import numpy as np
@@ -358,197 +356,3 @@ def descending_order(values):
     key -= group
     order[where] = key
     return order
-
-
-# ---------------------------------------------------------------------------
-# shortest round-trip decimal digits (Ryū)
-# ---------------------------------------------------------------------------
-
-# 10**k for k = 0..18, every power of ten an int64 holds
-POW10 = 10 ** np.arange(19, dtype=np.int64)
-
-_M32 = 0xFFFFFFFF
-_M52 = (1 << 52) - 1
-_ONE_BITS = 0x3FF0000000000000
-# Ryū's multiplier precision, for 5**q and for 2**k / 5**q alike
-_POW5_BITS = 125
-# Biased exponents whose trailing-zero tests use 5**q or a fixed outcome
-# (values from 2**50 up to 2**131); below them the test is a bit mask.
-_FIRST_BIG, _LAST_BIG = 1073, 1153
-
-
-@functools.cache
-def _ryu_table() -> tuple:
-    """Ryū's step 3 constants, each an int64 array indexed by the biased
-    exponent: the four 32-bit limbs, low first, of the multiplier ``M``
-    (125 or 126 bits); ``128 - j``, where ``j`` is 118 to 125 and the scaled
-    interval ends are ``floor(m * M / 2**j)``; the decimal exponent ``e10``
-    of those ends; the mask of the low bits of ``mv`` that must be zero for
-    it to end in ``q`` decimal zeros (-1 where that test does not apply);
-    ``q``. Built once, on first use: the multipliers from Python integers,
-    one per power of five. The exponent 2047 of inf and nan reuses 2046's.
-    """
-    e2 = np.maximum(np.minimum(np.arange(2048), 2046), 1) - 1023 - 52 - 2
-    up = e2 >= 0
-    q = np.where(up, (e2 * 78913 >> 18) - (e2 > 3), (-e2 * 732923 >> 20) - (-e2 > 1))
-    power = np.where(up, q, -e2 - q)  # of 5, in M
-    bits = np.array([(5**k).bit_length() for k in range(power.max() + 1)])[power]
-    # e2 >= 0: M = floor(2**k / 5**q) + 1 with k = bits - 1 + 125, j = k + q - e2;
-    # e2 < 0: M = the first 125 bits of 5**i, j = q - bits + 125
-    made = {
-        (u, p): (1 << b - 1 + _POW5_BITS) // 5**p + 1 if u
-        else 5**p >> max(b - _POW5_BITS, 0) << max(_POW5_BITS - b, 0)
-        for u, p, b in set(zip(up.tolist(), power.tolist(), bits.tolist()))
-    }
-    muls = [made[key] for key in zip(up.tolist(), power.tolist())]
-    j = np.where(up, bits - 1 + _POW5_BITS + q - e2, q - bits + _POW5_BITS)
-    mask = np.where(~up & (q > 1) & (q < 63), (1 << np.minimum(q, 62)) - 1, -1)
-    limbs = [np.array([m >> 32 * k & _M32 for m in muls], dtype=np.int64) for k in range(4)]
-    return (*limbs, 128 - j, np.where(up, q, q + e2), mask, q)
-
-
-def _floor_shifted(low, top, add, keep):
-    """``floor((N + A) / 2**j)`` for ``N = top * 2**128 + sum(low[k] * 2**(32 k))``
-    and ``A = sum(add[k] * 2**(32 k))``, with ``keep = 128 - j`` (3 to 10).
-    The limb sums may carry or borrow; every value is int64."""
-    carry = (low[0] + add[0]) >> 32
-    carry = (low[1] + add[1] + carry) >> 32
-    carry = (low[2] + add[2] + carry) >> 32
-    last = low[3] + add[3] + carry
-    return (top + (last >> 32)) << keep | (last & _M32) >> (32 - keep)
-
-
-def _trailing_zeros10(x):
-    """The number of trailing decimal zeros of each positive int64."""
-    count = np.zeros(x.shape, dtype=np.int64)
-    for k in (16, 8, 4, 2, 1):
-        q = x // POW10[k]
-        hit = q * POW10[k] == x
-        if hit.any():
-            x = np.where(hit, q, x)
-            count += hit * k
-    return count
-
-
-def _interval(mv, limbs, keep, narrow):
-    """Ryū's ``vr``, ``vp`` and ``vm``: ``floor(m * M / 2**j)`` for ``m`` =
-    ``mv``, ``mv + 2`` and ``mv - 1 - mm_shift``, where ``M`` comes as four
-    32-bit limbs, ``keep = 128 - j``, and ``mm_shift`` is 0 only where
-    ``narrow`` (the powers of two but the least normal, whose lower
-    neighbour is half as far). Its temporaries die when it returns."""
-    # mv * M as four 32-bit limbs and the bits from 128 up, in uint64; mv
-    # < 2**55, so each product of its high half (a1) with a limb is < 2**55
-    m = mv.view(np.uint64)
-    a0, a1 = m & _M32, m >> 32
-    b0, b1, b2, b3 = (x.view(np.uint64) for x in limbs)
-    t0, t1, t2, t3 = a0 * b0, a0 * b1, a0 * b2, a0 * b3
-    low = [t0 & _M32]
-    acc = (t0 >> 32) + (t1 & _M32) + a1 * b0
-    low.append(acc & _M32)
-    acc = (acc >> 32) + (t1 >> 32) + (t2 & _M32) + a1 * b1
-    low.append(acc & _M32)
-    acc = (acc >> 32) + (t2 >> 32) + (t3 & _M32) + a1 * b2
-    low.append(acc & _M32)
-    top = ((acc >> 32) + (t3 >> 32) + a1 * b3).view(np.int64)
-    low = [x.view(np.int64) for x in low]
-    vr = top << keep | low[3] >> (32 - keep)
-    twice = [2 * x for x in limbs]
-    vp = _floor_shifted(low, top, twice, keep)
-    vm = _floor_shifted(low, top, [-x for x in twice], keep)
-    if narrow.any():
-        (at,) = np.nonzero(narrow)
-        vm[at] = _floor_shifted([x[at] for x in low], top[at], [-x[at] for x in limbs], keep[at])
-    return vr, vp, vm
-
-
-def _shortest(vr, vp, vm, vr_tz, vm_tz, even):
-    """Ryū's step 4: the kept digits of ``vr``, rounded, and how many
-    digits were dropped, given whether the exact ``mv`` and ``mm`` end in
-    the zeros that were cut off (``vr_tz``, ``vm_tz``) and whether the
-    interval's ends are included (``even``).
-
-    The digits that ``vp`` and ``vm`` no longer tell apart go. The interval
-    (vm, vp] spans 2 to about 400 units, so ``vp // 10**d`` and ``vm //
-    10**d`` differ while ``10**d <= vp - vm``; one more digit goes where
-    vp's last ``d + 1`` digits are below that width, and then as many more
-    as there are zeros that follow.
-    """
-    width = vp - vm
-    removed = (width >= 10).astype(np.int64) + (width >= 100)
-    step = POW10[removed + 1]
-    high = vp // step
-    more = vp - high * step < width
-    removed += more
-    zeros = more & (high // 10 * 10 == high)
-    if zeros.any():
-        removed[zeros] += _trailing_zeros10(high[zeros])
-    if vm_tz.any():
-        (at,) = np.nonzero(vm_tz)
-        scale = POW10[removed[at]]
-        kept = vm[at] // scale
-        vm_tz[at] = kept * scale == vm[at]
-        removed[at] += np.where(vm_tz[at], _trailing_zeros10(kept), 0)
-    # round the kept digits of vr: up past half of the dropped part, to
-    # even at exactly half, and up where they equal vm's outside the bounds
-    scale = POW10[removed]
-    out = vr // scale
-    twice = 2 * (vr - out * scale)
-    up = twice >= scale
-    if vr_tz.any():
-        up &= ~(vr_tz & (twice == scale) & ((out & 1) == 0))
-    inside = vm >= out * scale  # the kept digits of vr equal vm's
-    if vm_tz.any():
-        inside &= ~(vm_tz & even)
-    up |= inside
-    out += up
-    return out, removed
-
-
-def shortest_digits(values):
-    """The shortest round-trip decimal of each float64, as Ryū computes it
-    (Adams 2018, "Ryū: fast float-to-string conversion", PLDI).
-
-    Returns ``(digits, exponent)``, two int64 arrays, with
-    ``abs(v) == digits * 10**exponent`` for each finite nonzero ``v`` once
-    read back: ``digits`` has as few decimal digits as any decimal that
-    reads back to ``v`` (at most 17), and among those it is the one nearest
-    ``v``, ties to even. These are the digits of ``repr(v)``. Zeros, infs
-    and nans give ``(0, 0)``.
-
-    Every step is integer arithmetic: the 55 x 126-bit products are built
-    from 32-bit limbs in int64 lanes (whose products wrap exactly as uint64
-    ones do) and the digit counts come from integer comparisons, so the
-    result does not depend on the CPU.
-    """
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
-    biased = bits >> 52 & 0x7FF
-    special = (bits << 1 == 0) | (biased == 0x7FF)
-    if special.any():
-        bits = np.where(special, _ONE_BITS, bits)
-        biased = bits >> 52 & 0x7FF
-    frac = bits & _M52
-    mv = (frac | (biased != 0).astype(np.int64) << 52) << 2
-    even = (frac & 1) == 0
-    narrow = (frac == 0) & (biased > 1)
-    table = _ryu_table()
-    vr, vp, vm = _interval(mv, [column[biased] for column in table[:4]], table[4][biased], narrow)
-
-    # whether the exact mv (or mm) ends in the zeros that vr (vm) drops
-    vr_tz = (mv & table[6][biased]) == 0
-    vm_tz = np.zeros_like(vr_tz)
-    big = (biased >= _FIRST_BIG) & (biased <= _LAST_BIG)
-    if big.any():
-        (at,) = np.nonzero(big)
-        mvb, evb, mms = mv[at], even[at], (~narrow[at]).astype(np.int64)
-        low_e2 = biased[at] <= 1076  # e2 < 0 and q <= 1; above, q <= 21
-        pow5 = 5 ** np.where(low_e2, 0, table[7][biased[at]])
-        by5 = mvb % 5 == 0  # at most one of mp, mv and mm is a multiple of 5
-        vr_tz[at] = low_e2 | by5 & (mvb % pow5 == 0)
-        vm_tz[at] = evb & (low_e2 & (mms == 1) | ~low_e2 & ~by5 & ((mvb - 1 - mms) % pow5 == 0))
-        vp[at] -= ~evb & (low_e2 | ~by5 & ((mvb + 2) % pow5 == 0))
-
-    out, removed = _shortest(vr, vp, vm, vr_tz, vm_tz, even)
-    out[special] = 0
-    exponent = table[5][biased] + removed
-    exponent[special] = 0
-    return out, exponent

@@ -15,7 +15,7 @@ The fit and its log-likelihood take the check counts as two int64 arrays
 ``n, k`` with one entry per user, as :func:`check_counts_from_csv` reads
 them; :class:`CheckRecord` is the per-user form that
 :func:`bayes_soft_label` labels. The reader is the table reader of
-:mod:`softpu.dataset`, which streams the file: a scan of its bytes in
+:mod:`softpu.tables`, which streams the file: a scan of its bytes in
 fixed-size chunks vouches for it, then one ``np.loadtxt`` pass reads the
 two columns. Users enter the fit, its log-likelihood and the array labels
 only through their distinct (n, k) pairs, which are found in linear time by
@@ -29,10 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .dataset import NUMBERS, REQUIRED, TableFormat, check, check_classes, check_count
-from .dataset import check_finite, check_increasing, check_non_negative, check_positive
-from .dataset import check_rows, check_sums_to_one, check_unit_interval, check_vector
-from .dataset import load_json, read_table, save_json
+from .schema import NUMBERS, REQUIRED, check, check_classes, check_count, check_finite
+from .schema import check_increasing, check_non_negative, check_positive, check_rows
+from .schema import check_sums_to_one, check_unit_interval, check_vector, load_json, save_json
+from .tables import TableFormat, read_table
 
 GRID_MARGIN = 1e-4
 # the prior fit holds check counts in int64 arrays
@@ -86,8 +86,7 @@ def _refused_pairs(n, k):
 def _check_pair(n: int, k: int, where: str = "") -> None:
     if _refused_pairs(n, k):
         raise ValueError(f"{where}need 0 <= k <= n, got n={n}, k={k}")
-    if n > MAX_CHECK_DAYS:
-        raise ValueError(f"{where}n must be at most {MAX_CHECK_DAYS}, got n={n}")
+    check_count(n, f"{where}n", least=0, most=MAX_CHECK_DAYS)
 
 
 @dataclass(frozen=True)
@@ -241,8 +240,7 @@ def _as_counts(n, k):
     n, k = np.asarray(n), np.asarray(k)
     check_vector(n, "n")
     check_vector(k, "k", n.size)
-    if not n.size:
-        raise ValueError("check counts must be non-empty")
+    check_count(n.size, "number of check counts")
     if not (np.can_cast(n.dtype, np.int64) and np.can_cast(k.dtype, np.int64)):
         raise ValueError(f"n and k must be integer arrays, got {n.dtype} and {k.dtype}")
     n, k = n.astype(np.int64, copy=False), k.astype(np.int64, copy=False)
@@ -466,7 +464,7 @@ class LabelSeparationReport:
 
 def check_label_separation(soft_labels, true_labels, pi: float) -> LabelSeparationReport:
     """The report of soft and true labels: 1-D, of one length, checked by
-    :func:`~softpu.dataset.check_rows`, with both classes present."""
+    :func:`~softpu.schema.check_rows`, with both classes present."""
     s = np.asarray(soft_labels, dtype=np.float64)
     y = np.asarray(true_labels)
     check_vector(s, "soft_labels")
@@ -513,7 +511,7 @@ def check_counts_from_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Each user's (n, k) from a check-records CSV with columns user_id, n, k.
 
     Returns two int64 arrays in row order, parsed by
-    :func:`~softpu.dataset.read_table` and checked by :func:`_as_counts`,
+    :func:`~softpu.tables.read_table` and checked by :func:`_as_counts`,
     which names the first row whose pair breaks 0 <= k <= n. Header names
     are not stripped, and a repeated ``n`` or ``k`` is read at its last
     position. A row may hold more or fewer fields than the header if it
@@ -538,5 +536,5 @@ def prior_to_json(prior: DiscretePrior, path) -> None:
 
 
 def prior_from_json(path) -> DiscretePrior:
-    """The prior in a JSON file, read by :func:`softpu.dataset.load_json`."""
+    """The prior in a JSON file, read by :func:`softpu.schema.load_json`."""
     return DiscretePrior.from_dict(load_json(path, "prior file"))

@@ -19,9 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .dataset import SoftDataset, check_classes, check_count, check_finite, check_kind
-from .dataset import check_mass, check_open_unit_interval, check_rows, check_unit_interval
-from .dataset import check_vector, field_dict, write_columns
+from .dataset import SoftDataset
+from .schema import check_classes, check_count, check_finite, check_increasing, check_kind
+from .schema import check_mass, check_open_unit_interval, check_rows, check_unit_interval
+from .schema import check_vector, field_dict
+from .tables import write_columns
 
 
 def _soft_vector(data) -> np.ndarray:
@@ -55,7 +57,7 @@ def _checked(labels, values, what) -> np.ndarray:
 
 def _soft_weights(s, sides=(1, 0)):
     """The weight of each side of ``sides``, ``s`` for side 1 and ``1 - s``
-    for side 0, refused by :func:`~softpu.dataset.check_mass` when it holds
+    for side 0, refused by :func:`~softpu.schema.check_mass` when it holds
     no soft mass: the substitute rates of that side are undefined."""
     weights = [s if side else 1.0 - s for side in sides]
     for side, weight in zip(sides, weights):
@@ -129,8 +131,7 @@ class RocCurve:
         check_kind(self.kind)
         for name, v in (("x", xs), ("y", ys)):
             check_vector(v, f"curve {name} values", t.size)
-            if np.any(np.diff(v) < 0):
-                raise ValueError(f"curve {name} values must be non-decreasing")
+            check_increasing(v, f"curve {name} values", strict=False)
         if not (xs[0] == 0.0 and ys[0] == 0.0 and xs[-1] == 1.0 and ys[-1] == 1.0):
             raise ValueError("curve must run from (0,0) to (1,1)")
         object.__setattr__(self, "thresholds", t)
@@ -343,10 +344,10 @@ def curve_to_csv(curve: RocCurve, path, more=()) -> None:
 
     Each file is written as bytes, and each float as its ``repr`` text,
     byte for byte, by the vectorized shortest round-trip formatter
-    (:func:`~softpu.dataset.float_cells`). ``more`` holds further
+    (:func:`~softpu.tables.float_cells`). ``more`` holds further
     ``(curve, path)`` pairs that share ``curve``'s thresholds, such as the
     substitute and real curves of one score vector. All files are written
-    in one pass by :func:`~softpu.dataset.write_columns`, which formats
+    in one pass by :func:`~softpu.tables.write_columns`, which formats
     each chunk of the shared threshold column once for all of them and, for
     long curves, may format the second half of the rows in a forked child;
     every file gets the bytes a call for its curve alone would write. A

@@ -24,9 +24,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .dataset import NUMBERS, REQUIRED, check, check_count, check_finite, check_finite_number
-from .dataset import check_kind, check_mass, check_non_negative, check_positive
-from .dataset import check_sums_to_one, check_unit_interval, check_vector, load_json
+from .schema import NUMBERS, REQUIRED, check, check_count, check_finite, check_finite_number
+from .schema import check_kind, check_mass, check_non_negative, check_positive
+from .schema import check_sums_to_one, check_unit_interval, check_vector, load_json
 
 MAX_CELLS = 20
 HULL_ATOL = 1e-12
@@ -98,7 +98,7 @@ class DiscreteProblem:
 
 
 def problem_from_json(path) -> DiscreteProblem:
-    """The problem in a JSON file, read by :func:`softpu.dataset.load_json`."""
+    """The problem in a JSON file, read by :func:`softpu.schema.load_json`."""
     return DiscreteProblem.from_dict(load_json(path, "problem file"))
 
 
@@ -109,7 +109,7 @@ def _conditional(problem: DiscreteProblem, kind: str) -> np.ndarray:
 
 def _rate_fractions(problem: DiscreteProblem, kind: str):
     """Per-cell contributions to (TPR, FPR), normalized to sum to 1;
-    refused by :func:`~softpu.dataset.check_mass` when a side has no mass."""
+    refused by :func:`~softpu.schema.check_mass` when a side has no mass."""
     cond = _conditional(problem, kind)
     pos, neg = problem.masses * cond, problem.masses * (1.0 - cond)
     pos_total, neg_total = pos.sum(), neg.sum()
@@ -129,9 +129,7 @@ def enumerate_points(problem: DiscreteProblem, kind: str):
     Classifier ``c`` predicts positive exactly on the cells whose bit is set
     in ``c``. Limited to ``MAX_CELLS`` cells.
     """
-    if problem.n_cells > MAX_CELLS:
-        raise ValueError(f"cell_count {problem.n_cells} too large for 2^m enumeration "
-                         f"(max {MAX_CELLS})")
+    check_count(problem.n_cells, "cell_count for 2^m enumeration", most=MAX_CELLS)
     pos_frac, neg_frac = _rate_fractions(problem, kind)
     return kernels.enumerate_confusions(pos_frac, neg_frac)
 
@@ -312,9 +310,7 @@ def _subsets(group, *counts):
     """Bitmasks of the proper subsets of ``group`` and each column of exact
     counts summed over their cells, in subset-index order (bit i of the
     index is ``group[i]``), which is increasing bitmask order."""
-    if len(group) > MAX_CELLS:
-        raise ValueError(f"tie group of {len(group)} cells too large for subset "
-                         f"enumeration (max {MAX_CELLS})")
+    check_count(len(group), "cells of a tie group for subset enumeration", most=MAX_CELLS)
     masks = [0]
     sums = [[0] for _ in counts]
     for c in group:

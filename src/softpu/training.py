@@ -21,10 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .dataset import NUMBERS, REQUIRED, SoftDataset, check, check_count, check_finite
-from .dataset import check_non_negative, check_positive, check_rows, check_vector, field_dict
-from .dataset import load_json, save_json
+from .dataset import SoftDataset
 from .kernels import sigmoid
+from .schema import NUMBERS, REQUIRED, check, check_count, check_finite, check_non_negative
+from .schema import check_positive, check_rows, check_vector, field_dict, load_json, save_json
 
 ARCH_LINEAR = "linear-logistic"
 ARCH_MLP = "mlp-1hidden"
@@ -147,7 +147,7 @@ def soft_ce_loss(scores, soft_labels) -> float:
     logistic output unit of :class:`ScoringModel` gives an exact 0 or 1
     once it saturates (a logit beyond about -745 or 37); the error then
     names the first such score rather than masking it. Soft labels must lie
-    in [0, 1], nan refused, by :func:`~softpu.dataset.check_rows`.
+    in [0, 1], nan refused, by :func:`~softpu.schema.check_rows`.
     """
     g = np.asarray(scores, dtype=np.float64)
     s = np.asarray(soft_labels, dtype=np.float64)
@@ -307,7 +307,7 @@ def save_model(model: ScoringModel, path) -> None:
 
 
 def load_model(path) -> ScoringModel:
-    """The model in a :func:`save_model` file, read by :func:`softpu.dataset.load_json`."""
+    """The model in a :func:`save_model` file, read by :func:`softpu.schema.load_json`."""
     path = Path(path)
     record = load_json(path, "model file")
     try:

@@ -1,7 +1,7 @@
 """Reference code that only tests use.
 
 ``read_curve`` reads back a curve file that ``metrics.curve_to_csv``
-writes, through ``dataset.read_table``: a third kind of file beside the
+writes, through ``tables.read_table``: a third kind of file beside the
 datasets and records that softpu's commands read, with no value rule of
 its own. No softpu command reads a curve; outside tests a curve file
 reads as an array of rows with ``np.loadtxt(path, delimiter=",",
@@ -27,12 +27,13 @@ from functools import partial
 
 import numpy as np
 
-from softpu.dataset import TableFormat, named_columns, parse_cell, read_table, save_json
 from softpu.labeling import CheckRecord, DiscretePrior, _cell_width, _log_mixture
 from softpu.labeling import _no_support, _pair_likelihoods, _posterior_rows
 from softpu.metrics import RocCurve
 from softpu.oracle import DiscreteProblem, Frontier, _exact, _prefix_masks, _rate_fractions
 from softpu.oracle import _tie_groups
+from softpu.schema import save_json
+from softpu.tables import TableFormat, named_columns, parse_cell, read_table
 
 CURVE_COLUMNS = ("threshold", "x", "y")
 CURVE_FILE = TableFormat(

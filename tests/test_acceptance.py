@@ -24,9 +24,10 @@ from softpu.dataset import (
     SoftDataset,
     gen_gscar,
     gen_mela,
+    make_pu_benchmark,
     pu_labelize,
 )
-from softpu.experiment import ExperimentConfig, make_pu_benchmark, run_experiment
+from softpu.experiment import ExperimentConfig, run_experiment
 from softpu.kernels import sigmoid
 from softpu.labeling import CheckRecord, DiscretePrior, fit_prior
 from softpu.metrics import (

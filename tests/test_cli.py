@@ -1289,7 +1289,7 @@ BAD_JSON_FILES = [
 
 
 class TestJsonInputs:
-    """Every JSON file softpu reads goes through ``dataset.load_json``: a bad
+    """Every JSON file softpu reads goes through ``schema.load_json``: a bad
     config, model or problem file is one named ``error:`` line and exit 1,
     and a bad prior file raises the same text."""
 

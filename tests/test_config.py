@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 from softpu.config import TABLES
-from softpu.dataset import REQUIRED, Variants, check
 from softpu.labeling import PRIOR_FILE
 from softpu.oracle import PROBLEM_FILE
+from softpu.schema import REQUIRED, Variants, check
 from softpu.training import MODEL_FILE
 
 ROOT = Path(__file__).resolve().parent.parent

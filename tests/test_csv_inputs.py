@@ -4,7 +4,7 @@ A dataset goes through ``eval``, a records file through ``fit-prior`` and a
 curve that ``curve_to_csv`` wrote through the test reader
 ``reference.read_curve``. Each mutated file is read with the file below
 and above the size from which ``read_table`` splits its work with a
-forked child (``dataset.SPLIT_BYTES``, lowered here so small files cross
+forked child (``tables.SPLIT_BYTES``, lowered here so small files cross
 it). Every case must run, or exit 1 with one ``error:`` line (a curve: raise
 one named ``ValueError``), with no traceback and no warning, and both reads
 must give the same outcome. The cases are fixed, so tier-1 stays
@@ -18,7 +18,7 @@ import sys
 import numpy as np
 import pytest
 
-from softpu import dataset as dataset_module
+from softpu import tables as tables_module
 from softpu import workers as workers_module
 from softpu.cli import main
 from softpu.dataset import GscarConfig, gen_gscar, save_csv
@@ -130,7 +130,7 @@ def test_mutated_csv_runs_or_names_the_error(tmp_path, capsys, monkeypatch, kind
         forks = []
         with monkeypatch.context() as m:
             fork_job = workers_module.fork_job
-            m.setattr(dataset_module, "SPLIT_BYTES", bound)
+            m.setattr(tables_module, "SPLIT_BYTES", bound)
             m.setattr(workers_module, "fork_job", lambda job: forks.append(job) or fork_job(job))
             code = run(path)
         err = capsys.readouterr().err

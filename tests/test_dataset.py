@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softpu import dataset as dataset_module
+from softpu import schema as schema_module
+from softpu import tables as tables_module
 from softpu import workers as workers_module
 from softpu.dataset import (
-    CHUNK_ROWS,
-    SPLIT_ROWS,
     AffineLink,
     CsvSchema,
     DiscreteEta,
@@ -28,7 +28,6 @@ from softpu.dataset import (
     SoftDataset,
     gen_gscar,
     gen_mela,
-    gscar_negative_mass,
     gscar_negative_pmf,
     gscar_positive_pmf,
     load_csv,
@@ -40,6 +39,7 @@ from softpu.labeling import DiscretePrior, RuleStats, check_counts_from_csv
 from softpu.labeling import check_label_separation
 from softpu.metrics import RocCurve, curve_to_csv, map_auc, mixture_coefficients, roc_spu
 from softpu.oracle import DiscreteProblem
+from softpu.tables import CHUNK_ROWS, SPLIT_ROWS
 from softpu.training import ARCH_LINEAR, ScoringModel, loss_gradient, soft_ce_loss
 
 from reference import read_curve
@@ -92,7 +92,7 @@ def cell_texts(cells):
 
 def load_rows(path, schema):
     """Parse with the row loop alone, the way the column-wise path falls back."""
-    with mock.patch.object(dataset_module, "_column_pass", lambda *a: None):
+    with mock.patch.object(tables_module, "_column_pass", lambda *a: None):
         return load_csv(path, schema)
 
 
@@ -314,7 +314,7 @@ class TestCsv:
         def no_row_loop(text, fmt):
             raise AssertionError("row loop used")
 
-        monkeypatch.setattr(dataset_module, "_read_rows", no_row_loop)
+        monkeypatch.setattr(tables_module, "_read_rows", no_row_loop)
         back = load_csv(path, schema_for(small_dataset()))
         assert np.array_equal(back.features, small_dataset().features)
         assert back.features.flags.c_contiguous
@@ -328,7 +328,7 @@ class TestCsv:
         def no_line_list(text, fmt):
             raise AssertionError("file read into a line list")
 
-        monkeypatch.setattr(dataset_module, "_read_rows", no_line_list)
+        monkeypatch.setattr(tables_module, "_read_rows", no_line_list)
         back = load_csv(path, schema_for(small_dataset()))
         assert np.array_equal(back.soft_labels, small_dataset().soft_labels)
 
@@ -339,9 +339,9 @@ class TestCsv:
         quoted.write_text('a,soft_label,y\n"1.5","0.25",1\n-2e3,"1.0","0"\n')
         schema = CsvSchema(features=("a",), true_label="y")
         calls = []
-        row_loop = dataset_module._read_rows
+        row_loop = tables_module._read_rows
         monkeypatch.setattr(
-            dataset_module, "_read_rows", lambda *a: calls.append(1) or row_loop(*a)
+            tables_module, "_read_rows", lambda *a: calls.append(1) or row_loop(*a)
         )
         assert outcome(lambda: load_csv(quoted, schema)) == outcome(
             lambda: load_csv(plain, schema)
@@ -464,9 +464,9 @@ class TestLoaderAgreesWithRowLoop:
         path.write_bytes(raw)
         schema = CsvSchema(features=("x0",), true_label="y")
         calls = []
-        row_loop = dataset_module._read_rows
+        row_loop = tables_module._read_rows
         monkeypatch.setattr(
-            dataset_module, "_read_rows", lambda *a: calls.append(1) or row_loop(*a)
+            tables_module, "_read_rows", lambda *a: calls.append(1) or row_loop(*a)
         )
         got = outcome(lambda: load_csv(path, schema))
         assert calls == ([] if by_columns else [1])
@@ -524,7 +524,7 @@ def read_from_pipe(read, path, raw):
 
 @pytest.mark.parametrize("reader", READERS)
 class TestTableReaders:
-    """The rules all three kinds of file share through dataset.read_table."""
+    """The rules all three kinds of file share through tables.read_table."""
 
     def write(self, tmp_path, reader, raw):
         path = tmp_path / f"{reader}.csv"
@@ -670,7 +670,7 @@ class TestSplitRead:
             calls = []
             with monkeypatch.context() as m:
                 fork_job = workers_module.fork_job
-                m.setattr(dataset_module, "SPLIT_BYTES", 1)
+                m.setattr(tables_module, "SPLIT_BYTES", 1)
                 m.setattr(workers_module, "worker_usable", lambda: usable)
                 m.setattr(workers_module, "fork_job", lambda job: calls.append(job) or fork_job(job))
                 got[usable] = (read_outcome(read, path), len(calls))
@@ -686,7 +686,7 @@ class TestSplitRead:
         path.write_bytes(at_split(head, first, second, pad))
         with path.open("rb") as fh:
             size = os.fstat(fh.fileno()).st_size
-            split = dataset_module._line_start(fh.fileno(), (len(head) + size) // 2)
+            split = tables_module._line_start(fh.fileno(), (len(head) + size) // 2)
         assert split == len(head) + len(first) + first.endswith(b"\r") * second.startswith(b"\n")
         got = self.both_ways(monkeypatch, SPLIT_READERS[reader], path)
         assert got[True][0] == got[False][0]
@@ -718,14 +718,14 @@ class TestSplitRead:
         rows = data_rows(reader, 120_000)
         path = tmp_path / "long.csv"
         path.write_bytes(SPLIT_HEADERS[reader] + rows + last)
-        assert path.stat().st_size >= dataset_module.SPLIT_BYTES
+        assert path.stat().st_size >= tables_module.SPLIT_BYTES
 
         def no_row_loop(*args):
             raise AssertionError("the row loop read the file")
 
         forks = []
         fork_job = workers_module.fork_job
-        monkeypatch.setattr(dataset_module, "_read_rows", no_row_loop)
+        monkeypatch.setattr(tables_module, "_read_rows", no_row_loop)
         monkeypatch.setattr(workers_module, "worker_usable", lambda: True)
         monkeypatch.setattr(workers_module, "fork_job", lambda job: forks.append(job) or fork_job(job))
         with pytest.raises(ValueError) as err:
@@ -735,7 +735,7 @@ class TestSplitRead:
 
     @pytest.mark.parametrize("below", [0, 1])
     def test_a_file_forks_from_split_bytes_up(self, tmp_path, monkeypatch, below):
-        size = dataset_module.SPLIT_BYTES - below
+        size = tables_module.SPLIT_BYTES - below
         head = SPLIT_HEADERS["dataset"]
         rows = data_rows("dataset", size // 20)
         rows = rows[: rows.rindex(b"\n", 0, size - len(head) - 100) + 1]
@@ -757,11 +757,11 @@ class TestSplitRead:
         path = tmp_path / "split.csv"
         path.write_bytes(at_split(SPLIT_HEADERS["records"], data_rows("records", 40),
                                   data_rows("records", 5), SPLIT_PADS["records"]))
-        load = dataset_module._load
-        monkeypatch.setattr(dataset_module, "_load", lambda *a: load(*a)[:-1])
-        row_loop = dataset_module._read_rows
+        load = tables_module._load
+        monkeypatch.setattr(tables_module, "_load", lambda *a: load(*a)[:-1])
+        row_loop = tables_module._read_rows
         calls = []
-        monkeypatch.setattr(dataset_module, "_read_rows", lambda *a: calls.append(1) or row_loop(*a))
+        monkeypatch.setattr(tables_module, "_read_rows", lambda *a: calls.append(1) or row_loop(*a))
         got = self.both_ways(monkeypatch, SPLIT_READERS["records"], path)
         assert got[True] == (got[False][0], 1)
         assert calls == [1, 1]
@@ -787,15 +787,15 @@ class TestSplitRead:
         path.write_bytes(at_split(SPLIT_HEADERS["records"], data_rows("records", 40), b"",
                                   SPLIT_PADS["records"]))
         parent = os.getpid()
-        lines = dataset_module._lines
+        lines = tables_module._lines
 
         def child_dies(*args):
             if os.getpid() != parent:
                 os._exit(3)
             return lines(*args)
 
-        monkeypatch.setattr(dataset_module, "_lines", child_dies)
-        monkeypatch.setattr(dataset_module, "SPLIT_BYTES", 1)
+        monkeypatch.setattr(tables_module, "_lines", child_dies)
+        monkeypatch.setattr(tables_module, "SPLIT_BYTES", 1)
         monkeypatch.setattr(workers_module, "worker_usable", lambda: True)
         with pytest.raises(RuntimeError, match=r"sent no result: wait status 768"):
             check_counts_from_csv(path)
@@ -834,12 +834,12 @@ class TestSaveCsv:
         labels = (np.arange(rows) % 3 == 1).astype(np.int8)
         path = tmp_path / "cols.csv"
         with open(path, "wb") as fh:
-            dataset_module.write_columns(fh, [floats, labels, floats[::-1].copy()])
+            tables_module.write_columns(fh, [floats, labels, floats[::-1].copy()])
         want = "".join(
             f"{float(a)!r},{y},{float(b)!r}\n" for a, y, b in zip(floats, labels, floats[::-1])
         )
         assert path.read_bytes() == want.encode()
-        assert cell_texts(dataset_module.float_cells(floats)) == [repr(float(v)) for v in floats]
+        assert cell_texts(tables_module.float_cells(floats)) == [repr(float(v)) for v in floats]
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(
@@ -859,7 +859,7 @@ class TestSaveCsv:
             else:
                 columns.append(rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows))
         got, want = io.BytesIO(), io.StringIO()
-        dataset_module.write_columns(got, columns)
+        tables_module.write_columns(got, columns)
         write_columns_ref(want, columns)
         assert got.getvalue() == want.getvalue().encode()
 
@@ -877,22 +877,22 @@ class TestSaveCsv:
             values = rng.standard_normal(5000)
             formatted = len(values)
         sizes = []
-        words = dataset_module._float_words
-        monkeypatch.setattr(dataset_module, "_float_words", lambda v: sizes.append(len(v)) or words(v))
-        assert cell_texts(dataset_module.float_cells(values)) == list(map(repr, values.tolist()))
+        words = tables_module._float_words
+        monkeypatch.setattr(tables_module, "_float_words", lambda v: sizes.append(len(v)) or words(v))
+        assert cell_texts(tables_module.float_cells(values)) == list(map(repr, values.tolist()))
         assert sizes == [formatted]
 
     def test_rows_bytes_joins_rows_with_separators(self):
-        floats = dataset_module.float_cells(np.array([1.5, -0.0]))
-        specials = dataset_module.float_cells(np.array([np.inf, np.nan]))
-        rows = dataset_module.rows_bytes([floats, byte_cells(b"a", b"b"), specials])
+        floats = tables_module.float_cells(np.array([1.5, -0.0]))
+        specials = tables_module.float_cells(np.array([np.inf, np.nan]))
+        rows = tables_module.rows_bytes([floats, byte_cells(b"a", b"b"), specials])
         assert rows == b"1.5,a,inf\n-0.0,b,nan\n"
-        assert dataset_module.rows_bytes([byte_cells(b"x")]) == b"x\n"
-        assert dataset_module.rows_bytes([byte_cells(), byte_cells()]) == b""
+        assert tables_module.rows_bytes([byte_cells(b"x")]) == b"x\n"
+        assert tables_module.rows_bytes([byte_cells(), byte_cells()]) == b""
         # cells are kept by their lengths: NUL, empty and long cells survive
         long = "é".encode() * 9
         cells = [byte_cells(b"\x00", b"", long), byte_cells(b"a\x00", b"12345678", b"\x00\x00")]
-        assert dataset_module.rows_bytes(cells) == (
+        assert tables_module.rows_bytes(cells) == (
             b"\x00,a\x00\n,12345678\n" + long + b",\x00\x00\n"
         )
 
@@ -1023,11 +1023,11 @@ class TestForkedWriter:
         rows = 2 * CHUNK_ROWS + 1
         shared, a, b = (np.arange(rows, dtype=np.float64) + k for k in range(3))
         calls = []
-        float_cells = dataset_module.float_cells
-        monkeypatch.setattr(dataset_module, "float_cells", lambda v: calls.append(1) or float_cells(v))
+        float_cells = tables_module.float_cells
+        monkeypatch.setattr(tables_module, "float_cells", lambda v: calls.append(1) or float_cells(v))
         monkeypatch.setattr(workers_module, "worker_usable", lambda: False)
         got = [io.BytesIO(), io.BytesIO()]
-        dataset_module.write_columns(got[0], [shared, a], more=((got[1], [shared, b]),))
+        tables_module.write_columns(got[0], [shared, a], more=((got[1], [shared, b]),))
         assert len(calls) == 3 * 3  # three chunks, three distinct columns
         last = got[1].getvalue().splitlines()[-1]
         assert last == f"{float(rows - 1)!r},{float(rows + 1)!r}".encode()
@@ -1037,19 +1037,19 @@ class TestForkedWriter:
         rows = 3 * CHUNK_ROWS + 1001
         values = np.zeros(rows)
         values[5 if half == "parent" else self.split_of(rows) + 5] = 17.0
-        float_cells = dataset_module.float_cells
+        float_cells = tables_module.float_cells
 
         def refuse_17(part):
             if (part == 17.0).any():
                 raise TypeError(f"17.0 refused in pid {os.getpid()}")
             return float_cells(part)
 
-        monkeypatch.setattr(dataset_module, "float_cells", refuse_17)
+        monkeypatch.setattr(tables_module, "float_cells", refuse_17)
         errors = {}
 
         def write(tag):
             with pytest.raises(TypeError, match="17.0 refused") as err:
-                dataset_module.write_columns(io.BytesIO(), [np.ones(rows), values])
+                tables_module.write_columns(io.BytesIO(), [np.ones(rows), values])
             errors[tag] = str(err.value)
 
         assert self.both_ways(monkeypatch, write) == {True: 1, False: 0}
@@ -1060,17 +1060,17 @@ class TestForkedWriter:
 
     def test_child_without_result_is_named(self, tmp_path, monkeypatch):
         parent = os.getpid()
-        float_cells = dataset_module.float_cells
+        float_cells = tables_module.float_cells
 
         def child_dies(values):
             if os.getpid() != parent:
                 os._exit(3)
             return float_cells(values)
 
-        monkeypatch.setattr(dataset_module, "float_cells", child_dies)
+        monkeypatch.setattr(tables_module, "float_cells", child_dies)
         monkeypatch.setattr(workers_module, "worker_usable", lambda: True)
         with pytest.raises(RuntimeError, match=r"sent no result: wait status 768"):
-            dataset_module.write_columns(io.BytesIO(), [np.zeros(SPLIT_ROWS)])
+            tables_module.write_columns(io.BytesIO(), [np.zeros(SPLIT_ROWS)])
 
     def test_no_fork_without_the_worker(self, tmp_path, monkeypatch):
         def no_fork():
@@ -1135,7 +1135,7 @@ class TestGscar:
         assert gscar_negative_pmf(0.1)[0] == pytest.approx(0.9037037037, abs=1e-9)
 
     def test_infeasible_pi_rejected(self):
-        assert gscar_negative_mass(15 / 28) == pytest.approx(1.0, abs=1e-12)
+        assert gscar_negative_pmf(15 / 28)[0] == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(ValueError, match="infeasible class prior"):
             GscarConfig(n=10, pi=0.55, seed=0)
         GscarConfig(n=10, pi=0.5, seed=0)  # feasible
@@ -1337,8 +1337,8 @@ def test_unit_interval_rule_names_the_first_value_outside(build, message):
 
 
 def test_unit_interval_rule_admits_both_ends_and_negative_zero():
-    dataset_module.check_unit_interval(np.array([0.0, -0.0, 1.0, 0.5]), "p")
-    dataset_module.check_unit_interval(-0.0, "p")
+    schema_module.check_unit_interval(np.array([0.0, -0.0, 1.0, 0.5]), "p")
+    schema_module.check_unit_interval(-0.0, "p")
 
 
 def _problem():
@@ -1384,15 +1384,19 @@ def test_scalar_rule_names_the_value(build, message):
 
 
 def test_scalar_rules_take_ints_of_any_size():
-    for check in (dataset_module.check_finite_number, dataset_module.check_positive,
-                  dataset_module.check_non_negative, dataset_module.check_count):
+    for check in (schema_module.check_finite_number, schema_module.check_positive,
+                  schema_module.check_non_negative, schema_module.check_count):
         check(3, "x")
         with pytest.raises(ValueError, match="^x must be"):
             check(-(10**400), "x")
-    dataset_module.check_count(10**400, "x")
-    dataset_module.check_non_negative(-0.0, "x")
+    schema_module.check_count(10**400, "x")
+    schema_module.check_count(2**63 - 1, "x", least=0, most=2**63 - 1)
+    with pytest.raises(ValueError, match=r"^x must be at most 9223372036854775807, "
+                                         r"got 9223372036854775808$"):
+        schema_module.check_count(2**63, "x", most=2**63 - 1)
+    schema_module.check_non_negative(-0.0, "x")
     with pytest.raises(ValueError, match=r"^x must lie in \(0, 1\), got 1$"):
-        dataset_module.check_open_unit_interval(1, "x")
+        schema_module.check_open_unit_interval(1, "x")
 
 
 def _dataset(**columns):
@@ -1472,18 +1476,22 @@ def test_array_rule_names_what_breaks_it(build, message):
 
 
 def test_array_rules_admit_what_they_should():
-    dataset_module.check_vector(("a", "b"), "x", 2)
-    dataset_module.check_vector(np.zeros(0), "x")
-    dataset_module.check_sums_to_one([0.0, 1.0 - 1e-10], "x")
-    dataset_module.check_increasing([-np.inf, 0.0, np.inf], "x")
-    dataset_module.check_increasing([0.5], "x")
+    schema_module.check_vector(("a", "b"), "x", 2)
+    schema_module.check_vector(np.zeros(0), "x")
+    schema_module.check_sums_to_one([0.0, 1.0 - 1e-10], "x")
+    schema_module.check_increasing([-np.inf, 0.0, np.inf], "x")
+    schema_module.check_increasing([0.5], "x")
+    schema_module.check_increasing([0.0, 0.0, 1.0], "x", strict=False)
+    with pytest.raises(ValueError, match=r"^x must be non-decreasing, got 1\.0 at index 1 "
+                                         r"and 0\.5 at index 2$"):
+        schema_module.check_increasing([0.0, 1.0, 0.5], "x", strict=False)
     for values in ([0.5, np.nan], [np.nan, 0.5]):
         with pytest.raises(ValueError, match="^x must be strictly increasing, got "):
-            dataset_module.check_increasing(values, "x")
+            schema_module.check_increasing(values, "x")
     with pytest.raises(ValueError, match=r"^x must be non-negative and sum to 1, got sum nan"):
-        dataset_module.check_sums_to_one([np.nan, 1.0], "x")
+        schema_module.check_sums_to_one([np.nan, 1.0], "x")
     with pytest.raises(ValueError, match=r"^x must be a 1-D array, got shape \(\)$"):
-        dataset_module.check_vector(np.float64(0.5), "x")
+        schema_module.check_vector(np.float64(0.5), "x")
 
 
 @pytest.mark.parametrize("shift", [1e154, -1e154])

@@ -14,9 +14,10 @@ import json
 import pytest
 
 from softpu.cli import main
-from softpu.dataset import NUMBERS, GscarConfig, gen_gscar, save_csv
+from softpu.dataset import GscarConfig, gen_gscar, save_csv
 from softpu.labeling import PRIOR_FILE, prior_from_json
 from softpu.oracle import PROBLEM_FILE
+from softpu.schema import NUMBERS
 from softpu.training import MODEL_FILE
 
 POOL = [None, True, False, 0, 1, -1, 2, 0.5, -0.5, 1e308, -1e308, 10**30,

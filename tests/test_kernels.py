@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softpu import dataset, kernels, labeling
+from softpu import kernels, labeling, tables
 from softpu.kernels import LOSS_CLIP
 
 
@@ -457,7 +457,7 @@ class TestAgainstScalarReference:
 
 def repr_digits(values):
     """``(digits, exponent)`` of ``repr`` of each float, digits without
-    trailing zeros: the reference for :func:`kernels.shortest_digits`;
+    trailing zeros: the reference for :func:`tables.shortest_digits`;
     ``(0, 0)`` for zeros, infs and nans."""
     out = []
     for v in values.tolist():
@@ -514,7 +514,7 @@ SHORTEST_SETS = {
 @pytest.mark.parametrize("name", list(SHORTEST_SETS))
 def test_shortest_digits_are_repr_digits(name):
     values = SHORTEST_SETS[name]
-    digits, exponent = kernels.shortest_digits(values)
+    digits, exponent = tables.shortest_digits(values)
     assert digits.dtype == exponent.dtype == np.int64
     assert list(zip(digits.tolist(), exponent.tolist())) == repr_digits(values)
 
@@ -522,22 +522,22 @@ def test_shortest_digits_are_repr_digits(name):
 def test_shortest_digits_random_bit_patterns():
     rng = np.random.default_rng(20180618)
     values = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
-    digits, exponent = kernels.shortest_digits(values)
+    digits, exponent = tables.shortest_digits(values)
     assert list(zip(digits.tolist(), exponent.tolist())) == repr_digits(values)
 
 
 def test_shortest_digits_strided_input_and_empty():
     values = np.linspace(-3.0, 7.0, 101)
-    digits, exponent = kernels.shortest_digits(values[::3])
+    digits, exponent = tables.shortest_digits(values[::3])
     assert list(zip(digits.tolist(), exponent.tolist())) == repr_digits(values[::3])
-    digits, exponent = kernels.shortest_digits(np.empty(0))
+    digits, exponent = tables.shortest_digits(np.empty(0))
     assert digits.shape == exponent.shape == (0,)
 
 
 def _text(values):
     """The text the CSV writer gives ``values``, one per line."""
-    cells = dataset.float_cells(values)
-    return str(dataset.rows_bytes([cells]), "ascii")
+    cells = tables.float_cells(values)
+    return str(tables.rows_bytes([cells]), "ascii")
 
 
 def _repr_text(values):

@@ -20,8 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softpu import dataset as dataset_module
 from softpu import kernels, labeling
+from softpu import tables as tables_module
 from softpu.labeling import (
     CheckRecord,
     DiscretePrior,
@@ -444,7 +444,7 @@ class TestFitPrior:
         assert got == pytest.approx(prior.objective_trace[-1], abs=1e-9)
 
     def test_empty_records_error(self):
-        with pytest.raises(ValueError, match="non-empty"):
+        with pytest.raises(ValueError, match="number of check counts must be at least 1"):
             fit_prior([], [], grid_size=11)
 
     def test_reported_likelihood_includes_binomial_constant(self):
@@ -592,7 +592,7 @@ def records_reference(path):
 def column_pass(raw):
     """The column pass of check_counts_from_csv on a file's bytes: the n and
     k columns, or None if the row loop must read the file."""
-    table = dataset_module._column_pass(io.BytesIO(raw), labeling._RECORDS)
+    table = tables_module._column_pass(io.BytesIO(raw), labeling._RECORDS)
     return None if table is None else (table[:, 0], table[:, 1])
 
 
@@ -635,7 +635,7 @@ RECORD_FILES = [
         (
             ValueError,
             "row 1: n must be at most 9223372036854775807, "
-            "got n=9223372036854775808",
+            "got 9223372036854775808",
         ),
         False,
     ),
@@ -778,7 +778,7 @@ def counts_from_columns_reference(raw):
     """The column pass as it read a whole file's bytes before it streamed:
     the reference for the rules the scan applies chunk by chunk."""
     raw = raw.removeprefix(codecs.BOM_UTF8)
-    if raw.translate(None, dataset_module._VOUCHED_BYTES):
+    if raw.translate(None, tables_module._VOUCHED_BYTES):
         return None
     lines = raw.splitlines()
     header = lines[0].decode("utf-8").split(",") if lines else []
@@ -812,7 +812,7 @@ def test_streamed_column_pass_agrees_with_the_whole_file_pass(text, bom, chunk, 
     old_limit = csv.field_size_limit(limit)
     try:
         want = counts_from_columns_reference(raw)
-        with mock.patch.object(dataset_module, "SCAN_CHUNK_BYTES", chunk):
+        with mock.patch.object(tables_module, "SCAN_CHUNK_BYTES", chunk):
             got = column_pass(raw)
     finally:
         csv.field_size_limit(old_limit)
@@ -905,7 +905,7 @@ class TestReaderRoutes:
         other, _, _ = benchmark_records(31, 700)
         path = tmp_path / "records.csv"
         path.write_bytes(raw)
-        scan = dataset_module._lines
+        scan = tables_module._lines
 
         def scan_then_replace(*args):
             usecols = scan(*args)
@@ -913,7 +913,7 @@ class TestReaderRoutes:
             os.replace(tmp_path / "new.csv", path)
             return usecols
 
-        monkeypatch.setattr(dataset_module, "_lines", scan_then_replace)
+        monkeypatch.setattr(tables_module, "_lines", scan_then_replace)
         seen = loadtxt_spy(monkeypatch)
         got = check_counts_from_csv(path)
         # the path names the new file: its parse is dropped for the open file's
@@ -928,14 +928,14 @@ class TestReaderRoutes:
         path.write_bytes(raw)
         # given the path, numpy opens records.csv.gz in its place
         (tmp_path / "records.csv.gz").write_bytes(gzip.compress(other))
-        scan = dataset_module._lines
+        scan = tables_module._lines
 
         def scan_then_remove(*args):
             usecols = scan(*args)
             path.unlink()
             return usecols
 
-        monkeypatch.setattr(dataset_module, "_lines", scan_then_remove)
+        monkeypatch.setattr(tables_module, "_lines", scan_then_remove)
         got = check_counts_from_csv(path)
         assert np.array_equal(got[0], n) and np.array_equal(got[1], k)
 
@@ -1007,7 +1007,8 @@ class TestCheckCounts:
             ([[5]], [[3]], "n must be a 1-D array, got shape (1, 1)"),
             ([5.0], [3.0], "n and k must be integer arrays, got float64 and float64"),
             (np.array([5], np.uint64), [3], "n and k must be integer arrays, got uint64"),
-            ([], [], "check counts must be non-empty"),
+            pytest.param([], [], "number of check counts must be at least 1, got 0",
+                         id="no check counts"),
         ],
     )
     def test_bad_counts_are_named(self, n, k, message):

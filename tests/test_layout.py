@@ -1,33 +1,41 @@
 """Structure guards: each kind of file I/O and process start has one home.
 
-These tests read the package's source as syntax trees and run none of it.
-They pin decisions about where code lives:
+These tests read the package's source as syntax trees and run none of it,
+but for the import graph, which fresh processes report. They pin
+decisions about where code lives:
 
-- every JSON file is read by ``dataset.load_json``, so ``json.load`` and
-  ``json.loads`` are called only in ``dataset.py``;
-- every CSV file is read by ``dataset.read_table``: one ``np.loadtxt`` call
+- every JSON file is read by ``schema.load_json``, so ``json.load`` and
+  ``json.loads`` are called only in ``schema.py``;
+- every CSV file is read by ``tables.read_table``: one ``np.loadtxt`` call
   (its column pass) and one ``csv.reader`` call (its row loop);
 - every file softpu opens, it opens in binary mode, so each CSV file it
-  writes gets the bytes of ``dataset.rows_bytes``, whose one caller is
-  ``dataset._write_rows``; text goes to a file only through
-  ``Path.write_text`` in ``dataset.save_json``, which writes every JSON file;
+  writes gets the bytes of ``tables.rows_bytes``, whose one caller is
+  ``tables._write_rows``; text goes to a file only through
+  ``Path.write_text`` in ``schema.save_json``, which writes every JSON file;
 - every forked worker is started by ``workers``: one ``os.fork`` call;
 - every JSON object (a config, a model, problem or prior file) is checked
-  by the walker in ``dataset.py``, the one module that refuses an unknown
+  by the walker in ``schema.py``, the one module that refuses an unknown
   key, and ``difflib``, which only names the key nearest an unknown one, is
   imported inside a function there;
 - each value rule of a dataset or of check counts is worded in one
-  function: ``dataset.check_rows`` (features, soft and true labels),
-  ``labeling._check_pair`` (a check pair) and ``dataset.named_columns``
+  function: ``schema.check_rows`` (features, soft and true labels),
+  ``labeling._check_pair`` (a check pair) and ``tables.named_columns``
   (a repeated column name); so is the [0, 1] range of a per-cell or
-  scalar probability, in ``dataset.check_unit_interval``, each rule of a
-  scalar parameter (finite, positive, non-negative, a count, inside
-  (0, 1)), a class that must be present, mass that must be present on
-  a side of a real or substitute rate (``dataset.check_mass``), a curve
-  kind, an architecture and a file that is not UTF-8 text; and so is each
-  array rule: a 1-D array of a given length (``dataset.check_vector``),
-  weights that sum to 1 (``dataset.check_sums_to_one``) and values that
-  strictly increase (``dataset.check_increasing``);
+  scalar probability, in ``schema.check_unit_interval``, each rule of a
+  scalar parameter (finite, positive, non-negative, a count and its
+  bounds, inside (0, 1)), a class that must be present, mass that must be
+  present on a side of a real or substitute rate (``schema.check_mass``),
+  a curve kind, an architecture and a file that is not UTF-8 text; and so
+  is each array rule: a 1-D array of a given length
+  (``schema.check_vector``), weights that sum to 1
+  (``schema.check_sums_to_one``) and values in order, strictly or not
+  (``schema.check_increasing``);
+- the package and its tests import each name from the module that
+  defines it, never through one that imports it, so a name that moves
+  keeps no old home;
+- ``import softpu`` loads no submodule, and ``softpu.oracle`` loads
+  neither the CSV format nor the data, training, labeling or metrics
+  layers;
 - every descending sort that puts tied values in index order is
   ``kernels.descending_order``: no other ``argsort`` or ``sort`` call in
   the package asks numpy for a stable sort;
@@ -39,6 +47,9 @@ They pin decisions about where code lives:
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -66,9 +77,9 @@ def _sites(name: str) -> dict:
     return {module: n for (module, call), n in _calls().items() if call == name}
 
 
-def test_json_is_read_only_in_dataset():
+def test_json_is_read_only_in_schema():
     readers = {**_sites("json.load"), **_sites("json.loads")}
-    assert set(readers) == {"dataset.py"}
+    assert set(readers) == {"schema.py"}
     assert sum(readers.values()) == 1
 
 
@@ -81,7 +92,7 @@ def test_no_module_imports_json_readers_by_name():
 
 @pytest.mark.parametrize(
     "call, module",
-    [("np.loadtxt", "dataset.py"), ("csv.reader", "dataset.py"), ("os.fork", "workers.py")],
+    [("np.loadtxt", "tables.py"), ("csv.reader", "tables.py"), ("os.fork", "workers.py")],
 )
 def test_one_call_site(call, module):
     assert _sites(call) == {module: 1}
@@ -133,6 +144,39 @@ def _mode(call):
     return given[0].value if isinstance(given[0], ast.Constant) else None
 
 
+def _top_level_names(path: Path) -> set:
+    """The names a module defines at its top level: functions, classes and
+    assigned names, not imported ones."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_each_name_is_imported_from_the_module_that_defines_it():
+    # so a name that moves leaves no old home to import it from
+    defined = {path.stem: _top_level_names(path) for path in SRC.glob("*.py")}
+    tests = sorted(Path(__file__).resolve().parent.glob("*.py"))
+    stale = []
+    for path in sorted(SRC.glob("*.py")) + tests:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 1:
+                home = node.module or "__init__"
+            elif node.module and node.module.split(".")[0] == "softpu":
+                home = node.module.partition(".")[2] or "__init__"
+            else:
+                continue
+            stale += [(path.name, home, a.name) for a in node.names
+                      if a.name not in defined[home] and a.name not in defined]
+    assert stale == []
+
+
 def test_every_file_is_opened_in_binary_mode():
     opened = [
         (module, function, _mode(call))
@@ -147,17 +191,17 @@ def test_every_file_is_opened_in_binary_mode():
 def test_rows_bytes_has_one_caller_and_json_is_the_only_text_written():
     calls = _calls_by_function()
     assert [(m, f) for m, f, c in calls if _called_name(c) == "rows_bytes"] == [
-        ("dataset.py", "_write_rows")
+        ("tables.py", "_write_rows")
     ]
     assert [(m, f) for m, f, c in calls if _called_name(c) in {"write_text", "write_bytes"}] == [
-        ("dataset.py", "save_json")
+        ("schema.py", "save_json")
     ]
 
 
 def test_unknown_keys_are_refused_in_one_module():
     named = [p.name for p in sorted(SRC.glob("*.py"))
              if "is not a known key" in p.read_text("utf-8")]
-    assert named == ["dataset.py"]
+    assert named == ["schema.py"]
 
 
 def test_difflib_is_imported_only_inside_a_walker_function():
@@ -177,34 +221,39 @@ def test_difflib_is_imported_only_inside_a_walker_function():
             )
             if "difflib" in names:
                 found.append((path.name, id(node) in inside))
-    assert found == [("dataset.py", True)]
+    assert found == [("schema.py", True)]
 
 
 def test_each_value_rule_is_worded_in_one_function():
     homes = {
-        "outside [0, 1]": ("dataset.py", "check_rows"),
-        "must be exactly 0 or 1": ("dataset.py", "check_rows"),
-        "non-finite value": ("dataset.py", "check_rows"),
+        "outside [0, 1]": ("schema.py", "check_rows"),
+        "must be exactly 0 or 1": ("schema.py", "check_rows"),
+        "non-finite value": ("schema.py", "check_rows"),
         "need 0 <= k <= n": ("labeling.py", "_check_pair"),
-        "duplicate column(s)": ("dataset.py", "named_columns"),
-        "must lie in [0, 1]": ("dataset.py", "check_unit_interval"),
-        "must be finite, got": ("dataset.py", "check_finite_number"),
-        "must be finite and positive": ("dataset.py", "check_positive"),
-        "must be finite and non-negative": ("dataset.py", "check_non_negative"),
-        "must be at least": ("dataset.py", "check_count"),  # the seed's rule too
-        "must lie in (0, 1)": ("dataset.py", "check_open_unit_interval"),
-        "class (Y=": ("dataset.py", "check_classes"),
-        "mass: sum ": ("dataset.py", "check_mass"),
-        "kind must be 'real' or 'spu'": ("dataset.py", "check_kind"),
+        "duplicate column(s)": ("tables.py", "named_columns"),
+        "must lie in [0, 1]": ("schema.py", "check_unit_interval"),
+        "must be finite, got": ("schema.py", "check_finite_number"),
+        "must be finite and positive": ("schema.py", "check_positive"),
+        "must be finite and non-negative": ("schema.py", "check_non_negative"),
+        "must be at least": ("schema.py", "check_count"),  # the seed's rule too
+        "must be at most": ("schema.py", "check_count"),
+        "must lie in (0, 1)": ("schema.py", "check_open_unit_interval"),
+        "class (Y=": ("schema.py", "check_classes"),
+        "mass: sum ": ("schema.py", "check_mass"),
+        "kind must be 'real' or 'spu'": ("schema.py", "check_kind"),
         "unknown architecture": ("training.py", "hidden_units"),
-        "not UTF-8 text": ("dataset.py", "_not_utf8"),
-        "must be a 1-D array": ("dataset.py", "check_vector"),
-        "must be non-negative and sum to 1": ("dataset.py", "check_sums_to_one"),
-        "must be strictly increasing": ("dataset.py", "check_increasing"),
+        "not UTF-8 text": ("schema.py", "not_utf8"),
+        "must be a 1-D array": ("schema.py", "check_vector"),
+        "must be non-negative and sum to 1": ("schema.py", "check_sums_to_one"),
+        "strictly increasing": ("schema.py", "check_increasing"),
+        "non-decreasing": ("schema.py", "check_increasing"),
     }
     # wordings each rule had at its sites before its gate
     retired = ["must be non-negative, got", "mass is zero", "matching 1-D arrays",
-               "matching shapes", "length must match", "!= sample count", "must sum to 1"]
+               "matching shapes", "length must match", "!= sample count", "must sum to 1",
+               "values must be non-decreasing", "too large for 2^m enumeration",
+               "too large for subset enumeration", "n must be at most",
+               "check counts must be non-empty"]
     strings = _by_function(lambda node: isinstance(node, ast.Constant)
                            and isinstance(node.value, str))
     found = {
@@ -267,3 +316,49 @@ def test_every_top_level_definition_has_a_caller():
     assert uncalled == []
     # a name the package no longer defines leaves the list
     assert UNCALLED_API <= {name for _, name in defined}
+
+
+# softpu.__all__ as it stood when the package still imported every module:
+# the lazy table must keep each name
+PUBLIC = """__version__ BACKEND AffineLink CheckRecord CsvSchema DiscreteEta DiscretePrior
+    DiscreteProblem EnumeratedFrontier Frontier GscarConfig LabelSeparationReport
+    LogisticWarpLink MelaConfig MixtureCoefficients PiecewiseLinearEta RocCurve RuleStats
+    ScoringModel SoftDataset TrainConfig auc auc_real auc_spu auc_spu_bound bayes_soft_label
+    bayes_soft_labels check_counts_from_csv check_label_separation estimate_mixture_stats
+    exhaustive_frontier fit_prior fpr fpr_spu frontier gen_gscar gen_mela load_csv
+    loss_gradient map_auc mixture_coefficients pu_labelize roc_real roc_spu rule_soft_label
+    save_csv soft_ce_loss threshold_classify tpr tpr_spu train verify_mela_optimality
+    verify_noisy_gap""".split()
+
+
+def _fresh(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter that imports softpu from
+    this tree."""
+    src = str(SRC.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    return done.stdout
+
+
+LOADED = "import sys; print(sorted(m for m in sys.modules if m.startswith('softpu.')))"
+
+
+def test_import_softpu_loads_no_submodule():
+    assert _fresh(f"import softpu; {LOADED}") == "[]\n"
+
+
+def test_oracle_loads_only_its_gates_and_kernels():
+    assert _fresh(f"import softpu.oracle; {LOADED}") == (
+        "['softpu.kernels', 'softpu.oracle', 'softpu.schema']\n"
+    )
+
+
+def test_every_public_name_resolves_lazily():
+    code = ("import softpu\n"
+            f"for name in {PUBLIC!r}:\n"
+            "    exec(f'from softpu import {name}')\n"
+            "print(sorted(softpu.__all__), softpu.dataset.__name__,\n"
+            "      [hasattr(softpu, name) for name in ('nothing', 'a.b', '__main__')])")
+    # __main__ would run the command line, so no private name is looked up
+    assert _fresh(code) == f"{sorted(PUBLIC)} softpu.dataset [False, False, False]\n"

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softpu import metrics
-from softpu.dataset import CHUNK_ROWS, GscarConfig, SoftDataset, gen_gscar
+from softpu.dataset import GscarConfig, SoftDataset, gen_gscar
 from softpu.metrics import (
     RocCurve,
     auc,
@@ -35,6 +35,7 @@ from softpu.metrics import (
     tpr,
     tpr_spu,
 )
+from softpu.tables import CHUNK_ROWS
 
 import reference
 from reference import read_curve
@@ -419,9 +420,14 @@ class TestAuc:
         assert auc(mid) == pytest.approx(0.775, abs=1e-12)
 
     def test_curve_validation(self):
-        with pytest.raises(ValueError, match="non-decreasing"):
+        with pytest.raises(ValueError, match=r"^curve y values must be non-decreasing, "
+                                             r"got 1\.0 at index 1 and 0\.9 at index 2$"):
             RocCurve(np.array([1.0, 0.5, -np.inf]), np.array([0.0, 0.4, 1.0]),
                      np.array([0.0, 1.0, 0.9]), kind="spu")
+        # a nan rate is out of order too, where the old check let it through
+        with pytest.raises(ValueError, match="^curve x values must be non-decreasing, got 0.0 at index 0 and nan "):
+            RocCurve(np.array([1.0, 0.5, -np.inf]), np.array([0.0, np.nan, 1.0]),
+                     np.array([0.0, 0.5, 1.0]), kind="spu")
         with pytest.raises(ValueError, match=r"\(0,0\) to \(1,1\)"):
             RocCurve(np.array([1.0, -np.inf]), np.array([0.1, 1.0]),
                      np.array([0.0, 1.0]), kind="spu")
