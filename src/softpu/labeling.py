@@ -15,9 +15,8 @@ The fit and its log-likelihood take the check counts as two int64 arrays
 ``n, k`` with one entry per user, as :func:`check_counts_from_csv` reads
 them; :class:`CheckRecord` is the per-user form that
 :func:`bayes_soft_label` labels. The reader is the table reader of
-:mod:`softpu.tables`, which streams the file: a scan of its bytes in
-fixed-size chunks vouches for it, then one ``np.loadtxt`` pass reads the
-two columns. Users enter the fit, its log-likelihood and the array labels
+:mod:`softpu.tables`, where one ``np.loadtxt`` pass reads the two
+columns of an ASCII file. Users enter the fit, its log-likelihood and the array labels
 only through their distinct (n, k) pairs, which are found in linear time by
 counting keys whenever the pairs span a range not much wider than the user
 count (every history shorter than a few thousand days, in practice).
@@ -32,7 +31,7 @@ from . import kernels
 from .schema import NUMBERS, REQUIRED, check, check_classes, check_count, check_finite
 from .schema import check_increasing, check_non_negative, check_positive, check_rows
 from .schema import check_sums_to_one, check_unit_interval, check_vector, load_json, save_json
-from .tables import TableFormat, read_table
+from .tables import TableFormat, parse_number, read_table
 
 GRID_MARGIN = 1e-4
 # the prior fit holds check counts in int64 arrays
@@ -494,8 +493,8 @@ def _locate_counts(header) -> list[int]:
 
 def _parse_counts(cells, row) -> tuple[int, int]:
     try:
-        n, k = int(cells[0]), int(cells[1])
-    except (TypeError, ValueError):
+        n, k = (parse_number(cell or "", int) for cell in cells)
+    except ValueError:
         raise ValueError(f"row {row}: n and k must be integers") from None
     if max(abs(n), abs(k)) > MAX_CHECK_DAYS:
         # a count an int64 table cannot hold, which _check_pair refuses

@@ -1,10 +1,11 @@
 """The CSV text format: the one reader and the one writer of CSV files.
 
 :func:`read_table` reads the columns a :class:`TableFormat` picks from a
-CSV file, with ``np.loadtxt`` where every line is plain enough and with a
-:mod:`csv` row loop where it is not; a long regular file is read in two
-halves at once. :func:`write_columns` writes float and 0/1 label columns
-as the ``repr`` text of each value, formatted by vectorized kernels:
+CSV file with ``np.loadtxt``, a long regular file in two halves at once,
+and with a :mod:`csv` row loop where that declines the file; both read a
+number by one grammar, :func:`parse_number`'s.
+:func:`write_columns` writes float and 0/1 label columns as the ``repr``
+text of each value, formatted by vectorized kernels:
 :func:`shortest_digits` gives the shortest round-trip decimal digits of
 a float64 (Ryū), in integer arithmetic only, and :func:`float_cells`
 lays them out as text. The types built from a table check its values;
@@ -16,7 +17,6 @@ import contextlib
 import csv
 import functools
 import io
-import itertools
 import operator
 import os
 import re
@@ -40,13 +40,30 @@ from .schema import not_utf8
 # ---------------------------------------------------------------------------
 
 
+def parse_number(text: str, kind: type = float):
+    """``text`` as a ``kind``, float or int, by the one number grammar of
+    the CSV cells softpu reads: ``np.loadtxt``'s for float64 cells, and
+    for int64 cells of ASCII text.
+
+    A number is ASCII decimal digits with an optional sign and any
+    surrounding whitespace; a float may also hold a point and an
+    exponent, or be ``inf``, ``infinity`` or ``nan`` in any case. ``1_0``
+    and non-ASCII digits (``١``, ``５``), which :func:`float` and
+    :func:`int` alone read, raise ``ValueError``, as ``0x10`` does.
+    """
+    core = text.strip()
+    if not core.isascii() or "_" in core:
+        raise ValueError(f"not an ASCII decimal number: {text!r}")
+    return kind(core)
+
+
 def parse_cell(raw, row, column):
     """One CSV cell as a float; errors name the 1-based data ``row`` and ``column``."""
     text = raw.strip()
     if not text:
         raise ValueError(f"row {row}, column '{column}': missing value")
     try:
-        return float(text)
+        return parse_number(text)
     except ValueError:
         raise ValueError(
             f"row {row}, column '{column}': could not parse {raw!r} as a number"
@@ -75,8 +92,8 @@ class TableFormat:
 
     ``locate`` maps the header's fields (None without a header) to the
     positions of the columns read. ``parse_row`` maps those cells of a row
-    (None where it is too short) and the row number to values; it parses
-    and checks no value. Both raise the file type's named errors; ``empty``
+    (None where it is too short) and the row number to values, parsed by
+    :func:`parse_number`. Both raise the file type's named errors; ``empty``
     is the one for a file without data rows. No value that parses is
     checked by the format: the type built from the table is the gate (a
     :class:`~softpu.dataset.SoftDataset` by
@@ -95,27 +112,19 @@ class TableFormat:
     strict: bool = False
 
 
-# The bytes the column pass reads: tab, line ends, printable ASCII other
-# than the quote, and bytes from 0x80 up outside the columns it parses. A
-# quote can join lines into one csv field; loadtxt reads "5\x1c" as 5 and
-# some non-ASCII letters as digits where int() refuses them; and some other
-# characters end a line for str.splitlines but not for csv.
-_VOUCHED_BYTES = (
-    b"\t\n\r" + bytes(range(0x20, 0x7F)).replace(b'"', b"") + bytes(range(0x80, 0x100))
-)
-# the scan reads a file this many bytes at a time
-SCAN_CHUNK_BYTES = 1 << 19
-# A regular file read by path from this size up is checked and parsed in two
-# halves at once (see _by_path). Forking and reaping the child costs about
-# 8 ms. Datasets of 0.55 MB took 25.9 ms split against 22.6 ms serial, and of
+# A regular file read by path from this size up is parsed in two halves at
+# once (see _by_path). Forking and reaping the child costs about 8 ms.
+# Datasets of 0.55 MB took 25.9 ms split against 22.6 ms serial, and of
 # 1.09 MB 38.0 against 43.1 ms (medians of 41 interleaved reads, raw, on a
-# 2-vCPU Xeon).
-SPLIT_BYTES = 2 * SCAN_CHUNK_BYTES
+# 2-vCPU Xeon, with a reader that also scanned every line).
+SPLIT_BYTES = 1 << 20
+# the reader looks at a file's bytes this many at a time
+_CHUNK_BYTES = 1 << 19
 # np.loadtxt given a path decompresses files with these suffixes
 _UNPACKED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 # a line ends at \r, \n or \r\n, as for csv and universal newlines
 _LINE_END = re.compile(rb"\r\n?|\n")
-# what the column pass compares to tell whether a path names the file it scanned
+# what the column pass compares to tell whether a path names the open file
 _identity = operator.attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
 
 
@@ -124,15 +133,17 @@ def read_table(path, fmt: TableFormat) -> np.ndarray:
     row, as a (rows, columns) array of ``fmt.dtype``.
 
     A leading byte-order mark and empty lines are skipped, before the
-    header too. The file is parsed by :func:`_column_pass`, or if that
-    declines by :func:`_read_rows`, which names the first row (the header
-    is row 0) and column that does not parse. A long regular file is
-    checked and parsed in two halves, the second in a forked child, with
-    the same result. A pipe is read into memory first. A missing file, a
-    directory and a file that is not UTF-8 text (with its first bad byte
-    and offset) are named errors. No value that parses is checked here:
-    the caller's type checks the returned table, so a row that does not
-    parse is named before an earlier row holding a refused value.
+    header too. The file is parsed by :func:`_column_pass`, with
+    ``np.loadtxt``, or where that declines by :func:`_read_rows`, a
+    :mod:`csv` row loop with the same number grammar (:func:`parse_number`),
+    which names the first row (the header is row 0) and column that does
+    not parse. A long regular file is parsed in two halves, the second in
+    a forked child, with the same result. A pipe is read into memory
+    first. A missing file, a directory and a file that is not UTF-8 text
+    (with its first bad byte and offset) are named errors. No value that
+    parses is checked here: the caller's type checks the returned table,
+    so a row that does not parse is named before an earlier row holding a
+    refused value.
     """
     path = Path(path)
     try:
@@ -161,252 +172,6 @@ def read_table(path, fmt: TableFormat) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class _Header:
-    """The header line of a file the column pass reads, as :func:`_header`
-    finds it: the columns read, the header's field count, the lines up to
-    and including it, and the offset of the line after it."""
-
-    usecols: list[int]
-    width: int
-    skiprows: int
-    start: int
-
-
-def _column_pass(fh, fmt: TableFormat, path=None) -> np.ndarray | None:
-    """The parsed table of :func:`read_table` from ``np.loadtxt`` over the
-    binary file ``fh``, open at its start, or None if :func:`_header`,
-    :func:`_lines` or ``loadtxt`` refuses it, or it holds no data line. Its
-    values are not checked here. Given the ``path`` of the regular file
-    ``fh`` is open on, :func:`_by_path` checks the lines in the open file
-    and has ``loadtxt`` read the path, with numpy's chunked C reader, about
-    a third faster; that result counts only if the path still names the
-    scanned file, unchanged (device, inode, size, mtime). Else ``loadtxt``
-    reads the open file.
-    """
-    scanned = None if path is None else os.fstat(fh.fileno())
-    if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
-        fh.seek(0)
-    if (head := _header(fh, fmt)) is None:
-        return None
-    if path is None:
-        fh.seek(head.start)
-        rows, table = _lines(iter(partial(fh.read, SCAN_CHUNK_BYTES), b""), fmt, head), None
-    else:
-        rows, table = _by_path(fh.fileno(), fmt, head, path, scanned.st_size)
-    if not rows:
-        return None
-    try:
-        moved = path is None or _identity(os.stat(path)) != _identity(scanned)
-    except OSError:  # the path may name no file now
-        moved = True
-    if moved:
-        fh.seek(0)
-        text = io.TextIOWrapper(fh, encoding="utf-8-sig", newline=None)
-        try:
-            table = _load(text, fmt, head.usecols, head.skiprows)
-        finally:
-            text.detach()
-    return table
-
-
-def _by_path(fd, fmt: TableFormat, head: _Header, path, size) -> tuple:
-    """``(rows, table)`` of :func:`_half` for all lines after the header of
-    the open file ``fd`` of ``size`` bytes, which ``path`` names.
-
-    From :data:`SPLIT_BYTES` up, where :func:`softpu.workers.worker_usable`
-    and a line starts near the middle of those lines, the two halves are
-    read at once: this process reads the first, and a forked child reads
-    the second into an anonymous temporary file and sends back its row
-    count. The joined table is the one a single pass gives, bit for bit.
-    """
-    split = None
-    if size >= SPLIT_BYTES and workers.worker_usable():
-        split = _line_start(fd, (head.start + size) // 2)
-    if split is None:
-        return _half(fd, fmt, head, path, head.start, size)
-    with tempfile.TemporaryFile() as spool:
-
-        def second_half():
-            rows, table = _half(fd, fmt, head, path, split, size)
-            if table is not None:
-                spool.write(np.ascontiguousarray(table))
-                spool.flush()
-            return rows, table is not None
-
-        (rows, first), (more, parsed) = workers.pair_results(
-            lambda: _half(fd, fmt, head, path, head.start, split), second_half
-        )
-        if rows is None or more is None:
-            return None, None
-        if first is None or not parsed:
-            return rows + more, None
-        table = np.empty((rows + more, len(head.usecols)), fmt.dtype)
-        table[:rows] = first
-        spool.seek(0)
-        spool.readinto(table[rows:])
-    return rows + more, table
-
-
-def _half(fd, fmt: TableFormat, head: _Header, path, lo, hi) -> tuple:
-    """``(rows, table)`` for the lines from offset ``lo`` to ``hi``, whole
-    lines after the header of the open file ``fd``: ``rows`` counts their
-    data lines, None if :func:`_lines` refuses them there, and ``table`` is
-    their rows as ``loadtxt`` parses them from ``path``, which names
-    ``fd``'s file, or None if it refuses them. Lines with no data line are
-    not handed to ``loadtxt``, which warns on empty input.
-    """
-    rows = _lines(_pieces(fd, lo, hi), fmt, head)
-    if not rows:
-        return rows, np.empty((0, len(head.usecols)), fmt.dtype)
-    skiprows = head.skiprows + _count_lines(fd, head.start, lo)
-    # an absolute path, which numpy never takes for a URL
-    table = _load(os.fspath(Path(path).absolute()), fmt, head.usecols, skiprows, rows)
-    return rows, (table if table is not None and len(table) == rows else None)
-
-
-def _load(source, fmt: TableFormat, usecols, skiprows, max_rows=None) -> np.ndarray | None:
-    """``np.loadtxt``'s table of the rows of ``source`` after its first
-    ``skiprows`` lines, at most ``max_rows`` of them, or None if it refuses
-    them."""
-    with warnings.catch_warnings():
-        # loadtxt warns that an empty line does not count toward max_rows;
-        # _lines does not count it either
-        warnings.filterwarnings("ignore", "Input line", UserWarning)
-        try:
-            return np.loadtxt(
-                source,
-                delimiter=",",
-                comments=None,
-                skiprows=skiprows,
-                max_rows=max_rows,
-                usecols=usecols,
-                dtype=fmt.dtype,
-                ndmin=2,
-                encoding="utf-8-sig",
-            )
-        except (OSError, ValueError):
-            return None
-
-
-def _header(fh, fmt: TableFormat) -> _Header | None:
-    """The header of the binary file ``fh``, open after any byte-order
-    mark: its first line that is not empty or, with ``fmt.strict``, a
-    comment. None unless that line is no longer than the csv field size
-    limit, every byte of it is vouched (:data:`_VOUCHED_BYTES`), and it
-    satisfies ``fmt.locate``.
-    """
-    limit = csv.field_size_limit()
-    buf, pos, skiprows, eof = b"", 0, 0, False
-    while True:
-        end = _LINE_END.search(buf, pos)
-        # a \r at the end of the bytes read may start a \r\n
-        if end and (eof or end.end() < len(buf) or end.group() != b"\r"):
-            line, pos = buf[pos : end.start()], end.end()
-            skiprows += 1
-            if line and not (fmt.strict and line.startswith(b"#")):
-                break
-        elif eof or len(buf) - pos > limit:
-            return None
-        else:
-            chunk = fh.read(SCAN_CHUNK_BYTES)
-            buf, pos, eof = buf[pos:] + chunk, 0, not chunk
-    if len(line) > limit or line.translate(None, _VOUCHED_BYTES):
-        return None
-    try:
-        header = line.decode("utf-8").split(",")
-        usecols = fmt.locate(header)
-    except ValueError:  # a UnicodeDecodeError too
-        return None
-    return _Header(usecols, len(header), skiprows, fh.tell() - len(buf) + pos)
-
-
-def _lines(chunks, fmt: TableFormat, head: _Header) -> int | None:
-    """The number of data lines (lines not empty) in the bytes ``chunks``
-    yields, a run of whole lines after the header ``head``, or None if a
-    line breaks a rule of the column pass.
-
-    The rules: every byte is vouched (:data:`_VOUCHED_BYTES`), no line is
-    longer than the csv field size limit; with ``fmt.strict`` none is a
-    comment and each data line has the header's width; and a byte
-    from 0x80 up lies only in a column not read. The whole run after the
-    header and each half of a split one are checked here; the caller
-    requires a data line in the whole file.
-    """
-    limit = csv.field_size_limit()
-    rows, tail = 0, b""
-    for chunk in itertools.chain(chunks, [b""]):
-        piece = tail + chunk  # each piece starts at a line start
-        if piece.translate(None, _VOUCHED_BYTES):
-            return None
-        # the empty line that \r\n makes here is not a data line, which
-        # does not matter
-        piece = piece.replace(b"\r", b"\n")
-        # a "#" is rare, and finding one is much faster than finding "\n#"
-        if fmt.strict and b"#" in piece and (piece[:1] == b"#" or b"\n#" in piece):
-            return None
-        arr = np.frombuffer(piece, np.uint8)
-        if fmt.strict or not piece.isascii():
-            # the line ends are among the line ends and commas, so the commas
-            # between two of them give a line's field count
-            marks = np.flatnonzero((arr == ord("\n")) | (arr == ord(",")))
-            at_ends = np.flatnonzero(arr[marks] == ord("\n"))
-            ends = marks[at_ends]
-        else:
-            ends = np.flatnonzero(arr == ord("\n"))
-        # each line this piece ends, then the one it leaves open, which the
-        # end of the run ends
-        lengths = np.diff(ends, prepend=-1, append=len(piece)) - 1
-        if lengths.max() > limit:
-            return None
-        filled = lengths[: len(ends) + (not chunk)] > 0
-        if fmt.strict:
-            fields = np.diff(at_ends, prepend=-1, append=len(marks))[: len(filled)]
-            if np.any(filled & (fields != head.width)):
-                return None
-        if not piece.isascii():
-            high = np.flatnonzero(arr >= 0x80)
-            line_start = np.r_[-1, at_ends][np.searchsorted(ends, high)]
-            if np.isin(np.searchsorted(marks, high) - line_start - 1, head.usecols).any():
-                return None
-        rows += int(np.count_nonzero(filled))
-        if not chunk:
-            return rows
-        tail = piece[len(piece) - int(lengths[-1]) :]
-
-
-def _pieces(fd, lo, hi):
-    """The bytes of the open file ``fd`` from offset ``lo`` to ``hi``,
-    :data:`SCAN_CHUNK_BYTES` at a time. ``os.pread`` moves no file offset,
-    so a forked child reads its half without moving its parent's."""
-    for at in range(lo, hi, SCAN_CHUNK_BYTES):
-        yield os.pread(fd, min(SCAN_CHUNK_BYTES, hi - at), at)
-
-
-def _line_start(fd, at) -> int | None:
-    """The offset of the first line start after offset ``at`` of the open
-    file ``fd``, if a line ends within :data:`SCAN_CHUNK_BYTES` of it and
-    bytes follow it; else None."""
-    window = os.pread(fd, SCAN_CHUNK_BYTES, at)
-    end = _LINE_END.search(window)
-    return at + end.end() if end and end.end() < len(window) else None
-
-
-def _count_lines(fd, lo, hi) -> int:
-    """The number of lines from offset ``lo`` to ``hi`` of the open file
-    ``fd``, which end at a line end (CR, LF or CR LF), as ``loadtxt``'s
-    ``skiprows`` counts them."""
-    count, last = 0, b""
-    for chunk in _pieces(fd, lo, hi):
-        # numpy counts bytes several times faster than bytes.count
-        count += int(np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n")))
-        if b"\r" in chunk:
-            count += chunk.count(b"\r") - chunk.count(b"\r\n")
-        count -= last == b"\r" and chunk[:1] == b"\n"
-        last = chunk[-1:]
-    return count
-
-
 def _read_rows(text, fmt: TableFormat) -> np.ndarray:
     """The parsed table of :func:`read_table` from a :mod:`csv` row loop
     over the open ``text``, quoted cells included."""
@@ -431,6 +196,179 @@ def _read_rows(text, fmt: TableFormat) -> np.ndarray:
     if not values:
         raise ValueError(fmt.empty)
     return np.array(values, dtype=fmt.dtype)
+
+
+def _column_pass(fh, fmt: TableFormat, path=None) -> np.ndarray | None:
+    """The parsed table of :func:`read_table` from ``np.loadtxt`` over the
+    binary file ``fh``, open at its start, or None if :func:`_header` or
+    ``loadtxt`` (:func:`_load`) refuses it; the row loop then reads it.
+
+    Given the ``path`` of the regular file ``fh`` is open on,
+    :func:`_by_path` has ``loadtxt`` read the path, with numpy's chunked C
+    reader, about a third faster; that result counts only if the path
+    still names the open file, unchanged (device, inode, size, mtime).
+    Else ``loadtxt`` reads ``fh``. A table of integers counts only if the
+    file is ASCII: numpy reads an int64 cell with C's ``isdigit``, which
+    takes some non-ASCII letters for digits (``Ǿ`` for 462).
+    """
+    if (head := _header(fh, fmt)) is None:
+        return None
+    table, moved = None, True
+    if path is not None:
+        opened = os.fstat(fh.fileno())
+        table = _by_path(fh.fileno(), fmt, path, opened.st_size, *head)
+        with contextlib.suppress(OSError):  # the path may name no file now
+            moved = _identity(os.stat(path)) != _identity(opened)
+    if moved:
+        fh.seek(0)
+        text = io.TextIOWrapper(fh, encoding="utf-8-sig", newline=None)
+        try:
+            table = _load(text, fmt, *head)
+        finally:
+            text.detach()
+    if table is not None and np.issubdtype(fmt.dtype, np.integer) and not _ascii(fh):
+        return None
+    return table
+
+
+def _header(fh, fmt: TableFormat) -> tuple | None:
+    """``(usecols, width, skiprows)`` of the header of the binary file
+    ``fh``, open at its start: the columns read, the header's field count
+    and the lines up to and including it, its first line that is not empty
+    or, with ``fmt.strict``, a comment. None unless that line ends in the
+    first :data:`_CHUNK_BYTES` after any byte-order mark, holds no quote,
+    is UTF-8 no longer than the csv field size limit and satisfies
+    ``fmt.locate``.
+    """
+    head, start = fh.read(_CHUNK_BYTES).removeprefix(codecs.BOM_UTF8), 0
+    for skiprows, end in enumerate(_LINE_END.finditer(head), 1):
+        line, start = head[start : end.start()], end.end()
+        if line and not (fmt.strict and line.startswith(b"#")):
+            break
+    else:
+        return None
+    if b'"' in line or len(line) > csv.field_size_limit():
+        return None
+    try:
+        header = line.decode("utf-8").split(",")
+        return fmt.locate(header), len(header), skiprows
+    except ValueError:  # a UnicodeDecodeError too
+        return None
+
+
+def _ascii(fh) -> bool:
+    """Whether the binary file ``fh`` holds only ASCII after a leading
+    byte-order mark."""
+    fh.seek(0)
+    chunks = iter(partial(fh.read, _CHUNK_BYTES), b"")
+    head = next(chunks, b"").removeprefix(codecs.BOM_UTF8)
+    return head.isascii() and all(chunk.isascii() for chunk in chunks)
+
+
+def _by_path(fd, fmt: TableFormat, path, size, usecols, width, skiprows) -> np.ndarray | None:
+    """:func:`_load`'s table of the rows after the first ``skiprows`` lines
+    of ``path``, which names the open file ``fd`` of ``size`` bytes.
+
+    From :data:`SPLIT_BYTES` up, where :func:`softpu.workers.worker_usable`
+    and a line starts near the middle of the file with no quote before it,
+    the two halves are read at once: this process reads the rows up to
+    that line, and a forked child reads the rest into an anonymous
+    temporary file and sends back its row count. A quote may join lines
+    into one cell, so a file with one in its first half is read whole. The
+    joined table is the one a single read gives, bit for bit: the first
+    half is read as one row a line, and is read whole again where it
+    holds an empty line (``loadtxt`` warns of one, which refuses the half).
+    """
+    # an absolute path, which numpy never takes for a URL
+    source = os.fspath(Path(path).absolute())
+    split = size >= SPLIT_BYTES and workers.worker_usable() and _line_start(fd, size // 2)
+    lines = _count_lines(fd, split) if split else None
+    if lines is None or lines <= skiprows:
+        return _load(source, fmt, usecols, width, skiprows)
+    with tempfile.TemporaryFile() as spool:
+
+        def second_half():
+            table = _load(source, fmt, usecols, width, lines)
+            if table is not None:
+                spool.write(np.ascontiguousarray(table))
+                spool.flush()
+            return None if table is None else len(table)
+
+        first, more = workers.pair_results(
+            lambda: _load(source, fmt, usecols, width, skiprows, lines - skiprows), second_half
+        )
+        if first is None and more is not None:  # an empty line or a refused row
+            return _load(source, fmt, usecols, width, skiprows)
+        if first is None or more is None or len(first) != lines - skiprows:
+            return None
+        table = np.empty((len(first) + more, len(usecols)), fmt.dtype)
+        table[: len(first)] = first
+        spool.seek(0)
+        spool.readinto(table[len(first) :])
+    return table
+
+
+def _load(source, fmt: TableFormat, usecols, width, skiprows, max_rows=None) -> np.ndarray | None:
+    """``np.loadtxt``'s table of the ``usecols`` of the rows of ``source``
+    after its first ``skiprows`` lines, at most ``max_rows`` of them; None
+    if it refuses them or warns, as it does of input with no data row and
+    of an empty line, which it does not count toward ``max_rows``.
+
+    A strict file is read whole, so that ``loadtxt`` refuses a row of
+    another width than the first, and a first row of another width than
+    the header's ``width`` is refused here; a cell of a column not read
+    goes through :func:`_unread`, which parses no text.
+    """
+    unread = {j: _unread for j in range(width) if j not in usecols} if fmt.strict else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(
+                source, delimiter=",", comments=None, quotechar='"', skiprows=skiprows,
+                max_rows=max_rows, usecols=None if fmt.strict else usecols, converters=unread,
+                dtype=fmt.dtype, ndmin=2, encoding="utf-8-sig",
+            )
+        except (OSError, ValueError, Warning):
+            return None
+    if fmt.strict and table.shape[1] != width:
+        return None
+    return table[:, usecols] if fmt.strict and usecols != list(range(width)) else table
+
+
+def _unread(cell: str) -> int:
+    """0 for a cell of a strict file's column not read, unparsed; a cell
+    that may start a comment line, which the row loop skips, is refused."""
+    if cell.startswith("#"):
+        raise ValueError("a comment line")
+    return 0
+
+
+def _line_start(fd, at) -> int | None:
+    """The offset of the first line start after offset ``at`` of the open
+    file ``fd``, if a line ends within :data:`_CHUNK_BYTES` of it and bytes
+    follow it; else None."""
+    window = os.pread(fd, _CHUNK_BYTES, at)
+    end = _LINE_END.search(window)
+    return at + end.end() if end and end.end() < len(window) else None
+
+
+def _count_lines(fd, end) -> int | None:
+    """The number of lines before offset ``end`` of the open file ``fd``,
+    which end at a line end (CR, LF or CR LF), as ``loadtxt``'s
+    ``skiprows`` counts them; None if a quote lies there. ``os.pread``
+    moves no file offset."""
+    count, last = 0, b""
+    for at in range(0, end, _CHUNK_BYTES):
+        chunk = os.pread(fd, min(_CHUNK_BYTES, end - at), at)
+        if b'"' in chunk:
+            return None
+        # numpy counts bytes several times faster than bytes.count
+        count += int(np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n")))
+        if b"\r" in chunk:
+            count += chunk.count(b"\r") - chunk.count(b"\r\n")
+        count -= last == b"\r" and chunk[:1] == b"\n"
+        last = chunk[-1:]
+    return count
 
 
 # ---------------------------------------------------------------------------

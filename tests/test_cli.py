@@ -795,7 +795,8 @@ class TestEvalAndBound:
         assert run(cfg, "eval", tmp_path / "out") == 1
         assert capsys.readouterr().err == f"error: model file {model_path}: {message}\n"
 
-    def test_field_over_the_csv_limit_is_named_error(self, tmp_path, capsys):
+    def test_field_over_the_csv_limit_in_a_column_not_read_loads(self, tmp_path, capsys):
+        # loadtxt has no field size limit; the csv row loop names one
         from softpu.training import ScoringModel, save_model
 
         model_path = tmp_path / "model.json"
@@ -812,6 +813,13 @@ class TestEvalAndBound:
                 "model": str(model_path),
             },
         )
+        assert run(cfg, "eval", tmp_path / "out") == 0
+        assert capsys.readouterr().err == ""
+        data.write_text("x0,soft_label,note\n0.3,1.0,a\n0.1," + "5" * (limit + 1) + ",b\n")
+        assert run(cfg, "eval", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err == "error: row 2: soft label inf outside [0, 1]\n"
+        data.write_text("x0,soft_label,note\n0.3,1.0,a\n0.1,x" + "5" * (limit + 1) + ",b\n")
         assert run(cfg, "eval", tmp_path / "out") == 1
         err = capsys.readouterr().err
         assert err == f"error: row 2: field larger than field limit ({limit})\n"
@@ -920,11 +928,15 @@ class TestFitPriorCommand:
         assert len(traces[1]) == 501 and np.all(np.diff(traces[1]) <= 0)
         assert traces[1][-1] <= traces[0][-1]
 
-    def test_field_over_the_csv_limit_is_named_error(self, tmp_path, capsys):
+    def test_field_over_the_csv_limit_in_a_column_not_read_loads(self, tmp_path, capsys):
+        # loadtxt has no field size limit; the csv row loop names one
         limit = csv.field_size_limit()
         records = tmp_path / "records.csv"
         records.write_text("user_id,n,k\nu1,5,3\n" + "u" * (limit + 1) + ",4,2\n")
         cfg = write_config(tmp_path, "prior.json", {"records": str(records)})
+        assert run(cfg, "fit-prior", tmp_path / "o") == 0
+        assert capsys.readouterr().err == ""
+        records.write_text("user_id,n,k\nu1,5,3\nu2," + "4" * (limit + 1) + ",2\n")
         assert run(cfg, "fit-prior", tmp_path / "o") == 1
         err = capsys.readouterr().err
         assert err == f"error: row 2: field larger than field limit ({limit})\n"

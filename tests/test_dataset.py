@@ -6,6 +6,7 @@ import io
 import os
 import sys
 import threading
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -39,7 +40,7 @@ from softpu.labeling import DiscretePrior, RuleStats, check_counts_from_csv
 from softpu.labeling import check_label_separation
 from softpu.metrics import RocCurve, curve_to_csv, map_auc, mixture_coefficients, roc_spu
 from softpu.oracle import DiscreteProblem
-from softpu.tables import CHUNK_ROWS, SPLIT_ROWS
+from softpu.tables import CHUNK_ROWS, SPLIT_ROWS, parse_number
 from softpu.training import ARCH_LINEAR, ScoringModel, loss_gradient, soft_ce_loss
 
 from reference import read_curve
@@ -91,9 +92,19 @@ def cell_texts(cells):
 
 
 def load_rows(path, schema):
-    """Parse with the row loop alone, the way the column-wise path falls back."""
-    with mock.patch.object(tables_module, "_column_pass", lambda *a: None):
+    """Parse with the row loop alone: the way read_table reads a file that
+    np.loadtxt refuses."""
+    with mock.patch.object(np, "loadtxt", side_effect=ValueError("refused")):
         return load_csv(path, schema)
+
+
+def row_loop_spy(monkeypatch):
+    """A list that gains an entry each time read_table's csv row loop runs:
+    csv.reader has no other caller in the reader."""
+    calls = []
+    reader = csv.reader
+    monkeypatch.setattr(csv, "reader", lambda *a: calls.append(1) or reader(*a))
+    return calls
 
 
 def outcome(load):
@@ -310,48 +321,41 @@ class TestCsv:
     def test_ordinary_file_loads_column_wise(self, tmp_path, monkeypatch):
         path = tmp_path / "d.csv"
         save_csv(small_dataset(), path)
-
-        def no_row_loop(text, fmt):
-            raise AssertionError("row loop used")
-
-        monkeypatch.setattr(tables_module, "_read_rows", no_row_loop)
+        calls = row_loop_spy(monkeypatch)
         back = load_csv(path, schema_for(small_dataset()))
+        assert calls == []
         assert np.array_equal(back.features, small_dataset().features)
         assert back.features.flags.c_contiguous
 
     def test_column_wise_path_streams_the_file(self, tmp_path, monkeypatch):
         # only the row loop holds the rows in a list; the column-wise parse
-        # hands the file to loadtxt
+        # hands the file's path to loadtxt
         path = tmp_path / "d.csv"
         save_csv(small_dataset(), path)
-
-        def no_line_list(text, fmt):
-            raise AssertionError("file read into a line list")
-
-        monkeypatch.setattr(tables_module, "_read_rows", no_line_list)
+        calls = row_loop_spy(monkeypatch)
+        seen = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda f, *a, **kw: seen.append(f) or loadtxt(f, *a, **kw))
         back = load_csv(path, schema_for(small_dataset()))
+        assert calls == [] and [type(f) for f in seen] == [str]
         assert np.array_equal(back.soft_labels, small_dataset().soft_labels)
 
-    def test_quoted_cells_load_through_row_loop(self, tmp_path, monkeypatch):
+    def test_quoted_cells_load_column_wise(self, tmp_path, monkeypatch):
         plain = tmp_path / "plain.csv"
         plain.write_text("a,soft_label,y\n1.5,0.25,1\n-2e3,1.0,0\n")
         quoted = tmp_path / "quoted.csv"
         quoted.write_text('a,soft_label,y\n"1.5","0.25",1\n-2e3,"1.0","0"\n')
         schema = CsvSchema(features=("a",), true_label="y")
-        calls = []
-        row_loop = tables_module._read_rows
-        monkeypatch.setattr(
-            tables_module, "_read_rows", lambda *a: calls.append(1) or row_loop(*a)
-        )
+        calls = row_loop_spy(monkeypatch)
         assert outcome(lambda: load_csv(quoted, schema)) == outcome(
             lambda: load_csv(plain, schema)
         )
-        assert calls == [1]
+        assert calls == []
 
     @pytest.mark.parametrize(
         "text",
         [
-            b'x0,soft_label\n"0.3",1.0\n',  # a quoted cell: the row loop loads it
+            b'x0,soft_label\n"0.3",1.0\n',  # a quoted cell
             b'x0,soft_label\n0.5,0.25\n"0.3",1.5\n',  # the row loop names row 2
             b"x0,soft_label\n0.5,\xff\n",  # not UTF-8
         ],
@@ -457,27 +461,29 @@ class TestLoaderAgreesWithRowLoop:
         ],
     )
     def test_same_result_on_line_layouts(self, tmp_path, monkeypatch, raw, by_columns):
-        # the column pass hands loadtxt the open file after the header; a
-        # '#' line there fails it, and the row loop, which skips comments,
+        # the column pass hands loadtxt the lines after the header; a '#'
+        # line there fails it, and the row loop, which skips comments,
         # reads the file
         path = tmp_path / "layout.csv"
         path.write_bytes(raw)
         schema = CsvSchema(features=("x0",), true_label="y")
-        calls = []
-        row_loop = tables_module._read_rows
-        monkeypatch.setattr(
-            tables_module, "_read_rows", lambda *a: calls.append(1) or row_loop(*a)
-        )
+        calls = row_loop_spy(monkeypatch)
         got = outcome(lambda: load_csv(path, schema))
         assert calls == ([] if by_columns else [1])
         assert got == outcome(lambda: load_rows(path, schema))
         assert got[0] != "error"
 
-    def test_extra_non_numeric_column_loads(self, tmp_path):
+    def test_extra_non_numeric_column_loads(self, tmp_path, monkeypatch):
         path = tmp_path / "d.csv"
-        path.write_text("id,x0,soft_label\nu1,0.5,0.25\nu2,1_000,1\n")
+        path.write_text("id,x0,soft_label\nu1,0.5,0.25\nu2,1000,1\n")
+        calls = row_loop_spy(monkeypatch)
         ds = load_csv(path, CsvSchema(features=("x0",)))
+        assert calls == []
         assert np.array_equal(ds.features, [[0.5], [1000.0]])
+        # underscores between digits are not in the number grammar
+        path.write_text("id,x0,soft_label\nu1,0.5,0.25\nu2,1_000,1\n")
+        with pytest.raises(ValueError, match=r"^row 2, column 'x0': could not parse '1_000' as a number$"):
+            load_csv(path, CsvSchema(features=("x0",)))
 
 
 # Each CSV reader with the lines of a file it reads: a header and two data rows.
@@ -566,11 +572,15 @@ class TestTableReaders:
 
     @pytest.mark.parametrize("row", [0, 2])
     def test_field_over_the_csv_limit_names_its_row(self, tmp_path, reader, row):
+        # loadtxt has no field limit, so a records file's long user id, in
+        # a column not read, loads
         limit = csv.field_size_limit()
+        want = (ValueError, f"row {row}: field larger than field limit ({limit})")
+        if reader == "records" and row:
+            want = self.plain(tmp_path, reader)
         lines = list(READERS[reader][1])
         lines[row] = "x" * (limit + 1) + lines[row][lines[row].index(",") :]
         read, path = self.write(tmp_path, reader, "\n".join(lines).encode())
-        want = (ValueError, f"row {row}: field larger than field limit ({limit})")
         assert read_outcome(read, path) == want
 
     def test_missing_file(self, tmp_path, reader):
@@ -618,9 +628,9 @@ SPLIT_READERS = {
 
 def at_split(head, first, second, pad):
     """``head + first + second``, padded at the end so that the split read
-    cuts the file where ``first`` ends: the middle of the lines after the
-    header falls on the last byte of ``first``."""
-    return head + first + second + pad(len(first) - 2 - len(second))
+    cuts the file where ``first`` ends: the middle of the file falls on
+    the last byte of ``first``."""
+    return head + first + second + pad(len(head) + len(first) - 2 - len(second))
 
 
 def _layouts():
@@ -657,9 +667,9 @@ SPLIT_LAYOUTS = _layouts()
 
 
 class TestSplitRead:
-    """From SPLIT_BYTES up, a regular file's lines are checked and parsed in
-    two halves, the second in a forked child: the same arrays, bit for bit,
-    or the same error as the serial read, wherever the halves meet."""
+    """From SPLIT_BYTES up, a regular file's lines are parsed in two
+    halves, the second in a forked child: the same arrays, bit for bit, or
+    the same error as the serial read, wherever the halves meet."""
 
     @staticmethod
     def both_ways(monkeypatch, read, path):
@@ -686,11 +696,26 @@ class TestSplitRead:
         path.write_bytes(at_split(head, first, second, pad))
         with path.open("rb") as fh:
             size = os.fstat(fh.fileno()).st_size
-            split = tables_module._line_start(fh.fileno(), (len(head) + size) // 2)
+            split = tables_module._line_start(fh.fileno(), size // 2)
         assert split == len(head) + len(first) + first.endswith(b"\r") * second.startswith(b"\n")
         got = self.both_ways(monkeypatch, SPLIT_READERS[reader], path)
         assert got[True][0] == got[False][0]
         assert (got[True][1], got[False][1]) == (1, 0)
+
+    @pytest.mark.parametrize("reader", ["dataset", "records"])
+    def test_a_quoted_cell_across_the_split_is_read_whole(self, tmp_path, monkeypatch, reader):
+        # the quoted cell's line end is the first line end past the middle:
+        # a quote before it sends the file to one loadtxt call, not a fork
+        quoted = b'0.5,0.25,1,"n\n' if reader == "dataset" else b'"u\n'
+        tail = b'x",5,3\n' if reader == "records" else b'x"\n'
+        first = data_rows(reader, 40) + quoted
+        path = tmp_path / "split.csv"
+        path.write_bytes(at_split(SPLIT_HEADERS[reader], first, tail + data_rows(reader, 3),
+                                  SPLIT_PADS[reader]))
+        calls = row_loop_spy(monkeypatch)
+        got = self.both_ways(monkeypatch, SPLIT_READERS[reader], path)
+        assert got[True] == got[False] == (got[True][0], 0)
+        assert isinstance(got[True][0][0], bytes) and calls == []
 
     def test_rows_numbered_across_the_split(self, tmp_path, monkeypatch):
         first = data_rows("dataset", 40)
@@ -720,18 +745,15 @@ class TestSplitRead:
         path.write_bytes(SPLIT_HEADERS[reader] + rows + last)
         assert path.stat().st_size >= tables_module.SPLIT_BYTES
 
-        def no_row_loop(*args):
-            raise AssertionError("the row loop read the file")
-
         forks = []
         fork_job = workers_module.fork_job
-        monkeypatch.setattr(tables_module, "_read_rows", no_row_loop)
+        calls = row_loop_spy(monkeypatch)
         monkeypatch.setattr(workers_module, "worker_usable", lambda: True)
         monkeypatch.setattr(workers_module, "fork_job", lambda job: forks.append(job) or fork_job(job))
         with pytest.raises(ValueError) as err:
             SPLIT_READERS[reader](path)
         assert str(err.value) == f"row 120001: {message}"
-        assert len(forks) == 1
+        assert len(forks) == 1 and calls == []
 
     @pytest.mark.parametrize("below", [0, 1])
     def test_a_file_forks_from_split_bytes_up(self, tmp_path, monkeypatch, below):
@@ -751,22 +773,19 @@ class TestSplitRead:
         assert len(ds) == rows.count(b"\n") + 1
 
     def test_a_half_parsed_short_is_refused(self, tmp_path, monkeypatch):
-        # loadtxt parsing fewer rows than the check counted, as a file
-        # rewritten in place between the two would make it, sends the file
-        # to the row loop rather than into the table
+        # loadtxt parsing fewer rows than the first half's lines, as a file
+        # rewritten in place between the count and the parse would make
+        # it, sends the file to the row loop rather than into the table
         path = tmp_path / "split.csv"
         path.write_bytes(at_split(SPLIT_HEADERS["records"], data_rows("records", 40),
                                   data_rows("records", 5), SPLIT_PADS["records"]))
+        want = read_outcome(SPLIT_READERS["records"], path)
         load = tables_module._load
         monkeypatch.setattr(tables_module, "_load", lambda *a: load(*a)[:-1])
-        row_loop = tables_module._read_rows
-        calls = []
-        monkeypatch.setattr(tables_module, "_read_rows", lambda *a: calls.append(1) or row_loop(*a))
+        calls = row_loop_spy(monkeypatch)
         got = self.both_ways(monkeypatch, SPLIT_READERS["records"], path)
-        assert got[True] == (got[False][0], 1)
-        assert calls == [1, 1]
-        n, k = check_counts_from_csv(path)
-        assert len(n) == 46
+        assert got[True] == (want, 1)
+        assert calls == [1]
 
     def test_unbounded_field_limit(self, tmp_path, monkeypatch):
         # the split looks for a line end in a bounded window, not one of the
@@ -787,18 +806,132 @@ class TestSplitRead:
         path.write_bytes(at_split(SPLIT_HEADERS["records"], data_rows("records", 40), b"",
                                   SPLIT_PADS["records"]))
         parent = os.getpid()
-        lines = tables_module._lines
+        load = tables_module._load
 
         def child_dies(*args):
             if os.getpid() != parent:
                 os._exit(3)
-            return lines(*args)
+            return load(*args)
 
-        monkeypatch.setattr(tables_module, "_lines", child_dies)
+        monkeypatch.setattr(tables_module, "_load", child_dies)
         monkeypatch.setattr(tables_module, "SPLIT_BYTES", 1)
         monkeypatch.setattr(workers_module, "worker_usable", lambda: True)
         with pytest.raises(RuntimeError, match=r"sent no result: wait status 768"):
             check_counts_from_csv(path)
+
+
+# The one number grammar (README, "Reading CSV files"): cells each route
+# reads, with their values, and cells every route names.
+GRAMMAR_FLOATS = {"+5": 5.0, " 5 ": 5.0, ".5": 0.5, "1e-3": 0.001, '"5"': 5.0,
+                  '" -5 "': -5.0, "\t5\x1c": 5.0, "\u20035": 5.0, "1E+2": 100.0}
+GRAMMAR_COUNTS = {"+5": 5, " 5 ": 5, "005": 5, '"5"': 5, "\t5\x1c": 5}
+OUTSIDE_GRAMMAR = ["1_0", "1_0.2_5", "\u0661", "\u0660.\u0665", "\uff15", "0x10"]
+# numpy's int64 parser reads the letter U+01FE as the digits 462
+OUTSIDE_COUNTS = OUTSIDE_GRAMMAR + ["5.0", "1e1", "\u01fe"]
+ROUTES = ["serial", "split", "row loop"]
+
+
+def read_by(route, monkeypatch, read, path):
+    """``read_outcome`` of ``path`` through one route of read_table: one
+    loadtxt call, two halves at once, or the row loop, where loadtxt
+    refuses the file."""
+    with monkeypatch.context() as m:
+        m.setattr(workers_module, "worker_usable", lambda: route == "split")
+        m.setattr(tables_module, "SPLIT_BYTES", 1)
+        if route == "row loop":
+            m.setattr(np, "loadtxt", mock.Mock(side_effect=ValueError("refused")))
+        return read_outcome(read, path)
+
+
+class TestNumberGrammar:
+    """Every route reads a cell by the same grammar: the same value, or the
+    same named error, for the cell on rows 5 and 35 of 40."""
+
+    @staticmethod
+    def write(tmp_path, reader, cell):
+        if reader == "dataset":
+            rows = [f"{cell if i in (5, 35) else 0.5},0.25,1" for i in range(1, 41)]
+            text = "x0,soft_label,y\n" + "\n".join(rows) + "\n"
+        else:
+            rows = [f"u{i},{cell if i in (5, 35) else 7},3" for i in range(1, 41)]
+            text = "user_id,n,k\n" + "\n".join(rows) + "\n"
+        path = tmp_path / f"{reader}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        return path
+
+    READ = {"dataset": lambda path: load_csv(path, CsvSchema(features=("x0",), true_label="y")),
+            "records": check_counts_from_csv}
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("cell", list(GRAMMAR_FLOATS))
+    def test_dataset_cell_reads(self, tmp_path, monkeypatch, route, cell):
+        path = self.write(tmp_path, "dataset", cell)
+        want = np.full((40, 1), 0.5)
+        want[[4, 34]] = GRAMMAR_FLOATS[cell]
+        got = read_by(route, monkeypatch, self.READ["dataset"], path)
+        assert got[0] == want.tobytes()
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("cell", list(GRAMMAR_COUNTS))
+    def test_count_reads(self, tmp_path, monkeypatch, route, cell):
+        path = self.write(tmp_path, "records", cell)
+        want = np.full(40, 7)
+        want[[4, 34]] = GRAMMAR_COUNTS[cell]
+        got = read_by(route, monkeypatch, self.READ["records"], path)
+        assert got[0] == want.tobytes()
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("cell", OUTSIDE_GRAMMAR)
+    def test_dataset_cell_is_named(self, tmp_path, monkeypatch, route, cell):
+        path = self.write(tmp_path, "dataset", cell)
+        want = (ValueError, f"row 5, column 'x0': could not parse {cell!r} as a number")
+        assert read_by(route, monkeypatch, self.READ["dataset"], path) == want
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("cell", OUTSIDE_COUNTS)
+    def test_count_is_named(self, tmp_path, monkeypatch, route, cell):
+        path = self.write(tmp_path, "records", cell)
+        want = (ValueError, "row 5: n and k must be integers")
+        assert read_by(route, monkeypatch, self.READ["records"], path) == want
+
+
+def loadtxt_reads(text, dtype):
+    """What np.loadtxt reads from a one-cell file holding ``text``, or None
+    if it refuses it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            (value,) = np.loadtxt(io.StringIO(text + "\n"), delimiter=",", comments=None,
+                                  dtype=dtype, ndmin=1)
+        except (ValueError, Warning):
+            return None
+    return value.item()
+
+
+def grammar_reads(text, kind):
+    try:
+        return parse_number(text, kind)
+    except ValueError:
+        return None
+
+
+SPACES = " \t\x0b\x0c\x1c\x1f"
+NUMBER_TEXT = "0123456789+-.eEinfatyINFATY_x" + SPACES
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(text=st.text(alphabet=NUMBER_TEXT + "\x85\xa0\u2003\u3000\u0661\uff15\x00", max_size=8))
+def test_the_grammar_reads_floats_as_loadtxt_does(text):
+    got, want = grammar_reads(text, float), loadtxt_reads(text, np.float64)
+    assert got == want or (got != got and want != want)  # nan
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(text=st.text(alphabet=NUMBER_TEXT, max_size=8))
+def test_the_grammar_reads_ascii_counts_as_loadtxt_does(text):
+    got, want = grammar_reads(text, int), loadtxt_reads(text, np.int64)
+    # loadtxt refuses a count beyond int64, which the records check names
+    assert got == want or (want is None and abs(got) >= 2**63)
 
 
 class TestSaveCsv:

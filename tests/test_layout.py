@@ -7,7 +7,11 @@ decisions about where code lives:
 - every JSON file is read by ``schema.load_json``, so ``json.load`` and
   ``json.loads`` are called only in ``schema.py``;
 - every CSV file is read by ``tables.read_table``: one ``np.loadtxt`` call
-  (its column pass) and one ``csv.reader`` call (its row loop);
+  (its column pass, which reads every file it takes, a long one in two
+  halves) and one ``csv.reader`` call (its row loop, for the files the
+  column pass declines); every number in a CSV cell is parsed by one
+  grammar, ``tables.parse_number``'s, whose callers are the dataset and
+  check-count row parsers;
 - every file softpu opens, it opens in binary mode, so each CSV file it
   writes gets the bytes of ``tables.rows_bytes``, whose one caller is
   ``tables._write_rows``; text goes to a file only through
@@ -96,6 +100,12 @@ def test_no_module_imports_json_readers_by_name():
 )
 def test_one_call_site(call, module):
     assert _sites(call) == {module: 1}
+
+
+def test_every_csv_number_is_parsed_by_one_grammar():
+    callers = sorted({(module, function) for module, function, call in _calls_by_function()
+                      if _called_name(call) == "parse_number"})
+    assert callers == [("labeling.py", "_parse_counts"), ("tables.py", "parse_cell")]
 
 
 def _by_function(keep) -> list:
@@ -231,6 +241,7 @@ def test_each_value_rule_is_worded_in_one_function():
         "non-finite value": ("schema.py", "check_rows"),
         "need 0 <= k <= n": ("labeling.py", "_check_pair"),
         "duplicate column(s)": ("tables.py", "named_columns"),
+        "not an ASCII decimal number": ("tables.py", "parse_number"),
         "must lie in [0, 1]": ("schema.py", "check_unit_interval"),
         "must be finite, got": ("schema.py", "check_finite_number"),
         "must be finite and positive": ("schema.py", "check_positive"),
